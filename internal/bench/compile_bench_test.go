@@ -26,18 +26,24 @@ func BenchmarkPipelineCompile(b *testing.B) {
 // BenchmarkPipelineCompileUU is the same measurement through the paper's
 // unroll-and-unmerge configuration (loop 0, factor 2), which exercises the
 // loop-transform phase and its analysis invalidation on top of the cleanup
-// rounds.
+// rounds. The u8-worst sub-benchmark is the sweep's most expensive cell
+// (see worstCell), where compile time and allocation blow up first.
 func BenchmarkPipelineCompileUU(b *testing.B) {
-	for _, app := range Suite {
-		app := app
-		b.Run(app.Name, func(b *testing.B) {
+	run := func(name string, app *Benchmark, opts pipeline.Options) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Compile(app, pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 2}); err != nil {
+				if _, err := Compile(app, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	for _, app := range Suite {
+		run(app.Name, app, pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 2})
+	}
+	app, opts := worstCell()
+	run("u8-worst", app, opts)
 }
 
 // BenchmarkPipelineCompileRemarks measures the same u&u compile with the

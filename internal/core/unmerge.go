@@ -62,61 +62,135 @@ func Unmerge(f *ir.Function, l *analysis.Loop, opts Options) bool {
 // invalidated on return: establishing preheader/LCSSA form can mutate even
 // when no merge block is duplicated.
 func unmerge(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options) bool {
-	if l.HasConvergentOp() {
+	u := newUnmerger(f, am, l, opts)
+	if u == nil {
 		return false
+	}
+	changed := false
+	for b := u.nextMerge(); b != nil; b = u.nextMerge() {
+		u.split(b)
+		changed = true
+	}
+	return changed
+}
+
+// blockMarks is a set of blocks indexed by ir.Block.ID. It grows on demand
+// (duplication keeps minting blocks) and clear is O(1), so one value serves
+// both as a long-lived set and as per-search scratch.
+type blockMarks struct {
+	stamp []uint32 // stamp[id] == epoch: the block is in the set
+	epoch uint32
+}
+
+func newBlockMarks(f *ir.Function) blockMarks {
+	return blockMarks{stamp: make([]uint32, f.BlockIDBound()), epoch: 1}
+}
+
+func (m *blockMarks) has(b *ir.Block) bool {
+	id := b.ID()
+	return id < len(m.stamp) && m.stamp[id] == m.epoch
+}
+
+func (m *blockMarks) add(b *ir.Block) {
+	id := b.ID()
+	if id >= len(m.stamp) {
+		m.stamp = append(m.stamp, make([]uint32, id+1-len(m.stamp))...)
+	}
+	m.stamp[id] = m.epoch
+}
+
+// clear empties the set. One Unmerge call clears a few times per block it
+// creates and stops at MaxBlocks, so the epoch cannot wrap.
+func (m *blockMarks) clear() { m.epoch++ }
+
+// unmerger is the state of one Unmerge call: the loop's growing block set
+// and the scratch the merge search and each duplication reuse, all keyed by
+// block ID.
+type unmerger struct {
+	f      *ir.Function
+	am     *analysis.AnalysisManager
+	header *ir.Block
+	opts   Options
+
+	maxBlocks int
+	dupCount  int
+
+	// loopSet is the working copy of the loop's block set; clones are added
+	// as they are made.
+	loopSet blockMarks
+	// exempt holds the blocks that keep their merges: inner-loop blocks,
+	// merges the selective predictor rejects, and (one-round mode) merges
+	// introduced by earlier duplications. Clones inherit the exemption.
+	exempt blockMarks
+	// initial is used in direct-successor mode only: the blocks present at
+	// entry, the only ones that mode duplicates.
+	initial blockMarks
+
+	// Merge-search scratch.
+	visited blockMarks
+	stack   []dfsFrame
+	order   []*ir.Block
+	// Per-duplication scratch: the region being cloned, and the region plus
+	// its clones.
+	inRegion       blockMarks
+	regionOrClones blockMarks
+	work           []*ir.Block
+}
+
+type dfsFrame struct {
+	succs []*ir.Block // the block's successors still to look at
+	b     *ir.Block
+}
+
+// newUnmerger puts l into preheader/LCSSA form and builds the block sets, or
+// returns nil when the loop cannot be unmerged.
+func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options) *unmerger {
+	if l.HasConvergentOp() {
+		return nil
 	}
 	if l.Latch() == nil {
-		return false
+		return nil
 	}
-	maxBlocks := opts.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = DefaultMaxBlocks
+	u := &unmerger{f: f, am: am, header: l.Header, opts: opts, maxBlocks: opts.MaxBlocks}
+	if u.maxBlocks == 0 {
+		u.maxBlocks = DefaultMaxBlocks
 	}
 	transform.EnsurePreheader(f, l)
 	transform.EnsureLCSSA(f, l)
 	am.InvalidateAll()
 
-	// Working copy of the loop's block set; clones are added as we go.
-	loopSet := map[*ir.Block]bool{}
+	u.loopSet = newBlockMarks(f)
+	u.exempt = newBlockMarks(f)
+	u.visited = newBlockMarks(f)
+	u.inRegion = newBlockMarks(f)
+	u.regionOrClones = newBlockMarks(f)
 	for _, b := range l.Blocks() {
-		loopSet[b] = true
+		u.loopSet.add(b)
 	}
-	header := l.Header
 
 	// Blocks of inner loops keep their merges: duplicating an inner back
 	// edge would be loop peeling, and collapsing an inner merge would drop
 	// back-edge values. Inner loops are unmerged by their own Unmerge calls
 	// (see UnrollAndUnmerge); here they are cloned wholesale when they sit
-	// inside a duplicated tail. Clones inherit the exemption.
-	innerBlock := map[*ir.Block]bool{}
-	{
-		li := am.LoopInfo()
-		for _, il := range li.Loops {
-			if il.Header != header && l.Contains(il.Header) {
-				for _, ib := range il.Blocks() {
-					innerBlock[ib] = true
-				}
+	// inside a duplicated tail.
+	for _, il := range am.LoopInfo().Loops {
+		if il.Header != u.header && l.Contains(il.Header) {
+			for _, ib := range il.Blocks() {
+				u.exempt.add(ib)
 			}
 		}
 	}
 
 	// Selective (partial) unmerging: exempt the merge blocks the benefit
-	// predictor rejects; the exemption set doubles as the inner-loop mask and
-	// propagates to clones below.
+	// predictor rejects.
 	if opts.Selective {
 		profitable := ProfitableMerges(l)
 		for _, b := range l.Blocks() {
-			if b == header || innerBlock[b] {
+			if b == u.header || u.exempt.has(b) {
 				continue
 			}
-			inPreds := 0
-			for _, p := range b.Preds() {
-				if l.Contains(p) {
-					inPreds++
-				}
-			}
-			if inPreds >= 2 && !profitable[b] {
-				innerBlock[b] = true
+			if u.inLoopPreds(b) >= 2 && !profitable[b] {
+				u.exempt.add(b)
 			}
 		}
 	}
@@ -125,114 +199,169 @@ func unmerge(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opt
 	// entry are duplicated — one round, not to fixpoint — matching [8]'s
 	// "unmerges only the direct successor basic block". The paper's design
 	// iterates until no merge block remains.
-	var initialMerges map[*ir.Block]bool
 	if opts.DirectSuccessorOnly {
-		initialMerges = map[*ir.Block]bool{}
+		u.initial = newBlockMarks(f)
 		for _, b := range l.Blocks() {
-			initialMerges[b] = true
+			u.initial.add(b)
 		}
 	}
-	changed := false
-	dupCount := 0
-	for {
-		if f.NumBlocks() > maxBlocks {
-			break
-		}
-		b := findMergeBlock(f, header, loopSet, innerBlock)
-		for b != nil && initialMerges != nil && !initialMerges[b] {
-			// One-round mode: skip merges introduced by earlier duplications.
-			innerBlock[b] = true // reuse the exemption set to mask it off
-			b = findMergeBlock(f, header, loopSet, innerBlock)
-		}
-		if b == nil {
-			break
-		}
-		// In-loop predecessors; keep the first, split the rest off.
-		var inPreds []*ir.Block
-		for _, p := range b.Preds() {
-			if loopSet[p] {
-				inPreds = append(inPreds, p)
-			}
-		}
-		for _, pi := range inPreds[1:] {
-			dupCount++
-			region := tailRegion(am, b, header, loopSet, opts.DirectSuccessorOnly)
-			bmap, vmap := ir.CloneBlocks(f, region, fmt.Sprintf(".d%d", dupCount))
-			// Stamp path duplicates with the duplication id (composing with
-			// any unroll iteration tag, like the ".u1.d3" block names).
-			for _, clone := range vmap {
-				if ci, ok := clone.(*ir.Instr); ok {
-					loc := ci.Loc()
-					loc.Dup = int32(dupCount)
-					ci.SetLoc(loc)
-				}
-			}
-			recordOrigins(opts.Origins, vmap)
-			inRegion := map[*ir.Block]bool{}
-			for _, rb := range region {
-				inRegion[rb] = true
-			}
-			// Register clones in the loop set and propagate the inner-loop
-			// exemption.
-			for _, rb := range region {
-				loopSet[bmap[rb]] = true
-				if innerBlock[rb] {
-					innerBlock[bmap[rb]] = true
-				}
-			}
-			// Blocks outside the region targeted from inside it (the loop
-			// header via back edges, loop exits, in-loop successors in
-			// direct-successor mode): their phis gain one incoming per
-			// cloned edge.
-			for _, rb := range region {
-				for _, s := range rb.Succs() {
-					if inRegion[s] {
-						continue
-					}
-					for _, phi := range s.Phis() {
-						v := phi.PhiIncoming(rb)
-						if v == nil {
-							continue
-						}
-						if phi.PhiIncoming(bmap[rb]) == nil {
-							phi.PhiAddIncoming(vmap.Lookup(v), bmap[rb])
-						}
-					}
-				}
-			}
-			// Cloned phis: incomings from blocks outside the region are
-			// edges that do not exist on the clone. For the duplicated merge
-			// block b itself the only remaining pred will be pi, so its phis
-			// collapse to pi's value; elsewhere the stale incomings are
-			// dropped.
-			for _, rb := range region {
-				cb := bmap[rb]
-				for _, phi := range append([]*ir.Instr(nil), cb.Phis()...) {
-					if rb == b {
-						orig := origPhiOf(rb, phi, vmap)
-						val := vmap.Lookup(orig.PhiIncoming(pi))
-						phi.ReplaceAllUsesWith(val)
-						cb.Erase(phi)
-						vmap[orig] = val
-						continue
-					}
-					for i := phi.NumBlocks() - 1; i >= 0; i-- {
-						if !inRegion[phiOrigBlock(phi.BlockArg(i), bmap)] {
-							phi.PhiRemoveIncoming(phi.BlockArg(i))
-						}
-					}
-				}
-			}
-			// Redirect pi into the cloned merge block.
-			pi.ReplaceSucc(b, bmap[b])
-			for _, phi := range b.Phis() {
-				phi.PhiRemoveIncoming(pi)
-			}
-			am.InvalidateAll()
-			changed = true
+	return u
+}
+
+func (u *unmerger) inLoopPreds(b *ir.Block) int {
+	n := 0
+	for _, p := range b.Preds() {
+		if u.loopSet.has(p) {
+			n++
 		}
 	}
-	return changed
+	return n
+}
+
+// nextMerge returns the merge block to duplicate next, or nil when none is
+// left or the function has reached the growth cap.
+func (u *unmerger) nextMerge() *ir.Block {
+	if u.f.NumBlocks() > u.maxBlocks {
+		return nil
+	}
+	b := u.findMergeBlock()
+	for b != nil && u.opts.DirectSuccessorOnly && !u.initial.has(b) {
+		// One-round mode: mask off merges introduced by earlier duplications.
+		u.exempt.add(b)
+		b = u.findMergeBlock()
+	}
+	return b
+}
+
+// findMergeBlock returns the first non-exempt block (in reverse postorder
+// from the header through in-loop forward edges) that merges several in-loop
+// predecessors, or nil. It runs once per duplicated merge block over a body
+// that duplication keeps growing, so the DFS is iterative over reused,
+// ID-indexed scratch: no allocation once the buffers have grown.
+func (u *unmerger) findMergeBlock() *ir.Block {
+	// Postorder over the loop body DAG (edges into the header ignored).
+	u.visited.clear()
+	u.order = u.order[:0]
+	u.visited.add(u.header)
+	u.stack = append(u.stack[:0], dfsFrame{u.header.Succs(), u.header})
+	for len(u.stack) > 0 {
+		top := &u.stack[len(u.stack)-1]
+		var child *ir.Block
+		for len(top.succs) > 0 && child == nil {
+			s := top.succs[0]
+			top.succs = top.succs[1:]
+			if u.loopSet.has(s) && s != u.header && !u.visited.has(s) {
+				child = s
+			}
+		}
+		if child == nil {
+			u.order = append(u.order, top.b)
+			u.stack = u.stack[:len(u.stack)-1]
+			continue
+		}
+		u.visited.add(child)
+		u.stack = append(u.stack, dfsFrame{child.Succs(), child})
+	}
+	for i := len(u.order) - 1; i >= 0; i-- {
+		b := u.order[i]
+		if b == u.header || u.exempt.has(b) {
+			continue
+		}
+		if u.inLoopPreds(b) >= 2 {
+			return b
+		}
+	}
+	return nil
+}
+
+// split keeps merge block b's first in-loop predecessor and gives every
+// other one its own copy of b's tail region.
+func (u *unmerger) split(b *ir.Block) {
+	f := u.f
+	var inPreds []*ir.Block
+	for _, p := range b.Preds() {
+		if u.loopSet.has(p) {
+			inPreds = append(inPreds, p)
+		}
+	}
+	for _, pi := range inPreds[1:] {
+		u.dupCount++
+		region := u.tailRegion(b)
+		bmap, vmap := ir.CloneBlocks(f, region, fmt.Sprintf(".d%d", u.dupCount))
+		// Stamp path duplicates with the duplication id (composing with
+		// any unroll iteration tag, like the ".u1.d3" block names).
+		for _, clone := range vmap {
+			if ci, ok := clone.(*ir.Instr); ok {
+				loc := ci.Loc()
+				loc.Dup = int32(u.dupCount)
+				ci.SetLoc(loc)
+			}
+		}
+		recordOrigins(u.opts.Origins, vmap)
+		// Register clones in the loop set and propagate the exemption.
+		u.inRegion.clear()
+		u.regionOrClones.clear()
+		for _, rb := range region {
+			cb := bmap[rb]
+			u.inRegion.add(rb)
+			u.regionOrClones.add(rb)
+			u.regionOrClones.add(cb)
+			u.loopSet.add(cb)
+			if u.exempt.has(rb) {
+				u.exempt.add(cb)
+			}
+		}
+		// Blocks outside the region targeted from inside it (the loop
+		// header via back edges, loop exits, in-loop successors in
+		// direct-successor mode): their phis gain one incoming per
+		// cloned edge.
+		for _, rb := range region {
+			for _, s := range rb.Succs() {
+				if u.inRegion.has(s) {
+					continue
+				}
+				for _, phi := range s.Phis() {
+					v := phi.PhiIncoming(rb)
+					if v == nil {
+						continue
+					}
+					if phi.PhiIncoming(bmap[rb]) == nil {
+						phi.PhiAddIncoming(vmap.Lookup(v), bmap[rb])
+					}
+				}
+			}
+		}
+		// Cloned phis: incomings from blocks outside the region are
+		// edges that do not exist on the clone. For the duplicated merge
+		// block b itself the only remaining pred will be pi, so its phis
+		// collapse to pi's value; elsewhere the stale incomings are
+		// dropped. A cloned phi names in-region incoming blocks by their
+		// clones, so "inside" is membership in the region or its clones.
+		for _, rb := range region {
+			cb := bmap[rb]
+			for _, phi := range append([]*ir.Instr(nil), cb.Phis()...) {
+				if rb == b {
+					orig := origPhiOf(rb, phi, vmap)
+					val := vmap.Lookup(orig.PhiIncoming(pi))
+					phi.ReplaceAllUsesWith(val)
+					cb.Erase(phi)
+					vmap[orig] = val
+					continue
+				}
+				for i := phi.NumBlocks() - 1; i >= 0; i-- {
+					if !u.regionOrClones.has(phi.BlockArg(i)) {
+						phi.PhiRemoveIncoming(phi.BlockArg(i))
+					}
+				}
+			}
+		}
+		// Redirect pi into the cloned merge block.
+		pi.ReplaceSucc(b, bmap[b])
+		for _, phi := range b.Phis() {
+			phi.PhiRemoveIncoming(pi)
+		}
+		u.am.InvalidateAll()
+	}
 }
 
 // origPhiOf finds the original phi that cloned phi stems from: CloneBlocks
@@ -246,71 +375,21 @@ func origPhiOf(origBlock *ir.Block, clonePhi *ir.Instr, vmap ir.ValueMap) *ir.In
 	panic("core: clone phi has no original")
 }
 
-// phiOrigBlock maps a phi incoming block of a CLONED phi back through bmap:
-// incoming blocks inside the region were remapped to clones, so membership
-// must be tested on clones as well as originals.
-func phiOrigBlock(b *ir.Block, bmap map[*ir.Block]*ir.Block) *ir.Block {
-	for orig, clone := range bmap {
-		if clone == b {
-			return orig
-		}
-	}
-	return b
-}
-
-// findMergeBlock returns the first block (in reverse postorder from the
-// header through in-loop forward edges) that merges several in-loop
-// predecessors, or nil.
-func findMergeBlock(f *ir.Function, header *ir.Block, loopSet, innerBlock map[*ir.Block]bool) *ir.Block {
-	// RPO over the loop body DAG (edges into the header ignored).
-	var order []*ir.Block
-	state := map[*ir.Block]int{}
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		state[b] = 1
-		for _, s := range b.Succs() {
-			if !loopSet[s] || s == header || state[s] != 0 {
-				continue
-			}
-			dfs(s)
-		}
-		state[b] = 2
-		order = append(order, b)
-	}
-	dfs(header)
-	for i := len(order) - 1; i >= 0; i-- {
-		b := order[i]
-		if b == header || innerBlock[b] {
-			continue
-		}
-		n := 0
-		for _, p := range b.Preds() {
-			if loopSet[p] {
-				n++
-			}
-		}
-		if n >= 2 {
-			return b
-		}
-	}
-	return nil
-}
-
 // tailRegion returns the blocks reachable from b inside the loop without
 // passing through the header — the whole path to the latch that the paper's
 // design duplicates. In direct-successor mode the region is instead the
 // smallest SSA-closed region around the merge block: b plus the blocks it
 // dominates (values defined there are only used inside it or through phis),
 // which approximates the DBDS-style "duplicate only the merge block" of [8].
-func tailRegion(am *analysis.AnalysisManager, b, header *ir.Block, loopSet map[*ir.Block]bool, directOnly bool) []*ir.Block {
-	if directOnly {
-		dt := am.DomTree()
+func (u *unmerger) tailRegion(b *ir.Block) []*ir.Block {
+	if u.opts.DirectSuccessorOnly {
+		dt := u.am.DomTree()
 		region := []*ir.Block{}
 		var walkDom func(x *ir.Block)
 		walkDom = func(x *ir.Block) {
 			region = append(region, x)
 			for _, c := range dt.Children(x) {
-				if loopSet[c] && c != header {
+				if u.loopSet.has(c) && c != u.header {
 					walkDom(c)
 				}
 			}
@@ -319,18 +398,19 @@ func tailRegion(am *analysis.AnalysisManager, b, header *ir.Block, loopSet map[*
 		return region
 	}
 	var region []*ir.Block
-	seen := map[*ir.Block]bool{b: true}
-	work := []*ir.Block{b}
-	for len(work) > 0 {
-		x := work[len(work)-1]
-		work = work[:len(work)-1]
+	u.visited.clear()
+	u.visited.add(b)
+	u.work = append(u.work[:0], b)
+	for len(u.work) > 0 {
+		x := u.work[len(u.work)-1]
+		u.work = u.work[:len(u.work)-1]
 		region = append(region, x)
 		for _, s := range x.Succs() {
-			if s == header || !loopSet[s] || seen[s] {
+			if s == u.header || !u.loopSet.has(s) || u.visited.has(s) {
 				continue
 			}
-			seen[s] = true
-			work = append(work, s)
+			u.visited.add(s)
+			u.work = append(u.work, s)
 		}
 	}
 	return region

@@ -11,7 +11,15 @@ type Block struct {
 	instrs []*Instr
 	preds  []*Block
 	fn     *Function
+	id     int // unique within the function; assigned by NewBlock
 }
+
+// ID returns the block's function-unique number, the twin of Instr.ID.
+// Passes index slices of length Function.BlockIDBound with it instead of
+// hashing the pointer. It is stable — it survives layout changes, Clone and
+// Restore, and is never reused after RemoveBlocks — so it is not the
+// block's position in Blocks().
+func (b *Block) ID() int { return b.id }
 
 // Func returns the containing function.
 func (b *Block) Func() *Function { return b.fn }

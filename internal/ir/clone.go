@@ -19,10 +19,11 @@ func (vm ValueMap) Lookup(v Value) Value {
 // the IR before every pass and roll back on a crash or verifier failure.
 func Clone(f *Function) *Function {
 	nf := &Function{
-		Name:      f.Name,
-		RetTyp:    f.RetTyp,
-		nextID:    f.nextID,
-		nameCount: make(map[string]int, len(f.nameCount)),
+		Name:        f.Name,
+		RetTyp:      f.RetTyp,
+		nextID:      f.nextID,
+		nextBlockID: f.nextBlockID,
+		nameCount:   make(map[string]int, len(f.nameCount)),
 	}
 	for k, v := range f.nameCount {
 		nf.nameCount[k] = v
@@ -35,7 +36,7 @@ func Clone(f *Function) *Function {
 	}
 	bmap := make(map[*Block]*Block, len(f.blocks))
 	for _, b := range f.blocks {
-		nb := &Block{Name: b.Name, fn: nf}
+		nb := &Block{Name: b.Name, fn: nf, id: b.id}
 		nf.blocks = append(nf.blocks, nb)
 		bmap[b] = nb
 	}
@@ -90,7 +91,7 @@ func Clone(f *Function) *Function {
 }
 
 // Restore replaces dst's entire body (parameters, blocks, instructions, name
-// and ID counters) with snapshot's, rebinding ownership so callers holding
+// and instruction/block ID counters) with snapshot's, rebinding ownership so callers holding
 // the *Function pointer observe the snapshot state. The snapshot must not be
 // used afterwards — its body now belongs to dst. Pair with Clone for
 // speculative pass execution: snap := Clone(f); run pass; on failure
@@ -101,6 +102,7 @@ func Restore(dst, snapshot *Function) {
 	dst.Params = snapshot.Params
 	dst.blocks = snapshot.blocks
 	dst.nextID = snapshot.nextID
+	dst.nextBlockID = snapshot.nextBlockID
 	dst.nameCount = snapshot.nameCount
 	for _, p := range dst.Params {
 		p.fn = dst

@@ -10,9 +10,10 @@ type Function struct {
 	Params []*Param
 	RetTyp *Type
 
-	blocks []*Block
-	mod    *Module
-	nextID int
+	blocks      []*Block
+	mod         *Module
+	nextID      int // last instruction ID handed out (IDs start at 1)
+	nextBlockID int // next block ID to hand out (IDs start at 0)
 
 	nameCount map[string]int
 }
@@ -62,10 +63,19 @@ func (f *Function) NewBlock(name string) *Block {
 	} else {
 		f.nameCount[name] = 1
 	}
-	b := &Block{Name: uniq, fn: f}
+	b := &Block{Name: uniq, fn: f, id: f.nextBlockID}
+	f.nextBlockID++
 	f.blocks = append(f.blocks, b)
 	return b
 }
+
+// BlockIDBound returns an exclusive upper bound on Block.ID over every block
+// the function has ever held: a slice of this length can be indexed by the
+// ID of any current block. NewBlock (and so CloneBlocks) raises it.
+func (f *Function) BlockIDBound() int { return f.nextBlockID }
+
+// InstrIDBound is BlockIDBound's twin for Instr.ID of attached instructions.
+func (f *Function) InstrIDBound() int { return f.nextID + 1 }
 
 // BlockByName returns the block with the exact given name, or nil.
 func (f *Function) BlockByName(name string) *Block {
@@ -85,15 +95,17 @@ func (f *Function) RemoveBlock(b *Block) { f.RemoveBlocks([]*Block{b}) }
 // RemoveBlocks detaches a group of mutually-referencing blocks (e.g. an
 // unreachable region) from the function. No block outside the group may be a
 // predecessor of, or use values defined in, the group. Phis in successors
-// outside the group lose their incomings from group blocks.
+// outside the group lose their incomings from group blocks. A removed
+// block's Func is nil.
 func (f *Function) RemoveBlocks(group []*Block) {
-	inGroup := map[*Block]bool{}
+	// Detach first: below, a nil owner is what tells a group member from a
+	// survivor, so membership costs a field read, not a set.
 	for _, b := range group {
-		inGroup[b] = true
+		b.fn = nil
 	}
 	for _, b := range group {
 		for _, p := range b.preds {
-			if !inGroup[p] {
+			if p.fn != nil {
 				panic("ir: RemoveBlocks: block " + b.Name + " still has outside predecessor " + p.Name)
 			}
 		}
@@ -108,7 +120,7 @@ func (f *Function) RemoveBlocks(group []*Block) {
 		b.removeSuccEdges(t)
 		t.blocks = nil
 		for _, s := range succs {
-			if inGroup[s] {
+			if s.fn == nil {
 				continue
 			}
 			for _, phi := range s.Phis() {
@@ -135,7 +147,7 @@ func (f *Function) RemoveBlocks(group []*Block) {
 	// Phase 3: unlink from the block list.
 	kept := f.blocks[:0]
 	for _, x := range f.blocks {
-		if !inGroup[x] {
+		if x.fn != nil {
 			kept = append(kept, x)
 		}
 	}

@@ -425,6 +425,11 @@ func (in *Instr) NumUses() int { return len(in.uses) }
 // HasUses reports whether any instruction uses this one's result.
 func (in *Instr) HasUses() bool { return len(in.uses) > 0 }
 
+// User returns the instruction holding the i-th of NumUses operand slots
+// that reference this one, in no particular order. An instruction that uses
+// it twice is returned twice; Users deduplicates, at the price of a map.
+func (in *Instr) User(i int) *Instr { return in.uses[i].user }
+
 // Users returns the distinct instructions that use this instruction.
 func (in *Instr) Users() []*Instr {
 	seen := map[*Instr]bool{}

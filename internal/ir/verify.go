@@ -259,17 +259,26 @@ func checkConvSig(in *Instr) error {
 }
 
 // verifyUnique checks that no block appears twice in the block list and that
-// attached instructions carry function-unique IDs — the invariants a broken
-// clone/restore or a double Append would violate first.
+// blocks and attached instructions carry function-unique IDs below the
+// function's bounds — the invariants a broken clone/restore or a double
+// Append would violate first, and the ones every ID-indexed scratch slice in
+// the passes relies on.
 func verifyUnique(f *Function) error {
-	seenBlock := make(map[*Block]bool, len(f.blocks))
 	seenName := make(map[string]bool, len(f.blocks))
-	seenID := map[int]string{}
+	blockWithID := make([]*Block, f.BlockIDBound())
+	instrWithID := make([]*Instr, f.InstrIDBound())
 	for _, b := range f.blocks {
-		if seenBlock[b] {
-			return fmt.Errorf("verify %s: block %s appears twice in the block list", f.Name, b.Name)
+		if b.id < 0 || b.id >= len(blockWithID) {
+			return fmt.Errorf("verify %s: block %s has ID %d outside the function's bound %d",
+				f.Name, b.Name, b.id, len(blockWithID))
 		}
-		seenBlock[b] = true
+		switch prev := blockWithID[b.id]; {
+		case prev == b:
+			return fmt.Errorf("verify %s: block %s appears twice in the block list", f.Name, b.Name)
+		case prev != nil:
+			return fmt.Errorf("verify %s: block ID %d used by both %s and %s", f.Name, b.id, prev.Name, b.Name)
+		}
+		blockWithID[b.id] = b
 		if seenName[b.Name] {
 			return fmt.Errorf("verify %s: duplicate block name %s", f.Name, b.Name)
 		}
@@ -278,11 +287,15 @@ func verifyUnique(f *Function) error {
 			if in.id == 0 {
 				continue // detached-then-reattached instrs may legally lack IDs mid-build
 			}
-			if prev, ok := seenID[in.id]; ok {
-				return fmt.Errorf("verify %s: instruction ID %d used by both %s and %s",
-					f.Name, in.id, prev, in.Ref())
+			if in.id < 0 || in.id >= len(instrWithID) {
+				return fmt.Errorf("verify %s: instruction %s has ID %d outside the function's bound %d",
+					f.Name, in.Ref(), in.id, len(instrWithID))
 			}
-			seenID[in.id] = in.Ref()
+			if prev := instrWithID[in.id]; prev != nil {
+				return fmt.Errorf("verify %s: instruction ID %d used by both %s and %s",
+					f.Name, in.id, prev.Ref(), in.Ref())
+			}
+			instrWithID[in.id] = in
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -238,11 +239,18 @@ func fireChaos(t *testing.T, httpc *http.Client, url string, n int) chaosOutcome
 // by the drain deadline, and flush final stats. This is the in-process
 // twin of cmd/uud's signal path, which calls exactly this method.
 func TestDrainMidLoad(t *testing.T) {
-	s := New(Options{Workers: 2, QueueDepth: 4})
+	s := New(Options{Workers: 2, QueueDepth: 4, RetryAfter: time.Second})
 	ts := newLocalServer(t, s)
 
+	// Outcomes are collected under a mutex, not sent on a channel: two of
+	// the eight clients are shed for the whole drill, and nobody reads
+	// until every client has returned, so a bounded channel would block
+	// them forever once it filled.
 	const clients = 8
-	results := make(chan chaosOutcome, clients*4)
+	var (
+		mu       sync.Mutex
+		outcomes []chaosOutcome
+	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
@@ -262,6 +270,7 @@ func TestDrainMidLoad(t *testing.T) {
 				start := time.Now()
 				resp, err := httpc.Post(ts.URL+"/compile", "application/json", bytes.NewReader(body))
 				o := chaosOutcome{kind: "drain-load", ms: float64(time.Since(start).Microseconds()) / 1e3}
+				var retryAfter time.Duration
 				if err == nil {
 					data, _ := io.ReadAll(resp.Body)
 					resp.Body.Close()
@@ -273,10 +282,22 @@ func TestDrainMidLoad(t *testing.T) {
 						}
 						o.code = e.Code
 					}
+					if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
+						retryAfter = time.Duration(secs) * time.Second
+					}
 				}
-				results <- o
-				if o.status == 503 { // draining: stop this client
+				mu.Lock()
+				outcomes = append(outcomes, o)
+				mu.Unlock()
+				switch o.status {
+				case 503: // draining: stop this client
 					return
+				case 429: // shed: back off as the server asked, as uuclient does
+					select {
+					case <-stop:
+						return
+					case <-time.After(retryAfter):
+					}
 				}
 			}
 		}(cl)
@@ -290,13 +311,12 @@ func TestDrainMidLoad(t *testing.T) {
 	drainTook := time.Since(drainStart)
 	close(stop)
 	wg.Wait()
-	close(results)
 
 	if drainTook > 10*time.Second {
 		t.Fatalf("drain took %s, want prompt completion after the deadline cancels stragglers", drainTook)
 	}
 	counts := map[string]int{}
-	for o := range results {
+	for _, o := range outcomes {
 		label := o.code
 		if label == "" {
 			label = fmt.Sprintf("http-%d", o.status)

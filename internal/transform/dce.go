@@ -13,11 +13,11 @@ func DCE(f *ir.Function) bool {
 // dceCount is DCE returning how many instructions it deleted (the payload of
 // the pass's DeadInstructions remark).
 func dceCount(f *ir.Function) int {
-	live := map[*ir.Instr]bool{}
+	live := make([]bool, f.InstrIDBound()) // by Instr.ID
 	var work []*ir.Instr
 	mark := func(in *ir.Instr) {
-		if !live[in] {
-			live[in] = true
+		if !live[in.ID()] {
+			live[in.ID()] = true
 			work = append(work, in)
 		}
 	}
@@ -40,7 +40,7 @@ func dceCount(f *ir.Function) int {
 	var dead []*ir.Instr
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
-			if !live[in] {
+			if !live[in.ID()] {
 				dead = append(dead, in)
 			}
 		}

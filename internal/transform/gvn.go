@@ -1,9 +1,9 @@
 package transform
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
 	"sort"
-	"strings"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -45,11 +45,11 @@ func GVN(f *ir.Function, opts GVNOptions) bool {
 // stay valid throughout.
 func gvn(f *ir.Function, am *analysis.AnalysisManager, opts GVNOptions) bool {
 	g := &gvnState{
-		opts:     opts,
-		ids:      map[ir.Value]int{},
-		constIDs: map[string]int{},
-		leaders:  map[string]ir.Value{},
-		repl:     map[ir.Value]ir.Value{},
+		opts:      opts,
+		constBase: -1 - len(f.Params),
+		constIDs:  map[constKey]int{},
+		leaders:   map[exprKey]ir.Value{},
+		repl:      map[ir.Value]ir.Value{},
 	}
 	dt := am.DomTree()
 	li := am.LoopInfo()
@@ -96,7 +96,7 @@ type memFact struct {
 }
 
 type scopeUndo struct {
-	leaderKeys []string
+	leaderKeys []exprKey
 	leaderPrev []ir.Value
 	replKeys   []ir.Value
 	replPrev   []ir.Value
@@ -105,41 +105,74 @@ type scopeUndo struct {
 }
 
 type gvnState struct {
-	opts     GVNOptions
-	ids      map[ir.Value]int
-	constIDs map[string]int
-	nextID   int
-	leaders  map[string]ir.Value
-	repl     map[ir.Value]ir.Value
-	facts    []memFact
-	scopes   []*scopeUndo
-	changed  bool
+	opts GVNOptions
+	// constBase is the value number of the first constant seen: just below
+	// the parameters'.
+	constBase int
+	constIDs  map[constKey]int
+	leaders   map[exprKey]ir.Value
+	repl      map[ir.Value]ir.Value
+	facts     []memFact
+	scopes    []*scopeUndo
+	changed   bool
 	// erased counts instructions deleted (CSE hits, forwarded loads,
 	// simplifications); rewrites counts operand replacements from propagated
 	// equalities. Both feed the pass's ValueNumbering remark.
 	erased   int
 	rewrites int
+
+	phiPairs []phiPair // exprKey scratch
+	phiBuf   []byte    // exprKey scratch
 }
 
+// constKey identifies a constant by content: equal constants share a value
+// number whichever *ir.Const carries them.
+type constKey struct {
+	typ  *ir.Type
+	bits uint64
+}
+
+// exprKey is the value-numbering key of a pure instruction: what it
+// computes, over the value numbers of its operands (0 = no such operand).
+// Phis are keyed by their block and, in incomings, their (block, value)
+// pairs in sorted order.
+type exprKey struct {
+	op         ir.Op
+	pred       ir.Pred
+	typ        *ir.Type
+	a0, a1, a2 int
+	phiBlock   *ir.Block
+	incomings  string
+}
+
+type phiPair struct{ block, val int }
+
+// id returns v's value number: never 0, the same for one value throughout
+// the run, and shared by equal constants. Instructions are numbered by their
+// function-unique ID, parameters count down from -1, and constants continue
+// below the parameters in order of first sight.
 func (g *gvnState) id(v ir.Value) int {
-	if id, ok := g.ids[v]; ok {
+	switch x := v.(type) {
+	case *ir.Instr:
+		return x.ID()
+	case *ir.Param:
+		return -1 - x.Index
+	case *ir.Const:
+		key := constKey{typ: x.Typ, bits: uint64(x.Int)}
+		if x.Typ.IsFloat() {
+			key.bits = math.Float64bits(x.Float)
+			if math.IsNaN(x.Float) {
+				key.bits = math.Float64bits(math.NaN()) // one number for every NaN
+			}
+		}
+		id, ok := g.constIDs[key]
+		if !ok {
+			id = g.constBase - len(g.constIDs)
+			g.constIDs[key] = id
+		}
 		return id
 	}
-	if c, ok := v.(*ir.Const); ok {
-		// Constants get content-based ids so equal constants share a number.
-		key := "c:" + c.Typ.String() + ":" + c.Ref()
-		if id, ok := g.constIDs[key]; ok {
-			g.ids[v] = id
-			return id
-		}
-		g.nextID++
-		g.constIDs[key] = g.nextID
-		g.ids[v] = g.nextID
-		return g.nextID
-	}
-	g.nextID++
-	g.ids[v] = g.nextID
-	return g.nextID
+	panic("transform: gvn: value of unknown kind " + v.Ref())
 }
 
 func (g *gvnState) scope() *scopeUndo { return g.scopes[len(g.scopes)-1] }
@@ -169,7 +202,7 @@ func (g *gvnState) popScope() *scopeUndo {
 	return s
 }
 
-func (g *gvnState) setLeader(key string, v ir.Value) {
+func (g *gvnState) setLeader(key exprKey, v ir.Value) {
 	s := g.scope()
 	s.leaderKeys = append(s.leaderKeys, key)
 	s.leaderPrev = append(s.leaderPrev, g.leaders[key])
@@ -205,78 +238,69 @@ func (g *gvnState) addClobber(c memFact) {
 
 // exprKey builds the hash key of a pure instruction, canonicalizing
 // commutative operands and comparison direction.
-func (g *gvnState) exprKey(in *ir.Instr) (string, bool) {
+func (g *gvnState) exprKey(in *ir.Instr) (exprKey, bool) {
 	switch in.Op {
 	case ir.OpLoad, ir.OpStore, ir.OpAlloca, ir.OpBarrier,
 		ir.OpBr, ir.OpCondBr, ir.OpRet,
 		ir.OpTID, ir.OpNTID, ir.OpCTAID, ir.OpNCTAID:
-		return "", false
+		return exprKey{}, false
 	}
-	var sb strings.Builder
-	a0, a1 := 0, 0
-	if in.NumArgs() >= 1 {
-		a0 = g.id(in.Arg(0))
-	}
-	if in.NumArgs() >= 2 {
-		a1 = g.id(in.Arg(1))
-	}
-	pred := in.Pred
-	switch {
-	case in.IsCommutative() && in.NumArgs() == 2:
-		if a0 > a1 {
-			a0, a1 = a1, a0
-		}
-	case in.Op == ir.OpICmp || in.Op == ir.OpFCmp:
-		if a0 > a1 {
-			a0, a1 = a1, a0
-			pred = pred.Swapped()
-		}
-	case in.IsPhi():
+	if in.IsPhi() {
 		// Phis are keyed by their block plus sorted (block, value) pairs.
-		fmt.Fprintf(&sb, "phi@%p:%s", in.Block(), in.Type())
-		type pair struct {
-			b string
-			v int
-		}
-		var pairs []pair
+		pairs := g.phiPairs[:0]
 		for i := 0; i < in.NumArgs(); i++ {
-			pairs = append(pairs, pair{fmt.Sprintf("%p", in.BlockArg(i)), g.id(in.Arg(i))})
+			pairs = append(pairs, phiPair{in.BlockArg(i).ID(), g.id(in.Arg(i))})
 		}
 		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].b != pairs[j].b {
-				return pairs[i].b < pairs[j].b
+			if pairs[i].block != pairs[j].block {
+				return pairs[i].block < pairs[j].block
 			}
-			return pairs[i].v < pairs[j].v
+			return pairs[i].val < pairs[j].val
 		})
+		buf := g.phiBuf[:0]
 		for _, p := range pairs {
-			fmt.Fprintf(&sb, "|%s:%d", p.b, p.v)
+			buf = binary.AppendVarint(binary.AppendUvarint(buf, uint64(p.block)), int64(p.val))
 		}
-		return sb.String(), true
+		g.phiPairs, g.phiBuf = pairs, buf
+		return exprKey{op: ir.OpPhi, typ: in.Type(), phiBlock: in.Block(), incomings: string(buf)}, true
 	}
-	fmt.Fprintf(&sb, "%d:%s:%d", int(in.Op), in.Type(), int(pred))
-	fmt.Fprintf(&sb, "|%d|%d", a0, a1)
-	for i := 2; i < in.NumArgs(); i++ {
-		fmt.Fprintf(&sb, "|%d", g.id(in.Arg(i)))
+	if in.NumArgs() > 3 {
+		panic("transform: gvn: " + in.Op.String() + " has more operands than an exprKey holds")
 	}
-	return sb.String(), true
+	key := exprKey{op: in.Op, pred: in.Pred, typ: in.Type()}
+	if in.NumArgs() >= 1 {
+		key.a0 = g.id(in.Arg(0))
+	}
+	if in.NumArgs() >= 2 {
+		key.a1 = g.id(in.Arg(1))
+	}
+	if in.NumArgs() >= 3 {
+		key.a2 = g.id(in.Arg(2))
+	}
+	switch {
+	case in.IsCommutative() && in.NumArgs() == 2:
+		if key.a0 > key.a1 {
+			key.a0, key.a1 = key.a1, key.a0
+		}
+	case in.Op == ir.OpICmp || in.Op == ir.OpFCmp:
+		if key.a0 > key.a1 {
+			key.a0, key.a1 = key.a1, key.a0
+			key.pred = key.pred.Swapped()
+		}
+	}
+	return key, true
 }
 
 // cmpKeys returns the expression keys for a comparison and its inverse, so
 // edge assertions can seed both the taken condition and its negation.
-func (g *gvnState) cmpKeys(in *ir.Instr) (key, invKey string, ok bool) {
+func (g *gvnState) cmpKeys(in *ir.Instr) (key, invKey exprKey, ok bool) {
 	if in.Op != ir.OpICmp && in.Op != ir.OpFCmp {
-		return "", "", false
+		return exprKey{}, exprKey{}, false
 	}
-	a0, a1 := g.id(in.Arg(0)), g.id(in.Arg(1))
-	pred := in.Pred
-	if a0 > a1 {
-		a0, a1 = a1, a0
-		pred = pred.Swapped()
-	}
-	mk := func(p ir.Pred) string {
-		return fmt.Sprintf("%d:%s:%d|%d|%d", int(in.Op), in.Type(), int(p), a0, a1)
-	}
-	return mk(pred), mk(pred.Inverse()), true
+	key, _ = g.exprKey(in)
+	invKey = key
+	invKey.pred = key.pred.Inverse()
+	return key, invKey, true
 }
 
 // replaceAndErase replaces in with v everywhere, patches memory facts that

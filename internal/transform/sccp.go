@@ -28,174 +28,222 @@ func SCCP(f *ir.Function) bool {
 	return changed
 }
 
+// sccpSolver is the propagation state. Everything is a slice indexed by
+// Block.ID or Instr.ID: the solver creates no blocks or instructions, so the
+// function's ID bounds at entry size every table, and a lookup is an index
+// instead of a hash of one or two pointers.
+type sccpSolver struct {
+	vals      []latVal // by Instr.ID
+	execBlock []bool   // by Block.ID
+	// execEdge is indexed by 2*from.ID()+slot, slot being the target's
+	// position in from's terminator (terminators have at most two targets).
+	// A condbr with both targets equal is one edge: its slots are marked
+	// together and always agree.
+	execEdge []bool
+	queued   []bool // by Instr.ID: already on instrWork
+
+	instrWork []*ir.Instr
+	blockWork []*ir.Block
+}
+
+func (s *sccpSolver) lookup(v ir.Value) latVal {
+	switch x := v.(type) {
+	case *ir.Const:
+		return latVal{latConst, x}
+	case *ir.Instr:
+		return s.vals[x.ID()]
+	}
+	return latVal{kind: latOver} // parameters
+}
+
+func (s *sccpSolver) enqueue(in *ir.Instr) {
+	if id := in.ID(); !s.queued[id] {
+		s.queued[id] = true
+		s.instrWork = append(s.instrWork, in)
+	}
+}
+
+func (s *sccpSolver) setVal(in *ir.Instr, nv latVal) {
+	old := s.vals[in.ID()]
+	if old.kind == nv.kind && (old.kind != latConst || ir.SameConst(old.c, nv.c)) {
+		return
+	}
+	// Monotonic only downward.
+	if old.kind == latOver {
+		return
+	}
+	if old.kind == latConst && nv.kind == latConst && !ir.SameConst(old.c, nv.c) {
+		nv = latVal{kind: latOver}
+	}
+	s.vals[in.ID()] = nv
+	for i := 0; i < in.NumUses(); i++ {
+		s.enqueue(in.User(i))
+	}
+}
+
+func (s *sccpSolver) edgeExecutable(from, to *ir.Block) bool {
+	for slot, t := range from.Succs() {
+		if t == to {
+			return s.execEdge[2*from.ID()+slot]
+		}
+	}
+	return false
+}
+
+func (s *sccpSolver) markEdge(from, to *ir.Block) {
+	isNew := false
+	for slot, t := range from.Succs() {
+		if e := &s.execEdge[2*from.ID()+slot]; t == to && !*e {
+			*e = true
+			isNew = true
+		}
+	}
+	if !isNew {
+		return
+	}
+	if !s.execBlock[to.ID()] {
+		s.execBlock[to.ID()] = true
+		s.blockWork = append(s.blockWork, to)
+	} else {
+		// New edge into an already-executable block: phis must re-meet.
+		for _, phi := range to.Phis() {
+			s.enqueue(phi)
+		}
+	}
+}
+
+func (s *sccpSolver) visit(in *ir.Instr) {
+	b := in.Block()
+	if !s.execBlock[b.ID()] {
+		return
+	}
+	switch {
+	case in.IsPhi():
+		nv := latVal{kind: latUnknown}
+		for i := 0; i < in.NumArgs(); i++ {
+			if !s.edgeExecutable(in.BlockArg(i), b) {
+				continue
+			}
+			iv := s.lookup(in.Arg(i))
+			switch iv.kind {
+			case latUnknown:
+			case latOver:
+				nv = latVal{kind: latOver}
+			case latConst:
+				if nv.kind == latUnknown {
+					nv = iv
+				} else if nv.kind == latConst && !ir.SameConst(nv.c, iv.c) {
+					nv = latVal{kind: latOver}
+				}
+			}
+		}
+		s.setVal(in, nv)
+	case in.Op == ir.OpBr:
+		s.markEdge(b, in.BlockArg(0))
+	case in.Op == ir.OpCondBr:
+		cv := s.lookup(in.Arg(0))
+		switch cv.kind {
+		case latConst:
+			if cv.c.Int != 0 {
+				s.markEdge(b, in.BlockArg(0))
+			} else {
+				s.markEdge(b, in.BlockArg(1))
+			}
+		case latOver:
+			s.markEdge(b, in.BlockArg(0))
+			s.markEdge(b, in.BlockArg(1))
+		}
+	case in.Op == ir.OpRet, in.Op == ir.OpStore, in.Op == ir.OpBarrier:
+		// No value.
+	case in.Op == ir.OpLoad, in.Op == ir.OpAlloca, in.Op == ir.OpGEP,
+		in.Op == ir.OpTID, in.Op == ir.OpNTID, in.Op == ir.OpCTAID, in.Op == ir.OpNCTAID:
+		s.setVal(in, latVal{kind: latOver})
+	default:
+		// Pure scalar ops: fold when all operands constant.
+		anyUnknown := false
+		var consts []*ir.Const
+		for i := 0; i < in.NumArgs(); i++ {
+			av := s.lookup(in.Arg(i))
+			switch av.kind {
+			case latUnknown:
+				anyUnknown = true
+			case latOver:
+				s.setVal(in, latVal{kind: latOver})
+				return
+			case latConst:
+				consts = append(consts, av.c)
+			}
+		}
+		if anyUnknown {
+			return
+		}
+		var r *ir.Const
+		switch {
+		case in.Op == ir.OpICmp || in.Op == ir.OpFCmp:
+			r = ir.FoldCompare(in.Op, in.Pred, consts[0], consts[1])
+		case in.Op == ir.OpSelect:
+			if consts[0].Int != 0 {
+				r = consts[1]
+			} else {
+				r = consts[2]
+			}
+		case len(consts) == 1:
+			r = ir.FoldUnary(in.Op, consts[0], in.Type())
+		case len(consts) == 2:
+			r = ir.FoldBinary(in.Op, consts[0], consts[1])
+		}
+		if r == nil {
+			s.setVal(in, latVal{kind: latOver})
+		} else {
+			s.setVal(in, latVal{latConst, r})
+		}
+	}
+}
+
+// solve runs the propagation to its fixpoint. The fixpoint does not depend
+// on the order instructions leave the worklist, which is what lets it carry
+// each instruction at most once.
+func (s *sccpSolver) solve(f *ir.Function) {
+	s.execBlock[f.Entry().ID()] = true
+	s.blockWork = append(s.blockWork, f.Entry())
+	for len(s.blockWork) > 0 || len(s.instrWork) > 0 {
+		if n := len(s.blockWork); n > 0 {
+			b := s.blockWork[n-1]
+			s.blockWork = s.blockWork[:n-1]
+			for _, in := range b.Instrs() {
+				s.visit(in)
+			}
+			continue
+		}
+		n := len(s.instrWork)
+		in := s.instrWork[n-1]
+		s.instrWork = s.instrWork[:n-1]
+		s.queued[in.ID()] = false
+		s.visit(in)
+	}
+}
+
 // sccp is SCCP's body; it additionally reports whether the rewrite changed
 // the CFG (folded a one-sided conditional branch), which decides whether the
 // pass can preserve the cached dominator trees.
 func sccp(f *ir.Function) (changed, cfgChanged bool) {
-	vals := map[*ir.Instr]latVal{}
-	execEdge := map[[2]*ir.Block]bool{}
-	execBlock := map[*ir.Block]bool{}
-
-	var instrWork []*ir.Instr
-	var blockWork []*ir.Block
-
-	lookup := func(v ir.Value) latVal {
-		switch x := v.(type) {
-		case *ir.Const:
-			return latVal{latConst, x}
-		case *ir.Param:
-			return latVal{kind: latOver}
-		case *ir.Instr:
-			return vals[x]
-		}
-		return latVal{kind: latOver}
+	s := &sccpSolver{
+		vals:      make([]latVal, f.InstrIDBound()),
+		execBlock: make([]bool, f.BlockIDBound()),
+		execEdge:  make([]bool, 2*f.BlockIDBound()),
+		queued:    make([]bool, f.InstrIDBound()),
 	}
-	setVal := func(in *ir.Instr, nv latVal) {
-		old := vals[in]
-		if old.kind == nv.kind && (old.kind != latConst || ir.SameConst(old.c, nv.c)) {
-			return
-		}
-		// Monotonic only downward.
-		if old.kind == latOver {
-			return
-		}
-		if old.kind == latConst && nv.kind == latConst && !ir.SameConst(old.c, nv.c) {
-			nv = latVal{kind: latOver}
-		}
-		vals[in] = nv
-		for _, u := range in.Users() {
-			instrWork = append(instrWork, u)
-		}
-	}
-	markEdge := func(from, to *ir.Block) {
-		key := [2]*ir.Block{from, to}
-		if execEdge[key] {
-			return
-		}
-		execEdge[key] = true
-		if !execBlock[to] {
-			execBlock[to] = true
-			blockWork = append(blockWork, to)
-		} else {
-			// New edge into an already-executable block: phis must re-meet.
-			for _, phi := range to.Phis() {
-				instrWork = append(instrWork, phi)
-			}
-		}
-	}
+	s.solve(f)
 
-	visit := func(in *ir.Instr) {
-		b := in.Block()
-		if !execBlock[b] {
-			return
-		}
-		switch {
-		case in.IsPhi():
-			nv := latVal{kind: latUnknown}
-			for i := 0; i < in.NumArgs(); i++ {
-				if !execEdge[[2]*ir.Block{in.BlockArg(i), b}] {
-					continue
-				}
-				iv := lookup(in.Arg(i))
-				switch iv.kind {
-				case latUnknown:
-				case latOver:
-					nv = latVal{kind: latOver}
-				case latConst:
-					if nv.kind == latUnknown {
-						nv = iv
-					} else if nv.kind == latConst && !ir.SameConst(nv.c, iv.c) {
-						nv = latVal{kind: latOver}
-					}
-				}
-			}
-			setVal(in, nv)
-		case in.Op == ir.OpBr:
-			markEdge(b, in.BlockArg(0))
-		case in.Op == ir.OpCondBr:
-			cv := lookup(in.Arg(0))
-			switch cv.kind {
-			case latConst:
-				if cv.c.Int != 0 {
-					markEdge(b, in.BlockArg(0))
-				} else {
-					markEdge(b, in.BlockArg(1))
-				}
-			case latOver:
-				markEdge(b, in.BlockArg(0))
-				markEdge(b, in.BlockArg(1))
-			}
-		case in.Op == ir.OpRet, in.Op == ir.OpStore, in.Op == ir.OpBarrier:
-			// No value.
-		case in.Op == ir.OpLoad, in.Op == ir.OpAlloca, in.Op == ir.OpGEP,
-			in.Op == ir.OpTID, in.Op == ir.OpNTID, in.Op == ir.OpCTAID, in.Op == ir.OpNCTAID:
-			setVal(in, latVal{kind: latOver})
-		default:
-			// Pure scalar ops: fold when all operands constant.
-			anyUnknown := false
-			var consts []*ir.Const
-			for i := 0; i < in.NumArgs(); i++ {
-				av := lookup(in.Arg(i))
-				switch av.kind {
-				case latUnknown:
-					anyUnknown = true
-				case latOver:
-					setVal(in, latVal{kind: latOver})
-					return
-				case latConst:
-					consts = append(consts, av.c)
-				}
-			}
-			if anyUnknown {
-				return
-			}
-			var r *ir.Const
-			switch {
-			case in.Op == ir.OpICmp || in.Op == ir.OpFCmp:
-				r = ir.FoldCompare(in.Op, in.Pred, consts[0], consts[1])
-			case in.Op == ir.OpSelect:
-				if consts[0].Int != 0 {
-					r = consts[1]
-				} else {
-					r = consts[2]
-				}
-			case len(consts) == 1:
-				r = ir.FoldUnary(in.Op, consts[0], in.Type())
-			case len(consts) == 2:
-				r = ir.FoldBinary(in.Op, consts[0], consts[1])
-			}
-			if r == nil {
-				setVal(in, latVal{kind: latOver})
-			} else {
-				setVal(in, latVal{latConst, r})
-			}
-		}
-	}
-
-	execBlock[f.Entry()] = true
-	blockWork = append(blockWork, f.Entry())
-	for len(blockWork) > 0 || len(instrWork) > 0 {
-		if n := len(blockWork); n > 0 {
-			b := blockWork[n-1]
-			blockWork = blockWork[:n-1]
-			for _, in := range b.Instrs() {
-				visit(in)
-			}
-			continue
-		}
-		n := len(instrWork)
-		in := instrWork[n-1]
-		instrWork = instrWork[:n-1]
-		visit(in)
-	}
-
-	// Rewrite: replace constant instructions, fold one-sided branches.
+	// Rewrite: replace constant instructions, fold one-sided branches. The
+	// replacement branches get IDs past the tables' ends; nothing looks
+	// them up.
 	for _, b := range f.Blocks() {
-		if !execBlock[b] {
+		if !s.execBlock[b.ID()] {
 			continue // unreachable; SimplifyCFG removes it
 		}
 		for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
-			if lv := vals[in]; lv.kind == latConst && in.Type() != ir.Void {
+			if lv := s.vals[in.ID()]; lv.kind == latConst && in.Type() != ir.Void {
 				in.ReplaceAllUsesWith(lv.c)
 				if !in.HasSideEffects() {
 					b.Erase(in)
@@ -205,8 +253,8 @@ func sccp(f *ir.Function) (changed, cfgChanged bool) {
 		}
 		t := b.Term()
 		if t != nil && t.Op == ir.OpCondBr {
-			e0 := execEdge[[2]*ir.Block{b, t.BlockArg(0)}]
-			e1 := execEdge[[2]*ir.Block{b, t.BlockArg(1)}]
+			e0 := s.execEdge[2*b.ID()]
+			e1 := s.execEdge[2*b.ID()+1]
 			if e0 != e1 {
 				keep := t.BlockArg(0)
 				if e1 {
