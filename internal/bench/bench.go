@@ -131,6 +131,11 @@ func (b *Benchmark) CompileKernel() (*ir.Function, error) {
 // Reference executes the unoptimized kernel with the sequential interpreter
 // over every thread of the launch grid, producing the oracle memory image.
 func Reference(b *Benchmark, w *Workload) (*interp.Memory, error) {
+	return reference(b, w, nil)
+}
+
+// reference is Reference, tallying into ctr when it is non-nil.
+func reference(b *Benchmark, w *Workload, ctr *interp.Counters) (*interp.Memory, error) {
 	f, err := b.CompileKernel()
 	if err != nil {
 		return nil, err
@@ -144,7 +149,7 @@ func Reference(b *Benchmark, w *Workload) (*interp.Memory, error) {
 			CTAID:  int32(tid / w.Launch.BlockDim),
 			NCTAID: int32(w.Launch.GridDim),
 		}
-		if _, err := interp.Run(f, w.Args, mem, env); err != nil {
+		if _, err := interp.RunCounted(f, w.Args, mem, env, ctr); err != nil {
 			return nil, fmt.Errorf("bench %s: reference thread %d: %w", b.Name, tid, err)
 		}
 	}

@@ -6,6 +6,14 @@
 // tests run the same function before and after a pass on random inputs and
 // require identical results and memory, and the benchmark harness validates
 // every optimized kernel against it.
+//
+// Being the oracle, it stays independent of what it judges: pure opcodes are
+// evaluated by package ir's value kernels (the definitions constant folding
+// boxes), never by the simulator's. Being most of what a verified sweep
+// waits for before its first cell, it is also kept cheap: the SSA
+// environment and the thread-private alloca slots are slices indexed by
+// Instr.ID (DESIGN.md section 16), so a run allocates its frame once and a
+// step allocates and hashes nothing.
 package interp
 
 import (
@@ -203,30 +211,15 @@ func RunCounted(f *ir.Function, args []Value, mem *Memory, env Env, ctr *Counter
 }
 
 // RunSteps is Run with an explicit step budget.
+//
+// f must carry the numbering ir.Verify enforces (DESIGN.md section 16):
+// every attached instruction has a function-unique ID below
+// f.InstrIDBound(), because the environment is a slice indexed by that ID.
 func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value, error) {
 	if len(args) != len(f.Params) {
 		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
-	vals := map[ir.Value]Value{}
-	for i, p := range f.Params {
-		vals[p] = args[i]
-	}
-	eval := func(v ir.Value) Value {
-		switch x := v.(type) {
-		case *ir.Const:
-			if x.Typ.IsFloat() {
-				return FloatVal(x.Float)
-			}
-			return IntVal(x.Int)
-		default:
-			return vals[v]
-		}
-	}
-
-	// Thread-private alloca slots live at the top of a small shadow stack
-	// appended beyond the caller's memory; to keep addressing simple we give
-	// each alloca its own tiny buffer via a map.
-	allocaMem := map[*ir.Instr]*[8]byte{}
+	fr := newFrame(f, args)
 
 	var steps int64
 	block := f.Entry()
@@ -238,17 +231,18 @@ func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64
 			if prev == nil {
 				return Value{}, fmt.Errorf("interp: phi in entry block %s", block.Name)
 			}
-			tmp := make([]Value, len(phis))
-			for i, phi := range phis {
+			tmp := fr.phiTmp[:0]
+			for _, phi := range phis {
 				inc := phi.PhiIncoming(prev)
 				if inc == nil {
 					return Value{}, fmt.Errorf("interp: phi %s has no incoming for %s", phi.Ref(), prev.Name)
 				}
-				tmp[i] = eval(inc)
+				tmp = append(tmp, fr.eval(inc))
 			}
 			for i, phi := range phis {
-				vals[phi] = tmp[i]
+				fr.vals[phi.ID()] = tmp[i]
 			}
+			fr.phiTmp = tmp
 		}
 		for _, in := range block.Instrs()[len(phis):] {
 			steps++
@@ -263,60 +257,56 @@ func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64
 			case ir.OpBr:
 				prev, block = block, in.BlockArg(0)
 			case ir.OpCondBr:
-				if eval(in.Arg(0)).I != 0 {
+				if fr.eval(in.Arg(0)).I != 0 {
 					prev, block = block, in.BlockArg(0)
 				} else {
 					prev, block = block, in.BlockArg(1)
 				}
 			case ir.OpRet:
 				if in.NumArgs() == 1 {
-					return eval(in.Arg(0)), nil
+					return fr.eval(in.Arg(0)), nil
 				}
 				return Value{}, nil
 			case ir.OpAlloca:
-				buf := &[8]byte{}
-				allocaMem[in] = buf
-				vals[in] = IntVal(-int64(len(allocaMem)) * 16) // sentinel address
+				fr.alloca(in)
 			case ir.OpLoad:
-				addr := eval(in.Arg(0)).I
-				if base, ok := allocaBase(in.Arg(0), allocaMem); ok {
-					vals[in] = loadLocal(in.Type(), base)
+				if slot := fr.localSlot(in.Arg(0)); slot != nil {
+					fr.vals[in.ID()] = loadLocal(in.Type(), *slot)
 					continue
 				}
-				v, err := mem.Load(in.Type(), addr)
+				v, err := mem.Load(in.Type(), fr.eval(in.Arg(0)).I)
 				if err != nil {
 					return Value{}, err
 				}
-				vals[in] = v
+				fr.vals[in.ID()] = v
 			case ir.OpStore:
-				addr := eval(in.Arg(1)).I
-				if base, ok := allocaBase(in.Arg(1), allocaMem); ok {
-					storeLocal(in.Arg(0).Type(), base, eval(in.Arg(0)))
+				if slot := fr.localSlot(in.Arg(1)); slot != nil {
+					*slot = storeLocal(in.Arg(0).Type(), fr.eval(in.Arg(0)))
 					continue
 				}
-				if err := mem.Store(in.Arg(0).Type(), addr, eval(in.Arg(0))); err != nil {
+				if err := mem.Store(in.Arg(0).Type(), fr.eval(in.Arg(1)).I, fr.eval(in.Arg(0))); err != nil {
 					return Value{}, err
 				}
 			case ir.OpGEP:
-				base := eval(in.Arg(0)).I
-				idx := eval(in.Arg(1)).I
-				vals[in] = IntVal(base + idx*in.Type().Elem.Size())
+				base := fr.eval(in.Arg(0)).I
+				idx := fr.eval(in.Arg(1)).I
+				fr.vals[in.ID()] = IntVal(base + idx*in.Type().Elem.Size())
 			case ir.OpBarrier:
 				// Sequential semantics: no-op for a single thread.
 			case ir.OpTID:
-				vals[in] = IntVal(int64(env.TID))
+				fr.vals[in.ID()] = IntVal(int64(env.TID))
 			case ir.OpNTID:
-				vals[in] = IntVal(int64(env.NTID))
+				fr.vals[in.ID()] = IntVal(int64(env.NTID))
 			case ir.OpCTAID:
-				vals[in] = IntVal(int64(env.CTAID))
+				fr.vals[in.ID()] = IntVal(int64(env.CTAID))
 			case ir.OpNCTAID:
-				vals[in] = IntVal(int64(env.NCTAID))
+				fr.vals[in.ID()] = IntVal(int64(env.NCTAID))
 			default:
-				v, err := evalPure(in, eval)
+				v, err := fr.evalPure(in)
 				if err != nil {
 					return Value{}, err
 				}
-				vals[in] = v
+				fr.vals[in.ID()] = v
 			}
 			if in.IsTerminator() {
 				break
@@ -325,116 +315,149 @@ func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64
 	}
 }
 
-func allocaBase(ptr ir.Value, allocaMem map[*ir.Instr]*[8]byte) (*[8]byte, bool) {
+// frame is the state of one run: the SSA environment and the thread-private
+// alloca slots, both indexed by Instr.ID.
+type frame struct {
+	// vals holds instruction results at [Instr.ID] and the arguments behind
+	// them at [params+Param.Index]. An alloca's result is its sentinel
+	// address, nonzero once it has executed.
+	vals   []Value
+	params int
+	// locals holds the 8 raw bytes of each alloca's slot at [Instr.ID],
+	// little-endian; nil until the first alloca executes, so a kernel
+	// without allocas (anything past mem2reg) does not pay for it.
+	locals  []uint64
+	allocas int64   // distinct allocas executed so far
+	phiTmp  []Value // scratch of the simultaneous phi assignment
+}
+
+func newFrame(f *ir.Function, args []Value) *frame {
+	params := f.InstrIDBound()
+	fr := &frame{vals: make([]Value, params+len(args)), params: params}
+	copy(fr.vals[params:], args)
+	return fr
+}
+
+func (fr *frame) eval(v ir.Value) Value {
+	switch x := v.(type) {
+	case *ir.Instr:
+		return fr.vals[x.ID()]
+	case *ir.Const:
+		if x.Typ.IsFloat() {
+			return FloatVal(x.Float)
+		}
+		return IntVal(x.Int)
+	case *ir.Param:
+		return fr.vals[fr.params+x.Index]
+	}
+	return Value{}
+}
+
+// alloca executes an alloca: a fresh zeroed slot, and a negative sentinel
+// address that no Memory accepts, so a slot reached through anything but
+// the alloca itself (a select or phi of two allocas) traps as out of bounds
+// instead of reading device memory. The sentinel counts the distinct allocas
+// executed so far; re-executing one in a loop re-zeroes its slot.
+func (fr *frame) alloca(in *ir.Instr) {
+	if fr.locals == nil {
+		fr.locals = make([]uint64, fr.params)
+	}
+	id := in.ID()
+	if fr.vals[id].I == 0 {
+		fr.allocas++
+	}
+	fr.locals[id] = 0
+	fr.vals[id] = IntVal(-fr.allocas * 16)
+}
+
+// localSlot returns the slot a load or store through ptr addresses when ptr
+// is, syntactically, an alloca that has executed; nil sends the access to
+// device memory.
+func (fr *frame) localSlot(ptr ir.Value) *uint64 {
 	in, ok := ptr.(*ir.Instr)
-	if !ok || in.Op != ir.OpAlloca {
-		return nil, false
+	if !ok || in.Op != ir.OpAlloca || fr.vals[in.ID()].I == 0 {
+		return nil
 	}
-	b, ok := allocaMem[in]
-	return b, ok
+	return &fr.locals[in.ID()]
 }
 
-func loadLocal(t *ir.Type, buf *[8]byte) Value {
+func loadLocal(t *ir.Type, slot uint64) Value {
 	switch t.Kind {
 	case ir.KindF32:
-		return FloatVal(float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))))
+		return FloatVal(float64(math.Float32frombits(uint32(slot))))
 	case ir.KindF64:
-		return FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+		return FloatVal(math.Float64frombits(slot))
 	default:
-		return IntVal(int64(binary.LittleEndian.Uint64(buf[:])))
+		return IntVal(int64(slot))
 	}
 }
 
-func storeLocal(t *ir.Type, buf *[8]byte, v Value) {
+func storeLocal(t *ir.Type, v Value) uint64 {
 	switch t.Kind {
 	case ir.KindF32:
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v.F)))
-		binary.LittleEndian.PutUint32(buf[4:], 0)
+		return uint64(math.Float32bits(float32(v.F)))
 	case ir.KindF64:
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
+		return math.Float64bits(v.F)
 	default:
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
+		return uint64(v.I)
 	}
 }
 
-// evalPure evaluates a side-effect-free scalar instruction.
-func evalPure(in *ir.Instr, eval func(ir.Value) Value) (Value, error) {
+// canon brings a runtime value of type t into the canonical form the value
+// kernels expect of a constant of that type: integers truncated to t's
+// width, floats rounded to its precision.
+func canon(t *ir.Type, v Value) ir.Scalar {
+	if t.IsFloat() {
+		return ir.FloatScalar(t, v.F)
+	}
+	return ir.IntScalar(t, v.I)
+}
+
+// evalPure evaluates a side-effect-free scalar instruction through ir's
+// value kernels, the definitions constant folding uses.
+func (fr *frame) evalPure(in *ir.Instr) (Value, error) {
 	t := in.Type()
 	switch in.Op {
 	case ir.OpSelect:
-		if eval(in.Arg(0)).I != 0 {
-			return eval(in.Arg(1)), nil
+		if fr.eval(in.Arg(0)).I != 0 {
+			return fr.eval(in.Arg(1)), nil
 		}
-		return eval(in.Arg(2)), nil
+		return fr.eval(in.Arg(2)), nil
 	case ir.OpICmp, ir.OpFCmp:
-		a, b := eval(in.Arg(0)), eval(in.Arg(1))
-		var ca, cb *ir.Const
-		if in.Op == ir.OpICmp {
-			ca, cb = ir.ConstInt(in.Arg(0).Type(), a.I), ir.ConstInt(in.Arg(1).Type(), b.I)
-		} else {
-			ca, cb = ir.ConstFloat(in.Arg(0).Type(), a.F), ir.ConstFloat(in.Arg(1).Type(), b.F)
-		}
-		r := ir.FoldCompare(in.Op, in.Pred, ca, cb)
-		if r == nil {
+		a := canon(in.Arg(0).Type(), fr.eval(in.Arg(0)))
+		b := canon(in.Arg(1).Type(), fr.eval(in.Arg(1)))
+		r, ok := ir.EvalCompare(in.Op, in.Pred, in.Arg(0).Type(), a, b)
+		if !ok {
 			return Value{}, fmt.Errorf("interp: bad compare %s", in)
 		}
-		return IntVal(r.Int), nil
+		if r {
+			return IntVal(1), nil
+		}
+		return IntVal(0), nil
 	case ir.OpTrunc, ir.OpZExt, ir.OpSExt, ir.OpSIToFP, ir.OpFPToSI, ir.OpFPExt, ir.OpFPTrunc:
-		a := eval(in.Arg(0))
-		var c *ir.Const
-		if in.Arg(0).Type().IsFloat() {
-			c = ir.ConstFloat(in.Arg(0).Type(), a.F)
-		} else {
-			c = ir.ConstInt(in.Arg(0).Type(), a.I)
-		}
-		r := ir.FoldUnary(in.Op, c, t)
-		if r == nil {
-			// fptosi of NaN/Inf: define as 0 like the hardware's saturating
-			// behaviour approximation.
-			return Value{}, nil
-		}
-		if t.IsFloat() {
-			return FloatVal(r.Float), nil
-		}
-		return IntVal(r.Int), nil
+		from := in.Arg(0).Type()
+		// !ok is fptosi of NaN/Inf: define as 0 like the hardware's
+		// saturating behaviour approximation.
+		r, _ := ir.EvalUnary(in.Op, from, t, canon(from, fr.eval(in.Arg(0))))
+		return Value(r), nil
 	case ir.OpSqrt, ir.OpFAbs, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpFloor:
-		a := eval(in.Arg(0)).F
-		var r float64
-		switch in.Op {
-		case ir.OpSqrt:
-			r = math.Sqrt(a)
-		case ir.OpFAbs:
-			r = math.Abs(a)
-		case ir.OpExp:
-			r = math.Exp(a)
-		case ir.OpLog:
-			r = math.Log(a)
-		case ir.OpSin:
-			r = math.Sin(a)
-		case ir.OpCos:
-			r = math.Cos(a)
-		case ir.OpFloor:
-			r = math.Floor(a)
-		}
-		if t == ir.F32 {
-			r = float64(float32(r))
-		}
-		return FloatVal(r), nil
+		r, _ := ir.EvalUnary(in.Op, t, t, ir.Scalar{F: fr.eval(in.Arg(0)).F})
+		return Value(r), nil
 	}
-	// Binary arithmetic via the shared folder, with division-by-zero defined
+	// Binary arithmetic via the shared kernels, with division-by-zero defined
 	// as zero (GPU integer division does not trap; any fixed value works as
 	// long as the simulator agrees).
-	a, b := eval(in.Arg(0)), eval(in.Arg(1))
+	a, b := fr.eval(in.Arg(0)), fr.eval(in.Arg(1))
 	if t.IsFloat() || in.Op == ir.OpPow || in.Op == ir.OpFMin || in.Op == ir.OpFMax {
-		r := ir.FoldBinary(in.Op, ir.ConstFloat(in.Arg(0).Type(), a.F), ir.ConstFloat(in.Arg(1).Type(), b.F))
-		if r == nil {
+		at := in.Arg(0).Type()
+		r, ok := ir.EvalBinary(in.Op, at, ir.FloatScalar(at, a.F), ir.FloatScalar(in.Arg(1).Type(), b.F))
+		if !ok {
 			return Value{}, fmt.Errorf("interp: cannot evaluate %s", in)
 		}
-		v := r.Float
 		if t == ir.F32 {
-			v = float64(float32(v))
+			r.F = float64(float32(r.F))
 		}
-		return FloatVal(v), nil
+		return Value(r), nil
 	}
 	switch in.Op {
 	case ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem:
@@ -442,9 +465,9 @@ func evalPure(in *ir.Instr, eval func(ir.Value) Value) (Value, error) {
 			return IntVal(0), nil
 		}
 	}
-	r := ir.FoldBinary(in.Op, ir.ConstInt(t, a.I), ir.ConstInt(t, b.I))
-	if r == nil {
+	r, ok := ir.EvalBinary(in.Op, t, ir.IntScalar(t, a.I), ir.IntScalar(t, b.I))
+	if !ok {
 		return Value{}, fmt.Errorf("interp: cannot evaluate %s", in)
 	}
-	return IntVal(r.Int), nil
+	return Value(r), nil
 }

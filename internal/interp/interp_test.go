@@ -74,27 +74,40 @@ func TestGeometryIntrinsics(t *testing.T) {
 	}
 }
 
-// Property: the interpreter's pure evaluation agrees with the shared
-// constant folder for arbitrary i64 inputs.
+// Property: the interpreter's pure evaluation is ir's value kernel — the one
+// constant folding boxes — applied to operands truncated to the type's
+// width, at every integer width; and where the kernel declines (a zero
+// divisor) the interpreter defines the result as zero.
 func TestQuickEvalMatchesFold(t *testing.T) {
-	ops := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpSMin, ir.OpSMax}
-	prop := func(a, b int64, opIdx uint8) bool {
+	ops := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpSMin, ir.OpSMax,
+		ir.OpShl, ir.OpLShr, ir.OpAShr, ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem}
+	types := []*ir.Type{ir.I8, ir.I32, ir.I64}
+	prop := func(a, b int64, opIdx, typIdx uint8) bool {
 		op := ops[int(opIdx)%len(ops)]
-		f := ir.NewFunction("p", ir.I64)
+		typ := types[int(typIdx)%len(types)]
+		if typIdx >= 128 {
+			b &= 0xff00 // a zero divisor, or one that is zero only at i8
+		}
+		f := ir.NewFunction("p", typ)
 		entry := f.NewBlock("entry")
 		bld := ir.NewBuilder(entry)
-		pa := f.AddParam("a", ir.I64, false)
-		pb := f.AddParam("b", ir.I64, false)
+		pa := f.AddParam("a", typ, false)
+		pb := f.AddParam("b", typ, false)
 		r := bld.Bin(op, pa, pb)
 		bld.Ret(r)
 		got, err := Run(f, []Value{IntVal(a), IntVal(b)}, NewMemory(0), Env{})
-		if err != nil {
-			return false
+		want, ok := ir.EvalBinary(op, typ, ir.IntScalar(typ, a), ir.IntScalar(typ, b))
+		folded := ir.FoldBinary(op, ir.ConstInt(typ, a), ir.ConstInt(typ, b))
+		switch {
+		case ok:
+			return err == nil && got == Value(want) && folded != nil && folded.Int == want.I
+		case b == 0:
+			return err == nil && got == Value{} && folded == nil
+		default: // nonzero as passed, zero at the type's width
+			return err != nil && folded == nil
 		}
-		want := ir.FoldBinary(op, ir.ConstInt(ir.I64, a), ir.ConstInt(ir.I64, b))
-		return want != nil && got.I == want.Int
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,5 +151,46 @@ func TestQuickMemoryRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunAllocationsIndependentOfSteps guards the frame: a run allocates its
+// environment (and, for a kernel with allocas, its local slots and the phi
+// scratch) once, so the count is the same small constant whether the loop
+// below turns 10 times or 10 000. With the environment in a map and every
+// pure operand boxed into a constant it grew with the step count.
+func TestRunAllocationsIndependentOfSteps(t *testing.T) {
+	f := ir.NewFunction("count", ir.F64)
+	n := f.AddParam("n", ir.I64, false)
+	entry, loop, exit := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("exit")
+	b := ir.NewBuilder(entry)
+	acc := b.Alloca(ir.F64, "acc")
+	b.Store(ir.ConstFloat(ir.F64, 1), acc)
+	b.Br(loop)
+	b.SetBlock(loop)
+	i := b.Phi(ir.I64, "i")
+	x := b.FAdd(b.FMul(b.Load(acc), ir.ConstFloat(ir.F64, 1.0001)), b.Conv(ir.OpSIToFP, b.And(i, ir.ConstInt(ir.I64, 7)), ir.F64))
+	b.Store(b.Select(b.FCmp(ir.OGT, x, ir.ConstFloat(ir.F64, 1e6)), ir.ConstFloat(ir.F64, 1), x), acc)
+	next := b.Add(i, ir.ConstInt(ir.I64, 1))
+	i.PhiAddIncoming(ir.ConstInt(ir.I64, 0), entry)
+	i.PhiAddIncoming(next, loop)
+	b.CondBr(b.ICmp(ir.SLT, next, n), loop, exit)
+	b.SetBlock(exit)
+	b.Ret(b.Load(acc))
+	if err := ir.Verify(f); err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemory(0)
+	allocs := func(iters int64) float64 {
+		args := []Value{IntVal(iters)}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(f, args, mem, Env{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(10_000)
+	if short != long || short > 4 {
+		t.Fatalf("allocations per run: %v at 10 iterations, %v at 10000; want the same count, at most 4", short, long)
 	}
 }

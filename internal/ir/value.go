@@ -25,22 +25,36 @@ type Const struct {
 
 // ConstInt returns an integer constant of the given type. The value is
 // truncated to the type's width.
-func ConstInt(t *Type, v int64) *Const {
-	if !t.IsInt() {
-		panic("ir.ConstInt: not an integer type: " + t.String())
-	}
-	return &Const{Typ: t, Int: truncInt(t, v)}
-}
+func ConstInt(t *Type, v int64) *Const { return IntScalar(t, v).box(t) }
 
 // ConstFloat returns a floating-point constant of the given type.
-func ConstFloat(t *Type, v float64) *Const {
-	if !t.IsFloat() {
-		panic("ir.ConstFloat: not a float type: " + t.String())
+func ConstFloat(t *Type, v float64) *Const { return FloatScalar(t, v).box(t) }
+
+// IntScalar is ConstInt without the box: v truncated to the width of integer
+// type t and sign-extended back to int64, the canonical signed form.
+func IntScalar(t *Type, v int64) Scalar {
+	switch t.Kind {
+	case KindI1:
+		return Scalar{I: v & 1}
+	case KindI8:
+		return Scalar{I: int64(int8(v))}
+	case KindI32:
+		return Scalar{I: int64(int32(v))}
+	case KindI64:
+		return Scalar{I: v}
 	}
-	if t == F32 {
-		v = float64(float32(v))
+	panic("ir: not an integer type: " + t.String())
+}
+
+// FloatScalar is ConstFloat without the box: v rounded to t's precision.
+func FloatScalar(t *Type, v float64) Scalar {
+	switch t {
+	case F32:
+		return Scalar{F: float64(float32(v))}
+	case F64:
+		return Scalar{F: v}
 	}
-	return &Const{Typ: t, Float: v}
+	panic("ir: not a float type: " + t.String())
 }
 
 // ConstBool returns the i1 constant for b.
@@ -56,21 +70,6 @@ var (
 	True  = &Const{Typ: I1, Int: 1}
 	False = &Const{Typ: I1, Int: 0}
 )
-
-// truncInt truncates v to the width of integer type t, sign-extending back to
-// int64 so that constants are kept in canonical signed form.
-func truncInt(t *Type, v int64) int64 {
-	switch t.Kind {
-	case KindI1:
-		return v & 1
-	case KindI8:
-		return int64(int8(v))
-	case KindI32:
-		return int64(int32(v))
-	default:
-		return v
-	}
-}
 
 // Type implements Value.
 func (c *Const) Type() *Type { return c.Typ }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,5 +141,101 @@ func TestAbandonedFlightCancels(t *testing.T) {
 	}
 	if got := compiles.Load(); got != 2 {
 		t.Fatalf("compiles = %d, want 2 (abandoned + fast)", got)
+	}
+}
+
+// TestLiveDuplicateAfterAbandonLeadsFreshFlight pins the join-after-abandon
+// fix: between the last waiter of a flight disconnecting and the worker
+// noticing the canceled context, the flight is dying but not finished. A
+// live request for the same key arriving in that window must lead a fresh
+// flight — not join the dying one and be answered 503 "canceled". The
+// window is held open deterministically by blocking the first execution in
+// OnCompile, which runs on the worker inside the execution.
+func TestLiveDuplicateAfterAbandonLeadsFreshFlight(t *testing.T) {
+	var compiles atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s := New(Options{
+		Workers: 2,
+		OnCompile: func(string) {
+			if compiles.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+		},
+	})
+	h := s.Handler()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+	body, err := json.Marshal(testRequest(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/compile", bytes.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+
+	// The only waiter disconnects while its compute is held mid-execution.
+	ctx, disconnect := context.WithCancel(context.Background())
+	abandoned := make(chan struct{})
+	go func() {
+		defer close(abandoned)
+		serve(ctx)
+	}()
+	<-started
+	disconnect()
+	<-abandoned // the handler has left the flight
+
+	// Same key, live client, first execution still held.
+	live := make(chan *httptest.ResponseRecorder, 1)
+	go func() { live <- serve(context.Background()) }()
+	select {
+	case rec := <-live:
+		var res Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || rec.Code != 200 {
+			t.Fatalf("live duplicate: status %d body %s", rec.Code, rec.Body)
+		}
+		if res.Coalesced || res.Cached {
+			t.Fatalf("live duplicate did not lead its own flight: %+v", res)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatalf("live duplicate joined the abandoned flight: %s", (<-live).Body)
+	}
+
+	close(release) // the dying flight now finishes as canceled
+	if got := compiles.Load(); got != 2 {
+		t.Fatalf("pool executions = %d, want 2 (abandoned + live)", got)
+	}
+}
+
+// TestFinishKeepsNewerFlight is the other half of the fix: an abandoned
+// flight that finishes after a fresh flight took its key over must not
+// remove the fresh flight from the table.
+func TestFinishKeepsNewerFlight(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1})
+	old := &flight{key: "k", done: make(chan struct{})}
+	fresh := &flight{key: "k", done: make(chan struct{})}
+	s.mu.Lock()
+	s.flights["k"] = fresh
+	s.mu.Unlock()
+	s.finish(old, nil, &Error{Status: 503, Code: "canceled"})
+	s.mu.Lock()
+	got := s.flights["k"]
+	s.mu.Unlock()
+	if got != fresh {
+		t.Fatal("finishing a retired flight removed the flight that replaced it")
+	}
+	s.finish(fresh, nil, &Error{Status: 503, Code: "canceled"})
+	s.mu.Lock()
+	_, still := s.flights["k"]
+	s.mu.Unlock()
+	if still {
+		t.Fatal("finishing the current flight left its key in the table")
 	}
 }

@@ -466,14 +466,28 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // dropWaiter unregisters a disconnected waiter; when the last one leaves an
-// unfinished flight its compute context is canceled.
+// unfinished flight its compute context is canceled and its key is retired
+// under the same lock, so a live duplicate arriving before the worker
+// notices the cancellation leads a fresh flight instead of joining the
+// dying one and being answered "canceled".
 func (s *Server) dropWaiter(fl *flight) {
 	s.mu.Lock()
 	fl.waiters--
 	abandon := fl.waiters == 0 && !fl.finished
+	if abandon {
+		s.retire(fl)
+	}
 	s.mu.Unlock()
 	if abandon && fl.cancel != nil {
 		fl.cancel()
+	}
+}
+
+// retire removes fl's key from the flight table unless a fresh flight has
+// taken the key over since fl was abandoned. The caller holds s.mu.
+func (s *Server) retire(fl *flight) {
+	if s.flights[fl.key] == fl {
+		delete(s.flights, fl.key)
 	}
 }
 
@@ -483,7 +497,7 @@ func (s *Server) finish(fl *flight, res *Response, rerr *Error) {
 	s.mu.Lock()
 	fl.res, fl.err = res, rerr
 	fl.finished = true
-	delete(s.flights, fl.key)
+	s.retire(fl)
 	if rerr == nil && res != nil {
 		s.cache.put(fl.key, res)
 	}
