@@ -13,8 +13,10 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 
 	"uu/internal/core"
 	"uu/internal/gpusim"
@@ -94,4 +96,84 @@ func Fingerprint(canonIR string, opts pipeline.Options, dev gpusim.DeviceConfig,
 	fmt.Fprintf(h, "args %v\n", args)
 	fmt.Fprintf(h, "artifacts remarks %q profile %t\n", remarks, profile)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// identity is the hash of a request as the client spelled it; see
+// requestIdentity.
+type identity [sha256.Size]byte
+
+// requestIdentity hashes every decoded request field that buildSpec reads
+// into the fingerprint, without building any IR: two requests with equal
+// identities are the same input to buildSpec, so they fail the same
+// validation or resolve to the same fingerprint. That makes it a sound key
+// for lruCache's alias index — and only that: distinct identities routinely
+// share a fingerprint (renamed locals, defaults spelled out), which is why
+// the fingerprint stays the cache key. DeadlineMs and SimWorkers are left
+// out because Fingerprint leaves them out: they change how fast a result
+// arrives, never the result. Hashing decoded fields rather than the body
+// keeps JSON key order and whitespace from mattering. Fields are written in
+// a fixed order, strings and slices length-prefixed, so no two requests
+// render to the same bytes; TestIdentityCoversEveryRequestField fails when
+// a field is added to Request and not here.
+func requestIdentity(r *Request) identity {
+	w := identityWriter{h: sha256.New()}
+	w.str("uu/serve request identity v1")
+	w.str(r.App)
+	w.str(r.Source)
+	w.str(r.IR)
+	w.str(r.Config)
+	w.num(int64(r.Loop))
+	w.num(int64(r.Factor))
+	w.flag(r.Heuristic != nil)
+	if hs := r.Heuristic; hs != nil {
+		w.num(int64(hs.C))
+		w.num(int64(hs.UMax))
+		w.flag(hs.SkipDivergent)
+		w.flag(hs.Selective)
+		w.str(hs.Overrides)
+	}
+	w.str(r.Device)
+	w.num(int64(r.Grid))
+	w.num(int64(r.Block))
+	w.num(r.MemBytes)
+	w.num(int64(len(r.Args)))
+	for _, a := range r.Args {
+		w.num(a)
+	}
+	w.flag(r.Contain)
+	w.str(r.Chaos)
+	w.str(r.Remarks)
+	w.flag(r.Profile)
+	var id identity
+	w.h.Sum(id[:0])
+	return id
+}
+
+// identityWriter renders fields into a hash through one scratch buffer, so
+// a kernel source is hashed in place instead of being copied to a []byte.
+type identityWriter struct {
+	h   hash.Hash
+	buf [128]byte
+}
+
+func (w *identityWriter) num(v int64) {
+	binary.LittleEndian.PutUint64(w.buf[:8], uint64(v))
+	w.h.Write(w.buf[:8])
+}
+
+func (w *identityWriter) flag(b bool) {
+	w.buf[0] = 0
+	if b {
+		w.buf[0] = 1
+	}
+	w.h.Write(w.buf[:1])
+}
+
+func (w *identityWriter) str(s string) {
+	w.num(int64(len(s)))
+	for len(s) > 0 {
+		n := copy(w.buf[:], s)
+		w.h.Write(w.buf[:n])
+		s = s[n:]
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,7 @@ func (o *Options) withDefaults() Options {
 var counterNames = []string{
 	"serve_requests_total",
 	"serve_cache_hits_total",
+	"serve_identity_hits_total",
 	"serve_coalesced_total",
 	"serve_compiles_total",
 	"serve_shed_total",
@@ -105,6 +107,7 @@ var counterNames = []string{
 type counters struct {
 	requests  atomic.Int64 // every POST /compile received
 	cacheHits atomic.Int64 // served straight from the LRU cache
+	identHits atomic.Int64 // cache hits found by request identity, no IR built
 	coalesced atomic.Int64 // waited on another request's in-flight compile
 	compiles  atomic.Int64 // actual pool executions
 	shed      atomic.Int64 // rejected 429 on a full queue
@@ -119,6 +122,7 @@ func (c *counters) snapshot() map[string]int64 {
 	return map[string]int64{
 		"serve_requests_total":         c.requests.Load(),
 		"serve_cache_hits_total":       c.cacheHits.Load(),
+		"serve_identity_hits_total":    c.identHits.Load(),
 		"serve_coalesced_total":        c.coalesced.Load(),
 		"serve_compiles_total":         c.compiles.Load(),
 		"serve_shed_total":             c.shed.Load(),
@@ -137,7 +141,11 @@ func (c *counters) snapshot() map[string]int64 {
 // warp-block boundary — and because errors are never cached, a duplicate
 // arriving later simply recompiles.
 type flight struct {
-	key      string
+	key string
+	// idents are the request identities of the leader and of every
+	// follower that joined (a follower may spell the same kernel
+	// differently); a successful finish aliases them to the cache entry.
+	idents   []identity
 	done     chan struct{}
 	res      *Response
 	err      *Error
@@ -352,11 +360,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Frontend phase: body decode, kernel frontend, fingerprinting.
+	// Frontend phase: body decode, then either the identity hash alone (a
+	// repeat submission) or the kernel frontend and fingerprinting.
 	tFrontend := time.Now()
 	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
 		st.tm.Frontend = time.Since(tFrontend)
 		s.c.malformed.Add(1)
 		var tooBig *http.MaxBytesError
@@ -367,6 +375,26 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		st.fail(w, &Error{Status: 400, Code: "malformed", Msg: err.Error()}, 0)
 		return
 	}
+	// A request spelled exactly like one that filled a live cache entry is
+	// answered from that entry without building IR. Skipping buildSpec is
+	// sound because an alias exists only after the same identity fields
+	// passed all of it, and it is a pure function of them. Anything else —
+	// a new spelling, an evicted entry, a request that failed before —
+	// takes the full path below, where the fingerprint decides.
+	ident := requestIdentity(&req)
+	tLookup := time.Now()
+	s.mu.Lock()
+	res, ok := s.cache.lookup(ident)
+	s.mu.Unlock()
+	if ok {
+		st.tm.Frontend = tLookup.Sub(tFrontend)
+		st.span("frontend", tFrontend, st.tm.Frontend)
+		s.c.identHits.Add(1)
+		st.key, st.app = res.Key, req.App
+		st.respondCached(w, res, tLookup)
+		return
+	}
+
 	sp, rerr := buildSpec(&req)
 	st.tm.Frontend = time.Since(tFrontend)
 	st.span("frontend", tFrontend, st.tm.Frontend)
@@ -385,19 +413,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	tResolve := time.Now()
 	s.mu.Lock()
 	if res, ok := s.cache.get(sp.key); ok {
+		s.cache.alias(sp.key, ident) // a new spelling of a cached key
 		s.mu.Unlock()
-		s.c.cacheHits.Add(1)
-		st.tm.Resolve = time.Since(tResolve)
-		st.span("resolve", tResolve, st.tm.Resolve)
-		out := *res
-		out.Cached = true
-		st.exec = &out.execTM // attribute the compute that filled the cache
-		st.respond(w, &out)
+		st.respondCached(w, res, tResolve)
 		return
 	}
 	fl, joined := s.flights[sp.key]
 	if joined {
 		fl.waiters++
+		if len(fl.idents) < maxAliases && !slices.Contains(fl.idents, ident) {
+			fl.idents = append(fl.idents, ident)
+		}
 	} else {
 		// Re-check draining inside the admission critical section: a
 		// request that raced past the fast-path check must not start a
@@ -407,7 +433,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			st.fail(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"}, s.opts.RetryAfter)
 			return
 		}
-		fl = &flight{key: sp.key, done: make(chan struct{}), waiters: 1, tr: st.tr}
+		fl = &flight{key: sp.key, idents: []identity{ident}, done: make(chan struct{}), waiters: 1, tr: st.tr}
 		s.flights[sp.key] = fl
 		s.inflight.Add(1)
 	}
@@ -465,6 +491,24 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	st.respond(w, &out)
 }
 
+// decodeRequest decodes the body's one JSON object into req. Anything but
+// white space after it is an error: a decoder stops at the end of the first
+// value, so without the second read `{"app":"a"}{"app":"b"}` would compile a.
+func decodeRequest(body io.Reader, req *Request) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	switch err := dec.Decode(&struct{}{}); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("unexpected JSON value after the request object")
+	default:
+		return err
+	}
+}
+
 // dropWaiter unregisters a disconnected waiter; when the last one leaves an
 // unfinished flight its compute context is canceled and its key is retired
 // under the same lock, so a live duplicate arriving before the worker
@@ -499,7 +543,7 @@ func (s *Server) finish(fl *flight, res *Response, rerr *Error) {
 	fl.finished = true
 	s.retire(fl)
 	if rerr == nil && res != nil {
-		s.cache.put(fl.key, res)
+		s.cache.put(fl.key, res, fl.idents...)
 	}
 	s.mu.Unlock()
 	close(fl.done)

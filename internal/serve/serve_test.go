@@ -113,6 +113,8 @@ func TestStructuredErrors(t *testing.T) {
 		wantCode   string
 	}{
 		{"malformed-json", "{not json", 400, "malformed"},
+		{"trailing-garbage", `{"app":"xsbench"} trailing garbage`, 400, "malformed"},
+		{"two-objects", `{"app":"xsbench"}{"app":"complex"}`, 400, "malformed"},
 		{"no-kernel", "{}", 400, "bad-request"},
 		{"two-kernels", `{"app":"xsbench","source":"kernel k() {}"}`, 400, "bad-request"},
 		{"unknown-app", `{"app":"nope"}`, 400, "bad-request"},
@@ -122,6 +124,7 @@ func TestStructuredErrors(t *testing.T) {
 		{"bad-source", `{"source":"kernel k( {"}`, 400, "bad-request"},
 		{"bad-args", `{"source":"kernel k(long n) { long x = n; }","args":[]}`, 400, "bad-request"},
 		{"oversized", `{"source":"` + strings.Repeat("x", 8192) + `"}`, 413, "oversized"},
+		{"oversized-tail", `{"app":"nope"}` + strings.Repeat(" ", 8192), 413, "oversized"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(tc.body))

@@ -18,7 +18,8 @@ import (
 // the METRICS.md rows).
 //
 //   - frontend:  request decode + kernel frontend (benchmark lookup,
-//     MiniCU compile, IR parse) + fingerprinting
+//     MiniCU compile, IR parse) + fingerprinting; on an identity hit,
+//     decode + the identity hash only, so the histogram is bimodal
 //   - resolve:   cache lookup and singleflight resolution — for a
 //     coalesced follower this includes the wait on the leader's result
 //   - admission: a leader's queue wait from enqueue to worker pickup
@@ -86,6 +87,7 @@ func newServeTelemetry(s *Server) *serveTelemetry {
 	}{
 		{"serve_requests_total", s.c.requests.Load},
 		{"serve_cache_hits_total", s.c.cacheHits.Load},
+		{"serve_identity_hits_total", s.c.identHits.Load},
 		{"serve_coalesced_total", s.c.coalesced.Load},
 		{"serve_compiles_total", s.c.compiles.Load},
 		{"serve_shed_total", s.c.shed.Load},
@@ -273,6 +275,19 @@ func (st *reqState) respond(w http.ResponseWriter, resp *Response) {
 	}
 	enc := writeJSONTimed(w, 200, resp)
 	st.finish(200, "", enc)
+}
+
+// respondCached answers from a cache entry; resolveStart is when this
+// request began looking for it. The entry is shared, so the stamps go on a
+// copy.
+func (st *reqState) respondCached(w http.ResponseWriter, res *Response, resolveStart time.Time) {
+	st.srv.c.cacheHits.Add(1)
+	st.tm.Resolve = time.Since(resolveStart)
+	st.span("resolve", resolveStart, st.tm.Resolve)
+	out := *res
+	out.Cached = true
+	st.exec = &out.execTM // attribute the compute that filled the cache
+	st.respond(w, &out)
 }
 
 // fail writes a structured error body — every error carries the request
