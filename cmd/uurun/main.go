@@ -30,19 +30,19 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("bench", "", "suite benchmark name (see -list)")
-		list      = flag.Bool("list", false, "list suite benchmarks")
-		srcPath   = flag.String("src", "", "MiniCU source file (with -args/-mem/-grid/-block)")
-		argsSpec  = flag.String("args", "", "kernel arguments, comma-separated i:<int> / f:<float>")
-		memSize   = flag.Int64("mem", 1<<20, "device memory bytes (with -src)")
-		grid      = flag.Int("grid", 1, "grid dimension (with -src)")
-		block     = flag.Int("block", 32, "block dimension (with -src)")
-		config    = flag.String("config", "baseline", "pipeline config")
-		device    = flag.String("device", "V100", "device model: registry name with optional overrides, e.g. V100, MinSPPC, Vortex:warpsize=8")
-	execStr   = flag.String("exec", "", "simulator execution backend: switch or threaded (default: the device's; metrics are identical for either)")
-		inputMode = flag.String("input", "coherent", "workload input mode (suite benchmarks only): coherent or noise")
-		loopID    = flag.Int("loop", 0, "loop id for per-loop configs")
-		factor    = flag.Int("factor", 2, "unroll factor")
+		benchName  = flag.String("bench", "", "suite benchmark name (see -list)")
+		list       = flag.Bool("list", false, "list suite benchmarks")
+		srcPath    = flag.String("src", "", "MiniCU source file (with -args/-mem/-grid/-block)")
+		argsSpec   = flag.String("args", "", "kernel arguments, comma-separated i:<int> / f:<float>")
+		memSize    = flag.Int64("mem", 1<<20, "device memory bytes (with -src)")
+		grid       = flag.Int("grid", 1, "grid dimension (with -src)")
+		block      = flag.Int("block", 32, "block dimension (with -src)")
+		config     = flag.String("config", "baseline", "pipeline config")
+		device     = flag.String("device", "V100", "device model: registry name with optional overrides, e.g. V100, MinSPPC, Vortex:warpsize=8")
+		execStr    = flag.String("exec", "", "simulator execution backend: switch or threaded (default: the device's; metrics are identical for either)")
+		inputMode  = flag.String("input", "coherent", "workload input mode (suite benchmarks only): coherent or noise")
+		loopID     = flag.Int("loop", 0, "loop id for per-loop configs")
+		factor     = flag.Int("factor", 2, "unroll factor")
 		verify     = flag.Bool("verify", false, "check results against the reference interpreter (suite benchmarks only)")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of the compile and simulation to this file")
 		remarksStr = flag.String("remarks", "", "print optimization remarks to stderr as YAML: all|passed|missed|analysis (comma-separable)")

@@ -8,6 +8,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"uu/internal/codegen"
 	"uu/internal/gpusim"
@@ -66,27 +68,56 @@ type Workload struct {
 	// derived from the thread id (complex, mandelbrot), so there is nothing
 	// to decohere and both input modes run identically.
 	Noise func(m *interp.Memory)
+
+	// image is the initial memory image of the selected input mode, built
+	// by Init on first use and copied from afterwards: the generators are
+	// deterministic, so every memory of the workload starts from these
+	// bytes. Workloads are shared across harness workers, hence the lock.
+	imageMu sync.Mutex
+	image   []byte
 }
 
 // SetInput selects the workload's input mode. Selecting InputNoise on a
 // workload without a Noise generator is a no-op (see Noise).
 func (w *Workload) SetInput(mode InputMode) {
 	if mode == InputNoise && w.Noise != nil {
+		w.imageMu.Lock()
 		w.Init = w.Noise
+		w.image = nil
+		w.imageMu.Unlock()
 	}
+}
+
+// initialImage returns the workload's initial memory image, generating it
+// on first use. Callers only read it.
+func (w *Workload) initialImage() []byte {
+	w.imageMu.Lock()
+	defer w.imageMu.Unlock()
+	if w.image == nil {
+		m := interp.NewMemory(w.MemSize)
+		if w.Init != nil {
+			w.Init(m)
+		}
+		w.image = m.Data
+	}
+	return w.image
 }
 
 // HasNoise reports whether the workload has a distinct white-noise input
 // configuration.
 func (w *Workload) HasNoise() bool { return w.Noise != nil }
 
-// NewMemory builds a fresh initialized memory for the workload.
+// NewMemory builds a fresh initialized memory for the workload. The caller
+// owns it.
 func (w *Workload) NewMemory() *interp.Memory {
-	m := interp.NewMemory(w.MemSize)
-	if w.Init != nil {
-		w.Init(m)
-	}
-	return m
+	return &interp.Memory{Data: slices.Clone(w.initialImage())}
+}
+
+// AcquireMemory is NewMemory on a recycled buffer (interp.AcquireMemory),
+// for callers that can say when the memory is dead: hand it back with
+// interp.ReleaseMemory once nothing references it.
+func (w *Workload) AcquireMemory() *interp.Memory {
+	return interp.AcquireMemory(w.MemSize, w.initialImage())
 }
 
 // Benchmark is one application of the suite.
@@ -260,7 +291,9 @@ func ExecuteWorkersProfiled(cr *CompileResult, w *Workload, cfg gpusim.DeviceCon
 // cancellation stops the simulation at the next warp-block boundary
 // (gpusim.RunWorkersProfiledCtx).
 func ExecuteWorkersProfiledCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, workers int, tr *remark.Trace, tid int, prof *gpusim.Profile) (*gpusim.Metrics, error) {
-	mem := w.NewMemory()
+	// The image never leaves this function, so its buffer is a recycled one.
+	mem := w.AcquireMemory()
+	defer interp.ReleaseMemory(mem)
 	launch := w.Launch
 	if verifyAgainst != nil {
 		launch.SampleWarps = 0 // full run required for verification

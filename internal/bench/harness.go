@@ -71,10 +71,10 @@ type Results struct {
 	DeviceName string
 	Input      InputMode
 	Factors    []int
-	Baseline  map[string]*RunRecord // app -> baseline
-	Heuristic map[string]*RunRecord // app -> heuristic u&u
-	PerLoop   []*RunRecord          // unroll/unmerge/uu per loop and factor
-	LoopCount map[string]int
+	Baseline   map[string]*RunRecord // app -> baseline
+	Heuristic  map[string]*RunRecord // app -> heuristic u&u
+	PerLoop    []*RunRecord          // unroll/unmerge/uu per loop and factor
+	LoopCount  map[string]int
 	// Failures aggregates every contained pass failure across the sweep
 	// (see RunRecord.Failures); empty unless HarnessOptions.Contain.
 	Failures []harden.PassFailure
@@ -215,9 +215,9 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 		DeviceName: devName,
 		Input:      input,
 		Factors:    factors,
-		Baseline:  map[string]*RunRecord{},
-		Heuristic: map[string]*RunRecord{},
-		LoopCount: map[string]int{},
+		Baseline:   map[string]*RunRecord{},
+		Heuristic:  map[string]*RunRecord{},
+		LoopCount:  map[string]int{},
 	}
 
 	// Plan the campaign serially: per-app workload, verification oracle and

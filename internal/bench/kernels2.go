@@ -435,7 +435,7 @@ kernel rainflow(double* restrict x, double* restrict y, long* restrict cnt, long
 			Noise: func(mm *interp.Memory) {
 				rng := rand.New(rand.NewSource(noiseSeed + 23))
 				for i := int64(0); i < nthreads*m; i++ {
-					mm.SetF64(xBase, i, 1 + rng.Float64()*8)
+					mm.SetF64(xBase, i, 1+rng.Float64()*8)
 				}
 			},
 			Launch:  gpusim.Launch{GridDim: nthreads / 128, BlockDim: 128},

@@ -19,11 +19,13 @@ type lruICache struct {
 	cap  int32
 }
 
+// init empties the cache for a program of numLines lines, reusing the
+// arrays of a previous run when they are large enough.
 func (c *lruICache) init(numLines, capacity int) {
-	c.slot = make([]int32, numLines)
-	c.line = make([]int32, capacity)
-	c.prev = make([]int32, capacity)
-	c.next = make([]int32, capacity)
+	c.slot = zeroed(c.slot, numLines)
+	c.line = zeroed(c.line, capacity)
+	c.prev = zeroed(c.prev, capacity)
+	c.next = zeroed(c.next, capacity)
 	c.head, c.tail = -1, -1
 	c.used = 0
 	c.cap = int32(capacity)

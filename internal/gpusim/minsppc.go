@@ -35,21 +35,32 @@ type minsppcEngine struct {
 	groups   []tsGroup
 	barriers []tsBarrier
 	cur      int // group returned by the last next()
+	// unsettled records that some barrier's arrived or pending set changed
+	// (an arrival, a retire) since next last looked for complete barriers.
+	// Only such a change can complete one, so while it is clear the release
+	// scan — which would otherwise walk every barrier the warp ever armed,
+	// once per executed block — provably finds nothing and is skipped.
+	// (A retire cannot in fact complete a barrier: a barrier sits at a
+	// post-dominator, so its lanes pass it before they can reach a ret. It
+	// sets the flag anyway, so the proof does not lean on that.)
+	unsettled bool
 }
 
-func newMinSPPCEngine(dp *decodedProgram) *minsppcEngine {
+func newMinSPPCEngine() *minsppcEngine {
 	return &minsppcEngine{
-		dp:       dp,
 		groups:   make([]tsGroup, 0, 8),
 		barriers: make([]tsBarrier, 0, 8),
 	}
 }
+
+func (g *minsppcEngine) bind(dp *decodedProgram) { g.dp, g.prof = dp, nil }
 
 func (g *minsppcEngine) reset(prof *Profile, fullMask uint32) {
 	g.prof = prof
 	g.groups = append(g.groups[:0], tsGroup{pc: 0, bar: -1, mask: fullMask})
 	g.barriers = g.barriers[:0]
 	g.cur = -1
+	g.unsettled = false
 }
 
 // next settles barrier arrivals and releases to a fixpoint, then schedules
@@ -70,6 +81,7 @@ func (g *minsppcEngine) next() (int, uint32, bool) {
 			if gr.bar >= 0 && gr.pc == g.barriers[gr.bar].block {
 				b := &g.barriers[gr.bar]
 				b.arrived |= gr.mask
+				g.unsettled = true
 				if g.prof != nil && b.arrived != b.pending {
 					g.prof.Counters[ProfBarrierWaits][g.dp.blockStart[gr.pc]]++
 				}
@@ -96,15 +108,18 @@ func (g *minsppcEngine) next() (int, uint32, bool) {
 		// reconvergence block under the enclosing barrier. Scanning from
 		// the innermost (highest index) keeps cascaded releases — an inner
 		// release arriving straight at its outer barrier — deterministic.
-		for bi := len(g.barriers) - 1; bi >= 0; bi-- {
-			b := &g.barriers[bi]
-			if b.pending != 0 && b.arrived == b.pending {
-				if g.prof != nil {
-					g.prof.Counters[ProfReconvEvents][g.dp.blockStart[b.block]]++
+		if g.unsettled {
+			g.unsettled = false
+			for bi := len(g.barriers) - 1; bi >= 0; bi-- {
+				b := &g.barriers[bi]
+				if b.pending != 0 && b.arrived == b.pending {
+					if g.prof != nil {
+						g.prof.Counters[ProfReconvEvents][g.dp.blockStart[b.block]]++
+					}
+					g.groups = append(g.groups, tsGroup{pc: b.block, bar: b.outer, mask: b.pending})
+					b.pending, b.arrived = 0, 0
+					changed = true
 				}
-				g.groups = append(g.groups, tsGroup{pc: b.block, bar: b.outer, mask: b.pending})
-				b.pending, b.arrived = 0, 0
-				changed = true
 			}
 		}
 		if changed {
@@ -186,4 +201,5 @@ func (g *minsppcEngine) retire(mask uint32) {
 	for i := range g.barriers {
 		g.barriers[i].pending &^= mask
 	}
+	g.unsettled = true
 }

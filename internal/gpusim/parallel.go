@@ -190,10 +190,11 @@ func runParallel(ctx context.Context, dp *decodedProgram, args []interp.Value, m
 			defer wg.Done()
 			done := tr.Span(tid*100+1+worker, "sim-shard", "gpusim")
 			defer done()
-			priv := &interp.Memory{Data: append([]byte(nil), mem.Data...)}
-			w := newWarpSim(dp, cfg, priv)
+			priv := interp.AcquireMemory(int64(len(mem.Data)), mem.Data)
+			defer interp.ReleaseMemory(priv)
+			w := acquireWarpSim(dp, cfg, priv)
+			defer releaseWarpSim(w)
 			w.setContext(ctx)
-			w.fetchMode = fetchWarm
 			if prof != nil {
 				wprofs[worker] = newProfileN(dp.name, len(dp.instrs))
 				w.prof = wprofs[worker]
@@ -238,6 +239,15 @@ func runParallel(ctx context.Context, dp *decodedProgram, args []interp.Value, m
 	var rerun *warpSim // warm-mode re-run regenerating phase-A profile contributions
 	var rerunProf *Profile
 	var scratch *interp.Memory
+	defer func() {
+		if audit != nil {
+			releaseWarpSim(audit)
+		}
+		if rerun != nil {
+			releaseWarpSim(rerun)
+			interp.ReleaseMemory(scratch)
+		}
+	}()
 	for wi := 0; wi < simWarps; wi++ {
 		wbits := touched[wi*bw : (wi+1)*bw]
 		fresh := false
@@ -259,10 +269,9 @@ func runParallel(ctx context.Context, dp *decodedProgram, args []interp.Value, m
 		// in-order line set for exact miss accounting. It writes shared
 		// memory directly (same values as its log), so no replay.
 		if audit == nil {
-			audit = newWarpSim(dp, cfg, mem)
+			audit = acquireWarpSim(dp, cfg, mem)
 			audit.setContext(ctx)
-			audit.fetchMode = fetchBitset
-			audit.touched = global
+			audit.setFetch(fetchBitset, global)
 			audit.prof = prof
 		}
 		// For profiling, snapshot memory before the audit run: the warm
@@ -270,14 +279,14 @@ func runParallel(ctx context.Context, dp *decodedProgram, args []interp.Value, m
 		// the values the audit run is about to store.
 		if prof != nil {
 			if scratch == nil {
-				scratch = &interp.Memory{}
+				scratch = interp.AcquireMemory(int64(len(mem.Data)), mem.Data)
 				rerunProf = newProfileN(dp.name, len(dp.instrs))
-				rerun = newWarpSim(dp, cfg, scratch)
-				rerun.fetchMode = fetchWarm
-				rerun.touched = make([]uint64, bw)
+				rerun = acquireWarpSim(dp, cfg, scratch)
+				rerun.setFetch(fetchWarm, nil)
 				rerun.prof = rerunProf
+			} else {
+				copy(scratch.Data, mem.Data)
 			}
-			scratch.Data = append(scratch.Data[:0], mem.Data...)
 		}
 		var rm Metrics
 		first, count := warpBounds(wi, cfg.WarpSize, total)

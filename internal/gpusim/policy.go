@@ -62,15 +62,20 @@ func Policies() []PolicyKind {
 // policyEngine is the reconvergence-policy contract the warp executor
 // drives. The executor runs whole basic blocks; the engine decides which
 // (block, mask) runs next and absorbs the control-flow outcome of each
-// block. Engines are per-warp state machines: reset starts a fresh warp,
-// and all state must live in buffers that are reused across warps so the
-// warp loop stays allocation-free in steady state (the contract
-// TestWarpLoopZeroAllocs enforces for every policy).
+// block. Engines are per-warp state machines: bind attaches one to the
+// program of a run, reset starts a fresh warp, and all state must live in
+// buffers that are reused across warps — and, on a recycled warpSim, across
+// runs — so the warp loop stays allocation-free in steady state (the
+// contract TestWarpLoopZeroAllocs enforces for every policy). Nothing but
+// buffer capacity may survive a reset.
 //
 // Exactly one of branch/jump/retire is called after each executed block,
 // mirroring the three terminator classes (conditional branch,
 // unconditional branch, ret).
 type policyEngine interface {
+	// bind attaches the engine to the program the next warps run (nil
+	// detaches it, so a parked engine pins no program).
+	bind(dp *decodedProgram)
 	// reset prepares the engine for a new warp whose full lane mask is
 	// fullMask. prof may be nil (profiling disabled) and may differ
 	// between warps.
@@ -90,15 +95,15 @@ type policyEngine interface {
 	retire(mask uint32)
 }
 
-// newPolicyEngine builds the engine for the device's configured policy.
-func newPolicyEngine(kind PolicyKind, dp *decodedProgram) policyEngine {
+// newPolicyEngine builds an unbound engine for the given policy.
+func newPolicyEngine(kind PolicyKind) policyEngine {
 	switch kind {
 	case PolicyMinSPPC:
-		return newMinSPPCEngine(dp)
+		return newMinSPPCEngine()
 	case PolicyVortex:
-		return newVortexEngine(dp)
+		return newVortexEngine()
 	default:
-		return newIPDOMEngine(dp)
+		return newIPDOMEngine()
 	}
 }
 
@@ -118,9 +123,11 @@ type ipdomEngine struct {
 	stack []stackEntry
 }
 
-func newIPDOMEngine(dp *decodedProgram) *ipdomEngine {
-	return &ipdomEngine{dp: dp, stack: make([]stackEntry, 0, 8)}
+func newIPDOMEngine() *ipdomEngine {
+	return &ipdomEngine{stack: make([]stackEntry, 0, 8)}
 }
+
+func (g *ipdomEngine) bind(dp *decodedProgram) { g.dp, g.prof = dp, nil }
 
 func (g *ipdomEngine) reset(prof *Profile, fullMask uint32) {
 	g.prof = prof

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -120,10 +121,54 @@ func ParseDevice(spec string) (DeviceConfig, string, error) {
 			return DeviceConfig{}, "", err
 		}
 	}
-	if cfg.WarpSize < 1 || cfg.WarpSize > 32 {
-		return DeviceConfig{}, "", fmt.Errorf("gpusim: warpsize %d out of range [1, 32]", cfg.WarpSize)
+	if err := cfg.Validate(); err != nil {
+		return DeviceConfig{}, "", err
 	}
 	return cfg, dev.Name + ":" + overrides, nil
+}
+
+// maxICacheLines caps the icache capacity a device spec may ask for: the
+// LRU model allocates per line, and specs arrive from CLIs and uud requests.
+const maxICacheLines = 1 << 20
+
+// Validate reports whether cfg describes a machine the simulator can run:
+// the fields it divides by or sizes arrays from must be positive and
+// bounded, costs and latencies non-negative, fractions within [0, 1].
+// ParseDevice applies it to every spec with overrides, so a bad value is an
+// error at the CLI (and a 400 from uud) instead of a divide-by-zero or
+// makeslice panic inside a run. Every registry device passes.
+func (cfg DeviceConfig) Validate() error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("gpusim: %s %v out of range (want %s)", field, v, want)
+	}
+	nonNeg := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) } // false for NaN
+	switch {
+	case cfg.WarpSize < 1 || cfg.WarpSize > 32:
+		return bad("warpsize", cfg.WarpSize, "[1, 32]")
+	case cfg.NumSMs < 1:
+		return bad("numsms", cfg.NumSMs, ">= 1")
+	case !nonNeg(cfg.ClockGHz) || cfg.ClockGHz == 0:
+		return bad("clockghz", cfg.ClockGHz, "> 0")
+	case !nonNeg(cfg.MemLoadLatency):
+		return bad("memloadlatency", cfg.MemLoadLatency, ">= 0")
+	case !(cfg.StallExposure >= 0 && cfg.StallExposure <= 1):
+		return bad("stallexposure", cfg.StallExposure, "[0, 1]")
+	case cfg.MemPerTransaction < 0:
+		return bad("mempertransaction", cfg.MemPerTransaction, ">= 0")
+	case cfg.SegmentBytes < 1:
+		return bad("segmentbytes", cfg.SegmentBytes, ">= 1")
+	case cfg.ICacheLineInstrs < 1:
+		return bad("icachelineinstrs", cfg.ICacheLineInstrs, ">= 1")
+	case cfg.ICacheLines < 1 || cfg.ICacheLines > maxICacheLines:
+		return bad("icachelines", cfg.ICacheLines, fmt.Sprintf("[1, %d]", maxICacheLines))
+	case cfg.ICacheMissCycles < 0:
+		return bad("icachemisscycles", cfg.ICacheMissCycles, ">= 0")
+	case !(cfg.ITSOverlap >= 0 && cfg.ITSOverlap <= 1):
+		return bad("itsoverlap", cfg.ITSOverlap, "[0, 1]")
+	case cfg.MaxWarpSteps < 0:
+		return bad("maxwarpsteps", cfg.MaxWarpSteps, ">= 0")
+	}
+	return nil
 }
 
 func setOverride(cfg *DeviceConfig, key, val string) error {

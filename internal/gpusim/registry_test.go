@@ -89,9 +89,59 @@ func TestParseDevice(t *testing.T) {
 		"V100:memloadlat=1",      // unknown key
 		"V100:numsms=eighty",     // bad int
 		"V100:stallexposure=x.y", // bad float
+		// Values the simulator divides by or sizes arrays from, and costs
+		// and fractions outside their domain (DeviceConfig.Validate). The
+		// first three used to panic inside a run; segmentbytes=-32 ran.
+		"V100:segmentbytes=0",
+		"V100:icachelineinstrs=0",
+		"V100:icachelines=-1",
+		"V100:segmentbytes=-32",
+		"V100:icachelines=0",
+		"V100:icachelines=1048577", // past the ceiling
+		"V100:icachelineinstrs=-8",
+		"V100:numsms=0",
+		"V100:clockghz=0",
+		"V100:clockghz=-1.38",
+		"V100:clockghz=NaN",
+		"V100:clockghz=Inf",
+		"V100:memloadlatency=-1",
+		"V100:memloadlatency=NaN",
+		"V100:stallexposure=1.5",
+		"V100:stallexposure=-0.1",
+		"V100:stallexposure=NaN",
+		"V100:itsoverlap=2",
+		"V100:itsoverlap=NaN",
+		"V100:mempertransaction=-2",
+		"V100:icachemisscycles=-16",
+		"V100:maxwarpsteps=-1",
+		"Vortex:warpsize=8,segmentbytes=0", // a good override does not excuse a bad one
 	} {
 		if _, _, err := ParseDevice(bad); err == nil {
 			t.Errorf("ParseDevice(%q) succeeded, want error", bad)
+		}
+	}
+
+	// Validation rejects nothing that ran correctly before: the registry,
+	// boundary values, and non-power-of-two coalescing segments.
+	for _, d := range Devices() {
+		if err := d.Config.Validate(); err != nil {
+			t.Errorf("registry device %s does not validate: %v", d.Name, err)
+		}
+	}
+	for _, good := range []string{
+		"V100:segmentbytes=1",
+		"V100:segmentbytes=48",
+		"V100:icachelines=1,icachelineinstrs=1",
+		"V100:icachelines=1048576",
+		"MinSPPC:itsoverlap=0.5",
+		"V100:itsoverlap=0,stallexposure=1",
+		"V100:itsoverlap=1,stallexposure=0",
+		"V100:memloadlatency=0,mempertransaction=0,icachemisscycles=0",
+		"V100:maxwarpsteps=0",
+		"Vortex:numsms=1,clockghz=0.001",
+	} {
+		if _, _, err := ParseDevice(good); err != nil {
+			t.Errorf("ParseDevice(%q): %v", good, err)
 		}
 	}
 }

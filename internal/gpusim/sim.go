@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"uu/internal/codegen"
+	"uu/internal/freelist"
 	"uu/internal/interp"
 	"uu/internal/ir"
 	"uu/internal/remark"
@@ -168,15 +169,14 @@ func warpBounds(wi, warpSize, total int) (first, count int) {
 func bitWords(n int) int { return (n + 63) / 64 }
 
 func runSequential(ctx context.Context, dp *decodedProgram, args []interp.Value, mem *interp.Memory, launch Launch, cfg DeviceConfig, simWarps, total int, m *Metrics, tr *remark.Trace, tid int, prof *Profile) error {
-	w := newWarpSim(dp, cfg, mem)
+	w := acquireWarpSim(dp, cfg, mem)
+	defer releaseWarpSim(w)
 	w.setContext(ctx)
 	w.prof = prof
-	if numLines := dp.numLines(cfg.ICacheLineInstrs); numLines <= cfg.ICacheLines {
-		w.fetchMode = fetchBitset
-		w.touched = make([]uint64, bitWords(numLines))
+	if dp.numLines(cfg.ICacheLineInstrs) <= cfg.ICacheLines {
+		w.setFetch(fetchBitset, nil)
 	} else {
-		w.fetchMode = fetchLRU
-		w.lru.init(numLines, cfg.ICacheLines)
+		w.setFetch(fetchLRU, nil)
 	}
 	batchStart := time.Time{}
 	if tr.Enabled() {
@@ -206,6 +206,8 @@ const (
 )
 
 type warpSim struct {
+	class warpSimClass // what the register files below are sized for
+
 	dp  *decodedProgram
 	cfg DeviceConfig
 	mem *interp.Memory
@@ -242,12 +244,17 @@ type warpSim struct {
 	// next; the executor below only runs whole blocks and reports each
 	// block's control-flow outcome back to it.
 	eng policyEngine
+	// engines holds the engine of each policy this warpSim has run, so a
+	// recycled warpSim reuses their stacks; eng is engines[cfg.Policy].
+	engines [numPolicies]policyEngine
 
 	// instruction cache state, interpreted per fetchMode
 	lines     []int32 // global instruction index -> icache line
 	fetchMode uint8
 	touched   []uint64
-	lru       lruICache
+	// ownTouched backs touched when no caller-owned set is supplied.
+	ownTouched []uint64
+	lru        lruICache
 	// blockSeen[b] records (threaded core, fetchBitset mode only) that every
 	// line of block b has been fetched once; touched bits never clear, so
 	// once set the whole per-instruction fetch check provably charges zero
@@ -258,6 +265,9 @@ type warpSim struct {
 	lanesCTA []int32
 	addrBuf  []int64 // scratch: active lanes' addresses, lane order
 	segBuf   []segSpan
+	// segShift is log2(cfg.SegmentBytes) when that is a power of two, else
+	// -1: access shifts instead of dividing where the two agree.
+	segShift int
 
 	// optimistic-parallel instrumentation (nil in sequential mode):
 	// per-warp byte ranges read/written and the ordered store log the
@@ -282,18 +292,114 @@ type warpSim struct {
 	latTab [4]float64  // scoreboard latency by latClass
 }
 
+// warpSimClass is what a warpSim's register files are sized for: the
+// executor (the two keep different files), the warp width, and the register
+// count rounded up to a power of two. Run state is recycled only within its
+// class (see package freelist), so the files always fit.
+type warpSimClass struct {
+	exec ExecKind
+	warp int
+	regs int
+}
+
+func classOf(dp *decodedProgram, cfg DeviceConfig) warpSimClass {
+	n := dp.numRegs
+	if cfg.Exec == ExecThreaded {
+		n = dp.threadedProg().numRegs // the pooled immediates are registers too
+	}
+	return warpSimClass{cfg.Exec, cfg.WarpSize, 1 << bits.Len(uint(max(n, 1)-1))}
+}
+
+// newWarpSim builds fresh run state for executing dp on cfg against mem.
 func newWarpSim(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) *warpSim {
-	w := &warpSim{dp: dp, cfg: cfg, mem: mem, nregs: dp.numRegs}
+	c := classOf(dp, cfg)
+	w := &warpSim{class: c, ready: make([]float64, c.regs)}
+	if c.exec == ExecThreaded {
+		w.regsI = make([]int64, c.warp*c.regs)
+		w.regsF = make([]float64, c.warp*c.regs)
+	} else {
+		w.regs = make([]interp.Value, c.warp*c.regs)
+	}
+	w.init(dp, cfg, mem)
+	return w
+}
+
+// maxFreeWarpSims bounds the run-state free list: a campaign holds
+// Workers x (SimWorkers + 2) warpSims at once, a uud one per pool worker,
+// over a handful of classes; past the bound the oldest is dropped.
+const maxFreeWarpSims = 16
+
+var freeWarpSims = freelist.New[warpSimClass, *warpSim](maxFreeWarpSims)
+
+// acquireWarpSim returns run state for executing dp on cfg against mem. The
+// warpSim may be a recycled one — register files, scoreboard, scratch and
+// policy engines keep their capacity between runs, which is what makes a
+// repeat execution allocation-free — but init re-derives everything else
+// from (dp, cfg, mem) alone, so a run never depends on what the state ran
+// before, including a run that faulted, exhausted its budget or was
+// cancelled part-way. Hand the state back with releaseWarpSim.
+func acquireWarpSim(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) *warpSim {
+	w, ok := freeWarpSims.Take(classOf(dp, cfg))
+	if !ok {
+		return newWarpSim(dp, cfg, mem)
+	}
+	w.init(dp, cfg, mem)
+	return w
+}
+
+// releaseWarpSim retires w to the free list, stripped of every reference to
+// the run it served so a parked warpSim pins no program, memory, profile or
+// context.
+func releaseWarpSim(w *warpSim) {
+	w.strip()
+	freeWarpSims.Put(w.class, w)
+}
+
+// strip resets w to the zero warpSim that owns w's buffers: the arrays (for
+// their capacity) and the policy engines (for their stacks) are all a run
+// leaves behind.
+func (w *warpSim) strip() {
+	for _, e := range w.engines {
+		if e != nil {
+			e.bind(nil)
+		}
+	}
+	*w = warpSim{
+		class: w.class, regs: w.regs, ready: w.ready, regsI: w.regsI, regsF: w.regsF,
+		engines: w.engines, ownTouched: w.ownTouched, lru: w.lru, blockSeen: w.blockSeen,
+		lanesTID: w.lanesTID, lanesCTA: w.lanesCTA, addrBuf: w.addrBuf, segBuf: w.segBuf,
+	}
+}
+
+// zeroed returns s with length n and every element cleared, reusing its
+// array when the capacity allows.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// init prepares w — a new or stripped warpSim of dp and cfg's class — for one
+// run. Every buffer is resized to this run's needs and either cleared or
+// documented as overwritten before its first read; everything else starts
+// from zero — including the fetch mode (fetchWarm, no line set), which
+// every caller follows up with setFetch or, per warp, its own slice of a
+// shared set (runParallel phase A).
+func (w *warpSim) init(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) {
+	w.dp, w.cfg, w.mem, w.nregs = dp, cfg, mem, dp.numRegs
 	if cfg.Exec == ExecThreaded {
 		tp := dp.threadedProg()
 		w.tp = tp
 		w.laneW = cfg.WarpSize
-		w.regsI = make([]int64, cfg.WarpSize*tp.numRegs)
-		w.regsF = make([]float64, cfg.WarpSize*tp.numRegs)
-		w.blockSeen = make([]bool, len(dp.blockStart))
-		// Pooled immediates live past dp.numRegs and never change: fill
-		// every lane once, here; per-warp resets only clear the real
-		// registers below them.
+		// The real registers are cleared at the start of every warp
+		// (runThreaded); the pooled immediates live past dp.numRegs, never
+		// change during a run, and are broadcast to every lane here.
+		w.regsI = w.regsI[:cfg.WarpSize*tp.numRegs]
+		w.regsF = w.regsF[:cfg.WarpSize*tp.numRegs]
+		w.blockSeen = zeroed(w.blockSeen, len(dp.blockStart))
 		for ci, v := range tp.consts {
 			base := (dp.numRegs + ci) * cfg.WarpSize
 			for lane := 0; lane < cfg.WarpSize; lane++ {
@@ -302,21 +408,47 @@ func newWarpSim(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) *warpS
 			}
 		}
 	} else {
-		w.regs = make([]interp.Value, cfg.WarpSize*dp.numRegs)
+		// Cleared per warp for the lanes in use (runSwitch).
+		w.regs = w.regs[:cfg.WarpSize*dp.numRegs]
 	}
-	w.ready = make([]float64, dp.numRegs)
-	w.eng = newPolicyEngine(cfg.Policy, dp)
+	w.ready = w.ready[:dp.numRegs]
+	clear(w.ready)
+	if w.engines[cfg.Policy] == nil {
+		w.engines[cfg.Policy] = newPolicyEngine(cfg.Policy)
+	}
+	w.eng = w.engines[cfg.Policy]
+	w.eng.bind(dp)
 	w.lines = dp.lines(cfg.ICacheLineInstrs)
-	w.lanesTID = make([]int32, cfg.WarpSize)
-	w.lanesCTA = make([]int32, cfg.WarpSize)
-	w.addrBuf = make([]int64, cfg.WarpSize)
-	w.segBuf = make([]segSpan, 0, cfg.WarpSize)
+	w.lanesTID = zeroed(w.lanesTID, cfg.WarpSize)
+	w.lanesCTA = zeroed(w.lanesCTA, cfg.WarpSize)
+	w.addrBuf = zeroed(w.addrBuf, cfg.WarpSize)
+	w.segBuf = zeroed(w.segBuf, cfg.WarpSize)
+	w.segShift = -1
+	if sb := cfg.SegmentBytes; sb > 0 && sb&(sb-1) == 0 {
+		w.segShift = bits.TrailingZeros64(uint64(sb))
+	}
 	for n := 0; n <= cfg.WarpSize && n < len(w.scale); n++ {
 		frac := float64(n) / float64(cfg.WarpSize)
 		w.scale[n] = 1 - cfg.ITSOverlap*(1-frac)
 	}
 	w.latTab = [4]float64{cfg.MemLoadLatency, 24, 20, 5}
-	return w
+}
+
+// setFetch selects the instruction-fetch accounting mode. touched is the
+// line bitset to account against when the caller owns one (the parallel
+// schedule's per-warp and in-order sets); nil gives the warpSim a zeroed
+// set of its own, and fetchLRU an empty cache.
+func (w *warpSim) setFetch(mode uint8, touched []uint64) {
+	w.fetchMode = mode
+	w.touched = touched
+	numLines := w.dp.numLines(w.cfg.ICacheLineInstrs)
+	switch {
+	case mode == fetchLRU:
+		w.lru.init(numLines, w.cfg.ICacheLines)
+	case touched == nil:
+		w.ownTouched = zeroed(w.ownTouched, bitWords(numLines))
+		w.touched = w.ownTouched
+	}
 }
 
 // setContext arms block-boundary cancellation polling for this warp
@@ -845,22 +977,50 @@ type segSpan struct {
 // caller's clock plus the transaction count for the per-PC profile.
 // Distinct segments are counted by sorting the per-lane segment intervals
 // and sweeping their union — no per-access set.
+//
+// Segment indices are address / SegmentBytes, truncating toward zero. For a
+// power-of-two segment and non-negative byte addresses that is a right
+// shift, which is what every in-bounds access takes; a negative address (an
+// access about to fault) or an odd segment size keeps the division, so the
+// counts of a faulting run are what they always were.
 func (w *warpSim) access(n int, size int64, isLoad bool, m *Metrics) (float64, int64) {
-	sb := w.cfg.SegmentBytes
-	segs := w.segBuf[:0]
-	for _, a := range w.addrBuf[:n] {
-		segs = append(segs, segSpan{a / sb, (a + size - 1) / sb})
-	}
-	// Insertion sort by first segment: n <= warp size and warps are
-	// usually nearly sorted already.
-	for i := 1; i < len(segs); i++ {
-		s := segs[i]
-		j := i - 1
-		for j >= 0 && segs[j].first > s.first {
-			segs[j+1] = segs[j]
-			j--
+	addrs := w.addrBuf[:n]
+	segs := w.segBuf[:n]
+	sorted := true
+	sign := int64(-1) // stays negative when the shift does not apply
+	if sh := w.segShift; sh >= 0 {
+		sign = 0
+		prev := int64(math.MinInt64)
+		for i, a := range addrs {
+			end := a + size - 1
+			sign |= a | end
+			first := a >> uint(sh)
+			segs[i] = segSpan{first, end >> uint(sh)}
+			if first < prev {
+				sorted = false
+			}
+			prev = first
 		}
-		segs[j+1] = s
+	}
+	if sign < 0 {
+		sb := w.cfg.SegmentBytes
+		for i, a := range addrs {
+			segs[i] = segSpan{a / sb, (a + size - 1) / sb}
+		}
+		sorted = false
+	}
+	if !sorted {
+		// Insertion sort by first segment: n <= warp size and warps are
+		// usually nearly sorted already.
+		for i := 1; i < len(segs); i++ {
+			s := segs[i]
+			j := i - 1
+			for j >= 0 && segs[j].first > s.first {
+				segs[j+1] = segs[j]
+				j--
+			}
+			segs[j+1] = s
+		}
 	}
 	var count int64
 	covered := int64(math.MinInt64) // highest segment counted so far

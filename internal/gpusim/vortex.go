@@ -24,9 +24,11 @@ type vortexEngine struct {
 	stack []stackEntry
 }
 
-func newVortexEngine(dp *decodedProgram) *vortexEngine {
-	return &vortexEngine{dp: dp, stack: make([]stackEntry, 0, 8)}
+func newVortexEngine() *vortexEngine {
+	return &vortexEngine{stack: make([]stackEntry, 0, 8)}
 }
+
+func (v *vortexEngine) bind(dp *decodedProgram) { v.dp, v.prof = dp, nil }
 
 func (v *vortexEngine) reset(prof *Profile, fullMask uint32) {
 	v.prof = prof

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"uu/internal/bench"
@@ -184,7 +185,10 @@ type spec struct {
 	devName string
 	launch  gpusim.Launch
 	args    []interp.Value
-	newMem  func() *interp.Memory
+	// acquireMem returns the request's initial device memory on a recycled
+	// buffer (interp.AcquireMemory): a copy of the app's input image, or
+	// zeros for a source/IR request. runSpec releases it.
+	acquireMem func() *interp.Memory
 
 	simWorkers  int
 	remarkKinds map[remark.Kind]bool
@@ -278,11 +282,11 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		if err != nil {
 			return nil, errBadRequest("%v", err)
 		}
-		w := b.NewWorkload()
+		w := appWorkload(b)
 		sp.f = f
 		sp.launch = w.Launch
 		sp.args = w.Args
-		sp.newMem = w.NewMemory
+		sp.acquireMem = w.AcquireMemory
 		memSize = w.MemSize
 	default:
 		var f *ir.Function
@@ -325,7 +329,7 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 			sp.args[i] = interp.IntVal(a)
 		}
 		size := memSize
-		sp.newMem = func() *interp.Memory { return interp.NewMemory(size) }
+		sp.acquireMem = func() *interp.Memory { return interp.AcquireMemory(size, nil) }
 	}
 
 	sp.opts = pipeline.Options{
@@ -373,6 +377,19 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 	return sp, nil
 }
 
+// appWorkloads holds one workload per suite app for the life of the
+// process: a workload is read-only here (no SetInput), and sharing it lets
+// every request for an app copy one input image instead of regenerating it.
+var appWorkloads sync.Map // *bench.Benchmark -> *bench.Workload
+
+func appWorkload(b *bench.Benchmark) *bench.Workload {
+	if w, ok := appWorkloads.Load(b); ok {
+		return w.(*bench.Workload)
+	}
+	w, _ := appWorkloads.LoadOrStore(b, b.NewWorkload())
+	return w.(*bench.Workload)
+}
+
 // runSpec executes a spec: pipeline, codegen, simulation, artifact
 // rendering. Cancellation (deadline expiry, all waiters gone, drain) stops
 // at the next pass or warp-block boundary and classifies through ctxError.
@@ -403,7 +420,10 @@ func runSpec(ctx context.Context, sp *spec, tm *phaseTimings, tr *remark.Trace) 
 	if sp.wantProfile {
 		prof = gpusim.NewProfile(prog)
 	}
-	mem := sp.newMem()
+	// The memory is dead once the response is built (nothing below keeps a
+	// reference into it), so it goes back to the free list on every path.
+	mem := sp.acquireMem()
+	defer interp.ReleaseMemory(mem)
 	tSimulate := time.Now()
 	m, err := gpusim.RunWorkersProfiledCtx(ctx, prog, sp.args, mem, sp.launch, sp.dev, sp.simWorkers, tr, 0, prof)
 	tm.Simulate = time.Since(tSimulate)

@@ -121,6 +121,12 @@ func TestStructuredErrors(t *testing.T) {
 		{"unknown-config", `{"app":"xsbench","config":"turbo"}`, 400, "bad-request"},
 		{"bad-chaos", `{"app":"xsbench","chaos":"meteor"}`, 400, "bad-request"},
 		{"bad-device", `{"app":"xsbench","device":"H100"}`, 400, "bad-request"},
+		// Device overrides the simulator would divide by or size arrays from
+		// (gpusim.DeviceConfig.Validate): the client's fault, not a 500.
+		{"device-segmentbytes-0", `{"app":"complex","device":"V100:segmentbytes=0"}`, 400, "bad-request"},
+		{"device-icachelineinstrs-0", `{"app":"complex","device":"V100:icachelineinstrs=0"}`, 400, "bad-request"},
+		{"device-icachelines-neg", `{"app":"complex","device":"V100:icachelines=-1"}`, 400, "bad-request"},
+		{"device-segmentbytes-neg", `{"app":"complex","device":"V100:segmentbytes=-32"}`, 400, "bad-request"},
 		{"bad-source", `{"source":"kernel k( {"}`, 400, "bad-request"},
 		{"bad-args", `{"source":"kernel k(long n) { long x = n; }","args":[]}`, 400, "bad-request"},
 		{"oversized", `{"source":"` + strings.Repeat("x", 8192) + `"}`, 413, "oversized"},
