@@ -52,13 +52,11 @@ func main() {
 		outDir     = flag.String("out", "", "write artifacts into this directory instead of stdout")
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
 		workers    = flag.Int("workers", 0, "concurrent measurement goroutines (0 = GOMAXPROCS)")
-		simWorkers = flag.Int("sim-workers", 1, "warp-scheduling workers per simulation (metrics are identical for any count)")
-		execStr    = flag.String("exec", "", "simulator execution backend: switch or threaded (default: the device's; metrics are identical for either)")
 		contain    = flag.Bool("contain", false, "run every compilation under the crash-containment guard: a crashing pass is rolled back and skipped instead of aborting the campaign")
 		verifyEach = flag.Bool("verify-each", false, "run the IR verifier after every pass (a rejected pass counts as a contained failure with -contain)")
-		remarksStr = flag.String("remarks", "", "collect optimization remarks and write them as remarks.yaml: all|passed|missed|analysis (comma-separable); deterministic across -workers/-sim-workers counts")
+		remarksStr = flag.String("remarks", "", "collect optimization remarks and write them as remarks.yaml: all|passed|missed|analysis (comma-separable); deterministic across -workers counts")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of the whole campaign (compiles, passes, simulations) to this file")
-		profileOn  = flag.Bool("profile", false, "collect per-PC hotspot profiles and write hotspots.txt (per-loop/per-line tables plus the heuristic predicted-vs-measured join) and per-app profile-<app>.folded / profile-<app>.pb.gz; deterministic across -workers/-sim-workers counts")
+		profileOn  = flag.Bool("profile", false, "collect per-PC hotspot profiles and write hotspots.txt (per-loop/per-line tables plus the heuristic predicted-vs-measured join) and per-app profile-<app>.folded / profile-<app>.pb.gz; deterministic across -workers counts")
 		pgoOn      = flag.Bool("pgo", false, "run the profile-guided campaign: iterate compile→simulate→recompile, feeding measured per-loop signals back into the heuristic as overrides until the predicted-vs-measured table is stable; writes pgo.txt and exits 1 if any MISPREDICT survives the final round")
 		pgoRounds  = flag.Int("pgo-rounds", 4, "maximum PGO feedback rounds")
 		pgoSeed    = flag.String("pgo-seed", "", "seed per-app PGO overrides, e.g. 'complex=L10:force+cap=8;xsbench=L11:deny' (the recovery case study seeds complex's u=8 collapse)")
@@ -78,13 +76,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *execStr != "" {
-		exec, err := gpusim.ParseExec(*execStr)
-		if err != nil {
-			fatal(err)
-		}
-		devCfg.Exec = exec
-	}
 	input, err := bench.ParseInputMode(*inputMode)
 	if err != nil {
 		fatal(err)
@@ -95,7 +86,6 @@ func main() {
 		DeviceName: devName,
 		Input:      input,
 		Workers:    *workers,
-		SimWorkers: *simWorkers,
 		Contain:    *contain,
 		VerifyEach: *verifyEach,
 		Profile:    *profileOn,
@@ -273,7 +263,6 @@ func main() {
 			DeviceName: devName,
 			Input:      input,
 			Workers:    *workers,
-			SimWorkers: *simWorkers,
 			Heuristic:  opts.Heuristic,
 			Seed:       seed,
 		}

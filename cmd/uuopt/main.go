@@ -58,7 +58,7 @@ func main() {
 
 		fuzzN      = flag.Int("fuzz", 0, "run a differential fuzzing campaign over this many generated kernels, then exit")
 		fuzzSeed   = flag.Int64("seed", 1, "first seed of the fuzzing campaign")
-		fuzzDevice = flag.String("device", "", "fuzzing: pin the simulator legs to one device spec (e.g. Vortex, MinSPPC:warpsize=8, V100:exec=threaded); default exercises all three divergence policies and both execution backends")
+		fuzzDevice = flag.String("device", "", "fuzzing: pin the simulator leg to one device spec (e.g. Vortex, MinSPPC:warpsize=8); default exercises all three divergence policies")
 		verifyEach = flag.Bool("verify-each", false, "fuzzing: run the IR verifier after every pass (contained)")
 		reduce     = flag.Bool("reduce", false, "fuzzing: minimize each finding and write a reproducer")
 		reproDir   = flag.String("repro-dir", filepath.Join("testdata", "repro"), "fuzzing: directory for minimized reproducers")

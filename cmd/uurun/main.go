@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,6 @@ func main() {
 		block      = flag.Int("block", 32, "block dimension (with -src)")
 		config     = flag.String("config", "baseline", "pipeline config")
 		device     = flag.String("device", "V100", "device model: registry name with optional overrides, e.g. V100, MinSPPC, Vortex:warpsize=8")
-		execStr    = flag.String("exec", "", "simulator execution backend: switch or threaded (default: the device's; metrics are identical for either)")
 		inputMode  = flag.String("input", "coherent", "workload input mode (suite benchmarks only): coherent or noise")
 		loopID     = flag.Int("loop", 0, "loop id for per-loop configs")
 		factor     = flag.Int("factor", 2, "unroll factor")
@@ -119,13 +119,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *execStr != "" {
-		exec, err := gpusim.ParseExec(*execStr)
-		if err != nil {
-			fatal(err)
-		}
-		dev.Exec = exec
-	}
 	input, err := bench.ParseInputMode(*inputMode)
 	if err != nil {
 		fatal(err)
@@ -153,7 +146,7 @@ func main() {
 		if *profPrefix != "" {
 			prof = gpusim.NewProfile(cr.Program)
 		}
-		m, err := bench.ExecuteWorkersProfiled(cr, w, dev, ref, 1, trace, 0, prof)
+		m, err := bench.ExecuteCtx(context.Background(), cr, w, dev, ref, trace, 0, prof)
 		if err != nil {
 			fatal(err)
 		}
@@ -203,7 +196,7 @@ func main() {
 		prof = gpusim.NewProfile(prog)
 	}
 	mem := interp.NewMemory(*memSize)
-	metrics, err := gpusim.RunWorkersProfiled(prog, args, mem, gpusim.Launch{GridDim: *grid, BlockDim: *block}, dev, 1, trace, 0, prof)
+	metrics, err := gpusim.RunCtx(context.Background(), prog, args, mem, gpusim.Launch{GridDim: *grid, BlockDim: *block}, dev, trace, 0, prof)
 	if err != nil {
 		fatal(err)
 	}

@@ -264,33 +264,15 @@ func CompileCtx(ctx context.Context, b *Benchmark, opts pipeline.Options) (*Comp
 // Execute runs a compiled kernel on the simulator. When verifyAgainst is
 // non-nil the resulting memory is checked against it.
 func Execute(cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory) (*gpusim.Metrics, error) {
-	return ExecuteWorkers(cr, w, cfg, verifyAgainst, 1)
+	return ExecuteCtx(context.Background(), cr, w, cfg, verifyAgainst, nil, 0, nil)
 }
 
-// ExecuteWorkers is Execute with an explicit simulator warp-scheduling
-// worker count (gpusim.RunWorkers); metrics are identical for any count.
-func ExecuteWorkers(cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, workers int) (*gpusim.Metrics, error) {
-	return ExecuteWorkersTraced(cr, w, cfg, verifyAgainst, workers, nil, 0)
-}
-
-// ExecuteWorkersTraced is ExecuteWorkers with launch spans and a metrics
-// counter sample recorded into tr on lane tid (nil tr disables tracing).
-func ExecuteWorkersTraced(cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, workers int, tr *remark.Trace, tid int) (*gpusim.Metrics, error) {
-	return ExecuteWorkersProfiled(cr, w, cfg, verifyAgainst, workers, tr, tid, nil)
-}
-
-// ExecuteWorkersProfiled is ExecuteWorkersTraced additionally accumulating
-// per-PC hotspot counters into prof, which must be nil (profiling off) or
-// sized for cr.Program (gpusim.NewProfile). Like metrics, the profile is
-// byte-identical for every worker count.
-func ExecuteWorkersProfiled(cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, workers int, tr *remark.Trace, tid int, prof *gpusim.Profile) (*gpusim.Metrics, error) {
-	return ExecuteWorkersProfiledCtx(context.Background(), cr, w, cfg, verifyAgainst, workers, tr, tid, prof)
-}
-
-// ExecuteWorkersProfiledCtx is ExecuteWorkersProfiled under a context:
-// cancellation stops the simulation at the next warp-block boundary
-// (gpusim.RunWorkersProfiledCtx).
-func ExecuteWorkersProfiledCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, workers int, tr *remark.Trace, tid int, prof *gpusim.Profile) (*gpusim.Metrics, error) {
+// ExecuteCtx is Execute in full (gpusim.RunCtx): cancellation of ctx stops
+// the simulation at the next warp-block boundary, a non-nil tr records
+// launch spans and a metrics counter sample on lane tid, and a non-nil prof,
+// sized for cr.Program (gpusim.NewProfile), accumulates per-PC hotspot
+// counters.
+func ExecuteCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, tr *remark.Trace, tid int, prof *gpusim.Profile) (*gpusim.Metrics, error) {
 	// The image never leaves this function, so its buffer is a recycled one.
 	mem := w.AcquireMemory()
 	defer interp.ReleaseMemory(mem)
@@ -298,7 +280,7 @@ func ExecuteWorkersProfiledCtx(ctx context.Context, cr *CompileResult, w *Worklo
 	if verifyAgainst != nil {
 		launch.SampleWarps = 0 // full run required for verification
 	}
-	m, err := gpusim.RunWorkersProfiledCtx(ctx, cr.Program, w.Args, mem, launch, cfg, workers, tr, tid, prof)
+	m, err := gpusim.RunCtx(ctx, cr.Program, w.Args, mem, launch, cfg, tr, tid, prof)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,8 +22,7 @@ import (
 // Section V kernels across all five pipeline configurations for the
 // non-default devices (MinSPPC, Vortex). Together with the V100 corpora
 // (testdata/goldenmetrics, testdata/goldenprofiles) this freezes every
-// divergence backend's cost attribution; like those, the files must be
-// byte-identical for any -sim-workers count.
+// divergence backend's cost attribution.
 var updateGoldenDevices = flag.Bool("update-golden-devices", false, "rewrite testdata/goldendevices from the current simulator")
 
 // goldenDevices are the registry devices pinned by the corpus. V100 is
@@ -31,7 +31,7 @@ var updateGoldenDevices = flag.Bool("update-golden-devices", false, "rewrite tes
 // byte-identical.
 var goldenDevices = []string{"MinSPPC", "Vortex"}
 
-func goldenDeviceCell(b *Benchmark, opts pipeline.Options, dev gpusim.DeviceConfig, workers int) (metrics, prof string) {
+func goldenDeviceCell(b *Benchmark, opts pipeline.Options, dev gpusim.DeviceConfig) (metrics, prof string) {
 	cr, err := Compile(b, opts)
 	if err != nil {
 		s := fmt.Sprintf("SKIP: %v\n", err)
@@ -39,7 +39,7 @@ func goldenDeviceCell(b *Benchmark, opts pipeline.Options, dev gpusim.DeviceConf
 	}
 	w := b.NewWorkload()
 	p := gpusim.NewProfile(cr.Program)
-	m, err := ExecuteWorkersProfiled(cr, w, dev, nil, workers, nil, 0, p)
+	m, err := ExecuteCtx(context.Background(), cr, w, dev, nil, nil, 0, p)
 	if err != nil {
 		s := fmt.Sprintf("ERROR: %v\n", err)
 		return s, s
@@ -78,7 +78,7 @@ func TestGoldenDeviceCorpora(t *testing.T) {
 				t.Parallel()
 				for _, opts := range goldenCases() {
 					stem := strings.ToLower(devName) + "-" + strings.TrimSuffix(goldenName(b.Name, opts), ".vptx")
-					metrics, prof := goldenDeviceCell(b, opts, dev.Config, *simWorkers)
+					metrics, prof := goldenDeviceCell(b, opts, dev.Config)
 					for _, art := range []struct {
 						name, got string
 					}{
@@ -97,8 +97,8 @@ func TestGoldenDeviceCorpora(t *testing.T) {
 							t.Fatalf("missing golden %s (run with -update-golden-devices to capture): %v", art.name, err)
 						}
 						if art.got != string(want) {
-							t.Errorf("%s: differs from golden %s (sim-workers=%d, %d vs %d bytes)",
-								b.Name, art.name, *simWorkers, len(art.got), len(want))
+							t.Errorf("%s: differs from golden %s (%d vs %d bytes)",
+								b.Name, art.name, len(art.got), len(want))
 						}
 					}
 				}

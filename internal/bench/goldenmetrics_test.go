@@ -19,15 +19,10 @@ import (
 //
 // The files under testdata/goldenmetrics were captured from the
 // pre-rewrite (sequential, map-based) simulator; the pre-decoded,
-// allocation-free, parallel simulator must reproduce every counter byte
-// for byte, for every worker count. Only regenerate them for an
-// intentional, reviewed change to the simulation model.
+// allocation-free simulator must reproduce every counter byte for byte.
+// Only regenerate them for an intentional, reviewed change to the
+// simulation model.
 var updateGoldenMetrics = flag.Bool("update-golden-metrics", false, "rewrite testdata/goldenmetrics from the current simulator")
-
-// simWorkers is the simulator worker count under test. CI runs the suite
-// with -sim-workers 4 in addition to the default; golden metrics must not
-// depend on the value.
-var simWorkers = flag.Int("sim-workers", 1, "gpusim worker count exercised by the tests")
 
 func metricsName(app string, opts pipeline.Options) string {
 	return strings.TrimSuffix(goldenName(app, opts), ".vptx") + ".metrics"
@@ -59,13 +54,13 @@ func formatMetrics(m *gpusim.Metrics) string {
 
 // goldenSimulate produces the golden content for one (app, config) cell:
 // the full metrics dump, or a SKIP line holding the pipeline error.
-func goldenSimulate(b *Benchmark, opts pipeline.Options, workers int) string {
+func goldenSimulate(b *Benchmark, opts pipeline.Options) string {
 	cr, err := Compile(b, opts)
 	if err != nil {
 		return fmt.Sprintf("SKIP: %v\n", err)
 	}
 	w := b.NewWorkload()
-	m, err := ExecuteWorkers(cr, w, gpusim.V100(), nil, workers)
+	m, err := Execute(cr, w, gpusim.V100(), nil)
 	if err != nil {
 		return fmt.Sprintf("ERROR: %v\n", err)
 	}
@@ -85,7 +80,7 @@ func TestGoldenMetrics(t *testing.T) {
 			t.Parallel()
 			for _, opts := range goldenCases() {
 				name := metricsName(b.Name, opts)
-				got := goldenSimulate(b, opts, *simWorkers)
+				got := goldenSimulate(b, opts)
 				path := filepath.Join(dir, name)
 				if *updateGoldenMetrics {
 					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -98,8 +93,8 @@ func TestGoldenMetrics(t *testing.T) {
 					t.Fatalf("missing golden %s (run with -update-golden-metrics to capture): %v", name, err)
 				}
 				if got != string(want) {
-					t.Errorf("%s: metrics differ from golden %s (sim-workers=%d):\ngot:\n%s\nwant:\n%s",
-						b.Name, name, *simWorkers, got, want)
+					t.Errorf("%s: metrics differ from golden %s:\ngot:\n%s\nwant:\n%s",
+						b.Name, name, got, want)
 				}
 			}
 		})

@@ -46,7 +46,7 @@ type RunRecord struct {
 	// remark for runs that simulated.
 	Remarks []remark.Remark
 	// Profile is the run's per-PC hotspot profile (HarnessOptions.Profile),
-	// byte-identical for any Workers/SimWorkers count; Program is retained
+	// byte-identical for any Workers count; Program is retained
 	// alongside it so reports can join the profile with the line table.
 	// Both are nil when profiling is off.
 	Profile *gpusim.Profile
@@ -80,8 +80,7 @@ type Results struct {
 	Failures []harden.PassFailure
 	// Remarks is every run's remark stream concatenated in campaign order
 	// (HarnessOptions.Remarks). Each run emits into its own collector, so
-	// this assembled stream is byte-identical for any Workers/SimWorkers
-	// count.
+	// this assembled stream is byte-identical for any Workers count.
 	Remarks []remark.Remark
 	// WallClock holds host-side wall-clock latency histograms for the
 	// sweep, keyed "compile", "simulate", and "run" (one whole job).
@@ -113,12 +112,6 @@ type HarnessOptions struct {
 	// regardless of the worker count — every run is an independent
 	// compile+simulate on its own function, so only wall clock changes.
 	Workers int
-	// SimWorkers is the warp-scheduling worker count passed to
-	// gpusim.RunWorkers for every simulation; <= 0 means 1 (fully
-	// sequential). Metrics are identical for any count, so this too only
-	// changes wall clock. Figure 6c compile-time columns are wall-clock
-	// measurements and should be compared with Workers == 1 regardless.
-	SimWorkers int
 	// Contain runs every compilation under the crash-containment guard: a
 	// panicking (or, with VerifyEach, verifier-rejected) pass is rolled
 	// back and skipped, the failure is recorded on the run and aggregated
@@ -135,7 +128,7 @@ type HarnessOptions struct {
 	Remarks bool
 	// Profile collects a per-PC hotspot profile for every run
 	// (RunRecord.Profile). Profiles, like metrics, are identical for any
-	// Workers/SimWorkers count. Off by default.
+	// Workers count. Off by default.
 	Profile bool
 	// Trace, when non-nil, records wall-clock spans for every compilation
 	// and simulation. Each harness worker tags its spans with its worker
@@ -272,10 +265,6 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	simWorkers := opts.SimWorkers
-	if simWorkers <= 0 {
-		simWorkers = 1
-	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -294,7 +283,7 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 				if idx >= len(jobs) {
 					return
 				}
-				recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, simWorkers, logf, &opts, worker, wc)
+				recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, logf, &opts, worker, wc)
 			}
 		}(i)
 	}
@@ -338,7 +327,7 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 // recorded as skipped, not an error), simulate, optionally verify against
 // the oracle. Execution failures are fatal — they mean a miscompilation or
 // a simulator bug, not an expected bail-out.
-func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, simWorkers int, logf func(string, ...any), hopts *HarnessOptions, worker int, wc *wallClocks) (*RunRecord, error) {
+func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf func(string, ...any), hopts *HarnessOptions, worker int, wc *wallClocks) (*RunRecord, error) {
 	tJob := time.Now()
 	rec := &RunRecord{App: j.b.Name, Config: j.cfg.Config, LoopID: j.loopID, Factor: j.factor}
 	// Copy the planned options before attaching per-run sinks: jobs are
@@ -378,7 +367,7 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, simWork
 		rec.Program = cr.Program
 	}
 	tSimulate := time.Now()
-	m, err := ExecuteWorkersProfiledCtx(ctx, cr, j.w, dev, j.ref, simWorkers, hopts.Trace, worker, prof)
+	m, err := ExecuteCtx(ctx, cr, j.w, dev, j.ref, hopts.Trace, worker, prof)
 	wc.observeSimulate(time.Since(tSimulate))
 	if err != nil {
 		return nil, fmt.Errorf("bench %s %s loop %d u%d: %w", j.b.Name, j.cfg.Config, j.loopID, j.factor, err)
@@ -386,8 +375,8 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, simWork
 	rec.Metrics = m
 	rec.Millis = m.KernelMillis(dev)
 	if rc.Enabled() {
-		// Metrics are identical for any SimWorkers count, so this remark is
-		// as deterministic as the compile-time ones.
+		// Metrics are deterministic, so this remark is as deterministic as
+		// the compile-time ones.
 		rc.Emit(remark.Remark{Kind: remark.Analysis, Pass: "gpusim", Name: "SimMetrics",
 			Function: cr.Func.Name, Args: []remark.Arg{
 				remark.Int("Cycles", m.Cycles),

@@ -27,7 +27,7 @@ import (
 // Determinism: per-app rounds use only Compile + simulate, both of which are
 // byte-identical for any worker count; apps are dispatched on an indexed
 // worker pool and assembled in suite order, so the full PGOResult (and its
-// rendered report) is identical under any Workers/SimWorkers setting.
+// rendered report) is identical under any Workers setting.
 
 // PGOOptions configures a PGO campaign.
 type PGOOptions struct {
@@ -50,10 +50,8 @@ type PGOOptions struct {
 	// collapse and watch the loop dig it back out.
 	Seed map[string]map[int32]core.LoopOverride
 	// Workers caps concurrent per-app measurement goroutines (0 =
-	// GOMAXPROCS); SimWorkers is the warp-scheduling parallelism per
-	// simulation (<= 0 = 1). Neither changes results, only wall clock.
-	Workers    int
-	SimWorkers int
+	// GOMAXPROCS). It does not change results, only wall clock.
+	Workers int
 	// Progress receives one line per completed app round when non-nil
 	// (completion order under Workers > 1).
 	Progress io.Writer
@@ -153,10 +151,6 @@ func RunPGOCtx(ctx context.Context, opts PGOOptions) (*PGOResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = 4
 	}
-	simWorkers := opts.SimWorkers
-	if simWorkers <= 0 {
-		simWorkers = 1
-	}
 	apps := Suite
 	if opts.Apps != nil {
 		apps = nil
@@ -213,7 +207,7 @@ func RunPGOCtx(ctx context.Context, opts PGOOptions) (*PGOResult, error) {
 					if i >= len(apps) {
 						return
 					}
-					rr.Apps[i], errs[i] = pgoAppRound(ctx, apps[i], input, dev, simWorkers,
+					rr.Apps[i], errs[i] = pgoAppRound(ctx, apps[i], input, dev,
 						opts.Heuristic, state[i], round == 1, &baseMillis[i])
 					if rr.Apps[i] != nil {
 						a := rr.Apps[i]
@@ -252,7 +246,7 @@ func RunPGOCtx(ctx context.Context, opts PGOOptions) (*PGOResult, error) {
 // derives the next set. measureBase asks for the baseline measurement
 // (round 1); later rounds reuse *basePtr.
 func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.DeviceConfig,
-	simWorkers int, base core.HeuristicParams, derived map[int32]core.LoopOverride,
+	base core.HeuristicParams, derived map[int32]core.LoopOverride,
 	measureBase bool, basePtr *float64) (*PGOAppRound, error) {
 
 	a := &PGOAppRound{App: b.Name, Overrides: derived, Next: derived}
@@ -264,7 +258,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 		if err != nil {
 			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
 		}
-		m, err := ExecuteWorkersProfiledCtx(ctx, cr, w, dev, nil, simWorkers, nil, 0, nil)
+		m, err := ExecuteCtx(ctx, cr, w, dev, nil, nil, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
 		}
@@ -286,7 +280,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 		return a, nil
 	}
 	prof := gpusim.NewProfile(cr.Program)
-	m, err := ExecuteWorkersProfiledCtx(ctx, cr, w, dev, nil, simWorkers, nil, 0, prof)
+	m, err := ExecuteCtx(ctx, cr, w, dev, nil, nil, 0, prof)
 	if err != nil {
 		return nil, fmt.Errorf("bench pgo %s heuristic: %w", b.Name, err)
 	}
@@ -307,7 +301,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 
 // WritePGOReport renders a PGO campaign: per round one row per app, then a
 // convergence summary. Output is a pure function of the result and therefore
-// byte-identical for any Workers/SimWorkers count.
+// byte-identical for any Workers count.
 func WritePGOReport(w io.Writer, r *PGOResult) error {
 	bw := &errWriter{w: w}
 	fmt.Fprintf(bw, "profile-guided u&u campaign (device %s)\n", r.DeviceName)

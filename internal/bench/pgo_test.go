@@ -105,11 +105,10 @@ func TestPGODeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	render := func(workers, simWorkers int) []byte {
+	render := func(workers int) []byte {
 		res, err := RunPGO(PGOOptions{
-			Apps:       remarkCorpusApps,
-			Workers:    workers,
-			SimWorkers: simWorkers,
+			Apps:    remarkCorpusApps,
+			Workers: workers,
 			Seed: map[string]map[int32]core.LoopOverride{
 				"complex": {10: {Force: true, FactorCap: 8}},
 			},
@@ -123,8 +122,8 @@ func TestPGODeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := render(1, 1)
-	parallel := render(4, 4)
+	serial := render(1)
+	parallel := render(4)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("PGO report differs across worker configurations:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
 			serial, parallel)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,14 +19,14 @@ import (
 // cell: the hotspot tables, the heuristic prediction join when the run made
 // decisions, and the folded stacks — or a SKIP line when the pipeline
 // refuses the configuration.
-func goldenProfile(b *Benchmark, opts pipeline.Options, workers int) string {
+func goldenProfile(b *Benchmark, opts pipeline.Options) string {
 	cr, err := Compile(b, opts)
 	if err != nil {
 		return fmt.Sprintf("SKIP: %v\n", err)
 	}
 	w := b.NewWorkload()
 	prof := gpusim.NewProfile(cr.Program)
-	if _, err := ExecuteWorkersProfiled(cr, w, gpusim.V100(), nil, workers, nil, 0, prof); err != nil {
+	if _, err := ExecuteCtx(context.Background(), cr, w, gpusim.V100(), nil, nil, 0, prof); err != nil {
 		return fmt.Sprintf("ERROR: %v\n", err)
 	}
 	rep := profile.Build(cr.Program, prof)
@@ -49,9 +50,8 @@ func goldenProfile(b *Benchmark, opts pipeline.Options, workers int) string {
 // TestGoldenProfiles pins the hotspot profiles of the four Section V
 // kernels across all five pipeline configurations. The per-PC counters are
 // integers (stall cycles in fixed point), so the rendered tables must be
-// byte-identical run to run and for every -sim-workers count; a diff means
-// the simulator's cost attribution changed (regenerate with -update-golden
-// after review) or the profile merge lost determinism (a bug).
+// byte-identical run to run; a diff means the simulator's cost attribution
+// changed (regenerate with -update-golden after review).
 func TestGoldenProfiles(t *testing.T) {
 	dir := filepath.Join("testdata", "goldenprofiles")
 	if *updateGolden {
@@ -68,7 +68,7 @@ func TestGoldenProfiles(t *testing.T) {
 			t.Parallel()
 			for _, opts := range goldenCases() {
 				name := strings.TrimSuffix(goldenName(b.Name, opts), ".vptx") + ".profile"
-				got := goldenProfile(b, opts, *simWorkers)
+				got := goldenProfile(b, opts)
 				path := filepath.Join(dir, name)
 				if *updateGolden {
 					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -81,8 +81,8 @@ func TestGoldenProfiles(t *testing.T) {
 					t.Fatalf("missing golden %s (run with -update-golden to capture): %v", name, err)
 				}
 				if got != string(want) {
-					t.Errorf("%s: profile differs from golden %s (sim-workers=%d, %d vs %d bytes)",
-						b.Name, name, *simWorkers, len(got), len(want))
+					t.Errorf("%s: profile differs from golden %s (%d vs %d bytes)",
+						b.Name, name, len(got), len(want))
 				}
 			}
 		})
@@ -92,17 +92,15 @@ func TestGoldenProfiles(t *testing.T) {
 // TestProfileWorkerInvariance is the profiling determinism contract at the
 // harness level: every rendered artifact — the hotspot report, the folded
 // stacks, and the binary pprof protobuf — must be byte-identical whether
-// the campaign ran on 1 worker with sequential simulation or on 8 workers
-// with parallel warp scheduling. This is what allows profiles to be
+// the campaign ran on 1 worker or on 8. This is what allows profiles to be
 // compared across machines and pinned as goldens.
 func TestProfileWorkerInvariance(t *testing.T) {
-	run := func(workers, simWorkers int) string {
+	run := func(workers int) string {
 		res, err := RunExperiments(HarnessOptions{
-			Apps:       []string{"complex", "bezier-surface"},
-			Factors:    []int{2},
-			Workers:    workers,
-			SimWorkers: simWorkers,
-			Profile:    true,
+			Apps:    []string{"complex", "bezier-surface"},
+			Factors: []int{2},
+			Workers: workers,
+			Profile: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -126,15 +124,12 @@ func TestProfileWorkerInvariance(t *testing.T) {
 		}
 		return buf.String()
 	}
-	for _, sw := range []int{2, 4} {
-		seq := run(1, 1)
-		par := run(8, sw)
-		if !strings.Contains(seq, "kernel bezier") {
-			t.Fatalf("campaign produced no profile report:\n%.400s", seq)
-		}
-		if seq != par {
-			t.Errorf("profile artifacts depend on worker count (sim-workers=%d: %d vs %d bytes)",
-				sw, len(seq), len(par))
-		}
+	seq := run(1)
+	par := run(8)
+	if !strings.Contains(seq, "kernel bezier") {
+		t.Fatalf("campaign produced no profile report:\n%.400s", seq)
+	}
+	if seq != par {
+		t.Errorf("profile artifacts depend on worker count (%d vs %d bytes)", len(seq), len(par))
 	}
 }

@@ -12,7 +12,7 @@ import (
 // HarnessOptions.Profile: for every application, the baseline and heuristic
 // hotspot tables plus the heuristic's predicted-benefit-vs-measured-cycles
 // table, which makes mispredictions of the f(p, s, u) < C size model
-// visible per loop. Output is deterministic across Workers/SimWorkers.
+// visible per loop. Output is deterministic across Workers.
 func WriteProfileReport(w io.Writer, r *Results) error {
 	c := core.DefaultHeuristicParams().C
 	for _, app := range appsOf(r) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,16 +78,14 @@ func TestGoldenRemarks(t *testing.T) {
 // TestRemarksWorkerInvariance is the harness-level determinism contract:
 // the assembled campaign remark stream — compile-time remarks plus the
 // gpusim SimMetrics remark per run — must be byte-identical whether the
-// campaign ran on 1 worker with sequential simulation or on 8 workers with
-// parallel warp scheduling.
+// campaign ran on 1 worker or on 8.
 func TestRemarksWorkerInvariance(t *testing.T) {
-	run := func(workers, simWorkers int) string {
+	run := func(workers int) string {
 		res, err := RunExperiments(HarnessOptions{
-			Apps:       []string{"complex", "bezier-surface"},
-			Factors:    []int{2},
-			Workers:    workers,
-			SimWorkers: simWorkers,
-			Remarks:    true,
+			Apps:    []string{"complex", "bezier-surface"},
+			Factors: []int{2},
+			Workers: workers,
+			Remarks: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -97,8 +96,8 @@ func TestRemarksWorkerInvariance(t *testing.T) {
 		}
 		return sb.String()
 	}
-	seq := run(1, 1)
-	par := run(8, 4)
+	seq := run(1)
+	par := run(8)
 	if seq == "" || !strings.Contains(seq, "SimMetrics") {
 		t.Fatalf("campaign produced no simulation remarks:\n%.400s", seq)
 	}
@@ -121,7 +120,7 @@ func TestTraceJSONWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := b.NewWorkload()
-	if _, err := ExecuteWorkersTraced(cr, w, gpusim.V100(), nil, 2, tr, 3); err != nil {
+	if _, err := ExecuteCtx(context.Background(), cr, w, gpusim.V100(), nil, tr, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() == 0 {

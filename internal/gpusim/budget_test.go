@@ -43,17 +43,15 @@ func TestCycleBudgetStopsNonTerminatingKernel(t *testing.T) {
 	p := spinProgram(t)
 	args := []interp.Value{interp.IntVal(4)}
 	launch := Launch{GridDim: 2, BlockDim: 64}
-	for _, workers := range []int{1, 4} {
-		cfg := V100()
-		cfg.MaxWarpSteps = 10_000
-		mem := interp.NewMemory(64)
-		_, err := RunWorkers(p, args, mem, launch, cfg, workers)
-		if err == nil {
-			t.Fatalf("workers=%d: non-terminating kernel returned without error", workers)
-		}
-		if !errors.Is(err, ErrCycleBudget) {
-			t.Fatalf("workers=%d: error is not ErrCycleBudget: %v", workers, err)
-		}
+	cfg := V100()
+	cfg.MaxWarpSteps = 10_000
+	mem := interp.NewMemory(64)
+	_, err := Run(p, args, mem, launch, cfg)
+	if err == nil {
+		t.Fatal("non-terminating kernel returned without error")
+	}
+	if !errors.Is(err, ErrCycleBudget) {
+		t.Fatalf("error is not ErrCycleBudget: %v", err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // with no recorded source type, an unhandled instruction kind, a bad
 // operand count. These are malformed-input conditions (a buggy or
 // hand-crafted Program), not simulator invariants, so they surface as
-// wrapped errors through Run/RunWorkers instead of panics; match with
+// wrapped errors through Run/RunCtx instead of panics; match with
 // errors.Is(err, ErrDecode).
 var ErrDecode = errors.New("invalid program")
 
@@ -29,7 +29,7 @@ var ErrDecode = errors.New("invalid program")
 // the instruction stream is one cache-friendly array indexed by global
 // instruction id (also the icache address). The decoded form is cached on
 // codegen.Program.Decoded, so it is built once and shared across warps,
-// launches, worker shards, and sweep configurations.
+// launches, harness workers, and sweep configurations.
 
 // execOp is the flat dispatch tag of a decoded instruction: one switch
 // level in the hot loop instead of Kind plus IROp plus type tests.
@@ -162,7 +162,7 @@ type decodedProgram struct {
 
 	// threaded caches the compiled threaded-code form (threaded.go). Its
 	// closures capture only decode-time constants, so like the decoded
-	// form itself it is shared across warps, launches, and worker shards.
+	// form itself it is shared across warps, launches, and harness workers.
 	threadedOnce sync.Once
 	threaded     *threadedProgram
 }

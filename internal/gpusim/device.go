@@ -50,12 +50,6 @@ type DeviceConfig struct {
 	// DeviceConfig literals are unaffected. See PolicyKind and the device
 	// registry (registry.go) for the other backends.
 	Policy PolicyKind
-	// Exec selects the host execution backend. It changes simulation speed
-	// only — metrics, profiles, and memory are byte-identical across
-	// backends — so unlike Policy it is not part of the modelled machine.
-	// The zero value is the dispatch-switch core; registry devices default
-	// to the ~2.4x-faster threaded core. See ExecKind (exec.go).
-	Exec ExecKind
 }
 
 // V100 returns a configuration loosely modelled after the NVIDIA V100 the
@@ -74,7 +68,6 @@ func V100() DeviceConfig {
 		ICacheLines:       192, // 192 lines * 8 instrs * 8 B = 12 KiB
 		ICacheMissCycles:  16,
 		ITSOverlap:        0.85,
-		Exec:              ExecThreaded,
 	}
 }
 

@@ -6,6 +6,3 @@ package gpusim
 // DropRunState empties the run-state free list, so the next run builds its
 // state from scratch.
 func DropRunState() { freeWarpSims.Drop() }
-
-// SimWorkers is the -sim-workers flag.
-func SimWorkers() int { return *benchSimWorkers }

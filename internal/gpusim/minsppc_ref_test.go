@@ -100,16 +100,11 @@ func RunReferenceMinSPPC(p *codegen.Program, args []interp.Value, mem *interp.Me
 	ref.bind(dp)
 	w.eng = ref
 	w.prof = prof
-	if dp.numLines(cfg.ICacheLineInstrs) <= cfg.ICacheLines {
-		w.setFetch(fetchBitset, nil)
-	} else {
-		w.setFetch(fetchLRU, nil)
-	}
 	m := &Metrics{}
 	total := launch.Threads()
 	for wi := 0; wi*cfg.WarpSize < total; wi++ {
 		first, count := warpBounds(wi, cfg.WarpSize, total)
-		if err := w.run(args, launch, first, count, m); err != nil {
+		if err := w.runThreaded(args, launch, first, count, m); err != nil {
 			return nil, err
 		}
 		m.Warps++

@@ -6,13 +6,12 @@ import (
 	"uu/internal/ir"
 )
 
-// This file holds the single scalar implementation of every decoded
-// compute/setp/conversion opcode. Three consumers share it: the scalar
-// fallback of the switch core (evalScalar), the per-lane loops of the
-// switch core's dispatch arms, and the generic closures of the
-// threaded-code compiler (threaded.go). Keeping one kernel per op is what
-// makes the two executors byte-identical by construction — there is no
-// second implementation to drift.
+// This file holds the plain scalar definition of every decoded
+// compute/setp/conversion opcode. The generic closures of the threaded-code
+// compiler (threaded.go) call these kernels per lane; its specialized
+// closures restate the hot ones inline, and the reference core in
+// refcore_test.go, which runs every scalar op through the kernels here, is
+// what the differential tests hold those restatements to.
 
 // evalICmp compares two canonically stored integers under pred. Unsigned
 // predicates compare the operands zero-extended from their declared width

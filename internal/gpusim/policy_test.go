@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -57,48 +58,6 @@ func policyDevices() []struct {
 	}
 }
 
-// TestPolicyWorkersDeterminism extends the scheduler's central contract to
-// every divergence backend: metrics, final memory, and per-PC profiles are
-// byte-identical for any worker count.
-func TestPolicyWorkersDeterminism(t *testing.T) {
-	p := build(t, policyDivSrc, pipeline.Options{Config: pipeline.Baseline})
-	launch := Launch{GridDim: 3, BlockDim: 40} // partial final warp
-	n := int64(launch.Threads())
-	args := []interp.Value{interp.IntVal(0), interp.IntVal(n)}
-
-	for _, dev := range policyDevices() {
-		t.Run(dev.name, func(t *testing.T) {
-			var refM *Metrics
-			var refMem []byte
-			var refProf *Profile
-			for _, workers := range []int{1, 2, 4, 8} {
-				mem := interp.NewMemory(1 << 14)
-				for i := int64(0); i < n; i++ {
-					mem.SetF64(0, i, float64(i)*0.25)
-				}
-				prof := NewProfile(p)
-				m, err := RunWorkersProfiled(p, args, mem, launch, dev.cfg, workers, nil, 0, prof)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if refM == nil {
-					refM, refMem, refProf = m, mem.Data, prof
-					continue
-				}
-				if !reflect.DeepEqual(m, refM) {
-					t.Errorf("workers=%d: metrics diverge:\n got %+v\nwant %+v", workers, m, refM)
-				}
-				if !bytes.Equal(mem.Data, refMem) {
-					t.Errorf("workers=%d: final memory diverges from sequential", workers)
-				}
-				if !reflect.DeepEqual(prof, refProf) {
-					t.Errorf("workers=%d: per-PC profile diverges from sequential", workers)
-				}
-			}
-		})
-	}
-}
-
 // TestCrossPolicyOutputAgreement checks that all backends compute the same
 // final memory: divergence management changes scheduling and cost, never
 // results.
@@ -115,7 +74,7 @@ func TestCrossPolicyOutputAgreement(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			mem.SetF64(0, i, float64(i)*0.25)
 		}
-		if _, err := RunWorkers(p, args, mem, launch, dev.cfg, 1); err != nil {
+		if _, err := Run(p, args, mem, launch, dev.cfg); err != nil {
 			t.Fatalf("%s: %v", dev.name, err)
 		}
 		if refMem == nil {
@@ -150,11 +109,11 @@ func TestPolicyZeroAllocs(t *testing.T) {
 			w.touched = make([]uint64, bitWords(dp.numLines(cfg.ICacheLineInstrs)))
 
 			var m Metrics
-			if err := w.run(args, launch, 0, cfg.WarpSize, &m); err != nil {
+			if err := w.runThreaded(args, launch, 0, cfg.WarpSize, &m); err != nil {
 				t.Fatalf("warm-up run: %v", err)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if err := w.run(args, launch, cfg.WarpSize, cfg.WarpSize, &m); err != nil {
+				if err := w.runThreaded(args, launch, cfg.WarpSize, cfg.WarpSize, &m); err != nil {
 					t.Fatalf("run: %v", err)
 				}
 			})
@@ -163,11 +122,11 @@ func TestPolicyZeroAllocs(t *testing.T) {
 			}
 
 			w.prof = newProfileN(dp.name, len(dp.instrs))
-			if err := w.run(args, launch, 0, cfg.WarpSize, &m); err != nil {
+			if err := w.runThreaded(args, launch, 0, cfg.WarpSize, &m); err != nil {
 				t.Fatalf("profiled warm-up run: %v", err)
 			}
 			allocs = testing.AllocsPerRun(10, func() {
-				if err := w.run(args, launch, cfg.WarpSize, cfg.WarpSize, &m); err != nil {
+				if err := w.runThreaded(args, launch, cfg.WarpSize, cfg.WarpSize, &m); err != nil {
 					t.Fatalf("profiled run: %v", err)
 				}
 			})
@@ -193,7 +152,7 @@ func TestMinSPPCBarrierWaits(t *testing.T) {
 		cfg.Policy = pol
 		mem := interp.NewMemory(1 << 14)
 		prof := NewProfile(p)
-		if _, err := RunWorkersProfiled(p, args, mem, launch, cfg, 1, nil, 0, prof); err != nil {
+		if _, err := RunCtx(context.Background(), p, args, mem, launch, cfg, nil, 0, prof); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		var sum int64
@@ -229,7 +188,7 @@ func TestPoliciesAreDistinct(t *testing.T) {
 		cfg.ICacheLines = 2 // tiny LRU icache: fetch order becomes observable
 		mem := interp.NewMemory(1 << 14)
 		prof := NewProfile(p)
-		if _, err := RunWorkersProfiled(p, args, mem, launch, cfg, 1, nil, 0, prof); err != nil {
+		if _, err := RunCtx(context.Background(), p, args, mem, launch, cfg, nil, 0, prof); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		return prof
@@ -269,7 +228,7 @@ func TestPoliciesAreDistinct(t *testing.T) {
 			mem.SetI64(k.In1Base, int64(i), v)
 		}
 		prof := NewProfile(unmerged)
-		if _, err := RunWorkersProfiled(unmerged, kargs, mem, Launch{GridDim: k.GridDim, BlockDim: k.BlockDim}, cfg, 1, nil, 0, prof); err != nil {
+		if _, err := RunCtx(context.Background(), unmerged, kargs, mem, Launch{GridDim: k.GridDim, BlockDim: k.BlockDim}, cfg, nil, 0, prof); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		return prof

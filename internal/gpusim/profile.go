@@ -10,9 +10,8 @@ type ProfCounter int
 
 // The per-PC counters. The *_fp counters are fixed-point with ProfFPScale
 // fractional steps: each executed instruction contributes a whole number of
-// steps, so the totals are sums of integers — associative and commutative —
-// and the merged profile is byte-identical for any warp partition across
-// simulation workers.
+// steps, so the totals are sums of integers and a profile does not depend on
+// the order its contributions were added in.
 const (
 	// ProfIssueCycles is issue cost charged at each PC (fixed-point,
 	// ProfFPScale steps per cycle; issue scales with the active-lane count
@@ -90,9 +89,7 @@ func (c ProfCounter) String() string {
 // pre-decoded instruction stream use, so Counters[c][pc] joins with
 // Lines[pc] directly.
 //
-// All counters are int64 and all accumulation is integer addition, so
-// merging partial profiles is exact and order-independent; RunWorkers
-// produces byte-identical profiles for every worker count.
+// All counters are int64 and all accumulation is integer addition.
 type Profile struct {
 	Kernel   string
 	Counters [ProfNumCounters][]int64
@@ -115,37 +112,6 @@ func newProfileN(kernel string, numPCs int) *Profile {
 
 // NumPCs returns the number of program counters covered.
 func (p *Profile) NumPCs() int { return len(p.Counters[0]) }
-
-// Add accumulates o into p (exact: integer addition per PC).
-func (p *Profile) Add(o *Profile) {
-	for c := range p.Counters {
-		dst, src := p.Counters[c], o.Counters[c]
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}
-}
-
-// Sub removes o from p — used by the parallel schedule to replace a warp's
-// optimistic (warm-cache) contribution with its exact re-run.
-func (p *Profile) Sub(o *Profile) {
-	for c := range p.Counters {
-		dst, src := p.Counters[c], o.Counters[c]
-		for i := range dst {
-			dst[i] -= src[i]
-		}
-	}
-}
-
-// Reset zeroes all counters, keeping the arrays.
-func (p *Profile) Reset() {
-	for c := range p.Counters {
-		dst := p.Counters[c]
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-}
 
 // Scale multiplies all counters by k — the same sampling extrapolation
 // Metrics.Scale applies when Launch.SampleWarps truncates the grid.

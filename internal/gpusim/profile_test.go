@@ -3,113 +3,9 @@ package gpusim
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-
-	"uu/internal/interp"
-	"uu/internal/pipeline"
 )
-
-// TestProfileWorkerInvariance checks the per-PC counter contract of the
-// parallel scheduler: for every worker count the profile is identical to
-// the sequential schedule, counter for counter. The cases cover the merge
-// paths: the optimistic merge plus fresh-warp audit compensation
-// (compute), partial final warps (divergent), the conflict-detected
-// sequential fallback (cross-warp chain), and the LRU-refused icache
-// overflow path.
-func TestProfileWorkerInvariance(t *testing.T) {
-	divergentSrc := `
-kernel div(double* restrict x, long n) {
-  long i = (long)global_id();
-  if (i < n) {
-    double v = x[i];
-    if (i % 3 == 0) {
-      v = v * 2.0 + 1.0;
-    } else if (i % 3 == 1) {
-      v = v / 3.0;
-    }
-    x[i] = v + 0.5;
-  }
-}
-`
-	chainSrc := `
-kernel chain(long* restrict x, long n) {
-  long i = (long)global_id();
-  if (i < n) {
-    long v = 1;
-    if (i >= 32) {
-      v = x[i - 32] + 1;
-    }
-    x[i] = v;
-  }
-}
-`
-	tiny := V100()
-	tiny.ICacheLines = 2
-
-	cases := []struct {
-		name   string
-		src    string
-		launch Launch
-		cfg    DeviceConfig
-	}{
-		{"compute", axpySrc, Launch{GridDim: 4, BlockDim: 64}, V100()},
-		{"partial_warp_divergent", divergentSrc, Launch{GridDim: 3, BlockDim: 40}, V100()},
-		{"cross_warp_chain", chainSrc, Launch{GridDim: 2, BlockDim: 64}, V100()},
-		{"icache_thrash", axpySrc, Launch{GridDim: 4, BlockDim: 64}, tiny},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := build(t, tc.src, pipeline.Options{Config: pipeline.Baseline})
-			init := interp.NewMemory(1 << 15)
-			for i := int64(0); i < 256; i++ {
-				init.SetF64(0, i, float64(i)*0.25)
-			}
-			n := int64(tc.launch.Threads())
-			args := make([]interp.Value, len(p.ParamRegs))
-			for i := range args {
-				args[i] = interp.IntVal(0)
-			}
-			args[len(args)-1] = interp.IntVal(n)
-			if tc.name == "compute" || tc.name == "icache_thrash" {
-				// axpy(x, y, a, n)
-				args = []interp.Value{interp.IntVal(0), interp.IntVal(8 * n), interp.FloatVal(3), interp.IntVal(n)}
-			}
-
-			var ref *Profile
-			for _, workers := range []int{1, 2, 4, 8} {
-				mem := &interp.Memory{Data: append([]byte(nil), init.Data...)}
-				prof := NewProfile(p)
-				if _, err := RunWorkersProfiled(p, args, mem, tc.launch, tc.cfg, workers, nil, 0, prof); err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				nonzero := false
-				for c := range prof.Counters {
-					for _, v := range prof.Counters[c] {
-						if v != 0 {
-							nonzero = true
-						}
-						if v < 0 {
-							t.Fatalf("workers=%d: negative counter %s: %d", workers, ProfCounter(c), v)
-						}
-					}
-				}
-				if !nonzero {
-					t.Fatalf("workers=%d: profile is all zeros", workers)
-				}
-				if ref == nil {
-					ref = prof
-					continue
-				}
-				if !reflect.DeepEqual(prof.Counters, ref.Counters) {
-					t.Errorf("workers=%d: profile diverges from sequential", workers)
-				}
-			}
-		})
-	}
-}
 
 // TestProfCounterNamesDocumented is the metrics-documentation lint: every
 // per-PC counter name the profiler can emit must have a row in

@@ -43,7 +43,6 @@ func Vortex() DeviceConfig {
 		ICacheMissCycles:  10,
 		ITSOverlap:        0,
 		Policy:            PolicyVortex,
-		Exec:              ExecThreaded,
 	}
 }
 
@@ -227,13 +226,6 @@ func setOverride(cfg *DeviceConfig, key, val string) error {
 			return err
 		}
 		cfg.Policy = p
-		return nil
-	case "exec":
-		e, err := ParseExec(val)
-		if err != nil {
-			return err
-		}
-		cfg.Exec = e
 		return nil
 	}
 	return fmt.Errorf("gpusim: unknown device override key %q", key)

@@ -87,6 +87,7 @@ func TestParseDevice(t *testing.T) {
 		"V100:policy=stackless",  // unknown policy
 		"V100:clockghz",          // missing value
 		"V100:memloadlat=1",      // unknown key
+		"V100:exec=threaded",     // the executor override went with the second executor
 		"V100:numsms=eighty",     // bad int
 		"V100:stallexposure=x.y", // bad float
 		// Values the simulator divides by or sizes arrays from, and costs
@@ -165,7 +166,7 @@ func TestParseDeviceNarrowWarpRuns(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			mem.SetF64(0, i, float64(i)*0.25)
 		}
-		m, err := RunWorkers(p, args, mem, launch, cfg, 1)
+		m, err := Run(p, args, mem, launch, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}

@@ -35,111 +35,106 @@ func suitePrograms(t *testing.T) []program {
 	return progs
 }
 
-// TestReuseIsInvisible pins the re-initialise-on-acquire rule of the
-// run-state and memory free lists: for every suite app x {baseline,
-// uu-heuristic} x four devices x both executors, a run on recycled state
-// returns metrics, per-PC profile and final memory byte-identical to a run
-// on state built from scratch — after the lists were dirtied by a different
-// program on a different device and by runs of this program that ended in an
-// out-of-bounds fault, an exhausted step budget and a cancelled context.
-// -sim-workers selects the schedule (CI also runs it at 4, under -race).
-func TestReuseIsInvisible(t *testing.T) {
-	progs := suitePrograms(t)
-	specs := []string{"V100", "MinSPPC", "Vortex", "V100:warpsize=8"}
+// testSpecs are the devices the reuse and differential tests sweep: the
+// three divergence policies, and a narrow warp for the partial-mask paths.
+var testSpecs = []string{"V100", "MinSPPC", "Vortex", "V100:warpsize=8"}
+
+// testDevices parses testSpecs, in order.
+func testDevices(t *testing.T) []gpusim.DeviceConfig {
 	var devs []gpusim.DeviceConfig
-	for _, spec := range specs {
+	for _, spec := range testSpecs {
 		cfg, _, err := gpusim.ParseDevice(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		devs = append(devs, cfg)
 	}
-	workers := gpusim.SimWorkers()
+	return devs
+}
+
+// TestReuseIsInvisible pins the re-initialise-on-acquire rule of the
+// run-state and memory free lists: for every suite app x {baseline,
+// uu-heuristic} x four devices, a run on recycled state returns metrics,
+// per-PC profile and final memory byte-identical to a run on state built
+// from scratch — after the lists were dirtied by a different
+// program on a different device and by runs of this program that ended in an
+// out-of-bounds fault, an exhausted step budget and a cancelled context.
+func TestReuseIsInvisible(t *testing.T) {
+	progs := suitePrograms(t)
+	devs := testDevices(t)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	for pi, p := range progs {
-		for di, dev := range devs {
-			for _, exec := range gpusim.Execs() {
-				name := p.name + "/" + specs[di] + "/" + exec.String()
-				cfg := dev
-				cfg.Exec = exec
-				few := p.w.Launch
-				few.SampleWarps = 4
-				// The switch executor — no CLI or benchmark default — runs
-				// the grid's first warps only: it is 2.4x slower, and stale
-				// state shows within a warp.
-				grid := p.w.Launch
-				if exec == gpusim.ExecSwitch {
-					grid.SampleWarps = 8
+		for di, cfg := range devs {
+			name := p.name + "/" + testSpecs[di]
+			few := p.w.Launch
+			few.SampleWarps = 4
+			// The grid without a profile (the steady-state fast loop
+			// only runs unprofiled), then a few warps with one.
+			run := func(mem *interp.Memory) (full, sampled *gpusim.Metrics, prof *gpusim.Profile) {
+				full, err := gpusim.Run(p.cr.Program, p.w.Args, mem, p.w.Launch, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				// The grid without a profile (the steady-state fast loop
-				// only runs unprofiled), then a few warps with one.
-				run := func(mem *interp.Memory) (full, sampled *gpusim.Metrics, prof *gpusim.Profile) {
-					full, err := gpusim.RunWorkers(p.cr.Program, p.w.Args, mem, grid, cfg, workers)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					prof = gpusim.NewProfile(p.cr.Program)
-					sampled, err = gpusim.RunWorkersProfiled(p.cr.Program, p.w.Args, mem, few, cfg, workers, nil, 0, prof)
-					if err != nil {
-						t.Fatalf("%s: profiled: %v", name, err)
-					}
-					return full, sampled, prof
+				prof = gpusim.NewProfile(p.cr.Program)
+				sampled, err = gpusim.RunCtx(context.Background(), p.cr.Program, p.w.Args, mem, few, cfg, nil, 0, prof)
+				if err != nil {
+					t.Fatalf("%s: profiled: %v", name, err)
 				}
-
-				gpusim.DropRunState()
-				freshMem := p.w.NewMemory()
-				freshM, freshSampled, freshProf := run(freshMem)
-
-				// Dirty both lists. A few warps are enough to leave every
-				// buffer written; the failed runs hand back garbage memory.
-				other, odev := progs[(pi+1)%len(progs)], devs[(di+1)%len(devs)]
-				odev.Exec = exec
-				ofew := other.w.Launch
-				ofew.SampleWarps = 4
-				omem := other.w.AcquireMemory()
-				if _, err := gpusim.RunWorkers(other.cr.Program, other.w.Args, omem, ofew, odev, workers); err != nil {
-					t.Fatalf("%s: dirtying run of %s: %v", name, other.name, err)
-				}
-				interp.ReleaseMemory(omem)
-
-				tiny := interp.AcquireMemory(8, nil)
-				if _, err := gpusim.RunWorkers(p.cr.Program, p.w.Args, tiny, few, cfg, workers); err == nil {
-					t.Fatalf("%s: run on an 8-byte memory did not fault", name)
-				}
-				interp.ReleaseMemory(tiny)
-
-				starved := cfg
-				starved.MaxWarpSteps = 12
-				smem := p.w.AcquireMemory()
-				if _, err := gpusim.RunWorkers(p.cr.Program, p.w.Args, smem, few, starved, workers); !errors.Is(err, gpusim.ErrCycleBudget) {
-					t.Fatalf("%s: starved run: got %v, want ErrCycleBudget", name, err)
-				}
-				interp.ReleaseMemory(smem)
-
-				cmem := p.w.AcquireMemory()
-				if _, err := gpusim.RunWorkersProfiledCtx(canceled, p.cr.Program, p.w.Args, cmem, few, cfg, workers, nil, 0, nil); !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: cancelled run: got %v, want context.Canceled", name, err)
-				}
-				interp.ReleaseMemory(cmem)
-
-				mem := p.w.AcquireMemory()
-				m, sampled, prof := run(mem)
-				if *m != *freshM {
-					t.Errorf("%s: metrics on recycled state differ:\n got %+v\nwant %+v", name, *m, *freshM)
-				}
-				if *sampled != *freshSampled {
-					t.Errorf("%s: profiled metrics on recycled state differ:\n got %+v\nwant %+v", name, *sampled, *freshSampled)
-				}
-				if !reflect.DeepEqual(prof, freshProf) {
-					t.Errorf("%s: profile on recycled state differs", name)
-				}
-				if !bytes.Equal(mem.Data, freshMem.Data) {
-					t.Errorf("%s: final memory on recycled state differs", name)
-				}
-				interp.ReleaseMemory(mem)
+				return full, sampled, prof
 			}
+
+			gpusim.DropRunState()
+			freshMem := p.w.NewMemory()
+			freshM, freshSampled, freshProf := run(freshMem)
+
+			// Dirty both lists. A few warps are enough to leave every
+			// buffer written; the failed runs hand back garbage memory.
+			other, odev := progs[(pi+1)%len(progs)], devs[(di+1)%len(devs)]
+			ofew := other.w.Launch
+			ofew.SampleWarps = 4
+			omem := other.w.AcquireMemory()
+			if _, err := gpusim.Run(other.cr.Program, other.w.Args, omem, ofew, odev); err != nil {
+				t.Fatalf("%s: dirtying run of %s: %v", name, other.name, err)
+			}
+			interp.ReleaseMemory(omem)
+
+			tiny := interp.AcquireMemory(8, nil)
+			if _, err := gpusim.Run(p.cr.Program, p.w.Args, tiny, few, cfg); err == nil {
+				t.Fatalf("%s: run on an 8-byte memory did not fault", name)
+			}
+			interp.ReleaseMemory(tiny)
+
+			starved := cfg
+			starved.MaxWarpSteps = 12
+			smem := p.w.AcquireMemory()
+			if _, err := gpusim.Run(p.cr.Program, p.w.Args, smem, few, starved); !errors.Is(err, gpusim.ErrCycleBudget) {
+				t.Fatalf("%s: starved run: got %v, want ErrCycleBudget", name, err)
+			}
+			interp.ReleaseMemory(smem)
+
+			cmem := p.w.AcquireMemory()
+			if _, err := gpusim.RunCtx(canceled, p.cr.Program, p.w.Args, cmem, few, cfg, nil, 0, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: cancelled run: got %v, want context.Canceled", name, err)
+			}
+			interp.ReleaseMemory(cmem)
+
+			mem := p.w.AcquireMemory()
+			m, sampled, prof := run(mem)
+			if *m != *freshM {
+				t.Errorf("%s: metrics on recycled state differ:\n got %+v\nwant %+v", name, *m, *freshM)
+			}
+			if *sampled != *freshSampled {
+				t.Errorf("%s: profiled metrics on recycled state differ:\n got %+v\nwant %+v", name, *sampled, *freshSampled)
+			}
+			if !reflect.DeepEqual(prof, freshProf) {
+				t.Errorf("%s: profile on recycled state differs", name)
+			}
+			if !bytes.Equal(mem.Data, freshMem.Data) {
+				t.Errorf("%s: final memory on recycled state differs", name)
+			}
+			interp.ReleaseMemory(mem)
 		}
 	}
 }
@@ -149,14 +144,13 @@ func TestReuseIsInvisible(t *testing.T) {
 // uu-heuristic, the production scheduler and the reference that re-scans
 // every barrier on every pass produce the same metrics, per-PC profile
 // (divergence, reconvergence and barrier-wait events included) and final
-// memory. One executor suffices: the engine is shared, and
-// TestExecutorDifferential pins the executors to each other on MinSPPC.
+// memory.
 func TestMinSPPCMatchesReferenceScheduler(t *testing.T) {
 	cfg := gpusim.MinSPPC()
 	for _, p := range suitePrograms(t) {
 		prog, w := p.cr.Program, p.w
 		mem, prof := w.NewMemory(), gpusim.NewProfile(prog)
-		m, err := gpusim.RunWorkersProfiled(prog, w.Args, mem, w.Launch, cfg, 1, nil, 0, prof)
+		m, err := gpusim.RunCtx(context.Background(), prog, w.Args, mem, w.Launch, cfg, nil, 0, prof)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}

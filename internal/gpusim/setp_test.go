@@ -78,7 +78,7 @@ func TestSetpUnsignedPredicates(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s_%s_%d_%d", typ, pred, pair[0], pair[1])
 
-				// Full simulator path (specialized xSetpI lane loop).
+				// Full simulator path (compileSetpI's closures).
 				mem := interp.NewMemory(8)
 				args := []interp.Value{interp.IntVal(a), interp.IntVal(b), interp.IntVal(0)}
 				if _, err := Run(p, args, mem, Launch{GridDim: 1, BlockDim: 1}, V100()); err != nil {
@@ -88,14 +88,9 @@ func TestSetpUnsignedPredicates(t *testing.T) {
 					t.Errorf("%s: run loop: got %d, want %d", name, got, want)
 				}
 
-				// evalScalar fallback path must agree. It reads the switch
-				// core's boxed register file, so build that core explicitly.
-				swCfg := V100()
-				swCfg.Exec = ExecSwitch
-				w := newWarpSim(dp, swCfg, mem)
-				w.regs[0] = interp.IntVal(a)
-				w.regs[1] = interp.IntVal(b)
-				if got := w.evalScalar(&dp.instrs[0], 0).I; got != want {
+				// The reference core's evalScalar must agree.
+				rc := &refCore{regs: []interp.Value{interp.IntVal(a), interp.IntVal(b)}}
+				if got := rc.evalScalar(&dp.instrs[0], 0).I; got != want {
 					t.Errorf("%s: evalScalar: got %d, want %d", name, got, want)
 				}
 			}

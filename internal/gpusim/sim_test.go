@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"strings"
 	"testing"
 
 	"uu/internal/codegen"
@@ -352,6 +353,24 @@ func TestArgumentCountMismatch(t *testing.T) {
 	_, err := Run(p, []interp.Value{interp.IntVal(0)}, interp.NewMemory(64), Launch{GridDim: 1, BlockDim: 32}, V100())
 	if err == nil {
 		t.Fatalf("no error for wrong arg count")
+	}
+}
+
+// TestUnrunnableLaunchIsAnError: a launch with no blocks or no threads per
+// block used to come back as an all-zero Metrics and a nil error, and a
+// negative x negative pair ran with negative block ids.
+func TestUnrunnableLaunchIsAnError(t *testing.T) {
+	p := build(t, axpySrc, pipeline.Options{Config: pipeline.Baseline})
+	args := []interp.Value{interp.IntVal(0), interp.IntVal(256), interp.FloatVal(3), interp.IntVal(32)}
+	for _, gb := range [][2]int{{1, 0}, {0, 32}, {-1, 32}, {1, -32}, {-2, -32}, {0, 0}} {
+		l := Launch{GridDim: gb[0], BlockDim: gb[1]}
+		m, err := Run(p, args, interp.NewMemory(1024), l, V100())
+		if err == nil || !strings.HasPrefix(err.Error(), "gpusim: ") {
+			t.Errorf("launch %dx%d: got metrics %+v, error %v; want a gpusim: error", l.GridDim, l.BlockDim, m, err)
+		}
+	}
+	if _, err := Run(p, args, interp.NewMemory(1024), Launch{GridDim: 1, BlockDim: 1}, V100()); err != nil {
+		t.Errorf("launch 1x1: %v", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"uu/internal/ir"
 )
 
-// This file is the threaded-code execution backend (ExecThreaded). The
+// This file is the simulator's execution core, a threaded-code design. The
 // decoded instruction array is compiled once per program into an array of
 // closures — one specialized Go function per instruction — that operate on
 // SoA register files: each register is WarpSize consecutive int64/float64
@@ -22,15 +22,19 @@ import (
 // counters are accounted in bulk at block exit, and control returns to the
 // policy only at the terminator.
 //
-// Byte-identity with the switch core is a hard invariant (the golden and
-// differential tests pin it). Integer counters commute, so they may be
-// bulk-added per block; the warp clock is float arithmetic and is NOT
-// associative, so the timing scaffold below replays the switch core's
-// exact per-instruction sequence — fetch charge, exposed dependency stall,
-// issue, scoreboard update, memory cost — in the same order. Opcode
-// semantics come from the same shared kernels (ops.go) the switch core
-// uses; immediates are pooled into broadcast pseudo-registers past
-// dp.numRegs so every closure reads plain register lanes.
+// The cost model lives in runThreaded alone. Integer counters commute, so
+// they are bulk-added per block; the warp clock is float arithmetic and is
+// NOT associative, so every instruction advances it through one fixed
+// sequence — fetch charge, exposed dependency stall, issue, scoreboard
+// update, memory cost — whose order the golden corpora pin. Closures are
+// specialized per opcode, operand type and truncation tag, with full-warp
+// fast loops; the long tail goes through the shared kernels of ops.go.
+// Immediates are pooled into broadcast pseudo-registers past dp.numRegs so
+// every closure reads plain register lanes. The design this replaced — one
+// dispatch switch per retired instruction over boxed interp.Value registers,
+// every scalar op through the ops.go kernels — is kept as the differential
+// reference in refcore_test.go, which is what holds the specialized
+// closures below to the plain definition of each opcode.
 
 // threadOp executes one compiled instruction for the active lanes and
 // returns the memory bandwidth cycles it adds to the warp clock (0 for
@@ -155,9 +159,9 @@ func b2i(b bool) int64 {
 }
 
 // compileOp builds the closure for one instruction. Control-flow ops
-// record their outcome on the warpSim — including mid-block branches,
-// which the switch core treats as delayed until the block ends — so the
-// block loop's terminator hand-off reproduces runSwitch exactly.
+// record their outcome on the warpSim — a mid-block branch included, which
+// takes effect when the block ends — and the block loop hands it to the
+// divergence policy after the block's last instruction.
 func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 	switch in.exec {
 	case xBra:
@@ -939,8 +943,9 @@ func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
 	}
 }
 
-// gatherAddrsSoA is gatherAddrs over the SoA integer file (the operand is
-// always a register here — immediates are pooled).
+// gatherAddrsSoA copies register r's active lanes into addrBuf, in lane
+// order, and returns how many there are (the operand is always a register
+// — immediates are pooled).
 func (w *warpSim) gatherAddrsSoA(active uint32, r int32) int {
 	a := w.soaI(r)
 	if active == w.runMask {
@@ -982,10 +987,6 @@ func (c *threadedCompiler) compileLoad(in *dInstr, gi int32) threadOp {
 	typ := in.typ
 	return func(w *warpSim, active uint32) float64 {
 		n := w.gatherAddrsSoA(active, addr)
-		if w.rSet != nil {
-			lo, hi := addrRange(w.addrBuf[:n], size)
-			w.rSet.add(lo, hi)
-		}
 		cost, ntx := w.access(n, size, true, w.m)
 		if w.prof != nil {
 			w.prof.Counters[ProfMemTransactions][gi] += ntx
@@ -1045,17 +1046,13 @@ func (c *threadedCompiler) compileStore(in *dInstr, gi int32) threadOp {
 	typ := in.typ
 	return func(w *warpSim, active uint32) float64 {
 		n := w.gatherAddrsSoA(active, addr)
-		if w.wSet != nil {
-			lo, hi := addrRange(w.addrBuf[:n], size)
-			w.wSet.add(lo, hi)
-		}
 		cost, ntx := w.access(n, size, false, w.m)
 		if w.prof != nil {
 			w.prof.Counters[ProfMemTransactions][gi] += ntx
 			w.prof.Counters[ProfMemIdeal][gi] += idealTransactions(n, size, w.cfg.SegmentBytes)
 		}
 		ai := 0
-		if kind == ir.KindF64 && w.writeLog == nil {
+		if kind == ir.KindF64 {
 			data := w.mem.Data
 			v := w.soaF(val)
 			for rem := active; rem != 0; rem &= rem - 1 {
@@ -1080,17 +1077,15 @@ func (c *threadedCompiler) compileStore(in *dInstr, gi int32) threadOp {
 				w.storeFault(typ, a, v)
 				return cost
 			}
-			if w.writeLog != nil {
-				*w.writeLog = append(*w.writeLog, memWrite{addr: a, val: v, size: int32(size), kind: uint8(kind)})
-			}
 		}
 		return cost
 	}
 }
 
-// runThreaded executes one warp on the threaded-code backend. The timing
-// scaffold replays runSwitch's per-instruction float sequence exactly;
-// only the commutative integer counters are accounted in bulk per block.
+// runThreaded executes one warp: count threads starting at firstThread. The
+// steady-state path performs no heap allocations — all per-warp state lives
+// in buffers sized by init (a policy engine's stack may grow once on
+// unusually deep divergence, then keeps its capacity).
 func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, count int, m *Metrics) error {
 	cfg := w.cfg
 	dp := w.dp
@@ -1098,7 +1093,7 @@ func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, c
 	W := w.laneW
 	prof := w.prof
 	// Reset the real registers (the pooled immediates above them are
-	// filled once at construction and never written).
+	// filled once by init and never written).
 	clearI := w.regsI[:dp.numRegs*W]
 	for i := range clearI {
 		clearI[i] = 0
@@ -1123,7 +1118,9 @@ func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, c
 	for i := range w.ready {
 		w.ready[i] = 0
 	}
-	// As in runSwitch: 32 is the mask word width, not the warp size.
+	// 32 here is the mask word width, not the warp size: count is at most
+	// cfg.WarpSize, so narrow-warp devices (WarpSize < 32) always take the
+	// partial-mask path and full warps on them get exactly WarpSize bits.
 	fullMask := ^uint32(0)
 	if count < 32 {
 		fullMask = 1<<uint(count) - 1
@@ -1210,8 +1207,8 @@ func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, c
 						w.touched[word] |= bit
 						fc = cfg.ICacheMissCycles
 					}
-				} else {
-					fc = w.fetchStallSlow(line)
+				} else if w.lru.fetch(line) {
+					fc = cfg.ICacheMissCycles
 				}
 				if fc != 0 {
 					m.StallInstFetch += fc
@@ -1256,8 +1253,7 @@ func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, c
 			}
 		}
 		// Bulk block accounting: these counters are integers, so the
-		// per-block sums equal the switch core's per-instruction sums
-		// exactly.
+		// per-block sums equal per-instruction sums exactly.
 		m.WarpInstrs += nb
 		m.ActiveSum += nb * int64(nActive)
 		m.ThreadInstrs += nb * int64(nActive)

@@ -1,22 +1,11 @@
 package gpusim
 
 import (
-	"flag"
 	"testing"
 
 	"uu/internal/interp"
 	"uu/internal/pipeline"
 )
-
-// benchSimWorkers selects the worker count BenchmarkWarpSim drives RunWorkers
-// with; CI smokes the default, perf comparisons sweep it.
-var benchSimWorkers = flag.Int("sim-workers", 1, "gpusim worker count exercised by the tests")
-
-// benchExec selects the execution backend BenchmarkWarpSim runs on; the
-// regression harness (cmd/benchcmp, results/warpsim-bench.txt) compares
-// the two backends' rates against a recorded baseline ratio.
-// ("sim-exec" rather than "exec": go test claims -exec for itself.)
-var benchExec = flag.String("sim-exec", "threaded", "gpusim execution backend exercised by the benchmarks: switch or threaded")
 
 // warpSimCase is one throughput scenario: the simulator's three steady-state
 // regimes (ALU-bound, memory/coalescing-bound, divergence-bound).
@@ -94,26 +83,21 @@ kernel wd(long* restrict out, long n) {
 // It reports thread-instrs/s (the sweep-relevant rate) alongside ns/op.
 func BenchmarkWarpSim(b *testing.B) {
 	launch := Launch{GridDim: 8, BlockDim: 128}
-	exec, err := ParseExec(*benchExec)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := V100()
-	cfg.Exec = exec
 	for _, c := range warpSimCases() {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			p := build(b, c.src, c.opts)
 			mem := interp.NewMemory(c.mem)
 			// One warm-up run sizes the per-run work for the rate metric.
-			m, err := RunWorkers(p, c.args, mem, launch, cfg, *benchSimWorkers)
+			m, err := Run(p, c.args, mem, launch, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			perRun := m.ThreadInstrs
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunWorkers(p, c.args, mem, launch, cfg, *benchSimWorkers); err != nil {
+				if _, err := Run(p, c.args, mem, launch, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,9 +30,9 @@ type CampaignOptions struct {
 	// end-to-end tests use to plant a known miscompile.
 	Inject []analysis.Pass
 	// Device, when non-empty, pins the simulator legs of the differential
-	// matrix to this gpusim device spec (see gpusim.ParseDevice) at 1 and
-	// 4 workers, instead of the default cross-policy matrix covering all
-	// three divergence backends.
+	// matrix to this gpusim device spec (see gpusim.ParseDevice), instead
+	// of the default cross-policy matrix covering all three divergence
+	// backends.
 	Device string
 	// Reduce shrinks every finding into a minimized reproducer.
 	Reduce bool
@@ -90,16 +90,13 @@ func RunCampaign(o CampaignOptions) (*CampaignResult, error) {
 	if len(cfgs) == 0 {
 		cfgs = pipeline.Configs
 	}
-	var legs []simLeg
+	var legs []gpusim.DeviceConfig
 	if o.Device != "" {
 		dev, _, err := gpusim.ParseDevice(o.Device)
 		if err != nil {
 			return nil, err
 		}
-		legs = []simLeg{
-			{"gpusim-w1", dev, 1},
-			{"gpusim-w4", dev, 4},
-		}
+		legs = []gpusim.DeviceConfig{dev}
 	}
 	res := &CampaignResult{}
 	for i := 0; i < o.Count; i++ {

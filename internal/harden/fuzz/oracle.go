@@ -34,13 +34,11 @@ const (
 type Divergence struct {
 	Seed   int64
 	Config pipeline.Config
-	// Stage identifies the leg: "optimize", "codegen", "interp-opt",
-	// "gpusim-w1", "gpusim-w4" (IPDOM at one and several workers), the
-	// cross-policy legs "gpusim-minsppc" and "gpusim-vortex", or the
-	// cross-executor leg "gpusim-threaded" — every divergence backend and
-	// execution backend must agree with the sequential reference, so a
-	// policy-specific reconvergence bug or a threaded-compilation bug shows
-	// up as a differential finding exactly like a miscompile.
+	// Stage identifies the leg: "optimize", "codegen", "interp-opt", or one
+	// simulator leg per divergence policy — "gpusim-ipdom", "gpusim-minsppc",
+	// "gpusim-vortex". Every backend must agree with the interpreter
+	// reference, so a policy-specific reconvergence bug shows up as a
+	// differential finding exactly like a miscompile.
 	Stage string
 	// Detail is the first mismatching element or the leg's error text.
 	Detail string
@@ -113,39 +111,22 @@ func runInterp(f *ir.Function, k *harden.Kernel) (*interp.Memory, error) {
 }
 
 // runSim executes the lowered program under the SIMT simulator with the
-// given device configuration and worker count and a small step budget.
-func runSim(prog *codegen.Program, k *harden.Kernel, cfg gpusim.DeviceConfig, workers int) (*interp.Memory, error) {
+// given device configuration and a small step budget.
+func runSim(prog *codegen.Program, k *harden.Kernel, cfg gpusim.DeviceConfig) (*interp.Memory, error) {
 	mem := newMemory(k)
 	cfg.MaxWarpSteps = simStepBudget
 	launch := gpusim.Launch{GridDim: k.GridDim, BlockDim: k.BlockDim}
-	if _, err := gpusim.RunWorkers(prog, kernelArgs(k), mem, launch, cfg, workers); err != nil {
+	if _, err := gpusim.Run(prog, kernelArgs(k), mem, launch, cfg); err != nil {
 		return nil, err
 	}
 	return mem, nil
 }
 
-// simLeg is one simulator leg of the differential matrix.
-type simLeg struct {
-	stage   string
-	cfg     gpusim.DeviceConfig
-	workers int
-}
-
-// defaultSimLegs is the simulator side of the differential matrix: the
-// IPDOM device at one and several warp-scheduling workers, one leg per
-// alternative divergence policy, then the threaded execution backend.
-// Vortex runs with its native 16-wide warps, so this also exercises the
-// narrow-warp masking paths.
-func defaultSimLegs() []simLeg {
-	threaded := gpusim.V100()
-	threaded.Exec = gpusim.ExecThreaded
-	return []simLeg{
-		{"gpusim-w1", gpusim.V100(), 1},
-		{"gpusim-w4", gpusim.V100(), 4},
-		{"gpusim-minsppc", gpusim.MinSPPC(), 1},
-		{"gpusim-vortex", gpusim.Vortex(), 1},
-		{"gpusim-threaded", threaded, 1},
-	}
+// defaultSimLegs is the simulator side of the differential matrix: one
+// device, and so one leg, per divergence policy. Vortex runs with its native
+// 16-wide warps, so this also exercises the narrow-warp masking paths.
+func defaultSimLegs() []gpusim.DeviceConfig {
+	return []gpusim.DeviceConfig{gpusim.V100(), gpusim.MinSPPC(), gpusim.Vortex()}
 }
 
 // diffOutputs compares the kernel's two output regions and returns a
@@ -187,7 +168,7 @@ func Check(f *ir.Function, k *harden.Kernel, opts pipeline.Options) (*Divergence
 // aggregate contained pass failures. A nil legs selects the full default
 // cross-policy matrix; the campaign passes a pinned leg set when the user
 // restricts it to one device.
-func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []simLeg) (*Divergence, *pipeline.Stats, error) {
+func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []gpusim.DeviceConfig) (*Divergence, *pipeline.Stats, error) {
 	if legs == nil {
 		legs = defaultSimLegs()
 	}
@@ -217,13 +198,14 @@ func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []simLe
 	if err != nil {
 		return divErr("codegen", err), stats, nil
 	}
-	for _, leg := range legs {
-		simMem, err := runSim(prog, k, leg.cfg, leg.workers)
+	for _, dev := range legs {
+		stage := "gpusim-" + dev.Policy.String()
+		simMem, err := runSim(prog, k, dev)
 		if err != nil {
-			return divErr(leg.stage, err), stats, nil
+			return divErr(stage, err), stats, nil
 		}
 		if d := diffOutputs(k, ref, simMem); d != "" {
-			return div(leg.stage, d), stats, nil
+			return div(stage, d), stats, nil
 		}
 	}
 	return nil, stats, nil

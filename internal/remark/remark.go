@@ -18,7 +18,7 @@
 //     position is its emission order within one compilation. Campaigns
 //     that compile in parallel attach one Collector per compilation and
 //     concatenate in campaign order, so the assembled stream is
-//     byte-identical for any -workers / -sim-workers count.
+//     byte-identical for any -workers count.
 //
 //   - Zero disabled cost. Every emission site guards on
 //     Collector.Enabled() (nil receiver = disabled), so a pipeline run

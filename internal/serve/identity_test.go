@@ -19,8 +19,8 @@ import (
 )
 
 // speedOnlyFields are the Request fields requestIdentity leaves out, as
-// Fingerprint does: they change how fast a result arrives, never the result.
-var speedOnlyFields = []string{"DeadlineMs", "SimWorkers"}
+// Fingerprint does: they change how long a result may take, never the result.
+var speedOnlyFields = []string{"DeadlineMs"}
 
 // perturb changes one field of a struct in place, by kind. A field of a kind
 // it does not know fails the test, so a new kind of Request field cannot slip
@@ -542,6 +542,50 @@ func BenchmarkServeHit(b *testing.B) {
 				b.Fatalf("%d of %d repeats were identity hits", got, b.N)
 			}
 		})
+	}
+}
+
+// TestRemovedSimWorkersFieldIsIgnored pins a closed hole. Request.SimWorkers
+// was clamped below at 1 and nowhere above, and the parallel warp schedule
+// it selected gave every worker a private copy of device memory, so
+// "sim_workers": 64 over 64 warps and mem_bytes 8 MiB allocated 62x what the
+// same request allocated without it. The schedule and the field are gone:
+// an old client's sim_workers is an unknown field to the decoder, and the
+// request resolves to the same key, simulates to the same metrics and
+// allocates what it would have without it.
+func TestRemovedSimWorkersFieldIsIgnored(t *testing.T) {
+	req := testRequest(10)
+	req.Grid, req.MemBytes = 64, 8<<20
+	req.Args = []int64{0, 64 * 32 * 8, 64 * 32, 10}
+	plain, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(plain, []byte("{"), []byte(`{"sim_workers":64,`), 1)
+
+	// A fresh server a side, so both are cache misses that simulate.
+	miss := func(body []byte) (*Response, uint64) {
+		t.Helper()
+		_, h, _ := aliasTestServer(t)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		status, res := handlerPostBody(t, h, body)
+		runtime.ReadMemStats(&m1)
+		if status != 200 || res.Cached {
+			t.Fatalf("status %d, response %+v; want an uncached 200", status, res)
+		}
+		res.RequestID, res.Phases, res.CompileMs = "", nil, 0
+		return res, m1.TotalAlloc - m0.TotalAlloc
+	}
+	miss(plain) // fills the run-state free list and every lazy table, so the two below start alike
+	want, base := miss(plain)
+	got, withField := miss(old)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sim_workers changed the response:\n got %+v\nwant %+v", got, want)
+	}
+	t.Logf("allocated %d bytes without the field, %d with it", base, withField)
+	if withField > 2*base {
+		t.Errorf("sim_workers: 64 allocated %d bytes against %d without it", withField, base)
 	}
 }
 

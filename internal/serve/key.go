@@ -70,10 +70,8 @@ func CanonicalIR(f *ir.Function) (string, error) {
 // heuristic parameter set including per-loop profile overrides, plus the
 // containment and fault-injection switches), the simulated device, the
 // launch geometry, memory size and kernel arguments, and the artifact
-// selection (remarks, profile) — and deliberately excludes everything that
-// does not: the execution backend and the simulator worker count only
-// change how fast the simulator runs, never what it measures, so requests
-// differing only there share one cache entry.
+// selection (remarks, profile) — and deliberately excludes what does not:
+// the request's deadline.
 //
 // The heuristic line hashes the *resolved* parameters (FillDefaults plus the
 // canonical override rendering): a request spelling the paper defaults
@@ -82,8 +80,6 @@ func CanonicalIR(f *ir.Function) (string, error) {
 // overrides (the PGO feedback channel) always get distinct keys.
 func Fingerprint(canonIR string, opts pipeline.Options, dev gpusim.DeviceConfig,
 	launch gpusim.Launch, memSize int64, args []int64, chaos string, remarks string, profile bool) string {
-	d := dev
-	d.Exec = 0 // speed-only: metrics are byte-identical across backends
 	h := sha256.New()
 	fmt.Fprintf(h, "ir\n%s\n", canonIR)
 	fmt.Fprintf(h, "config %s loop %d factor %d contain %t verify %t chaos %q\n",
@@ -91,7 +87,7 @@ func Fingerprint(canonIR string, opts pipeline.Options, dev gpusim.DeviceConfig,
 	hp := opts.Heuristic.FillDefaults()
 	fmt.Fprintf(h, "heuristic c %d umax %d skipdiv %t selective %t overrides %s\n",
 		hp.C, hp.UMax, hp.SkipDivergent, hp.Selective, core.OverridesString(hp.Overrides))
-	fmt.Fprintf(h, "device %+v\n", d)
+	fmt.Fprintf(h, "device %+v\n", dev)
 	fmt.Fprintf(h, "launch %d %d %d mem %d\n", launch.GridDim, launch.BlockDim, launch.SampleWarps, memSize)
 	fmt.Fprintf(h, "args %v\n", args)
 	fmt.Fprintf(h, "artifacts remarks %q profile %t\n", remarks, profile)
@@ -108,9 +104,9 @@ type identity [sha256.Size]byte
 // validation or resolve to the same fingerprint. That makes it a sound key
 // for lruCache's alias index — and only that: distinct identities routinely
 // share a fingerprint (renamed locals, defaults spelled out), which is why
-// the fingerprint stays the cache key. DeadlineMs and SimWorkers are left
-// out because Fingerprint leaves them out: they change how fast a result
-// arrives, never the result. Hashing decoded fields rather than the body
+// the fingerprint stays the cache key. DeadlineMs is left out because
+// Fingerprint leaves it out: it changes how long a result may take, never
+// the result. Hashing decoded fields rather than the body
 // keeps JSON key order and whitespace from mattering. Fields are written in
 // a fixed order, strings and slices length-prefixed, so no two requests
 // render to the same bytes; TestIdentityCoversEveryRequestField fails when

@@ -71,10 +71,6 @@ type Request struct {
 	// the per-PC hotspot profile in folded (flamegraph) form.
 	Remarks string `json:"remarks,omitempty"`
 	Profile bool   `json:"profile,omitempty"`
-
-	// SimWorkers is the simulator's warp-scheduling worker count (metrics
-	// are identical for any value, so it is not part of the cache key).
-	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
 // HeuristicSpec is the wire form of core.HeuristicParams: the static size
@@ -190,7 +186,6 @@ type spec struct {
 	// zeros for a source/IR request. runSpec releases it.
 	acquireMem func() *interp.Memory
 
-	simWorkers  int
 	remarkKinds map[remark.Kind]bool
 	wantRemarks bool
 	wantProfile bool
@@ -256,11 +251,7 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		app:         req.App,
 		dev:         dev,
 		devName:     devName,
-		simWorkers:  req.SimWorkers,
 		wantProfile: req.Profile,
-	}
-	if sp.simWorkers < 1 {
-		sp.simWorkers = 1
 	}
 	if req.Remarks != "" {
 		kinds, err := remark.ParseKinds(req.Remarks)
@@ -425,7 +416,7 @@ func runSpec(ctx context.Context, sp *spec, tm *phaseTimings, tr *remark.Trace) 
 	mem := sp.acquireMem()
 	defer interp.ReleaseMemory(mem)
 	tSimulate := time.Now()
-	m, err := gpusim.RunWorkersProfiledCtx(ctx, prog, sp.args, mem, sp.launch, sp.dev, sp.simWorkers, tr, 0, prof)
+	m, err := gpusim.RunCtx(ctx, prog, sp.args, mem, sp.launch, sp.dev, tr, 0, prof)
 	tm.Simulate = time.Since(tSimulate)
 	if err != nil {
 		return nil, classify(err, "exec-failed")

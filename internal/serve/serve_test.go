@@ -127,6 +127,8 @@ func TestStructuredErrors(t *testing.T) {
 		{"device-icachelineinstrs-0", `{"app":"complex","device":"V100:icachelineinstrs=0"}`, 400, "bad-request"},
 		{"device-icachelines-neg", `{"app":"complex","device":"V100:icachelines=-1"}`, 400, "bad-request"},
 		{"device-segmentbytes-neg", `{"app":"complex","device":"V100:segmentbytes=-32"}`, 400, "bad-request"},
+		// The executor override went with the second executor: an unknown key.
+		{"device-exec-override", `{"app":"complex","device":"V100:exec=switch"}`, 400, "bad-request"},
 		{"bad-source", `{"source":"kernel k( {"}`, 400, "bad-request"},
 		{"bad-args", `{"source":"kernel k(long n) { long x = n; }","args":[]}`, 400, "bad-request"},
 		{"oversized", `{"source":"` + strings.Repeat("x", 8192) + `"}`, 413, "oversized"},
