@@ -61,13 +61,12 @@ func main() {
 		pgoRounds  = flag.Int("pgo-rounds", 4, "maximum PGO feedback rounds")
 		pgoSeed    = flag.String("pgo-seed", "", "seed per-app PGO overrides, e.g. 'complex=L10:force+cap=8;xsbench=L11:deny' (the recovery case study seeds complex's u=8 collapse)")
 		selective  = flag.Bool("selective", false, "run uu-heuristic in selective-unmerge mode (only benefit-predicted merge blocks are duplicated) for the campaign and PGO runs")
-		wallclock  = flag.Bool("wallclock", false, "write wallclock.txt: host-side compile/simulate/run latency histograms for the campaign (throughput telemetry, varies with machine load — not a paper artifact)")
 	)
 	flag.Parse()
 	if *all {
 		*table1, *fig6a, *fig6b, *fig6c, *fig7, *fig8, *counters, *ablations = true, true, true, true, true, true, true, true
 	}
-	if !(*table1 || *fig6a || *fig6b || *fig6c || *fig7 || *fig8 || *counters || *ablations || *profileOn || *pgoOn || *wallclock || *deviceMx != "") {
+	if !(*table1 || *fig6a || *fig6b || *fig6c || *fig7 || *fig8 || *counters || *ablations || *profileOn || *pgoOn || *deviceMx != "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -100,10 +99,9 @@ func main() {
 		remarkKinds = kinds
 		opts.Remarks = true
 	}
-	var trace *remark.Trace
+	var trace *remark.Trace // rendered from each sweep's Results once it has run
 	if *tracePath != "" {
 		trace = remark.NewTrace()
-		opts.Trace = trace
 	}
 	if *appsCSV != "" {
 		opts.Apps = strings.Split(*appsCSV, ",")
@@ -127,7 +125,7 @@ func main() {
 	interrupted := false
 
 	var res *bench.Results
-	if *table1 || *fig6a || *fig6b || *fig6c || *fig7 || *fig8 || *counters || *profileOn || *wallclock {
+	if *table1 || *fig6a || *fig6b || *fig6c || *fig7 || *fig8 || *counters || *profileOn {
 		var err error
 		res, err = bench.RunExperimentsCtx(ctx, opts)
 		if err != nil {
@@ -140,6 +138,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "uubench: campaign device=%s input=%s\n", res.DeviceName, res.Input)
 		for _, pf := range res.Failures {
 			fmt.Fprintf(os.Stderr, "uubench: contained pass failure: %s\n", pf.String())
+		}
+		if trace != nil {
+			bench.TraceCampaign(trace, res)
 		}
 	}
 
@@ -248,6 +249,11 @@ func main() {
 		w, done := sink("device-matrix.txt")
 		bench.WriteDeviceMatrix(w, mx)
 		done()
+		if trace != nil {
+			for _, sw := range mx.Sweeps {
+				bench.TraceCampaign(trace, sw.Results)
+			}
+		}
 	}
 
 	mispredicts := 0
@@ -299,11 +305,6 @@ func main() {
 		done()
 		writeProfileArtifacts(res, *outDir, sink)
 	}
-	if *wallclock && res != nil {
-		w, done := sink("wallclock.txt")
-		bench.WriteWallClock(w, res)
-		done()
-	}
 	if opts.Remarks && res != nil {
 		w, done := sink("remarks.yaml")
 		if err := remark.WriteYAML(w, res.Remarks, remarkKinds); err != nil {
@@ -312,14 +313,7 @@ func main() {
 		done()
 	}
 	if trace != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := trace.WriteFile(*tracePath); err != nil {
 			fatal(err)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"uu/internal/analysis"
 	"uu/internal/codegen"
@@ -51,7 +52,6 @@ func main() {
 		direct    = flag.Bool("direct-successor", false, "unmerge only the minimal SSA-closed region (DBDS-style ablation)")
 		noIfConv  = flag.Bool("no-ifconvert", false, "disable backend predication (ablation)")
 		noOpt     = flag.Bool("O0", false, "skip the pipeline entirely (frontend output)")
-		passTimes = flag.Bool("pass-times", false, "print per-pass wall-clock times")
 		passStats = flag.Bool("pass-stats", false, "print the full pass log: per-pass time, changed bit, cache traffic, fixpoint rounds")
 		remarks   = flag.String("remarks", "", "emit optimization remarks to stderr as a YAML document stream: all|passed|missed|analysis (comma-separable)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the compilation to this file (load in Perfetto or chrome://tracing)")
@@ -105,18 +105,14 @@ func main() {
 			DisableIfConvert: *noIfConv,
 			VerifyEachPass:   true,
 			Remarks:          collector,
-			Trace:            trace,
 		}
 		opts.Unmerge.DirectSuccessorOnly = *direct
 		stats, err := pipeline.Optimize(f, opts)
 		if err != nil {
 			fatal(err)
 		}
-		if *passTimes {
-			for name, d := range stats.PassTimeByName() {
-				fmt.Fprintf(os.Stderr, "%-20s %v\n", name, d)
-			}
-			fmt.Fprintf(os.Stderr, "%-20s %v\n", "total", stats.CompileTime)
+		if trace != nil {
+			stats.Trace(trace, 0)
 		}
 		if *passStats {
 			printPassStats(stats)
@@ -137,9 +133,9 @@ func main() {
 	case "ir":
 		fmt.Print(f.String())
 	case "vptx":
-		done := trace.Span(0, "codegen:"+f.Name, "codegen")
+		t0 := time.Now()
 		p, err := codegen.Lower(f)
-		done()
+		trace.Complete(0, "codegen:"+f.Name, "codegen", t0, time.Since(t0), nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -164,23 +160,10 @@ func main() {
 	}
 
 	if trace != nil {
-		if err := writeTrace(trace, *tracePath); err != nil {
+		if err := trace.WriteFile(*tracePath); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// writeTrace dumps a recorded trace as Chrome trace_event JSON.
-func writeTrace(tr *remark.Trace, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // printPassStats writes the instrumented pass log to stderr: every pass

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"uu/internal/bench"
 	"uu/internal/codegen"
@@ -82,18 +83,16 @@ func main() {
 	if *tracePath != "" {
 		trace = remark.NewTrace()
 	}
-	writeTrace := func() {
+	// traceRun renders one compile+simulate from the layers' records and this
+	// command's own clocks (when codegen finished; the simulation's start
+	// and length), then writes the file.
+	traceRun := func(st *pipeline.Stats, lowered, simStart time.Time, simDur time.Duration, m *gpusim.Metrics, dev gpusim.DeviceConfig) {
 		if trace == nil {
 			return
 		}
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		bench.TraceCompile(trace, 0, st, lowered)
+		bench.TraceSim(trace, 0, st.Function, simStart, simDur, m, dev)
+		if err := trace.WriteFile(*tracePath); err != nil {
 			fatal(err)
 		}
 	}
@@ -102,7 +101,6 @@ func main() {
 		Config:  pipeline.Config(*config),
 		LoopID:  *loopID,
 		Factor:  *factor,
-		Trace:   trace,
 		Remarks: collector,
 	}
 	if *selective || *overrides != "" {
@@ -133,6 +131,7 @@ func main() {
 		w.SetInput(input)
 		fmt.Printf("device                 %s\n", devName)
 		cr, err := bench.Compile(b, opts)
+		lowered := time.Now()
 		if err != nil {
 			fatal(err)
 		}
@@ -146,7 +145,9 @@ func main() {
 		if *profPrefix != "" {
 			prof = gpusim.NewProfile(cr.Program)
 		}
-		m, err := bench.ExecuteCtx(context.Background(), cr, w, dev, ref, trace, 0, prof)
+		simStart := time.Now()
+		m, err := bench.ExecuteCtx(context.Background(), cr, w, dev, ref, prof)
+		simDur := time.Since(simStart)
 		if err != nil {
 			fatal(err)
 		}
@@ -158,7 +159,7 @@ func main() {
 			writeProfile(*profPrefix, cr.Program, prof, cr.Stats.Decisions, cr.Stats.Skips)
 		}
 		writeRemarks()
-		writeTrace()
+		traceRun(cr.Stats, lowered, simStart, simDur, m, dev)
 		return
 	}
 
@@ -181,9 +182,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	done := trace.Span(0, "codegen:"+f.Name, "codegen")
 	prog, err := codegen.Lower(f)
-	done()
+	lowered := time.Now()
 	if err != nil {
 		fatal(err)
 	}
@@ -196,7 +196,9 @@ func main() {
 		prof = gpusim.NewProfile(prog)
 	}
 	mem := interp.NewMemory(*memSize)
-	metrics, err := gpusim.RunCtx(context.Background(), prog, args, mem, gpusim.Launch{GridDim: *grid, BlockDim: *block}, dev, trace, 0, prof)
+	simStart := time.Now()
+	metrics, err := gpusim.RunCtx(context.Background(), prog, args, mem, gpusim.Launch{GridDim: *grid, BlockDim: *block}, dev, prof)
+	simDur := time.Since(simStart)
 	if err != nil {
 		fatal(err)
 	}
@@ -206,7 +208,7 @@ func main() {
 		writeProfile(*profPrefix, prog, prof, stats.Decisions, stats.Skips)
 	}
 	writeRemarks()
-	writeTrace()
+	traceRun(stats, lowered, simStart, simDur, metrics, dev)
 }
 
 // writeProfile renders the hotspot profile as <prefix>.hotspots.txt (tables

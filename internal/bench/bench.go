@@ -17,7 +17,6 @@ import (
 	"uu/internal/ir"
 	"uu/internal/lang"
 	"uu/internal/pipeline"
-	"uu/internal/remark"
 )
 
 // Region describes an output range used for verification.
@@ -242,37 +241,36 @@ func Compile(b *Benchmark, opts pipeline.Options) (*CompileResult, error) {
 }
 
 // CompileCtx is Compile under a context: cancellation stops the pipeline at
-// the next pass boundary (pipeline.OptimizeCtx).
+// the next pass boundary (pipeline.OptimizeCtx). A pipeline or codegen error
+// comes with a CompileResult that has no Program but still carries the
+// Stats of what ran. Codegen follows the pipeline at once and is the last
+// thing done, so a caller that clocks this call knows when it ran: from
+// Stats.Start+Stats.CompileTime until the call returned.
 func CompileCtx(ctx context.Context, b *Benchmark, opts pipeline.Options) (*CompileResult, error) {
 	f, err := b.CompileKernel()
 	if err != nil {
 		return nil, err
 	}
-	stats, err := pipeline.OptimizeCtx(ctx, f, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench %s (%s): %w", b.Name, opts.Config, err)
+	cr := &CompileResult{Func: f}
+	if cr.Stats, err = pipeline.OptimizeCtx(ctx, f, opts); err == nil {
+		cr.Program, err = codegen.Lower(f)
 	}
-	done := opts.Trace.Span(opts.TraceTID, "codegen:"+f.Name, "codegen")
-	prog, err := codegen.Lower(f)
-	done()
 	if err != nil {
-		return nil, fmt.Errorf("bench %s (%s): %w", b.Name, opts.Config, err)
+		return cr, fmt.Errorf("bench %s (%s): %w", b.Name, opts.Config, err)
 	}
-	return &CompileResult{Program: prog, Stats: stats, Func: f}, nil
+	return cr, nil
 }
 
 // Execute runs a compiled kernel on the simulator. When verifyAgainst is
 // non-nil the resulting memory is checked against it.
 func Execute(cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory) (*gpusim.Metrics, error) {
-	return ExecuteCtx(context.Background(), cr, w, cfg, verifyAgainst, nil, 0, nil)
+	return ExecuteCtx(context.Background(), cr, w, cfg, verifyAgainst, nil)
 }
 
 // ExecuteCtx is Execute in full (gpusim.RunCtx): cancellation of ctx stops
-// the simulation at the next warp-block boundary, a non-nil tr records
-// launch spans and a metrics counter sample on lane tid, and a non-nil prof,
-// sized for cr.Program (gpusim.NewProfile), accumulates per-PC hotspot
-// counters.
-func ExecuteCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, tr *remark.Trace, tid int, prof *gpusim.Profile) (*gpusim.Metrics, error) {
+// the simulation at the next warp-block boundary, and a non-nil prof, sized
+// for cr.Program (gpusim.NewProfile), accumulates per-PC hotspot counters.
+func ExecuteCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, prof *gpusim.Profile) (*gpusim.Metrics, error) {
 	// The image never leaves this function, so its buffer is a recycled one.
 	mem := w.AcquireMemory()
 	defer interp.ReleaseMemory(mem)
@@ -280,7 +278,7 @@ func ExecuteCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.
 	if verifyAgainst != nil {
 		launch.SampleWarps = 0 // full run required for verification
 	}
-	m, err := gpusim.RunCtx(ctx, cr.Program, w.Args, mem, launch, cfg, tr, tid, prof)
+	m, err := gpusim.RunCtx(ctx, cr.Program, w.Args, mem, launch, cfg, prof)
 	if err != nil {
 		return nil, err
 	}

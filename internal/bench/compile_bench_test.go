@@ -67,10 +67,6 @@ func BenchmarkPipelineCompileRemarks(b *testing.B) {
 			return pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 2,
 				Remarks: remark.NewCollector()}
 		}},
-		{"on+trace", func() pipeline.Options {
-			return pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 2,
-				Remarks: remark.NewCollector(), Trace: remark.NewTrace()}
-		}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

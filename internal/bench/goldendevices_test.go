@@ -39,7 +39,7 @@ func goldenDeviceCell(b *Benchmark, opts pipeline.Options, dev gpusim.DeviceConf
 	}
 	w := b.NewWorkload()
 	p := gpusim.NewProfile(cr.Program)
-	m, err := ExecuteCtx(context.Background(), cr, w, dev, nil, nil, 0, p)
+	m, err := ExecuteCtx(context.Background(), cr, w, dev, nil, p)
 	if err != nil {
 		s := fmt.Sprintf("ERROR: %v\n", err)
 		return s, s

@@ -18,7 +18,6 @@ import (
 	"uu/internal/interp"
 	"uu/internal/pipeline"
 	"uu/internal/remark"
-	"uu/internal/telemetry"
 )
 
 // RunRecord is one (application, configuration, loop, factor) measurement.
@@ -34,8 +33,17 @@ type RunRecord struct {
 	Metrics   *gpusim.Metrics
 	Decisions []core.Decision   // heuristic only
 	Skips     []core.SkipRecord // heuristic only: considered-but-rejected loops
-	PassTimes map[string]time.Duration
-	Skipped   string // non-empty when the loop was untransformable
+	Skipped   string            // non-empty when the loop was untransformable
+	// Stats is the compilation's own record (ordered pass record, compile
+	// clock) as far as it got; nil only when the frontend failed. The four
+	// fields after it are the job's host-side wall clock, which depends on
+	// machine load and worker count and describes the harness, not the
+	// kernel; TraceCampaign renders both.
+	Stats        *pipeline.Stats
+	Worker       int           // harness worker that ran the job
+	Start        time.Time     // when it picked the job up
+	CompileWall  time.Duration // frontend + pipeline + codegen, from Start
+	SimulateWall time.Duration // simulation + oracle comparison, right after
 	// Failures lists pass invocations the guard contained during this
 	// run's compilation (HarnessOptions.Contain). A run with contained
 	// failures still produced a program — the failing passes were rolled
@@ -82,12 +90,6 @@ type Results struct {
 	// (HarnessOptions.Remarks). Each run emits into its own collector, so
 	// this assembled stream is byte-identical for any Workers count.
 	Remarks []remark.Remark
-	// WallClock holds host-side wall-clock latency histograms for the
-	// sweep, keyed "compile", "simulate", and "run" (one whole job).
-	// Unlike Metrics these depend on machine load and worker count; they
-	// characterize harness throughput, not kernel performance. Rendered
-	// by WriteWallClock.
-	WallClock map[string]*telemetry.HistSnapshot
 }
 
 // HarnessOptions configures an experiment sweep.
@@ -130,10 +132,6 @@ type HarnessOptions struct {
 	// (RunRecord.Profile). Profiles, like metrics, are identical for any
 	// Workers count. Off by default.
 	Profile bool
-	// Trace, when non-nil, records wall-clock spans for every compilation
-	// and simulation. Each harness worker tags its spans with its worker
-	// index as the trace lane.
-	Trace *remark.Trace
 	// Heuristic parameterizes the sweep's uu-heuristic runs (zero value =
 	// paper defaults). The PGO driver threads each round's per-loop
 	// overrides through here.
@@ -268,7 +266,6 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	wc := newWallClocks()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -283,12 +280,11 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 				if idx >= len(jobs) {
 					return
 				}
-				recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, logf, &opts, worker, wc)
+				recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, logf, &opts, worker)
 			}
 		}(i)
 	}
 	wg.Wait()
-	res.WallClock = wc.snapshots()
 	canceled := ctx.Err() != nil
 	for _, err := range errs {
 		if err != nil && !canceled {
@@ -327,9 +323,9 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 // recorded as skipped, not an error), simulate, optionally verify against
 // the oracle. Execution failures are fatal — they mean a miscompilation or
 // a simulator bug, not an expected bail-out.
-func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf func(string, ...any), hopts *HarnessOptions, worker int, wc *wallClocks) (*RunRecord, error) {
-	tJob := time.Now()
-	rec := &RunRecord{App: j.b.Name, Config: j.cfg.Config, LoopID: j.loopID, Factor: j.factor}
+func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf func(string, ...any), hopts *HarnessOptions, worker int) (*RunRecord, error) {
+	rec := &RunRecord{App: j.b.Name, Config: j.cfg.Config, LoopID: j.loopID, Factor: j.factor,
+		Worker: worker, Start: time.Now()}
 	// Copy the planned options before attaching per-run sinks: jobs are
 	// shared planning state and must stay immutable once the pool starts.
 	cfg := j.cfg
@@ -338,11 +334,12 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf fu
 		rc = remark.NewCollector()
 		cfg.Remarks = rc
 	}
-	cfg.Trace = hopts.Trace
-	cfg.TraceTID = worker
-	tCompile := time.Now()
 	cr, err := CompileCtx(ctx, j.b, cfg)
-	wc.observeCompile(time.Since(tCompile))
+	compiled := time.Now()
+	rec.CompileWall = compiled.Sub(rec.Start)
+	if cr != nil {
+		rec.Stats = cr.Stats
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			// An aborted compile is cancellation, not an untransformable
@@ -351,14 +348,12 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf fu
 		}
 		rec.Skipped = err.Error()
 		rec.Remarks = rc.Remarks()
-		wc.observeRun(time.Since(tJob))
 		return rec, nil
 	}
 	rec.CompileMs = float64((cr.Stats.CompileTime - cr.Stats.VerifyTime).Microseconds()) / 1000
 	rec.CodeBytes = cr.Program.CodeBytes()
 	rec.Decisions = cr.Stats.Decisions
 	rec.Skips = cr.Stats.Skips
-	rec.PassTimes = cr.Stats.PassTimeByName()
 	rec.Failures = cr.Stats.Failures
 	var prof *gpusim.Profile
 	if hopts.Profile {
@@ -366,9 +361,8 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf fu
 		rec.Profile = prof
 		rec.Program = cr.Program
 	}
-	tSimulate := time.Now()
-	m, err := ExecuteCtx(ctx, cr, j.w, dev, j.ref, hopts.Trace, worker, prof)
-	wc.observeSimulate(time.Since(tSimulate))
+	m, err := ExecuteCtx(ctx, cr, j.w, dev, j.ref, prof)
+	rec.SimulateWall = time.Since(compiled)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s %s loop %d u%d: %w", j.b.Name, j.cfg.Config, j.loopID, j.factor, err)
 	}
@@ -392,7 +386,6 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf fu
 	rec.Remarks = rc.Remarks()
 	logf("%-16s %-12s loop=%-3d u=%-2d %10.4f ms  code=%6d B  compile=%7.2f ms",
 		j.b.Name, j.cfg.Config, j.loopID, j.factor, rec.Millis, rec.CodeBytes, rec.CompileMs)
-	wc.observeRun(time.Since(tJob))
 	return rec, nil
 }
 

@@ -258,7 +258,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 		if err != nil {
 			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
 		}
-		m, err := ExecuteCtx(ctx, cr, w, dev, nil, nil, 0, nil)
+		m, err := ExecuteCtx(ctx, cr, w, dev, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
 		}
@@ -280,7 +280,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 		return a, nil
 	}
 	prof := gpusim.NewProfile(cr.Program)
-	m, err := ExecuteCtx(ctx, cr, w, dev, nil, nil, 0, prof)
+	m, err := ExecuteCtx(ctx, cr, w, dev, nil, prof)
 	if err != nil {
 		return nil, fmt.Errorf("bench pgo %s heuristic: %w", b.Name, err)
 	}

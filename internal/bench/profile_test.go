@@ -26,7 +26,7 @@ func goldenProfile(b *Benchmark, opts pipeline.Options) string {
 	}
 	w := b.NewWorkload()
 	prof := gpusim.NewProfile(cr.Program)
-	if _, err := ExecuteCtx(context.Background(), cr, w, gpusim.V100(), nil, nil, 0, prof); err != nil {
+	if _, err := ExecuteCtx(context.Background(), cr, w, gpusim.V100(), nil, prof); err != nil {
 		return fmt.Sprintf("ERROR: %v\n", err)
 	}
 	rep := profile.Build(cr.Program, prof)

@@ -1,11 +1,14 @@
 package bench
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"uu/internal/gpusim"
 	"uu/internal/pipeline"
@@ -106,38 +109,132 @@ func TestRemarksWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestTraceJSONWellFormed drives a traced compile+simulate and checks the
-// Chrome trace contract end to end: events from every layer (pipeline
-// spans, per-pass spans, codegen, gpusim) on the caller's lane, in valid
-// trace_event JSON (the remark package's own tests cover the encoding; this
-// covers the plumbing).
+// chromeTrace is the part of a rendered trace the tests below read back.
+type chromeTrace struct {
+	TraceEvents []struct {
+		Name string         `json:"name"`
+		Cat  string         `json:"cat"`
+		Ph   string         `json:"ph"`
+		TID  int            `json:"tid"`
+		Args map[string]any `json:"args"`
+	} `json:"traceEvents"`
+	DisplayTimeUnit string `json:"displayTimeUnit"`
+}
+
+func renderTrace(t *testing.T, tr *remark.Trace) chromeTrace {
+	t.Helper()
+	var b bytes.Buffer
+	if err := tr.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc chromeTrace
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) == 0 {
+		t.Fatalf("trace has unit %q and %d events", doc.DisplayTimeUnit, len(doc.TraceEvents))
+	}
+	return doc
+}
+
+// TestTraceJSONWellFormed renders a compile+simulate the way the CLIs do —
+// after the fact, from the compile's Stats and the caller's own clock on the
+// simulation — and checks the Chrome trace contract end to end: spans from
+// every layer (pipeline, per-pass, codegen, gpusim) on the caller's lane, a
+// pass span per record in record order, and the headline metrics on the
+// "sim:" span (the remark package's own tests cover the encoding).
 func TestTraceJSONWellFormed(t *testing.T) {
 	tr := remark.NewTrace()
 	b := ByName("complex")
-	opts := pipeline.Options{Config: pipeline.UUHeuristic, Trace: tr, TraceTID: 3}
-	cr, err := Compile(b, opts)
+	cr, err := Compile(b, pipeline.Options{Config: pipeline.UUHeuristic})
+	compiled := time.Now()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := b.NewWorkload()
-	if _, err := ExecuteCtx(context.Background(), cr, w, gpusim.V100(), nil, tr, 3, nil); err != nil {
+	m, err := Execute(cr, b.NewWorkload(), gpusim.V100(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() == 0 {
-		t.Fatal("no trace events recorded")
+	TraceCompile(tr, 3, cr.Stats, compiled)
+	TraceSim(tr, 3, cr.Program.Name, compiled, time.Since(compiled), m, gpusim.V100())
+
+	doc := renderTrace(t, tr)
+	cats := map[string]int{}
+	var passes []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" || ev.TID != 3 {
+			t.Errorf("event %q: ph %q on lane %d, want a complete span on lane 3", ev.Name, ev.Ph, ev.TID)
+		}
+		cats[ev.Cat]++
+		if ev.Cat == "pass" {
+			passes = append(passes, ev.Name)
+		}
+		if ev.Cat == "gpusim" {
+			for _, k := range []string{"cycles", "warp_instrs", "thread_instrs", "warp_execution_efficiency",
+				"gld_transactions", "gst_transactions", "stall_inst_fetch", "dep_stall_cycles"} {
+				if _, ok := ev.Args[k]; !ok {
+					t.Errorf("%s span carries no %q", ev.Name, k)
+				}
+			}
+			if got := ev.Args["cycles"]; got != float64(m.Cycles) {
+				t.Errorf("%s span cycles = %v, want %d", ev.Name, got, m.Cycles)
+			}
+		}
 	}
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
+	for _, cat := range []string{"pipeline", "pass", "codegen", "gpusim"} {
+		if cats[cat] == 0 {
+			t.Errorf("trace has no %q span (has %v)", cat, cats)
+		}
 	}
-	out := sb.String()
-	for _, want := range []string{
-		`"traceEvents"`, `"displayTimeUnit":"ms"`,
-		`"cat":"pipeline"`, `"cat":"pass"`, `"cat":"codegen"`, `"cat":"gpusim"`,
-		`"ph":"X"`, `"ph":"C"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace JSON missing %s", want)
+	if cats["codegen"] != 1 || cats["gpusim"] != 1 {
+		t.Errorf("want one codegen and one sim span, got %v", cats)
+	}
+	if len(passes) != len(cr.Stats.PassTimes) {
+		t.Fatalf("%d pass spans for %d pass records", len(passes), len(cr.Stats.PassTimes))
+	}
+	for i, pt := range cr.Stats.PassTimes {
+		if passes[i] != pt.Name {
+			t.Fatalf("pass span %d is %s, record %d is %s", i, passes[i], i, pt.Name)
+		}
+	}
+}
+
+// TestCampaignTrace renders a campaign after the fact at two worker counts:
+// the same spans whatever the pool size (only their lanes and times move),
+// exactly one job span per run, and never more lanes than workers.
+func TestCampaignTrace(t *testing.T) {
+	render := func(workers int) (names map[string]int, lanes map[int]bool) {
+		tr := remark.NewTrace()
+		res, err := RunExperiments(HarnessOptions{Apps: []string{"contract", "clink"}, Factors: []int{2}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		TraceCampaign(tr, res)
+		names, lanes = map[string]int{}, map[int]bool{}
+		jobs := 0
+		for _, ev := range renderTrace(t, tr).TraceEvents {
+			names[ev.Cat+" "+ev.Name]++
+			lanes[ev.TID] = true
+			if ev.Cat == "bench" {
+				jobs++
+			}
+		}
+		if runs := len(res.Baseline) + len(res.Heuristic) + len(res.PerLoop); jobs != runs {
+			t.Errorf("workers=%d: %d job spans for %d runs", workers, jobs, runs)
+		}
+		if len(lanes) > workers {
+			t.Errorf("workers=%d: spans on %d lanes", workers, len(lanes))
+		}
+		return names, lanes
+	}
+	serial, _ := render(1)
+	pooled, _ := render(4)
+	if !reflect.DeepEqual(serial, pooled) {
+		t.Errorf("span multiset depends on the worker count:\n1: %v\n4: %v", serial, pooled)
+	}
+	for _, want := range []string{"bench job:contract baseline loop=-1 u=0", "pipeline optimize:contract", "codegen codegen:contract", "gpusim sim:contract"} {
+		if serial[want] == 0 {
+			t.Errorf("campaign trace has no %q span", want)
 		}
 	}
 }

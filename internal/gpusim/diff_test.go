@@ -33,7 +33,7 @@ func diffAgainstReference(t *testing.T, name string, prog *codegen.Program, args
 		prof, refProf = gpusim.NewProfile(prog), gpusim.NewProfile(prog)
 	}
 	mem, refMem := newMem(), newMem()
-	m, err := gpusim.RunCtx(context.Background(), prog, args, mem, launch, cfg, nil, 0, prof)
+	m, err := gpusim.RunCtx(context.Background(), prog, args, mem, launch, cfg, prof)
 	refM, refErr := gpusim.RunReference(prog, args, refMem, launch, cfg, refProf)
 	if err != nil || refErr != nil {
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {

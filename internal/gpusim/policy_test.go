@@ -152,7 +152,7 @@ func TestMinSPPCBarrierWaits(t *testing.T) {
 		cfg.Policy = pol
 		mem := interp.NewMemory(1 << 14)
 		prof := NewProfile(p)
-		if _, err := RunCtx(context.Background(), p, args, mem, launch, cfg, nil, 0, prof); err != nil {
+		if _, err := RunCtx(context.Background(), p, args, mem, launch, cfg, prof); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		var sum int64
@@ -188,7 +188,7 @@ func TestPoliciesAreDistinct(t *testing.T) {
 		cfg.ICacheLines = 2 // tiny LRU icache: fetch order becomes observable
 		mem := interp.NewMemory(1 << 14)
 		prof := NewProfile(p)
-		if _, err := RunCtx(context.Background(), p, args, mem, launch, cfg, nil, 0, prof); err != nil {
+		if _, err := RunCtx(context.Background(), p, args, mem, launch, cfg, prof); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		return prof
@@ -228,7 +228,7 @@ func TestPoliciesAreDistinct(t *testing.T) {
 			mem.SetI64(k.In1Base, int64(i), v)
 		}
 		prof := NewProfile(unmerged)
-		if _, err := RunCtx(context.Background(), unmerged, kargs, mem, Launch{GridDim: k.GridDim, BlockDim: k.BlockDim}, cfg, nil, 0, prof); err != nil {
+		if _, err := RunCtx(context.Background(), unmerged, kargs, mem, Launch{GridDim: k.GridDim, BlockDim: k.BlockDim}, cfg, prof); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		return prof

@@ -78,7 +78,7 @@ func TestReuseIsInvisible(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				prof = gpusim.NewProfile(p.cr.Program)
-				sampled, err = gpusim.RunCtx(context.Background(), p.cr.Program, p.w.Args, mem, few, cfg, nil, 0, prof)
+				sampled, err = gpusim.RunCtx(context.Background(), p.cr.Program, p.w.Args, mem, few, cfg, prof)
 				if err != nil {
 					t.Fatalf("%s: profiled: %v", name, err)
 				}
@@ -115,7 +115,7 @@ func TestReuseIsInvisible(t *testing.T) {
 			interp.ReleaseMemory(smem)
 
 			cmem := p.w.AcquireMemory()
-			if _, err := gpusim.RunCtx(canceled, p.cr.Program, p.w.Args, cmem, few, cfg, nil, 0, nil); !errors.Is(err, context.Canceled) {
+			if _, err := gpusim.RunCtx(canceled, p.cr.Program, p.w.Args, cmem, few, cfg, nil); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled run: got %v, want context.Canceled", name, err)
 			}
 			interp.ReleaseMemory(cmem)
@@ -150,7 +150,7 @@ func TestMinSPPCMatchesReferenceScheduler(t *testing.T) {
 	for _, p := range suitePrograms(t) {
 		prog, w := p.cr.Program, p.w
 		mem, prof := w.NewMemory(), gpusim.NewProfile(prog)
-		m, err := gpusim.RunCtx(context.Background(), prog, w.Args, mem, w.Launch, cfg, nil, 0, prof)
+		m, err := gpusim.RunCtx(context.Background(), prog, w.Args, mem, w.Launch, cfg, prof)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"uu/internal/codegen"
 	"uu/internal/freelist"
 	"uu/internal/interp"
-	"uu/internal/remark"
 )
 
 // Launch describes the 1-D kernel launch geometry.
@@ -46,7 +44,7 @@ var ErrCycleBudget = errors.New("warp step budget exhausted")
 // this schedule (kernels relying on cross-warp shared-memory communication
 // are out of scope).
 func Run(p *codegen.Program, args []interp.Value, mem *interp.Memory, launch Launch, cfg DeviceConfig) (*Metrics, error) {
-	return RunCtx(context.Background(), p, args, mem, launch, cfg, nil, 0, nil)
+	return RunCtx(context.Background(), p, args, mem, launch, cfg, nil)
 }
 
 // RunCtx is Run in full. Cancellation of ctx (a request deadline, a client
@@ -55,12 +53,12 @@ func Run(p *codegen.Program, args []interp.Value, mem *interp.Memory, launch Lau
 // one basic block of the cancel; the returned error wraps ctx's error (match
 // with errors.Is(err, context.Canceled/DeadlineExceeded)), and a Background
 // (or otherwise non-cancelable) context costs one nil check per block. A
-// non-nil tr records trace spans (the launch, each warp batch) and a final
-// metrics counter sample on lane tid. A non-nil prof, which must be sized
-// for p (NewProfile), accumulates per-PC hotspot counters. Metrics are
-// byte-identical with and without tracing and profiling. Every error path
-// discards metrics; mem keeps the stores made before the failure.
-func RunCtx(ctx context.Context, p *codegen.Program, args []interp.Value, mem *interp.Memory, launch Launch, cfg DeviceConfig, tr *remark.Trace, tid int, prof *Profile) (*Metrics, error) {
+// non-nil prof, which must be sized for p (NewProfile), accumulates per-PC
+// hotspot counters. Metrics are byte-identical with and without profiling.
+// Every error path discards metrics; mem keeps the stores made before the
+// failure. The run is not clocked here: a caller that wants its wall time
+// (a trace's "sim:" span, a phase histogram) times the call.
+func RunCtx(ctx context.Context, p *codegen.Program, args []interp.Value, mem *interp.Memory, launch Launch, cfg DeviceConfig, prof *Profile) (*Metrics, error) {
 	if len(args) != len(p.ParamRegs) {
 		return nil, fmt.Errorf("gpusim: kernel %s expects %d args, got %d", p.Name, len(p.ParamRegs), len(args))
 	}
@@ -78,14 +76,7 @@ func RunCtx(ctx context.Context, p *codegen.Program, args []interp.Value, mem *i
 		simWarps = launch.SampleWarps
 	}
 	m := &Metrics{}
-	start := time.Now()
-	err = runWarps(ctx, dp, args, mem, launch, cfg, simWarps, total, m, tr, tid, prof)
-	if tr.Enabled() {
-		tr.Complete(tid, "sim:"+dp.name, "gpusim", start, time.Since(start), map[string]any{
-			"warps": simWarps,
-		})
-	}
-	if err != nil {
+	if err := runWarps(ctx, dp, args, mem, launch, cfg, simWarps, total, m, prof); err != nil {
 		return nil, err
 	}
 	if simWarps < totalWarps {
@@ -95,23 +86,8 @@ func RunCtx(ctx context.Context, p *codegen.Program, args []interp.Value, mem *i
 			prof.Scale(k)
 		}
 	}
-	if tr.Enabled() {
-		tr.Counter(tid, "gpusim:"+dp.name, map[string]float64{
-			"cycles":                    float64(m.Cycles),
-			"warp_instrs":               float64(m.WarpInstrs),
-			"thread_instrs":             float64(m.ThreadInstrs),
-			"warp_execution_efficiency": m.WarpExecutionEfficiency(cfg),
-			"gld_transactions":          float64(m.GldTransactions),
-			"gst_transactions":          float64(m.GstTransactions),
-			"stall_inst_fetch":          float64(m.StallInstFetch),
-			"dep_stall_cycles":          float64(m.DepStallCycles),
-		})
-	}
 	return m, nil
 }
-
-// simBatchWarps is how many warps one trace span covers.
-const simBatchWarps = 256
 
 func warpBounds(wi, warpSize, total int) (first, count int) {
 	first = wi * warpSize
@@ -125,27 +101,17 @@ func warpBounds(wi, warpSize, total int) (first, count int) {
 func bitWords(n int) int { return (n + 63) / 64 }
 
 // runWarps runs the launch's first simWarps warps in order on one warpSim.
-func runWarps(ctx context.Context, dp *decodedProgram, args []interp.Value, mem *interp.Memory, launch Launch, cfg DeviceConfig, simWarps, total int, m *Metrics, tr *remark.Trace, tid int, prof *Profile) error {
+func runWarps(ctx context.Context, dp *decodedProgram, args []interp.Value, mem *interp.Memory, launch Launch, cfg DeviceConfig, simWarps, total int, m *Metrics, prof *Profile) error {
 	w := acquireWarpSim(dp, cfg, mem)
 	defer releaseWarpSim(w)
 	w.setContext(ctx)
 	w.prof = prof
-	batchStart := time.Time{}
-	if tr.Enabled() {
-		batchStart = time.Now()
-	}
 	for wi := 0; wi < simWarps; wi++ {
 		first, count := warpBounds(wi, cfg.WarpSize, total)
 		if err := w.runThreaded(args, launch, first, count, m); err != nil {
 			return err
 		}
 		m.Warps++
-		if tr.Enabled() && ((wi+1)%simBatchWarps == 0 || wi == simWarps-1) {
-			lo := wi + 1 - (wi % simBatchWarps) - 1
-			tr.Complete(tid, fmt.Sprintf("warps[%d:%d]", lo, wi+1), "gpusim", batchStart,
-				time.Since(batchStart), nil)
-			batchStart = time.Now()
-		}
 	}
 	return nil
 }

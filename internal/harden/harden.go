@@ -117,11 +117,6 @@ func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, r
 	return pa, verifyTime, false
 }
 
-// RunPass is Run specialized to an analysis.Pass.
-func (g *Guard) RunPass(p analysis.Pass, f *ir.Function, am *analysis.AnalysisManager) (analysis.PreservedAnalyses, time.Duration, bool) {
-	return g.Run(p.Name(), f, am, func() analysis.PreservedAnalyses { return p.Run(f, am) })
-}
-
 // invoke runs the pass body, converting a panic into (message, stack).
 // stack is non-empty exactly when the body panicked.
 func invoke(run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyses, panicVal, stack string) {

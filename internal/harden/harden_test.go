@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -40,6 +41,11 @@ func (p *fakePass) Run(f *ir.Function, am *analysis.AnalysisManager) analysis.Pr
 	return p.run(f, am)
 }
 
+// runPass runs p under g the way the pipeline's driver does.
+func runPass(g *Guard, p analysis.Pass, f *ir.Function, am *analysis.AnalysisManager) (analysis.PreservedAnalyses, time.Duration, bool) {
+	return g.Run(p.Name(), f, am, func() analysis.PreservedAnalyses { return p.Run(f, am) })
+}
+
 func parseCountLoop(t *testing.T) *ir.Function {
 	t.Helper()
 	f, err := irparse.ParseFunc(countLoopSrc)
@@ -62,7 +68,7 @@ func TestGuardContainsPanic(t *testing.T) {
 		ex.Remove(ex.Term())
 		panic("boom: deliberate test crash")
 	}}
-	pa, _, failed := g.RunPass(crash, f, am)
+	pa, _, failed := runPass(g, crash, f, am)
 	if !failed {
 		t.Fatalf("guard did not report the panic")
 	}
@@ -106,7 +112,7 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 		ex.Remove(ex.Term())
 		return analysis.PreserveNone()
 	}}
-	_, _, failed := g.RunPass(corrupt, f, am)
+	_, _, failed := runPass(g, corrupt, f, am)
 	if !failed {
 		t.Fatalf("guard did not catch the verifier rejection")
 	}
@@ -139,7 +145,7 @@ func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 	ok := &fakePass{name: "nop", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		return analysis.Unchanged()
 	}}
-	pa, vdur, failed := g.RunPass(ok, f, am)
+	pa, vdur, failed := runPass(g, ok, f, am)
 	if failed {
 		t.Fatalf("healthy pass reported as failed: %+v", g.Failures())
 	}
@@ -169,10 +175,10 @@ func TestGuardContinuesAfterFailure(t *testing.T) {
 		ir.NewBuilder(nb).Ret(ir.ConstInt(ir.I64, 0))
 		return analysis.PreserveNone()
 	}}
-	if _, _, failed := g.RunPass(crash, f, am); !failed {
+	if _, _, failed := runPass(g, crash, f, am); !failed {
 		t.Fatalf("first pass should fail")
 	}
-	pa, _, failed := g.RunPass(mutate, f, am)
+	pa, _, failed := runPass(g, mutate, f, am)
 	if failed || !pa.Changed() {
 		t.Fatalf("pass after a contained failure did not run normally")
 	}

@@ -1,10 +1,13 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"uu/internal/analysis"
 	"uu/internal/harden"
+	"uu/internal/ir"
 	"uu/internal/lang"
 	"uu/internal/transform"
 )
@@ -57,36 +60,70 @@ func TestContainmentRollsBackVerifierRejection(t *testing.T) {
 	}
 }
 
+// finalised checks what every return path of Optimize owes its caller: a
+// clocked, summarised Stats, whether or not the compilation succeeded.
+func finalised(t *testing.T, st *Stats) {
+	t.Helper()
+	if st.CompileTime <= 0 || st.Start.IsZero() {
+		t.Errorf("compile clock not set: start %v, compile %v", st.Start, st.CompileTime)
+	}
+	if len(st.PassTimes) == 0 {
+		t.Fatalf("no pass records")
+	}
+	if st.Analysis.TotalMisses() == 0 {
+		t.Errorf("analysis-cache summary not set: %+v", st.Analysis)
+	}
+}
+
 func TestVerifyRejectionWithoutContainmentErrors(t *testing.T) {
 	f, err := lang.CompileKernel(bsearchSrc)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	_, err = Optimize(f, Options{
+	st, err := Optimize(f, Options{
 		Config: Baseline, VerifyEachPass: true,
 		Inject: []analysis.Pass{transform.ChaosPass(transform.ChaosCorrupt)},
 	})
 	if err == nil {
 		t.Fatalf("uncontained verifier rejection must surface as an error")
 	}
+	// The failed compilation still reports what ran, up to and including the
+	// verifier call that rejected the injected pass.
+	finalised(t, st)
+	n := len(st.PassTimes)
+	if last, prev := st.PassTimes[n-1], st.PassTimes[n-2]; last.Name != "verify" || last.Phase != "inject" || prev.Name != "chaos-corrupt" {
+		t.Errorf("record ends with %s, %s/%s; want chaos-corrupt, verify/inject", prev.Name, last.Name, last.Phase)
+	}
 }
 
-func TestContainmentHealthyPathByteIdentical(t *testing.T) {
-	for _, cfg := range Configs {
-		opts := Options{Config: cfg, LoopID: 0, Factor: 2, VerifyEachPass: true}
-		clean, cleanStats := optimized(t, opts)
-		opts.Contain = true
-		contained, stats := optimized(t, opts)
-		if len(stats.Failures) != 0 {
-			t.Fatalf("%s: healthy run recorded failures: %+v", cfg, stats.Failures)
-		}
-		if contained != clean {
-			t.Fatalf("%s: containment changed healthy output", cfg)
-		}
-		if len(stats.PassTimes) != len(cleanStats.PassTimes) {
-			t.Fatalf("%s: containment changed the pass schedule: %d vs %d entries",
-				cfg, len(stats.PassTimes), len(cleanStats.PassTimes))
-		}
+// TestCancelMidPipelineKeepsStats cancels the context from inside the
+// pipeline: compilation stops at the next pass boundary, and the Stats that
+// come back with the error are finalised — including the failure the guard
+// contained before the cancel.
+func TestCancelMidPipelineKeepsStats(t *testing.T) {
+	f, err := lang.CompileKernel(bsearchSrc)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceler := transform.NewPass("cancel", func(*ir.Function, *analysis.AnalysisManager) analysis.PreservedAnalyses {
+		cancel()
+		return analysis.Unchanged()
+	})
+	st, err := OptimizeCtx(ctx, f, Options{
+		Config: UU, LoopID: 0, Factor: 2, Contain: true,
+		Inject: []analysis.Pass{transform.ChaosPass(transform.ChaosPanic), canceler},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	finalised(t, st)
+	if last := st.PassTimes[len(st.PassTimes)-1]; last.Name != "cancel" {
+		t.Errorf("pipeline ran %s after the cancel", last.Name)
+	}
+	if len(st.Failures) != 1 || st.Failures[0].Pass != "chaos-panic" {
+		t.Errorf("contained failure lost on the canceled path: %+v", st.Failures)
 	}
 }
 

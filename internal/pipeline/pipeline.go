@@ -88,14 +88,6 @@ type Options struct {
 	// content is deterministic: no timestamps, no pointers, emission order
 	// only.
 	Remarks *remark.Collector
-	// Trace, when non-nil, records wall-clock spans for the pipeline, each
-	// pass invocation, and each phase. Unlike remarks, traces carry real
-	// timestamps and are not expected to be reproducible byte-for-byte.
-	Trace *remark.Trace
-	// TraceTID is the trace lane (Chrome trace_event tid) this compilation's
-	// spans are tagged with; parallel harness workers use their worker index
-	// so lanes render separately.
-	TraceTID int
 }
 
 // PhaseSpec declares one stage of the pipeline: an ordered pass list run up
@@ -110,11 +102,16 @@ type PhaseSpec struct {
 	MaxRounds int
 }
 
-// PassTime records the wall-clock cost of one pass invocation, whether it
-// changed the function, and the analysis-cache traffic (hits, misses,
-// invalidations) attributable to it.
+// PassTime records one clocked interval of a compilation — a pass
+// invocation or a "verify" call: the phase it ran in, when it started as an
+// offset from Stats.Start, its wall-clock cost, whether it changed the
+// function, and the analysis-cache traffic (hits, misses, invalidations)
+// attributable to it. It is the only clock on the interval: -pass-stats,
+// Figure 6c and every trace are rendered from these records.
 type PassTime struct {
 	Name     string
+	Phase    string
+	Start    time.Duration
 	Duration time.Duration
 	Changed  bool
 	Cache    analysis.CacheStats
@@ -127,8 +124,13 @@ type PhaseRounds struct {
 	MaxRounds int
 }
 
-// Stats reports what the pipeline did.
+// Stats reports what the pipeline did. It is filled in on every return path
+// of Optimize, so a compilation that failed part-way still says what ran.
 type Stats struct {
+	Function string
+	Config   Config
+	// Start is when the pipeline began; PassTime.Start offsets count from it.
+	Start       time.Time
 	CompileTime time.Duration
 	// VerifyTime is the total verifier wall time when VerifyEachPass is on.
 	// It is included in CompileTime (the verifier really ran) but reported
@@ -156,13 +158,27 @@ type Stats struct {
 	Failures []harden.PassFailure
 }
 
-// PassTimeByName aggregates pass times by pass name.
-func (s *Stats) PassTimeByName() map[string]time.Duration {
-	m := map[string]time.Duration{}
-	for _, pt := range s.PassTimes {
-		m[pt.Name] += pt.Duration
+// Trace renders the compilation on lane tid of tr: one "optimize:" span over
+// the whole of it, a "phase:" span over each run of records that share a
+// Phase, and a span per record, in PassTimes order.
+func (s *Stats) Trace(tr *remark.Trace, tid int) {
+	tr.Complete(tid, "optimize:"+s.Function, "pipeline", s.Start, s.CompileTime,
+		map[string]any{"config": string(s.Config)})
+	for i, pt := range s.PassTimes {
+		if i == 0 || pt.Phase != s.PassTimes[i-1].Phase {
+			last := pt
+			for _, next := range s.PassTimes[i+1:] {
+				if next.Phase != pt.Phase {
+					break
+				}
+				last = next
+			}
+			tr.Complete(tid, "phase:"+pt.Phase, "pipeline", s.Start.Add(pt.Start),
+				last.Start+last.Duration-pt.Start, nil)
+		}
+		tr.Complete(tid, pt.Name, "pass", s.Start.Add(pt.Start), pt.Duration,
+			map[string]any{"function": s.Function, "changed": pt.Changed})
 	}
-	return m
 }
 
 // canonicalizationPasses is the phase-1 pipeline: SSA construction and a
@@ -208,6 +224,8 @@ type driver struct {
 	// otherwise). invoked counts pass invocations for Options.StopAfter.
 	guard   *harden.Guard
 	invoked int
+	// phase is the PassTime.Phase of whatever is recorded next.
+	phase string
 }
 
 // ctxErr reports the driver's context error, wrapped with pipeline
@@ -233,80 +251,70 @@ func (d *driver) limitReached() bool {
 	return false
 }
 
-// runPass executes one pass: time it, apply its invalidation declaration,
-// attribute the cache traffic to it, and optionally verify the IR. Under
-// containment (Options.Contain) the invocation runs through the guard:
-// a panic or verifier rejection rolls the function back and is recorded
-// instead of propagating.
-func (d *driver) runPass(p analysis.Pass) (bool, error) {
-	if err := d.ctxErr(); err != nil {
-		return false, err
-	}
-	if d.limitReached() {
-		return false, nil
-	}
-	before := d.am.Stats()
-	t0 := time.Now()
-	if d.guard != nil {
-		pa, vd, failed := d.guard.RunPass(p, d.f, d.am)
-		dur := time.Since(t0) - vd
-		d.am.Invalidate(pa)
-		d.tracePass(p.Name(), t0, dur, pa.Changed())
-		d.st.PassTimes = append(d.st.PassTimes, PassTime{
-			Name:     p.Name(),
-			Duration: dur,
-			Changed:  pa.Changed(),
-			Cache:    d.am.Stats().Sub(before),
-		})
-		if vd > 0 {
-			d.st.VerifyTime += vd
-			d.st.PassTimes = append(d.st.PassTimes, PassTime{Name: "verify", Duration: vd})
-		}
-		_ = failed // recorded in the guard; aggregated into Stats at the end
-		return pa.Changed(), nil
-	}
-	pa := p.Run(d.f, d.am)
-	dur := time.Since(t0)
-	d.am.Invalidate(pa)
-	d.tracePass(p.Name(), t0, dur, pa.Changed())
+// record appends one clocked interval to Stats.PassTimes.
+func (d *driver) record(name string, t0 time.Time, dur time.Duration, changed bool, cache analysis.CacheStats) {
 	d.st.PassTimes = append(d.st.PassTimes, PassTime{
-		Name:     p.Name(),
+		Name:     name,
+		Phase:    d.phase,
+		Start:    t0.Sub(d.st.Start),
 		Duration: dur,
-		Changed:  pa.Changed(),
-		Cache:    d.am.Stats().Sub(before),
+		Changed:  changed,
+		Cache:    cache,
 	})
-	if d.opts.VerifyEachPass {
-		v0 := time.Now()
-		err := ir.Verify(d.f)
-		vd := time.Since(v0)
-		d.st.VerifyTime += vd
-		d.st.PassTimes = append(d.st.PassTimes, PassTime{Name: "verify", Duration: vd})
-		if err != nil {
-			return false, fmt.Errorf("pipeline %s: after %s: %w", d.opts.Config, p.Name(), err)
-		}
-	}
-	return pa.Changed(), nil
 }
 
-// tracePass records one pass invocation as a trace span. Args are only
-// built when tracing is on.
-func (d *driver) tracePass(name string, t0 time.Time, dur time.Duration, changed bool) {
-	if !d.opts.Trace.Enabled() {
-		return
+// invoke executes one pass invocation named name: clock it, apply its
+// invalidation declaration, attribute the cache traffic to it, and record
+// it; then record the verifier call that followed it, if one did. Under
+// containment (Options.Contain) run goes through the guard, which verifies
+// inside: a panic or verifier rejection rolls the function back, is kept
+// by the guard instead of propagating, and reports failed. Outside
+// containment a verifier rejection is the returned error. The pass
+// schedule — what is recorded, in what order — is the same either way.
+func (d *driver) invoke(name string, run func() analysis.PreservedAnalyses) (changed, failed bool, err error) {
+	if err := d.ctxErr(); err != nil {
+		return false, false, err
 	}
-	d.opts.Trace.Complete(d.opts.TraceTID, name, "pass", t0, dur,
-		map[string]any{"function": d.f.Name, "changed": changed})
+	if d.limitReached() {
+		return false, false, nil
+	}
+	before := d.am.Stats()
+	var pa analysis.PreservedAnalyses
+	var vd time.Duration // the verifier call's length; zero if none was made
+	t0 := time.Now()
+	if d.guard != nil {
+		pa, vd, failed = d.guard.Run(name, d.f, d.am, run)
+	} else {
+		pa = run()
+	}
+	dur := time.Since(t0) - vd
+	d.am.Invalidate(pa)
+	d.record(name, t0, dur, pa.Changed(), d.am.Stats().Sub(before))
+	v0 := t0.Add(dur) // the guard verifies right after the pass
+	if d.guard == nil && d.opts.VerifyEachPass {
+		v0 = time.Now()
+		err = ir.Verify(d.f)
+		vd = time.Since(v0)
+		if err != nil {
+			err = fmt.Errorf("pipeline %s: after %s: %w", d.opts.Config, name, err)
+		}
+	}
+	if vd > 0 {
+		d.st.VerifyTime += vd
+		d.record("verify", v0, vd, false, analysis.CacheStats{})
+	}
+	return pa.Changed(), failed, err
 }
 
 // runPhase executes a phase's rounds, stopping after the first round in
 // which no pass reported a change.
 func (d *driver) runPhase(ph PhaseSpec) error {
-	defer d.opts.Trace.Span(d.opts.TraceTID, "phase:"+ph.Name, "pipeline")()
+	d.phase = ph.Name
 	rounds := 0
 	for ; rounds < ph.MaxRounds; rounds++ {
 		roundChanged := false
 		for _, p := range ph.Passes {
-			changed, err := d.runPass(p)
+			changed, _, err := d.invoke(p.Name(), func() analysis.PreservedAnalyses { return p.Run(d.f, d.am) })
 			if err != nil {
 				return err
 			}
@@ -323,6 +331,16 @@ func (d *driver) runPhase(ph PhaseSpec) error {
 	return nil
 }
 
+// runPhases executes phases in order up to the first error.
+func (d *driver) runPhases(phases ...PhaseSpec) error {
+	for _, ph := range phases {
+		if err := d.runPhase(ph); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Optimize runs the selected configuration's pipeline on f in place.
 func Optimize(f *ir.Function, opts Options) (*Stats, error) {
 	return OptimizeCtx(context.Background(), f, opts)
@@ -334,13 +352,15 @@ func Optimize(f *ir.Function, opts Options) (*Stats, error) {
 // left in whatever intermediate form the last completed pass produced —
 // callers that canceled are expected to discard it.
 func OptimizeCtx(ctx context.Context, f *ir.Function, opts Options) (*Stats, error) {
-	st := &Stats{}
+	// One allocation holds the pass record of all but the longest verified
+	// compilations (an unverified one is 31 to 52 records).
+	st := &Stats{Function: f.Name, Config: opts.Config, PassTimes: make([]PassTime, 0, 64)}
 	switch opts.Config {
 	case Baseline, UnrollOnly, UnmergeOnly, UU, UUHeuristic:
 	default:
 		return st, fmt.Errorf("pipeline: unknown config %q", opts.Config)
 	}
-	start := time.Now()
+	st.Start = time.Now()
 	am := analysis.NewAnalysisManager(f)
 	am.SetRemarks(opts.Remarks)
 	d := &driver{f: f, am: am, st: st, opts: opts}
@@ -350,171 +370,117 @@ func OptimizeCtx(ctx context.Context, f *ir.Function, opts Options) (*Stats, err
 	if opts.Contain {
 		d.guard = &harden.Guard{Verify: opts.VerifyEachPass, DumpDir: opts.FailureDumpDir}
 	}
+	err := d.run()
+	st.Analysis = am.Stats()
+	if d.guard != nil {
+		st.Failures = d.guard.Failures()
+	}
+	st.CompileTime = time.Since(st.Start)
+	return st, err
+}
+
+// run executes the pipeline's phases. A verifier rejection outside
+// containment or a canceled context ends it at once; the loop
+// transformation's own error (unknown loop, untransformable shape) does not:
+// the remaining phases still run and the error is returned at the end, so
+// callers get both a diagnosis and a valid compilation.
+func (d *driver) run() error {
+	opts := d.opts
 	gvnOpts := transform.DefaultGVNOptions()
 	if opts.GVN != nil {
 		gvnOpts = *opts.GVN
 	}
 
 	// Phase 1: SSA construction and canonicalization. Loop IDs are assigned
-	// on this canonical form, identically across configurations.
-	if err := d.runPhase(PhaseSpec{"canonicalize", canonicalizationPasses(), 1}); err != nil {
-		return st, err
-	}
-
-	// Injected passes (fault-injection tests, fuzz bisection) run in their
-	// own phase right after canonicalization.
+	// on this canonical form, identically across configurations. Injected
+	// passes (fault-injection tests, fuzz bisection) run in their own phase
+	// right after it.
+	early := []PhaseSpec{{"canonicalize", canonicalizationPasses(), 1}}
 	if len(opts.Inject) > 0 {
-		if err := d.runPhase(PhaseSpec{"inject", opts.Inject, 1}); err != nil {
-			return st, err
-		}
+		early = append(early, PhaseSpec{"inject", opts.Inject, 1})
+	}
+	if err := d.runPhases(early...); err != nil {
+		return err
 	}
 
-	// Phase 2: the loop transformation under evaluation, placed early. Its
-	// error (unknown loop, untransformable shape) does not stop the
-	// pipeline: the remaining phases still run and the error is returned at
-	// the end, so callers get both a diagnosis and a valid compilation.
+	// Phase 2: the loop transformation under evaluation, placed early.
 	skipAuto := map[*ir.Block]bool{}
-	loopErr := d.runLoopTransform(skipAuto)
-	if opts.VerifyEachPass && d.guard == nil {
-		// Under containment the guard already verified (and rolled back on
-		// rejection) inside runLoopTransform; here the rejection is fatal.
-		// Accounted like every other verify so the pass schedule is
-		// identical with and without containment.
-		v0 := time.Now()
-		err := ir.Verify(f)
-		vd := time.Since(v0)
-		st.VerifyTime += vd
-		st.PassTimes = append(st.PassTimes, PassTime{Name: "verify", Duration: vd})
-		if err != nil {
-			return st, fmt.Errorf("pipeline %s: after loop pass: %w", opts.Config, err)
-		}
+	loopErr, err := d.runLoopTransform(skipAuto)
+	if err != nil {
+		return err
 	}
 
 	// Phase 3: the -O3-style middle end that exploits the transformation,
-	// then one loop-optimization sweep.
+	// then one loop-optimization sweep. Phase 4: baseline automatic unrolling
+	// (skips transformed loops), then another cleanup fixpoint to evaluate
+	// fully unrolled loops. Phase 5: backend-style predication (selp
+	// formation) and final cleanup.
 	cleanup := cleanupPasses(gvnOpts)
-	if err := d.runPhase(PhaseSpec{"cleanup", cleanup, 3}); err != nil {
-		return st, err
+	late := []PhaseSpec{
+		{"cleanup", cleanup, 3},
+		{"loop-opts", []analysis.Pass{
+			transform.LICMPass(),
+			transform.GVNPass(gvnOpts),
+			transform.DCEPass(),
+		}, 1},
+		{"auto-unroll", []analysis.Pass{transform.AutoUnrollPass(skipAuto)}, 1},
+		{"cleanup-post-unroll", cleanup, 2},
 	}
-	if err := d.runPhase(PhaseSpec{"loop-opts", []analysis.Pass{
-		transform.LICMPass(),
-		transform.GVNPass(gvnOpts),
-		transform.DCEPass(),
-	}, 1}); err != nil {
-		return st, err
-	}
-
-	// Phase 4: baseline automatic unrolling (skips transformed loops), then
-	// another cleanup fixpoint to evaluate fully unrolled loops.
-	if err := d.runPhase(PhaseSpec{"auto-unroll", []analysis.Pass{
-		transform.AutoUnrollPass(skipAuto),
-	}, 1}); err != nil {
-		return st, err
-	}
-	if err := d.runPhase(PhaseSpec{"cleanup-post-unroll", cleanup, 2}); err != nil {
-		return st, err
-	}
-
-	// Phase 5: backend-style predication (selp formation) and final cleanup.
 	if !opts.DisableIfConvert {
-		if err := d.runPhase(PhaseSpec{"ifconvert", []analysis.Pass{
-			transform.IfConvertPass(),
-		}, 1}); err != nil {
-			return st, err
-		}
+		late = append(late, PhaseSpec{"ifconvert", []analysis.Pass{transform.IfConvertPass()}, 1})
 	}
-	if err := d.runPhase(PhaseSpec{"cleanup-final", cleanup, 1}); err != nil {
-		return st, err
-	}
-
-	st.Analysis = am.Stats()
-	st.CompileTime = time.Since(start)
-	if opts.Trace.Enabled() {
-		opts.Trace.Complete(opts.TraceTID, "optimize:"+f.Name, "pipeline", start,
-			st.CompileTime, map[string]any{"config": string(opts.Config)})
-	}
-	if d.guard != nil {
-		st.Failures = d.guard.Failures()
-	}
-	if loopErr != nil {
-		return st, loopErr
-	}
-	return st, nil
-}
-
-// runLoopTransform executes phase 2: the config-specific loop
-// transformation, instrumented like a single pass named
-// "<config>-loop-pass". Transformed loop headers are added to skipAuto so
-// automatic unrolling leaves them alone. The analysis manager is shared
-// with the transformation and conservatively invalidated afterwards: the
-// loop passes normalize loops (preheader/LCSSA) even when they fail.
-func (d *driver) runLoopTransform(skipAuto map[*ir.Block]bool) error {
-	if err := d.ctxErr(); err != nil {
+	late = append(late, PhaseSpec{"cleanup-final", cleanup, 1})
+	if err := d.runPhases(late...); err != nil {
 		return err
-	}
-	if d.limitReached() {
-		return nil
-	}
-	f, st, opts := d.f, d.st, d.opts
-	markSkip := func(header *ir.Block) { skipAuto[header] = true }
-	var loopErr error
-	before := d.am.Stats()
-	t0 := time.Now()
-	var verifyDur time.Duration
-	run := func() analysis.PreservedAnalyses {
-		d.loopTransformBody(skipAuto, markSkip, &loopErr)
-		return analysis.If(st.LoopTransformed, analysis.PreserveNone())
-	}
-	if d.guard != nil {
-		var failed bool
-		_, verifyDur, failed = d.guard.Run(string(opts.Config)+"-loop-pass", f, d.am, run)
-		if failed {
-			// The rollback undid any partial transformation; report the
-			// loop as untouched so auto-unroll and the harness see the
-			// degraded-to-baseline truth. Stale skipAuto entries point at
-			// dead pre-rollback blocks and match nothing.
-			st.LoopTransformed = false
-			st.Decisions = nil
-			st.Skips = nil
-			loopErr = nil
-		}
-	} else {
-		run()
-	}
-	d.tracePass(string(opts.Config)+"-loop-pass", t0, time.Since(t0)-verifyDur, st.LoopTransformed)
-	st.PassTimes = append(st.PassTimes, PassTime{
-		Name:     string(opts.Config) + "-loop-pass",
-		Duration: time.Since(t0) - verifyDur,
-		Changed:  st.LoopTransformed,
-		Cache:    d.am.Stats().Sub(before),
-	})
-	if verifyDur > 0 {
-		st.VerifyTime += verifyDur
-		st.PassTimes = append(st.PassTimes, PassTime{Name: "verify", Duration: verifyDur})
 	}
 	return loopErr
 }
 
+// runLoopTransform executes phase 2: the config-specific loop
+// transformation, invoked like a single pass named "<config>-loop-pass" in
+// the phase "loop-transform". Transformed loop headers are added to skipAuto
+// so automatic unrolling leaves them alone. The analysis manager is shared
+// with the transformation, which invalidates it conservatively itself: the
+// loop passes normalize loops (preheader/LCSSA) even when they fail. loopErr
+// is the transformation's own diagnosis, err what must stop the pipeline.
+func (d *driver) runLoopTransform(skipAuto map[*ir.Block]bool) (loopErr, err error) {
+	st := d.st
+	d.phase = "loop-transform"
+	_, failed, err := d.invoke(string(d.opts.Config)+"-loop-pass", func() analysis.PreservedAnalyses {
+		loopErr = d.loopTransformBody(skipAuto)
+		return analysis.If(st.LoopTransformed, analysis.PreserveNone())
+	})
+	if failed {
+		// The rollback undid any partial transformation; report the
+		// loop as untouched so auto-unroll and the harness see the
+		// degraded-to-baseline truth. Stale skipAuto entries point at
+		// dead pre-rollback blocks and match nothing.
+		st.LoopTransformed = false
+		st.Decisions = nil
+		st.Skips = nil
+		loopErr = nil
+	}
+	return loopErr, err
+}
+
 // loopTransformBody is the config-specific switch, factored out so the
 // guard can run it under containment.
-func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool, markSkip func(*ir.Block), loopErrOut *error) {
+func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) {
 	f, st, opts := d.f, d.st, d.opts
-	var loopErr error
 	switch opts.Config {
 	case Baseline:
 		// nothing
 	case UnrollOnly:
 		header, err := d.headerOfLoop(opts.LoopID)
 		if err != nil {
-			loopErr = err
-			break
+			return err
 		}
 		l := d.am.LoopInfo().LoopByID(opts.LoopID)
 		ok := transform.UnrollLoop(f, l, opts.Factor)
 		d.am.InvalidateAll() // UnrollLoop normalizes the loop even on failure
 		if ok {
 			st.LoopTransformed = true
-			markSkip(header)
+			skipAuto[header] = true
 			if d.am.Remarks().Enabled() {
 				d.am.Remarks().Emit(remark.Remark{
 					Kind: remark.Passed, Pass: "loop-pass", Name: "Unrolled",
@@ -545,17 +511,12 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool, markSkip func(*i
 		}
 		header, err := d.headerOfLoop(opts.LoopID)
 		if err != nil {
-			loopErr = err
-			break
+			return err
 		}
-		changed, err := core.UnrollAndUnmergeWith(d.am, opts.LoopID, factor, opts.Unmerge)
+		st.LoopTransformed, loopErr = core.UnrollAndUnmergeWith(d.am, opts.LoopID, factor, opts.Unmerge)
 		d.am.InvalidateAll()
-		st.LoopTransformed = changed
-		if err != nil {
-			loopErr = err
-		}
-		if changed {
-			markSkip(header)
+		if st.LoopTransformed {
+			skipAuto[header] = true
 		}
 	case UUHeuristic:
 		// Fill C/UMax individually so profile-guided fields (Selective,
@@ -565,10 +526,10 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool, markSkip func(*i
 		d.am.InvalidateAll()
 		st.LoopTransformed = len(st.Decisions) > 0
 		for _, dec := range st.Decisions {
-			markSkip(dec.Header)
+			skipAuto[dec.Header] = true
 		}
 	}
-	*loopErrOut = loopErr
+	return loopErr
 }
 
 func (d *driver) headerOfLoop(id int) (*ir.Block, error) {

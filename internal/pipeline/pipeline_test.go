@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"uu/internal/interp"
 	"uu/internal/ir"
@@ -194,7 +195,10 @@ func TestPipelineStats(t *testing.T) {
 	if !stats.LoopTransformed {
 		t.Fatalf("loop not transformed")
 	}
-	byName := stats.PassTimeByName()
+	byName := map[string]time.Duration{}
+	for _, pt := range stats.PassTimes {
+		byName[pt.Name] += pt.Duration
+	}
 	for _, name := range []string{"mem2reg", "sccp", "gvn", "dce", "simplifycfg"} {
 		if _, ok := byName[name]; !ok {
 			t.Errorf("pass %s missing from stats", name)

@@ -36,9 +36,6 @@ func TestDisabledSinkZeroAlloc(t *testing.T) {
 	}
 	var tr *Trace
 	allocs = testing.AllocsPerRun(1000, func() {
-		if tr.Enabled() {
-			tr.Counter(0, "c", map[string]float64{"v": 1})
-		}
 		tr.Complete(0, "x", "y", time.Time{}, 0, nil)
 	})
 	if allocs != 0 {
@@ -136,15 +133,9 @@ func TestYAMLQuoting(t *testing.T) {
 
 func TestTraceJSON(t *testing.T) {
 	tr := NewTrace()
-	if !tr.Enabled() {
-		t.Fatal("trace not enabled")
-	}
 	start := time.Now()
 	tr.Complete(3, "gvn", "pass", start, 1500*time.Microsecond, map[string]any{"changed": true})
-	done := tr.Span(1, "codegen", "compile")
-	done()
-	tr.Counter(0, "sim", map[string]float64{"gld_transactions": 42})
-	tr.Instant(0, "campaign-start", "harness", nil)
+	tr.Complete(0, "sim:k", "gpusim", start, time.Millisecond, map[string]any{"gld_transactions": 42})
 
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b); err != nil {
@@ -164,7 +155,7 @@ func TestTraceJSON(t *testing.T) {
 	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
 		t.Fatalf("trace output is not valid JSON: %v\n%s", err, b.String())
 	}
-	if len(doc.TraceEvents) != 4 {
+	if len(doc.TraceEvents) != 2 {
 		t.Fatalf("got %d events", len(doc.TraceEvents))
 	}
 	// The chrome://tracing loader requires name/ph/ts/pid/tid on every
@@ -173,8 +164,8 @@ func TestTraceJSON(t *testing.T) {
 	if ev.Name != "gvn" || ev.Ph != "X" || ev.TS == nil || ev.TID != 3 || ev.PID != 1 {
 		t.Errorf("bad span event: %+v", ev)
 	}
-	if doc.TraceEvents[2].Ph != "C" || doc.TraceEvents[2].Args["gld_transactions"] != 42.0 {
-		t.Errorf("bad counter event: %+v", doc.TraceEvents[2])
+	if doc.TraceEvents[1].Ph != "X" || doc.TraceEvents[1].Args["gld_transactions"] != 42.0 {
+		t.Errorf("bad span args: %+v", doc.TraceEvents[1])
 	}
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)

@@ -3,33 +3,31 @@ package remark
 import (
 	"encoding/json"
 	"io"
-	"sync"
+	"os"
 	"time"
 )
 
-// Trace records wall-clock spans and counter samples across one end-to-end
-// run — pipeline phases, pass invocations, codegen, simulator warp batches
-// — and exports them in the Chrome trace_event JSON format, loadable in
-// Perfetto or chrome://tracing.
+// Trace renders wall-clock spans — pipeline phases, pass invocations,
+// codegen, a simulator launch, a request's serve phases — in the Chrome
+// trace_event JSON format, loadable in Perfetto or chrome://tracing.
+//
+// A Trace is a renderer, not a sink: no layer below cmd/ and serve takes
+// one. Each layer clocks its intervals once into its own result record
+// (pipeline.Stats, bench.RunRecord, serve's phase timings) and the caller
+// at the edge turns those records into spans afterwards, from one
+// goroutine; a Trace is not safe for concurrent use.
 //
 // Unlike remarks, trace events carry real timestamps: a trace answers
 // "where did the wall clock go", not "what did the compiler decide", so it
 // is inherently run-specific and exempt from the byte-identical
 // determinism contract remarks obey.
-//
-// A nil *Trace is the disabled sink: every method is a no-op, so
-// instrumentation sites cost one nil check when tracing is off. A Trace
-// may be shared by concurrent workers; event append is mutex-protected
-// and each worker tags its events with its own tid so lanes render
-// separately.
 type Trace struct {
-	mu     sync.Mutex
 	t0     time.Time
 	events []traceEvent
 }
 
-// traceEvent is one Chrome trace_event record. Ph "X" is a complete span
-// (ts + dur), "C" a counter sample, "i" an instant.
+// traceEvent is one Chrome trace_event record; Ph "X" is a complete span
+// (ts + dur), the only kind rendered.
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -41,112 +39,51 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// NewTrace returns an empty trace whose clock starts now.
+// NewTrace returns an empty trace whose clock starts now: create it before
+// the work whose records it will render, so timestamps come out positive.
 func NewTrace() *Trace {
 	return &Trace{t0: time.Now()}
 }
 
-// Enabled reports whether recording to t does anything.
-func (t *Trace) Enabled() bool { return t != nil }
-
-// micros converts an absolute time to the trace's microsecond clock.
-func (t *Trace) micros(at time.Time) float64 {
-	return float64(at.Sub(t.t0)) / float64(time.Microsecond)
-}
-
 // Complete records a finished span: it started at start, lasted dur, and
-// belongs to lane tid. args may be nil.
+// belongs to lane tid. args may be nil. A nil *Trace records nothing.
 func (t *Trace) Complete(tid int, name, cat string, start time.Time, dur time.Duration, args map[string]any) {
 	if t == nil {
 		return
 	}
-	ev := traceEvent{
+	t.events = append(t.events, traceEvent{
 		Name: name, Cat: cat, Ph: "X",
-		TS:  t.micros(start),
+		TS:  float64(start.Sub(t.t0)) / float64(time.Microsecond),
 		Dur: float64(dur) / float64(time.Microsecond),
 		PID: 1, TID: tid, Args: args,
-	}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// Span starts a span now and returns a closure that completes it. The
-// typical call site is:
-//
-//	defer tr.Span(tid, "codegen", "compile")()
-func (t *Trace) Span(tid int, name, cat string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() {
-		t.Complete(tid, name, cat, start, time.Since(start), nil)
-	}
-}
-
-// Counter records a named set of counter samples on lane tid at the
-// current time. Perfetto renders each name as a stacked counter track.
-func (t *Trace) Counter(tid int, name string, values map[string]float64) {
-	if t == nil {
-		return
-	}
-	args := make(map[string]any, len(values))
-	for k, v := range values {
-		args[k] = v
-	}
-	ev := traceEvent{
-		Name: name, Ph: "C",
-		TS:  t.micros(time.Now()),
-		PID: 1, TID: tid, Args: args,
-	}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// Instant records a zero-duration marker event on lane tid.
-func (t *Trace) Instant(tid int, name, cat string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	ev := traceEvent{
-		Name: name, Cat: cat, Ph: "i",
-		TS:  t.micros(time.Now()),
-		PID: 1, TID: tid, Args: args,
-	}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// Len reports how many events were recorded so far.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
+	})
 }
 
 // WriteJSON writes the trace in the Chrome trace_event JSON object format
 // ({"traceEvents": [...], "displayTimeUnit": "ms"}), which Perfetto and
-// chrome://tracing load directly.
+// chrome://tracing load directly. A nil or empty trace writes a loadable
+// document with no events.
 func (t *Trace) WriteJSON(w io.Writer) error {
-	var evs []traceEvent
-	if t != nil {
-		t.mu.Lock()
-		evs = append(evs, t.events...)
-		t.mu.Unlock()
-	}
-	if evs == nil {
-		evs = []traceEvent{}
+	evs := []traceEvent{}
+	if t != nil && t.events != nil {
+		evs = t.events
 	}
 	doc := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`
 		DisplayTimeUnit string       `json:"displayTimeUnit"`
 	}{evs, "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// WriteFile writes the trace (WriteJSON) to a new file at path.
+func (t *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -19,8 +19,8 @@ func TestRequestMemoryIsPristine(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	var tm phaseTimings
-	if _, rerr := runSpec(context.Background(), src, &tm, nil); rerr != nil {
+	var x execRecord
+	if _, rerr := runSpec(context.Background(), src, &x); rerr != nil {
 		t.Fatal(rerr) // wrote y; its buffer is back on the free list
 	}
 	app, rerr := buildSpec(&Request{App: "complex"})

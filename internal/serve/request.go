@@ -381,15 +381,33 @@ func appWorkload(b *bench.Benchmark) *bench.Workload {
 	return w.(*bench.Workload)
 }
 
+// execRecord is what one pool execution clocked and measured: the phase
+// timings every waiter on the flight reports, and what a traced leader
+// renders its pass, codegen and simulator spans from afterwards.
+type execRecord struct {
+	phaseTimings
+	stats    *pipeline.Stats // nil until the pipeline returned
+	lowered  time.Time       // when codegen finished; zero if it never ran
+	simStart time.Time
+	metrics  *gpusim.Metrics // nil unless the simulation finished
+}
+
+// trace renders the execution of sp into a request trace.
+func (x *execRecord) trace(tr *remark.Trace, sp *spec) {
+	if x.stats != nil {
+		bench.TraceCompile(tr, 0, x.stats, x.lowered)
+	}
+	if x.metrics != nil {
+		bench.TraceSim(tr, 0, x.stats.Function, x.simStart, x.Simulate, x.metrics, sp.dev)
+	}
+}
+
 // runSpec executes a spec: pipeline, codegen, simulation, artifact
 // rendering. Cancellation (deadline expiry, all waiters gone, drain) stops
 // at the next pass or warp-block boundary and classifies through ctxError.
-// tm receives the compile and simulate wall clocks; tr, when non-nil, is
-// the leader's request trace — the pipeline's per-pass spans and the
-// simulator's events land on it.
-func runSpec(ctx context.Context, sp *spec, tm *phaseTimings, tr *remark.Trace) (*Response, *Error) {
+// x receives the compile and simulate wall clocks and the layers' records.
+func runSpec(ctx context.Context, sp *spec, x *execRecord) (*Response, *Error) {
 	opts := sp.opts
-	opts.Trace = tr
 	var col *remark.Collector
 	if sp.wantRemarks {
 		col = remark.NewCollector()
@@ -398,12 +416,14 @@ func runSpec(ctx context.Context, sp *spec, tm *phaseTimings, tr *remark.Trace) 
 	f := ir.Clone(sp.f)
 	tCompile := time.Now()
 	stats, err := pipeline.OptimizeCtx(ctx, f, opts)
+	x.stats = stats
 	if err != nil {
-		tm.Compile = time.Since(tCompile)
+		x.Compile = time.Since(tCompile)
 		return nil, classify(err, "compile-failed")
 	}
 	prog, lowerErr := codegen.Lower(f)
-	tm.Compile = time.Since(tCompile)
+	x.lowered = time.Now()
+	x.Compile = x.lowered.Sub(tCompile)
 	if lowerErr != nil {
 		return nil, &Error{Status: 422, Code: "compile-failed", Msg: lowerErr.Error()}
 	}
@@ -415,12 +435,13 @@ func runSpec(ctx context.Context, sp *spec, tm *phaseTimings, tr *remark.Trace) 
 	// reference into it), so it goes back to the free list on every path.
 	mem := sp.acquireMem()
 	defer interp.ReleaseMemory(mem)
-	tSimulate := time.Now()
-	m, err := gpusim.RunCtx(ctx, prog, sp.args, mem, sp.launch, sp.dev, tr, 0, prof)
-	tm.Simulate = time.Since(tSimulate)
+	x.simStart = time.Now()
+	m, err := gpusim.RunCtx(ctx, prog, sp.args, mem, sp.launch, sp.dev, prof)
+	x.Simulate = time.Since(x.simStart)
 	if err != nil {
 		return nil, classify(err, "exec-failed")
 	}
+	x.metrics = m
 
 	resp := &Response{
 		Key:               sp.key,

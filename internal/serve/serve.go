@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uu/internal/remark"
 	"uu/internal/telemetry"
 )
 
@@ -152,13 +151,11 @@ type flight struct {
 	waiters  int
 	finished bool
 	cancel   context.CancelFunc
-	// tm carries the pool execution's phase timings (admission wait,
-	// compile, simulate); written by the worker before done closes, so
-	// every waiter can attribute the compute that produced its result.
-	tm phaseTimings
-	// tr is the leader's request trace, when the leader is traced: the
-	// execution's pipeline and simulator spans land on it.
-	tr *remark.Trace
+	// exec carries the pool execution's phase timings (admission wait,
+	// compile, simulate) and records; written by the worker before done
+	// closes, so every waiter can attribute the compute that produced its
+	// result and a traced leader can render it.
+	exec execRecord
 }
 
 // job is one queued pool execution.
@@ -411,6 +408,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// phase ends at enqueue (its wait is the admission phase); a
 	// follower's runs until the leader's result arrives.
 	tResolve := time.Now()
+	var enqueued time.Time // a leader's admission wait starts here
 	s.mu.Lock()
 	if res, ok := s.cache.get(sp.key); ok {
 		s.cache.alias(sp.key, ident) // a new spelling of a cached key
@@ -433,7 +431,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			st.fail(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"}, s.opts.RetryAfter)
 			return
 		}
-		fl = &flight{key: sp.key, idents: []identity{ident}, done: make(chan struct{}), waiters: 1, tr: st.tr}
+		fl = &flight{key: sp.key, idents: []identity{ident}, done: make(chan struct{}), waiters: 1}
 		s.flights[sp.key] = fl
 		s.inflight.Add(1)
 	}
@@ -449,8 +447,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		ctx, cancel := context.WithTimeout(s.baseCtx, deadline)
 		fl.cancel = cancel
+		enqueued = time.Now()
 		select {
-		case s.queue <- &job{fl: fl, sp: sp, ctx: ctx, enqueued: time.Now()}:
+		case s.queue <- &job{fl: fl, sp: sp, ctx: ctx, enqueued: enqueued}:
 		default:
 			// Queue full: shed. The flight fails for every waiter that
 			// already joined; Retry-After plus the client's jittered
@@ -477,8 +476,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if joined {
 		st.tm.Resolve = time.Since(tResolve)
 		st.span("resolve", tResolve, st.tm.Resolve)
+	} else if st.tr != nil && fl.exec.Admission > 0 {
+		// The leader's trace shows the execution it caused, rendered from
+		// what the worker recorded; a flight shed at admission never ran.
+		st.span("admission", enqueued, fl.exec.Admission)
+		fl.exec.trace(st.tr, sp)
 	}
-	st.exec = &fl.tm
+	st.exec = &fl.exec.phaseTimings
 	if fl.err != nil {
 		// Copy the shared flight error: each waiter's response body is
 		// stamped with its own request ID.
@@ -570,16 +574,13 @@ func (s *Server) worker() {
 				}
 			}
 		case j := <-s.queue:
-			j.fl.tm.Admission = time.Since(j.enqueued)
-			if j.fl.tr != nil {
-				j.fl.tr.Complete(0, "phase:admission", "serve", j.enqueued, j.fl.tm.Admission, nil)
-			}
+			j.fl.exec.Admission = time.Since(j.enqueued)
 			s.tel.executionStarted()
 			res, rerr := s.execute(j)
 			s.tel.executionEnded()
-			s.tel.phase("admission", j.fl.tm.Admission)
-			s.tel.phase("compile", j.fl.tm.Compile)
-			s.tel.phase("simulate", j.fl.tm.Simulate)
+			s.tel.phase("admission", j.fl.exec.Admission)
+			s.tel.phase("compile", j.fl.exec.Compile)
+			s.tel.phase("simulate", j.fl.exec.Simulate)
 			switch {
 			case rerr == nil:
 			case rerr.Code == "deadline":
@@ -595,7 +596,7 @@ func (s *Server) worker() {
 				// Stamp the execution's timings onto the cached response so
 				// later cache hits can attribute the compute that produced
 				// their result.
-				res.execTM = j.fl.tm
+				res.execTM = j.fl.exec.phaseTimings
 			}
 			s.finish(j.fl, res, rerr)
 			s.inflight.Done()
@@ -622,7 +623,7 @@ func (s *Server) execute(j *job) (res *Response, rerr *Error) {
 		s.opts.OnCompile(j.sp.key)
 	}
 	s.c.compiles.Add(1)
-	return runSpec(j.ctx, j.sp, &j.fl.tm, j.fl.tr)
+	return runSpec(j.ctx, j.sp, &j.fl.exec)
 }
 
 func (s *Server) logf(format string, a ...any) {

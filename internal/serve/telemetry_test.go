@@ -266,19 +266,26 @@ func TestTraceEndpoints(t *testing.T) {
 	var events struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
+			Cat  string `json:"cat"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(r.TraceJSON), &events); err != nil {
 		t.Fatalf("trace_json is not a trace: %v", err)
 	}
-	names := map[string]bool{}
+	names, cats := map[string]bool{}, map[string]bool{}
 	for _, ev := range events.TraceEvents {
 		names[ev.Name] = true
+		cats[ev.Cat] = true
 	}
-	for _, want := range []string{"phase:frontend", "phase:resolve", "phase:admission"} {
+	// This request led its flight, so besides its own serve phases its trace
+	// shows the execution it caused: the pipeline's passes and the simulation.
+	for _, want := range []string{"phase:frontend", "phase:resolve", "phase:admission", "optimize:work", "codegen:work", "sim:work"} {
 		if !names[want] {
 			t.Errorf("inline trace missing span %q (has %v)", want, names)
 		}
+	}
+	if !cats["pass"] {
+		t.Errorf("inline trace has no per-pass span (categories %v)", cats)
 	}
 
 	// The stored copy includes the terminal request span and the encode
