@@ -23,18 +23,28 @@ func (r AliasResult) String() string {
 	return "MayAlias"
 }
 
-// pointerExpr is a pointer decomposed into a base object plus a symbolic
+// PointerExpr is a pointer decomposed into a base object plus a symbolic
 // index expression: the multiset of non-constant index values and the sum of
 // constant indexes (in elements, not bytes — GEPs on the same base share an
-// element type).
-type pointerExpr struct {
+// element type). It is a snapshot of the pointer's GEP chain: decompose
+// again after rewriting an operand on the chain. A caller with one pointer
+// to test against many (GVN's backwards scan over memory facts) decomposes
+// it once with Decompose and asks Alias of the result.
+type PointerExpr struct {
+	ptr      ir.Value
 	base     ir.Value
 	constOff int64
-	syms     []ir.Value // sorted by pointer identity for comparison
+	// The symbolic indexes live in inline — a GEP chain is rarely deeper
+	// than two — and move to spill, all of them, only past its length, so
+	// decomposing allocates nothing on the kernels' pointer shapes.
+	nsyms  int
+	inline [4]ir.Value
+	spill  []ir.Value
 }
 
-func decompose(p ir.Value) pointerExpr {
-	e := pointerExpr{}
+// Decompose walks p's GEP chain down to its base object.
+func Decompose(p ir.Value) PointerExpr {
+	e := PointerExpr{ptr: p}
 	for {
 		in, ok := p.(*ir.Instr)
 		if !ok || in.Op != ir.OpGEP {
@@ -44,7 +54,15 @@ func decompose(p ir.Value) pointerExpr {
 		case *ir.Const:
 			e.constOff += idx.Int
 		default:
-			e.syms = append(e.syms, idx)
+			if e.nsyms < len(e.inline) {
+				e.inline[e.nsyms] = idx
+			} else {
+				if e.spill == nil {
+					e.spill = append(e.spill, e.inline[:]...)
+				}
+				e.spill = append(e.spill, idx)
+			}
+			e.nsyms++
 		}
 		p = in.Arg(0)
 	}
@@ -52,20 +70,34 @@ func decompose(p ir.Value) pointerExpr {
 	return e
 }
 
+func (e *PointerExpr) syms() []ir.Value {
+	if e.spill != nil {
+		return e.spill
+	}
+	return e.inline[:e.nsyms]
+}
+
+// sameSyms reports whether a and b hold the same values with the same
+// multiplicities, in any order. The lists are a GEP chain's symbolic
+// indexes — two or three values — so counting beats any bookkeeping.
 func sameSyms(a, b []ir.Value) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	used := make([]bool, len(b))
-outer:
-	for _, x := range a {
-		for i, y := range b {
-			if !used[i] && x == y {
-				used[i] = true
-				continue outer
+	count := func(s []ir.Value, x ir.Value) (n int) {
+		for _, y := range s {
+			if y == x {
+				n++
 			}
 		}
-		return false
+		return n
+	}
+	// Equal lengths and every value of a as often in b as in a: b has room
+	// for nothing else.
+	for _, x := range a {
+		if count(a, x) != count(b, x) {
+			return false
+		}
 	}
 	return true
 }
@@ -80,16 +112,27 @@ outer:
 //     constant offsets must alias;
 //  3. pointers off the same base with identical symbolic indexes but
 //     different constant offsets (x[i] vs x[i+2]) do not alias.
+//
+// It allocates nothing.
 func Alias(p, q ir.Value) AliasResult {
 	if p == q {
 		return MustAlias
 	}
-	ep, eq := decompose(p), decompose(q)
-	if ep.base != eq.base {
-		return distinctBases(ep.base, eq.base)
+	ep := Decompose(p)
+	return ep.Alias(q)
+}
+
+// Alias is Alias(p, q) for the pointer p that e decomposes.
+func (e *PointerExpr) Alias(q ir.Value) AliasResult {
+	if e.ptr == q {
+		return MustAlias
 	}
-	if sameSyms(ep.syms, eq.syms) {
-		if ep.constOff == eq.constOff {
+	eq := Decompose(q)
+	if e.base != eq.base {
+		return distinctBases(e.base, eq.base)
+	}
+	if sameSyms(e.syms(), eq.syms()) {
+		if e.constOff == eq.constOff {
 			return MustAlias
 		}
 		return NoAlias

@@ -15,25 +15,52 @@ func worstCell() (*Benchmark, pipeline.Options) {
 	return ByName("libor"), pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 8}
 }
 
-// worstCellAllocCeiling is twice what compiling worstCell allocates (43 MB).
+// worstCellAllocCeiling is twice what compiling worstCell allocates (27 MB).
 // With the pointer-keyed maps that block and instruction numbering replaced
 // — a fresh visited map per merge search, SCCP's edge and lattice maps,
-// GVN's string keys — the same compile allocated 216 MB, so a map creeping
-// back onto a hot path fails this long before it shows in a timing.
-const worstCellAllocCeiling = 86 << 20
+// GVN's string keys — the same compile allocated 216 MB, and with an undo
+// record and four slices per GVN scope 43 MB, so either creeping back onto
+// a hot path fails this long before it shows in a timing.
+const worstCellAllocCeiling = 54 << 20
 
-func TestWorstCellCompileAllocation(t *testing.T) {
-	app, opts := worstCell()
+// worstCellContainedAllocCeiling bounds the same compile under the guard
+// with the verifier after every pass (138 MB; 274 MB while the guard
+// cloned the function before every pass invocation and GVN kept per-scope
+// records). It is 0.6 of that old figure: a guard that goes back to one
+// snapshot per invocation fails here before it shows in a benchmark.
+const worstCellContainedAllocCeiling = 165 << 20
+
+// compileAllocation compiles app under opts and returns the bytes allocated.
+func compileAllocation(t *testing.T, app *Benchmark, opts pipeline.Options) uint64 {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := Compile(app, opts); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestWorstCellCompileAllocation(t *testing.T) {
+	app, opts := worstCell()
+	got := compileAllocation(t, app, opts)
 	t.Logf("compiling %s uu loop 0 u=8 allocated %.1f MB", app.Name, float64(got)/(1<<20))
 	if got > worstCellAllocCeiling {
 		t.Fatalf("compiling %s uu loop 0 u=8 allocated %.1f MB, ceiling %d MB",
 			app.Name, float64(got)/(1<<20), worstCellAllocCeiling>>20)
+	}
+}
+
+func TestWorstCellContainedAllocation(t *testing.T) {
+	app, opts := worstCell()
+	plain := compileAllocation(t, app, opts)
+	opts.Contain, opts.VerifyEachPass = true, true
+	got := compileAllocation(t, app, opts)
+	t.Logf("compiling %s uu loop 0 u=8 contained and verified allocated %.1f MB, %.1f times the plain compile",
+		app.Name, float64(got)/(1<<20), float64(got)/float64(plain))
+	if got > worstCellContainedAllocCeiling {
+		t.Fatalf("compiling %s uu loop 0 u=8 contained and verified allocated %.1f MB, ceiling %d MB",
+			app.Name, float64(got)/(1<<20), worstCellContainedAllocCeiling>>20)
 	}
 }

@@ -27,7 +27,9 @@ func BenchmarkPipelineCompile(b *testing.B) {
 // unroll-and-unmerge configuration (loop 0, factor 2), which exercises the
 // loop-transform phase and its analysis invalidation on top of the cleanup
 // rounds. The u8-worst sub-benchmark is the sweep's most expensive cell
-// (see worstCell), where compile time and allocation blow up first.
+// (see worstCell), where compile time and allocation blow up first, and
+// u8-worst-contained the same cell under the guard with the verifier after
+// every pass: the second's B/op over the first's is the containment tax.
 func BenchmarkPipelineCompileUU(b *testing.B) {
 	run := func(name string, app *Benchmark, opts pipeline.Options) {
 		b.Run(name, func(b *testing.B) {
@@ -44,6 +46,8 @@ func BenchmarkPipelineCompileUU(b *testing.B) {
 	}
 	app, opts := worstCell()
 	run("u8-worst", app, opts)
+	opts.Contain, opts.VerifyEachPass = true, true
+	run("u8-worst-contained", app, opts)
 }
 
 // BenchmarkPipelineCompileRemarks measures the same u&u compile with the

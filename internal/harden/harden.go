@@ -1,10 +1,11 @@
 // Package harden supplies the pass-pipeline crash-containment layer: a
-// Guard that runs each pass invocation against an IR snapshot, recovers
-// panics, optionally verifies the IR afterwards, and rolls the function
-// back to the snapshot on failure so one bad pass degrades a single kernel
-// to its pre-pass form instead of killing a whole experiment campaign. The
-// package also hosts the seeded random kernel generator (gen.go) that
-// feeds the differential fuzzer in harden/fuzz.
+// Guard that runs each pass invocation against an IR snapshot (taken only
+// when the IR has moved since the last one), recovers panics, optionally
+// verifies the IR afterwards, and rolls the function back to the snapshot
+// on failure so one bad pass degrades a single kernel to its pre-pass form
+// instead of killing a whole experiment campaign. The package also hosts
+// the seeded random kernel generator (gen.go) that feeds the differential
+// fuzzer in harden/fuzz.
 //
 // harden is deliberately a leaf: it imports only ir and analysis, so the
 // pipeline can depend on it while the fuzzer's oracle (which needs the
@@ -18,7 +19,6 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"uu/internal/analysis"
@@ -66,9 +66,17 @@ func firstLine(s string) string {
 }
 
 // Guard contains pass failures. The zero value contains panics only; set
-// Verify to also reject IR the verifier refuses. A Guard may be shared by
-// concurrent compilations (the experiment harness shares one across its
-// worker pool); the failure list is mutex-protected.
+// Verify to also reject IR the verifier refuses. A Guard belongs to one
+// compilation — the pipeline builds one per Optimize call — and is not safe
+// for concurrent use: besides the failure list it keeps the snapshot it
+// would roll back to.
+//
+// A snapshot is reused iff the function hashes to the state it was taken in
+// (ir.Fingerprint). Most pass invocations change nothing, so most find the
+// previous invocation's snapshot still current and copy nothing. A pass's
+// PreservedAnalyses declaration is never trusted for rollback: a pass that
+// edits the function and reports Unchanged would otherwise send a later
+// failure back past its edit.
 type Guard struct {
 	// Verify runs ir.Verify after every contained invocation and treats a
 	// rejection like a crash (rollback + record).
@@ -78,20 +86,27 @@ type Guard struct {
 	// in-memory IR field always carries the snapshot).
 	DumpDir string
 
-	mu       sync.Mutex
 	failures []PassFailure
-	dumpSeq  int
+	// snap is a clone of the function as it was when it hashed to snapSum;
+	// nil before the first invocation and after a rollback, which hands the
+	// snapshot's body to the function.
+	snap    *ir.Function
+	snapSum uint64
 }
 
-// Failures returns a snapshot of the failures recorded so far.
+// testHookSnapshot, when set by a test, is called by Run between its
+// snapshot decision and the pass: snap is what a failure of this invocation
+// would restore, cloned says whether this invocation had to take it.
+var testHookSnapshot func(f, snap *ir.Function, cloned bool)
+
+// Failures returns a copy of the failures recorded so far.
 func (g *Guard) Failures() []PassFailure {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return append([]PassFailure(nil), g.failures...)
 }
 
-// Run executes run (one pass invocation on f) under containment: the IR is
-// snapshotted first; a panic or — with Verify set — a post-run verifier
+// Run executes run (one pass invocation on f) under containment: a snapshot
+// of the IR is in hand first — the retained one if f still hashes to it, a
+// fresh clone otherwise; a panic or — with Verify set — a post-run verifier
 // rejection rolls f back to the snapshot, invalidates every cached
 // analysis (the restored body is made of fresh objects), records a
 // PassFailure, and reports failed=true with an Unchanged declaration so a
@@ -99,10 +114,17 @@ func (g *Guard) Failures() []PassFailure {
 // time spent in ir.Verify (zero when Verify is off), reported separately
 // so callers can keep their verify-time accounting exact.
 func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyses, verifyTime time.Duration, failed bool) {
-	snap := ir.Clone(f)
+	sum := ir.Fingerprint(f)
+	cloned := g.snap == nil || g.snapSum != sum
+	if cloned {
+		g.snap, g.snapSum = ir.Clone(f), sum
+	}
+	if testHookSnapshot != nil {
+		testHookSnapshot(f, g.snap, cloned)
+	}
 	pa, panicVal, stack := invoke(run)
 	if stack != "" {
-		g.contain(name, f, am, snap, FailurePanic, panicVal, stack)
+		g.contain(name, f, am, FailurePanic, panicVal, stack)
 		return analysis.Unchanged(), 0, true
 	}
 	if g.Verify {
@@ -110,7 +132,7 @@ func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, r
 		err := ir.Verify(f)
 		verifyTime = time.Since(v0)
 		if err != nil {
-			g.contain(name, f, am, snap, FailureVerify, err.Error(), "")
+			g.contain(name, f, am, FailureVerify, err.Error(), "")
 			return analysis.Unchanged(), verifyTime, true
 		}
 	}
@@ -130,11 +152,13 @@ func invoke(run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyse
 	return
 }
 
-// contain rolls f back to snap and records the failure. The snapshot text
-// is captured before Restore guts the snapshot function.
-func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManager, snap *ir.Function, kind FailureKind, msg, stack string) {
-	irText := snap.String()
-	ir.Restore(f, snap)
+// contain rolls f back to the snapshot and records the failure. The
+// snapshot text is captured before Restore guts the snapshot function, and
+// the snapshot is spent: the next invocation clones afresh.
+func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManager, kind FailureKind, msg, stack string) {
+	irText := g.snap.String()
+	ir.Restore(f, g.snap)
+	g.snap = nil
 	am.InvalidateAll()
 	pf := PassFailure{
 		Pass:     name,
@@ -144,12 +168,8 @@ func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManage
 		Stack:    stack,
 		IR:       irText,
 	}
-	g.mu.Lock()
-	g.dumpSeq++
-	seq := g.dumpSeq
-	g.mu.Unlock()
 	if g.DumpDir != "" {
-		name := fmt.Sprintf("%s-%s-%d.ir", sanitize(f.Name), sanitize(name), seq)
+		name := fmt.Sprintf("%s-%s-%d.ir", sanitize(f.Name), sanitize(name), len(g.failures)+1)
 		path := filepath.Join(g.DumpDir, name)
 		if err := os.MkdirAll(g.DumpDir, 0o755); err == nil {
 			if err := os.WriteFile(path, []byte(irText), 0o644); err == nil {
@@ -157,9 +177,7 @@ func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManage
 			}
 		}
 	}
-	g.mu.Lock()
 	g.failures = append(g.failures, pf)
-	g.mu.Unlock()
 }
 
 func sanitize(s string) string {

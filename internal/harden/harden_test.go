@@ -160,6 +160,54 @@ func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 	}
 }
 
+// TestGuardReusesSnapshotUntilIRMoves pins the retained snapshot's life
+// cycle: kept while the function hashes to it, whatever the pass declared;
+// replaced once the function has moved; spent by a rollback.
+func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
+	f := parseCountLoop(t)
+	am := analysis.NewAnalysisManager(f)
+	g := &Guard{Verify: true}
+	nop := &fakePass{name: "nop", run: func(*ir.Function, *analysis.AnalysisManager) analysis.PreservedAnalyses {
+		return analysis.PreserveNone() // declares a change it did not make
+	}}
+	liar := &fakePass{name: "liar", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
+		body := f.BlockByName("body")
+		body.Instrs()[1].SetArg(1, ir.ConstInt(ir.I64, 2)) // %i2 = add %i, 2
+		return analysis.Unchanged()
+	}}
+	crash := &fakePass{name: "crash", run: func(*ir.Function, *analysis.AnalysisManager) analysis.PreservedAnalyses {
+		panic("boom")
+	}}
+	runPass(g, nop, f, am)
+	first := g.snap
+	runPass(g, nop, f, am)
+	if first == nil || g.snap != first {
+		t.Fatalf("an untouched function was snapshotted again")
+	}
+	runPass(g, liar, f, am)
+	if g.snap != first {
+		t.Fatalf("the liar's own invocation found the function moved")
+	}
+	edited := f.String()
+	runPass(g, nop, f, am)
+	if g.snap == first || g.snap.String() != edited {
+		t.Fatalf("the snapshot did not follow the undeclared edit")
+	}
+	if _, _, failed := runPass(g, crash, f, am); !failed {
+		t.Fatalf("crash not contained")
+	}
+	if g.snap != nil {
+		t.Fatalf("a rollback must spend the snapshot: its body now is the function's")
+	}
+	if got := f.String(); got != edited || g.Failures()[0].IR != edited {
+		t.Fatalf("rolled back past the undeclared edit:\n%s", got)
+	}
+	runPass(g, nop, f, am)
+	if g.snap == nil || g.snap.String() != edited || ir.Fingerprint(g.snap) != ir.Fingerprint(f) {
+		t.Fatalf("no fresh snapshot after the rollback")
+	}
+}
+
 func TestGuardContinuesAfterFailure(t *testing.T) {
 	// A failure must leave the function usable by subsequent passes — the
 	// whole point of containment.

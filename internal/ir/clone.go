@@ -16,7 +16,9 @@ func (vm ValueMap) Lookup(v Value) Value {
 // with identical names, IDs, and structure, sharing only immutable values
 // (constants, types). Clone(f).String() == f.String(), and mutating the clone
 // never affects f — the guard in internal/harden relies on this to snapshot
-// the IR before every pass and roll back on a crash or verifier failure.
+// the IR and roll back on a crash or verifier failure. Whatever is copied
+// here is hashed by Fingerprint, which is how the guard knows a snapshot is
+// still current: a field added to one must be added to the other.
 func Clone(f *Function) *Function {
 	nf := &Function{
 		Name:        f.Name,

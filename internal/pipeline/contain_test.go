@@ -60,6 +60,47 @@ func TestContainmentRollsBackVerifierRejection(t *testing.T) {
 	}
 }
 
+// TestGuardRollsBackToLiarsOutput: the guard keeps a snapshot across
+// invocations that leave the IR alone, and decides "left alone" by hashing
+// the function, never by the pass's word. A pass that edits an operand and
+// declares Unchanged, followed by a pass that panics, must roll back to the
+// edited function — the IR the panicking pass was handed — not to the
+// snapshot from before the lie.
+func TestGuardRollsBackToLiarsOutput(t *testing.T) {
+	var edited string
+	liar := func() analysis.Pass {
+		return transform.NewPass("liar", func(f *ir.Function, _ *analysis.AnalysisManager) analysis.PreservedAnalyses {
+			for _, b := range f.Blocks() {
+				for _, in := range b.Instrs() {
+					for i, a := range in.Args() {
+						if c, ok := a.(*ir.Const); ok && !in.IsPhi() && c.Typ.IsInt() && c.Typ != ir.I1 {
+							in.SetArg(i, ir.ConstInt(c.Typ, c.Int+41))
+							edited = f.String()
+							return analysis.Unchanged()
+						}
+					}
+				}
+			}
+			t.Fatalf("no integer constant operand to edit")
+			return analysis.Unchanged()
+		})
+	}
+	opts := Options{Config: UU, LoopID: 0, Factor: 2, VerifyEachPass: true, Contain: true}
+	opts.Inject = []analysis.Pass{liar()}
+	want, _ := optimized(t, opts)
+	opts.Inject = []analysis.Pass{liar(), transform.ChaosPass(transform.ChaosPanic)}
+	got, stats := optimized(t, opts)
+	if len(stats.Failures) != 1 || stats.Failures[0].Pass != "chaos-panic" {
+		t.Fatalf("want the injected panic contained, got %+v", stats.Failures)
+	}
+	if stats.Failures[0].IR != edited {
+		t.Fatalf("rolled back past the liar's edit:\n--- restored\n%s\n--- the liar left\n%s", stats.Failures[0].IR, edited)
+	}
+	if got != want {
+		t.Fatalf("the contained panic changed the compilation result")
+	}
+}
+
 // finalised checks what every return path of Optimize owes its caller: a
 // clocked, summarised Stats, whether or not the compilation succeeded.
 func finalised(t *testing.T, st *Stats) {

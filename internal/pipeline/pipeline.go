@@ -64,8 +64,8 @@ type Options struct {
 	DisableIfConvert bool
 	// VerifyEachPass runs the IR verifier after every pass (tests).
 	VerifyEachPass bool
-	// Contain runs every pass invocation under a harden.Guard: the IR is
-	// snapshotted before the pass, panics are recovered, and — with
+	// Contain runs every pass invocation under a harden.Guard: a snapshot of
+	// the IR is in hand before the pass, panics are recovered, and — with
 	// VerifyEachPass — verifier-rejected output is rolled back too. A
 	// contained failure skips the pass (the function keeps its pre-pass
 	// form), is recorded in Stats.Failures, and never aborts compilation.
@@ -196,13 +196,13 @@ func canonicalizationPasses() []analysis.Pass {
 
 // cleanupPasses is the -O3-style middle-end round run (to fixpoint) after
 // the loop transformation, after automatic unrolling, and after predication.
-func cleanupPasses(gvnOpts transform.GVNOptions) []analysis.Pass {
+func cleanupPasses(gvn analysis.Pass) []analysis.Pass {
 	return []analysis.Pass{
 		transform.SCCPPass(),
 		transform.SimplifyCFGPass(),
 		transform.InstSimplifyPass(),
 		transform.InstCombinePass(),
-		transform.GVNPass(gvnOpts),
+		gvn,
 		transform.DCEPass(),
 		transform.SimplifyCFGPass(),
 	}
@@ -415,12 +415,13 @@ func (d *driver) run() error {
 	// (skips transformed loops), then another cleanup fixpoint to evaluate
 	// fully unrolled loops. Phase 5: backend-style predication (selp
 	// formation) and final cleanup.
-	cleanup := cleanupPasses(gvnOpts)
+	gvn := transform.GVNPass(gvnOpts) // one, so its tables are grown once
+	cleanup := cleanupPasses(gvn)
 	late := []PhaseSpec{
 		{"cleanup", cleanup, 3},
 		{"loop-opts", []analysis.Pass{
 			transform.LICMPass(),
-			transform.GVNPass(gvnOpts),
+			gvn,
 			transform.DCEPass(),
 		}, 1},
 		{"auto-unroll", []analysis.Pass{transform.AutoUnrollPass(skipAuto)}, 1},
@@ -447,8 +448,11 @@ func (d *driver) runLoopTransform(skipAuto map[*ir.Block]bool) (loopErr, err err
 	st := d.st
 	d.phase = "loop-transform"
 	_, failed, err := d.invoke(string(d.opts.Config)+"-loop-pass", func() analysis.PreservedAnalyses {
+		// Changed means edited, not transformed: a loop pass that declines
+		// has still normalized the loop it looked at.
+		was := ir.Fingerprint(d.f)
 		loopErr = d.loopTransformBody(skipAuto)
-		return analysis.If(st.LoopTransformed, analysis.PreserveNone())
+		return analysis.If(st.LoopTransformed || ir.Fingerprint(d.f) != was, analysis.PreserveNone())
 	})
 	if failed {
 		// The rollback undid any partial transformation; report the

@@ -1,9 +1,10 @@
 package transform
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -37,44 +38,17 @@ func DefaultGVNOptions() GVNOptions {
 // invalidated across loop boundaries using per-loop store summaries, and
 // across sibling subtrees by bubbling clobbers up to the parent scope.
 func GVN(f *ir.Function, opts GVNOptions) bool {
-	return gvn(f, analysis.NewAnalysisManager(f), opts)
+	return new(gvnState).run(f, analysis.NewAnalysisManager(f), opts)
 }
 
-// gvn is GVN against a caller-provided analysis manager. GVN never changes
+// run is GVN against a caller-provided analysis manager. GVN never changes
 // the CFG (it only replaces and erases instructions), so the cached trees
-// stay valid throughout.
-func gvn(f *ir.Function, am *analysis.AnalysisManager, opts GVNOptions) bool {
-	g := &gvnState{
-		opts:      opts,
-		constBase: -1 - len(f.Params),
-		constIDs:  map[constKey]int{},
-		leaders:   map[exprKey]ir.Value{},
-		repl:      map[ir.Value]ir.Value{},
-	}
-	dt := am.DomTree()
-	li := am.LoopInfo()
-	rpo := map[*ir.Block]int{}
-	{
-		i := 0
-		seen := map[*ir.Block]bool{}
-		var order []*ir.Block
-		var dfs func(b *ir.Block)
-		dfs = func(b *ir.Block) {
-			seen[b] = true
-			for _, s := range b.Succs() {
-				if !seen[s] {
-					dfs(s)
-				}
-			}
-			order = append(order, b)
-		}
-		dfs(f.Entry())
-		for j := len(order) - 1; j >= 0; j-- {
-			rpo[order[j]] = i
-			i++
-		}
-	}
-	g.walk(f.Entry(), dt, li, rpo)
+// stay valid throughout. A gvnState may run any number of times, one run
+// at a time: each run starts from empty tables but keeps their storage, so
+// the invocations of one compilation (GVNPass) grow them once.
+func (g *gvnState) run(f *ir.Function, am *analysis.AnalysisManager, opts GVNOptions) bool {
+	g.reset(f, opts)
+	g.walk(f.Entry(), am.DomTree(), am.LoopInfo())
 	if g.changed && am.Remarks().Enabled() {
 		am.Remarks().Emit(remark.Remark{
 			Kind: remark.Analysis, Pass: "gvn", Name: "ValueNumbering",
@@ -95,34 +69,107 @@ type memFact struct {
 	clobberAll bool
 }
 
-type scopeUndo struct {
-	leaderKeys []exprKey
-	leaderPrev []ir.Value
-	replKeys   []ir.Value
-	replPrev   []ir.Value
-	factMark   int
-	clobbers   []memFact // clobbers performed in this scope (bubble to parent)
+// scopeMark is a scope of the dominator-tree walk: where each of the
+// state's four stacks stood when the scope was entered. Leaving the scope
+// unwinds the two undo journals and the facts back to it; the clobbers
+// above it stay, as the enclosing scope's.
+type scopeMark struct {
+	leaderUndo, replUndo, clobbers, facts int
+}
+
+type leaderUndo struct {
+	key  exprKey
+	prev ir.Value // nil: the key had no leader
+}
+
+type replUndo struct {
+	from, prev ir.Value // prev nil: from had no replacement
 }
 
 type gvnState struct {
 	opts GVNOptions
 	// constBase is the value number of the first constant seen: just below
 	// the parameters'.
-	constBase int
-	constIDs  map[constKey]int
-	leaders   map[exprKey]ir.Value
-	repl      map[ir.Value]ir.Value
-	facts     []memFact
-	scopes    []*scopeUndo
-	changed   bool
+	constBase int32
+	constIDs  map[constKey]int32
+	// phiIDs numbers the distinct incoming lists of the phis seen (sorted
+	// (block, value) pairs, serialized), from 1.
+	phiIDs  map[string]int32
+	leaders map[exprKey]ir.Value
+	repl    map[ir.Value]ir.Value
+	facts   []memFact
+
+	// The scopes share one journal: every scope's leader and replacement
+	// undo records and its clobbers are a segment of these three stacks,
+	// delimited by the marks. clobbers holds, for every open scope, the
+	// clobbers performed in it and below it in walk order — stripped to what
+	// a pseudo-clobber keeps (ptr, clobberAll) — so the clobbers a closing
+	// scope owes its parent are already the top segment of the parent's.
+	leaderUndos []leaderUndo
+	replUndos   []replUndo
+	clobbers    []memFact
+	marks       []scopeMark
+
+	changed bool
 	// erased counts instructions deleted (CSE hits, forwarded loads,
 	// simplifications); rewrites counts operand replacements from propagated
 	// equalities. Both feed the pass's ValueNumbering remark.
 	erased   int
 	rewrites int
 
-	phiPairs []phiPair // exprKey scratch
-	phiBuf   []byte    // exprKey scratch
+	// post is each reachable block's postorder number (from 1) in a DFS over
+	// successors from the entry, by Block.ID: higher runs earlier in reverse
+	// postorder. npost is the last number handed out.
+	post  []int32
+	npost int32
+
+	instrs   []*ir.Instr // walk scratch: the block's instructions as found
+	children []*ir.Block // walk scratch: a stack of sorted child lists
+	phiPairs []phiPair   // exprKey scratch
+	phiBuf   []byte      // exprKey scratch
+}
+
+// reset empties the state for a run over f, keeping the storage of every
+// table and stack.
+func (g *gvnState) reset(f *ir.Function, opts GVNOptions) {
+	g.opts = opts
+	g.constBase = int32(-1 - len(f.Params))
+	if g.leaders == nil {
+		g.constIDs = map[constKey]int32{}
+		g.phiIDs = map[string]int32{}
+		g.leaders = map[exprKey]ir.Value{}
+		g.repl = map[ir.Value]ir.Value{}
+	}
+	clear(g.constIDs)
+	clear(g.phiIDs)
+	clear(g.leaders)
+	clear(g.repl)
+	g.facts = g.facts[:0]
+	g.leaderUndos, g.replUndos = g.leaderUndos[:0], g.replUndos[:0]
+	g.clobbers, g.marks = g.clobbers[:0], g.marks[:0]
+	g.changed, g.erased, g.rewrites = false, 0, 0
+
+	if n := f.BlockIDBound(); cap(g.post) < n {
+		g.post = make([]int32, n)
+	} else {
+		g.post = g.post[:n]
+		clear(g.post)
+	}
+	g.npost = 0
+	g.postorder(f.Entry())
+}
+
+// postorder numbers b and everything reachable from it that has no number
+// yet. A block is -1 while its successors are being numbered.
+func (g *gvnState) postorder(b *ir.Block) {
+	g.post[b.ID()] = -1
+	for _, s := range b.Succs() {
+		if g.post[s.ID()] == 0 {
+			g.postorder(s)
+		}
+	}
+	g.npost++
+	g.post[b.ID()] = g.npost
 }
 
 // constKey identifies a constant by content: equal constants share a value
@@ -133,30 +180,29 @@ type constKey struct {
 }
 
 // exprKey is the value-numbering key of a pure instruction: what it
-// computes, over the value numbers of its operands (0 = no such operand).
-// Phis are keyed by their block and, in incomings, their (block, value)
-// pairs in sorted order.
+// computes (opcode and predicate, packed), over the value numbers of its
+// operands (0 = no such operand). A phi is keyed by its block's ID in a0
+// and the number of its incoming list (gvnState.phiIDs) in a1.
 type exprKey struct {
-	op         ir.Op
-	pred       ir.Pred
 	typ        *ir.Type
-	a0, a1, a2 int
-	phiBlock   *ir.Block
-	incomings  string
+	opPred     uint32 // op<<16 | pred
+	a0, a1, a2 int32
 }
 
-type phiPair struct{ block, val int }
+func packOpPred(op ir.Op, pred ir.Pred) uint32 { return uint32(op)<<16 | uint32(pred) }
+
+type phiPair struct{ block, val int32 }
 
 // id returns v's value number: never 0, the same for one value throughout
 // the run, and shared by equal constants. Instructions are numbered by their
 // function-unique ID, parameters count down from -1, and constants continue
 // below the parameters in order of first sight.
-func (g *gvnState) id(v ir.Value) int {
+func (g *gvnState) id(v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Instr:
-		return x.ID()
+		return int32(x.ID())
 	case *ir.Param:
-		return -1 - x.Index
+		return int32(-1 - x.Index)
 	case *ir.Const:
 		key := constKey{typ: x.Typ, bits: uint64(x.Int)}
 		if x.Typ.IsFloat() {
@@ -167,7 +213,7 @@ func (g *gvnState) id(v ir.Value) int {
 		}
 		id, ok := g.constIDs[key]
 		if !ok {
-			id = g.constBase - len(g.constIDs)
+			id = g.constBase - int32(len(g.constIDs))
 			g.constIDs[key] = id
 		}
 		return id
@@ -175,37 +221,44 @@ func (g *gvnState) id(v ir.Value) int {
 	panic("transform: gvn: value of unknown kind " + v.Ref())
 }
 
-func (g *gvnState) scope() *scopeUndo { return g.scopes[len(g.scopes)-1] }
-
 func (g *gvnState) pushScope() {
-	g.scopes = append(g.scopes, &scopeUndo{factMark: len(g.facts)})
+	g.marks = append(g.marks, scopeMark{len(g.leaderUndos), len(g.replUndos), len(g.clobbers), len(g.facts)})
 }
 
-func (g *gvnState) popScope() *scopeUndo {
-	s := g.scope()
-	for i := len(s.leaderKeys) - 1; i >= 0; i-- {
-		if s.leaderPrev[i] == nil {
-			delete(g.leaders, s.leaderKeys[i])
+// popScope leaves the innermost scope: its leaders and replacements are
+// undone, its facts dropped, and its clobbers — the scope's own and those
+// that bubbled into it — become pseudo-clobbers of the enclosing scope, so
+// later dominator-tree siblings see them. They already sit on top of the
+// enclosing scope's segment of g.clobbers; all that is left to do is to
+// re-append them to the facts.
+func (g *gvnState) popScope() {
+	m := g.marks[len(g.marks)-1]
+	g.marks = g.marks[:len(g.marks)-1]
+	for i := len(g.leaderUndos) - 1; i >= m.leaderUndo; i-- {
+		if u := &g.leaderUndos[i]; u.prev == nil {
+			delete(g.leaders, u.key)
 		} else {
-			g.leaders[s.leaderKeys[i]] = s.leaderPrev[i]
+			g.leaders[u.key] = u.prev
 		}
 	}
-	for i := len(s.replKeys) - 1; i >= 0; i-- {
-		if s.replPrev[i] == nil {
-			delete(g.repl, s.replKeys[i])
+	g.leaderUndos = g.leaderUndos[:m.leaderUndo]
+	for i := len(g.replUndos) - 1; i >= m.replUndo; i-- {
+		if u := &g.replUndos[i]; u.prev == nil {
+			delete(g.repl, u.from)
 		} else {
-			g.repl[s.replKeys[i]] = s.replPrev[i]
+			g.repl[u.from] = u.prev
 		}
 	}
-	g.facts = g.facts[:s.factMark]
-	g.scopes = g.scopes[:len(g.scopes)-1]
-	return s
+	g.replUndos = g.replUndos[:m.replUndo]
+	if len(g.marks) == 0 {
+		g.facts, g.clobbers = g.facts[:m.facts], g.clobbers[:m.clobbers]
+		return
+	}
+	g.facts = append(g.facts[:m.facts], g.clobbers[m.clobbers:]...)
 }
 
 func (g *gvnState) setLeader(key exprKey, v ir.Value) {
-	s := g.scope()
-	s.leaderKeys = append(s.leaderKeys, key)
-	s.leaderPrev = append(s.leaderPrev, g.leaders[key])
+	g.leaderUndos = append(g.leaderUndos, leaderUndo{key, g.leaders[key]})
 	g.leaders[key] = v
 }
 
@@ -213,9 +266,7 @@ func (g *gvnState) setRepl(from, to ir.Value) {
 	if from == to {
 		return
 	}
-	s := g.scope()
-	s.replKeys = append(s.replKeys, from)
-	s.replPrev = append(s.replPrev, g.repl[from])
+	g.replUndos = append(g.replUndos, replUndo{from, g.repl[from]})
 	g.repl[from] = to
 }
 
@@ -231,9 +282,11 @@ func (g *gvnState) resolve(v ir.Value) ir.Value {
 	return v
 }
 
+// addClobber records c as a fact of the current scope and, stripped to a
+// pseudo-clobber, as something the scope owes its parent.
 func (g *gvnState) addClobber(c memFact) {
 	g.facts = append(g.facts, c)
-	g.scope().clobbers = append(g.scope().clobbers, c)
+	g.clobbers = append(g.clobbers, memFact{ptr: c.ptr, clobberAll: c.clobberAll})
 }
 
 // exprKey builds the hash key of a pure instruction, canonicalizing
@@ -249,25 +302,32 @@ func (g *gvnState) exprKey(in *ir.Instr) (exprKey, bool) {
 		// Phis are keyed by their block plus sorted (block, value) pairs.
 		pairs := g.phiPairs[:0]
 		for i := 0; i < in.NumArgs(); i++ {
-			pairs = append(pairs, phiPair{in.BlockArg(i).ID(), g.id(in.Arg(i))})
+			pairs = append(pairs, phiPair{int32(in.BlockArg(i).ID()), g.id(in.Arg(i))})
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].block != pairs[j].block {
-				return pairs[i].block < pairs[j].block
+		slices.SortFunc(pairs, func(a, b phiPair) int {
+			if a.block != b.block {
+				return cmp.Compare(a.block, b.block)
 			}
-			return pairs[i].val < pairs[j].val
+			return cmp.Compare(a.val, b.val)
 		})
 		buf := g.phiBuf[:0]
 		for _, p := range pairs {
 			buf = binary.AppendVarint(binary.AppendUvarint(buf, uint64(p.block)), int64(p.val))
 		}
 		g.phiPairs, g.phiBuf = pairs, buf
-		return exprKey{op: ir.OpPhi, typ: in.Type(), phiBlock: in.Block(), incomings: string(buf)}, true
+		// The lookup converts without copying; only a list seen for the
+		// first time is kept as a string.
+		incomings, ok := g.phiIDs[string(buf)]
+		if !ok {
+			incomings = int32(len(g.phiIDs) + 1)
+			g.phiIDs[string(buf)] = incomings
+		}
+		return exprKey{typ: in.Type(), opPred: packOpPred(ir.OpPhi, 0), a0: int32(in.Block().ID()), a1: incomings}, true
 	}
 	if in.NumArgs() > 3 {
 		panic("transform: gvn: " + in.Op.String() + " has more operands than an exprKey holds")
 	}
-	key := exprKey{op: in.Op, pred: in.Pred, typ: in.Type()}
+	key := exprKey{typ: in.Type()}
 	if in.NumArgs() >= 1 {
 		key.a0 = g.id(in.Arg(0))
 	}
@@ -277,6 +337,7 @@ func (g *gvnState) exprKey(in *ir.Instr) (exprKey, bool) {
 	if in.NumArgs() >= 3 {
 		key.a2 = g.id(in.Arg(2))
 	}
+	pred := in.Pred
 	switch {
 	case in.IsCommutative() && in.NumArgs() == 2:
 		if key.a0 > key.a1 {
@@ -285,9 +346,10 @@ func (g *gvnState) exprKey(in *ir.Instr) (exprKey, bool) {
 	case in.Op == ir.OpICmp || in.Op == ir.OpFCmp:
 		if key.a0 > key.a1 {
 			key.a0, key.a1 = key.a1, key.a0
-			key.pred = key.pred.Swapped()
+			pred = pred.Swapped()
 		}
 	}
+	key.opPred = packOpPred(in.Op, pred)
 	return key, true
 }
 
@@ -299,7 +361,7 @@ func (g *gvnState) cmpKeys(in *ir.Instr) (key, invKey exprKey, ok bool) {
 	}
 	key, _ = g.exprKey(in)
 	invKey = key
-	invKey.pred = key.pred.Inverse()
+	invKey.opPred = packOpPred(in.Op, ir.Pred(key.opPred&0xffff).Inverse())
 	return key, invKey, true
 }
 
@@ -314,11 +376,9 @@ func (g *gvnState) replaceAndErase(in *ir.Instr, v ir.Value) {
 			g.facts[i].val = v
 		}
 	}
-	for si := range g.scopes {
-		for ci := range g.scopes[si].clobbers {
-			if g.scopes[si].clobbers[ci].ptr == ir.Value(in) {
-				g.scopes[si].clobbers[ci].ptr = v
-			}
+	for i := range g.clobbers {
+		if g.clobbers[i].ptr == ir.Value(in) {
+			g.clobbers[i].ptr = v
 		}
 	}
 	in.ReplaceAllUsesWith(v)
@@ -334,7 +394,7 @@ func (g *gvnState) setArg(in *ir.Instr, i int, v ir.Value) {
 	g.rewrites++
 }
 
-func (g *gvnState) walk(b *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo, rpo map[*ir.Block]int) {
+func (g *gvnState) walk(b *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo) {
 	g.pushScope()
 
 	// Entering a loop header: every fact established outside the loop that a
@@ -357,7 +417,10 @@ func (g *gvnState) walk(b *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo
 		}
 	}
 
-	for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+	// The loop erases from the block as it goes: iterate a copy (the scratch
+	// is free again before the recursion below).
+	g.instrs = append(g.instrs[:0], b.Instrs()...)
+	for _, in := range g.instrs {
 		if in.Block() == nil {
 			continue // already erased
 		}
@@ -432,36 +495,33 @@ func (g *gvnState) walk(b *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo
 
 	// Recurse over dominator-tree children in reverse postorder, so that
 	// clobbers from earlier-executing siblings are visible to later ones.
-	children := append([]*ir.Block(nil), dt.Children(b)...)
-	sort.Slice(children, func(i, j int) bool { return rpo[children[i]] < rpo[children[j]] })
-	for _, c := range children {
-		g.walkChildWithAssertions(b, c, dt, li, rpo)
-	}
-
-	s := g.popScope()
-	// Bubble this scope's clobbers into the parent so later siblings see
-	// them as pseudo-clobbers.
-	if len(g.scopes) > 0 {
-		for _, c := range s.clobbers {
-			g.addClobber(memFact{ptr: c.ptr, clobberAll: c.clobberAll})
+	// The sorted list lives on a stack the recursion shares, so it is
+	// addressed by position: deeper walks may move the stack.
+	base := len(g.children)
+	g.children = append(g.children, dt.Children(b)...)
+	kids := g.children[base:]
+	for i := 1; i < len(kids); i++ {
+		for j := i; j > 0 && g.post[kids[j].ID()] > g.post[kids[j-1].ID()]; j-- {
+			kids[j], kids[j-1] = kids[j-1], kids[j]
 		}
 	}
+	for i := base; i < base+len(kids); i++ {
+		g.walkChildWithAssertions(b, g.children[i], dt, li)
+	}
+	g.children = g.children[:base]
+
+	g.popScope()
 }
 
 // walkChildWithAssertions wraps a child walk in a scope holding the edge
 // assertions valid on the b->child edge. The dedicated scope keeps the
 // assertions from leaking to later dominator-tree siblings, where the edge
 // facts would not hold.
-func (g *gvnState) walkChildWithAssertions(b, child *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo, rpo map[*ir.Block]int) {
+func (g *gvnState) walkChildWithAssertions(b, child *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo) {
 	g.pushScope()
 	g.installEdgeAssertions(b, child)
-	g.walk(child, dt, li, rpo)
-	s := g.popScope()
-	if len(g.scopes) > 0 {
-		for _, c := range s.clobbers {
-			g.addClobber(memFact{ptr: c.ptr, clobberAll: c.clobberAll})
-		}
-	}
+	g.walk(child, dt, li)
+	g.popScope()
 }
 
 func (g *gvnState) installEdgeAssertions(b, child *ir.Block) {
@@ -511,17 +571,19 @@ func (g *gvnState) handleLoad(in *ir.Instr) bool {
 	if !g.opts.EliminateLoads {
 		return false
 	}
-	p := in.Arg(0)
+	// The load's pointer is decomposed once for the whole scan: nothing
+	// below rewrites an operand before it returns. The facts' pointers are
+	// decomposed per query and never cached — GVN's equality
+	// canonicalization rewrites GEP operands mid-run, which would force a
+	// memo flush per mutation (see AliasInfo.Reset), and the query is a
+	// short pointer chase, cheaper than the map traffic of memoizing it.
+	p := analysis.Decompose(in.Arg(0))
 	for i := len(g.facts) - 1; i >= 0; i-- {
 		f := g.facts[i]
 		if f.clobberAll {
 			break
 		}
-		// Deliberately the unmemoized query: GVN's equality canonicalization
-		// rewrites GEP operands mid-run, which would force a memo flush per
-		// mutation (see AliasInfo.Reset) — and Alias itself is a short
-		// pointer chase, cheaper than the map traffic of memoizing it here.
-		res := analysis.Alias(p, f.ptr)
+		res := p.Alias(f.ptr)
 		if f.isStore && f.val != nil {
 			if res == analysis.MustAlias && f.val.Type() == in.Type() {
 				g.replaceAndErase(in, f.val)
@@ -545,6 +607,6 @@ func (g *gvnState) handleLoad(in *ir.Instr) bool {
 			return true
 		}
 	}
-	g.facts = append(g.facts, memFact{ptr: p, val: in})
+	g.facts = append(g.facts, memFact{ptr: in.Arg(0), val: in})
 	return false
 }

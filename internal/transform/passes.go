@@ -81,10 +81,14 @@ func SCCPPass() analysis.Pass {
 }
 
 // GVNPass numbers values over the cached dominator tree. It only replaces
-// and erases instructions, so the CFG is preserved.
+// and erases instructions, so the CFG is preserved. The pass owns its
+// value-numbering tables and reuses their storage from one invocation to
+// the next, so a pass value serves one compilation at a time — the pipeline
+// builds one per Optimize call and runs all its GVN invocations through it.
 func GVNPass(opts GVNOptions) analysis.Pass {
+	g := new(gvnState)
 	return funcPass{"gvn", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		return analysis.If(gvn(f, am, opts), analysis.PreserveCFG())
+		return analysis.If(g.run(f, am, opts), analysis.PreserveCFG())
 	}}
 }
 

@@ -221,13 +221,13 @@ func refSCCP(f *ir.Function) (changed, cfgChanged bool) {
 	return changed, cfgChanged
 }
 
-// sccpInputs calls visit with the differential test's inputs: each of the
-// 16 suite kernels and 500 generated ones as the pipeline's loop
+// loopPassInputs calls visit with a differential test's inputs: each of the
+// 16 suite kernels and seeds generated ones as the pipeline's loop
 // transformation sees it (canonicalized) and as it leaves it (every loop,
-// u&u at 2, 4 and 8) — the shape SCCP's tables must be cheap on. The
-// generated kernels are unmerged to a small cap to keep the oracle's maps
-// affordable.
-func sccpInputs(t *testing.T, visit func(name string, f *ir.Function)) {
+// u&u at 2, 4 and 8) — the shape the cleanup passes' tables must be cheap
+// on. The generated kernels are unmerged to a small cap to keep the oracles'
+// maps affordable.
+func loopPassInputs(t *testing.T, seeds int64, visit func(name string, f *ir.Function)) {
 	t.Helper()
 	var fs []*ir.Function
 	for _, b := range bench.Suite {
@@ -237,7 +237,7 @@ func sccpInputs(t *testing.T, visit func(name string, f *ir.Function)) {
 		}
 		fs = append(fs, f)
 	}
-	for seed := int64(1); seed <= 500; seed++ {
+	for seed := int64(1); seed <= seeds; seed++ {
 		fs = append(fs, harden.Generate(seed).F)
 	}
 	for i, f := range fs {
@@ -270,7 +270,7 @@ func sccpInputs(t *testing.T, visit func(name string, f *ir.Function)) {
 // rounds (folded branches, unreachable remains removed) are compared too.
 func TestSCCPMatchesReference(t *testing.T) {
 	inputs, folds := 0, 0
-	sccpInputs(t, func(name string, f *ir.Function) {
+	loopPassInputs(t, 500, func(name string, f *ir.Function) {
 		inputs++
 		ref := ir.Clone(f)
 		for round := 1; ; round++ {
