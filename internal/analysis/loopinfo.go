@@ -15,7 +15,7 @@ type Loop struct {
 	Children []*Loop
 
 	blocks   []*ir.Block // in discovery order, Header first
-	blockSet map[*ir.Block]bool
+	blockSet ir.BlockSet
 	latches  []*ir.Block // blocks with a back edge to Header
 	ID       int         // deterministic ID assigned by LoopInfo (preorder over headers)
 }
@@ -23,8 +23,9 @@ type Loop struct {
 // Blocks returns the loop's blocks (header first). Must not be mutated.
 func (l *Loop) Blocks() []*ir.Block { return l.blocks }
 
-// Contains reports whether b is inside the loop (including nested loops).
-func (l *Loop) Contains(b *ir.Block) bool { return l.blockSet[b] }
+// Contains reports whether b is inside the loop (including nested loops). A
+// block minted after the loop info was built is not.
+func (l *Loop) Contains(b *ir.Block) bool { return l.blockSet.Has(b) }
 
 // Latches returns the blocks with back edges to the header.
 func (l *Loop) Latches() []*ir.Block { return l.latches }
@@ -83,13 +84,11 @@ func (l *Loop) ExitingBlocks() []*ir.Block {
 // ExitBlocks returns the distinct blocks outside the loop with a predecessor
 // inside it.
 func (l *Loop) ExitBlocks() []*ir.Block {
-	seen := map[*ir.Block]bool{}
 	var out []*ir.Block
 	for _, b := range l.blocks {
 		for _, s := range b.Succs() {
-			if !l.Contains(s) && !seen[s] {
-				seen[s] = true
-				out = append(out, s)
+			if !l.Contains(s) {
+				out = appendUnique(out, s)
 			}
 		}
 	}
@@ -103,50 +102,59 @@ func (l *Loop) String() string {
 
 // LoopInfo holds all natural loops of a function.
 type LoopInfo struct {
-	Loops   []*Loop // all loops, preorder: outer before inner, by header RPO
-	Top     []*Loop // outermost loops
-	loopOf  map[*ir.Block]*Loop
-	domTree *DomTree
+	Loops  []*Loop // all loops, preorder: outer before inner, by header RPO
+	Top    []*Loop // outermost loops
+	loopOf []int32 // by Block.ID: the innermost containing loop's ID + 1, 0 for none
 }
 
-// NewLoopInfo discovers the natural loops of f. Loops sharing a header are
-// merged (as in LLVM). Loop IDs are assigned deterministically in reverse
-// postorder of headers, outer loops first — these are the "consistent,
-// deterministic unique ids" the paper's pass exposes for per-loop selection.
+// NewLoopInfo discovers the natural loops of f, given f's dominator tree.
+// Loops sharing a header are merged (as in LLVM). Loop IDs are assigned
+// deterministically in reverse postorder of headers, outer loops first —
+// these are the "consistent, deterministic unique ids" the paper's pass
+// exposes for per-loop selection.
 func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
-	li := &LoopInfo{loopOf: map[*ir.Block]*Loop{}, domTree: dt}
+	li := &LoopInfo{}
 
-	// Find back edges.
-	byHeader := map[*ir.Block]*Loop{}
-	var headers []*ir.Block
+	// Find back edges. While loops are being discovered, loopOf maps a
+	// header to its loop's position in loops (+ 1).
+	var loops []*Loop
 	for _, b := range f.Blocks() {
 		for _, s := range b.Succs() {
-			if dt.Dominates(s, b) { // back edge b->s
-				l := byHeader[s]
-				if l == nil {
-					l = &Loop{Header: s, blockSet: map[*ir.Block]bool{s: true}, blocks: []*ir.Block{s}}
-					byHeader[s] = l
-					headers = append(headers, s)
-				}
-				l.latches = append(l.latches, b)
+			if !dt.Dominates(s, b) {
+				continue
 			}
+			// Back edge b->s.
+			if li.loopOf == nil {
+				li.loopOf = make([]int32, f.BlockIDBound())
+			}
+			if li.loopOf[s.ID()] == 0 {
+				loops = append(loops, &Loop{Header: s, blocks: []*ir.Block{s}})
+				li.loopOf[s.ID()] = int32(len(loops))
+			}
+			l := loops[li.loopOf[s.ID()]-1]
+			l.latches = append(l.latches, b)
 		}
+	}
+	if len(loops) == 0 {
+		return li
 	}
 
 	// Populate loop bodies: walk backwards from each latch until the header.
-	for _, h := range headers {
-		l := byHeader[h]
-		work := append([]*ir.Block(nil), l.latches...)
+	var work []*ir.Block
+	for _, l := range loops {
+		l.blockSet = ir.NewBlockSet(f)
+		l.blockSet.Add(l.Header)
+		work = append(work[:0], l.latches...)
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			if l.blockSet[b] {
+			if l.blockSet.Has(b) {
 				continue
 			}
-			l.blockSet[b] = true
+			l.blockSet.Add(b)
 			l.blocks = append(l.blocks, b)
 			for _, p := range b.Preds() {
-				if !l.blockSet[p] && dt.Reachable(p) {
+				if !l.blockSet.Has(p) && dt.Reachable(p) {
 					work = append(work, p)
 				}
 			}
@@ -154,10 +162,6 @@ func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 	}
 
 	// Establish nesting: parent = smallest strictly-containing loop.
-	loops := make([]*Loop, 0, len(headers))
-	for _, h := range headers {
-		loops = append(loops, byHeader[h])
-	}
 	for _, inner := range loops {
 		var best *Loop
 		for _, outer := range loops {
@@ -174,16 +178,20 @@ func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 		}
 	}
 
-	// Deterministic ordering: sort headers by reverse postorder position.
-	rpo := rpoIndex(f)
-	sort.SliceStable(loops, func(i, j int) bool {
-		di, dj := loops[i].Depth(), loops[j].Depth()
-		ri, rj := rpo[loops[i].Header], rpo[loops[j].Header]
-		if ri != rj {
-			return ri < rj
-		}
-		return di < dj
-	})
+	// Deterministic ordering: sort headers by reverse postorder position,
+	// which is the header's number in the dominator tree (both come from one
+	// DFS over successors from the entry; a header outside the tree sorts
+	// first, as it did with no position at all).
+	if len(loops) > 1 {
+		sort.SliceStable(loops, func(i, j int) bool {
+			di, dj := loops[i].Depth(), loops[j].Depth()
+			ri, rj := dt.numOf(loops[i].Header), dt.numOf(loops[j].Header)
+			if ri != rj {
+				return ri < rj
+			}
+			return di < dj
+		})
+	}
 	for i, l := range loops {
 		l.ID = i
 	}
@@ -195,19 +203,26 @@ func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 	}
 
 	// loopOf: innermost loop containing each block.
+	clear(li.loopOf)
 	for _, l := range loops {
 		for _, b := range l.blocks {
-			cur := li.loopOf[b]
-			if cur == nil || len(l.blocks) < len(cur.blocks) {
-				li.loopOf[b] = l
+			cur := li.loopOf[b.ID()]
+			if cur == 0 || len(l.blocks) < len(loops[cur-1].blocks) {
+				li.loopOf[b.ID()] = int32(l.ID + 1)
 			}
 		}
 	}
 	return li
 }
 
-// LoopFor returns the innermost loop containing b, or nil.
-func (li *LoopInfo) LoopFor(b *ir.Block) *Loop { return li.loopOf[b] }
+// LoopFor returns the innermost loop containing b, or nil. A block minted
+// after the loop info was built is in no loop.
+func (li *LoopInfo) LoopFor(b *ir.Block) *Loop {
+	if id := b.ID(); id < len(li.loopOf) && li.loopOf[id] != 0 {
+		return li.Loops[li.loopOf[id]-1]
+	}
+	return nil
+}
 
 // LoopByID returns the loop with the given deterministic ID, or nil.
 func (li *LoopInfo) LoopByID(id int) *Loop {
@@ -215,28 +230,6 @@ func (li *LoopInfo) LoopByID(id int) *Loop {
 		return nil
 	}
 	return li.Loops[id]
-}
-
-// rpoIndex returns each reachable block's reverse-postorder index.
-func rpoIndex(f *ir.Function) map[*ir.Block]int {
-	seen := map[*ir.Block]bool{}
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b] = true
-		for _, s := range b.Succs() {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	idx := map[*ir.Block]int{}
-	for i := len(post) - 1; i >= 0; i-- {
-		idx[post[i]] = len(post) - 1 - i
-	}
-	return idx
 }
 
 // HasConvergentOp reports whether any instruction in the loop is convergent

@@ -8,27 +8,34 @@ import (
 )
 
 // worstCell is the sweep's most expensive uu u=8 compile (libor's loop 0:
-// 1.9 s before block numbering, the largest by pipeline.optimize_ms_max):
-// the unmerged body hits the growth cap, so every per-round and per-lookup
-// cost in the merge search and the cleanup passes is paid at full size.
+// 1.9 s before block numbering, 0.45 s before the analyses and the merge
+// search were indexed by it, 0.2 s now; the largest by
+// pipeline.optimize_ms_max): the unmerged body hits the growth cap, so every
+// per-round and per-lookup cost in the merge search and the cleanup passes
+// is paid at full size.
 func worstCell() (*Benchmark, pipeline.Options) {
 	return ByName("libor"), pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 8}
 }
 
-// worstCellAllocCeiling is twice what compiling worstCell allocates (27 MB).
-// With the pointer-keyed maps that block and instruction numbering replaced
-// — a fresh visited map per merge search, SCCP's edge and lattice maps,
-// GVN's string keys — the same compile allocated 216 MB, and with an undo
-// record and four slices per GVN scope 43 MB, so either creeping back onto
-// a hot path fails this long before it shows in a timing.
-const worstCellAllocCeiling = 54 << 20
+// worstCellAllocCeiling is twice what compiling worstCell allocates (16.4
+// MB). With the pointer-keyed maps that block and instruction numbering
+// replaced — a fresh visited map per merge search, SCCP's edge and lattice
+// maps, GVN's string keys — the same compile allocated 216 MB; with an undo
+// record and four slices per GVN scope 43 MB; and with map-based dominator
+// trees, loop info and clone tables, and an SCCP lattice per invocation,
+// 27 MB — so any of them creeping back onto a hot path fails this long
+// before it shows in a timing.
+const worstCellAllocCeiling = 33 << 20
 
 // worstCellContainedAllocCeiling bounds the same compile under the guard
-// with the verifier after every pass (138 MB; 274 MB while the guard
-// cloned the function before every pass invocation and GVN kept per-scope
-// records). It is 0.6 of that old figure: a guard that goes back to one
-// snapshot per invocation fails here before it shows in a benchmark.
-const worstCellContainedAllocCeiling = 165 << 20
+// with the verifier after every pass (56 MB; 138 MB while the verifier kept
+// an edge map per block and a position per instruction and ir.Clone two
+// value maps; 274 MB while the guard cloned the function before every pass
+// invocation and GVN kept per-scope records). It is 1.2 times the current
+// figure, the margin the 165 MB ceiling it replaces had: a guard that goes
+// back to one snapshot per invocation, or a verifier that goes back to
+// hashing, fails here before it shows in a benchmark.
+const worstCellContainedAllocCeiling = 68 << 20
 
 // compileAllocation compiles app under opts and returns the bytes allocated.
 func compileAllocation(t *testing.T, app *Benchmark, opts pipeline.Options) uint64 {

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"uu/internal/analysis"
 	"uu/internal/pipeline"
 	"uu/internal/remark"
 )
@@ -48,6 +49,45 @@ func BenchmarkPipelineCompileUU(b *testing.B) {
 	run("u8-worst", app, opts)
 	opts.Contain, opts.VerifyEachPass = true, true
 	run("u8-worst-contained", app, opts)
+}
+
+// BenchmarkAnalysesWorstCell builds each cached CFG analysis over the worst
+// cell's function as the loop pass leaves it — the 4 000-block body every
+// cleanup round's first dominator tree and loop info are built over, and
+// the shape where a table hashed by block pointer cost most.
+func BenchmarkAnalysesWorstCell(b *testing.B) {
+	app, opts := worstCell()
+	f, err := app.CompileKernel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.StopAfter = 5 // the four canonicalization passes, then the loop pass
+	st, err := pipeline.Optimize(f, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if last := st.PassTimes[len(st.PassTimes)-1].Name; last != "uu-loop-pass" {
+		b.Fatalf("the pipeline stopped after %s, not after the loop pass", last)
+	}
+	dt := analysis.NewDomTree(f)
+	b.Run("domtree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			analysis.NewDomTree(f)
+		}
+	})
+	b.Run("postdomtree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			analysis.NewPostDomTree(f)
+		}
+	})
+	b.Run("loopinfo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			analysis.NewLoopInfo(f, dt)
+		}
+	})
 }
 
 // BenchmarkPipelineCompileRemarks measures the same u&u compile with the

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"testing"
+
 	"uu/internal/analysis"
 	"uu/internal/ir"
 )
@@ -86,4 +89,48 @@ func UnmergeWithOracle(f *ir.Function, l *analysis.Loop, opts Options, mismatch 
 		u.split(got)
 		sync(f.Blocks()[n:])
 	}
+}
+
+// UnmergeAuditingAdjacency is Unmerge with the merge search's adjacency
+// audited after newUnmerger and after every split: for every block of the
+// loop, the row the search walks must equal one recomputed from the IR, and
+// stale is called with a description where it does not. It returns the
+// number of splits and what one merge search allocates once the fixpoint
+// has grown the search's buffers.
+func UnmergeAuditingAdjacency(f *ir.Function, l *analysis.Loop, opts Options, stale func(string)) (splits int, searchAllocs float64) {
+	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts)
+	if u == nil {
+		return 0, 0
+	}
+	audit := func() {
+		for _, b := range f.Blocks() {
+			if !u.loopSet.has(b) {
+				continue
+			}
+			want := loopRow{b: b, succs: [2]int32{noBlock, noBlock}}
+			k := 0
+			for _, s := range b.Succs() {
+				if s != u.header && u.loopSet.has(s) {
+					want.succs[k] = int32(s.ID())
+					k++
+				}
+			}
+			for _, p := range b.Preds() {
+				if u.loopSet.has(p) {
+					want.inPreds++
+				}
+			}
+			if got := u.rows[b.ID()]; got != want {
+				stale(fmt.Sprintf("after %d splits, block %s: adjacency has %v / %d in-loop preds, the IR %v / %d",
+					splits, b.Name, got.succs, got.inPreds, want.succs, want.inPreds))
+			}
+		}
+	}
+	audit()
+	for b := u.nextMerge(); b != nil; b = u.nextMerge() {
+		u.split(b)
+		splits++
+		audit()
+	}
+	return splits, testing.AllocsPerRun(10, func() { u.findMergeBlock() })
 }

@@ -86,13 +86,15 @@ func newBlockMarks(f *ir.Function) blockMarks {
 	return blockMarks{stamp: make([]uint32, f.BlockIDBound()), epoch: 1}
 }
 
-func (m *blockMarks) has(b *ir.Block) bool {
-	id := b.ID()
+func (m *blockMarks) has(b *ir.Block) bool { return m.hasID(b.ID()) }
+
+func (m *blockMarks) hasID(id int) bool {
 	return id < len(m.stamp) && m.stamp[id] == m.epoch
 }
 
-func (m *blockMarks) add(b *ir.Block) {
-	id := b.ID()
+func (m *blockMarks) add(b *ir.Block) { m.addID(b.ID()) }
+
+func (m *blockMarks) addID(id int) {
 	if id >= len(m.stamp) {
 		m.stamp = append(m.stamp, make([]uint32, id+1-len(m.stamp))...)
 	}
@@ -103,9 +105,9 @@ func (m *blockMarks) add(b *ir.Block) {
 // creates and stops at MaxBlocks, so the epoch cannot wrap.
 func (m *blockMarks) clear() { m.epoch++ }
 
-// unmerger is the state of one Unmerge call: the loop's growing block set
-// and the scratch the merge search and each duplication reuse, all keyed by
-// block ID.
+// unmerger is the state of one Unmerge call: the loop's growing block set,
+// the merge search's view of the body and the scratch the search and each
+// duplication reuse, all keyed by block ID.
 type unmerger struct {
 	f      *ir.Function
 	am     *analysis.AnalysisManager
@@ -126,20 +128,40 @@ type unmerger struct {
 	// entry, the only ones that mode duplicates.
 	initial blockMarks
 
+	// rows is the loop body as the merge search reads it, by block ID. Only
+	// split changes any of it, and refreshes the rows it changed.
+	rows []loopRow
+
 	// Merge-search scratch.
 	visited blockMarks
 	stack   []dfsFrame
-	order   []*ir.Block
-	// Per-duplication scratch: the region being cloned, and the region plus
-	// its clones.
+	order   []int32
+	// Per-duplication scratch: the cloner's tables, the region being cloned
+	// and its marks, the region plus its clones, and a copy of the phis an
+	// erasing loop walks.
+	cloner         *ir.Cloner
+	region         []*ir.Block
 	inRegion       blockMarks
 	regionOrClones blockMarks
 	work           []*ir.Block
+	phis           []*ir.Instr
 }
 
+// loopRow is what the merge search reads of one loop block.
+type loopRow struct {
+	b *ir.Block
+	// succs holds the IDs of the block's successors inside the loop other
+	// than the header, in terminator order; noBlock where there is none.
+	succs [2]int32
+	// inPreds counts the block's predecessor edges from inside the loop.
+	inPreds int32
+}
+
+const noBlock = -1
+
 type dfsFrame struct {
-	succs []*ir.Block // the block's successors still to look at
-	b     *ir.Block
+	id   int32
+	next int32 // the slot of rows[id].succs to look at next
 }
 
 // newUnmerger puts l into preheader/LCSSA form and builds the block sets, or
@@ -151,7 +173,7 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	if l.Latch() == nil {
 		return nil
 	}
-	u := &unmerger{f: f, am: am, header: l.Header, opts: opts, maxBlocks: opts.MaxBlocks}
+	u := &unmerger{f: f, am: am, header: l.Header, opts: opts, maxBlocks: opts.MaxBlocks, cloner: ir.NewCloner(f)}
 	if u.maxBlocks == 0 {
 		u.maxBlocks = DefaultMaxBlocks
 	}
@@ -166,6 +188,9 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	u.regionOrClones = newBlockMarks(f)
 	for _, b := range l.Blocks() {
 		u.loopSet.add(b)
+	}
+	for _, b := range l.Blocks() {
+		u.refresh(b)
 	}
 
 	// Blocks of inner loops keep their merges: duplicating an inner back
@@ -189,7 +214,7 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 			if b == u.header || u.exempt.has(b) {
 				continue
 			}
-			if u.inLoopPreds(b) >= 2 && !profitable[b] {
+			if u.rows[b.ID()].inPreds >= 2 && !profitable[b] {
 				u.exempt.add(b)
 			}
 		}
@@ -208,14 +233,25 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	return u
 }
 
-func (u *unmerger) inLoopPreds(b *ir.Block) int {
-	n := 0
-	for _, p := range b.Preds() {
-		if u.loopSet.has(p) {
-			n++
+// refresh re-reads loop block b's row from the IR.
+func (u *unmerger) refresh(b *ir.Block) {
+	if n := u.f.BlockIDBound() - len(u.rows); n > 0 {
+		u.rows = append(u.rows, make([]loopRow, n)...)
+	}
+	row := loopRow{b: b, succs: [2]int32{noBlock, noBlock}}
+	k := 0
+	for _, s := range b.Succs() {
+		if s != u.header && u.loopSet.has(s) {
+			row.succs[k] = int32(s.ID())
+			k++
 		}
 	}
-	return n
+	for _, p := range b.Preds() {
+		if u.loopSet.has(p) {
+			row.inPreds++
+		}
+	}
+	u.rows[b.ID()] = row
 }
 
 // nextMerge returns the merge block to duplicate next, or nil when none is
@@ -236,39 +272,36 @@ func (u *unmerger) nextMerge() *ir.Block {
 // findMergeBlock returns the first non-exempt block (in reverse postorder
 // from the header through in-loop forward edges) that merges several in-loop
 // predecessors, or nil. It runs once per duplicated merge block over a body
-// that duplication keeps growing, so the DFS is iterative over reused,
-// ID-indexed scratch: no allocation once the buffers have grown.
+// that duplication keeps growing, so the DFS is iterative and walks the
+// unmerger's own rows rather than the IR's terminators: no allocation once
+// the buffers have grown, and one small record to read per block.
 func (u *unmerger) findMergeBlock() *ir.Block {
 	// Postorder over the loop body DAG (edges into the header ignored).
 	u.visited.clear()
 	u.order = u.order[:0]
 	u.visited.add(u.header)
-	u.stack = append(u.stack[:0], dfsFrame{u.header.Succs(), u.header})
+	u.stack = append(u.stack[:0], dfsFrame{id: int32(u.header.ID())})
 	for len(u.stack) > 0 {
 		top := &u.stack[len(u.stack)-1]
-		var child *ir.Block
-		for len(top.succs) > 0 && child == nil {
-			s := top.succs[0]
-			top.succs = top.succs[1:]
-			if u.loopSet.has(s) && s != u.header && !u.visited.has(s) {
+		child := int32(noBlock)
+		for row := &u.rows[top.id]; top.next < 2 && child == noBlock; top.next++ {
+			if s := row.succs[top.next]; s != noBlock && !u.visited.hasID(int(s)) {
 				child = s
 			}
 		}
-		if child == nil {
-			u.order = append(u.order, top.b)
+		if child == noBlock {
+			u.order = append(u.order, top.id)
 			u.stack = u.stack[:len(u.stack)-1]
 			continue
 		}
-		u.visited.add(child)
-		u.stack = append(u.stack, dfsFrame{child.Succs(), child})
+		u.visited.addID(int(child))
+		u.stack = append(u.stack, dfsFrame{id: child})
 	}
-	for i := len(u.order) - 1; i >= 0; i-- {
-		b := u.order[i]
-		if b == u.header || u.exempt.has(b) {
-			continue
-		}
-		if u.inLoopPreds(b) >= 2 {
-			return b
+	// The header finished last; every other block is a candidate.
+	for i := len(u.order) - 2; i >= 0; i-- {
+		id := u.order[i]
+		if row := &u.rows[id]; row.inPreds >= 2 && !u.exempt.hasID(int(id)) {
+			return row.b
 		}
 	}
 	return nil
@@ -277,38 +310,45 @@ func (u *unmerger) findMergeBlock() *ir.Block {
 // split keeps merge block b's first in-loop predecessor and gives every
 // other one its own copy of b's tail region.
 func (u *unmerger) split(b *ir.Block) {
-	f := u.f
 	var inPreds []*ir.Block
 	for _, p := range b.Preds() {
 		if u.loopSet.has(p) {
 			inPreds = append(inPreds, p)
 		}
 	}
+	c := u.cloner
 	for _, pi := range inPreds[1:] {
 		u.dupCount++
 		region := u.tailRegion(b)
-		bmap, vmap := ir.CloneBlocks(f, region, fmt.Sprintf(".d%d", u.dupCount))
-		// Stamp path duplicates with the duplication id (composing with
-		// any unroll iteration tag, like the ".u1.d3" block names).
-		for _, clone := range vmap {
-			if ci, ok := clone.(*ir.Instr); ok {
-				loc := ci.Loc()
-				loc.Dup = int32(u.dupCount)
-				ci.SetLoc(loc)
-			}
-		}
-		recordOrigins(u.opts.Origins, vmap)
+		c.Clone(region, fmt.Sprintf(".d%d", u.dupCount))
 		// Register clones in the loop set and propagate the exemption.
 		u.inRegion.clear()
 		u.regionOrClones.clear()
 		for _, rb := range region {
-			cb := bmap[rb]
+			cb := c.Block(rb)
 			u.inRegion.add(rb)
 			u.regionOrClones.add(rb)
 			u.regionOrClones.add(cb)
 			u.loopSet.add(cb)
 			if u.exempt.has(rb) {
 				u.exempt.add(cb)
+			}
+			// Stamp path duplicates with the duplication id (composing with
+			// any unroll iteration tag, like the ".u1.d3" block names), and
+			// note the root original each stems from (following earlier
+			// recorded ancestry). A clone's instructions line up with its
+			// original's.
+			for i, ci := range cb.Instrs() {
+				loc := ci.Loc()
+				loc.Dup = int32(u.dupCount)
+				ci.SetLoc(loc)
+				if origins := u.opts.Origins; origins != nil {
+					root := rb.Instrs()[i]
+					if r, ok := origins[root]; ok {
+						root = r
+					}
+					origins[ci] = root
+				}
 			}
 		}
 		// Blocks outside the region targeted from inside it (the loop
@@ -325,8 +365,8 @@ func (u *unmerger) split(b *ir.Block) {
 					if v == nil {
 						continue
 					}
-					if phi.PhiIncoming(bmap[rb]) == nil {
-						phi.PhiAddIncoming(vmap.Lookup(v), bmap[rb])
+					if phi.PhiIncoming(c.Block(rb)) == nil {
+						phi.PhiAddIncoming(c.Value(v), c.Block(rb))
 					}
 				}
 			}
@@ -338,14 +378,13 @@ func (u *unmerger) split(b *ir.Block) {
 		// dropped. A cloned phi names in-region incoming blocks by their
 		// clones, so "inside" is membership in the region or its clones.
 		for _, rb := range region {
-			cb := bmap[rb]
-			for _, phi := range append([]*ir.Instr(nil), cb.Phis()...) {
+			cb := c.Block(rb)
+			u.phis = append(u.phis[:0], cb.Phis()...)
+			for k, phi := range u.phis {
 				if rb == b {
-					orig := origPhiOf(rb, phi, vmap)
-					val := vmap.Lookup(orig.PhiIncoming(pi))
+					val := c.Value(b.Phis()[k].PhiIncoming(pi))
 					phi.ReplaceAllUsesWith(val)
 					cb.Erase(phi)
-					vmap[orig] = val
 					continue
 				}
 				for i := phi.NumBlocks() - 1; i >= 0; i-- {
@@ -356,23 +395,28 @@ func (u *unmerger) split(b *ir.Block) {
 			}
 		}
 		// Redirect pi into the cloned merge block.
-		pi.ReplaceSucc(b, bmap[b])
+		pi.ReplaceSucc(b, c.Block(b))
 		for _, phi := range b.Phis() {
 			phi.PhiRemoveIncoming(pi)
 		}
 		u.am.InvalidateAll()
-	}
-}
 
-// origPhiOf finds the original phi that cloned phi stems from: CloneBlocks
-// maps original->clone, so invert by scanning the original block.
-func origPhiOf(origBlock *ir.Block, clonePhi *ir.Instr, vmap ir.ValueMap) *ir.Instr {
-	for _, in := range origBlock.Phis() {
-		if vmap[in] == ir.Value(clonePhi) {
-			return in
+		// What the search walks changed in these rows only: the clones are
+		// new, pi has a new successor, b lost a predecessor, and a loop block
+		// a clone branches to outside the region (the header, mostly) gained
+		// one.
+		u.refresh(pi)
+		u.refresh(b)
+		for _, rb := range region {
+			cb := c.Block(rb)
+			u.refresh(cb)
+			for _, s := range cb.Succs() {
+				if u.loopSet.has(s) && !u.regionOrClones.has(s) {
+					u.refresh(s)
+				}
+			}
 		}
 	}
-	panic("core: clone phi has no original")
 }
 
 // tailRegion returns the blocks reachable from b inside the loop without
@@ -397,7 +441,7 @@ func (u *unmerger) tailRegion(b *ir.Block) []*ir.Block {
 		walkDom(b)
 		return region
 	}
-	var region []*ir.Block
+	region := u.region[:0]
 	u.visited.clear()
 	u.visited.add(b)
 	u.work = append(u.work[:0], b)
@@ -413,27 +457,6 @@ func (u *unmerger) tailRegion(b *ir.Block) []*ir.Block {
 			u.work = append(u.work, s)
 		}
 	}
+	u.region = region
 	return region
-}
-
-// recordOrigins notes, for every clone in vmap, the root original it stems
-// from (following earlier recorded ancestry).
-func recordOrigins(origins map[*ir.Instr]*ir.Instr, vmap ir.ValueMap) {
-	if origins == nil {
-		return
-	}
-	for orig, clone := range vmap {
-		co, ok := clone.(*ir.Instr)
-		if !ok {
-			continue
-		}
-		root, ok := orig.(*ir.Instr)
-		if !ok {
-			continue
-		}
-		if r, ok := origins[root]; ok {
-			root = r
-		}
-		origins[co] = root
-	}
 }

@@ -127,3 +127,44 @@ func TestMergeSearchMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d merge searches over %d (loop, factor) cases agree with the reference", searches, loops)
 }
+
+// TestUnmergerAdjacencyCurrent unmerges the sweep's worst cell (libor's loop
+// 0 unrolled by 8, up to the growth cap) and, after every split, holds the
+// compact adjacency the merge search walks to a recomputation from the IR:
+// split refreshes only the rows it changed, and a row it forgot would send
+// the search down an edge that no longer exists. The search itself must not
+// allocate once its buffers have grown.
+func TestUnmergerAdjacencyCurrent(t *testing.T) {
+	f, err := lang.CompileKernel(bench.ByName("libor").Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transform.Mem2Reg(f)
+	transform.SimplifyCFG(f)
+	transform.InstSimplify(f)
+	transform.DCE(f)
+	header := analysis.NewAnalysisManager(f).LoopInfo().LoopByID(0).Header
+	if !transform.UnrollLoop(f, loopWithHeader(f, header), 8) {
+		t.Fatal("libor loop 0 did not unroll")
+	}
+	for _, opts := range []core.Options{{}, {DirectSuccessorOnly: true}} {
+		g := ir.Clone(f)
+		var h *ir.Block
+		for _, b := range g.Blocks() {
+			if b.ID() == header.ID() {
+				h = b
+			}
+		}
+		splits, allocs := core.UnmergeAuditingAdjacency(g, loopWithHeader(g, h), opts, func(msg string) { t.Fatal(msg) })
+		if err := ir.Verify(g); err != nil {
+			t.Fatal(err)
+		}
+		if splits < 10 || !opts.DirectSuccessorOnly && g.NumBlocks() <= core.DefaultMaxBlocks {
+			t.Fatalf("%+v: %d splits, %d blocks: the cell no longer reaches the fixpoint's hot shape", opts, splits, g.NumBlocks())
+		}
+		if allocs != 0 {
+			t.Errorf("%+v: a merge search allocates %.0f times after %d splits, want 0", opts, allocs, splits)
+		}
+		t.Logf("%+v: adjacency current after each of %d splits (%d blocks)", opts, splits, g.NumBlocks())
+	}
+}

@@ -212,3 +212,56 @@ func (b *Block) ReplaceSucc(from, to *Block) {
 
 // String returns the block label reference ("%name").
 func (b *Block) String() string { return "%" + b.Name }
+
+// bitset is a set of small non-negative integers (block or instruction IDs),
+// one bit each.
+type bitset []uint64
+
+func newBitset(bound int) bitset { return make(bitset, (bound+63)/64) }
+
+// has reports whether i is in the set; an i past the set's end is not.
+func (s bitset) has(i int) bool { return i>>6 < len(s) && s[i>>6]>>(uint(i)&63)&1 != 0 }
+
+func (s bitset) add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+// BlockSet is a set of one function's blocks, one bit per Block.ID. A block
+// minted after the set was made is simply not in it: Has bounds-checks the
+// ID, so a set outlives NewBlock the way a map keyed by pointer would.
+type BlockSet bitset
+
+// NewBlockSet returns an empty set that can hold every block f has now.
+func NewBlockSet(f *Function) BlockSet { return BlockSet(newBitset(f.nextBlockID)) }
+
+// Has reports whether b is in the set.
+func (s BlockSet) Has(b *Block) bool { return bitset(s).has(b.id) }
+
+// Add puts b, which must not be newer than the set, into it.
+func (s BlockSet) Add(b *Block) { bitset(s).add(b.id) }
+
+// AppendPostorder walks the graph that next induces, depth first from root
+// with each block's neighbours in order, and appends the blocks it reaches
+// to order as it leaves them. mark, indexed by Block.ID, is the visited set:
+// a block is reached only while its entry is zero, and is given -1.
+func AppendPostorder(order []*Block, root *Block, next func(*Block) []*Block, mark []int32) []*Block {
+	type frame struct {
+		b    *Block
+		rest []*Block // neighbours still to look at
+	}
+	mark[root.id] = -1
+	stack := []frame{{root, next(root)}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if len(top.rest) == 0 {
+			order = append(order, top.b)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		s := top.rest[0]
+		top.rest = top.rest[1:]
+		if mark[s.id] == 0 {
+			mark[s.id] = -1
+			stack = append(stack, frame{s, next(s)})
+		}
+	}
+	return order
+}

@@ -62,7 +62,7 @@ func checkBlockIDs(t *testing.T, f *Function, after string) {
 		}
 		seen[b.ID()] = b.Name
 	}
-	if err := verifyUnique(f); err != nil {
+	if _, err := verifyUnique(f); err != nil {
 		t.Fatalf("after %s: %v", after, err)
 	}
 }
@@ -165,5 +165,35 @@ func TestVerifyRejectsBadBlockIDs(t *testing.T) {
 	b.id = saved
 	if err := Verify(f); err != nil {
 		t.Fatalf("Verify: %v", err)
+	}
+}
+
+// The edge check must name every way a predecessor list can disagree with
+// the terminators, now that it counts in ID-indexed slices: an edge the list
+// lacks, an entry no edge backs, a doubled entry, and an entry that is not
+// one of the function's blocks at all.
+func TestVerifyRejectsPredListsOutOfSync(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(f *Function, exit, loop *Block)
+		want    string
+	}{
+		{"missing", func(f *Function, exit, loop *Block) { exit.preds = nil },
+			"block exit pred list out of sync with loop (have 0, want 1)"},
+		{"doubled", func(f *Function, exit, loop *Block) { exit.preds = append(exit.preds, loop) },
+			"block exit pred list out of sync with loop (have 2, want 1)"},
+		{"stale", func(f *Function, exit, loop *Block) { exit.preds = append(exit.preds, f.Entry()) },
+			"block exit has stale pred entry"},
+		{"foreign", func(f *Function, exit, loop *Block) {
+			g, _ := buildCountLoop(t)
+			exit.preds = append(exit.preds, g.BlockByName("loop"))
+		}, "block exit has stale pred loop"},
+	}
+	for _, tc := range cases {
+		f, _ := buildCountLoop(t)
+		tc.corrupt(f, f.BlockByName("exit"), f.BlockByName("loop"))
+		if err := Verify(f); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -30,11 +30,9 @@ func Clone(f *Function) *Function {
 	for k, v := range f.nameCount {
 		nf.nameCount[k] = v
 	}
-	vmap := ValueMap{}
 	for _, p := range f.Params {
 		np := &Param{Name: p.Name, Typ: p.Typ, Index: p.Index, Restrict: p.Restrict, fn: nf}
 		nf.Params = append(nf.Params, np)
-		vmap[p] = np
 	}
 	bmap := make(map[*Block]*Block, len(f.blocks))
 	for _, b := range f.blocks {
@@ -47,10 +45,23 @@ func Clone(f *Function) *Function {
 	clones := make(map[*Instr]*Instr, f.NumInstrs())
 	for _, b := range f.blocks {
 		for _, in := range b.instrs {
-			ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, id: in.id, name: in.name, loc: in.loc}
-			clones[in] = ci
-			vmap[in] = ci
+			clones[in] = &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, id: in.id, name: in.name, loc: in.loc}
 		}
+	}
+	// An operand is an instruction of f, a parameter of f (found by position,
+	// so the instructions' map is the only one), or shared.
+	operand := func(a Value) Value {
+		switch a := a.(type) {
+		case *Instr:
+			if ci, ok := clones[a]; ok {
+				return ci
+			}
+		case *Param:
+			if a.Index < len(f.Params) && f.Params[a.Index] == a {
+				return nf.Params[a.Index]
+			}
+		}
+		return a
 	}
 	// Second pass: attach operands and block references, then append in
 	// order. Append wires successor/predecessor edges for terminators.
@@ -59,7 +70,7 @@ func Clone(f *Function) *Function {
 		for _, in := range b.instrs {
 			ci := clones[in]
 			for _, a := range in.args {
-				ci.AddArg(vmap.Lookup(a))
+				ci.AddArg(operand(a))
 			}
 			for _, tb := range in.blocks {
 				ci.AddBlockArg(bmap[tb])
@@ -123,29 +134,61 @@ func Restore(dst, snapshot *Function) {
 // and blocks outside the region are left pointing at the originals.
 //
 // The returned maps translate original blocks/values to their clones. Callers
-// (the unroller and unmerger) rewire entry/exit edges and fix up boundary
-// phis afterwards.
+// (the unroller) rewire entry/exit edges and fix up boundary phis afterwards.
+// A caller that clones region after region holds a Cloner instead.
 func CloneBlocks(f *Function, blocks []*Block, suffix string) (map[*Block]*Block, ValueMap) {
-	bmap := make(map[*Block]*Block, len(blocks))
-	vmap := ValueMap{}
+	n := 0
 	for _, b := range blocks {
-		nb := f.NewBlock(b.Name + suffix)
-		bmap[b] = nb
+		n += len(b.instrs)
+	}
+	t := mapCloneTable{make(map[*Block]*Block, len(blocks)), make(ValueMap, n)}
+	cloneRegion(f, blocks, suffix, t)
+	return t.bmap, t.vmap
+}
+
+// cloneTable is where cloneRegion keeps, and looks up, which clone stands
+// for which original.
+type cloneTable interface {
+	setBlock(b, clone *Block)
+	setInstr(in, clone *Instr)
+	// Block returns b's clone, nil for a block outside the region.
+	Block(b *Block) *Block
+	// Value returns v's clone, v itself for a value defined outside the region.
+	Value(v Value) Value
+}
+
+type mapCloneTable struct {
+	bmap map[*Block]*Block
+	vmap ValueMap
+}
+
+func (t mapCloneTable) setBlock(b, clone *Block)  { t.bmap[b] = clone }
+func (t mapCloneTable) setInstr(in, clone *Instr) { t.vmap[in] = clone }
+func (t mapCloneTable) Block(b *Block) *Block     { return t.bmap[b] }
+func (t mapCloneTable) Value(v Value) Value       { return t.vmap.Lookup(v) }
+
+// cloneRegion is the body of CloneBlocks and Cloner.Clone. A clone block's
+// instructions line up with its original's, position for position.
+func cloneRegion(f *Function, blocks []*Block, suffix string, t cloneTable) {
+	for _, b := range blocks {
+		t.setBlock(b, f.NewBlock(b.Name+suffix))
+	}
+	cloneOf := func(in *Instr) *Instr {
+		ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, loc: in.loc}
+		t.setInstr(in, ci)
+		return ci
 	}
 	// First pass: create clone instructions with original operands so that
-	// forward references (phis) resolve in the second pass.
-	clones := map[*Instr]*Instr{}
+	// forward references (phis) resolve in the second pass. Terminators
+	// wait for the second pass, where their block arguments are known and
+	// Append can wire predecessor edges correctly.
 	for _, b := range blocks {
-		nb := bmap[b]
+		nb := t.Block(b)
 		for _, in := range b.instrs {
-			ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, name: "", loc: in.loc}
-			clones[in] = ci
-			vmap[in] = ci
-			// Append without operands yet; terminators get block args in the
-			// second pass so that Append wires predecessor edges correctly.
 			if in.IsTerminator() {
 				continue
 			}
+			ci := cloneOf(in)
 			for _, a := range in.args {
 				ci.AddArg(a)
 			}
@@ -154,30 +197,32 @@ func CloneBlocks(f *Function, blocks []*Block, suffix string) (map[*Block]*Block
 	}
 	// Second pass: remap operands and block references.
 	for _, b := range blocks {
-		for _, in := range b.instrs {
-			ci := clones[in]
+		nb := t.Block(b)
+		for i, in := range b.instrs {
 			if in.IsTerminator() {
+				ci := cloneOf(in)
 				for _, a := range in.args {
-					ci.AddArg(vmap.Lookup(a))
+					ci.AddArg(t.Value(a))
 				}
 				for _, tb := range in.blocks {
-					if nt, ok := bmap[tb]; ok {
+					if nt := t.Block(tb); nt != nil {
 						ci.AddBlockArg(nt)
 					} else {
 						ci.AddBlockArg(tb)
 					}
 				}
-				bmap[b].Append(ci) // wires pred edges of (possibly external) targets
+				nb.Append(ci) // wires pred edges of (possibly external) targets
 				continue
 			}
+			ci := nb.instrs[i]
 			for i, a := range ci.args {
-				if na := vmap.Lookup(a); na != a {
+				if na := t.Value(a); na != a {
 					ci.SetArg(i, na)
 				}
 			}
 			if in.IsPhi() {
 				for _, ib := range in.blocks {
-					if nb, ok := bmap[ib]; ok {
+					if nb := t.Block(ib); nb != nil {
 						ci.AddBlockArg(nb)
 					} else {
 						ci.AddBlockArg(ib)
@@ -186,5 +231,69 @@ func CloneBlocks(f *Function, blocks []*Block, suffix string) (map[*Block]*Block
 			}
 		}
 	}
-	return bmap, vmap
+}
+
+// Cloner is CloneBlocks for a caller that duplicates region after region of
+// one function (the unmerger, thousands of times over a body it keeps
+// growing): the original-to-clone tables are slices indexed by Block.ID and
+// Instr.ID, kept across calls and cleared only where the last call wrote.
+// Block and Value answer for the most recent Clone.
+type Cloner struct {
+	f       *Function
+	blockOf []*Block // by Block.ID
+	instrOf []*Instr // by Instr.ID
+	// What the last Clone set in the two tables.
+	blocks []*Block
+	instrs []*Instr
+}
+
+// NewCloner returns a Cloner for f's blocks.
+func NewCloner(f *Function) *Cloner { return &Cloner{f: f} }
+
+// Clone duplicates blocks as CloneBlocks does.
+func (c *Cloner) Clone(blocks []*Block, suffix string) {
+	for _, b := range c.blocks {
+		c.blockOf[b.id] = nil
+	}
+	for _, in := range c.instrs {
+		c.instrOf[in.id] = nil
+	}
+	c.blocks, c.instrs = c.blocks[:0], c.instrs[:0]
+	// The originals' IDs are below the bounds as they stand now.
+	if n := c.f.BlockIDBound() - len(c.blockOf); n > 0 {
+		c.blockOf = append(c.blockOf, make([]*Block, n)...)
+	}
+	if n := c.f.InstrIDBound() - len(c.instrOf); n > 0 {
+		c.instrOf = append(c.instrOf, make([]*Instr, n)...)
+	}
+	cloneRegion(c.f, blocks, suffix, c)
+}
+
+func (c *Cloner) setBlock(b, clone *Block) {
+	c.blockOf[b.id] = clone
+	c.blocks = append(c.blocks, b)
+}
+
+func (c *Cloner) setInstr(in, clone *Instr) {
+	c.instrOf[in.id] = clone
+	c.instrs = append(c.instrs, in)
+}
+
+// Block returns b's clone, or nil when b was not in the last cloned region.
+func (c *Cloner) Block(b *Block) *Block {
+	if b.id < len(c.blockOf) {
+		return c.blockOf[b.id]
+	}
+	return nil
+}
+
+// Value returns v's clone, or v itself when it was defined outside the last
+// cloned region (such values are shared, not cloned).
+func (c *Cloner) Value(v Value) Value {
+	if in, ok := v.(*Instr); ok && in.id < len(c.instrOf) {
+		if ci := c.instrOf[in.id]; ci != nil {
+			return ci
+		}
+	}
+	return v
 }

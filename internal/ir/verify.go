@@ -20,19 +20,18 @@ func Verify(f *Function) error {
 	if len(f.Entry().preds) != 0 {
 		return fmt.Errorf("verify %s: entry block has predecessors", f.Name)
 	}
-	if err := verifyUnique(f); err != nil {
+	blockWithID, err := verifyUnique(f)
+	if err != nil {
 		return err
 	}
-	inFunc := map[*Block]bool{}
 	for _, b := range f.blocks {
-		inFunc[b] = true
-	}
-	for _, b := range f.blocks {
-		if err := verifyBlock(f, b, inFunc); err != nil {
+		if err := verifyBlock(f, b, blockWithID); err != nil {
 			return err
 		}
 	}
-	if err := verifyEdges(f); err != nil {
+	// From here on every block an edge names is one of f's, so its ID
+	// indexes any table of BlockIDBound entries.
+	if err := verifyEdges(f, blockWithID); err != nil {
 		return err
 	}
 	if err := verifyUses(f); err != nil {
@@ -41,7 +40,13 @@ func Verify(f *Function) error {
 	return verifyDominance(f)
 }
 
-func verifyBlock(f *Function, b *Block, inFunc map[*Block]bool) error {
+// ownBlock reports whether b is one of the function's blocks, given them by
+// ID: a block that is not there under its own ID is not.
+func ownBlock(blockWithID []*Block, b *Block) bool {
+	return b.id >= 0 && b.id < len(blockWithID) && blockWithID[b.id] == b
+}
+
+func verifyBlock(f *Function, b *Block, blockWithID []*Block) error {
 	errf := func(format string, args ...any) error {
 		return fmt.Errorf("verify %s/%s: %s", f.Name, b.Name, fmt.Sprintf(format, args...))
 	}
@@ -67,7 +72,7 @@ func verifyBlock(f *Function, b *Block, inFunc map[*Block]bool) error {
 			return errf("%v", err)
 		}
 		for _, tb := range in.blocks {
-			if !inFunc[tb] {
+			if !ownBlock(blockWithID, tb) {
 				return errf("%s references block %s outside function", in.Op, tb.Name)
 			}
 		}
@@ -262,71 +267,114 @@ func checkConvSig(in *Instr) error {
 // blocks and attached instructions carry function-unique IDs below the
 // function's bounds — the invariants a broken clone/restore or a double
 // Append would violate first, and the ones every ID-indexed scratch slice in
-// the passes relies on.
-func verifyUnique(f *Function) error {
+// the passes relies on. It returns the function's blocks by ID.
+func verifyUnique(f *Function) ([]*Block, error) {
 	seenName := make(map[string]bool, len(f.blocks))
 	blockWithID := make([]*Block, f.BlockIDBound())
-	instrWithID := make([]*Instr, f.InstrIDBound())
+	// One bit per instruction ID: after cleanup the bound stays at its peak
+	// while a fraction of the instructions live, so the table is kept small
+	// and the rare duplicate is named by looking for its twin.
+	bound := f.InstrIDBound()
+	seenID := newBitset(bound)
 	for _, b := range f.blocks {
 		if b.id < 0 || b.id >= len(blockWithID) {
-			return fmt.Errorf("verify %s: block %s has ID %d outside the function's bound %d",
+			return nil, fmt.Errorf("verify %s: block %s has ID %d outside the function's bound %d",
 				f.Name, b.Name, b.id, len(blockWithID))
 		}
 		switch prev := blockWithID[b.id]; {
 		case prev == b:
-			return fmt.Errorf("verify %s: block %s appears twice in the block list", f.Name, b.Name)
+			return nil, fmt.Errorf("verify %s: block %s appears twice in the block list", f.Name, b.Name)
 		case prev != nil:
-			return fmt.Errorf("verify %s: block ID %d used by both %s and %s", f.Name, b.id, prev.Name, b.Name)
+			return nil, fmt.Errorf("verify %s: block ID %d used by both %s and %s", f.Name, b.id, prev.Name, b.Name)
 		}
 		blockWithID[b.id] = b
 		if seenName[b.Name] {
-			return fmt.Errorf("verify %s: duplicate block name %s", f.Name, b.Name)
+			return nil, fmt.Errorf("verify %s: duplicate block name %s", f.Name, b.Name)
 		}
 		seenName[b.Name] = true
 		for _, in := range b.instrs {
 			if in.id == 0 {
 				continue // detached-then-reattached instrs may legally lack IDs mid-build
 			}
-			if in.id < 0 || in.id >= len(instrWithID) {
-				return fmt.Errorf("verify %s: instruction %s has ID %d outside the function's bound %d",
-					f.Name, in.Ref(), in.id, len(instrWithID))
+			if in.id < 0 || in.id >= bound {
+				return nil, fmt.Errorf("verify %s: instruction %s has ID %d outside the function's bound %d",
+					f.Name, in.Ref(), in.id, bound)
 			}
-			if prev := instrWithID[in.id]; prev != nil {
-				return fmt.Errorf("verify %s: instruction ID %d used by both %s and %s",
-					f.Name, in.id, prev.Ref(), in.Ref())
+			if seenID.has(in.id) {
+				return nil, fmt.Errorf("verify %s: instruction ID %d used by both %s and %s",
+					f.Name, in.id, firstWithID(f, in.id).Ref(), in.Ref())
 			}
-			instrWithID[in.id] = in
+			seenID.add(in.id)
+		}
+	}
+	return blockWithID, nil
+}
+
+// firstWithID returns the first instruction in block order that carries id.
+func firstWithID(f *Function, id int) *Instr {
+	for _, b := range f.blocks {
+		for _, in := range b.instrs {
+			if in.id == id {
+				return in
+			}
 		}
 	}
 	return nil
 }
 
-func verifyEdges(f *Function) error {
-	// preds(b) must equal, as a multiset, {p : b ∈ succs(p)}.
-	want := map[*Block]map[*Block]int{}
-	for _, b := range f.blocks {
-		want[b] = map[*Block]int{}
-	}
+func verifyEdges(f *Function, blockWithID []*Block) error {
+	// preds(b) must equal, as a multiset, {p : b ∈ succs(p)}. A counting
+	// sort by target lists the sources of the terminator edges into each
+	// block: those into the block with ID i are srcs[start[i]:start[i+1]].
+	n := len(blockWithID)
+	start := make([]int32, n+2)
+	edges := 0
 	for _, p := range f.blocks {
 		for _, s := range p.Succs() {
-			want[s][p]++
+			start[s.id+2]++
+			edges++
 		}
 	}
-	for _, b := range f.blocks {
-		have := map[*Block]int{}
-		for _, p := range b.preds {
-			have[p]++
+	for k := 2; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	srcs := make([]*Block, edges)
+	for _, p := range f.blocks {
+		for _, s := range p.Succs() {
+			srcs[start[s.id+1]] = p
+			start[s.id+1]++
 		}
-		for p, n := range want[b] {
-			if have[p] != n {
-				return fmt.Errorf("verify %s: block %s pred list out of sync with %s (have %d, want %d)",
-					f.Name, b.Name, p.Name, have[p], n)
+	}
+	// How often the block at hand has each block as a predecessor, by the
+	// predecessor's ID; zero between blocks.
+	counts := make([]int32, 2*n)
+	have, want := counts[:n], counts[n:]
+	for _, b := range f.blocks {
+		wanted := srcs[start[b.id]:start[b.id+1]]
+		for _, p := range wanted {
+			want[p.id]++
+		}
+		for _, p := range b.preds {
+			if ownBlock(blockWithID, p) {
+				have[p.id]++
 			}
 		}
-		for p, n := range have {
-			if want[b][p] != n {
+		for _, p := range wanted {
+			if have[p.id] != want[p.id] {
+				return fmt.Errorf("verify %s: block %s pred list out of sync with %s (have %d, want %d)",
+					f.Name, b.Name, p.Name, have[p.id], want[p.id])
+			}
+		}
+		for _, p := range b.preds {
+			if !ownBlock(blockWithID, p) || want[p.id] != have[p.id] {
 				return fmt.Errorf("verify %s: block %s has stale pred %s", f.Name, b.Name, p.Name)
 			}
+		}
+		for _, p := range wanted {
+			want[p.id] = 0
+		}
+		for _, p := range b.preds {
+			have[p.id] = 0
 		}
 	}
 	return nil
@@ -371,26 +419,29 @@ func verifyUses(f *Function) error {
 
 // verifyDominance checks that each use is dominated by its definition.
 func verifyDominance(f *Function) error {
-	idom := computeIdom(f)
+	num, idom := computeIdom(f)
 	dominates := func(a, b *Block) bool {
-		// a dominates b?
-		for x := b; x != nil; x = idom[x] {
-			if x == a {
-				return true
-			}
+		if a == b {
+			return true
 		}
-		return false
-	}
-	pos := map[*Instr]int{}
-	for _, b := range f.blocks {
-		for i, in := range b.instrs {
-			pos[in] = i
+		// An immediate dominator comes earlier in reverse postorder, so the
+		// walk up from b can stop once it is past a.
+		na, x := num[a.id], num[b.id]
+		if na == 0 {
+			return false
 		}
+		for x > na {
+			x = idom[x]
+		}
+		return x == na
 	}
+	// One bit per instruction ID, set once the walk below has passed the
+	// instruction: within a block, a definition must have it set by the time
+	// a use is reached.
+	passed := newBitset(f.InstrIDBound())
 	for _, b := range f.blocks {
-		// Skip unreachable blocks: idom[b]==nil for all but entry.
-		if b != f.Entry() && idom[b] == nil {
-			continue
+		if num[b.id] == 0 {
+			continue // unreachable
 		}
 		for _, in := range b.instrs {
 			for i, a := range in.args {
@@ -401,7 +452,7 @@ func verifyDominance(f *Function) error {
 				if in.IsPhi() {
 					// Use is at the end of the incoming block.
 					inc := in.blocks[i]
-					if inc != f.Entry() && idom[inc] == nil {
+					if num[inc.id] == 0 {
 						continue // incoming from unreachable block
 					}
 					if !dominates(def.block, inc) {
@@ -411,7 +462,7 @@ func verifyDominance(f *Function) error {
 					continue
 				}
 				if def.block == b {
-					if pos[def] >= pos[in] {
+					if !passed.has(def.id) {
 						return fmt.Errorf("verify %s: %s used before definition in %s",
 							f.Name, def.Ref(), b.Name)
 					}
@@ -420,6 +471,7 @@ func verifyDominance(f *Function) error {
 						f.Name, def.Ref(), b.Name, def.block.Name)
 				}
 			}
+			passed.add(in.id)
 		}
 	}
 	return nil
@@ -427,37 +479,25 @@ func verifyDominance(f *Function) error {
 
 // computeIdom is a local immediate-dominator computation (iterative
 // Cooper-Harvey-Kennedy). The analysis package exposes a richer DomTree; the
-// verifier keeps its own copy so that package ir has no dependencies.
-func computeIdom(f *Function) map[*Block]*Block {
-	// Reverse postorder.
-	var order []*Block
-	index := map[*Block]int{}
-	seen := map[*Block]bool{}
-	var dfs func(b *Block)
-	var post []*Block
-	dfs = func(b *Block) {
-		seen[b] = true
-		for _, s := range b.Succs() {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
+// verifier keeps its own copy so that package ir has no dependencies. It
+// numbers the reachable blocks from 1 in reverse postorder and returns each
+// block's number by Block.ID (0: unreachable) and each number's immediate
+// dominator's number (0 for the entry's).
+func computeIdom(f *Function) (num, idom []int32) {
+	num = make([]int32, f.BlockIDBound())
+	post := AppendPostorder(nil, f.Entry(), (*Block).Succs, num)
+	n := len(post)
+	for i, b := range post {
+		num[b.id] = int32(n - i)
 	}
-	dfs(f.Entry())
-	for i := len(post) - 1; i >= 0; i-- {
-		index[post[i]] = len(order)
-		order = append(order, post[i])
-	}
-	idom := map[*Block]*Block{}
-	entry := f.Entry()
-	idom[entry] = entry
-	intersect := func(a, b *Block) *Block {
+	idom = make([]int32, n+1)
+	idom[1] = 1
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for index[a] > index[b] {
+			for a > b {
 				a = idom[a]
 			}
-			for index[b] > index[a] {
+			for b > a {
 				b = idom[b]
 			}
 		}
@@ -466,27 +506,26 @@ func computeIdom(f *Function) map[*Block]*Block {
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range order {
-			if b == entry {
-				continue
-			}
-			var newIdom *Block
+		for i := n - 2; i >= 0; i-- { // reverse postorder, the entry skipped
+			b := post[i]
+			var newIdom int32
 			for _, p := range b.preds {
-				if idom[p] == nil {
+				pn := num[p.id]
+				if pn == 0 || idom[pn] == 0 {
 					continue
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom == 0 {
+					newIdom = pn
 				} else {
-					newIdom = intersect(newIdom, p)
+					newIdom = intersect(newIdom, pn)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if me := num[b.id]; newIdom != 0 && idom[me] != newIdom {
+				idom[me] = newIdom
 				changed = true
 			}
 		}
 	}
-	idom[entry] = nil
-	return idom
+	idom[1] = 0
+	return num, idom
 }

@@ -220,3 +220,38 @@ func TestStopAfterTruncatesPipeline(t *testing.T) {
 		t.Fatalf("oversized StopAfter changed the pipeline")
 	}
 }
+
+// TestSCCPSolverReusableAfterPanic: one SCCPPass value serves all of a
+// compilation's invocations out of one solver, so an invocation abandoned
+// mid-solve — worklists loaded, lattice half lowered — must cost the next
+// one nothing. The injected pass gives a phi a value with no incoming block
+// and runs the shared pass on it, which panics inside the solver; the guard
+// rolls the function back, and the shared pass's next invocation must do
+// exactly what a fresh solver does.
+func TestSCCPSolverReusableAfterPanic(t *testing.T) {
+	compile := func(before, broken, after analysis.Pass) string {
+		midSolve := transform.NewPass("sccp-mid-solve-panic", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
+			for _, b := range f.Blocks() {
+				if phis := b.Phis(); len(phis) > 0 {
+					phis[0].AddArg(phis[0].Arg(0))
+					break
+				}
+			}
+			return broken.Run(f, am)
+		})
+		got, stats := optimized(t, Options{
+			Config: UU, LoopID: 0, Factor: 4, Contain: true,
+			Inject: []analysis.Pass{before, midSolve, after},
+		})
+		if len(stats.Failures) != 1 || stats.Failures[0].Kind != harden.FailurePanic || stats.Failures[0].Pass != "sccp-mid-solve-panic" {
+			t.Fatalf("want the solver's one panic contained, got %+v", stats.Failures)
+		}
+		return got
+	}
+	shared := transform.SCCPPass()
+	reused := compile(shared, shared, shared)
+	fresh := compile(transform.SCCPPass(), transform.SCCPPass(), transform.SCCPPass())
+	if reused != fresh {
+		t.Fatalf("a solver that panicked mid-run compiles differently from fresh ones:\n--- fresh\n%s\n--- reused\n%s", fresh, reused)
+	}
+}

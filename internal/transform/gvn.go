@@ -149,12 +149,7 @@ func (g *gvnState) reset(f *ir.Function, opts GVNOptions) {
 	g.clobbers, g.marks = g.clobbers[:0], g.marks[:0]
 	g.changed, g.erased, g.rewrites = false, 0, 0
 
-	if n := f.BlockIDBound(); cap(g.post) < n {
-		g.post = make([]int32, n)
-	} else {
-		g.post = g.post[:n]
-		clear(g.post)
-	}
+	g.post = zeroed(g.post, f.BlockIDBound())
 	g.npost = 0
 	g.postorder(f.Entry())
 }

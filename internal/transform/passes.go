@@ -69,10 +69,13 @@ func DCEPass() analysis.Pass {
 }
 
 // SCCPPass propagates constants. It preserves the CFG unless it folded a
-// one-sided conditional branch.
+// one-sided conditional branch. Like GVNPass it owns its solver's tables and
+// reuses their storage across invocations, so a pass value serves one
+// compilation at a time.
 func SCCPPass() analysis.Pass {
+	s := new(sccpSolver)
 	return funcPass{"sccp", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		changed, cfgChanged := sccp(f)
+		changed, cfgChanged := s.run(f)
 		if cfgChanged {
 			return analysis.PreserveNone()
 		}

@@ -24,14 +24,17 @@ type latVal struct {
 // Afterwards, constant instructions are replaced and one-sided conditional
 // branches folded; SimplifyCFG removes the unreachable remains.
 func SCCP(f *ir.Function) bool {
-	changed, _ := sccp(f)
+	changed, _ := new(sccpSolver).run(f)
 	return changed
 }
 
 // sccpSolver is the propagation state. Everything is a slice indexed by
 // Block.ID or Instr.ID: the solver creates no blocks or instructions, so the
 // function's ID bounds at entry size every table, and a lookup is an index
-// instead of a hash of one or two pointers.
+// instead of a hash of one or two pointers. A solver may run any number of
+// times, one run at a time: each run starts from cleared tables but keeps
+// their storage, so the invocations of one compilation (SCCPPass) grow them
+// once.
 type sccpSolver struct {
 	vals      []latVal // by Instr.ID
 	execBlock []bool   // by Block.ID
@@ -161,7 +164,8 @@ func (s *sccpSolver) visit(in *ir.Instr) {
 	default:
 		// Pure scalar ops: fold when all operands constant.
 		anyUnknown := false
-		var consts []*ir.Const
+		var buf [3]*ir.Const
+		consts := buf[:0]
 		for i := 0; i < in.NumArgs(); i++ {
 			av := s.lookup(in.Arg(i))
 			switch av.kind {
@@ -223,16 +227,28 @@ func (s *sccpSolver) solve(f *ir.Function) {
 	}
 }
 
-// sccp is SCCP's body; it additionally reports whether the rewrite changed
-// the CFG (folded a one-sided conditional branch), which decides whether the
-// pass can preserve the cached dominator trees.
-func sccp(f *ir.Function) (changed, cfgChanged bool) {
-	s := &sccpSolver{
-		vals:      make([]latVal, f.InstrIDBound()),
-		execBlock: make([]bool, f.BlockIDBound()),
-		execEdge:  make([]bool, 2*f.BlockIDBound()),
-		queued:    make([]bool, f.InstrIDBound()),
+// zeroed returns a slice of n zero values, in s's storage when that is large
+// enough. A fresh one carries a quarter of slack: the ID bounds that size
+// these tables creep up between a compilation's invocations.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
 	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// run is SCCP's body; it additionally reports whether the rewrite changed
+// the CFG (folded a one-sided conditional branch), which decides whether the
+// pass can preserve the cached dominator trees. The tables are cleared on
+// the way in, not out, so a run abandoned by a panic costs the next nothing.
+func (s *sccpSolver) run(f *ir.Function) (changed, cfgChanged bool) {
+	s.vals = zeroed(s.vals, f.InstrIDBound())
+	s.queued = zeroed(s.queued, f.InstrIDBound())
+	s.execBlock = zeroed(s.execBlock, f.BlockIDBound())
+	s.execEdge = zeroed(s.execEdge, 2*f.BlockIDBound())
+	s.instrWork, s.blockWork = s.instrWork[:0], s.blockWork[:0]
 	s.solve(f)
 
 	// Rewrite: replace constant instructions, fold one-sided branches. The
@@ -242,7 +258,8 @@ func sccp(f *ir.Function) (changed, cfgChanged bool) {
 		if !s.execBlock[b.ID()] {
 			continue // unreachable; SimplifyCFG removes it
 		}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+		s.instrWork = append(s.instrWork[:0], b.Instrs()...) // the loop erases
+		for _, in := range s.instrWork {
 			if lv := s.vals[in.ID()]; lv.kind == latConst && in.Type() != ir.Void {
 				in.ReplaceAllUsesWith(lv.c)
 				if !in.HasSideEffects() {

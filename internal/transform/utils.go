@@ -153,9 +153,9 @@ func EnsureDedicatedExits(f *ir.Function, l *analysis.Loop) bool {
 // exit-block predecessor lies inside the loop.
 func EnsureLCSSA(f *ir.Function, l *analysis.Loop) {
 	EnsureDedicatedExits(f, l)
-	exitSet := map[*ir.Block]bool{}
+	exitSet := ir.NewBlockSet(f)
 	for _, e := range l.ExitBlocks() {
-		exitSet[e] = true
+		exitSet.Add(e)
 	}
 	for _, b := range l.Blocks() {
 		for _, in := range b.Instrs() {
@@ -167,7 +167,7 @@ func EnsureLCSSA(f *ir.Function, l *analysis.Loop) {
 	}
 }
 
-func fixLCSSAUses(l *analysis.Loop, def *ir.Instr, exitSet map[*ir.Block]bool) {
+func fixLCSSAUses(l *analysis.Loop, def *ir.Instr, exitSet ir.BlockSet) {
 	// Find uses outside the loop.
 	var outside []*ir.Instr
 	for _, u := range def.Users() {
@@ -180,7 +180,7 @@ func fixLCSSAUses(l *analysis.Loop, def *ir.Instr, exitSet map[*ir.Block]bool) {
 					needs = true
 				}
 			}
-			if needs && !(exitSet[ub] && isLCSSAPhi(u, l)) {
+			if needs && !(exitSet.Has(ub) && isLCSSAPhi(u, l)) {
 				outside = append(outside, u)
 			}
 			continue
@@ -231,7 +231,7 @@ func fixLCSSAUses(l *analysis.Loop, def *ir.Instr, exitSet map[*ir.Block]bool) {
 			}
 			continue
 		}
-		if exitSet[u.Block()] && u.IsPhi() {
+		if exitSet.Has(u.Block()) && u.IsPhi() {
 			continue
 		}
 		exit := findExitFor(u.Block(), exitSet)
@@ -262,16 +262,16 @@ func isLCSSAPhi(phi *ir.Instr, l *analysis.Loop) bool {
 // findExitFor walks the CFG backwards from b to the unique exit block in
 // exitSet that all paths from the loop to b traverse. It returns b itself if
 // b is an exit block.
-func findExitFor(b *ir.Block, exitSet map[*ir.Block]bool) *ir.Block {
-	seen := map[*ir.Block]bool{}
+func findExitFor(b *ir.Block, exitSet ir.BlockSet) *ir.Block {
+	seen := make(ir.BlockSet, len(exitSet))
 	var found *ir.Block
 	var walk func(x *ir.Block) bool
 	walk = func(x *ir.Block) bool {
-		if seen[x] {
+		if seen.Has(x) {
 			return true
 		}
-		seen[x] = true
-		if exitSet[x] {
+		seen.Add(x)
+		if exitSet.Has(x) {
 			if found != nil && found != x {
 				return false // multiple exits reach b: ambiguous
 			}
@@ -318,20 +318,22 @@ func FoldToUncond(b *ir.Block, keep *ir.Block) {
 // RemoveUnreachable deletes blocks not reachable from the entry, fixing phis
 // in surviving blocks. Returns true if anything was removed.
 func RemoveUnreachable(f *ir.Function) bool {
-	reachable := map[*ir.Block]bool{}
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		reachable[b] = true
+	reachable := ir.NewBlockSet(f)
+	reachable.Add(f.Entry())
+	work := []*ir.Block{f.Entry()}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
 		for _, s := range b.Succs() {
-			if !reachable[s] {
-				dfs(s)
+			if !reachable.Has(s) {
+				reachable.Add(s)
+				work = append(work, s)
 			}
 		}
 	}
-	dfs(f.Entry())
 	var dead []*ir.Block
 	for _, b := range f.Blocks() {
-		if !reachable[b] {
+		if !reachable.Has(b) {
 			dead = append(dead, b)
 		}
 	}
