@@ -63,7 +63,6 @@ var pointerKeyedTables = map[string]map[string]string{
 	},
 	"../ir/clone.go": {
 		"ValueMap":      "CloneBlocks' result type, for the one-shot unroller, which keeps every copy's map alive at once",
-		"Clone":         "a whole-function snapshot: when the guard takes one, the ID bounds are at their peak and the live function far below them, so two presized maps are smaller than two bound-sized tables",
 		"CloneBlocks":   "builds the two maps it returns, presized, and nothing else",
 		"mapCloneTable": "CloneBlocks' two maps as cloneRegion sees them",
 	},

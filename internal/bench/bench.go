@@ -138,24 +138,43 @@ type Benchmark struct {
 	// each ratio.
 	AppCodeBytes int64
 	AppCompileMs float64
+
+	// frontend is Source through the frontend, built on first use and only
+	// read afterwards: Source is a constant of the suite's literals, so its
+	// IR is a constant of the process. The function never leaves this
+	// package and is never handed to a pass — callers get ir.Clone copies
+	// (CompileKernel), which is what lets every harness worker and every
+	// uud request share it without a lock.
+	frontendOnce sync.Once
+	frontend     *ir.Function
+	frontendErr  error
 }
 
-// Kernel compiles the benchmark's kernel to fresh IR (frontend only). It
-// panics on malformed source — fine for the suite's constant sources;
-// error-checking paths use CompileKernel.
+// Kernel returns the benchmark's kernel as the frontend built it: a private
+// copy (ir.Clone) of a function compiled once per process, the caller's to
+// mutate. It panics on malformed source — fine for the suite's constant
+// sources; error-checking paths use CompileKernel.
 func (b *Benchmark) Kernel() *ir.Function {
-	return lang.MustCompileKernel(b.Source)
+	f, err := b.CompileKernel()
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // CompileKernel is Kernel with the frontend error returned instead of
 // panicking, so harness and CLI paths can surface bad input as a normal
-// failed run.
+// failed run. The error, like the function, is produced once.
 func (b *Benchmark) CompileKernel() (*ir.Function, error) {
-	f, err := lang.CompileKernel(b.Source)
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: %w", b.Name, err)
+	b.frontendOnce.Do(func() {
+		if b.frontend, b.frontendErr = lang.CompileKernel(b.Source); b.frontendErr != nil {
+			b.frontendErr = fmt.Errorf("bench %s: %w", b.Name, b.frontendErr)
+		}
+	})
+	if b.frontendErr != nil {
+		return nil, b.frontendErr
 	}
-	return f, nil
+	return ir.Clone(b.frontend), nil
 }
 
 // Reference executes the unoptimized kernel with the sequential interpreter

@@ -17,25 +17,29 @@ func worstCell() (*Benchmark, pipeline.Options) {
 	return ByName("libor"), pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 8}
 }
 
-// worstCellAllocCeiling is twice what compiling worstCell allocates (16.4
-// MB). With the pointer-keyed maps that block and instruction numbering
-// replaced — a fresh visited map per merge search, SCCP's edge and lattice
-// maps, GVN's string keys — the same compile allocated 216 MB; with an undo
-// record and four slices per GVN scope 43 MB; and with map-based dominator
-// trees, loop info and clone tables, and an SCCP lattice per invocation,
-// 27 MB — so any of them creeping back onto a hot path fails this long
-// before it shows in a timing.
-const worstCellAllocCeiling = 33 << 20
+// worstCellAllocCeiling is twice what compiling worstCell allocates (14.4
+// MB, the copy of the once-built kernel it starts from included). With the
+// pointer-keyed maps that block and instruction numbering replaced — a fresh
+// visited map per merge search, SCCP's edge and lattice maps, GVN's string
+// keys — the same compile allocated 216 MB; with an undo record and four
+// slices per GVN scope 43 MB; with map-based dominator trees, loop info and
+// clone tables, and an SCCP lattice per invocation, 27 MB; and with codegen
+// growing each block's instruction list by doubling, 16.4 MB — so any of
+// them creeping back onto a hot path fails this long before it shows in a
+// timing.
+const worstCellAllocCeiling = 29 << 20
 
 // worstCellContainedAllocCeiling bounds the same compile under the guard
-// with the verifier after every pass (56 MB; 138 MB while the verifier kept
-// an edge map per block and a position per instruction and ir.Clone two
-// value maps; 274 MB while the guard cloned the function before every pass
-// invocation and GVN kept per-scope records). It is 1.2 times the current
-// figure, the margin the 165 MB ceiling it replaces had: a guard that goes
+// with the verifier after every pass (47.6 MB; 49.6 MB before codegen
+// reserved each block's list; 51.2 MB while ir.Clone's two tables were
+// still maps; 56 MB while it also grew its lists by appending and built the
+// use lists twice; 138 MB while the verifier kept an edge map per block and
+// a position per instruction and ir.Clone two value maps; 274 MB while the
+// guard cloned the function before every pass invocation and GVN kept
+// per-scope records). It is 1.2 times the current figure: a guard that goes
 // back to one snapshot per invocation, or a verifier that goes back to
 // hashing, fails here before it shows in a benchmark.
-const worstCellContainedAllocCeiling = 68 << 20
+const worstCellContainedAllocCeiling = 57 << 20
 
 // compileAllocation compiles app under opts and returns the bytes allocated.
 func compileAllocation(t *testing.T, app *Benchmark, opts pipeline.Options) uint64 {

@@ -231,3 +231,34 @@ entry:
 		t.Fatalf("zext i1->i64 recorded source %s", zexts[1].SrcType)
 	}
 }
+
+// TestLowerReservesEachBlock: lowerBlock counts what a block lowers to —
+// every GEP shape's expansion and the phi copies included — before it emits,
+// so no block's list is grown by append or left with unused room.
+func TestLowerReservesEachBlock(t *testing.T) {
+	p := lower(t, `
+func @k(f64* noalias %x, i8* noalias %y, i64 %n, i32 %j) -> i64 {
+entry:
+  %p = gep f64* %x, i32 %j
+  %q = gep i8* %y, i64 %n
+  %r = gep i8* %y, i32 %j
+  %v = load f64* %p
+  store f64 %v, f64* %p
+  br %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %s = phi i64 [ %n, %entry ], [ %s, %loop ]
+  %i2 = add i64 %i, i64 1
+  %c = icmp slt i64 %i2, i64 %n
+  condbr i1 %c, %loop, %exit
+exit:
+  %e = phi i64 [ %i2, %loop ]
+  ret i64 %e
+}
+`)
+	for _, b := range p.Blocks {
+		if len(b.Instrs) != cap(b.Instrs) {
+			t.Errorf("block %s: %d instructions in a list reserved for %d", b.Name, len(b.Instrs), cap(b.Instrs))
+		}
+	}
+}

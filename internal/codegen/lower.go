@@ -175,13 +175,28 @@ func (lw *lowerer) emit(b *Block, in Instr) {
 }
 
 func (lw *lowerer) lowerBlock(vb *Block, b *ir.Block) error {
+	// Everything the block lowers to is countable before the first emit, so
+	// its list is allocated once; only a phi-copy cycle's temporary (one mov
+	// per cycle, rare) is not counted and makes append grow it.
+	copies := lw.phiCopies(b)
+	n := len(copies)
+	for _, in := range b.Instrs() {
+		switch {
+		case in.IsPhi():
+		case in.Op == ir.OpGEP:
+			n += gepLen(in)
+		default:
+			n++
+		}
+	}
+	vb.Instrs = make([]Instr, 0, n)
 	for _, in := range b.Instrs() {
 		if in.IsPhi() {
 			continue // becomes copies in predecessors
 		}
 		if in.IsTerminator() {
 			// Phi copies for successors run before the terminator.
-			lw.emitPhiCopies(vb, b)
+			lw.emitPhiCopies(vb, copies)
 			return lw.lowerTerminator(vb, b, in)
 		}
 		if err := lw.lowerInstr(vb, in); err != nil {
@@ -228,6 +243,18 @@ func (lw *lowerer) lowerInstr(vb *Block, in *ir.Instr) error {
 		lw.emit(vb, Instr{Kind: KCompute, IROp: in.Op, Type: in.Type(), Dst: dst, Srcs: srcs})
 	}
 	return nil
+}
+
+// gepLen is the number of instructions lowerGEP emits for in.
+func gepLen(in *ir.Instr) int {
+	n := 1
+	if in.Arg(1).Type() != ir.I64 {
+		n++
+	}
+	if in.Type().Elem.Size() != 1 {
+		n++
+	}
+	return n
 }
 
 // lowerGEP expands ptr + idx*size into shl/mul + add, with a sign extension
@@ -280,17 +307,20 @@ func (lw *lowerer) lowerTerminator(vb *Block, b *ir.Block, in *ir.Instr) error {
 	return nil
 }
 
-// emitPhiCopies places the parallel copies feeding successor phis at the end
-// of b (before the terminator). Critical edges were split, so any successor
-// with phis has b as its only source of this edge.
-func (lw *lowerer) emitPhiCopies(vb *Block, b *ir.Block) {
-	type pair struct {
-		dst Reg
-		src Operand
-		typ *ir.Type
-		loc ir.Loc
-	}
-	var pairs []pair
+// phiCopy is one register a successor's phi needs written on the way out of
+// a block.
+type phiCopy struct {
+	dst Reg
+	src Operand
+	typ *ir.Type
+	loc ir.Loc
+}
+
+// phiCopies collects the parallel copies feeding the phis of b's successors.
+// Critical edges were split, so any successor with phis has b as its only
+// source of this edge.
+func (lw *lowerer) phiCopies(b *ir.Block) []phiCopy {
+	var pairs []phiCopy
 	for _, s := range b.Succs() {
 		for _, phi := range s.Phis() {
 			v := phi.PhiIncoming(b)
@@ -299,9 +329,14 @@ func (lw *lowerer) emitPhiCopies(vb *Block, b *ir.Block) {
 			if !src.IsImm() && src.Reg == dst {
 				continue
 			}
-			pairs = append(pairs, pair{dst, src, phi.Type(), phi.Loc()})
+			pairs = append(pairs, phiCopy{dst, src, phi.Type(), phi.Loc()})
 		}
 	}
+	return pairs
+}
+
+// emitPhiCopies places pairs at the end of vb (before the terminator).
+func (lw *lowerer) emitPhiCopies(vb *Block, pairs []phiCopy) {
 	// Parallel copy sequencing: emit copies whose destination is not a
 	// pending source; break cycles by saving a source into a temp.
 	for len(pairs) > 0 {

@@ -19,10 +19,17 @@ func (vm ValueMap) Lookup(v Value) Value {
 // the IR and roll back on a crash or verifier failure. Whatever is copied
 // here is hashed by Fingerprint, which is how the guard knows a snapshot is
 // still current: a field added to one must be added to the other.
+//
+// Clone only reads f, so any number of goroutines may clone (and print) one
+// function at once: bench hands every compile a copy of a kernel it built
+// once. And it costs what it copies: every list of the clone is allocated at
+// its final length and written once.
 func Clone(f *Function) *Function {
 	nf := &Function{
 		Name:        f.Name,
 		RetTyp:      f.RetTyp,
+		Params:      make([]*Param, len(f.Params)),
+		blocks:      make([]*Block, len(f.blocks)),
 		nextID:      f.nextID,
 		nextBlockID: f.nextBlockID,
 		nameCount:   make(map[string]int, len(f.nameCount)),
@@ -30,30 +37,46 @@ func Clone(f *Function) *Function {
 	for k, v := range f.nameCount {
 		nf.nameCount[k] = v
 	}
-	for _, p := range f.Params {
-		np := &Param{Name: p.Name, Typ: p.Typ, Index: p.Index, Restrict: p.Restrict, fn: nf}
-		nf.Params = append(nf.Params, np)
+	for i, p := range f.Params {
+		nf.Params[i] = &Param{Name: p.Name, Typ: p.Typ, Index: p.Index, Restrict: p.Restrict, fn: nf}
 	}
-	bmap := make(map[*Block]*Block, len(f.blocks))
-	for _, b := range f.blocks {
-		nb := &Block{Name: b.Name, fn: nf, id: b.id}
-		nf.blocks = append(nf.blocks, nb)
-		bmap[b] = nb
-	}
-	// First pass: create detached clones so forward references (phis, and
-	// any use of a later definition) resolve in the second pass.
-	clones := make(map[*Instr]*Instr, f.NumInstrs())
-	for _, b := range f.blocks {
-		for _, in := range b.instrs {
-			clones[in] = &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, id: in.id, name: in.name, loc: in.loc}
+	// First pass: create every block and instruction, so that forward
+	// references (phis, and any use of a later definition) resolve in the
+	// second. The two original-to-clone tables are indexed by ID, as the
+	// Cloner's are.
+	blockOf := make([]*Block, f.nextBlockID)
+	instrOf := make([]*Instr, f.nextID+1)
+	for i, b := range f.blocks {
+		nb := &Block{Name: b.Name, fn: nf, id: b.id, instrs: make([]*Instr, len(b.instrs))}
+		nf.blocks[i] = nb
+		blockOf[b.id] = nb
+		for j, in := range b.instrs {
+			ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, block: nb, id: in.id, name: in.name, loc: in.loc}
+			nb.instrs[j] = ci
+			instrOf[in.id] = ci
 		}
 	}
-	// An operand is an instruction of f, a parameter of f (found by position,
-	// so the instructions' map is the only one), or shared.
+	// An ID means something only for what f owns: a block f has dropped, or
+	// an instruction a faulty pass detached and left in a use list, has no
+	// clone (and a clone of that clone holds the nil in its place).
+	block := func(b *Block) *Block {
+		if b != nil && b.fn == f {
+			return blockOf[b.id]
+		}
+		return nil
+	}
+	instr := func(in *Instr) *Instr {
+		if in != nil && in.block != nil && in.block.fn == f {
+			return instrOf[in.id]
+		}
+		return nil
+	}
+	// An operand is an instruction of f, a parameter of f (found by
+	// position), or shared.
 	operand := func(a Value) Value {
 		switch a := a.(type) {
 		case *Instr:
-			if ci, ok := clones[a]; ok {
+			if ci := instr(a); ci != nil {
 				return ci
 			}
 		case *Param:
@@ -63,44 +86,43 @@ func Clone(f *Function) *Function {
 		}
 		return a
 	}
-	// Second pass: attach operands and block references, then append in
-	// order. Append wires successor/predecessor edges for terminators.
-	for _, b := range f.blocks {
-		nb := bmap[b]
-		for _, in := range b.instrs {
-			ci := clones[in]
-			for _, a := range in.args {
-				ci.AddArg(operand(a))
-			}
-			for _, tb := range in.blocks {
-				ci.AddBlockArg(bmap[tb])
-			}
-			nb.Append(ci)
+	// Second pass: translate the original's lists entry for entry. That
+	// keeps predecessor lists and def-use chains in the original's
+	// mutation-history order, not block order — and passes iterate both, so
+	// a rollback that reordered them could send the rest of the compilation
+	// down a different (equally valid) path than a run that never failed.
+	// Containment must be invisible, so match exactly.
+	for i, b := range f.blocks {
+		nb := nf.blocks[i]
+		nb.preds = sized[*Block](len(b.preds))
+		for j, p := range b.preds {
+			nb.preds[j] = block(p)
 		}
-	}
-	// Third pass: replicate the original's historical orderings. The loop
-	// above rebuilt predecessor lists and def-use chains in block order,
-	// but the original's lists are in mutation-history order — and passes
-	// iterate both, so a rollback that reordered them could send the rest
-	// of the compilation down a different (equally valid) path than a run
-	// that never failed. Containment must be invisible, so match exactly.
-	for _, b := range f.blocks {
-		nb := bmap[b]
-		nb.preds = nb.preds[:0]
-		for _, p := range b.preds {
-			nb.preds = append(nb.preds, bmap[p])
-		}
-	}
-	for _, b := range f.blocks {
-		for _, in := range b.instrs {
-			ci := clones[in]
-			ci.uses = ci.uses[:0]
-			for _, u := range in.uses {
-				ci.uses = append(ci.uses, use{clones[u.user], u.idx})
+		for j, in := range b.instrs {
+			ci := nb.instrs[j]
+			ci.args = sized[Value](len(in.args))
+			for k, a := range in.args {
+				ci.args[k] = operand(a)
+			}
+			ci.blocks = sized[*Block](len(in.blocks))
+			for k, tb := range in.blocks {
+				ci.blocks[k] = block(tb)
+			}
+			ci.uses = sized[use](len(in.uses))
+			for k, u := range in.uses {
+				ci.uses[k] = use{instr(u.user), u.idx}
 			}
 		}
 	}
 	return nf
+}
+
+// sized returns a slice of exactly n zero elements, nil for none.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
 
 // Restore replaces dst's entire body (parameters, blocks, instructions, name

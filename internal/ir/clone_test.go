@@ -2,6 +2,7 @@ package ir
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -119,6 +120,110 @@ func TestClonePreservesHistoricalOrder(t *testing.T) {
 				if us[k].Ref() != cus[k].Ref() {
 					t.Fatalf("%s use[%d]: got %s, want %s", in.Ref(), k, cus[k].Ref(), us[k].Ref())
 				}
+			}
+		}
+	}
+}
+
+// TestCloneConcurrentReaders: Clone and the printer only read their
+// argument, so one function can be cloned and printed from several
+// goroutines at once — bench builds each suite kernel once and every compile
+// in the process clones it. Meaningful under -race.
+func TestCloneConcurrentReaders(t *testing.T) {
+	f, _ := buildCountLoop(t)
+	want, wantSum := f.String(), Fingerprint(f)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if g == 2 {
+					if got := f.String(); got != want {
+						t.Errorf("print %d differs while the function is being cloned", i)
+						return
+					}
+					continue
+				}
+				c := Clone(f)
+				if Fingerprint(c) != wantSum {
+					t.Errorf("goroutine %d: clone %d's fingerprint differs", g, i)
+					return
+				}
+				// The clone is private: edit it while the others read f.
+				c.NewBlock("extra")
+				c.Entry().Term().SetName("mine")
+			}
+		}()
+	}
+	wg.Wait()
+	if Fingerprint(f) != wantSum {
+		t.Fatal("the function moved under its readers")
+	}
+}
+
+// TestCloneListsAreExactlySized: every list of a clone is allocated at the
+// length the original's has — a clone costs what it copies, whatever spare
+// capacity the original's lists picked up while passes appended to them.
+func TestCloneListsAreExactlySized(t *testing.T) {
+	f, _ := buildCountLoop(t)
+	// Give the original's lists history: spare capacity and a removed use.
+	loop := f.BlockByName("loop")
+	for i := 0; i < 5; i++ {
+		extra := NewInstr(OpAdd, I64, loop.Phis()[0], ConstInt(I64, int64(i)))
+		loop.InsertBefore(extra, loop.Term())
+		if i%2 == 0 {
+			loop.Erase(extra)
+		}
+	}
+	c := Clone(f)
+	if Fingerprint(c) != Fingerprint(f) || c.String() != f.String() {
+		t.Fatal("clone differs from the original")
+	}
+	exact := func(what string, length, capacity int) {
+		t.Helper()
+		if length != capacity {
+			t.Errorf("%s: length %d in a list of capacity %d", what, length, capacity)
+		}
+	}
+	exact("blocks", len(c.blocks), cap(c.blocks))
+	exact("params", len(c.Params), cap(c.Params))
+	for _, b := range c.blocks {
+		exact(b.Name+" instrs", len(b.instrs), cap(b.instrs))
+		exact(b.Name+" preds", len(b.preds), cap(b.preds))
+		for _, in := range b.instrs {
+			exact(in.Ref()+" args", len(in.args), cap(in.args))
+			exact(in.Ref()+" blocks", len(in.blocks), cap(in.blocks))
+			exact(in.Ref()+" uses", len(in.uses), cap(in.uses))
+			if in.block != b {
+				t.Errorf("%s: not attached to its block", in.Ref())
+			}
+		}
+	}
+}
+
+// TestCloneOfDetachedUser: a faulty pass (transform.ChaosPass "corrupt")
+// removes a terminator and leaves it in its operand's use list. The guard
+// may snapshot that function, and snapshot the snapshot: the detached user
+// has no clone, and neither copy may fail or pick up another instruction
+// that happens to share the detached one's ID slot.
+func TestCloneOfDetachedUser(t *testing.T) {
+	f, _ := buildCountLoop(t)
+	loop := f.BlockByName("loop")
+	term := loop.Term()
+	cond := term.Arg(0).(*Instr)
+	loop.Remove(term)
+	c := Clone(f)
+	cc := Clone(c)
+	for _, g := range []*Function{c, cc} {
+		gc := g.BlockByName("loop").instrs[len(loop.instrs)-1]
+		if gc.id != cond.id || len(gc.uses) != len(cond.uses) {
+			t.Fatalf("clone's condition is %s with %d uses, want %s with %d", gc.Ref(), len(gc.uses), cond.Ref(), len(cond.uses))
+		}
+		for i, u := range cond.uses {
+			if got := gc.uses[i].user; (u.user == term) != (got == nil) {
+				t.Errorf("use %d of the condition: user %v, detached in the original: %t", i, got, u.user == term)
 			}
 		}
 	}

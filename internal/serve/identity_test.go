@@ -545,6 +545,23 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
+// BenchmarkServeMiss is the server-side cost of resolving an app request
+// that is not an identity hit — a first spelling, a follower, a request
+// about to be shed — to its key, socket and execution excluded: buildSpec.
+func BenchmarkServeMiss(b *testing.B) {
+	req := hitForms(b)["app"]
+	if _, rerr := buildSpec(req); rerr != nil {
+		b.Fatal(rerr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, rerr := buildSpec(req); rerr != nil {
+			b.Fatal(rerr)
+		}
+	}
+}
+
 // TestRemovedSimWorkersFieldIsIgnored pins a closed hole. Request.SimWorkers
 // was clamped below at 1 and nowhere above, and the parallel warp schedule
 // it selected gave every worker a private copy of device memory, so

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strconv"
 
 	"uu/internal/core"
 	"uu/internal/gpusim"
@@ -36,17 +37,22 @@ import (
 func CanonicalIR(f *ir.Function) (string, error) {
 	c := ir.Clone(f)
 	c.Name = "k"
+	var buf [24]byte // a prefix letter and any int's digits
+	name := func(prefix byte, i int) string {
+		buf[0] = prefix
+		return string(strconv.AppendInt(buf[:1], int64(i), 10))
+	}
 	for i, p := range c.Params {
-		p.Name = fmt.Sprintf("p%d", i)
+		p.Name = name('p', i)
 	}
 	for i, b := range c.Blocks() {
-		b.Name = fmt.Sprintf("b%d", i)
+		b.Name = name('b', i)
 	}
 	n := 0
 	for _, b := range c.Blocks() {
 		for _, in := range b.Instrs() {
 			if in.Type() != ir.Void {
-				in.SetName(fmt.Sprintf("v%d", n))
+				in.SetName(name('v', n))
 				n++
 			} else {
 				in.SetName("")

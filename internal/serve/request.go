@@ -170,12 +170,17 @@ const (
 	maxFactor   = 64
 )
 
-// spec is a validated, compiled-frontend request: everything a pool worker
-// needs to run it, plus its content-addressed key.
+// spec is a validated request: everything a pool worker needs to run it,
+// plus its content-addressed key.
 type spec struct {
-	key     string
-	app     string
-	f       *ir.Function
+	key string
+	app string
+	// kernel returns the request's kernel as its frontend built it, the
+	// caller's to optimize: a copy of the suite app's once-built function
+	// (bench.Benchmark.Kernel) or of the function a source/IR request's
+	// frontend produced. Only an execution calls it, so a follower, a
+	// fingerprint hit and a shed request never allocate a function.
+	kernel  func() *ir.Function
 	opts    pipeline.Options
 	dev     gpusim.DeviceConfig
 	devName string
@@ -191,12 +196,15 @@ type spec struct {
 	wantProfile bool
 }
 
-// buildSpec validates a request and compiles its frontend (benchmark
-// lookup, MiniCU compilation, or IR parsing), returning a pool-ready spec.
-// The frontend runs in the handler goroutine — it is cheap and its failures
-// are the client's fault, so they return 400 without occupying a worker.
-// A recover wall turns frontend panics on adversarial input into structured
-// 400s instead of a lost connection.
+// buildSpec validates a request and resolves its kernel to canonical text,
+// returning a pool-ready spec. An app request builds no IR: the app's
+// canonical text is a fact of the process (appRecord), so what is left is
+// validation, the device parse and one hash. A source or IR request runs
+// its frontend (MiniCU compilation or IR parsing) and canonicalizes the
+// result here, in the handler goroutine — its failures are the client's
+// fault, so they return 400 without occupying a worker. A recover wall turns
+// frontend panics on adversarial input into structured 400s instead of a
+// lost connection.
 func buildSpec(req *Request) (sp *spec, rerr *Error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -263,24 +271,24 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 	}
 
 	var memSize int64
+	var canon string   // the kernel's canonical text
+	var f *ir.Function // a source/IR request's kernel; an app request builds none
 	switch {
 	case req.App != "":
 		b := bench.ByName(req.App)
 		if b == nil {
 			return nil, errBadRequest("unknown benchmark %q", req.App)
 		}
-		f, err := b.CompileKernel()
-		if err != nil {
+		a := appRecordOf(b)
+		if canon, err = a.canonical(); err != nil {
 			return nil, errBadRequest("%v", err)
 		}
-		w := appWorkload(b)
-		sp.f = f
-		sp.launch = w.Launch
-		sp.args = w.Args
-		sp.acquireMem = w.AcquireMemory
-		memSize = w.MemSize
+		sp.kernel = b.Kernel // cannot panic: canonical compiled it
+		sp.launch = a.w.Launch
+		sp.args = a.w.Args
+		sp.acquireMem = a.w.AcquireMemory
+		memSize = a.w.MemSize
 	default:
-		var f *ir.Function
 		if req.Source != "" {
 			f, err = lang.CompileKernel(req.Source)
 		} else {
@@ -313,7 +321,7 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		if len(f.Params) != len(req.Args) {
 			return nil, errBadRequest("kernel %s takes %d arguments, got %d", f.Name, len(f.Params), len(req.Args))
 		}
-		sp.f = f
+		sp.kernel = func() *ir.Function { return ir.Clone(f) }
 		sp.launch = gpusim.Launch{GridDim: grid, BlockDim: block}
 		sp.args = make([]interp.Value, len(req.Args))
 		for i, a := range req.Args {
@@ -357,9 +365,10 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		}
 	}
 
-	canon, err := CanonicalIR(sp.f)
-	if err != nil {
-		return nil, errBadRequest("%v", err)
+	if f != nil {
+		if canon, err = CanonicalIR(f); err != nil {
+			return nil, errBadRequest("%v", err)
+		}
 	}
 	sp.key = Fingerprint(canon, sp.opts, sp.dev, sp.launch, memSize, req.Args, req.Chaos, req.Remarks, req.Profile)
 	if req.Chaos != "" {
@@ -368,17 +377,45 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 	return sp, nil
 }
 
-// appWorkloads holds one workload per suite app for the life of the
-// process: a workload is read-only here (no SetInput), and sharing it lets
-// every request for an app copy one input image instead of regenerating it.
-var appWorkloads sync.Map // *bench.Benchmark -> *bench.Workload
+// appRecord is what the process knows about one suite app for its whole
+// life, because the app's source never changes: its workload — read-only
+// here (no SetInput), so every request for the app copies one input image
+// instead of regenerating it — and the canonical text of its kernel.
+type appRecord struct {
+	b *bench.Benchmark
+	w *bench.Workload
 
-func appWorkload(b *bench.Benchmark) *bench.Workload {
-	if w, ok := appWorkloads.Load(b); ok {
-		return w.(*bench.Workload)
+	canonOnce sync.Once
+	canon     string
+	canonErr  error
+}
+
+var appRecords sync.Map // *bench.Benchmark -> *appRecord
+
+func appRecordOf(b *bench.Benchmark) *appRecord {
+	if a, ok := appRecords.Load(b); ok {
+		return a.(*appRecord)
 	}
-	w, _ := appWorkloads.LoadOrStore(b, b.NewWorkload())
-	return w.(*bench.Workload)
+	a, _ := appRecords.LoadOrStore(b, &appRecord{b: b, w: b.NewWorkload()})
+	return a.(*appRecord)
+}
+
+// canonical returns CanonicalIR of the app's kernel, fixed-point check
+// included, computed by the first request that names the app and remembered
+// with its error, so an app whose frontend fails answers every request alike.
+func (a *appRecord) canonical() (string, error) {
+	a.canonOnce.Do(func() {
+		// Stands if the frontend panics: the Once is spent either way, and
+		// later requests must not hash an empty text.
+		a.canonErr = fmt.Errorf("bench %s: kernel frontend panicked", a.b.Name)
+		f, err := a.b.CompileKernel()
+		if err != nil {
+			a.canonErr = err
+			return
+		}
+		a.canon, a.canonErr = CanonicalIR(f)
+	})
+	return a.canon, a.canonErr
 }
 
 // execRecord is what one pool execution clocked and measured: the phase
@@ -413,7 +450,7 @@ func runSpec(ctx context.Context, sp *spec, x *execRecord) (*Response, *Error) {
 		col = remark.NewCollector()
 		opts.Remarks = col
 	}
-	f := ir.Clone(sp.f)
+	f := sp.kernel()
 	tCompile := time.Now()
 	stats, err := pipeline.OptimizeCtx(ctx, f, opts)
 	x.stats = stats
