@@ -12,326 +12,371 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 
+	"uu/cmd/internal/cli"
 	"uu/internal/bench"
 	"uu/internal/core"
-	"uu/internal/gpusim"
 	"uu/internal/pipeline"
 	"uu/internal/profile"
 	"uu/internal/remark"
 )
 
-func main() {
-	var (
-		all        = flag.Bool("all", false, "produce every table and figure")
-		table1     = flag.Bool("table1", false, "produce Table I")
-		fig6a      = flag.Bool("fig6a", false, "produce Figure 6a (speedup)")
-		fig6b      = flag.Bool("fig6b", false, "produce Figure 6b (code size)")
-		fig6c      = flag.Bool("fig6c", false, "produce Figure 6c (compile time)")
-		fig7       = flag.Bool("fig7", false, "produce Figure 7 (uu vs unroll vs unmerge)")
-		fig8       = flag.Bool("fig8", false, "produce Figures 8a/8b (scatter data)")
-		counters   = flag.Bool("counters", false, "produce the Section V counter reports")
-		ablations  = flag.Bool("ablations", false, "produce the design-choice ablation tables")
-		device     = flag.String("device", "V100", "device model for the campaign: a registry name with optional overrides, e.g. V100, MinSPPC, Vortex:warpsize=8 (see gpusim.ParseDevice)")
-		deviceMx   = flag.String("device-matrix", "", "run the campaign once per device and produce the cross-device robustness report (device-matrix.txt): comma-separated device specs, or 'all' for the full registry")
-		inputMode  = flag.String("input", "coherent", "input mode for the single-device campaign: coherent or noise")
-		inputsCSV  = flag.String("inputs", "", "input modes swept by -device-matrix: comma-separated, or 'all' (default: coherent only)")
-		appsCSV    = flag.String("apps", "", "comma-separated subset of applications (default: all 16)")
-		factors    = flag.String("factors", "2,4,8", "unroll factors to sweep")
-		verify     = flag.Bool("verify", false, "validate every run against the reference interpreter")
-		outDir     = flag.String("out", "", "write artifacts into this directory instead of stdout")
-		quiet      = flag.Bool("q", false, "suppress per-run progress")
-		workers    = flag.Int("workers", 0, "concurrent measurement goroutines (0 = GOMAXPROCS)")
-		contain    = flag.Bool("contain", false, "run every compilation under the crash-containment guard: a crashing pass is rolled back and skipped instead of aborting the campaign")
-		verifyEach = flag.Bool("verify-each", false, "run the IR verifier after every pass (a rejected pass counts as a contained failure with -contain)")
-		remarksStr = flag.String("remarks", "", "collect optimization remarks and write them as remarks.yaml: all|passed|missed|analysis (comma-separable); deterministic across -workers counts")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of the whole campaign (compiles, passes, simulations) to this file")
-		profileOn  = flag.Bool("profile", false, "collect per-PC hotspot profiles and write hotspots.txt (per-loop/per-line tables plus the heuristic predicted-vs-measured join) and per-app profile-<app>.folded / profile-<app>.pb.gz; deterministic across -workers counts")
-		pgoOn      = flag.Bool("pgo", false, "run the profile-guided campaign: iterate compile→simulate→recompile, feeding measured per-loop signals back into the heuristic as overrides until the predicted-vs-measured table is stable; writes pgo.txt and exits 1 if any MISPREDICT survives the final round")
-		pgoRounds  = flag.Int("pgo-rounds", 4, "maximum PGO feedback rounds")
-		pgoSeed    = flag.String("pgo-seed", "", "seed per-app PGO overrides, e.g. 'complex=L10:force+cap=8;xsbench=L11:deny' (the recovery case study seeds complex's u=8 collapse)")
-		selective  = flag.Bool("selective", false, "run uu-heuristic in selective-unmerge mode (only benefit-predicted merge blocks are duplicated) for the campaign and PGO runs")
-	)
-	flag.Parse()
-	if *all {
-		*table1, *fig6a, *fig6b, *fig6c, *fig7, *fig8, *counters, *ablations = true, true, true, true, true, true, true, true
-	}
-	if !(*table1 || *fig6a || *fig6b || *fig6c || *fig7 || *fig8 || *counters || *ablations || *profileOn || *pgoOn || *deviceMx != "") {
-		flag.Usage()
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	devCfg, devName, err := gpusim.ParseDevice(*device)
-	if err != nil {
-		fatal(err)
-	}
-	input, err := bench.ParseInputMode(*inputMode)
-	if err != nil {
-		fatal(err)
-	}
-	opts := bench.HarnessOptions{
-		Verify:     *verify,
-		Device:     &devCfg,
-		DeviceName: devName,
-		Input:      input,
-		Workers:    *workers,
-		Contain:    *contain,
-		VerifyEach: *verifyEach,
-		Profile:    *profileOn,
-		Heuristic:  core.HeuristicParams{Selective: *selective},
-	}
-	var remarkKinds map[remark.Kind]bool
-	if *remarksStr != "" {
-		kinds, err := remark.ParseKinds(*remarksStr)
-		if err != nil {
-			fatal(err)
-		}
-		remarkKinds = kinds
-		opts.Remarks = true
-	}
-	var trace *remark.Trace // rendered from each sweep's Results once it has run
-	if *tracePath != "" {
-		trace = remark.NewTrace()
-	}
-	if *appsCSV != "" {
-		opts.Apps = strings.Split(*appsCSV, ",")
-	}
-	for _, fs := range strings.Split(*factors, ",") {
-		u, err := strconv.Atoi(strings.TrimSpace(fs))
-		if err != nil || u < 1 {
-			fatal(fmt.Errorf("bad factor %q", fs))
-		}
-		opts.Factors = append(opts.Factors, u)
-	}
-	if !*quiet {
-		opts.Progress = os.Stderr
-	}
+// artifact is one report uubench can produce. The table below is the only
+// list of them: the flags that select one, what -all covers, the "nothing
+// selected" usage check and whether the single-device campaign has to run
+// are all read off it.
+type artifact struct {
+	flag, file string
+	usage      string // of the boolean flag; empty for -device-matrix, whose flag carries the device list
+	all        bool   // selected by -all
+	campaign   bool   // rendered from the single-device sweep, so selecting it runs one
+	write      func(s *session, w io.Writer) error
+}
 
+// artifacts is in output order.
+var artifacts = []artifact{
+	{"table1", "table1.txt", "produce Table I", true, true, fromResults(bench.WriteTable1)},
+	{"fig6a", "fig6a.txt", "produce Figure 6a (speedup)", true, true, fromResults(bench.WriteFig6a)},
+	{"fig6b", "fig6b.txt", "produce Figure 6b (code size)", true, true, fromResults(bench.WriteFig6b)},
+	{"fig6c", "fig6c.txt", "produce Figure 6c (compile time)", true, true, fromResults(bench.WriteFig6c)},
+	{"fig7", "fig7.txt", "produce Figure 7 (uu vs unroll vs unmerge)", true, true, fromResults(bench.WriteFig7)},
+	{"fig8", "fig8.txt", "produce Figures 8a/8b (scatter data)", true, true, fromResults(bench.WriteFig8)},
+	{"ablations", "ablations.txt", "produce the design-choice ablation tables", true, false, (*session).writeAblations},
+	{"counters", "counters.txt", "produce the Section V counter reports", true, true, (*session).writeCounters},
+	{"device-matrix", "device-matrix.txt", "", false, false, (*session).writeMatrix},
+	{"pgo", "pgo.txt", "run the profile-guided campaign: iterate compile→simulate→recompile, feeding measured per-loop signals back into the heuristic as overrides until the predicted-vs-measured table is stable; writes pgo.txt and exits 1 if any MISPREDICT survives the final round", false, false, (*session).writePGO},
+	{"profile", "hotspots.txt", "collect per-PC hotspot profiles and write hotspots.txt (per-loop/per-line tables plus the heuristic predicted-vs-measured join) and per-app profile-<app>.folded / profile-<app>.pb.gz; deterministic across -workers counts", false, true, (*session).writeHotspots},
+}
+
+func fromResults(write func(io.Writer, *bench.Results)) func(*session, io.Writer) error {
+	return func(s *session, w io.Writer) error { write(w, s.res); return nil }
+}
+
+// options is uubench's parsed command line, artifact selection aside.
+type options struct {
+	all      bool
+	target   cli.Target
+	deviceMx string
+	inputs   string
+	apps     string
+	factors  string
+	verify   bool
+	out      string
+	quiet    bool
+	workers  int
+	contain  bool
+	remarks  string
+	trace    string
+	pgoSeed  string
+}
+
+func flags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("uubench", flag.ContinueOnError)
+	fs.BoolVar(&o.all, "all", false, "produce every table and figure")
+	for _, a := range artifacts {
+		if a.usage != "" {
+			fs.Bool(a.flag, false, a.usage)
+		}
+	}
+	o.target.Register(fs)
+	fs.StringVar(&o.deviceMx, "device-matrix", "", "run the campaign once per device and produce the cross-device robustness report (device-matrix.txt): comma-separated device specs, or 'all' for the full registry")
+	fs.StringVar(&o.inputs, "inputs", "", "input modes swept by -device-matrix: comma-separated, or 'all' (default: coherent only)")
+	fs.StringVar(&o.apps, "apps", "", "comma-separated subset of applications (default: all 16)")
+	fs.StringVar(&o.factors, "factors", "2,4,8", "unroll factors to sweep")
+	fs.BoolVar(&o.verify, "verify", false, "validate every run against the reference interpreter")
+	fs.StringVar(&o.out, "out", "", "write artifacts into this directory instead of stdout")
+	fs.BoolVar(&o.quiet, "q", false, "suppress per-run progress")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent measurement goroutines (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.contain, "contain", false, "run every compilation under the crash-containment guard: a crashing pass is rolled back and skipped instead of aborting the campaign")
+	fs.StringVar(&o.remarks, "remarks", "", "collect optimization remarks and write them as remarks.yaml: all|passed|missed|analysis (comma-separable); deterministic across -workers counts")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON of the whole campaign (compiles, passes, simulations) to this file")
+	fs.StringVar(&o.pgoSeed, "pgo-seed", "", "seed per-app PGO overrides, e.g. 'complex=L10:force+cap=8;xsbench=L11:deny' (the recovery case study seeds complex's u=8 collapse)")
+	return fs
+}
+
+// session is one uubench invocation: what the flags resolved to, and what
+// the artifact writers share and leave behind.
+type session struct {
+	ctx            context.Context
+	o              *options
+	stdout, stderr io.Writer
+	opts           bench.HarnessOptions
+	res            *bench.Results // the single-device sweep; nil when no selected artifact reads it
+	trace          *remark.Trace  // rendered from each sweep's Results once it has run
+	interrupted    bool
+	mispredicts    int
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flags(&o)
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
+	}
+	var selected []artifact
+	campaign := false
+	for _, a := range artifacts {
+		// A selected artifact's flag holds a non-zero value: true, or
+		// -device-matrix's device list.
+		if v := fs.Lookup(a.flag).Value.String(); (v != "" && v != "false") || (o.all && a.all) {
+			selected = append(selected, a)
+			campaign = campaign || a.campaign
+		}
+	}
+	if len(selected) == 0 {
+		fs.Usage()
+		return 2
+	}
 	// SIGINT/SIGTERM cancels the campaign context: workers stop at the next
 	// pass or warp-block boundary and the completed runs are still written
-	// out below as partial artifacts. A second signal kills the process.
+	// out as partial artifacts. A second signal kills the process.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	interrupted := false
+	s := &session{ctx: ctx, o: &o, stdout: stdout, stderr: stderr}
+	code, err := s.produce(selected, campaign)
+	return cli.Exit("uubench", stderr, code, err)
+}
 
-	var res *bench.Results
-	if *table1 || *fig6a || *fig6b || *fig6c || *fig7 || *fig8 || *counters || *profileOn {
-		var err error
-		res, err = bench.RunExperimentsCtx(ctx, opts)
-		if err != nil {
-			if res == nil || ctx.Err() == nil {
-				fatal(err)
-			}
-			interrupted = true
-			fmt.Fprintf(os.Stderr, "uubench: %v; flushing partial results\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "uubench: campaign device=%s input=%s\n", res.DeviceName, res.Input)
-		for _, pf := range res.Failures {
-			fmt.Fprintf(os.Stderr, "uubench: contained pass failure: %s\n", pf.String())
-		}
-		if trace != nil {
-			bench.TraceCampaign(trace, res)
-		}
+// produce runs what the selected artifacts need and writes them.
+func (s *session) produce(selected []artifact, campaign bool) (int, error) {
+	o := s.o
+	dev, devName, input, err := o.target.Resolve()
+	if err != nil {
+		return 0, err
 	}
+	kinds, remarks, err := cli.Remarks(o.remarks)
+	if err != nil {
+		return 0, err
+	}
+	s.opts = bench.HarnessOptions{
+		Verify:     o.verify,
+		Device:     &dev,
+		DeviceName: devName,
+		Input:      input,
+		Workers:    o.workers,
+		Contain:    o.contain,
+		Remarks:    remarks != nil,
+		Apps:       cli.SplitCSV(o.apps),
+	}
+	for _, a := range selected {
+		s.opts.Profile = s.opts.Profile || a.flag == "profile"
+	}
+	for _, fs := range cli.SplitCSV(o.factors) {
+		u, err := strconv.Atoi(fs)
+		if err != nil || u < 1 {
+			return 0, fmt.Errorf("bad factor %q", fs)
+		}
+		s.opts.Factors = append(s.opts.Factors, u)
+	}
+	if !o.quiet {
+		s.opts.Progress = s.stderr
+	}
+	s.trace = cli.StartTrace(o.trace)
 
-	sink := func(name string) (*os.File, func()) {
-		if *outDir == "" {
-			fmt.Printf("\n===== %s =====\n", name)
-			return os.Stdout, func() {}
+	if campaign {
+		s.res, err = bench.RunExperimentsCtx(s.ctx, s.opts)
+		if err = s.partial(err, s.res != nil); err != nil {
+			return 0, err
 		}
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
+		fmt.Fprintf(s.stderr, "uubench: campaign device=%s input=%s\n", s.res.DeviceName, s.res.Input)
+		for _, pf := range s.res.Failures {
+			fmt.Fprintf(s.stderr, "uubench: contained pass failure: %s\n", pf.String())
 		}
-		f, err := os.Create(filepath.Join(*outDir, name))
-		if err != nil {
-			fatal(err)
+		bench.TraceCampaign(s.trace, s.res)
+	}
+	for _, a := range selected {
+		if err := s.emit(a.file, func(w io.Writer) error { return a.write(s, w) }); err != nil {
+			return 0, err
 		}
-		return f, func() { f.Close() }
 	}
-
-	if *table1 {
-		w, done := sink("table1.txt")
-		bench.WriteTable1(w, res)
-		done()
-	}
-	if *fig6a {
-		w, done := sink("fig6a.txt")
-		bench.WriteFig6a(w, res)
-		done()
-	}
-	if *fig6b {
-		w, done := sink("fig6b.txt")
-		bench.WriteFig6b(w, res)
-		done()
-	}
-	if *fig6c {
-		w, done := sink("fig6c.txt")
-		bench.WriteFig6c(w, res)
-		done()
-	}
-	if *fig7 {
-		w, done := sink("fig7.txt")
-		bench.WriteFig7(w, res)
-		done()
-	}
-	if *fig8 {
-		w, done := sink("fig8.txt")
-		bench.WriteFig8(w, res)
-		done()
-	}
-	if *ablations {
-		w, done := sink("ablations.txt")
-		for _, spec := range []struct {
-			app          string
-			loop, factor int
-		}{{"bezier-surface", 1, 2}, {"rainflow", 0, 4}, {"xsbench", 0, 2}, {"complex", 0, 4}} {
-			rows, err := bench.RunAblations(spec.app, spec.loop, spec.factor, devCfg)
-			if err != nil {
-				fatal(err)
-			}
-			bench.WriteAblations(w, spec.app, spec.loop, spec.factor, rows)
-			fmt.Fprintln(w)
-		}
-		done()
-	}
-	if *counters {
-		w, done := sink("counters.txt")
-		for _, spec := range []struct {
-			app    string
-			factor int
-		}{{"xsbench", 2}, {"xsbench", 8}, {"rainflow", 4}, {"complex", 8}, {"bezier-surface", 2}} {
-			if res.Baseline[spec.app] == nil {
-				continue
-			}
-			if rec := res.Best(spec.app, pipeline.UU, spec.factor); rec != nil {
-				bench.WriteCounterReport(w, res, spec.app, rec)
-				fmt.Fprintln(w)
+	if s.res != nil {
+		if s.opts.Profile {
+			if err := s.writeProfilePairs(); err != nil {
+				return 0, err
 			}
 		}
-		done()
-	}
-
-	if *deviceMx != "" {
-		mxOpts := bench.MatrixOptions{Harness: opts}
-		if !strings.EqualFold(*deviceMx, "all") {
-			mxOpts.Devices = splitCSV(*deviceMx)
-		}
-		switch {
-		case strings.EqualFold(*inputsCSV, "all"):
-			mxOpts.Inputs = bench.InputModes()
-		case *inputsCSV != "":
-			for _, s := range splitCSV(*inputsCSV) {
-				in, err := bench.ParseInputMode(s)
-				if err != nil {
-					fatal(err)
-				}
-				mxOpts.Inputs = append(mxOpts.Inputs, in)
-			}
-		}
-		mx, err := bench.RunMatrixCtx(ctx, mxOpts)
-		if err != nil {
-			if mx == nil || ctx.Err() == nil {
-				fatal(err)
-			}
-			interrupted = true
-			fmt.Fprintf(os.Stderr, "uubench: %v; flushing partial results\n", err)
-		}
-		w, done := sink("device-matrix.txt")
-		bench.WriteDeviceMatrix(w, mx)
-		done()
-		if trace != nil {
-			for _, sw := range mx.Sweeps {
-				bench.TraceCampaign(trace, sw.Results)
+		if remarks != nil {
+			if err := s.emit("remarks.yaml", func(w io.Writer) error { return remark.WriteYAML(w, s.res.Remarks, kinds) }); err != nil {
+				return 0, err
 			}
 		}
 	}
-
-	mispredicts := 0
-	if *pgoOn {
-		seed, err := parsePGOSeed(*pgoSeed)
-		if err != nil {
-			fatal(err)
-		}
-		popts := bench.PGOOptions{
-			Apps:       opts.Apps,
-			MaxRounds:  *pgoRounds,
-			Device:     &devCfg,
-			DeviceName: devName,
-			Input:      input,
-			Workers:    *workers,
-			Heuristic:  opts.Heuristic,
-			Seed:       seed,
-		}
-		if !*quiet {
-			popts.Progress = os.Stderr
-		}
-		pres, err := bench.RunPGOCtx(ctx, popts)
-		if err != nil {
-			if pres == nil || ctx.Err() == nil {
-				fatal(err)
-			}
-			interrupted = true
-			fmt.Fprintf(os.Stderr, "uubench: %v; flushing partial results\n", err)
-		}
-		w, done := sink("pgo.txt")
-		if err := bench.WritePGOReport(w, pres); err != nil {
-			fatal(err)
-		}
-		done()
-		mispredicts = pres.Mispredicts()
-		if !pres.Converged {
-			fmt.Fprintf(os.Stderr, "uubench: pgo did not converge within %d rounds\n", *pgoRounds)
-		}
-		if mispredicts > 0 {
-			fmt.Fprintf(os.Stderr, "uubench: pgo finished with %d surviving MISPREDICT verdict(s)\n", mispredicts)
-		}
-	}
-
-	if *profileOn && res != nil {
-		w, done := sink("hotspots.txt")
-		if err := bench.WriteProfileReport(w, res); err != nil {
-			fatal(err)
-		}
-		done()
-		writeProfileArtifacts(res, *outDir, sink)
-	}
-	if opts.Remarks && res != nil {
-		w, done := sink("remarks.yaml")
-		if err := remark.WriteYAML(w, res.Remarks, remarkKinds); err != nil {
-			fatal(err)
-		}
-		done()
-	}
-	if trace != nil {
-		if err := trace.WriteFile(*tracePath); err != nil {
-			fatal(err)
-		}
+	if err := cli.WriteTrace(s.trace, o.trace); err != nil {
+		return 0, err
 	}
 
 	// Artifacts produced under contained failures describe degraded
 	// pipelines (the crashing passes were skipped); flag that to callers.
-	if res != nil && len(res.Failures) > 0 {
-		fmt.Fprintf(os.Stderr, "uubench: %d pass invocations were contained; results reflect skipped passes\n", len(res.Failures))
-		if !interrupted {
-			os.Exit(1)
+	contained := s.res != nil && len(s.res.Failures) > 0
+	if contained {
+		fmt.Fprintf(s.stderr, "uubench: %d pass invocations were contained; results reflect skipped passes\n", len(s.res.Failures))
+	}
+	switch {
+	case s.interrupted:
+		return 130, nil
+	case contained || s.mispredicts > 0:
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// partial sorts out a campaign driver's error: with results in hand and the
+// context canceled it was an interruption — noted, and the partial results
+// are still written — anything else is returned as fatal.
+func (s *session) partial(err error, haveResults bool) error {
+	if err == nil || !haveResults || s.ctx.Err() == nil {
+		return err
+	}
+	s.interrupted = true
+	fmt.Fprintf(s.stderr, "uubench: %v; flushing partial results\n", err)
+	return nil
+}
+
+// emit renders one artifact and, once that has succeeded, writes it: into
+// -out/<name>, or to stdout under a banner. A writer that fails — several
+// run a campaign of their own first — leaves neither a banner nor a
+// truncated file behind.
+func (s *session) emit(name string, render func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return err
+	}
+	if s.o.out == "" {
+		_, err := fmt.Fprintf(s.stdout, "\n===== %s =====\n%s", name, buf.Bytes())
+		return err
+	}
+	return cli.WriteFile(filepath.Join(s.o.out, name), func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
+}
+
+func (s *session) writeAblations(w io.Writer) error {
+	for _, spec := range []struct {
+		app          string
+		loop, factor int
+	}{{"bezier-surface", 1, 2}, {"rainflow", 0, 4}, {"xsbench", 0, 2}, {"complex", 0, 4}} {
+		rows, err := bench.RunAblations(spec.app, spec.loop, spec.factor, *s.opts.Device)
+		if err != nil {
+			return err
+		}
+		bench.WriteAblations(w, spec.app, spec.loop, spec.factor, rows)
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+func (s *session) writeCounters(w io.Writer) error {
+	for _, spec := range []struct {
+		app    string
+		factor int
+	}{{"xsbench", 2}, {"xsbench", 8}, {"rainflow", 4}, {"complex", 8}, {"bezier-surface", 2}} {
+		if s.res.Baseline[spec.app] == nil {
+			continue
+		}
+		if rec := s.res.Best(spec.app, pipeline.UU, spec.factor); rec != nil {
+			bench.WriteCounterReport(w, s.res, spec.app, rec)
+			fmt.Fprintln(w)
 		}
 	}
-	if interrupted {
-		os.Exit(130)
+	return nil
+}
+
+func (s *session) writeMatrix(w io.Writer) error {
+	mxOpts := bench.MatrixOptions{Harness: s.opts}
+	if !strings.EqualFold(s.o.deviceMx, "all") {
+		mxOpts.Devices = cli.SplitCSV(s.o.deviceMx)
 	}
-	if mispredicts > 0 {
-		os.Exit(1)
+	if strings.EqualFold(s.o.inputs, "all") {
+		mxOpts.Inputs = bench.InputModes()
+	} else {
+		for _, name := range cli.SplitCSV(s.o.inputs) {
+			in, err := bench.ParseInputMode(name)
+			if err != nil {
+				return err
+			}
+			mxOpts.Inputs = append(mxOpts.Inputs, in)
+		}
 	}
+	mx, err := bench.RunMatrixCtx(s.ctx, mxOpts)
+	if err = s.partial(err, mx != nil); err != nil {
+		return err
+	}
+	bench.WriteDeviceMatrix(w, mx)
+	for _, sw := range mx.Sweeps {
+		bench.TraceCampaign(s.trace, sw.Results)
+	}
+	return nil
+}
+
+func (s *session) writePGO(w io.Writer) error {
+	seed, err := parsePGOSeed(s.o.pgoSeed)
+	if err != nil {
+		return err
+	}
+	pres, err := bench.RunPGOCtx(s.ctx, bench.PGOOptions{
+		Apps:       s.opts.Apps,
+		Device:     s.opts.Device,
+		DeviceName: s.opts.DeviceName,
+		Input:      s.opts.Input,
+		Workers:    s.opts.Workers,
+		Seed:       seed,
+		Progress:   s.opts.Progress,
+	})
+	if err = s.partial(err, pres != nil); err != nil {
+		return err
+	}
+	if err := bench.WritePGOReport(w, pres); err != nil {
+		return err
+	}
+	if s.mispredicts = pres.Mispredicts(); !pres.Converged {
+		fmt.Fprintf(s.stderr, "uubench: pgo did not converge within %d rounds\n", len(pres.Rounds))
+	}
+	if s.mispredicts > 0 {
+		fmt.Fprintf(s.stderr, "uubench: pgo finished with %d surviving MISPREDICT verdict(s)\n", s.mispredicts)
+	}
+	return nil
+}
+
+func (s *session) writeHotspots(w io.Writer) error { return bench.WriteProfileReport(w, s.res) }
+
+// writeProfilePairs writes the per-app heuristic flamegraph inputs,
+// profile-<app>.folded and profile-<app>.pb.gz. Without -out the folded
+// stacks go to stdout like every artifact and the binary one is skipped
+// with a note.
+func (s *session) writeProfilePairs() error {
+	for _, b := range bench.Suite { // suite order, which is name order
+		rec := s.res.Heuristic[b.Name]
+		if rec == nil || rec.Profile == nil {
+			continue
+		}
+		rep := profile.Build(rec.Program, rec.Profile)
+		prefix := "profile-" + b.Name
+		if s.o.out != "" {
+			if err := cli.WriteProfilePair(filepath.Join(s.o.out, prefix), rep); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := s.emit(prefix+".folded", func(w io.Writer) error { return profile.WriteFolded(w, rep) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(s.stderr, "uubench: %s.pb.gz requires -out; skipped\n", prefix)
+	}
+	return nil
 }
 
 // parsePGOSeed parses the -pgo-seed syntax: semicolon-separated
@@ -357,59 +402,4 @@ func parsePGOSeed(s string) (map[string]map[int32]core.LoopOverride, error) {
 		out[strings.TrimSpace(app)] = ov
 	}
 	return out, nil
-}
-
-// writeProfileArtifacts writes the per-app heuristic flamegraph inputs:
-// profile-<app>.folded through the sink and, when -out is set, the binary
-// profile-<app>.pb.gz (binary artifacts make no sense on stdout and are
-// skipped with a note).
-func writeProfileArtifacts(res *bench.Results, outDir string, sink func(string) (*os.File, func())) {
-	apps := make([]string, 0, len(res.Heuristic))
-	for app := range res.Heuristic {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
-	for _, app := range apps {
-		rec := res.Heuristic[app]
-		if rec == nil || rec.Profile == nil {
-			continue
-		}
-		rep := profile.Build(rec.Program, rec.Profile)
-		w, done := sink("profile-" + app + ".folded")
-		if err := profile.WriteFolded(w, rep); err != nil {
-			fatal(err)
-		}
-		done()
-		if outDir == "" {
-			fmt.Fprintf(os.Stderr, "uubench: profile-%s.pb.gz requires -out; skipped\n", app)
-			continue
-		}
-		f, err := os.Create(filepath.Join(outDir, "profile-"+app+".pb.gz"))
-		if err != nil {
-			fatal(err)
-		}
-		if err := profile.WritePprof(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// splitCSV splits a comma-separated flag value, trimming whitespace and
-// dropping empty items.
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uubench:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,9 @@
 // Command uuclient is the load client for uud: it submits one compile
-// request — or a concurrent batch of them — and reports per-request
-// latency and outcome statistics. Shed (429) and drain (503) responses and
+// request — or a concurrent batch of copies of it — and reports per-request
+// latency and outcome statistics. The request is the one positional
+// argument, a POST /compile body exactly as curl -d would send it (the JSON
+// object serve.Request documents) or @file to read it from a file, so
+// every request field is reachable. Shed (429) and drain (503) responses and
 // transport errors are retried with the shared capped-exponential,
 // full-jitter backoff (internal/harden.Backoff), honoring the server's
 // Retry-After hint as a floor; structured 4xx/5xx outcomes are permanent
@@ -14,14 +17,15 @@
 //
 // Usage:
 //
-//	uuclient -app xsbench -config uu -factor 2
-//	uuclient -n 200 -c 8 -app complex -config uu-heuristic -summary out.json
-//	uuclient -app xsbench -trace trace.json
+//	uuclient '{"app":"xsbench","config":"uu","factor":2}'
+//	uuclient -n 200 -c 8 -summary out.json '{"app":"complex","config":"uu-heuristic"}'
+//	uuclient -trace trace.json @request.json
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,105 +34,124 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"uu/cmd/internal/cli"
 	"uu/internal/harden"
 	"uu/internal/serve"
 )
 
-func main() {
-	var (
-		addr       = flag.String("addr", "http://localhost:8077", "uud base URL")
-		app        = flag.String("app", "", "suite benchmark to compile (one of app/source-file/ir-file)")
-		sourceFile = flag.String("source-file", "", "MiniCU source file to compile")
-		irFile     = flag.String("ir-file", "", "textual IR file to compile")
-		config     = flag.String("config", "baseline", "pipeline configuration")
-		loop       = flag.Int("loop", 0, "loop id for per-loop configurations")
-		factor     = flag.Int("factor", 0, "unroll factor")
-		device     = flag.String("device", "V100", "device spec")
-		grid       = flag.Int("grid", 0, "grid dim for source/ir kernels")
-		block      = flag.Int("block", 0, "block dim for source/ir kernels")
-		deadlineMs = flag.Int64("deadline-ms", 0, "per-request deadline (0 = server default)")
-		selective  = flag.Bool("selective", false, "uu-heuristic: selective-unmerge mode")
-		overrides  = flag.String("overrides", "", "uu-heuristic: per-loop profile overrides, e.g. L10:deny,L12:force+cap=2")
-		chaos      = flag.String("chaos", "", "inject a chaos pass: panic, corrupt, or miscompile")
-		contain    = flag.Bool("contain", false, "run passes under the containment guard")
-		n          = flag.Int("n", 1, "total requests")
-		c          = flag.Int("c", 1, "concurrent clients")
-		attempts   = flag.Int("attempts", 5, "max tries per request (shed/transport retries)")
-		seed       = flag.Int64("seed", 0, "backoff jitter seed (0 = nondeterministic)")
-		summary    = flag.String("summary", "", "write the latency/outcome summary JSON to this file")
-		traceOut   = flag.String("trace", "", "request a server-side trace (?trace=1) and write it to this file (single request only)")
-		quiet      = flag.Bool("q", false, "suppress the single-request response dump")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	req := serve.Request{
-		App: *app, Config: *config, Loop: *loop, Factor: *factor,
-		Device: *device, Grid: *grid, Block: *block,
-		DeadlineMs: *deadlineMs, Chaos: *chaos, Contain: *contain,
+// options is uuclient's parsed command line.
+type options struct {
+	addr     string
+	n, c     int
+	attempts int
+	seed     int64
+	summary  string
+	trace    string
+	quiet    bool
+}
+
+func flags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("uuclient", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", "http://localhost:8077", "uud base URL")
+	fs.IntVar(&o.n, "n", 1, "total requests")
+	fs.IntVar(&o.c, "c", 1, "concurrent clients")
+	fs.IntVar(&o.attempts, "attempts", 5, "max tries per request (shed/transport retries)")
+	fs.Int64Var(&o.seed, "seed", 0, "backoff jitter seed (0 = nondeterministic)")
+	fs.StringVar(&o.summary, "summary", "", "write the latency/outcome summary JSON to this file")
+	fs.StringVar(&o.trace, "trace", "", "request a server-side trace (?trace=1) and write it to this file (single request only)")
+	fs.BoolVar(&o.quiet, "q", false, "suppress the single-request response dump")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: uuclient [flags] '<request JSON>' | @file")
+		fs.PrintDefaults()
 	}
-	if *selective || *overrides != "" {
-		req.Heuristic = &serve.HeuristicSpec{Selective: *selective, Overrides: *overrides}
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flags(&o)
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	if *sourceFile != "" {
-		b, err := os.ReadFile(*sourceFile)
-		if err != nil {
-			fatal(err)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	code, err := load(&o, fs.Arg(0), stdout, stderr)
+	return cli.Exit("uuclient", stderr, code, err)
+}
+
+// load sends the request o.n times and reports; the exit code is 1 when no
+// request succeeded.
+func load(o *options, request string, stdout, stderr io.Writer) (int, error) {
+	switch {
+	case o.n < 1:
+		return 0, fmt.Errorf("-n %d: want at least one request", o.n)
+	case o.trace != "" && o.n > 1:
+		return 0, fmt.Errorf("-trace takes a single request (got -n %d)", o.n)
+	}
+	body := []byte(request)
+	if path, ok := strings.CutPrefix(request, "@"); ok {
+		var err error
+		if body, err = os.ReadFile(path); err != nil {
+			return 0, err
 		}
-		req.Source = string(b)
-	}
-	if *irFile != "" {
-		b, err := os.ReadFile(*irFile)
-		if err != nil {
-			fatal(err)
-		}
-		req.IR = string(b)
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		fatal(err)
 	}
 
-	res := runLoad(*addr, body, *n, *c, *attempts, *seed, *traceOut != "")
-	if *n == 1 && !*quiet && res.LastBody != "" {
-		fmt.Println(res.LastBody)
+	res := runLoad(o.addr, body, o.n, o.c, o.attempts, o.seed, o.trace != "")
+	last := res.last // what a single request's report is about
+	if o.n == 1 && !o.quiet && last.body != "" {
+		fmt.Fprintln(stdout, last.body)
 	}
-	fmt.Fprintf(os.Stderr, "uuclient: %d requests, %d ok (%d cached, %d coalesced), %d failed, %d retries; p50 %.1fms p99 %.1fms max %.1fms\n",
+	fmt.Fprintf(stderr, "uuclient: %d requests, %d ok (%d cached, %d coalesced), %d failed, %d retries; p50 %.1fms p99 %.1fms max %.1fms\n",
 		res.Requests, res.OK, res.Cached, res.Coalesced, res.Failed, res.Retries, res.P50Ms, res.P99Ms, res.MaxMs)
 	if res.OK > 0 && res.ServerP50Ms > 0 {
 		// Server-attributed vs client-observed: the skew is network +
 		// response encode + client-side overhead the server cannot see.
-		fmt.Fprintf(os.Stderr, "uuclient: server-attributed p50 %.1fms p99 %.1fms; client-server skew p50 %.1fms p99 %.1fms\n",
+		fmt.Fprintf(stderr, "uuclient: server-attributed p50 %.1fms p99 %.1fms; client-server skew p50 %.1fms p99 %.1fms\n",
 			res.ServerP50Ms, res.ServerP99Ms, res.SkewP50Ms, res.SkewP99Ms)
 	}
-	if *n == 1 && res.LastPhases != nil {
-		p := res.LastPhases
-		fmt.Fprintf(os.Stderr, "uuclient: %s phases (ms): frontend %.2f resolve %.2f admission %.2f compile %.2f simulate %.2f | server total %.2f, client observed %.2f\n",
-			res.LastRequestID, p.FrontendMs, p.ResolveMs, p.AdmissionMs, p.CompileMs, p.SimulateMs, p.TotalMs, res.MaxMs)
+	if p := last.resp.Phases; o.n == 1 && p != nil {
+		fmt.Fprintf(stderr, "uuclient: %s phases (ms): frontend %.2f resolve %.2f admission %.2f compile %.2f simulate %.2f | server total %.2f, client observed %.2f\n",
+			last.resp.RequestID, p.FrontendMs, p.ResolveMs, p.AdmissionMs, p.CompileMs, p.SimulateMs, p.TotalMs, res.MaxMs)
 	}
-	for code, count := range res.Errors {
-		fmt.Fprintf(os.Stderr, "uuclient:   %s: %d\n", code, count)
+	codes := make([]string, 0, len(res.Errors))
+	for code := range res.Errors {
+		codes = append(codes, code)
 	}
-	if *traceOut != "" {
-		if res.LastTrace == "" {
-			fatal(fmt.Errorf("no trace in the response (need a 200 from a telemetry-enabled server)"))
+	sort.Strings(codes)
+	for _, code := range codes {
+		fmt.Fprintf(stderr, "uuclient:   %s: %d\n", code, res.Errors[code])
+	}
+	if o.n == 1 && last.err != "" {
+		fmt.Fprintf(stderr, "uuclient:   %s\n", last.err)
+	}
+	if o.trace != "" {
+		if last.resp.TraceJSON == "" {
+			return 0, fmt.Errorf("no trace in the response (need a 200 from a telemetry-enabled server)")
 		}
-		if err := os.WriteFile(*traceOut, []byte(res.LastTrace), 0o644); err != nil {
-			fatal(err)
+		if err := os.WriteFile(o.trace, []byte(last.resp.TraceJSON), 0o644); err != nil {
+			return 0, err
 		}
-		fmt.Fprintf(os.Stderr, "uuclient: trace written to %s\n", *traceOut)
+		fmt.Fprintf(stderr, "uuclient: trace written to %s\n", o.trace)
 	}
-	if *summary != "" {
-		b, _ := json.MarshalIndent(res, "", "  ")
-		if err := os.WriteFile(*summary, b, 0o644); err != nil {
-			fatal(err)
+	if o.summary != "" {
+		b, _ := json.MarshalIndent(res, "", "  ") // a Summary always encodes
+		if err := os.WriteFile(o.summary, b, 0o644); err != nil {
+			return 0, err
 		}
 	}
 	if res.OK == 0 {
-		os.Exit(1)
+		return 1, nil
 	}
+	return 0, nil
 }
 
 // Summary is the machine-readable outcome of a load run. The client/server
@@ -154,32 +177,25 @@ type Summary struct {
 	SkewP50Ms   float64 `json:"skew_p50_ms,omitempty"`
 	SkewP99Ms   float64 `json:"skew_p99_ms,omitempty"`
 
-	LastBody      string        `json:"-"`
-	LastPhases    *serve.Phases `json:"-"`
-	LastRequestID string        `json:"-"`
-	LastTrace     string        `json:"-"`
+	last outcome // of the final request: what a single-request run reports
 }
 
 // outcome is one request's final result after retries.
 type outcome struct {
-	ok        bool
-	cached    bool
-	coalesced bool
-	code      string
-	retries   int
-	ms        float64
-	body      string
-	requestID string
-	phases    *serve.Phases
-	trace     string
+	ok      bool
+	code    string // a failure's structured code
+	err     string // a failure's "<code>: <server's message>"
+	retries int
+	ms      float64
+	body    string         // a 200's body as received
+	resp    serve.Response // and decoded
 }
 
 // runLoad fires n copies of body at the server over c workers, retrying
 // shed/transport failures with jittered backoff, and aggregates outcomes.
 func runLoad(addr string, body []byte, n, c, attempts int, seed int64, wantTrace bool) *Summary {
 	outcomes := make([]outcome, n)
-	var idx int64
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	client := &http.Client{}
 	if c < 1 {
@@ -195,40 +211,29 @@ func runLoad(addr string, body []byte, n, c, attempts int, seed int64, wantTrace
 				// Per-worker deterministic jitter for reproducible drills.
 				bo.Rand = rand.New(rand.NewSource(seed + int64(worker)))
 			}
-			for {
-				mu.Lock()
-				i := int(idx)
-				idx++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				outcomes[i] = fire(client, addr, body, bo, wantTrace)
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	res := &Summary{Requests: n, Errors: map[string]int{}}
+	res := &Summary{Requests: n, Errors: map[string]int{}, last: outcomes[n-1]}
 	var lat, srv, skew []float64
 	for _, o := range outcomes {
 		res.Retries += o.retries
 		if o.ok {
 			res.OK++
 			lat = append(lat, o.ms)
-			if o.cached {
+			if o.resp.Cached {
 				res.Cached++
 			}
-			if o.coalesced {
+			if o.resp.Coalesced {
 				res.Coalesced++
 			}
-			if o.phases != nil {
-				srv = append(srv, o.phases.TotalMs)
-				skew = append(skew, o.ms-o.phases.TotalMs)
-			}
-			res.LastBody, res.LastPhases, res.LastRequestID = o.body, o.phases, o.requestID
-			if o.trace != "" {
-				res.LastTrace = o.trace
+			if p := o.resp.Phases; p != nil {
+				srv = append(srv, p.TotalMs)
+				skew = append(skew, o.ms-p.TotalMs)
 			}
 		} else {
 			res.Failed++
@@ -251,21 +256,17 @@ func runLoad(addr string, body []byte, n, c, attempts int, seed int64, wantTrace
 	return res
 }
 
-// attemptState tracks the server's Retry-After hint across one request's
-// attempts, used as a floor under the jittered backoff delay.
-type attemptState struct {
-	retryAfter time.Duration
-}
-
 // fire issues one request with retries. Shed (429), drain (503), and
 // transport errors are retryable; everything else — including structured
 // compile failures, panics (500), and deadline expiry (504) — is permanent.
 func fire(client *http.Client, addr string, body []byte, bo harden.Backoff, wantTrace bool) (o outcome) {
-	var st attemptState
+	// The server's latest Retry-After hint is a floor under the jittered
+	// backoff delay.
+	var retryAfter time.Duration
 	sleep := bo.Sleep
 	bo.Sleep = func(d time.Duration) {
-		if st.retryAfter > d {
-			d = st.retryAfter
+		if retryAfter > d {
+			d = retryAfter
 		}
 		if sleep != nil {
 			sleep(d)
@@ -287,16 +288,12 @@ func fire(client *http.Client, addr string, body []byte, bo harden.Backoff, want
 		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			o.code = "transport"
-			return &transientError{err.Error()}
+			return &transientError{"transport: " + err.Error()}
 		}
 		defer resp.Body.Close()
 		data, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode == 200 {
-			var r serve.Response
-			if jerr := json.Unmarshal(data, &r); jerr == nil {
-				o.cached, o.coalesced = r.Cached, r.Coalesced
-				o.requestID, o.phases, o.trace = r.RequestID, r.Phases, r.TraceJSON
-			}
+			_ = json.Unmarshal(data, &o.resp) // a 200 that does not decode still counts; its report is blank
 			o.ok, o.body = true, string(data)
 			return nil
 		}
@@ -305,25 +302,23 @@ func fire(client *http.Client, addr string, body []byte, bo harden.Backoff, want
 			e.Code = fmt.Sprintf("http-%d", resp.StatusCode)
 		}
 		o.code = e.Code
+		msg := e.Code + ": " + e.Msg
 		if resp.StatusCode == 429 || resp.StatusCode == 503 {
 			if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
-				st.retryAfter = time.Duration(secs) * time.Second
+				retryAfter = time.Duration(secs) * time.Second
 			}
-			return &transientError{e.Code}
+			return &transientError{msg}
 		}
-		return fmt.Errorf("%s: %s", e.Code, e.Msg)
+		return errors.New(msg)
 	})
 	o.retries = attempt - 1
 	o.ms = float64(time.Since(start).Microseconds()) / 1e3
-	o.ok = o.ok && err == nil
+	if o.ok = o.ok && err == nil; !o.ok {
+		o.err = err.Error()
+	}
 	return o
 }
 
 type transientError struct{ msg string }
 
 func (e *transientError) Error() string { return e.msg }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uuclient:", err)
-	os.Exit(1)
-}

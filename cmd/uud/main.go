@@ -13,6 +13,9 @@
 //	  "device": "V100", "deadline_ms": 30000
 //	}'
 //
+// cmd/uuclient takes the same body as its argument and adds retries, load
+// (-n/-c) and latency reporting.
+//
 // Endpoints: POST /compile (append ?trace=1 for a request-scoped trace in
 // the response), GET /stats (JSON, with per-phase latency quantiles), GET
 // /metrics (Prometheus text exposition — point cmd/uutop or a scraper

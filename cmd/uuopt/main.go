@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	uuopt -src kernel.cu [-config uu] [-loop 0] [-factor 2] [-emit ir|vptx|dot|loops]
+//	uuopt -src kernel.cu [-config uu] [-loop 0] [-factor 2] [-emit ir|vptx|dot|loops|provenance]
 //	uuopt -ir module.ll ...
 //
 // Examples:
@@ -15,7 +15,8 @@
 // Fuzzing mode runs generated kernels through the differential oracle
 // (interpreter vs optimized interpreter vs simulator) across every pipeline
 // configuration, exits nonzero on any miscompile or contained pass crash,
-// and with -reduce writes minimized reproducers:
+// and with -reduce writes minimized reproducers to testdata/repro/ — each a
+// textual-IR file that -ir replays:
 //
 //	uuopt -fuzz 500 -seed 1 -verify-each -reduce
 package main
@@ -23,10 +24,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"uu/cmd/internal/cli"
 	"uu/internal/analysis"
 	"uu/internal/codegen"
 	"uu/internal/core"
@@ -40,138 +43,134 @@ import (
 	"uu/internal/transform"
 )
 
-func main() {
-	var (
-		srcPath   = flag.String("src", "", "MiniCU source file")
-		irPath    = flag.String("ir", "", "textual IR file")
-		config    = flag.String("config", "baseline", "pipeline config: baseline|unroll|unmerge|uu|uu-heuristic")
-		loopID    = flag.Int("loop", 0, "loop id for per-loop configs")
-		factor    = flag.Int("factor", 2, "unroll factor for unroll/uu")
-		emit      = flag.String("emit", "ir", "output: ir|vptx|dot|loops|provenance")
-		kernel    = flag.String("kernel", "", "kernel name when the module has several")
-		direct    = flag.Bool("direct-successor", false, "unmerge only the minimal SSA-closed region (DBDS-style ablation)")
-		noIfConv  = flag.Bool("no-ifconvert", false, "disable backend predication (ablation)")
-		noOpt     = flag.Bool("O0", false, "skip the pipeline entirely (frontend output)")
-		passStats = flag.Bool("pass-stats", false, "print the full pass log: per-pass time, changed bit, cache traffic, fixpoint rounds")
-		remarks   = flag.String("remarks", "", "emit optimization remarks to stderr as a YAML document stream: all|passed|missed|analysis (comma-separable)")
-		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the compilation to this file (load in Perfetto or chrome://tracing)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		fuzzN      = flag.Int("fuzz", 0, "run a differential fuzzing campaign over this many generated kernels, then exit")
-		fuzzSeed   = flag.Int64("seed", 1, "first seed of the fuzzing campaign")
-		fuzzDevice = flag.String("device", "", "fuzzing: pin the simulator leg to one device spec (e.g. Vortex, MinSPPC:warpsize=8); default exercises all three divergence policies")
-		verifyEach = flag.Bool("verify-each", false, "fuzzing: run the IR verifier after every pass (contained)")
-		reduce     = flag.Bool("reduce", false, "fuzzing: minimize each finding and write a reproducer")
-		reproDir   = flag.String("repro-dir", filepath.Join("testdata", "repro"), "fuzzing: directory for minimized reproducers")
-	)
-	flag.Parse()
+// options is uuopt's parsed command line.
+type options struct {
+	src, ir   string
+	compile   cli.Compile
+	emit      string
+	noOpt     bool
+	passStats bool
+	remarks   string
+	trace     string
+	fuzz      fuzz.CampaignOptions
+}
 
-	if *fuzzN > 0 {
-		os.Exit(runFuzz(*fuzzN, *fuzzSeed, *fuzzDevice, *verifyEach, *reduce, *reproDir))
+func flags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("uuopt", flag.ContinueOnError)
+	fs.StringVar(&o.src, "src", "", "MiniCU source file")
+	fs.StringVar(&o.ir, "ir", "", "textual IR file (e.g. a reproducer -reduce wrote)")
+	o.compile.Register(fs)
+	fs.StringVar(&o.emit, "emit", "ir", "output: ir|vptx|dot|loops|provenance")
+	fs.BoolVar(&o.noOpt, "O0", false, "skip the pipeline entirely (frontend output)")
+	fs.BoolVar(&o.passStats, "pass-stats", false, "print the full pass log: per-pass time, changed bit, cache traffic, fixpoint rounds")
+	fs.StringVar(&o.remarks, "remarks", "", "emit optimization remarks to stderr as a YAML document stream: all|passed|missed|analysis (comma-separable)")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON of the compilation to this file (load in Perfetto or chrome://tracing)")
+
+	fs.IntVar(&o.fuzz.Count, "fuzz", 0, "run a differential fuzzing campaign over this many generated kernels, then exit")
+	fs.Int64Var(&o.fuzz.Seed, "seed", 1, "first seed of the fuzzing campaign")
+	fs.StringVar(&o.fuzz.Device, "device", "", "fuzzing: pin the simulator leg to one device spec (e.g. Vortex, MinSPPC:warpsize=8); default exercises all three divergence policies")
+	fs.BoolVar(&o.fuzz.VerifyEach, "verify-each", false, "fuzzing: run the IR verifier after every pass (contained)")
+	fs.BoolVar(&o.fuzz.Reduce, "reduce", false, "fuzzing: minimize each finding and write a reproducer under testdata/repro/")
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	if code, ok := cli.Parse(flags(&o), args, stderr); !ok {
+		return code
 	}
+	if o.fuzz.Count > 0 {
+		return runFuzz(o.fuzz, stdout, stderr)
+	}
+	return cli.Exit("uuopt", stderr, 0, compile(&o, stdout, stderr))
+}
 
-	f, err := loadFunction(*srcPath, *irPath, *kernel)
+// compile is uuopt's main mode: one kernel through one configuration,
+// printed in the -emit form.
+func compile(o *options, stdout, stderr io.Writer) error {
+	switch o.emit {
+	case "ir", "vptx", "dot", "loops", "provenance":
+	default:
+		return fmt.Errorf("unknown -emit %q", o.emit)
+	}
+	opts, err := o.compile.Options()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if *emit == "provenance" {
+	f, err := loadKernel(o.src, o.ir)
+	if err != nil {
+		return err
+	}
+	if o.emit == "provenance" {
 		// Figure 5 mode: canonicalize, apply u&u with clone-origin tracking,
 		// and print the per-block condition provenance labels before the
 		// cleanup passes fold them away.
-		emitProvenance(f, *loopID, *factor)
-		return
+		return emitProvenance(stdout, f, opts.LoopID, opts.Factor)
 	}
 
-	var remarkKinds map[remark.Kind]bool
-	var collector *remark.Collector
-	if *remarks != "" {
-		kinds, err := remark.ParseKinds(*remarks)
-		if err != nil {
-			fatal(err)
-		}
-		remarkKinds = kinds
-		collector = remark.NewCollector()
+	kinds, remarks, err := cli.Remarks(o.remarks)
+	if err != nil {
+		return err
 	}
-	var trace *remark.Trace
-	if *tracePath != "" {
-		trace = remark.NewTrace()
-	}
-
-	if !*noOpt {
-		opts := pipeline.Options{
-			Config:           pipeline.Config(*config),
-			LoopID:           *loopID,
-			Factor:           *factor,
-			DisableIfConvert: *noIfConv,
-			VerifyEachPass:   true,
-			Remarks:          collector,
-		}
-		opts.Unmerge.DirectSuccessorOnly = *direct
+	trace := cli.StartTrace(o.trace)
+	if !o.noOpt {
+		opts.VerifyEachPass = true
+		opts.Remarks = remarks
 		stats, err := pipeline.Optimize(f, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if trace != nil {
-			stats.Trace(trace, 0)
-		}
-		if *passStats {
-			printPassStats(stats)
+		stats.Trace(trace, 0)
+		if o.passStats {
+			printPassStats(stderr, stats)
 		}
 		for _, d := range stats.Decisions {
-			fmt.Fprintf(os.Stderr, "heuristic: loop #%d (header %s): factor %d (p=%d s=%d f=%d)\n",
+			fmt.Fprintf(stderr, "heuristic: loop #%d (header %s): factor %d (p=%d s=%d f=%d)\n",
 				d.LoopID, d.Header.Name, d.Factor, d.Paths, d.Size, d.Estimated)
 		}
 	}
-
-	if collector != nil {
-		if err := remark.WriteYAML(os.Stderr, collector.Remarks(), remarkKinds); err != nil {
-			fatal(err)
+	if remarks != nil {
+		if err := remark.WriteYAML(stderr, remarks.Remarks(), kinds); err != nil {
+			return err
 		}
 	}
 
-	switch *emit {
+	switch o.emit {
 	case "ir":
-		fmt.Print(f.String())
+		fmt.Fprint(stdout, f.String())
 	case "vptx":
 		t0 := time.Now()
 		p, err := codegen.Lower(f)
 		trace.Complete(0, "codegen:"+f.Name, "codegen", t0, time.Since(t0), nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(p.String())
-		fmt.Fprintf(os.Stderr, "code size: %d instructions, %d bytes\n", p.NumInstrs(), p.CodeBytes())
+		fmt.Fprint(stdout, p.String())
+		fmt.Fprintf(stderr, "code size: %d instructions, %d bytes\n", p.NumInstrs(), p.CodeBytes())
 	case "dot":
-		fmt.Print(dot.CFG(f, dot.Options{Instrs: true, Loops: true}))
+		fmt.Fprint(stdout, dot.CFG(f, dot.Options{Instrs: true, Loops: true}))
 	case "loops":
-		dt := analysis.NewDomTree(f)
-		li := analysis.NewLoopInfo(f, dt)
-		for _, l := range li.Loops {
+		for _, l := range analysis.NewLoopInfo(f, analysis.NewDomTree(f)).Loops {
 			tc := "-"
 			if c, ok := analysis.ConstantTripCount(l); ok {
 				tc = fmt.Sprint(c)
 			}
-			fmt.Printf("loop #%d: header=%s depth=%d blocks=%d paths=%d size=%d trip=%s convergent=%v\n",
+			fmt.Fprintf(stdout, "loop #%d: header=%s depth=%d blocks=%d paths=%d size=%d trip=%s convergent=%v\n",
 				l.ID, l.Header.Name, l.Depth(), len(l.Blocks()),
 				analysis.CountPaths(l), analysis.LoopSize(l), tc, l.HasConvergentOp())
 		}
-	default:
-		fatal(fmt.Errorf("unknown -emit %q", *emit))
 	}
-
-	if trace != nil {
-		if err := trace.WriteFile(*tracePath); err != nil {
-			fatal(err)
-		}
-	}
+	return cli.WriteTrace(trace, o.trace)
 }
 
-// printPassStats writes the instrumented pass log to stderr: every pass
-// execution in pipeline order with its wall-clock time, whether it changed
-// the function, and its analysis-cache traffic, followed by the fixpoint
-// round counts and the whole-compile cache summary.
-func printPassStats(stats *pipeline.Stats) {
-	fmt.Fprintf(os.Stderr, "%-24s %12s  %-7s %s\n", "pass", "time", "changed", "cache")
+// printPassStats writes the instrumented pass log: every pass execution in
+// pipeline order with its wall-clock time, whether it changed the function,
+// and its analysis-cache traffic, followed by the fixpoint round counts and
+// the whole-compile cache summary.
+func printPassStats(w io.Writer, stats *pipeline.Stats) {
+	fmt.Fprintf(w, "%-24s %12s  %-7s %s\n", "pass", "time", "changed", "cache")
 	for _, pt := range stats.PassTimes {
 		changed := "-"
 		if pt.Changed {
@@ -181,67 +180,46 @@ func printPassStats(stats *pipeline.Stats) {
 		if cache == "" {
 			cache = "-"
 		}
-		fmt.Fprintf(os.Stderr, "%-24s %12v  %-7s %s\n", pt.Name, pt.Duration, changed, cache)
+		fmt.Fprintf(w, "%-24s %12v  %-7s %s\n", pt.Name, pt.Duration, changed, cache)
 	}
 	for _, r := range stats.Rounds {
-		fmt.Fprintf(os.Stderr, "phase %-18s %d/%d rounds\n", r.Phase, r.Rounds, r.MaxRounds)
+		fmt.Fprintf(w, "phase %-18s %d/%d rounds\n", r.Phase, r.Rounds, r.MaxRounds)
 	}
-	fmt.Fprintf(os.Stderr, "analysis cache: %d hits / %d misses (%.0f%% hit rate), %d invalidations\n",
+	fmt.Fprintf(w, "analysis cache: %d hits / %d misses (%.0f%% hit rate), %d invalidations\n",
 		stats.Analysis.TotalHits(), stats.Analysis.TotalMisses(),
 		100*stats.Analysis.HitRate(), stats.Analysis.TotalInvalidated())
-	fmt.Fprintf(os.Stderr, "verify: %v   compile: %v\n", stats.VerifyTime, stats.CompileTime)
+	fmt.Fprintf(w, "verify: %v   compile: %v\n", stats.VerifyTime, stats.CompileTime)
 }
 
-func loadFunction(srcPath, irPath, kernel string) (*ir.Function, error) {
-	var m *ir.Module
+// loadKernel reads the one kernel of a MiniCU source or textual-IR file.
+func loadKernel(srcPath, irPath string) (*ir.Function, error) {
+	parse, path := lang.CompileKernel, srcPath
 	switch {
-	case srcPath != "":
-		data, err := os.ReadFile(srcPath)
-		if err != nil {
-			return nil, err
-		}
-		m, err = lang.Compile(string(data))
-		if err != nil {
-			return nil, err
-		}
+	case srcPath != "" && irPath != "":
+		return nil, fmt.Errorf("-src and -ir are mutually exclusive")
 	case irPath != "":
-		data, err := os.ReadFile(irPath)
-		if err != nil {
-			return nil, err
-		}
-		m, err = irparse.Parse(string(data))
-		if err != nil {
-			return nil, err
-		}
-	default:
+		parse, path = irparse.ParseFunc, irPath
+	case srcPath == "":
 		return nil, fmt.Errorf("one of -src or -ir is required")
 	}
-	if kernel != "" {
-		f := m.FuncByName(kernel)
-		if f == nil {
-			return nil, fmt.Errorf("no kernel %q in module", kernel)
-		}
-		return f, nil
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.Funcs()) != 1 {
-		return nil, fmt.Errorf("module has %d kernels; pick one with -kernel", len(m.Funcs()))
-	}
-	return m.Funcs()[0], nil
+	return parse(string(data))
 }
 
 // emitProvenance prints the paper's Figure 5 labels: each block of the
 // unrolled-and-unmerged loop annotated with the implied truth value of every
 // conditional branch of the original loop body.
-func emitProvenance(f *ir.Function, loopID, factor int) {
+func emitProvenance(w io.Writer, f *ir.Function, loopID, factor int) error {
 	transform.Mem2Reg(f)
 	transform.SimplifyCFG(f)
 	transform.InstSimplify(f)
 	transform.DCE(f)
-	dt := analysis.NewDomTree(f)
-	li := analysis.NewLoopInfo(f, dt)
-	l := li.LoopByID(loopID)
+	l := analysis.NewLoopInfo(f, analysis.NewDomTree(f)).LoopByID(loopID)
 	if l == nil {
-		fatal(fmt.Errorf("no loop #%d", loopID))
+		return fmt.Errorf("no loop #%d", loopID)
 	}
 	var conds []*ir.Instr
 	for _, b := range l.Blocks() {
@@ -255,20 +233,21 @@ func emitProvenance(f *ir.Function, loopID, factor int) {
 	}
 	origins := map[*ir.Instr]*ir.Instr{}
 	if _, err := core.UnrollAndUnmerge(f, loopID, factor, core.Options{Origins: origins}); err != nil {
-		fatal(err)
+		return err
 	}
 	labels := core.ConditionProvenance(f, conds, origins)
-	fmt.Println("conditions (label positions):")
+	fmt.Fprintln(w, "conditions (label positions):")
 	for i, c := range conds {
-		fmt.Printf("  #%d: %s (in %s)"+"\n", i, c.String(), c.Block().Name)
+		fmt.Fprintf(w, "  #%d: %s (in %s)\n", i, c.String(), c.Block().Name)
 	}
-	fmt.Println()
-	fmt.Println("per-block provenance:")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "per-block provenance:")
 	for _, b := range f.Blocks() {
-		fmt.Printf("  %-28s %s"+"\n", b.Name, labels[b])
+		fmt.Fprintf(w, "  %-28s %s\n", b.Name, labels[b])
 	}
-	fmt.Println()
-	fmt.Print(dot.CFG(f, dot.Options{Loops: true, Labels: labels}))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, dot.CFG(f, dot.Options{Loops: true, Labels: labels}))
+	return nil
 }
 
 // runFuzz executes the differential fuzzing campaign and returns the
@@ -278,37 +257,29 @@ func emitProvenance(f *ir.Function, loopID, factor int) {
 // decode errors, or the campaign itself erroring out. The split lets CI
 // triage a red fuzz job without parsing logs: exit 1 means "a pass
 // miscompiles", exit 2 means "the harness needs attention".
-func runFuzz(count int, seed int64, device string, verifyEach, reduce bool, reproDir string) int {
-	opts := fuzz.CampaignOptions{
-		Count:      count,
-		Seed:       seed,
-		Device:     device,
-		VerifyEach: verifyEach,
-		Reduce:     reduce,
-		Log:        os.Stderr,
-	}
-	if reduce {
-		opts.ReproDir = reproDir
+func runFuzz(opts fuzz.CampaignOptions, stdout, stderr io.Writer) int {
+	opts.Log = stderr
+	if opts.Reduce {
+		opts.ReproDir = filepath.Join("testdata", "repro")
 	}
 	res, err := fuzz.RunCampaign(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "uuopt:", err)
-		return 2
+		return cli.Exit("uuopt", stderr, 2, err)
 	}
 	mismatches, infra := res.Partition()
-	fmt.Printf("fuzz: %d kernels, %d checks, %d refusals, %d findings (%d mismatches, %d infra), %d contained pass failures\n",
+	fmt.Fprintf(stdout, "fuzz: %d kernels, %d checks, %d refusals, %d findings (%d mismatches, %d infra), %d contained pass failures\n",
 		res.Kernels, res.Checks, res.Refusals, len(res.Findings), mismatches, infra, len(res.Failures))
 	for _, pf := range res.Failures {
-		fmt.Printf("  contained: %s\n", pf.String())
+		fmt.Fprintf(stdout, "  contained: %s\n", pf.String())
 	}
 	for _, f := range res.Findings {
 		class := "finding"
 		if f.Div.Infra() {
 			class = "infra"
 		}
-		fmt.Printf("  %s: %s\n", class, f.Div.String())
+		fmt.Fprintf(stdout, "  %s: %s\n", class, f.Div.String())
 		if f.ReproPath != "" {
-			fmt.Printf("    reproducer: %s (stop-after %d)\n", f.ReproPath, f.StopAfter)
+			fmt.Fprintf(stdout, "    reproducer: %s (stop-after %d)\n", f.ReproPath, f.StopAfter)
 		}
 	}
 	switch {
@@ -318,9 +289,4 @@ func runFuzz(count int, seed int64, device string, verifyEach, reduce bool, repr
 		return 2
 	}
 	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uuopt:", err)
-	os.Exit(1)
 }

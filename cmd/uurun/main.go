@@ -13,248 +13,200 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
+	"uu/cmd/internal/cli"
 	"uu/internal/bench"
 	"uu/internal/codegen"
 	"uu/internal/core"
 	"uu/internal/gpusim"
 	"uu/internal/interp"
-	"uu/internal/lang"
-	"uu/internal/pipeline"
 	"uu/internal/profile"
 	"uu/internal/remark"
 )
 
-func main() {
-	var (
-		benchName  = flag.String("bench", "", "suite benchmark name (see -list)")
-		list       = flag.Bool("list", false, "list suite benchmarks")
-		srcPath    = flag.String("src", "", "MiniCU source file (with -args/-mem/-grid/-block)")
-		argsSpec   = flag.String("args", "", "kernel arguments, comma-separated i:<int> / f:<float>")
-		memSize    = flag.Int64("mem", 1<<20, "device memory bytes (with -src)")
-		grid       = flag.Int("grid", 1, "grid dimension (with -src)")
-		block      = flag.Int("block", 32, "block dimension (with -src)")
-		config     = flag.String("config", "baseline", "pipeline config")
-		device     = flag.String("device", "V100", "device model: registry name with optional overrides, e.g. V100, MinSPPC, Vortex:warpsize=8")
-		inputMode  = flag.String("input", "coherent", "workload input mode (suite benchmarks only): coherent or noise")
-		loopID     = flag.Int("loop", 0, "loop id for per-loop configs")
-		factor     = flag.Int("factor", 2, "unroll factor")
-		verify     = flag.Bool("verify", false, "check results against the reference interpreter (suite benchmarks only)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of the compile and simulation to this file")
-		remarksStr = flag.String("remarks", "", "print optimization remarks to stderr as YAML: all|passed|missed|analysis (comma-separable)")
-		profPrefix = flag.String("profile", "", "collect a per-PC hotspot profile and write <prefix>.hotspots.txt, <prefix>.folded and <prefix>.pb.gz")
-		selective  = flag.Bool("selective", false, "uu-heuristic: selective-unmerge mode (only benefit-predicted merge blocks are duplicated)")
-		overrides  = flag.String("overrides", "", "uu-heuristic: per-loop profile overrides, e.g. L10:deny,L12:force+cap=2 — the profile-guided path a PGO driver (uubench -pgo) derives")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *list {
+// options is uurun's parsed command line.
+type options struct {
+	bench   string
+	list    bool
+	src     string
+	args    string
+	mem     int64
+	grid    int
+	block   int
+	compile cli.Compile
+	target  cli.Target
+	verify  bool
+	trace   string
+	remarks string
+	profile string
+}
+
+func flags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("uurun", flag.ContinueOnError)
+	fs.StringVar(&o.bench, "bench", "", "suite benchmark name (see -list)")
+	fs.BoolVar(&o.list, "list", false, "list suite benchmarks")
+	fs.StringVar(&o.src, "src", "", "MiniCU source file (with -args/-mem/-grid/-block)")
+	fs.StringVar(&o.args, "args", "", "kernel arguments, comma-separated i:<int> / f:<float> (with -src)")
+	fs.Int64Var(&o.mem, "mem", 1<<20, "device memory bytes (with -src)")
+	fs.IntVar(&o.grid, "grid", 1, "grid dimension (with -src)")
+	fs.IntVar(&o.block, "block", 32, "block dimension (with -src)")
+	o.compile.Register(fs)
+	o.compile.RegisterHeuristic(fs)
+	o.target.Register(fs)
+	fs.BoolVar(&o.verify, "verify", false, "check results against the reference interpreter (with -bench)")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON of the compile and simulation to this file")
+	fs.StringVar(&o.remarks, "remarks", "", "print optimization remarks to stderr as YAML: all|passed|missed|analysis (comma-separable)")
+	fs.StringVar(&o.profile, "profile", "", "collect a per-PC hotspot profile and write <prefix>.hotspots.txt, <prefix>.folded and <prefix>.pb.gz")
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	if code, ok := cli.Parse(flags(&o), args, stderr); !ok {
+		return code
+	}
+	if o.list {
 		for _, b := range bench.Suite {
-			fmt.Printf("%-16s %-30s loops=%d\n", b.Name, b.Category, bench.LoopCount(b))
+			fmt.Fprintf(stdout, "%-16s %-30s loops=%d\n", b.Name, b.Category, bench.LoopCount(b))
 		}
-		return
+		return 0
 	}
+	return cli.Exit("uurun", stderr, 0, execute(&o, stdout, stderr))
+}
 
-	var remarkKinds map[remark.Kind]bool
-	var collector *remark.Collector
-	if *remarksStr != "" {
-		kinds, err := remark.ParseKinds(*remarksStr)
-		if err != nil {
-			fatal(err)
-		}
-		remarkKinds = kinds
-		collector = remark.NewCollector()
-	}
-	writeRemarks := func() {
-		if collector == nil {
-			return
-		}
-		if err := remark.WriteYAML(os.Stderr, collector.Remarks(), remarkKinds); err != nil {
-			fatal(err)
-		}
-	}
-
-	var trace *remark.Trace
-	if *tracePath != "" {
-		trace = remark.NewTrace()
-	}
-	// traceRun renders one compile+simulate from the layers' records and this
-	// command's own clocks (when codegen finished; the simulation's start
-	// and length), then writes the file.
-	traceRun := func(st *pipeline.Stats, lowered, simStart time.Time, simDur time.Duration, m *gpusim.Metrics, dev gpusim.DeviceConfig) {
-		if trace == nil {
-			return
-		}
-		bench.TraceCompile(trace, 0, st, lowered)
-		bench.TraceSim(trace, 0, st.Function, simStart, simDur, m, dev)
-		if err := trace.WriteFile(*tracePath); err != nil {
-			fatal(err)
-		}
-	}
-
-	opts := pipeline.Options{
-		Config:  pipeline.Config(*config),
-		LoopID:  *loopID,
-		Factor:  *factor,
-		Remarks: collector,
-	}
-	if *selective || *overrides != "" {
-		if opts.Config != pipeline.UUHeuristic {
-			fatal(fmt.Errorf("-selective/-overrides require -config %s", pipeline.UUHeuristic))
-		}
-		ov, err := core.ParseOverrides(*overrides)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Heuristic = core.HeuristicParams{Selective: *selective, Overrides: ov}
-	}
-	dev, devName, err := gpusim.ParseDevice(*device)
-	if err != nil {
-		fatal(err)
-	}
-	input, err := bench.ParseInputMode(*inputMode)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *benchName != "" {
-		b := bench.ByName(*benchName)
+// workload resolves what to run: a suite benchmark with its own workload,
+// or the -src kernel as an ad-hoc benchmark over zeroed memory.
+func workload(o *options, input bench.InputMode) (*bench.Benchmark, *bench.Workload, error) {
+	if o.bench != "" {
+		b := bench.ByName(o.bench)
 		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use -list)", *benchName))
+			return nil, nil, fmt.Errorf("unknown benchmark %q (use -list)", o.bench)
 		}
 		w := b.NewWorkload()
 		w.SetInput(input)
-		fmt.Printf("device                 %s\n", devName)
-		cr, err := bench.Compile(b, opts)
-		lowered := time.Now()
-		if err != nil {
-			fatal(err)
-		}
-		var ref *interp.Memory
-		if *verify {
-			if ref, err = bench.Reference(b, w); err != nil {
-				fatal(err)
-			}
-		}
-		var prof *gpusim.Profile
-		if *profPrefix != "" {
-			prof = gpusim.NewProfile(cr.Program)
-		}
-		simStart := time.Now()
-		m, err := bench.ExecuteCtx(context.Background(), cr, w, dev, ref, prof)
-		simDur := time.Since(simStart)
-		if err != nil {
-			fatal(err)
-		}
-		if *verify {
-			fmt.Println("verification: OK")
-		}
-		report(m, dev, cr.Program)
-		if prof != nil {
-			writeProfile(*profPrefix, cr.Program, prof, cr.Stats.Decisions, cr.Stats.Skips)
-		}
-		writeRemarks()
-		traceRun(cr.Stats, lowered, simStart, simDur, m, dev)
-		return
+		return b, w, nil
+	}
+	if o.src == "" {
+		return nil, nil, fmt.Errorf("one of -bench or -src is required")
+	}
+	if o.verify {
+		return nil, nil, fmt.Errorf("-verify needs -bench: a -src workload names no output regions to compare")
+	}
+	if o.mem < 0 {
+		return nil, nil, fmt.Errorf("-mem %d must be >= 0", o.mem)
+	}
+	data, err := os.ReadFile(o.src)
+	if err != nil {
+		return nil, nil, err
+	}
+	args, err := parseArgs(o.args)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := &bench.Benchmark{Name: filepath.Base(o.src), Source: string(data)}
+	w := &bench.Workload{Args: args, MemSize: o.mem, Launch: gpusim.Launch{GridDim: o.grid, BlockDim: o.block}}
+	return b, w, nil
+}
+
+// execute compiles and simulates the selected workload. Nothing reaches
+// stdout until both have succeeded.
+func execute(o *options, stdout, stderr io.Writer) error {
+	opts, err := o.compile.Options()
+	if err != nil {
+		return err
+	}
+	dev, devName, input, err := o.target.Resolve()
+	if err != nil {
+		return err
+	}
+	kinds, remarks, err := cli.Remarks(o.remarks)
+	if err != nil {
+		return err
+	}
+	opts.Remarks = remarks
+	b, w, err := workload(o, input)
+	if err != nil {
+		return err
 	}
 
-	if *srcPath == "" {
-		fatal(fmt.Errorf("one of -bench or -src is required"))
-	}
-	data, err := os.ReadFile(*srcPath)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := lang.Compile(string(data))
-	if err != nil {
-		fatal(err)
-	}
-	if len(m.Funcs()) != 1 {
-		fatal(fmt.Errorf("source must contain exactly one kernel"))
-	}
-	f := m.Funcs()[0]
-	stats, err := pipeline.Optimize(f, opts)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := codegen.Lower(f)
+	trace := cli.StartTrace(o.trace)
+	cr, err := bench.Compile(b, opts)
 	lowered := time.Now()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	args, err := parseArgs(*argsSpec)
-	if err != nil {
-		fatal(err)
+	var ref *interp.Memory
+	if o.verify {
+		if ref, err = bench.Reference(b, w); err != nil {
+			return err
+		}
 	}
 	var prof *gpusim.Profile
-	if *profPrefix != "" {
-		prof = gpusim.NewProfile(prog)
+	if o.profile != "" {
+		prof = gpusim.NewProfile(cr.Program)
 	}
-	mem := interp.NewMemory(*memSize)
 	simStart := time.Now()
-	metrics, err := gpusim.RunCtx(context.Background(), prog, args, mem, gpusim.Launch{GridDim: *grid, BlockDim: *block}, dev, prof)
+	m, err := bench.ExecuteCtx(context.Background(), cr, w, dev, ref, prof)
 	simDur := time.Since(simStart)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("device                 %s\n", devName)
-	report(metrics, dev, prog)
+
+	fmt.Fprintf(stdout, "device                 %s\n", devName)
+	if o.verify {
+		fmt.Fprintln(stdout, "verification: OK")
+	}
+	report(stdout, m, dev, cr.Program)
 	if prof != nil {
-		writeProfile(*profPrefix, prog, prof, stats.Decisions, stats.Skips)
+		if err := writeProfile(o.profile, cr, prof); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "profile                %s.{hotspots.txt,folded,pb.gz}\n", o.profile)
 	}
-	writeRemarks()
-	traceRun(stats, lowered, simStart, simDur, metrics, dev)
+	if remarks != nil {
+		if err := remark.WriteYAML(stderr, remarks.Remarks(), kinds); err != nil {
+			return err
+		}
+	}
+	// The trace is rendered from the layers' records and this command's own
+	// clocks: when codegen finished, the simulation's start and length.
+	bench.TraceCompile(trace, 0, cr.Stats, lowered)
+	bench.TraceSim(trace, 0, cr.Stats.Function, simStart, simDur, m, dev)
+	return cli.WriteTrace(trace, o.trace)
 }
 
 // writeProfile renders the hotspot profile as <prefix>.hotspots.txt (tables
-// plus, for heuristic runs, the predicted-vs-measured join), <prefix>.folded
-// (flamegraph folded stacks) and <prefix>.pb.gz (pprof protobuf).
-func writeProfile(prefix string, prog *codegen.Program, prof *gpusim.Profile, decisions []core.Decision, skips []core.SkipRecord) {
-	if dir := filepath.Dir(prefix); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-	rep := profile.Build(prog, prof)
-	write := func(suffix string, render func(f *os.File) error) {
-		f, err := os.Create(prefix + suffix)
-		if err != nil {
-			fatal(err)
-		}
-		if err := render(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	write(".hotspots.txt", func(f *os.File) error {
-		if err := profile.WriteHotspots(f, rep); err != nil {
+// plus, for heuristic runs, the predicted-vs-measured join) and the
+// flamegraph pair <prefix>.folded / <prefix>.pb.gz.
+func writeProfile(prefix string, cr *bench.CompileResult, prof *gpusim.Profile) error {
+	rep := profile.Build(cr.Program, prof)
+	err := cli.WriteFile(prefix+".hotspots.txt", func(w io.Writer) error {
+		if err := profile.WriteHotspots(w, rep); err != nil {
 			return err
 		}
-		if len(decisions) > 0 {
-			fmt.Fprintln(f)
-			return profile.WritePrediction(f, rep, decisions, skips, core.DefaultHeuristicParams().C)
+		if len(cr.Stats.Decisions) > 0 {
+			fmt.Fprintln(w)
+			return profile.WritePrediction(w, rep, cr.Stats.Decisions, cr.Stats.Skips, core.DefaultHeuristicParams().C)
 		}
 		return nil
 	})
-	write(".folded", func(f *os.File) error { return profile.WriteFolded(f, rep) })
-	write(".pb.gz", func(f *os.File) error { return profile.WritePprof(f, rep) })
-	fmt.Printf("profile                %s.{hotspots.txt,folded,pb.gz}\n", prefix)
+	if err != nil {
+		return err
+	}
+	return cli.WriteProfilePair(prefix, rep)
 }
 
 func parseArgs(spec string) ([]interp.Value, error) {
-	if spec == "" {
-		return nil, nil
-	}
 	var out []interp.Value
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
+	for _, part := range cli.SplitCSV(spec) {
 		switch {
 		case strings.HasPrefix(part, "i:"):
 			v, err := strconv.ParseInt(part[2:], 0, 64)
@@ -275,26 +227,21 @@ func parseArgs(spec string) ([]interp.Value, error) {
 	return out, nil
 }
 
-func report(m *gpusim.Metrics, dev gpusim.DeviceConfig, p *codegen.Program) {
-	fmt.Printf("kernel                 %s\n", p.Name)
-	fmt.Printf("kernel time            %.6f ms\n", m.KernelMillis(dev))
-	fmt.Printf("cycles                 %d\n", m.Cycles)
-	fmt.Printf("warps                  %d\n", m.Warps)
-	fmt.Printf("warp instructions      %d\n", m.WarpInstrs)
-	fmt.Printf("thread instructions    %d\n", m.ThreadInstrs)
-	fmt.Printf("  inst_compute         %d\n", m.ClassThread[codegen.ClassCompute])
-	fmt.Printf("  inst_misc            %d\n", m.ClassThread[codegen.ClassMisc])
-	fmt.Printf("  inst_control         %d\n", m.ClassThread[codegen.ClassControl])
-	fmt.Printf("  inst_memory          %d\n", m.ClassThread[codegen.ClassMemory])
-	fmt.Printf("gld_transactions       %d (%d bytes)\n", m.GldTransactions, m.GldBytes)
-	fmt.Printf("gst_transactions       %d (%d bytes)\n", m.GstTransactions, m.GstBytes)
-	fmt.Printf("warp_execution_eff     %.2f%%\n", m.WarpExecutionEfficiency(dev)*100)
-	fmt.Printf("stall_inst_fetch       %.2f%%\n", m.StallInstFetchPct()*100)
-	fmt.Printf("IPC                    %.3f\n", m.IPC())
-	fmt.Printf("code size              %d bytes (%d instructions)\n", p.CodeBytes(), p.NumInstrs())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uurun:", err)
-	os.Exit(1)
+func report(w io.Writer, m *gpusim.Metrics, dev gpusim.DeviceConfig, p *codegen.Program) {
+	fmt.Fprintf(w, "kernel                 %s\n", p.Name)
+	fmt.Fprintf(w, "kernel time            %.6f ms\n", m.KernelMillis(dev))
+	fmt.Fprintf(w, "cycles                 %d\n", m.Cycles)
+	fmt.Fprintf(w, "warps                  %d\n", m.Warps)
+	fmt.Fprintf(w, "warp instructions      %d\n", m.WarpInstrs)
+	fmt.Fprintf(w, "thread instructions    %d\n", m.ThreadInstrs)
+	fmt.Fprintf(w, "  inst_compute         %d\n", m.ClassThread[codegen.ClassCompute])
+	fmt.Fprintf(w, "  inst_misc            %d\n", m.ClassThread[codegen.ClassMisc])
+	fmt.Fprintf(w, "  inst_control         %d\n", m.ClassThread[codegen.ClassControl])
+	fmt.Fprintf(w, "  inst_memory          %d\n", m.ClassThread[codegen.ClassMemory])
+	fmt.Fprintf(w, "gld_transactions       %d (%d bytes)\n", m.GldTransactions, m.GldBytes)
+	fmt.Fprintf(w, "gst_transactions       %d (%d bytes)\n", m.GstTransactions, m.GstBytes)
+	fmt.Fprintf(w, "warp_execution_eff     %.2f%%\n", m.WarpExecutionEfficiency(dev)*100)
+	fmt.Fprintf(w, "stall_inst_fetch       %.2f%%\n", m.StallInstFetchPct()*100)
+	fmt.Fprintf(w, "IPC                    %.3f\n", m.IPC())
+	fmt.Fprintf(w, "code size              %d bytes (%d instructions)\n", p.CodeBytes(), p.NumInstrs())
 }

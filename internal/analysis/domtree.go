@@ -200,11 +200,6 @@ func (t *DomTree) Dominates(a, b *ir.Block) bool {
 	return t.in[na] <= t.in[nb] && t.out[nb] <= t.out[na]
 }
 
-// StrictlyDominates reports whether a dominates b and a != b.
-func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
-	return a != b && t.Dominates(a, b)
-}
-
 // Children returns the dominator-tree children of b. The slice must not be
 // mutated.
 func (t *DomTree) Children(b *ir.Block) []*ir.Block {
@@ -241,27 +236,4 @@ func appendUnique(s []*ir.Block, b *ir.Block) []*ir.Block {
 		}
 	}
 	return append(s, b)
-}
-
-// DominatesInstr reports whether the definition of value def is available at
-// instruction at (i.e. def is a constant/parameter, or an instruction that
-// strictly precedes at in the same block, or whose block dominates at's).
-func (t *DomTree) DominatesInstr(def ir.Value, at *ir.Instr) bool {
-	di, ok := def.(*ir.Instr)
-	if !ok {
-		return true
-	}
-	db, ub := di.Block(), at.Block()
-	if db == ub {
-		for _, in := range db.Instrs() {
-			if in == di {
-				return true
-			}
-			if in == at {
-				return false
-			}
-		}
-		return false
-	}
-	return t.Dominates(db, ub)
 }

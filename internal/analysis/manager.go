@@ -15,14 +15,13 @@ type AnalysisID int
 // The managed analyses.
 const (
 	DomTreeID AnalysisID = iota
-	PostDomTreeID
 	LoopInfoID
 	DivergenceID
 	AliasID
 	numAnalyses
 )
 
-var analysisNames = [numAnalyses]string{"domtree", "postdomtree", "loopinfo", "divergence", "alias"}
+var analysisNames = [numAnalyses]string{"domtree", "loopinfo", "divergence", "alias"}
 
 // String returns the analysis's short name as used in cache statistics.
 func (id AnalysisID) String() string {
@@ -66,12 +65,11 @@ func PreserveNone() PreservedAnalyses {
 }
 
 // PreserveCFG reports a change that only touched instructions, not the
-// control-flow graph: dominator/post-dominator trees and loop info stay
-// valid, while value-sensitive analyses (divergence, alias memos) drop.
+// control-flow graph: the dominator tree and loop info stay valid, while
+// value-sensitive analyses (divergence, alias memos) drop.
 func PreserveCFG() PreservedAnalyses {
 	pa := PreserveNone()
 	pa.keep[DomTreeID] = true
-	pa.keep[PostDomTreeID] = true
 	pa.keep[LoopInfoID] = true
 	return pa
 }
@@ -187,11 +185,10 @@ type AnalysisManager struct {
 	f     *ir.Function
 	valid [numAnalyses]bool
 
-	domTree     *DomTree
-	postDomTree *DomTree
-	loopInfo    *LoopInfo
-	divergence  *Divergence
-	alias       *AliasInfo
+	domTree    *DomTree
+	loopInfo   *LoopInfo
+	divergence *Divergence
+	alias      *AliasInfo
 
 	stats CacheStats
 
@@ -237,14 +234,6 @@ func (am *AnalysisManager) DomTree() *DomTree {
 	return am.domTree
 }
 
-// PostDomTree returns the cached post-dominator tree.
-func (am *AnalysisManager) PostDomTree() *DomTree {
-	if !am.hit(PostDomTreeID) {
-		am.postDomTree = NewPostDomTree(am.f)
-	}
-	return am.postDomTree
-}
-
 // LoopInfo returns the cached loop forest (computed over the cached
 // dominator tree).
 func (am *AnalysisManager) LoopInfo() *LoopInfo {
@@ -285,9 +274,6 @@ func (am *AnalysisManager) Invalidate(pa PreservedAnalyses) {
 	// Release dropped results for the GC.
 	if !am.valid[DomTreeID] {
 		am.domTree = nil
-	}
-	if !am.valid[PostDomTreeID] {
-		am.postDomTree = nil
 	}
 	if !am.valid[LoopInfoID] {
 		am.loopInfo = nil

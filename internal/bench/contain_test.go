@@ -37,8 +37,8 @@ func TestRunExperimentsContainsInjectedPanic(t *testing.T) {
 	if base == nil || base.Metrics == nil {
 		t.Fatalf("baseline run did not complete: %+v", base)
 	}
-	if len(base.Failures) != 1 {
-		t.Fatalf("baseline run should carry exactly its own failure, got %d", len(base.Failures))
+	if len(base.Stats.Failures) != 1 {
+		t.Fatalf("baseline run should carry exactly its own failure, got %d", len(base.Stats.Failures))
 	}
 }
 

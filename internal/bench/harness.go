@@ -12,7 +12,6 @@ import (
 
 	"uu/internal/analysis"
 	"uu/internal/codegen"
-	"uu/internal/core"
 	"uu/internal/gpusim"
 	"uu/internal/harden"
 	"uu/internal/interp"
@@ -31,11 +30,12 @@ type RunRecord struct {
 	CodeBytes int64
 	CompileMs float64
 	Metrics   *gpusim.Metrics
-	Decisions []core.Decision   // heuristic only
-	Skips     []core.SkipRecord // heuristic only: considered-but-rejected loops
-	Skipped   string            // non-empty when the loop was untransformable
-	// Stats is the compilation's own record (ordered pass record, compile
-	// clock) as far as it got; nil only when the frontend failed. The four
+	Skipped   string // non-empty when the loop was untransformable
+	// Stats is the compilation's own record as far as it got — ordered pass
+	// record, compile clock, the heuristic's Decisions and Skips, and the
+	// pass Failures the guard contained (HarnessOptions.Contain; such a run
+	// still produced a program, but its numbers describe the pipeline with
+	// those passes skipped). Nil only when the frontend failed. The four
 	// fields after it are the job's host-side wall clock, which depends on
 	// machine load and worker count and describes the harness, not the
 	// kernel; TraceCampaign renders both.
@@ -44,11 +44,6 @@ type RunRecord struct {
 	Start        time.Time     // when it picked the job up
 	CompileWall  time.Duration // frontend + pipeline + codegen, from Start
 	SimulateWall time.Duration // simulation + oracle comparison, right after
-	// Failures lists pass invocations the guard contained during this
-	// run's compilation (HarnessOptions.Contain). A run with contained
-	// failures still produced a program — the failing passes were rolled
-	// back and skipped — but its numbers describe that degraded pipeline.
-	Failures []harden.PassFailure
 	// Remarks is this run's optimization-remark stream, in emission order
 	// (HarnessOptions.Remarks). The final entry is the gpusim SimMetrics
 	// remark for runs that simulated.
@@ -84,7 +79,7 @@ type Results struct {
 	PerLoop    []*RunRecord          // unroll/unmerge/uu per loop and factor
 	LoopCount  map[string]int
 	// Failures aggregates every contained pass failure across the sweep
-	// (see RunRecord.Failures); empty unless HarnessOptions.Contain.
+	// (each run's Stats.Failures); empty unless HarnessOptions.Contain.
 	Failures []harden.PassFailure
 	// Remarks is every run's remark stream concatenated in campaign order
 	// (HarnessOptions.Remarks). Each run emits into its own collector, so
@@ -132,10 +127,79 @@ type HarnessOptions struct {
 	// (RunRecord.Profile). Profiles, like metrics, are identical for any
 	// Workers count. Off by default.
 	Profile bool
-	// Heuristic parameterizes the sweep's uu-heuristic runs (zero value =
-	// paper defaults). The PGO driver threads each round's per-loop
-	// overrides through here.
-	Heuristic core.HeuristicParams
+}
+
+// campaignDefaults resolves what every campaign driver's options leave
+// unset: the V100 device and its name, the coherent input mode, and the
+// whole suite when no application subset is named.
+func campaignDefaults(device *gpusim.DeviceConfig, deviceName string, input InputMode, appNames []string) (gpusim.DeviceConfig, string, InputMode, []*Benchmark, error) {
+	dev := gpusim.V100()
+	if device != nil {
+		dev = *device
+	}
+	if deviceName == "" {
+		deviceName = "V100"
+	}
+	if input == "" {
+		input = InputCoherent
+	}
+	apps := Suite
+	if appNames != nil {
+		apps = nil
+		for _, name := range appNames {
+			b := ByName(name)
+			if b == nil {
+				return dev, deviceName, input, nil, fmt.Errorf("bench: unknown application %q", name)
+			}
+			apps = append(apps, b)
+		}
+	}
+	return dev, deviceName, input, apps, nil
+}
+
+// runIndexed is the campaign drivers' worker pool: it calls fn(worker, i)
+// once for every i in [0, n) on min(workers, n) goroutines (workers <= 0
+// means GOMAXPROCS) and returns when all have finished. Indices are claimed
+// in order, and none is claimed once ctx is done. Callers write results by
+// index, which is what makes their assembled output independent of the
+// worker count.
+func runIndexed(ctx context.Context, workers, n int, fn func(worker, i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(worker, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// progressLog returns a printf that writes one whole line to w at a time
+// (workers share it), or drops the line when w is nil.
+func progressLog(w io.Writer) func(format string, args ...any) {
+	var mu sync.Mutex
+	return func(format string, args ...any) {
+		if w == nil {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, format+"\n", args...)
+	}
 }
 
 // harnessJob is one planned (application, configuration, loop, factor)
@@ -160,7 +224,7 @@ type harnessJob struct {
 // unroll-only and u&u for each unroll factor and unmerge-only per loop.
 //
 // Runs are independent (each compiles its own fresh kernel function), so
-// they execute on a worker pool of opts.Workers goroutines.
+// they execute on a pool of opts.Workers goroutines (runIndexed).
 func RunExperiments(opts HarnessOptions) (*Results, error) {
 	return RunExperimentsCtx(context.Background(), opts)
 }
@@ -178,28 +242,9 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 	if factors == nil {
 		factors = []int{2, 4, 8}
 	}
-	dev := gpusim.V100()
-	if opts.Device != nil {
-		dev = *opts.Device
-	}
-	devName := opts.DeviceName
-	if devName == "" {
-		devName = "V100"
-	}
-	input := opts.Input
-	if input == "" {
-		input = InputCoherent
-	}
-	apps := Suite
-	if opts.Apps != nil {
-		apps = nil
-		for _, name := range opts.Apps {
-			b := ByName(name)
-			if b == nil {
-				return nil, fmt.Errorf("bench: unknown application %q", name)
-			}
-			apps = append(apps, b)
-		}
+	dev, devName, input, apps, err := campaignDefaults(opts.Device, opts.DeviceName, opts.Input, opts.Apps)
+	if err != nil {
+		return nil, err
 	}
 	res := &Results{
 		Device:     dev,
@@ -235,7 +280,7 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 			return &jobs[len(jobs)-1]
 		}
 		add(pipeline.Options{Config: pipeline.Baseline}, -1, 0).isBaseline = true
-		add(pipeline.Options{Config: pipeline.UUHeuristic, Heuristic: opts.Heuristic}, -1, 0).isHeuristic = true
+		add(pipeline.Options{Config: pipeline.UUHeuristic}, -1, 0).isHeuristic = true
 		for loop := 0; loop < res.LoopCount[b.Name]; loop++ {
 			add(pipeline.Options{Config: pipeline.UnmergeOnly, LoopID: loop}, loop, 1)
 			for _, u := range factors {
@@ -245,46 +290,14 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 		}
 	}
 
-	// Execute on a worker pool. recs/errs are indexed by job so assembly
-	// below is deterministic; the progress writer is the only shared sink
-	// and is guarded by a mutex.
-	var progressMu sync.Mutex
-	logf := func(format string, args ...any) {
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		fmt.Fprintf(opts.Progress, format+"\n", args...)
-	}
+	// Execute on the pool. recs/errs are indexed by job so assembly below is
+	// deterministic; the progress writer is the only shared sink.
+	logf := progressLog(opts.Progress)
 	recs := make([]*RunRecord, len(jobs))
 	errs := make([]error, len(jobs))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(jobs) {
-					return
-				}
-				recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, logf, &opts, worker)
-			}
-		}(i)
-	}
-	wg.Wait()
+	runIndexed(ctx, opts.Workers, len(jobs), func(worker, idx int) {
+		recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, logf, &opts, worker)
+	})
 	canceled := ctx.Err() != nil
 	for _, err := range errs {
 		if err != nil && !canceled {
@@ -302,7 +315,9 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 		if rec == nil {
 			continue
 		}
-		res.Failures = append(res.Failures, rec.Failures...)
+		if rec.Stats != nil {
+			res.Failures = append(res.Failures, rec.Stats.Failures...)
+		}
 		res.Remarks = append(res.Remarks, rec.Remarks...)
 		switch {
 		case j.isBaseline:
@@ -352,9 +367,6 @@ func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf fu
 	}
 	rec.CompileMs = float64((cr.Stats.CompileTime - cr.Stats.VerifyTime).Microseconds()) / 1000
 	rec.CodeBytes = cr.Program.CodeBytes()
-	rec.Decisions = cr.Stats.Decisions
-	rec.Skips = cr.Stats.Skips
-	rec.Failures = cr.Stats.Failures
 	var prof *gpusim.Profile
 	if hopts.Profile {
 		prof = gpusim.NewProfile(cr.Program)

@@ -49,7 +49,7 @@ func TestRunExperimentsWorkerDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 			t.Fatalf("%s: metrics differ", what)
 		}
-		if !reflect.DeepEqual(a.Decisions, b.Decisions) {
+		if !reflect.DeepEqual(a.Stats.Decisions, b.Stats.Decisions) {
 			t.Fatalf("%s: decisions differ", what)
 		}
 	}

@@ -23,7 +23,7 @@ type Matrix struct {
 	Sweeps []*Sweep
 }
 
-// MatrixOptions configures RunMatrix. Harness is the per-sweep template;
+// MatrixOptions configures RunMatrixCtx. Harness is the per-sweep template;
 // its Device, DeviceName and Input fields are overwritten for each cell.
 type MatrixOptions struct {
 	Harness HarnessOptions
@@ -34,18 +34,13 @@ type MatrixOptions struct {
 	Inputs []InputMode
 }
 
-// RunMatrix runs the campaign once per (device, input) cell. Every sweep
+// RunMatrixCtx runs the campaign once per (device, input) cell. Every sweep
 // uses the same apps, factors and harness settings, so cross-cell
-// comparisons differ only in the dimension under study.
-func RunMatrix(opts MatrixOptions) (*Matrix, error) {
-	return RunMatrixCtx(context.Background(), opts)
-}
-
-// RunMatrixCtx is RunMatrix under a context. On cancellation the in-flight
-// sweep stops at its next pass/block boundary and the completed sweeps —
-// plus the interrupted sweep's completed runs — are returned as a partial
-// Matrix alongside the context's error, so a SIGINT mid-matrix still
-// flushes every cell measured so far.
+// comparisons differ only in the dimension under study. On cancellation the
+// in-flight sweep stops at its next pass/block boundary and the completed
+// sweeps — plus the interrupted sweep's completed runs — are returned as a
+// partial Matrix alongside the context's error, so a SIGINT mid-matrix
+// still flushes every cell measured so far.
 func RunMatrixCtx(ctx context.Context, opts MatrixOptions) (*Matrix, error) {
 	devices := opts.Devices
 	if devices == nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestNoiseModeVerifies(t *testing.T) {
 // the report: per-sweep figure tables, the robustness verdict table, and
 // the complex fetch-stall cross-check.
 func TestRunMatrix(t *testing.T) {
-	mx, err := RunMatrix(MatrixOptions{
+	mx, err := RunMatrixCtx(context.Background(), MatrixOptions{
 		Harness: HarnessOptions{
 			Apps:    []string{"complex", "rainflow"},
 			Factors: []int{2},

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"uu/internal/core"
 	"uu/internal/gpusim"
@@ -22,21 +19,22 @@ import (
 // signals (profile.ExtractFeedback), and asks the policy
 // (core.SuggestOverrides) for the next round's overrides. The loop stops
 // when no app's override set changes — measured behavior and prediction
-// agree — or after MaxRounds.
+// agree — or after pgoMaxRounds.
 //
 // Determinism: per-app rounds use only Compile + simulate, both of which are
-// byte-identical for any worker count; apps are dispatched on an indexed
-// worker pool and assembled in suite order, so the full PGOResult (and its
-// rendered report) is identical under any Workers setting.
+// byte-identical for any worker count; apps are dispatched on the harness's
+// pool (runIndexed) and assembled in suite order, so the full PGOResult (and
+// its rendered report) is identical under any Workers setting.
+
+// pgoMaxRounds bounds the feedback iteration: the policy's demotion ladder
+// force+capN → cap2 → cap1 → deny is 4 rungs deep, so any single loop
+// converges within it.
+const pgoMaxRounds = 4
 
 // PGOOptions configures a PGO campaign.
 type PGOOptions struct {
-	Apps []string // nil = whole suite
-	// MaxRounds bounds the feedback iteration; <= 0 means 4 (the policy's
-	// demotion ladder force+capN → cap2 → cap1 → deny is 4 rungs deep, so
-	// any single loop converges within it).
-	MaxRounds int
-	Device    *gpusim.DeviceConfig
+	Apps   []string // nil = whole suite
+	Device *gpusim.DeviceConfig
 	// DeviceName labels Device in reports (empty = "V100").
 	DeviceName string
 	Input      InputMode
@@ -94,7 +92,7 @@ type PGOResult struct {
 	DeviceName string
 	Rounds     []PGORound
 	// Converged reports that the last round changed nothing (as opposed to
-	// stopping at MaxRounds with pending changes).
+	// stopping at pgoMaxRounds with pending changes).
 	Converged bool
 }
 
@@ -127,40 +125,13 @@ func (r *PGOResult) FinalSpeedup(app string) float64 {
 	return 0
 }
 
-// RunPGO runs the profile-guided campaign (see package comment above).
-func RunPGO(opts PGOOptions) (*PGOResult, error) {
-	return RunPGOCtx(context.Background(), opts)
-}
-
-// RunPGOCtx is RunPGO under a context; cancellation aborts mid-round and
-// returns the rounds completed so far alongside the error.
+// RunPGOCtx runs the profile-guided campaign (see the comment at the top of
+// this file); cancellation aborts mid-round and returns the rounds
+// completed so far alongside the error.
 func RunPGOCtx(ctx context.Context, opts PGOOptions) (*PGOResult, error) {
-	dev := gpusim.V100()
-	if opts.Device != nil {
-		dev = *opts.Device
-	}
-	devName := opts.DeviceName
-	if devName == "" {
-		devName = "V100"
-	}
-	input := opts.Input
-	if input == "" {
-		input = InputCoherent
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4
-	}
-	apps := Suite
-	if opts.Apps != nil {
-		apps = nil
-		for _, name := range opts.Apps {
-			b := ByName(name)
-			if b == nil {
-				return nil, fmt.Errorf("bench: unknown application %q", name)
-			}
-			apps = append(apps, b)
-		}
+	dev, devName, input, apps, err := campaignDefaults(opts.Device, opts.DeviceName, opts.Input, opts.Apps)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-app derived override state, seeded from opts.Seed.
@@ -172,53 +143,20 @@ func RunPGOCtx(ctx context.Context, opts PGOOptions) (*PGOResult, error) {
 	// baseline build does not depend on overrides).
 	baseMillis := make([]float64, len(apps))
 
-	var progressMu sync.Mutex
-	logf := func(format string, args ...any) {
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		fmt.Fprintf(opts.Progress, format+"\n", args...)
-	}
-
+	logf := progressLog(opts.Progress)
 	res := &PGOResult{DeviceName: devName}
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; round <= pgoMaxRounds; round++ {
 		rr := PGORound{Round: round, Apps: make([]*PGOAppRound, len(apps))}
 		errs := make([]error, len(apps))
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(apps) {
-			workers = len(apps)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(apps) {
-						return
-					}
-					rr.Apps[i], errs[i] = pgoAppRound(ctx, apps[i], input, dev,
-						opts.Heuristic, state[i], round == 1, &baseMillis[i])
-					if rr.Apps[i] != nil {
-						a := rr.Apps[i]
-						logf("pgo round %d %-16s speedup=%.3f verdict=%-16s overrides=%s -> %s",
-							round, a.App, a.Speedup, a.Verdict,
-							core.OverridesString(a.Overrides), core.OverridesString(a.Next))
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		runIndexed(ctx, opts.Workers, len(apps), func(_, i int) {
+			rr.Apps[i], errs[i] = pgoAppRound(ctx, apps[i], input, dev,
+				opts.Heuristic, state[i], round == 1, &baseMillis[i])
+			if a := rr.Apps[i]; a != nil {
+				logf("pgo round %d %-16s speedup=%.3f verdict=%-16s overrides=%s -> %s",
+					round, a.App, a.Speedup, a.Verdict,
+					core.OverridesString(a.Overrides), core.OverridesString(a.Next))
+			}
+		})
 		for _, err := range errs {
 			if err != nil {
 				return res, err

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"uu/internal/core"
@@ -13,7 +14,7 @@ import (
 // within the ladder depth, no MISPREDICT verdict survives, bezier-surface
 // keeps its paper-scale speedup, and complex ends at least neutral.
 func TestPGOConvergence(t *testing.T) {
-	res, err := RunPGO(PGOOptions{Apps: remarkCorpusApps})
+	res, err := RunPGOCtx(context.Background(), PGOOptions{Apps: remarkCorpusApps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestPGOConvergence(t *testing.T) {
 // (≈0.06×), and the feedback loop must dig it back out to at least neutral
 // by demoting the loop down the ladder.
 func TestPGORecoversForcedCollapse(t *testing.T) {
-	res, err := RunPGO(PGOOptions{
+	res, err := RunPGOCtx(context.Background(), PGOOptions{
 		Apps: []string{"complex"},
 		Seed: map[string]map[int32]core.LoopOverride{
 			"complex": {10: {Force: true, FactorCap: 8}},
@@ -75,7 +76,7 @@ func TestPGORecoversForcedCollapse(t *testing.T) {
 // — a genuine MISPREDICT), and the next round must force it back in and
 // clear the verdict.
 func TestPGOForcePathPromotion(t *testing.T) {
-	res, err := RunPGO(PGOOptions{
+	res, err := RunPGOCtx(context.Background(), PGOOptions{
 		Apps:      []string{"bezier-surface"},
 		Heuristic: core.HeuristicParams{C: 64},
 	})
@@ -106,7 +107,7 @@ func TestPGODeterminism(t *testing.T) {
 		t.Skip("short mode")
 	}
 	render := func(workers int) []byte {
-		res, err := RunPGO(PGOOptions{
+		res, err := RunPGOCtx(context.Background(), PGOOptions{
 			Apps:    remarkCorpusApps,
 			Workers: workers,
 			Seed: map[string]map[int32]core.LoopOverride{

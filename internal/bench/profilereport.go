@@ -27,7 +27,7 @@ func WriteProfileReport(w io.Writer, r *Results) error {
 			}
 			if rec == r.Heuristic[app] {
 				fmt.Fprintln(w)
-				if err := profile.WritePrediction(w, rep, rec.Decisions, rec.Skips, c); err != nil {
+				if err := profile.WritePrediction(w, rep, rec.Stats.Decisions, rec.Stats.Skips, c); err != nil {
 					return err
 				}
 			}

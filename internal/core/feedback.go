@@ -2,19 +2,18 @@ package core
 
 import (
 	"fmt"
-	"strings"
 )
 
 // This file is the policy half of the profile-guided (PGO) loop: given
 // measured per-loop signals and the app-level outcome of one
 // compile→simulate round, derive the per-loop overrides for the next round.
 // Signal extraction from gpusim profiles lives in internal/profile
-// (ExtractFeedback); the campaign driver lives in internal/bench (RunPGO).
+// (ExtractFeedback); the campaign driver lives in internal/bench (RunPGOCtx).
 // Keeping the policy here means pipeline and serve can consume overrides
 // without importing the profiler.
 
 // LoopSignal is the measured per-loop evidence one simulation round produced,
-// keyed by the loop's anchoring source line (LoopLine). Cycle-like fields are
+// keyed by the loop's anchoring source line (ir.BlockLine). Cycle-like fields are
 // aggregated over the loop body including all unroll/unmerge clones.
 type LoopSignal struct {
 	Line             int32
@@ -106,21 +105,4 @@ func SuggestOverrides(prev map[int32]LoopOverride, fb Feedback) (map[int32]LoopO
 		}
 	}
 	return out, changed
-}
-
-// FeedbackString renders a feedback summary line for PGO reports.
-func FeedbackString(fb Feedback) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "speedup=%.3f", fb.Speedup)
-	if fb.Mispredict {
-		fmt.Fprintf(&sb, " mispredict=L%d", fb.MispredictLine)
-	}
-	for _, d := range fb.Decisions {
-		fmt.Fprintf(&sb, " [L%d u%d", d.HeaderLine, d.Factor)
-		if d.Forced {
-			sb.WriteString(" forced")
-		}
-		sb.WriteString("]")
-	}
-	return sb.String()
 }

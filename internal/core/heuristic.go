@@ -32,7 +32,7 @@ type HeuristicParams struct {
 	Selective bool
 	// Overrides are per-loop directives derived from measured profiles (the
 	// PGO loop) or supplied explicitly, keyed by the loop's anchoring source
-	// line (LoopLine). They take precedence over the static f(p, s, u) < C
+	// line (ir.BlockLine). They take precedence over the static f(p, s, u) < C
 	// model for the loops they name; all other loops are decided statically.
 	Overrides map[int32]LoopOverride
 }
@@ -184,7 +184,7 @@ func MergeOverrides(derived, explicit map[int32]LoopOverride) map[int32]LoopOver
 type Decision struct {
 	LoopID     int
 	Header     *ir.Block
-	HeaderLine int32 // source line anchoring the loop (see LoopLine)
+	HeaderLine int32 // source line anchoring the loop (ir.BlockLine): stable across configurations
 	Factor     int
 	Paths      int
 	Size       int
@@ -226,11 +226,6 @@ func DeliberateSkip(reason string) bool {
 	}
 	return false
 }
-
-// LoopLine returns the source line anchoring a loop for reporting (see
-// ir.BlockLine). Stable across pipeline configurations, so the profiler can
-// join heuristic predictions with measured per-loop cycles on it.
-func LoopLine(header *ir.Block) int32 { return ir.BlockLine(header) }
 
 // HeuristicDecide selects the loops to transform and their unroll factors,
 // innermost loops first; an outer loop is considered only when none of its

@@ -112,11 +112,6 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 	return changed, nil
 }
 
-// UnmergeLoopByID applies unmerging only (the paper's `unmerge` comparator).
-func UnmergeLoopByID(f *ir.Function, loopID int, opts Options) (bool, error) {
-	return UnrollAndUnmerge(f, loopID, 1, opts)
-}
-
 // innerLoopHeaders collects the headers of all loops nested in l, deepest
 // first, so callers process innermost loops before their parents.
 func innerLoopHeaders(l *analysis.Loop) []*ir.Block {

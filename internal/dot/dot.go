@@ -1,7 +1,6 @@
 // Package dot renders IR functions as Graphviz digraphs, in the style of the
 // paper's CFG figures: solid edges for true/unconditional branches, dotted
-// edges for false branches, loop headers and latches highlighted, and an
-// optional dominator-tree overlay.
+// edges for false branches, loop headers and latches highlighted.
 package dot
 
 import (
@@ -19,8 +18,6 @@ type Options struct {
 	Instrs bool
 	// Loops colors loop headers and marks latch back edges.
 	Loops bool
-	// DomTree adds dashed idom edges.
-	DomTree bool
 	// Labels annotates blocks with extra text (e.g. the Figure 5 condition
 	// provenance labels from core.ConditionProvenance).
 	Labels map[*ir.Block]string
@@ -31,16 +28,10 @@ func CFG(f *ir.Function, opts Options) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n  node [shape=box, fontname=monospace];\n", f.Name)
 
-	var dt *analysis.DomTree
-	var li *analysis.LoopInfo
-	if opts.Loops || opts.DomTree {
-		dt = analysis.NewDomTree(f)
-		li = analysis.NewLoopInfo(f, dt)
-	}
 	headerOf := map[*ir.Block]*analysis.Loop{}
 	latchSet := map[*ir.Block]bool{}
 	if opts.Loops {
-		for _, l := range li.Loops {
+		for _, l := range analysis.NewLoopInfo(f, analysis.NewDomTree(f)).Loops {
 			headerOf[l.Header] = l
 			for _, la := range l.Latches() {
 				latchSet[la] = true
@@ -80,14 +71,6 @@ func CFG(f *ir.Function, opts Options) string {
 			fmt.Fprintf(&sb, "  %q -> %q [style=dotted, label=F];\n", b.Name, t.BlockArg(1).Name)
 		case ir.OpBr:
 			fmt.Fprintf(&sb, "  %q -> %q;\n", b.Name, t.BlockArg(0).Name)
-		}
-	}
-	if opts.DomTree {
-		for _, b := range f.Blocks() {
-			if id := dt.Idom(b); id != nil {
-				fmt.Fprintf(&sb, "  %q -> %q [style=dashed, color=gray, constraint=false];\n",
-					id.Name, b.Name)
-			}
 		}
 	}
 	sb.WriteString("}\n")

@@ -51,11 +51,3 @@ func TestCFGWithInstrsAndLoops(t *testing.T) {
 		}
 	}
 }
-
-func TestCFGDomTreeOverlay(t *testing.T) {
-	f := irparse.MustParseFunc(loopSrc)
-	out := CFG(f, Options{DomTree: true})
-	if !strings.Contains(out, `"head" -> "exit" [style=dashed`) {
-		t.Errorf("missing idom edge in:\n%s", out)
-	}
-}

@@ -15,8 +15,6 @@ package harden
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -46,16 +44,11 @@ type PassFailure struct {
 	Err      string      // panic value or verifier error
 	Stack    string      // goroutine stack at the recovery point (panics only)
 	IR       string      // pre-pass IR snapshot, the reproducer input
-	IRDump   string      // file the snapshot was written to (when DumpDir set)
 }
 
 // String formats the failure as a one-line report entry.
 func (pf *PassFailure) String() string {
-	s := fmt.Sprintf("%s: %s in %s: %s", pf.Function, pf.Kind, pf.Pass, firstLine(pf.Err))
-	if pf.IRDump != "" {
-		s += " (ir: " + pf.IRDump + ")"
-	}
-	return s
+	return fmt.Sprintf("%s: %s in %s: %s", pf.Function, pf.Kind, pf.Pass, firstLine(pf.Err))
 }
 
 func firstLine(s string) string {
@@ -81,10 +74,6 @@ type Guard struct {
 	// Verify runs ir.Verify after every contained invocation and treats a
 	// rejection like a crash (rollback + record).
 	Verify bool
-	// DumpDir, when set, receives one pre-pass IR file per failure; the
-	// path is recorded in PassFailure.IRDump. Dump errors are ignored (the
-	// in-memory IR field always carries the snapshot).
-	DumpDir string
 
 	failures []PassFailure
 	// snap is a clone of the function as it was when it hashed to snapSum;
@@ -160,32 +149,12 @@ func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManage
 	ir.Restore(f, g.snap)
 	g.snap = nil
 	am.InvalidateAll()
-	pf := PassFailure{
+	g.failures = append(g.failures, PassFailure{
 		Pass:     name,
 		Function: f.Name,
 		Kind:     kind,
 		Err:      msg,
 		Stack:    stack,
 		IR:       irText,
-	}
-	if g.DumpDir != "" {
-		name := fmt.Sprintf("%s-%s-%d.ir", sanitize(f.Name), sanitize(name), len(g.failures)+1)
-		path := filepath.Join(g.DumpDir, name)
-		if err := os.MkdirAll(g.DumpDir, 0o755); err == nil {
-			if err := os.WriteFile(path, []byte(irText), 0o644); err == nil {
-				pf.IRDump = path
-			}
-		}
-	}
-	g.failures = append(g.failures, pf)
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, s)
+	})
 }

@@ -1,8 +1,6 @@
 package harden
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -104,7 +102,7 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 	f := parseCountLoop(t)
 	want := f.String()
 	am := analysis.NewAnalysisManager(f)
-	g := &Guard{Verify: true, DumpDir: t.TempDir()}
+	g := &Guard{Verify: true}
 	corrupt := &fakePass{name: "corrupt", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		// Detach the exit block's terminator: a structural violation the
 		// verifier rejects but that does not panic on its own.
@@ -123,18 +121,8 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 	if len(fails) != 1 || fails[0].Kind != FailureVerify {
 		t.Fatalf("want one verify failure, got %+v", fails)
 	}
-	if fails[0].IRDump == "" {
-		t.Fatalf("DumpDir was set but no dump path recorded")
-	}
-	data, err := os.ReadFile(fails[0].IRDump)
-	if err != nil {
-		t.Fatalf("reading dump: %v", err)
-	}
-	if string(data) != want {
-		t.Fatalf("dump file does not hold the pre-pass IR")
-	}
-	if filepath.Dir(fails[0].IRDump) == "" {
-		t.Fatalf("dump path not under DumpDir")
+	if fails[0].IR != want {
+		t.Fatalf("failure does not carry the pre-pass IR")
 	}
 }
 

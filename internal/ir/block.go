@@ -131,18 +131,6 @@ func (b *Block) Erase(in *Instr) {
 	in.dropArgs()
 }
 
-// SetTerm replaces the block's terminator (erasing the old one, if any) with
-// the detached terminator t, and updates successor predecessor lists.
-func (b *Block) SetTerm(t *Instr) {
-	if !t.IsTerminator() {
-		panic("ir: SetTerm: not a terminator")
-	}
-	if old := b.Term(); old != nil {
-		b.Erase(old)
-	}
-	b.Append(t)
-}
-
 // Preds returns the predecessor blocks. The slice must not be mutated.
 func (b *Block) Preds() []*Block { return b.preds }
 

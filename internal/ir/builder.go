@@ -54,27 +54,6 @@ func (bld *Builder) Sub(a, b Value) *Instr { return bld.Bin(OpSub, a, b) }
 // Mul builds an integer multiply.
 func (bld *Builder) Mul(a, b Value) *Instr { return bld.Bin(OpMul, a, b) }
 
-// SDiv builds a signed integer divide.
-func (bld *Builder) SDiv(a, b Value) *Instr { return bld.Bin(OpSDiv, a, b) }
-
-// UDiv builds an unsigned integer divide.
-func (bld *Builder) UDiv(a, b Value) *Instr { return bld.Bin(OpUDiv, a, b) }
-
-// SRem builds a signed remainder.
-func (bld *Builder) SRem(a, b Value) *Instr { return bld.Bin(OpSRem, a, b) }
-
-// URem builds an unsigned remainder.
-func (bld *Builder) URem(a, b Value) *Instr { return bld.Bin(OpURem, a, b) }
-
-// Shl builds a left shift.
-func (bld *Builder) Shl(a, b Value) *Instr { return bld.Bin(OpShl, a, b) }
-
-// LShr builds a logical right shift.
-func (bld *Builder) LShr(a, b Value) *Instr { return bld.Bin(OpLShr, a, b) }
-
-// AShr builds an arithmetic right shift.
-func (bld *Builder) AShr(a, b Value) *Instr { return bld.Bin(OpAShr, a, b) }
-
 // And builds a bitwise and.
 func (bld *Builder) And(a, b Value) *Instr { return bld.Bin(OpAnd, a, b) }
 

@@ -491,12 +491,6 @@ func (in *Instr) HasSideEffects() bool {
 // duplicated onto new control-flow paths.
 func (in *Instr) IsConvergent() bool { return in.Op == OpBarrier }
 
-// ReadsMemory reports whether the instruction may read device memory.
-func (in *Instr) ReadsMemory() bool { return in.Op == OpLoad }
-
-// WritesMemory reports whether the instruction may write device memory.
-func (in *Instr) WritesMemory() bool { return in.Op == OpStore }
-
 // IsSpeculatable reports whether the instruction may safely execute even when
 // its source-level path is not taken (used by if-conversion). Loads, stores,
 // barriers and terminators are not speculatable; everything else (including

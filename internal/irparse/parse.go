@@ -82,14 +82,13 @@ type rawOperand struct {
 
 // rawInstr is an instruction before operand resolution.
 type rawInstr struct {
-	line    int
-	result  string // "" if void
-	op      ir.Op
-	pred    ir.Pred
-	typ     *ir.Type // result type
-	ops     []rawOperand
-	blocks  []string // block label references
-	phiType *ir.Type
+	line   int
+	result string // "" if void
+	op     ir.Op
+	pred   ir.Pred
+	typ    *ir.Type // result type
+	ops    []rawOperand
+	blocks []string // block label references
 }
 
 func (p *parser) parseFunc() (*ir.Function, error) {

@@ -242,15 +242,6 @@ func (l *lowerer) usualConv(a ir.Value, at TypeName, b ir.Value, bt TypeName) (i
 	return ca, cb, common, nil
 }
 
-// constFor returns a 0/1 constant of a scalar type.
-func constFor(t TypeName, v int64) ir.Value {
-	it, _ := irType(t)
-	if isFloatT(t) {
-		return ir.ConstFloat(it, float64(v))
-	}
-	return ir.ConstInt(it, v)
-}
-
 // ---------- statements ----------
 
 func (l *lowerer) lowerBlock(b *BlockStmt) error {

@@ -42,6 +42,20 @@ const (
 // Configs lists all configurations in the paper's order.
 var Configs = []Config{Baseline, UnrollOnly, UnmergeOnly, UU, UUHeuristic}
 
+// ParseConfig resolves a configuration name as a user spells it (a flag
+// value, a request's "config" field); the empty string is Baseline.
+func ParseConfig(s string) (Config, error) {
+	if s == "" {
+		return Baseline, nil
+	}
+	for _, c := range Configs {
+		if string(c) == s {
+			return c, nil
+		}
+	}
+	return "", fmt.Errorf("unknown config %q (want one of %v)", s, Configs)
+}
+
 // Options selects the configuration and its parameters.
 type Options struct {
 	Config Config
@@ -70,9 +84,6 @@ type Options struct {
 	// contained failure skips the pass (the function keeps its pre-pass
 	// form), is recorded in Stats.Failures, and never aborts compilation.
 	Contain bool
-	// FailureDumpDir, when set with Contain, receives one pre-pass IR file
-	// per contained failure.
-	FailureDumpDir string
 	// Inject appends extra passes in their own phase right after
 	// canonicalization — the hook fault-injection tests and the fuzzer's
 	// pass bisection use to place a known-bad pass at a known position.
@@ -368,7 +379,7 @@ func OptimizeCtx(ctx context.Context, f *ir.Function, opts Options) (*Stats, err
 		d.ctx = ctx
 	}
 	if opts.Contain {
-		d.guard = &harden.Guard{Verify: opts.VerifyEachPass, DumpDir: opts.FailureDumpDir}
+		d.guard = &harden.Guard{Verify: opts.VerifyEachPass}
 	}
 	err := d.run()
 	st.Analysis = am.Stats()

@@ -221,18 +221,9 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		return nil, errBadRequest("exactly one of app, source, ir must be set (got %d)", sources)
 	}
 
-	cfg := pipeline.Baseline
-	if req.Config != "" {
-		ok := false
-		for _, c := range pipeline.Configs {
-			if string(c) == req.Config {
-				cfg, ok = c, true
-				break
-			}
-		}
-		if !ok {
-			return nil, errBadRequest("unknown config %q (want one of %v)", req.Config, pipeline.Configs)
-		}
+	cfg, err := pipeline.ParseConfig(req.Config)
+	if err != nil {
+		return nil, errBadRequest("%v", err)
 	}
 	if req.Factor < 0 || req.Factor > maxFactor {
 		return nil, errBadRequest("factor %d out of range [0,%d]", req.Factor, maxFactor)

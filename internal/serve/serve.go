@@ -281,9 +281,6 @@ func (s *Server) Drain(ctx context.Context) map[string]int64 {
 	return snap
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // handleHealthz is the liveness probe: 200 for as long as the process
 // serves HTTP, drain included — killing a pod mid-drain would lose the
 // very work Drain exists to finish.

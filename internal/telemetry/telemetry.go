@@ -165,9 +165,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// ObserveSince records the nanoseconds elapsed since t.
-func (h *Histogram) ObserveSince(t time.Time) { h.ObserveDuration(time.Since(t)) }
-
 // Count returns the number of recorded values.
 func (h *Histogram) Count() int64 {
 	if h == nil {
