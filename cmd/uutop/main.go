@@ -22,6 +22,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -298,8 +299,7 @@ func render(cur, prev *scrape, interval time.Duration, addr string, slo time.Dur
 		cur.value("serve_workers"), cur.value("serve_cache_entries"), draining)
 
 	fmt.Fprintf(&sb, "%-10s %9s %9s %9s %9s\n", "phase", "count", "p50", "p95", "p99")
-	rows := append([]string{}, phaseOrder...)
-	for _, name := range rows {
+	for _, name := range phaseRows(cur) {
 		h := cur.hists[`serve_phase_seconds{phase="`+name+`"}`]
 		if h == nil {
 			continue
@@ -314,6 +314,21 @@ func render(cur, prev *scrape, interval time.Duration, addr string, slo time.Dur
 		sb.WriteString(sloLine(req, prevHist(prev, "serve_request_seconds"), slo, sloTarget))
 	}
 	return sb.String()
+}
+
+// phaseRows lists the phases to render: those of phaseOrder first, in its
+// order, then every other phase the scrape holds, sorted.
+func phaseRows(cur *scrape) []string {
+	var extra []string
+	for key := range cur.hists {
+		rest, ok := strings.CutPrefix(key, `serve_phase_seconds{phase="`)
+		name := strings.TrimSuffix(rest, `"}`)
+		if ok && !slices.Contains(phaseOrder, name) {
+			extra = append(extra, name)
+		}
+	}
+	sort.Strings(extra)
+	return append(phaseOrder[:len(phaseOrder):len(phaseOrder)], extra...)
 }
 
 func prevHist(prev *scrape, key string) *hist {

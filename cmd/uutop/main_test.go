@@ -131,6 +131,17 @@ func TestRenderFrame(t *testing.T) {
 			t.Errorf("frame missing %q:\n%s", want, out)
 		}
 	}
+	// A phase uutop does not know renders after the known ones, not never.
+	extra := parse(t, sampleScrape+`serve_phase_seconds_bucket{phase="verify",le="0.01"} 7
+serve_phase_seconds_bucket{phase="verify",le="+Inf"} 7
+serve_phase_seconds_sum{phase="verify"} 0.01
+serve_phase_seconds_count{phase="verify"} 7
+`)
+	out = render(extra, nil, time.Second, "http://x:1", 500*time.Millisecond, 99)
+	sim, verify := strings.Index(out, "\nsimulate "), strings.Index(out, "\nverify ")
+	if verify < 0 || verify < sim {
+		t.Errorf("unknown phase not rendered after the known ones:\n%s", out)
+	}
 	// First frame (no prev) must render without panicking.
 	if out := render(cur, nil, time.Second, "http://x:1", 500*time.Millisecond, 99); !strings.Contains(out, "request") {
 		t.Errorf("first frame broken:\n%s", out)

@@ -360,22 +360,22 @@ z:
 		t.Fatalf("no %s", name)
 		return nil
 	}
-	if !d.IsDivergent(find("t")) || !d.IsDivergent(find("i")) {
+	if !d.divValues[find("t")] || !d.divValues[find("i")] {
 		t.Errorf("tid taint missing")
 	}
-	if d.IsDivergent(find("u")) {
+	if d.divValues[find("u")] {
 		t.Errorf("uniform value marked divergent")
 	}
-	if !d.HasDivergentBranch(f.BlockByName("entry")) {
+	if !d.divBranches[f.BlockByName("entry")] {
 		t.Errorf("divergent branch not detected")
 	}
-	if !d.IsDivergent(find("phi")) {
+	if !d.divValues[find("phi")] {
 		t.Errorf("sync-dependent phi not marked divergent")
 	}
-	if d.HasDivergentBranch(f.BlockByName("m")) {
+	if d.divBranches[f.BlockByName("m")] {
 		t.Errorf("uniform branch marked divergent")
 	}
-	if d.IsDivergent(find("phi2")) {
+	if d.divValues[find("phi2")] {
 		t.Errorf("phi controlled by uniform branch marked divergent")
 	}
 }
@@ -625,7 +625,7 @@ func TestInstrSizeCosts(t *testing.T) {
 	entry := f.NewBlock("entry")
 	b := ir.NewBuilder(entry)
 	x := f.AddParam("x", ir.F64, false)
-	div := b.FDiv(x, x)
+	div := b.Bin(ir.OpFDiv, x, x)
 	add := b.FAdd(div, x)
 	b.Ret(nil)
 	if InstrSize(div) <= InstrSize(add) {

@@ -118,17 +118,6 @@ func (d *Divergence) instrDivergent(in *ir.Instr, influencedBy func(*ir.Block) m
 	return false
 }
 
-// IsDivergent reports whether v may hold different values across the threads
-// of a warp. Constants and kernel parameters are uniform.
-func (d *Divergence) IsDivergent(v ir.Value) bool {
-	in, ok := v.(*ir.Instr)
-	return ok && d.divValues[in]
-}
-
-// HasDivergentBranch reports whether the terminator of b branches on a
-// divergent condition.
-func (d *Divergence) HasDivergentBranch(b *ir.Block) bool { return d.divBranches[b] }
-
 // LoopHasDivergentBranch reports whether any block of l ends in a divergent
 // conditional branch — the signal a taint-aware u&u heuristic would use to
 // skip loops like the one in `complex`.

@@ -17,7 +17,7 @@ import "uu/internal/ir"
 // by Block.ID, is the only table as long as the function's ID bound. A block
 // minted after the tree was built has an ID past num's end and is answered
 // as a block outside the tree — false or nil, never a panic — so a handle
-// held across NewBlock or CloneBlocks stays safe to ask.
+// held across NewBlock or Cloner.Clone stays safe to ask.
 type DomTree struct {
 	num        []int32     // by Block.ID: the block's number; 0 = outside the tree
 	nodes      []*ir.Block // by number

@@ -61,11 +61,6 @@ var pointerKeyedTables = map[string]map[string]string{
 	"../core/unmerge.go": {
 		"Options": "Origins is the caller's map; only ConditionProvenance and its tests pass one",
 	},
-	"../ir/clone.go": {
-		"ValueMap":      "CloneBlocks' result type, for the one-shot unroller, which keeps every copy's map alive at once",
-		"CloneBlocks":   "builds the two maps it returns, presized, and nothing else",
-		"mapCloneTable": "CloneBlocks' two maps as cloneRegion sees them",
-	},
 }
 
 // TestNoPointerKeyedTablesOnHotPaths holds the rule of DESIGN.md §16 where a

@@ -8,71 +8,43 @@ import (
 	"uu/internal/remark"
 )
 
-// AnalysisID identifies one per-function analysis managed by the
-// AnalysisManager.
+// AnalysisID identifies one of the two analyses the AnalysisManager caches:
+// the ones passes reuse from one query to the next. Everything else a pass
+// needs (divergence, alias classes) it computes where it asks.
 type AnalysisID int
 
 // The managed analyses.
 const (
 	DomTreeID AnalysisID = iota
 	LoopInfoID
-	DivergenceID
-	AliasID
 	numAnalyses
 )
 
-var analysisNames = [numAnalyses]string{"domtree", "loopinfo", "divergence", "alias"}
+var analysisNames = [numAnalyses]string{"domtree", "loopinfo"}
 
 // String returns the analysis's short name as used in cache statistics.
-func (id AnalysisID) String() string {
-	if id < 0 || id >= numAnalyses {
-		return fmt.Sprintf("analysis(%d)", int(id))
-	}
-	return analysisNames[id]
-}
+func (id AnalysisID) String() string { return analysisNames[id] }
 
-// PreservedAnalyses is a pass's declaration of which cached analyses remain
-// valid after it ran, in the style of LLVM's new pass manager. It also
-// carries whether the pass changed the function at all — the signal the
-// pipeline's change-driven fixpoint driver keys on.
+// PreservedAnalyses is a pass's declaration of what it did to the function,
+// in the style of LLVM's new pass manager: whether it changed the function at
+// all — the signal the pipeline's change-driven fixpoint driver keys on — and,
+// if it did, whether the control-flow graph, and with it both cached trees,
+// survived.
 type PreservedAnalyses struct {
-	changed bool
-	keep    [numAnalyses]bool
+	changed, keepCFG bool
 }
 
 // Unchanged reports that the pass did not modify the function; every cached
 // analysis remains valid.
-func Unchanged() PreservedAnalyses {
-	pa := PreserveAll()
-	pa.changed = false
-	return pa
-}
-
-// PreserveAll reports a change that nonetheless keeps every analysis valid
-// (rare; e.g. a pure renaming).
-func PreserveAll() PreservedAnalyses {
-	pa := PreservedAnalyses{changed: true}
-	for i := range pa.keep {
-		pa.keep[i] = true
-	}
-	return pa
-}
+func Unchanged() PreservedAnalyses { return PreservedAnalyses{} }
 
 // PreserveNone reports a change that invalidates every cached analysis —
 // the declaration of CFG-restructuring passes (SimplifyCFG, unroll, unmerge).
-func PreserveNone() PreservedAnalyses {
-	return PreservedAnalyses{changed: true}
-}
+func PreserveNone() PreservedAnalyses { return PreservedAnalyses{changed: true} }
 
 // PreserveCFG reports a change that only touched instructions, not the
-// control-flow graph: the dominator tree and loop info stay valid, while
-// value-sensitive analyses (divergence, alias memos) drop.
-func PreserveCFG() PreservedAnalyses {
-	pa := PreserveNone()
-	pa.keep[DomTreeID] = true
-	pa.keep[LoopInfoID] = true
-	return pa
-}
+// control-flow graph: the dominator tree and loop info stay valid.
+func PreserveCFG() PreservedAnalyses { return PreservedAnalyses{changed: true, keepCFG: true} }
 
 // If returns whenChanged when changed is true and Unchanged otherwise — the
 // common tail of a converted pass.
@@ -85,11 +57,6 @@ func If(changed bool, whenChanged PreservedAnalyses) PreservedAnalyses {
 
 // Changed reports whether the pass modified the function.
 func (pa PreservedAnalyses) Changed() bool { return pa.changed }
-
-// Preserves reports whether the analysis survives the pass.
-func (pa PreservedAnalyses) Preserves(id AnalysisID) bool {
-	return !pa.changed || pa.keep[id]
-}
 
 // Pass is the common interface of all transformation passes: run on a
 // function, consuming cached analyses from the manager, and declare which
@@ -185,10 +152,8 @@ type AnalysisManager struct {
 	f     *ir.Function
 	valid [numAnalyses]bool
 
-	domTree    *DomTree
-	loopInfo   *LoopInfo
-	divergence *Divergence
-	alias      *AliasInfo
+	domTree  *DomTree
+	loopInfo *LoopInfo
 
 	stats CacheStats
 
@@ -243,47 +208,20 @@ func (am *AnalysisManager) LoopInfo() *LoopInfo {
 	return am.loopInfo
 }
 
-// Divergence returns the cached SIMT divergence analysis.
-func (am *AnalysisManager) Divergence() *Divergence {
-	if !am.hit(DivergenceID) {
-		am.divergence = NewDivergence(am.f)
-	}
-	return am.divergence
-}
-
-// Alias returns the cached (memoizing) alias analysis.
-func (am *AnalysisManager) Alias() *AliasInfo {
-	if !am.hit(AliasID) {
-		am.alias = NewAliasInfo()
-	}
-	return am.alias
-}
-
-// Invalidate drops every cached analysis the pass did not preserve.
+// Invalidate drops both cached trees unless the pass left the CFG as it
+// found it.
 func (am *AnalysisManager) Invalidate(pa PreservedAnalyses) {
-	if !pa.changed {
+	if !pa.changed || pa.keepCFG {
 		return
 	}
-	for id := AnalysisID(0); id < numAnalyses; id++ {
-		if pa.keep[id] || !am.valid[id] {
-			continue
+	for id, valid := range am.valid {
+		if valid {
+			am.valid[id] = false
+			am.stats.Invalidated[id]++
 		}
-		am.valid[id] = false
-		am.stats.Invalidated[id]++
 	}
 	// Release dropped results for the GC.
-	if !am.valid[DomTreeID] {
-		am.domTree = nil
-	}
-	if !am.valid[LoopInfoID] {
-		am.loopInfo = nil
-	}
-	if !am.valid[DivergenceID] {
-		am.divergence = nil
-	}
-	if !am.valid[AliasID] {
-		am.alias = nil
-	}
+	am.domTree, am.loopInfo = nil, nil
 }
 
 // InvalidateAll drops every cached analysis — for callers that mutated the
@@ -292,36 +230,3 @@ func (am *AnalysisManager) InvalidateAll() { am.Invalidate(PreserveNone()) }
 
 // Stats returns a copy of the accumulated cache counters.
 func (am *AnalysisManager) Stats() CacheStats { return am.stats }
-
-// AliasInfo memoizes Alias queries for the lifetime of one cached analysis
-// generation. Alias itself is a pure function of the two pointer values, so
-// the memo stays valid until instructions change (the manager drops it on
-// any non-preserving pass).
-type AliasInfo struct {
-	memo map[[2]ir.Value]AliasResult
-}
-
-// NewAliasInfo returns an empty memo table.
-func NewAliasInfo() *AliasInfo {
-	return &AliasInfo{memo: map[[2]ir.Value]AliasResult{}}
-}
-
-// Reset drops all memoized results. Passes that rewrite instruction
-// operands mid-run (GVN's equality canonicalization can rewrite GEP
-// arguments, which Alias decomposes) must call it after each mutation so a
-// later query never sees a pre-rewrite classification.
-func (ai *AliasInfo) Reset() {
-	ai.memo = map[[2]ir.Value]AliasResult{}
-}
-
-// Alias returns the memoized alias classification of p and q.
-func (ai *AliasInfo) Alias(p, q ir.Value) AliasResult {
-	key := [2]ir.Value{p, q}
-	if r, ok := ai.memo[key]; ok {
-		return r
-	}
-	r := Alias(p, q)
-	ai.memo[key] = r
-	ai.memo[[2]ir.Value{q, p}] = r
-	return r
-}

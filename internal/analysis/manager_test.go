@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"testing"
-
-	"uu/internal/ir"
-	"uu/internal/irparse"
-)
+import "testing"
 
 // managerTestFunc is a minimal single-loop function.
 const managerSrc = `
@@ -56,96 +51,54 @@ func TestManagerCachesAndCounts(t *testing.T) {
 	}
 }
 
+// TestManagerInvalidation holds the manager to pointer identity: a query
+// after Unchanged or PreserveCFG returns the very trees it cached, one after
+// PreserveNone (or InvalidateAll) returns new ones.
 func TestManagerInvalidation(t *testing.T) {
 	f := parse(t, managerSrc)
 	am := NewAnalysisManager(f)
-	dt1 := am.DomTree()
-	am.LoopInfo()
-	am.Divergence()
-
-	// A CFG-preserving change keeps the trees but drops divergence.
-	am.Invalidate(PreserveCFG())
-	if am.DomTree() != dt1 {
-		t.Fatalf("PreserveCFG dropped the dominator tree")
+	dt, li := am.DomTree(), am.LoopInfo()
+	for _, pa := range []PreservedAnalyses{Unchanged(), PreserveCFG(), If(false, PreserveNone())} {
+		am.Invalidate(pa)
+		if am.DomTree() != dt || am.LoopInfo() != li {
+			t.Fatalf("%+v dropped a cached tree", pa)
+		}
 	}
-	st := am.Stats()
-	if st.Invalidated[DivergenceID] != 1 || st.Invalidated[DomTreeID] != 0 {
-		t.Errorf("PreserveCFG invalidation counters: %+v", st)
-	}
-	missesBefore := am.Stats().Misses[DivergenceID]
-	am.Divergence()
-	if am.Stats().Misses[DivergenceID] != missesBefore+1 {
-		t.Errorf("divergence not recomputed after invalidation")
+	if st := am.Stats(); st.TotalInvalidated() != 0 {
+		t.Errorf("a preserving declaration counted invalidations: %+v", st)
 	}
 
-	// Unchanged invalidates nothing.
-	am.Invalidate(Unchanged())
-	if am.DomTree() != dt1 {
-		t.Fatalf("Unchanged dropped the dominator tree")
+	am.Invalidate(PreserveNone())
+	dt2, li2 := am.DomTree(), am.LoopInfo()
+	if dt2 == dt || li2 == li {
+		t.Fatalf("PreserveNone kept a cached tree")
 	}
-
-	// PreserveNone drops everything.
+	if st := am.Stats(); st.Invalidated != [numAnalyses]int{1, 1} {
+		t.Errorf("PreserveNone invalidation counters: %+v", st)
+	}
 	am.InvalidateAll()
-	if am.DomTree() == dt1 {
-		t.Fatalf("InvalidateAll kept the old dominator tree")
+	if am.DomTree() == dt2 || am.LoopInfo() == li2 {
+		t.Fatalf("InvalidateAll kept a cached tree")
 	}
 }
 
 func TestPreservedAnalyses(t *testing.T) {
-	if Unchanged().Changed() {
-		t.Error("Unchanged reports changed")
-	}
-	if !Unchanged().Preserves(DomTreeID) {
-		t.Error("Unchanged must preserve everything")
-	}
-	pa := PreserveCFG()
-	if !pa.Changed() || !pa.Preserves(LoopInfoID) || pa.Preserves(DivergenceID) || pa.Preserves(AliasID) {
-		t.Errorf("PreserveCFG wrong shape: %+v", pa)
-	}
-	if PreserveNone().Preserves(DomTreeID) {
-		t.Error("PreserveNone preserves domtree")
-	}
-	if !If(false, PreserveNone()).Preserves(DomTreeID) {
-		t.Error("If(false) must be Unchanged")
-	}
-	if If(true, PreserveNone()).Preserves(DomTreeID) {
-		t.Error("If(true) must pass through")
-	}
-}
-
-func TestAliasInfoMemo(t *testing.T) {
-	src := `
-func @amemo(f64* noalias %x, f64* noalias %y, i64 %i) {
-entry:
-  %px = gep f64* %x, i64 %i
-  %py = gep f64* %y, i64 %i
-  %l = load f64* %px
-  store f64 %l, f64* %py
-  ret
-}
-`
-	f, err := irparse.ParseFunc(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	var px, py ir.Value
-	for _, in := range f.Entry().Instrs() {
-		switch in.Name() {
-		case "px":
-			px = in
-		case "py":
-			py = in
+	for _, c := range []struct {
+		name    string
+		pa      PreservedAnalyses
+		changed bool
+	}{
+		{"Unchanged", Unchanged(), false},
+		{"PreserveCFG", PreserveCFG(), true},
+		{"PreserveNone", PreserveNone(), true},
+		{"If(false)", If(false, PreserveNone()), false},
+		{"If(true)", If(true, PreserveNone()), true},
+	} {
+		if c.pa.Changed() != c.changed {
+			t.Errorf("%s: Changed() = %v", c.name, c.pa.Changed())
 		}
 	}
-	ai := NewAliasInfo()
-	if got := ai.Alias(px, py); got != NoAlias {
-		t.Fatalf("restrict arrays: want NoAlias, got %v", got)
-	}
-	// Symmetric query answered from the memo.
-	if got := ai.Alias(py, px); got != NoAlias {
-		t.Fatalf("symmetric query: want NoAlias, got %v", got)
-	}
-	if len(ai.memo) != 2 {
-		t.Fatalf("memo should hold both directions, has %d entries", len(ai.memo))
+	if If(true, PreserveCFG()) != PreserveCFG() {
+		t.Error("If(true) must pass its declaration through")
 	}
 }

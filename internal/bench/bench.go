@@ -102,10 +102,6 @@ func (w *Workload) initialImage() []byte {
 	return w.image
 }
 
-// HasNoise reports whether the workload has a distinct white-noise input
-// configuration.
-func (w *Workload) HasNoise() bool { return w.Noise != nil }
-
 // NewMemory builds a fresh initialized memory for the workload. The caller
 // owns it.
 func (w *Workload) NewMemory() *interp.Memory {

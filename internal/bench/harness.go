@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,17 +417,4 @@ func (r *Results) Best(app string, cfg pipeline.Config, factor int) *RunRecord {
 		}
 	}
 	return best
-}
-
-// PerLoopFor returns the per-loop records for (app, config, factor) sorted
-// by loop ID.
-func (r *Results) PerLoopFor(app string, cfg pipeline.Config, factor int) []*RunRecord {
-	var out []*RunRecord
-	for _, rec := range r.PerLoop {
-		if rec.App == app && rec.Config == cfg && (factor == 0 || rec.Factor == factor) {
-			out = append(out, rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LoopID < out[j].LoopID })
-	return out
 }

@@ -20,13 +20,13 @@ func TestNoiseGenerators(t *testing.T) {
 	for _, b := range Suite {
 		w := b.NewWorkload()
 		if inputInvariant[b.Name] {
-			if w.HasNoise() {
+			if w.Noise != nil {
 				t.Errorf("%s: thread-id-derived inputs should have no Noise generator", b.Name)
 			}
 			w.SetInput(InputNoise)
 			continue
 		}
-		if !w.HasNoise() {
+		if w.Noise == nil {
 			t.Errorf("%s: missing Noise generator", b.Name)
 			continue
 		}

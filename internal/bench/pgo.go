@@ -115,16 +115,6 @@ func (r *PGOResult) Mispredicts() int {
 	return n
 }
 
-// FinalSpeedup returns the final-round speedup for an app (0 if absent).
-func (r *PGOResult) FinalSpeedup(app string) float64 {
-	for _, a := range r.Final() {
-		if a.App == app {
-			return a.Speedup
-		}
-	}
-	return 0
-}
-
 // RunPGOCtx runs the profile-guided campaign (see the comment at the top of
 // this file); cancellation aborts mid-round and returns the rounds
 // completed so far alongside the error.

@@ -98,9 +98,14 @@ func TestResultsAccessors(t *testing.T) {
 	if best := res.Best("xsbench", pipeline.UU, 99); best != nil {
 		t.Fatalf("Best with bogus factor should be nil")
 	}
-	recs := res.PerLoopFor("xsbench", pipeline.UU, 2)
+	var recs []*RunRecord
+	for _, rec := range res.PerLoop {
+		if rec.App == "xsbench" && rec.Config == pipeline.UU && rec.Factor == 2 {
+			recs = append(recs, rec)
+		}
+	}
 	if len(recs) != 1 || recs[0].LoopID != 0 {
-		t.Fatalf("PerLoopFor wrong: %+v", recs)
+		t.Fatalf("per-loop records wrong: %+v", recs)
 	}
 	if res.LoopCount["xsbench"] < 1 {
 		t.Fatalf("loop count missing")

@@ -324,7 +324,7 @@ func TestUUBezierSemanticsAndConditionElimination(t *testing.T) {
 	}
 	// Clean up with the standard passes.
 	for i := 0; i < 3; i++ {
-		transform.SCCP(f)
+		transform.SCCPPass().Run(f, analysis.NewAnalysisManager(f))
 		transform.SimplifyCFG(f)
 		transform.InstSimplify(f)
 		transform.GVN(f, transform.DefaultGVNOptions())
@@ -465,7 +465,7 @@ exit:
 func TestApplyHeuristicPreservesSemantics(t *testing.T) {
 	want := runBezier(t, parse(t, bezierLoop), 15, 3, 9)
 	f := parse(t, bezierLoop)
-	ds, _ := ApplyHeuristic(f, DefaultHeuristicParams(), Options{})
+	ds, _ := ApplyHeuristicWith(analysis.NewAnalysisManager(f), DefaultHeuristicParams(), Options{})
 	if len(ds) == 0 {
 		t.Fatalf("heuristic applied nothing")
 	}

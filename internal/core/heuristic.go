@@ -244,7 +244,7 @@ func heuristicDecide(f *ir.Function, am *analysis.AnalysisManager, params Heuris
 	li := am.LoopInfo()
 	var div *analysis.Divergence
 	if params.SkipDivergent {
-		div = am.Divergence()
+		div = analysis.NewDivergence(f)
 	}
 
 	rc := am.Remarks()
@@ -362,24 +362,13 @@ func hasChosenDescendant(l *analysis.Loop, chosen map[*analysis.Loop]bool) bool 
 	return false
 }
 
-// ApplyHeuristic runs HeuristicDecide and applies u&u to each selected loop
-// (deepest selections were decided first and are applied first). It returns
-// the decisions taken and the skips recorded.
-func ApplyHeuristic(f *ir.Function, params HeuristicParams, opts Options) ([]Decision, []SkipRecord) {
-	return applyHeuristic(f, analysis.NewAnalysisManager(f), params, opts)
-}
-
-// ApplyHeuristicWith is ApplyHeuristic sharing the caller's analysis
-// manager (and operating on the function it is bound to). Callers must
-// treat the manager as fully invalid afterwards.
+// ApplyHeuristicWith runs HeuristicDecide over the function am is bound to
+// and applies u&u to each selected loop (deepest selections were decided
+// first and are applied first). It returns the decisions taken and the skips
+// recorded. Callers must treat the manager as fully invalid afterwards
+// (uuLoop normalizes loops even on error paths).
 func ApplyHeuristicWith(am *analysis.AnalysisManager, params HeuristicParams, opts Options) ([]Decision, []SkipRecord) {
-	return applyHeuristic(am.Function(), am, params, opts)
-}
-
-// applyHeuristic is ApplyHeuristic against a caller-provided analysis
-// manager. The manager must be considered fully invalid on return (uuLoop
-// normalizes loops even on error paths).
-func applyHeuristic(f *ir.Function, am *analysis.AnalysisManager, params HeuristicParams, opts Options) ([]Decision, []SkipRecord) {
+	f := am.Function()
 	if params.Selective {
 		opts.Selective = true
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"uu/internal/ir"
 	"uu/internal/irparse"
 )
 
@@ -23,8 +24,17 @@ exit:
 }
 `
 
+func parseLoop(t *testing.T) *ir.Function {
+	t.Helper()
+	f, err := irparse.ParseFunc(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestCFGBasic(t *testing.T) {
-	f := irparse.MustParseFunc(loopSrc)
+	f := parseLoop(t)
 	out := CFG(f, Options{})
 	for _, want := range []string{
 		`digraph "k"`,
@@ -43,7 +53,7 @@ func TestCFGBasic(t *testing.T) {
 }
 
 func TestCFGWithInstrsAndLoops(t *testing.T) {
-	f := irparse.MustParseFunc(loopSrc)
+	f := parseLoop(t)
 	out := CFG(f, Options{Instrs: true, Loops: true})
 	for _, want := range []string{"phi i64", "fillcolor=lightblue", "loop#0", "fillcolor=lightyellow"} {
 		if !strings.Contains(out, want) {

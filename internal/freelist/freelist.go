@@ -69,11 +69,3 @@ func (l *List[K, T]) Len() int {
 	defer l.mu.Unlock()
 	return len(l.items)
 }
-
-// Drop empties the list.
-func (l *List[K, T]) Drop() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	clear(l.items)
-	l.items = l.items[:0]
-}

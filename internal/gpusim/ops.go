@@ -171,18 +171,3 @@ func evalConvI(op execOp, trunc uint8, aux uint64, aI int64, aF float64) int64 {
 	}
 	return 0
 }
-
-// evalConvF executes a float-result conversion (xSIToFP/xFPExt/xFPTrunc).
-func evalConvF(op execOp, rnd bool, aI int64, aF float64) float64 {
-	var r float64
-	switch op {
-	case xSIToFP:
-		r = float64(aI)
-	case xFPExt, xFPTrunc:
-		r = aF
-	}
-	if rnd {
-		r = float64(float32(r))
-	}
-	return r
-}

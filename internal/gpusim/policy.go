@@ -50,15 +50,6 @@ func ParsePolicy(s string) (PolicyKind, error) {
 	return 0, fmt.Errorf("gpusim: unknown reconvergence policy %q (want ipdom, minsppc, or vortex)", s)
 }
 
-// Policies returns every PolicyKind in registry order.
-func Policies() []PolicyKind {
-	out := make([]PolicyKind, 0, int(numPolicies))
-	for k := PolicyKind(0); k < numPolicies; k++ {
-		out = append(out, k)
-	}
-	return out
-}
-
 // policyEngine is the reconvergence-policy contract the warp executor
 // drives. The executor runs whole basic blocks; the engine decides which
 // (block, mask) runs next and absorbs the control-flow outcome of each

@@ -9,10 +9,7 @@ import (
 )
 
 func TestPolicyNamesRoundTrip(t *testing.T) {
-	if len(Policies()) != int(numPolicies) {
-		t.Fatalf("Policies() returned %d entries, want %d", len(Policies()), numPolicies)
-	}
-	for _, k := range Policies() {
+	for k := PolicyKind(0); k < numPolicies; k++ {
 		got, err := ParsePolicy(k.String())
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", k.String(), err)

@@ -153,19 +153,13 @@ func diffOutputs(k *harden.Kernel, want, got *interp.Memory) string {
 	return ""
 }
 
-// Check runs f through one pipeline configuration and the full differential
+// check runs f through one pipeline configuration and the differential
 // matrix. f is not mutated: the pipeline runs on a clone. A nil Divergence
 // means every leg agreed with the unoptimized-interpreter reference. The
 // returned error reports infrastructure problems only (the reference itself
-// failing), never findings.
-func Check(f *ir.Function, k *harden.Kernel, opts pipeline.Options) (*Divergence, error) {
-	d, _, err := check(f, k, opts, nil)
-	return d, err
-}
-
-// check is Check, additionally exposing the pipeline stats of the optimized
-// build so the reducer can bisect the pass list and the campaign can
-// aggregate contained pass failures. A nil legs selects the full default
+// failing), never findings. It also returns the pipeline stats of the
+// optimized build, so the reducer can bisect the pass list and the campaign
+// can aggregate contained pass failures. A nil legs selects the full default
 // cross-policy matrix; the campaign passes a pinned leg set when the user
 // restricts it to one device.
 func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []gpusim.DeviceConfig) (*Divergence, *pipeline.Stats, error) {

@@ -40,7 +40,7 @@ func findMiscompileSeed(t *testing.T) int64 {
 			Config: pipeline.Baseline, VerifyEachPass: true, Contain: true,
 			Inject: []analysis.Pass{transform.ChaosPass(transform.ChaosMiscompile)},
 		}
-		div, err := Check(k.F, k, opts)
+		div, _, err := check(k.F, k, opts, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -63,7 +63,7 @@ func TestOracleCatchesMiscompile(t *testing.T) {
 		Config: pipeline.Baseline, VerifyEachPass: true, Contain: true,
 		Inject: []analysis.Pass{transform.ChaosPass(transform.ChaosMiscompile)},
 	}
-	div, err := Check(k.F, k, opts)
+	div, _, err := check(k.F, k, opts, nil)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestOracleCatchesMiscompile(t *testing.T) {
 	}
 	// Without the injection the same kernel must be clean.
 	opts.Inject = nil
-	div, err = Check(k.F, k, opts)
+	div, _, err = check(k.F, k, opts, nil)
 	if err != nil {
 		t.Fatalf("clean check: %v", err)
 	}

@@ -38,7 +38,7 @@ func TestReduceShrinksMiscompile(t *testing.T) {
 		t.Fatalf("pass bisection found no failing prefix")
 	}
 	// The minimized reproducer must still fail, under the minimized options.
-	div, err := Check(red.F, k, red.Opts)
+	div, _, err := check(red.F, k, red.Opts, nil)
 	if err != nil {
 		t.Fatalf("recheck: %v", err)
 	}

@@ -121,7 +121,7 @@ func TestQuickFloat32Rounding(t *testing.T) {
 		bld := ir.NewBuilder(entry)
 		pa := f.AddParam("a", ir.F32, false)
 		pb := f.AddParam("b", ir.F32, false)
-		r := bld.FMul(pa, pb)
+		r := bld.Bin(ir.OpFMul, pa, pb)
 		bld.Ret(r)
 		got, err := Run(f, []Value{FloatVal(float64(a)), FloatVal(float64(b))}, NewMemory(0), Env{})
 		if err != nil {
@@ -169,7 +169,7 @@ func TestRunAllocationsIndependentOfSteps(t *testing.T) {
 	b.Br(loop)
 	b.SetBlock(loop)
 	i := b.Phi(ir.I64, "i")
-	x := b.FAdd(b.FMul(b.Load(acc), ir.ConstFloat(ir.F64, 1.0001)), b.Conv(ir.OpSIToFP, b.And(i, ir.ConstInt(ir.I64, 7)), ir.F64))
+	x := b.FAdd(b.Bin(ir.OpFMul, b.Load(acc), ir.ConstFloat(ir.F64, 1.0001)), b.Conv(ir.OpSIToFP, b.And(i, ir.ConstInt(ir.I64, 7)), ir.F64))
 	b.Store(b.Select(b.FCmp(ir.OGT, x, ir.ConstFloat(ir.F64, 1e6)), ir.ConstFloat(ir.F64, 1), x), acc)
 	next := b.Add(i, ir.ConstInt(ir.I64, 1))
 	i.PhiAddIncoming(ir.ConstInt(ir.I64, 0), entry)

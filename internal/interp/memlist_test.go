@@ -3,13 +3,15 @@ package interp
 import (
 	"bytes"
 	"testing"
+
+	"uu/internal/freelist"
 )
 
 // TestAcquireMemoryOverwritesRecycledBuffers: whatever a previous owner
 // left in a buffer — past the new length too — an acquired memory is
 // exactly image followed by zeros.
 func TestAcquireMemoryOverwritesRecycledBuffers(t *testing.T) {
-	freeMemories.Drop()
+	freeMemories = freelist.New[int, *Memory](maxFreeMemories)
 	dirty := AcquireMemory(5000, nil)
 	if cap(dirty.Data) != 8192 {
 		t.Fatalf("a 5000-byte memory has capacity %d, want its class, 8192", cap(dirty.Data))
@@ -55,7 +57,7 @@ func TestAcquireMemoryOverwritesRecycledBuffers(t *testing.T) {
 // TestFreeMemoriesBounded: the list keeps at most maxFreeMemories buffers
 // and never one above the largest class or one it did not size itself.
 func TestFreeMemoriesBounded(t *testing.T) {
-	freeMemories.Drop()
+	freeMemories = freelist.New[int, *Memory](maxFreeMemories)
 	ReleaseMemory(nil)
 	ReleaseMemory(NewMemory(5000)) // not a class capacity
 	big := AcquireMemory(maxFreeMemoryBytes+1, nil)
@@ -76,5 +78,5 @@ func TestFreeMemoriesBounded(t *testing.T) {
 	if n := freeMemories.Len(); n != maxFreeMemories {
 		t.Fatalf("list holds %d buffers, want %d", n, maxFreeMemories)
 	}
-	freeMemories.Drop()
+	freeMemories = freelist.New[int, *Memory](maxFreeMemories)
 }

@@ -50,16 +50,6 @@ func (b *Block) Phis() []*Instr {
 	return b.instrs
 }
 
-// FirstNonPhi returns the index of the first non-phi instruction.
-func (b *Block) FirstNonPhi() int {
-	for i, in := range b.instrs {
-		if !in.IsPhi() {
-			return i
-		}
-	}
-	return len(b.instrs)
-}
-
 // Append adds a detached instruction at the end of the block (before nothing;
 // callers build blocks front-to-back, terminator last).
 func (b *Block) Append(in *Instr) *Instr {
@@ -133,10 +123,6 @@ func (b *Block) Erase(in *Instr) {
 
 // Preds returns the predecessor blocks. The slice must not be mutated.
 func (b *Block) Preds() []*Block { return b.preds }
-
-// NumPreds returns the number of predecessor edges (counting duplicates from
-// multi-edge terminators once per edge).
-func (b *Block) NumPreds() int { return len(b.preds) }
 
 // HasPred reports whether p is a predecessor of b.
 func (b *Block) HasPred(p *Block) bool {

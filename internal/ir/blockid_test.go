@@ -74,7 +74,7 @@ func TestQuickBlockIDsUniqueAndBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		f := buildDiamondLoop(t, 1+rng.Intn(4))
 		checkBlockIDs(t, f, "build")
-		var clones []*Block // unreachable copies made by CloneBlocks, not yet removed
+		var clones []*Block // unreachable copies made by a Cloner, not yet removed
 		for step := 0; step < 12; step++ {
 			switch rng.Intn(6) {
 			case 0:
@@ -114,11 +114,12 @@ func TestQuickBlockIDsUniqueAndBounded(t *testing.T) {
 						region = append(region, b)
 					}
 				}
-				bmap, _ := CloneBlocks(f, region, ".c")
+				c := NewCloner(f)
+				c.Clone(region, ".c")
 				for _, b := range region {
-					clones = append(clones, bmap[b])
+					clones = append(clones, c.Block(b))
 				}
-				checkBlockIDs(t, f, "CloneBlocks")
+				checkBlockIDs(t, f, "Cloner.Clone")
 			case 3:
 				if len(clones) > 0 {
 					f.RemoveBlocks(clones)

@@ -69,12 +69,6 @@ func (bld *Builder) FAdd(a, b Value) *Instr { return bld.Bin(OpFAdd, a, b) }
 // FSub builds a floating-point subtract.
 func (bld *Builder) FSub(a, b Value) *Instr { return bld.Bin(OpFSub, a, b) }
 
-// FMul builds a floating-point multiply.
-func (bld *Builder) FMul(a, b Value) *Instr { return bld.Bin(OpFMul, a, b) }
-
-// FDiv builds a floating-point divide.
-func (bld *Builder) FDiv(a, b Value) *Instr { return bld.Bin(OpFDiv, a, b) }
-
 // ICmp builds an integer comparison with predicate p.
 func (bld *Builder) ICmp(p Pred, a, b Value) *Instr {
 	sameType(OpICmp, a, b)

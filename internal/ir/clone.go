@@ -1,17 +1,5 @@
 package ir
 
-// ValueMap maps original values to their clones during block duplication.
-type ValueMap map[Value]Value
-
-// Lookup returns the mapping for v, or v itself when unmapped (values defined
-// outside the cloned region are shared, not cloned).
-func (vm ValueMap) Lookup(v Value) Value {
-	if nv, ok := vm[v]; ok {
-		return nv
-	}
-	return v
-}
-
 // Clone returns a deep copy of f: fresh parameters, blocks, and instructions
 // with identical names, IDs, and structure, sharing only immutable values
 // (constants, types). Clone(f).String() == f.String(), and mutating the clone
@@ -150,116 +138,16 @@ func Restore(dst, snapshot *Function) {
 	snapshot.nameCount = nil
 }
 
-// CloneBlocks duplicates the given blocks within f, appending suffix to block
-// names. Instruction operands and phi/branch block references that point
-// inside the cloned region are remapped to the clones; references to values
-// and blocks outside the region are left pointing at the originals.
-//
-// The returned maps translate original blocks/values to their clones. Callers
-// (the unroller) rewire entry/exit edges and fix up boundary phis afterwards.
-// A caller that clones region after region holds a Cloner instead.
-func CloneBlocks(f *Function, blocks []*Block, suffix string) (map[*Block]*Block, ValueMap) {
-	n := 0
-	for _, b := range blocks {
-		n += len(b.instrs)
-	}
-	t := mapCloneTable{make(map[*Block]*Block, len(blocks)), make(ValueMap, n)}
-	cloneRegion(f, blocks, suffix, t)
-	return t.bmap, t.vmap
-}
-
-// cloneTable is where cloneRegion keeps, and looks up, which clone stands
-// for which original.
-type cloneTable interface {
-	setBlock(b, clone *Block)
-	setInstr(in, clone *Instr)
-	// Block returns b's clone, nil for a block outside the region.
-	Block(b *Block) *Block
-	// Value returns v's clone, v itself for a value defined outside the region.
-	Value(v Value) Value
-}
-
-type mapCloneTable struct {
-	bmap map[*Block]*Block
-	vmap ValueMap
-}
-
-func (t mapCloneTable) setBlock(b, clone *Block)  { t.bmap[b] = clone }
-func (t mapCloneTable) setInstr(in, clone *Instr) { t.vmap[in] = clone }
-func (t mapCloneTable) Block(b *Block) *Block     { return t.bmap[b] }
-func (t mapCloneTable) Value(v Value) Value       { return t.vmap.Lookup(v) }
-
-// cloneRegion is the body of CloneBlocks and Cloner.Clone. A clone block's
-// instructions line up with its original's, position for position.
-func cloneRegion(f *Function, blocks []*Block, suffix string, t cloneTable) {
-	for _, b := range blocks {
-		t.setBlock(b, f.NewBlock(b.Name+suffix))
-	}
-	cloneOf := func(in *Instr) *Instr {
-		ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, loc: in.loc}
-		t.setInstr(in, ci)
-		return ci
-	}
-	// First pass: create clone instructions with original operands so that
-	// forward references (phis) resolve in the second pass. Terminators
-	// wait for the second pass, where their block arguments are known and
-	// Append can wire predecessor edges correctly.
-	for _, b := range blocks {
-		nb := t.Block(b)
-		for _, in := range b.instrs {
-			if in.IsTerminator() {
-				continue
-			}
-			ci := cloneOf(in)
-			for _, a := range in.args {
-				ci.AddArg(a)
-			}
-			nb.Append(ci)
-		}
-	}
-	// Second pass: remap operands and block references.
-	for _, b := range blocks {
-		nb := t.Block(b)
-		for i, in := range b.instrs {
-			if in.IsTerminator() {
-				ci := cloneOf(in)
-				for _, a := range in.args {
-					ci.AddArg(t.Value(a))
-				}
-				for _, tb := range in.blocks {
-					if nt := t.Block(tb); nt != nil {
-						ci.AddBlockArg(nt)
-					} else {
-						ci.AddBlockArg(tb)
-					}
-				}
-				nb.Append(ci) // wires pred edges of (possibly external) targets
-				continue
-			}
-			ci := nb.instrs[i]
-			for i, a := range ci.args {
-				if na := t.Value(a); na != a {
-					ci.SetArg(i, na)
-				}
-			}
-			if in.IsPhi() {
-				for _, ib := range in.blocks {
-					if nb := t.Block(ib); nb != nil {
-						ci.AddBlockArg(nb)
-					} else {
-						ci.AddBlockArg(ib)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Cloner is CloneBlocks for a caller that duplicates region after region of
-// one function (the unmerger, thousands of times over a body it keeps
-// growing): the original-to-clone tables are slices indexed by Block.ID and
-// Instr.ID, kept across calls and cleared only where the last call wrote.
-// Block and Value answer for the most recent Clone.
+// Cloner duplicates regions of one function inside it — the one region
+// copier under both of the paper's transforms: the unroller clones a loop
+// body once per extra copy, the unmerger a merge tail thousands of times over
+// a body it keeps growing. Instruction operands and phi/branch block
+// references that point inside the cloned region are remapped to the clones;
+// references to values and blocks outside it are left pointing at the
+// originals, and the caller rewires the region's entry and exit edges. The
+// original-to-clone tables are slices indexed by Block.ID and Instr.ID, kept
+// across calls and cleared only where the last call wrote. Block and Value
+// answer for the most recent Clone.
 type Cloner struct {
 	f       *Function
 	blockOf []*Block // by Block.ID
@@ -272,7 +160,9 @@ type Cloner struct {
 // NewCloner returns a Cloner for f's blocks.
 func NewCloner(f *Function) *Cloner { return &Cloner{f: f} }
 
-// Clone duplicates blocks as CloneBlocks does.
+// Clone duplicates blocks within the function, appending suffix to the
+// block names. A clone block's instructions line up with its original's,
+// position for position.
 func (c *Cloner) Clone(blocks []*Block, suffix string) {
 	for _, b := range c.blocks {
 		c.blockOf[b.id] = nil
@@ -288,17 +178,73 @@ func (c *Cloner) Clone(blocks []*Block, suffix string) {
 	if n := c.f.InstrIDBound() - len(c.instrOf); n > 0 {
 		c.instrOf = append(c.instrOf, make([]*Instr, n)...)
 	}
-	cloneRegion(c.f, blocks, suffix, c)
+	c.cloneRegion(blocks, suffix)
 }
 
-func (c *Cloner) setBlock(b, clone *Block) {
-	c.blockOf[b.id] = clone
-	c.blocks = append(c.blocks, b)
-}
-
-func (c *Cloner) setInstr(in, clone *Instr) {
-	c.instrOf[in.id] = clone
-	c.instrs = append(c.instrs, in)
+func (c *Cloner) cloneRegion(blocks []*Block, suffix string) {
+	for _, b := range blocks {
+		c.blockOf[b.id] = c.f.NewBlock(b.Name + suffix)
+		c.blocks = append(c.blocks, b)
+	}
+	cloneOf := func(in *Instr) *Instr {
+		ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, loc: in.loc}
+		c.instrOf[in.id] = ci
+		c.instrs = append(c.instrs, in)
+		return ci
+	}
+	// First pass: create clone instructions with original operands so that
+	// forward references (phis) resolve in the second pass. Terminators
+	// wait for the second pass, where their block arguments are known and
+	// Append can wire predecessor edges correctly.
+	for _, b := range blocks {
+		nb := c.Block(b)
+		for _, in := range b.instrs {
+			if in.IsTerminator() {
+				continue
+			}
+			ci := cloneOf(in)
+			for _, a := range in.args {
+				ci.AddArg(a)
+			}
+			nb.Append(ci)
+		}
+	}
+	// Second pass: remap operands and block references.
+	for _, b := range blocks {
+		nb := c.Block(b)
+		for i, in := range b.instrs {
+			if in.IsTerminator() {
+				ci := cloneOf(in)
+				for _, a := range in.args {
+					ci.AddArg(c.Value(a))
+				}
+				for _, tb := range in.blocks {
+					if nt := c.Block(tb); nt != nil {
+						ci.AddBlockArg(nt)
+					} else {
+						ci.AddBlockArg(tb)
+					}
+				}
+				nb.Append(ci) // wires pred edges of (possibly external) targets
+				continue
+			}
+			ci := nb.instrs[i]
+			for i, a := range ci.args {
+				if na := c.Value(a); na != a {
+					ci.SetArg(i, na)
+				}
+			}
+			if in.IsPhi() {
+				for _, ib := range in.blocks {
+					if nb := c.Block(ib); nb != nil {
+						ci.AddBlockArg(nb)
+					} else {
+						ci.AddBlockArg(ib)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Block returns b's clone, or nil when b was not in the last cloned region.

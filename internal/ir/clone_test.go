@@ -356,7 +356,7 @@ func TestVerifyRejectsDuplicateInstrIDs(t *testing.T) {
 	// Forge a duplicate ID by cloning and splicing an instruction that keeps
 	// the original's ID (what a buggy snapshot/restore would produce).
 	loop := f.BlockByName("loop")
-	orig := loop.Instrs()[loop.FirstNonPhi()]
+	orig := loop.Instrs()[len(loop.Phis())]
 	dup := &Instr{Op: OpAdd, Typ: I64, id: orig.id}
 	dup.AddArg(ConstInt(I64, 1))
 	dup.AddArg(ConstInt(I64, 2))

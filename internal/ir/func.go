@@ -31,16 +31,6 @@ func (f *Function) AddParam(name string, t *Type, restrict bool) *Param {
 	return p
 }
 
-// ParamByName returns the parameter with the given name, or nil.
-func (f *Function) ParamByName(name string) *Param {
-	for _, p := range f.Params {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Blocks returns the function's blocks; Blocks()[0] is the entry block. The
 // slice must not be mutated directly.
 func (f *Function) Blocks() []*Block { return f.blocks }
@@ -71,7 +61,7 @@ func (f *Function) NewBlock(name string) *Block {
 
 // BlockIDBound returns an exclusive upper bound on Block.ID over every block
 // the function has ever held: a slice of this length can be indexed by the
-// ID of any current block. NewBlock (and so CloneBlocks) raises it.
+// ID of any current block. NewBlock (and so Cloner.Clone) raises it.
 func (f *Function) BlockIDBound() int { return f.nextBlockID }
 
 // InstrIDBound is BlockIDBound's twin for Instr.ID of attached instructions.
@@ -203,16 +193,6 @@ func (m *Module) AddFunction(f *Function) {
 
 // Funcs returns the module's functions.
 func (m *Module) Funcs() []*Function { return m.funcs }
-
-// FuncByName returns the function with the given name, or nil.
-func (m *Module) FuncByName(name string) *Function {
-	for _, f := range m.funcs {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
 
 // EraseInstrs removes a group of instructions that may reference each other
 // (e.g. a dead phi cycle or a dead GEP/load chain). No instruction outside

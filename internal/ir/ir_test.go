@@ -133,8 +133,9 @@ func TestVerifyCatchesUseBeforeDef(t *testing.T) {
 func TestCloneBlocks(t *testing.T) {
 	f, _ := buildCountLoop(t)
 	loop := f.BlockByName("loop")
-	bmap, vmap := CloneBlocks(f, []*Block{loop}, ".c")
-	nl := bmap[loop]
+	c := NewCloner(f)
+	c.Clone([]*Block{loop}, ".c")
+	nl := c.Block(loop)
 	if nl == nil || nl.Name != "loop.c" {
 		t.Fatalf("clone block missing or misnamed")
 	}
@@ -144,12 +145,12 @@ func TestCloneBlocks(t *testing.T) {
 	// The cloned phi's self-incoming should be remapped to the clone block
 	// and cloned increment.
 	origPhi := loop.Phis()[0]
-	clonePhi := vmap[origPhi].(*Instr)
+	clonePhi := c.Value(origPhi).(*Instr)
 	if clonePhi.PhiIncoming(nl) == nil {
 		t.Fatalf("clone phi incoming not remapped to clone block")
 	}
 	inc := origPhi.PhiIncoming(loop).(*Instr)
-	if clonePhi.PhiIncoming(nl) != vmap[inc] {
+	if clonePhi.PhiIncoming(nl) != c.Value(inc) {
 		t.Fatalf("clone phi incoming value not remapped")
 	}
 	// Clone's terminator still targets the shared exit, and exit gained an
@@ -370,8 +371,8 @@ func TestModulePrinting(t *testing.T) {
 	if !strings.Contains(s, "func @a()") || !strings.Contains(s, "func @b()") {
 		t.Fatalf("module printing wrong:\n%s", s)
 	}
-	if m.FuncByName("a") != f1 || m.FuncByName("zzz") != nil {
-		t.Fatalf("FuncByName wrong")
+	if fs := m.Funcs(); len(fs) != 2 || fs[0] != f1 || fs[1] != f2 {
+		t.Fatalf("Funcs wrong")
 	}
 }
 
@@ -392,8 +393,8 @@ func TestVerifyRejectsIdenticalCondBrTargets(t *testing.T) {
 func TestBlockHelpers(t *testing.T) {
 	f, _ := buildCountLoop(t)
 	loop := f.BlockByName("loop")
-	if loop.FirstNonPhi() != 2 {
-		t.Fatalf("FirstNonPhi = %d", loop.FirstNonPhi())
+	if len(loop.Phis()) != 2 {
+		t.Fatalf("Phis = %d", len(loop.Phis()))
 	}
 	if loop.String() != "%loop" {
 		t.Fatalf("String = %q", loop.String())

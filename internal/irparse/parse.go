@@ -40,18 +40,6 @@ func ParseFunc(src string) (*ir.Function, error) {
 	return m.Funcs()[0], nil
 }
 
-// MustParseFunc is ParseFunc that panics on error; for tests.
-func MustParseFunc(src string) *ir.Function {
-	f, err := ParseFunc(src)
-	if err != nil {
-		panic(err)
-	}
-	if err := ir.Verify(f); err != nil {
-		panic(err)
-	}
-	return f
-}
-
 type parser struct {
 	lines []string
 	pos   int

@@ -166,7 +166,7 @@ entry:
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if len(m.Funcs()) != 2 || m.FuncByName("a") == nil || m.FuncByName("b") == nil {
+	if fs := m.Funcs(); len(fs) != 2 || fs[0].Name != "a" || fs[1].Name != "b" {
 		t.Fatalf("functions not parsed: %v", m.String())
 	}
 }
@@ -197,7 +197,10 @@ exit:
   ret
 }
 `
-	f := MustParseFunc(src)
+	f, err := ParseFunc(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := core.UnrollAndUnmerge(f, 0, 3, core.Options{}); err != nil {
 		t.Fatalf("u&u: %v", err)
 	}
@@ -212,13 +215,4 @@ exit:
 	if f2.String() != printed {
 		t.Fatalf("round trip not stable")
 	}
-}
-
-func TestMustParseFuncPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("no panic on bad source")
-		}
-	}()
-	MustParseFunc("func @broken( {")
 }

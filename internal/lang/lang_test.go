@@ -549,7 +549,7 @@ kernel b(long* restrict out) { out[0] = 2; }
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if len(m.Funcs()) != 2 || m.FuncByName("a") == nil || m.FuncByName("b") == nil {
+	if fs := m.Funcs(); len(fs) != 2 || fs[0].Name != "a" || fs[1].Name != "b" {
 		t.Fatalf("kernels missing")
 	}
 }

@@ -94,7 +94,7 @@ func TestBrokenAppAnswers400EveryTime(t *testing.T) {
 			t.Errorf("request %d: %q, the first said %q", i, e.Msg, first)
 		}
 	}
-	if n := s.c.compiles.Load(); n != 0 {
+	if n := s.c[ctrCompiles].Load(); n != 0 {
 		t.Errorf("%d pool executions for an app that has no kernel", n)
 	}
 }
@@ -199,9 +199,9 @@ func TestSharedKernelNeverMutated(t *testing.T) {
 	}
 	wg.Wait()
 	t.Logf("counters: %v", s.c.snapshot())
-	if s.c.compiles.Load() == 0 || s.c.coalesced.Load()+s.c.cacheHits.Load() == 0 {
+	if s.c[ctrCompiles].Load() == 0 || s.c[ctrCoalesced].Load()+s.c[ctrCacheHits].Load() == 0 {
 		t.Errorf("compiles %d, coalesced %d, cache hits %d: the mix did not exercise leaders and followers",
-			s.c.compiles.Load(), s.c.coalesced.Load(), s.c.cacheHits.Load())
+			s.c[ctrCompiles].Load(), s.c[ctrCoalesced].Load(), s.c[ctrCacheHits].Load())
 	}
 	for _, b := range bench.Suite {
 		if got := ir.Fingerprint(b.Kernel()); got != want[b.Name] {

@@ -24,15 +24,10 @@ func TestServeCounterNamesDocumented(t *testing.T) {
 			t.Errorf("counter %q is not documented in docs/METRICS.md", name)
 		}
 	}
-	// And the list itself must match what snapshot() actually emits.
-	snap := (&counters{}).snapshot()
-	if len(snap) != len(counterNames) {
-		t.Fatalf("snapshot emits %d counters, counterNames lists %d", len(snap), len(counterNames))
-	}
-	for _, name := range counterNames {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("counterNames lists %q but snapshot never emits it", name)
-		}
+	// And every counter has a name of its own: /stats keys its snapshot
+	// by name, so two counters sharing one would lose a count.
+	if snap := (&counters{}).snapshot(); len(snap) != int(numCounters) {
+		t.Fatalf("snapshot emits %d counters, there are %d", len(snap), numCounters)
 	}
 
 	// The same lint covers the /metrics histogram and gauge families and
@@ -70,7 +65,7 @@ func TestMetricsExpositionMatchesNameLists(t *testing.T) {
 	}
 	scrape := sb.String()
 	var all []string
-	all = append(all, counterNames...)
+	all = append(all, counterNames[:]...)
 	all = append(all, histogramNames...)
 	all = append(all, gaugeNames...)
 	for _, name := range all {

@@ -91,7 +91,7 @@ func TestDuplicateSubmissionsCompileOnce(t *testing.T) {
 	if nCoalesced+nCached != clients-1 {
 		t.Fatalf("coalesced %d + cached %d != %d followers", nCoalesced, nCached, clients-1)
 	}
-	if hits := s.c.cacheHits.Load() + s.c.coalesced.Load(); hits != int64(clients-1) {
+	if hits := s.c[ctrCacheHits].Load() + s.c[ctrCoalesced].Load(); hits != int64(clients-1) {
 		t.Fatalf("server counted %d hits, want %d", hits, clients-1)
 	}
 	sort.Float64s(lat)
@@ -136,7 +136,7 @@ func TestAbandonedFlightCancels(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker still occupied by an abandoned compile")
 	}
-	if got := s.c.canceled.Load(); got != 1 {
+	if got := s.c[ctrCanceled].Load(); got != 1 {
 		t.Fatalf("canceled counter = %d, want 1 (the abandoned flight)", got)
 	}
 	if got := compiles.Load(); got != 2 {

@@ -270,7 +270,7 @@ func TestAliasLifecycle(t *testing.T) {
 			}
 			checkIndex(t, s)
 		}
-		if got := s.c.identHits.Load(); got != 1 {
+		if got := s.c[ctrIdentHits].Load(); got != 1 {
 			t.Fatalf("identity hits = %d, want 1 (the repeat of factor 2)", got)
 		}
 		if key, ok := aliasedKey(s, withFactor(4)); ok {
@@ -284,7 +284,7 @@ func TestAliasLifecycle(t *testing.T) {
 		if got := compiles.Load(); got != 4 {
 			t.Fatalf("compiles = %d, want 4 (three keys, one of them twice)", got)
 		}
-		if got := s.c.identHits.Load(); got != 1 {
+		if got := s.c[ctrIdentHits].Load(); got != 1 {
 			t.Fatalf("identity hits = %d after the evicted repeat, want 1", got)
 		}
 	})
@@ -320,10 +320,10 @@ func TestAliasLifecycle(t *testing.T) {
 				checkIndex(t, s)
 			}
 		}
-		if got := s.c.deadline.Load(); got != 2 {
+		if got := s.c[ctrDeadline].Load(); got != 2 {
 			t.Errorf("deadline expiries = %d, want 2: the repeat was not re-executed", got)
 		}
-		if hits := s.c.cacheHits.Load() + s.c.identHits.Load(); hits != 0 {
+		if hits := s.c[ctrCacheHits].Load() + s.c[ctrIdentHits].Load(); hits != 0 {
 			t.Errorf("%d hits among failing requests", hits)
 		}
 		s.mu.Lock()
@@ -354,13 +354,13 @@ func TestAliasLifecycle(t *testing.T) {
 			if res.Key != first.Key || !sameResult(res, first) {
 				t.Fatalf("submission %d differs from the first: %+v vs %+v", i, res, first)
 			}
-			if got := s.c.identHits.Load(); got != wantIdentHits[i] {
+			if got := s.c[ctrIdentHits].Load(); got != wantIdentHits[i] {
 				t.Fatalf("after submission %d: identity hits = %d, want %d", i, got, wantIdentHits[i])
 			}
 			checkIndex(t, s)
 		}
-		if compiles.Load() != 1 || s.c.cacheHits.Load() != 5 {
-			t.Fatalf("compiles = %d, cache hits = %d, want 1 and 5", compiles.Load(), s.c.cacheHits.Load())
+		if compiles.Load() != 1 || s.c[ctrCacheHits].Load() != 5 {
+			t.Fatalf("compiles = %d, cache hits = %d, want 1 and 5", compiles.Load(), s.c[ctrCacheHits].Load())
 		}
 		s.mu.Lock()
 		entries, aliases := s.cache.len(), len(s.cache.idents)
@@ -395,13 +395,13 @@ func TestAliasLifecycle(t *testing.T) {
 		// answers by identity.
 		last := testRequest(10)
 		last.Source += strings.Repeat(" ", 999)
-		before := s.c.identHits.Load()
+		before := s.c[ctrIdentHits].Load()
 		for _, req := range []*Request{last, other} {
 			if status, res := handlerPost(t, h, req); status != 200 || !res.Cached {
 				t.Fatalf("status %d, %+v", status, res)
 			}
 		}
-		if got := s.c.identHits.Load() - before; got != 2 {
+		if got := s.c[ctrIdentHits].Load() - before; got != 2 {
 			t.Fatalf("identity hits after the flood = %d, want 2", got)
 		}
 		if compiles.Load() != 2 {
@@ -497,8 +497,8 @@ func TestAliasLifecycle(t *testing.T) {
 		if _, ok := aliasedKey(s, poisoned); ok {
 			t.Error("the failing request left an alias")
 		}
-		if s.c.identHits.Load() == 0 || s.c.compiles.Load() <= int64(len(reqs)) {
-			t.Errorf("identity hits %d, compiles %d: the load did not mix hits with evictions", s.c.identHits.Load(), s.c.compiles.Load())
+		if s.c[ctrIdentHits].Load() == 0 || s.c[ctrCompiles].Load() <= int64(len(reqs)) {
+			t.Errorf("identity hits %d, compiles %d: the load did not mix hits with evictions", s.c[ctrIdentHits].Load(), s.c[ctrCompiles].Load())
 		}
 	})
 }
@@ -532,13 +532,13 @@ func BenchmarkServeHit(b *testing.B) {
 		}
 		b.Run(form, func(b *testing.B) {
 			b.ReportAllocs()
-			before := s.c.identHits.Load()
+			before := s.c[ctrIdentHits].Load()
 			for i := 0; i < b.N; i++ {
 				if status := record(h, body).Code; status != 200 {
 					b.Fatalf("status %d", status)
 				}
 			}
-			if got := s.c.identHits.Load() - before; got != int64(b.N) {
+			if got := s.c[ctrIdentHits].Load() - before; got != int64(b.N) {
 				b.Fatalf("%d of %d repeats were identity hits", got, b.N)
 			}
 		})
@@ -618,7 +618,7 @@ func TestHitAllocBudget(t *testing.T) {
 		if status, _ := handlerPostBody(t, h, body); status != 200 {
 			t.Fatalf("%s: warm-up status %d", form, status)
 		}
-		before := s.c.identHits.Load()
+		before := s.c[ctrIdentHits].Load()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < hits; i++ {
@@ -627,7 +627,7 @@ func TestHitAllocBudget(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&m1)
-		if got := s.c.identHits.Load() - before; got != hits {
+		if got := s.c[ctrIdentHits].Load() - before; got != hits {
 			t.Fatalf("%s: %d of %d repeats were identity hits", form, got, hits)
 		}
 		perHit := (m1.TotalAlloc - m0.TotalAlloc) / hits

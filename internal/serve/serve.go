@@ -84,10 +84,29 @@ func (o *Options) withDefaults() Options {
 	return d
 }
 
-// counterNames lists every /stats counter in render order. Each one is
-// documented in docs/METRICS.md; TestServeCounterNamesDocumented enforces
-// that the list and the docs never drift apart.
-var counterNames = []string{
+// counter indexes the server's monotonic event counts.
+type counter int
+
+const (
+	ctrRequests  counter = iota // every POST /compile received
+	ctrCacheHits                // served straight from the LRU cache
+	ctrIdentHits                // cache hits found by request identity, no IR built
+	ctrCoalesced                // waited on another request's in-flight compile
+	ctrCompiles                 // actual pool executions
+	ctrShed                     // rejected 429 on a full queue
+	ctrPanics                   // request executions that panicked (contained)
+	ctrDeadline                 // executions canceled by deadline expiry (504)
+	ctrCanceled                 // executions canceled otherwise (drain, client gone)
+	ctrMalformed                // undecodable, oversized, or invalid requests
+	ctrFailed                   // executions failing with a compile/exec error (422)
+	numCounters
+)
+
+// counterNames names every counter, in render order — the one spelling
+// /stats, the drain flush and /metrics all read. Each one is documented in
+// docs/METRICS.md; TestServeCounterNamesDocumented enforces that the names
+// and the docs never drift apart.
+var counterNames = [numCounters]string{
 	"serve_requests_total",
 	"serve_cache_hits_total",
 	"serve_identity_hits_total",
@@ -101,36 +120,16 @@ var counterNames = []string{
 	"serve_failed_total",
 }
 
-// counters are the server's monotonic event counts, updated with atomics
-// on the hot path and snapshotted for /stats and the drain flush.
-type counters struct {
-	requests  atomic.Int64 // every POST /compile received
-	cacheHits atomic.Int64 // served straight from the LRU cache
-	identHits atomic.Int64 // cache hits found by request identity, no IR built
-	coalesced atomic.Int64 // waited on another request's in-flight compile
-	compiles  atomic.Int64 // actual pool executions
-	shed      atomic.Int64 // rejected 429 on a full queue
-	panics    atomic.Int64 // request executions that panicked (contained)
-	deadline  atomic.Int64 // executions canceled by deadline expiry (504)
-	canceled  atomic.Int64 // executions canceled otherwise (drain, client gone)
-	malformed atomic.Int64 // undecodable, oversized, or invalid requests
-	failed    atomic.Int64 // executions failing with a compile/exec error (422)
-}
+// counters are the server's event counts, updated with atomics on the hot
+// path and snapshotted for /stats and the drain flush.
+type counters [numCounters]atomic.Int64
 
 func (c *counters) snapshot() map[string]int64 {
-	return map[string]int64{
-		"serve_requests_total":         c.requests.Load(),
-		"serve_cache_hits_total":       c.cacheHits.Load(),
-		"serve_identity_hits_total":    c.identHits.Load(),
-		"serve_coalesced_total":        c.coalesced.Load(),
-		"serve_compiles_total":         c.compiles.Load(),
-		"serve_shed_total":             c.shed.Load(),
-		"serve_panics_total":           c.panics.Load(),
-		"serve_deadline_expired_total": c.deadline.Load(),
-		"serve_canceled_total":         c.canceled.Load(),
-		"serve_malformed_total":        c.malformed.Load(),
-		"serve_failed_total":           c.failed.Load(),
+	m := make(map[string]int64, numCounters)
+	for i, name := range counterNames {
+		m[name] = c[i].Load()
 	}
+	return m
 }
 
 // flight is one in-flight compilation: the leader enqueues the work, every
@@ -265,7 +264,7 @@ func (s *Server) Drain(ctx context.Context) map[string]int64 {
 			case <-done:
 				drained = true
 			case j := <-s.queue:
-				s.c.canceled.Add(1)
+				s.c[ctrCanceled].Add(1)
 				s.finish(j.fl, nil, classify(context.Canceled, "exec-failed"))
 				s.inflight.Done()
 			}
@@ -341,7 +340,7 @@ func quantileBlock(snap *telemetry.HistSnapshot) map[string]any {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.c.requests.Add(1)
+	s.c[ctrRequests].Add(1)
 	st := s.newReqState(r)
 	s.tel.requestStarted()
 	defer s.tel.requestEnded()
@@ -360,7 +359,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if err := decodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
 		st.tm.Frontend = time.Since(tFrontend)
-		s.c.malformed.Add(1)
+		s.c[ctrMalformed].Add(1)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			st.fail(w, &Error{Status: 413, Code: "oversized", Msg: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)}, 0)
@@ -383,7 +382,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		st.tm.Frontend = tLookup.Sub(tFrontend)
 		st.span("frontend", tFrontend, st.tm.Frontend)
-		s.c.identHits.Add(1)
+		s.c[ctrIdentHits].Add(1)
 		st.key, st.app = res.Key, req.App
 		st.respondCached(w, res, tLookup)
 		return
@@ -393,7 +392,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	st.tm.Frontend = time.Since(tFrontend)
 	st.span("frontend", tFrontend, st.tm.Frontend)
 	if rerr != nil {
-		s.c.malformed.Add(1)
+		s.c[ctrMalformed].Add(1)
 		st.fail(w, rerr, 0)
 		return
 	}
@@ -452,13 +451,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			// already joined; Retry-After plus the client's jittered
 			// backoff spreads the retry wave.
 			s.inflight.Done()
-			s.c.shed.Add(1)
+			s.c[ctrShed].Add(1)
 			s.finish(fl, nil, &Error{Status: 429, Code: "shed", Msg: "admission queue full"})
 		}
 		st.tm.Resolve = time.Since(tResolve)
 		st.span("resolve", tResolve, st.tm.Resolve)
 	} else {
-		s.c.coalesced.Add(1)
+		s.c[ctrCoalesced].Add(1)
 	}
 
 	select {
@@ -563,7 +562,7 @@ func (s *Server) worker() {
 			for {
 				select {
 				case j := <-s.queue:
-					s.c.canceled.Add(1)
+					s.c[ctrCanceled].Add(1)
 					s.finish(j.fl, nil, classify(context.Canceled, "exec-failed"))
 					s.inflight.Done()
 				default:
@@ -581,13 +580,13 @@ func (s *Server) worker() {
 			switch {
 			case rerr == nil:
 			case rerr.Code == "deadline":
-				s.c.deadline.Add(1)
+				s.c[ctrDeadline].Add(1)
 			case rerr.Code == "canceled":
-				s.c.canceled.Add(1)
+				s.c[ctrCanceled].Add(1)
 			case rerr.Code == "panic":
-				s.c.panics.Add(1)
+				s.c[ctrPanics].Add(1)
 			default:
-				s.c.failed.Add(1)
+				s.c[ctrFailed].Add(1)
 			}
 			if res != nil {
 				// Stamp the execution's timings onto the cached response so
@@ -619,7 +618,7 @@ func (s *Server) execute(j *job) (res *Response, rerr *Error) {
 	if s.opts.OnCompile != nil {
 		s.opts.OnCompile(j.sp.key)
 	}
-	s.c.compiles.Add(1)
+	s.c[ctrCompiles].Add(1)
 	return runSpec(j.ctx, j.sp, &j.fl.exec)
 }
 

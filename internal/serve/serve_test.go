@@ -167,8 +167,8 @@ func TestPanicIsolation(t *testing.T) {
 	if err := json.Unmarshal(data, &e); err != nil || e.Code != "panic" {
 		t.Fatalf("poisoned request body %q, want code \"panic\"", data)
 	}
-	if s.c.panics.Load() != 1 {
-		t.Fatalf("panic counter = %d, want 1", s.c.panics.Load())
+	if s.c[ctrPanics].Load() != 1 {
+		t.Fatalf("panic counter = %d, want 1", s.c[ctrPanics].Load())
 	}
 
 	// The same worker must still serve clean work.
@@ -221,8 +221,8 @@ func TestDeadlineCancelsWork(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Fatalf("deadline took %s to take effect; cancellation is not prompt", elapsed)
 	}
-	if s.c.deadline.Load() != 1 {
-		t.Fatalf("deadline counter = %d, want 1", s.c.deadline.Load())
+	if s.c[ctrDeadline].Load() != 1 {
+		t.Fatalf("deadline counter = %d, want 1", s.c[ctrDeadline].Load())
 	}
 }
 
@@ -297,7 +297,7 @@ func TestStatsEndpoint(t *testing.T) {
 			t.Errorf("/stats missing counter %s", name)
 		}
 	}
-	if len(stats.Counters) != len(counterNames) {
+	if len(stats.Counters) != int(numCounters) {
 		t.Errorf("/stats has %d counters, counterNames lists %d — update counterNames and docs/METRICS.md", len(stats.Counters), len(counterNames))
 	}
 	if stats.Counters["serve_requests_total"] == 0 || stats.Counters["serve_compiles_total"] == 0 {

@@ -81,24 +81,8 @@ func newServeTelemetry(s *Server) *serveTelemetry {
 		reg:    telemetry.NewRegistry(),
 		phases: make(map[string]*telemetry.Histogram, len(phaseNames)),
 	}
-	counters := []struct {
-		name string
-		fn   func() int64
-	}{
-		{"serve_requests_total", s.c.requests.Load},
-		{"serve_cache_hits_total", s.c.cacheHits.Load},
-		{"serve_identity_hits_total", s.c.identHits.Load},
-		{"serve_coalesced_total", s.c.coalesced.Load},
-		{"serve_compiles_total", s.c.compiles.Load},
-		{"serve_shed_total", s.c.shed.Load},
-		{"serve_panics_total", s.c.panics.Load},
-		{"serve_deadline_expired_total", s.c.deadline.Load},
-		{"serve_canceled_total", s.c.canceled.Load},
-		{"serve_malformed_total", s.c.malformed.Load},
-		{"serve_failed_total", s.c.failed.Load},
-	}
-	for _, c := range counters {
-		t.reg.CounterFunc(c.name, "See docs/METRICS.md, compile-service counters.", c.fn)
+	for i, name := range counterNames {
+		t.reg.CounterFunc(name, "See docs/METRICS.md, compile-service counters.", s.c[i].Load)
 	}
 
 	t.reg.GaugeFunc("serve_queue_depth", "Jobs waiting in the admission queue.",
@@ -281,7 +265,7 @@ func (st *reqState) respond(w http.ResponseWriter, resp *Response) {
 // request began looking for it. The entry is shared, so the stamps go on a
 // copy.
 func (st *reqState) respondCached(w http.ResponseWriter, res *Response, resolveStart time.Time) {
-	st.srv.c.cacheHits.Add(1)
+	st.srv.c[ctrCacheHits].Add(1)
 	st.tm.Resolve = time.Since(resolveStart)
 	st.span("resolve", resolveStart, st.tm.Resolve)
 	out := *res

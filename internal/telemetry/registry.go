@@ -28,7 +28,6 @@ type family struct {
 // series is one sample stream: exactly one of the value sources is set.
 type series struct {
 	labels    string // rendered constant label pair, e.g. `phase="compile"`, or ""
-	counter   *Counter
 	counterFn func() int64
 	gauge     *Gauge
 	gaugeFn   func() int64
@@ -52,13 +51,6 @@ func (r *Registry) register(name, help, typ string, s *series) {
 		panic(fmt.Sprintf("telemetry: metric %s registered as both %s and %s", name, f.typ, typ))
 	}
 	f.series = append(f.series, s)
-}
-
-// Counter registers and returns a counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", &series{counter: c})
-	return c
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -151,9 +143,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func writeSeries(w io.Writer, name string, s *series) error {
 	switch {
-	case s.counter != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelBlock(s.labels, ""), s.counter.Value())
-		return err
 	case s.counterFn != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelBlock(s.labels, ""), s.counterFn())
 		return err

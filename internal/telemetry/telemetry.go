@@ -1,27 +1,19 @@
 // Package telemetry is the production-metrics layer of the compile
-// service and the benchmark harness: atomic counters, gauges, and
-// log-linear (HDR-style) latency histograms with exact-max quantile
-// extraction, deterministic merge, and Prometheus text exposition.
+// service: gauges and log-linear (HDR-style) latency histograms with
+// exact-max quantile extraction, and Prometheus text exposition of those
+// plus counters and gauges read from their owners at scrape time.
 //
 // The package is deliberately a leaf: it imports only the standard
-// library, so every layer (serve, bench, CLIs) can depend on it, and it
-// follows the repository's nil-receiver discipline — a nil *Counter,
-// *Gauge, or *Histogram is the disabled sink whose every method is a
-// no-op, so instrumentation sites cost one nil check and zero
-// allocations when telemetry is off.
+// library, so every layer (serve, CLIs) can depend on it, and it follows
+// the repository's nil-receiver discipline — a nil *Gauge or *Histogram is
+// the disabled sink whose every method is a no-op, so instrumentation
+// sites cost one nil check and zero allocations when telemetry is off.
 //
-// Two properties are load-bearing, mirroring internal/remark:
-//
-//   - Bounded, allocation-free recording. Histogram.Observe is a fixed
-//     number of atomic operations into a fixed-size bucket array; there
-//     is no sampling, no locking, and no allocation on the hot path, so
-//     the serving layer can record every request.
-//
-//   - Deterministic merge. A histogram snapshot is a sparse, index-sorted
-//     bucket list; merging N shard snapshots is commutative and
-//     associative, so shards merged in any order render byte-identically
-//     — the same contract the remark and profile layers obey for any
-//     worker count.
+// Recording is bounded and allocation-free: Histogram.Observe is a fixed
+// number of atomic operations into a fixed-size bucket array; there is no
+// sampling, no locking, and no allocation on the hot path, so the serving
+// layer can record every request. A snapshot is a sparse, index-sorted
+// bucket list read for quantiles and exposition; nothing merges snapshots.
 package telemetry
 
 import (
@@ -30,43 +22,10 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing event count. A nil *Counter is
-// the disabled sink.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n (negative deltas are ignored: counters are monotone).
-func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is an instantaneous level — queue depth, in-flight requests —
 // that can move both ways. A nil *Gauge is the disabled sink.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set replaces the level.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
 }
 
 // Add moves the level by n (n may be negative).
@@ -134,9 +93,8 @@ func bucketBounds(idx int) (lo, hi int64) {
 // (the serving layer records nanoseconds); negatives clamp to zero.
 // A nil *Histogram is the disabled sink.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
-	max     atomic.Int64 // exact observed maximum; meaningful when count > 0
+	max     atomic.Int64 // exact observed maximum; meaningful once a bucket is non-empty
 	buckets [numBuckets]atomic.Int64
 }
 
@@ -151,7 +109,6 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketIndex(v)].Add(1)
 	for {
@@ -165,27 +122,15 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Bucket is one non-empty histogram bucket in a snapshot.
 type Bucket struct {
-	Index int   // bucket scheme index; bounds via BucketBounds
+	Index int   // bucket scheme index; bounds via bucketBounds
 	Count int64 // observations in this bucket
 }
 
-// BucketBounds exposes the bucket scheme: the inclusive [lo, hi] value
-// range of bucket idx.
-func BucketBounds(idx int) (lo, hi int64) { return bucketBounds(idx) }
-
 // HistSnapshot is a point-in-time copy of a histogram: a sparse,
-// index-sorted bucket list plus the exact count, sum, and maximum.
-// Snapshots merge deterministically and serve quantile queries.
+// index-sorted bucket list plus the exact count, sum, and maximum, read for
+// quantile queries and exposition.
 //
 // A snapshot taken during concurrent recording is mildly torn (Sum and
 // Max may trail the buckets by in-flight observations); Count is always
@@ -252,52 +197,4 @@ func (s *HistSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// CountAtOrBelow returns how many observations were ≤ v, rounded up to
-// the enclosing bucket boundary — the CDF read an SLO check needs. The
-// result may overcount by at most the population of v's own bucket.
-func (s *HistSnapshot) CountAtOrBelow(v int64) int64 {
-	if s == nil {
-		return 0
-	}
-	idx := bucketIndex(v)
-	var cum int64
-	for _, b := range s.Buckets {
-		if b.Index > idx {
-			break
-		}
-		cum += b.Count
-	}
-	return cum
-}
-
-// Merge folds other into s. Merging is commutative and associative:
-// N shard snapshots merged in any order produce identical snapshots.
-func (s *HistSnapshot) Merge(other *HistSnapshot) {
-	if other == nil || other.Count == 0 {
-		return
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	merged := make([]Bucket, 0, len(s.Buckets)+len(other.Buckets))
-	i, j := 0, 0
-	for i < len(s.Buckets) || j < len(other.Buckets) {
-		switch {
-		case j >= len(other.Buckets) || (i < len(s.Buckets) && s.Buckets[i].Index < other.Buckets[j].Index):
-			merged = append(merged, s.Buckets[i])
-			i++
-		case i >= len(s.Buckets) || other.Buckets[j].Index < s.Buckets[i].Index:
-			merged = append(merged, other.Buckets[j])
-			j++
-		default:
-			merged = append(merged, Bucket{Index: s.Buckets[i].Index, Count: s.Buckets[i].Count + other.Buckets[j].Count})
-			i++
-			j++
-		}
-	}
-	s.Buckets = merged
 }

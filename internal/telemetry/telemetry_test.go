@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -145,80 +144,15 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// renderSnap serializes a snapshot into a canonical byte form for the
-// merge-determinism check.
-func renderSnap(s *HistSnapshot) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "count=%d sum=%d max=%d\n", s.Count, s.Sum, s.Max)
-	for _, b := range s.Buckets {
-		lo, hi := BucketBounds(b.Index)
-		fmt.Fprintf(&sb, "[%d,%d]=%d\n", lo, hi, b.Count)
-	}
-	return sb.String()
-}
-
-// TestMergeDeterminism pins the shard-merge contract: N shard snapshots
-// merged in any order render byte-identically, and identically to the
-// histogram that observed everything itself.
-func TestMergeDeterminism(t *testing.T) {
-	const shards = 7
-	rng := rand.New(rand.NewSource(3))
-	whole := NewHistogram()
-	parts := make([]*HistSnapshot, shards)
-	for i := range parts {
-		h := NewHistogram()
-		for j := 0; j < 500+rng.Intn(500); j++ {
-			v := rng.Int63n(1 << 40)
-			h.Observe(v)
-			whole.Observe(v)
-		}
-		parts[i] = h.Snapshot()
-	}
-
-	var renders []string
-	for perm := 0; perm < 20; perm++ {
-		order := rng.Perm(shards)
-		merged := &HistSnapshot{}
-		for _, i := range order {
-			merged.Merge(parts[i])
-		}
-		renders = append(renders, renderSnap(merged))
-	}
-	for i := 1; i < len(renders); i++ {
-		if renders[i] != renders[0] {
-			t.Fatalf("merge order %d produced a different snapshot:\n%s\nvs\n%s", i, renders[i], renders[0])
-		}
-	}
-	if want := renderSnap(whole.Snapshot()); renders[0] != want {
-		t.Fatalf("merged shards differ from the single histogram:\n%s\nvs\n%s", renders[0], want)
-	}
-}
-
-// TestCountAtOrBelow pins the CDF read an SLO check uses.
-func TestCountAtOrBelow(t *testing.T) {
-	h := NewHistogram()
-	for v := int64(0); v < 50; v++ {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if got := s.CountAtOrBelow(24); got != 25 {
-		t.Errorf("CountAtOrBelow(24) = %d, want 25", got)
-	}
-	if got := s.CountAtOrBelow(1 << 20); got != 50 {
-		t.Errorf("CountAtOrBelow(big) = %d, want 50", got)
-	}
-}
-
 // TestPrometheusGolden pins the exposition format byte-for-byte on a
 // small deterministic registry — the scrape contract uutop and the CI
 // monotonicity check parse.
 func TestPrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("demo_requests_total", "Requests received.")
-	c.Add(41)
-	c.Inc()
+	reg.CounterFunc("demo_requests_total", "Requests received.", func() int64 { return 42 })
 	g := reg.Gauge("demo_queue_depth", "Jobs waiting.")
-	g.Set(3)
+	g.Add(4)
+	g.Dec()
 	reg.GaugeFunc("demo_cache_entries", "Cached results.", func() int64 { return 7 })
 	h := reg.DurationHistogram("demo_phase_seconds", "Phase latency.", "phase", "compile")
 	h.ObserveDuration(1 * time.Microsecond)
@@ -256,28 +190,24 @@ demo_requests_total 42
 // recording path allocates.
 func TestNilSinksAndZeroAlloc(t *testing.T) {
 	var (
-		nilC *Counter
 		nilG *Gauge
 		nilH *Histogram
 	)
-	nilC.Inc()
-	nilG.Set(5)
+	nilG.Inc()
 	nilH.Observe(100)
-	if nilC.Value() != 0 || nilG.Value() != 0 || nilH.Count() != 0 {
+	if nilG.Value() != 0 || nilH.Snapshot().Count != 0 {
 		t.Fatal("nil sinks recorded something")
 	}
 
 	if n := testing.AllocsPerRun(1000, func() {
-		nilC.Inc()
 		nilG.Add(2)
 		nilH.Observe(12345)
 	}); n != 0 {
 		t.Errorf("disabled path allocates %v per op, want 0", n)
 	}
-	c, g, h := &Counter{}, &Gauge{}, NewHistogram()
+	g, h := &Gauge{}, NewHistogram()
 	v := int64(1)
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
 		g.Add(-1)
 		h.Observe(v)
 		v += 997

@@ -570,8 +570,8 @@ func (g *gvnState) handleLoad(in *ir.Instr) bool {
 	// below rewrites an operand before it returns. The facts' pointers are
 	// decomposed per query and never cached — GVN's equality
 	// canonicalization rewrites GEP operands mid-run, which would force a
-	// memo flush per mutation (see AliasInfo.Reset), and the query is a
-	// short pointer chase, cheaper than the map traffic of memoizing it.
+	// memo flush per mutation, and the query is a short pointer chase,
+	// cheaper than the map traffic of memoizing it (DESIGN.md §6).
 	p := analysis.Decompose(in.Arg(0))
 	for i := len(g.facts) - 1; i >= 0; i-- {
 		f := g.facts[i]

@@ -40,7 +40,7 @@ func TestGVNMatchesReference(t *testing.T) {
 	between := func(f *ir.Function) {
 		transform.DCE(f)
 		transform.SimplifyCFG(f)
-		transform.SCCP(f)
+		transform.RunPass(transform.SCCPPass(), f)
 		transform.SimplifyCFG(f)
 		transform.InstSimplify(f)
 		transform.InstCombine(f)
@@ -575,8 +575,8 @@ func (g *refGVNState) handleLoad(in *ir.Instr) bool {
 		}
 		// Deliberately the unmemoized query: GVN's equality canonicalization
 		// rewrites GEP operands mid-run, which would force a memo flush per
-		// mutation (see AliasInfo.Reset) — and Alias itself is a short
-		// pointer chase, cheaper than the map traffic of memoizing it here.
+		// mutation — and Alias itself is a short pointer chase, cheaper than
+		// the map traffic of memoizing it here.
 		res := analysis.Alias(p, f.ptr)
 		if f.isStore && f.val != nil {
 			if res == analysis.MustAlias && f.val.Type() == in.Type() {

@@ -10,7 +10,7 @@ import (
 // thresholds GPU compilers use.
 const IfConvertThreshold = 8
 
-// IfConvert flattens small diamonds and triangles into straight-line code
+// ifConvert flattens small diamonds and triangles into straight-line code
 // with select instructions, modelling the predication (`selp`) that the
 // NVPTX backend applies to short branches. It is the reason the baseline
 // pipeline compiles XSBench's binary-search body and complex's odd-test into
@@ -22,12 +22,8 @@ const IfConvertThreshold = 8
 //	diamond:  B -> (T|F), T -> M, F -> M, with T and F single-pred blocks of
 //	          speculatable instructions
 //	triangle: B -> (T|M), T -> M, same conditions on T
-func IfConvert(f *ir.Function) bool {
-	return ifConvert(f, nil)
-}
-
-// ifConvert is IfConvert with an optional remark sink recording each
-// conversion's shape and branch block.
+//
+// An enabled remark sink records each conversion's shape and branch block.
 func ifConvert(f *ir.Function, rc *remark.Collector) bool {
 	changed := false
 	for again := true; again; {

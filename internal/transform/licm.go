@@ -5,17 +5,12 @@ import (
 	"uu/internal/ir"
 )
 
-// LICM hoists loop-invariant speculatable computations (and loads that no
+// licm hoists loop-invariant speculatable computations (and loads that no
 // store in the loop may clobber) into the loop preheader. Innermost loops
-// are processed first so invariants bubble outward.
-func LICM(f *ir.Function) bool {
-	return licm(f, analysis.NewAnalysisManager(f))
-}
-
-// licm is LICM against a caller-provided analysis manager. It invalidates
-// the manager whenever it inserts a preheader, so every dominance query
-// below sees the current CFG — but queries between mutations share one
-// cached tree instead of recomputing per query.
+// are processed first so invariants bubble outward. It invalidates the
+// manager whenever it inserts a preheader, so every dominance query below
+// sees the current CFG — but queries between mutations share one cached tree
+// instead of recomputing per query.
 func licm(f *ir.Function, am *analysis.AnalysisManager) bool {
 	li := am.LoopInfo()
 	// Innermost first: LoopInfo orders outer loops before inner, so reverse.
@@ -67,9 +62,8 @@ func hoistLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop) b
 		if hasClobberAll {
 			return false
 		}
-		aa := am.Alias()
 		for _, sp := range storedPtrs {
-			if aa.Alias(p, sp) != analysis.NoAlias {
+			if analysis.Alias(p, sp) != analysis.NoAlias {
 				return false
 			}
 		}

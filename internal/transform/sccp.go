@@ -16,19 +16,15 @@ type latVal struct {
 	c    *ir.Const
 }
 
-// SCCP is sparse conditional constant propagation (Wegman-Zadeck): it
+// sccpSolver is sparse conditional constant propagation (Wegman-Zadeck): it
 // simultaneously tracks constant values and CFG edge feasibility, so
 // constants propagate through branches that are provably one-sided — e.g.
 // it fully evaluates an unrolled constant-trip-count loop, which is how the
-// baseline pipeline's full unrolling collapses (see transform.AutoUnroll).
+// baseline pipeline's full unrolling collapses (see AutoUnrollPass).
 // Afterwards, constant instructions are replaced and one-sided conditional
 // branches folded; SimplifyCFG removes the unreachable remains.
-func SCCP(f *ir.Function) bool {
-	changed, _ := new(sccpSolver).run(f)
-	return changed
-}
-
-// sccpSolver is the propagation state. Everything is a slice indexed by
+//
+// The solver is the propagation state. Everything is a slice indexed by
 // Block.ID or Instr.ID: the solver creates no blocks or instructions, so the
 // function's ID bounds at entry size every table, and a lookup is an index
 // instead of a hash of one or two pointers. A solver may run any number of
@@ -239,8 +235,8 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// run is SCCP's body; it additionally reports whether the rewrite changed
-// the CFG (folded a one-sided conditional branch), which decides whether the
+// run propagates over f and rewrites it, reporting whether anything changed
+// and whether the rewrite changed the CFG (folded a one-sided conditional branch), which decides whether the
 // pass can preserve the cached dominator trees. The tables are cleared on
 // the way in, not out, so a run abandoned by a panic costs the next nothing.
 func (s *sccpSolver) run(f *ir.Function) (changed, cfgChanged bool) {

@@ -274,7 +274,7 @@ func TestSCCPMatchesReference(t *testing.T) {
 		inputs++
 		ref := ir.Clone(f)
 		for round := 1; ; round++ {
-			changed := transform.SCCP(f)
+			changed := transform.RunPass(transform.SCCPPass(), f)
 			refChanged, _ := refSCCP(ref)
 			if changed != refChanged {
 				t.Fatalf("%s round %d: SCCP changed=%v, reference changed=%v", name, round, changed, refChanged)

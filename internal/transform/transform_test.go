@@ -166,7 +166,7 @@ else:
 }
 `
 	f := parse(t, src)
-	SCCP(f)
+	RunPass(SCCPPass(), f)
 	SimplifyCFG(f)
 	mustVerify(t, f, "sccp+simplifycfg")
 	if f.NumBlocks() != 1 {
@@ -195,7 +195,7 @@ merge:
 }
 `
 	f := parse(t, src)
-	SCCP(f)
+	RunPass(SCCPPass(), f)
 	SimplifyCFG(f)
 	mustVerify(t, f, "sccp")
 	ret := f.Entry().Term()
@@ -225,16 +225,16 @@ exit:
 }
 `
 	f := parse(t, src)
-	SCCP(f)
+	RunPass(SCCPPass(), f)
 	mustVerify(t, f, "sccp")
 	if f.NumBlocks() != 3 {
 		t.Fatalf("SCCP should not fold a cyclic loop by itself:\n%s", f.String())
 	}
 	// But AutoUnroll + SCCP + SimplifyCFG evaluate it completely.
-	AutoUnroll(f, nil)
+	RunPass(AutoUnrollPass(nil), f)
 	mustVerify(t, f, "autounroll")
 	for i := 0; i < 4; i++ {
-		SCCP(f)
+		RunPass(SCCPPass(), f)
 		SimplifyCFG(f)
 		InstSimplify(f)
 	}
@@ -267,7 +267,7 @@ entry:
 	DCE(f)
 	mustVerify(t, f, "instsimplify")
 	ret := f.Entry().Term()
-	if ret.Arg(0) != ir.Value(f.ParamByName("b")) {
+	if ret.Arg(0) != ir.Value(f.Params[1]) {
 		t.Fatalf("(a+b)-a chain should fold to b:\n%s", f.String())
 	}
 }
@@ -288,7 +288,7 @@ entry:
 	DCE(f)
 	mustVerify(t, f, "instsimplify")
 	ret := f.Entry().Term()
-	if ret.Arg(0) != ir.Value(f.ParamByName("a")) {
+	if ret.Arg(0) != ir.Value(f.Params[0]) {
 		t.Fatalf("want ret a:\n%s", f.String())
 	}
 	if f.Entry().NumInstrs() != 1 {
@@ -405,7 +405,7 @@ entry:
 		t.Fatalf("store-to-load forwarding failed:\n%s", f.String())
 	}
 	ret := f.Entry().Term()
-	if ret.Arg(0) != ir.Value(f.ParamByName("v")) {
+	if ret.Arg(0) != ir.Value(f.Params[2]) {
 		t.Fatalf("want ret v:\n%s", f.String())
 	}
 }
@@ -593,7 +593,7 @@ merge:
 }
 `
 	f := parse(t, src)
-	if !IfConvert(f) {
+	if !RunPass(IfConvertPass(), f) {
 		t.Fatalf("IfConvert did nothing")
 	}
 	SimplifyCFG(f)
@@ -622,7 +622,7 @@ merge:
 }
 `
 	f := parse(t, src)
-	IfConvert(f)
+	RunPass(IfConvertPass(), f)
 	SimplifyCFG(f)
 	mustVerify(t, f, "ifconvert")
 	if countOp(f, ir.OpSelect) != 2 || f.NumBlocks() != 1 {
@@ -643,7 +643,7 @@ merge:
 }
 `
 	f := parse(t, src)
-	if IfConvert(f) {
+	if RunPass(IfConvertPass(), f) {
 		t.Fatalf("IfConvert speculated a store:\n%s", f.String())
 	}
 }
@@ -659,7 +659,7 @@ func TestIfConvertRefusesLargeSides(t *testing.T) {
 	}
 	sb.WriteString("  br %merge\nmerge:\n  %m = phi i64 [ " + prev + ", %then ], [ %x, %entry ]\n  ret i64 %m\n}\n")
 	f := parse(t, sb.String())
-	if IfConvert(f) {
+	if RunPass(IfConvertPass(), f) {
 		t.Fatalf("IfConvert exceeded threshold:\n%s", f.String())
 	}
 }
@@ -783,7 +783,7 @@ exit:
 }
 `
 	f := parse(t, src)
-	if !LICM(f) {
+	if !RunPass(LICMPass(), f) {
 		t.Fatalf("LICM did nothing")
 	}
 	mustVerify(t, f, "licm")
@@ -819,7 +819,7 @@ exit:
 	l := li.Loops[0]
 	ph := EnsurePreheader(f, l)
 	mustVerify(t, f, "preheader")
-	if got := l.Header.NumPreds(); got != 2 {
+	if got := len(l.Header.Preds()); got != 2 {
 		t.Fatalf("header preds = %d, want 2 (preheader + latch):\n%s", got, f.String())
 	}
 	if len(ph.Phis()) != 1 {
@@ -1059,10 +1059,10 @@ exit:
 	f := parse(t, src)
 	li := analysis.NewLoopInfo(f, analysis.NewDomTree(f))
 	skip := map[*ir.Block]bool{li.Loops[0].Header: true}
-	if AutoUnroll(f, skip) {
+	if RunPass(AutoUnrollPass(skip), f) {
 		t.Fatalf("AutoUnroll ignored the skip set")
 	}
-	if !AutoUnroll(f, nil) {
+	if !RunPass(AutoUnrollPass(nil), f) {
 		t.Fatalf("AutoUnroll failed on a trip-4 loop")
 	}
 	mustVerify(t, f, "autounroll")
@@ -1088,7 +1088,7 @@ exit:
 	// x and y are NOT restrict: the store may alias the load, so LICM must
 	// leave the load inside the loop.
 	f := parse(t, src)
-	LICM(f)
+	RunPass(LICMPass(), f)
 	mustVerify(t, f, "licm")
 	li := analysis.NewLoopInfo(f, analysis.NewDomTree(f))
 	ld := findLoad(f)
@@ -1115,7 +1115,7 @@ exit:
 }
 `
 	f := parse(t, src)
-	LICM(f)
+	RunPass(LICMPass(), f)
 	mustVerify(t, f, "licm")
 	li := analysis.NewLoopInfo(f, analysis.NewDomTree(f))
 	ld := findLoad(f)

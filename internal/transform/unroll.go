@@ -41,16 +41,6 @@ func UnrollLoopWithOrigins(f *ir.Function, l *analysis.Loop, factor int, origins
 	header := l.Header
 	loopBlocks := append([]*ir.Block(nil), l.Blocks()...)
 
-	// Snapshot the header phis and their back-edge values.
-	type phiInfo struct {
-		phi      *ir.Instr
-		latchVal ir.Value
-	}
-	var phis []phiInfo
-	for _, phi := range header.Phis() {
-		phis = append(phis, phiInfo{phi, phi.PhiIncoming(latch)})
-	}
-
 	// Snapshot exit-block phi incomings from inside the loop, so each copy
 	// can add matching incomings (LCSSA guarantees all loop values escape
 	// through these phis).
@@ -72,68 +62,76 @@ func UnrollLoopWithOrigins(f *ir.Function, l *analysis.Loop, factor int, origins
 
 	// Clone every copy from the pristine original body first, so each clone's
 	// back edge is self-contained (cloned latch -> cloned header). Rewiring
-	// afterwards chains them: L -> H1, L1 -> H2, ..., L_{u-1} -> H.
-	bmaps := make([]map[*ir.Block]*ir.Block, factor)
-	vmaps := make([]ir.ValueMap, factor)
+	// afterwards chains them: L -> H1, L1 -> H2, ..., L_{u-1} -> H. The one
+	// Cloner answers only for the copy it made last, so right after making
+	// each copy we keep what chaining needs: its header and latch, and each
+	// header phi with the copy's version of its back-edge value. Copy 0 is
+	// the original body.
+	type bodyCopy struct {
+		header, latch *ir.Block
+		phis          []*ir.Instr
+		latchVals     []ir.Value
+	}
+	copies := make([]bodyCopy, factor)
+	copies[0] = bodyCopy{header: header, latch: latch, phis: append([]*ir.Instr(nil), header.Phis()...)}
+	for _, phi := range copies[0].phis {
+		copies[0].latchVals = append(copies[0].latchVals, phi.PhiIncoming(latch))
+	}
+	c := ir.NewCloner(f)
 	for j := 1; j < factor; j++ {
-		bmap, vmap := ir.CloneBlocks(f, loopBlocks, fmt.Sprintf(".u%d", j))
-		// Stamp each clone with its iteration tag so the profiler can
-		// attribute cycles to individual unrolled copies of a source line.
-		for _, clone := range vmap {
-			if ci, ok := clone.(*ir.Instr); ok {
+		c.Clone(loopBlocks, fmt.Sprintf(".u%d", j))
+		for _, b := range loopBlocks {
+			for k, in := range b.Instrs() {
+				ci := c.Block(b).Instrs()[k]
+				// Stamp each clone with its iteration tag so the profiler can
+				// attribute cycles to individual unrolled copies of a source line.
 				loc := ci.Loc()
 				loc.Iter = int32(j)
 				ci.SetLoc(loc)
-			}
-		}
-		if origins != nil {
-			for orig, clone := range vmap {
-				co, ok := clone.(*ir.Instr)
-				if !ok {
-					continue
+				if origins != nil {
+					root := in
+					if r, ok := origins[root]; ok {
+						root = r
+					}
+					origins[ci] = root
 				}
-				root, _ := orig.(*ir.Instr)
-				if root == nil {
-					continue
-				}
-				if r, ok := origins[root]; ok {
-					root = r
-				}
-				origins[co] = root
 			}
 		}
 		for _, ei := range exitIncs {
-			ei.phi.PhiAddIncoming(vmap.Lookup(ei.val), bmap[ei.from])
+			ei.phi.PhiAddIncoming(c.Value(ei.val), c.Block(ei.from))
 		}
-		bmaps[j], vmaps[j] = bmap, vmap
+		cp := bodyCopy{header: c.Block(header), latch: c.Block(latch)}
+		for k, phi := range copies[0].phis {
+			cp.phis = append(cp.phis, c.Value(phi).(*ir.Instr))
+			cp.latchVals = append(cp.latchVals, c.Value(copies[0].latchVals[k]))
+		}
+		copies[j] = cp
 	}
-	prevLatch := latch   // latch of the previous copy in the chain
-	prevHeader := header // block the previous latch's back edge targets
-	prevMap := ir.ValueMap{}
 	for j := 1; j < factor; j++ {
-		hj := bmaps[j][header]
+		prev, cp := copies[j-1], copies[j]
 		// Chain the previous copy's back edge into this copy's header.
-		prevLatch.ReplaceSucc(prevHeader, hj)
+		prev.latch.ReplaceSucc(prev.header, cp.header)
 		// This copy's header has one real predecessor (the previous latch),
 		// so each cloned header phi resolves to the previous copy's
-		// back-edge value.
-		for _, pi := range phis {
-			phiJ := vmaps[j][pi.phi].(*ir.Instr)
-			val := prevMap.Lookup(pi.latchVal)
-			phiJ.ReplaceAllUsesWith(val)
-			hj.Erase(phiJ)
-			vmaps[j][pi.phi] = val // keep the map usable for the next copy
+		// back-edge value — and so does a back-edge value that is one of
+		// those phis.
+		for k, phi := range cp.phis {
+			phi.ReplaceAllUsesWith(prev.latchVals[k])
+			cp.header.Erase(phi)
+			for m, v := range cp.latchVals {
+				if v == ir.Value(phi) {
+					cp.latchVals[m] = prev.latchVals[k]
+				}
+			}
 		}
-		prevLatch = bmaps[j][latch]
-		prevHeader = hj
-		prevMap = vmaps[j]
 	}
 	// Close the chain: the last copy's latch branches back to the original
 	// header, which now carries the last copy's back-edge values.
-	prevLatch.ReplaceSucc(prevHeader, header)
-	for _, pi := range phis {
-		pi.phi.PhiRemoveIncoming(latch)
-		pi.phi.PhiAddIncoming(prevMap.Lookup(pi.latchVal), prevLatch)
+	last := copies[factor-1]
+	last.latch.ReplaceSucc(last.header, header)
+	for k, phi := range copies[0].phis {
+		phi.PhiRemoveIncoming(latch)
+		phi.PhiAddIncoming(last.latchVals[k], last.latch)
 	}
 	return true
 }
@@ -145,20 +143,14 @@ const (
 	AutoUnrollMaxSize = 512
 )
 
-// AutoUnroll is the baseline pipeline's loop unroller: it fully unrolls
+// autoUnroll is the baseline pipeline's loop unroller: it fully unrolls
 // loops with a small constant trip count (SCCP + SimplifyCFG then evaluate
 // away the chained exit tests and the dead back edge). Loops whose header
 // blocks are in skip are left alone — the paper's pass excludes loops it
 // transformed from LLVM's unroller, which is also how the `coordinates`
-// speedup arises.
-func AutoUnroll(f *ir.Function, skip map[*ir.Block]bool) bool {
-	return autoUnroll(f, analysis.NewAnalysisManager(f), skip)
-}
-
-// autoUnroll is AutoUnroll against a caller-provided analysis manager. Each
-// round resolves loops through the manager; any unroll attempt invalidates
-// it, because UnrollLoop establishes preheader + LCSSA form even when it
-// then rejects the loop shape.
+// speedup arises. Each round resolves loops through the manager; any unroll
+// attempt invalidates it, because UnrollLoop establishes preheader + LCSSA
+// form even when it then rejects the loop shape.
 func autoUnroll(f *ir.Function, am *analysis.AnalysisManager, skip map[*ir.Block]bool) bool {
 	changed := false
 	for rounds := 0; rounds < 8; rounds++ {
