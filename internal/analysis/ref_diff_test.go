@@ -184,7 +184,7 @@ func TestStaleHandlesAnswerLikeMaps(t *testing.T) {
 		for _, l := range li.Loops {
 			transform.EnsurePreheader(f, l)
 			transform.EnsureLCSSA(f, l)
-			ir.NewCloner(f).Clone(l.Blocks(), ".stale")
+			new(ir.Cloner).Clone(l.Blocks(), ".stale")
 		}
 		if f.NumBlocks() == was {
 			continue

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -24,31 +25,35 @@ func Lower(f *ir.Function) (*Program, error) {
 	splitCriticalEdges(f)
 
 	lw := &lowerer{
-		f:    f,
-		prog: &Program{Name: f.Name},
-		regs: map[ir.Value]Reg{},
+		f:      f,
+		prog:   &Program{Name: f.Name},
+		params: make([]Reg, len(f.Params)),
+		regs:   make([]Reg, f.InstrIDBound()),
+		index:  make([]int, f.BlockIDBound()),
 	}
 	// Parameters get the first registers.
-	for _, p := range f.Params {
+	for i, p := range f.Params {
 		r := lw.newReg()
-		lw.regs[p] = r
+		lw.params[i] = r
 		lw.prog.ParamRegs = append(lw.prog.ParamRegs, r)
 		lw.prog.ParamTyps = append(lw.prog.ParamTyps, p.Typ)
 	}
 	// Reverse postorder block layout.
 	order := rpo(f)
-	index := map[*ir.Block]int{}
 	for i, b := range order {
-		index[b] = i
+		lw.index[b.ID()] = i
 		lw.prog.Blocks = append(lw.prog.Blocks, &Block{Index: i, Name: b.Name})
 	}
-	lw.index = index
 
-	// Pre-assign result registers (phis included) so forward references work.
+	// Pre-assign result registers (phis included) so forward references
+	// work. An instruction the layout does not reach keeps NoReg.
+	for i := range lw.regs {
+		lw.regs[i] = NoReg
+	}
 	for _, b := range order {
 		for _, in := range b.Instrs() {
 			if in.Type() != ir.Void {
-				lw.regs[in] = lw.newReg()
+				lw.regs[in.ID()] = lw.newReg()
 			}
 		}
 	}
@@ -67,7 +72,7 @@ func Lower(f *ir.Function) (*Program, error) {
 		if ip == nil {
 			lw.prog.IPDom[i] = -1
 		} else {
-			lw.prog.IPDom[i] = index[ip]
+			lw.prog.IPDom[i] = lw.index[ip.ID()]
 		}
 	}
 
@@ -120,32 +125,18 @@ func splitCriticalEdges(f *ir.Function) {
 }
 
 func rpo(f *ir.Function) []*ir.Block {
-	seen := map[*ir.Block]bool{}
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b] = true
-		for _, s := range b.Succs() {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	out := make([]*ir.Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		out = append(out, post[i])
-	}
-	return out
+	post := ir.AppendPostorder(make([]*ir.Block, 0, f.NumBlocks()), f.Entry(), (*ir.Block).Succs, make([]int32, f.BlockIDBound()))
+	slices.Reverse(post)
+	return post
 }
 
 type lowerer struct {
-	f     *ir.Function
-	prog  *Program
-	regs  map[ir.Value]Reg
-	next  Reg
-	index map[*ir.Block]int
+	f      *ir.Function
+	prog   *Program
+	params []Reg // by Param.Index
+	regs   []Reg // by Instr.ID
+	next   Reg
+	index  []int // by Block.ID: the block's position in the layout
 	// curLoc is stamped onto every emitted instruction: the loc of the IR
 	// instruction currently being lowered, so synthetic expansions (GEP
 	// address math, phi-copy movs) inherit their originator's provenance.
@@ -162,8 +153,18 @@ func (lw *lowerer) operand(v ir.Value) Operand {
 	if c, ok := v.(*ir.Const); ok {
 		return immOp(c)
 	}
-	r, ok := lw.regs[v]
-	if !ok {
+	r := NoReg
+	switch x := v.(type) {
+	case *ir.Param:
+		if x.Func() == lw.f {
+			r = lw.params[x.Index]
+		}
+	case *ir.Instr:
+		if x.ID() < len(lw.regs) {
+			r = lw.regs[x.ID()]
+		}
+	}
+	if r == NoReg {
 		panic("codegen: value without register: " + v.Ref())
 	}
 	return regOp(r)
@@ -210,7 +211,7 @@ func (lw *lowerer) lowerInstr(vb *Block, in *ir.Instr) error {
 	lw.curLoc = in.Loc()
 	dst := NoReg
 	if in.Type() != ir.Void {
-		dst = lw.regs[in]
+		dst = lw.regs[in.ID()]
 	}
 	switch in.Op {
 	case ir.OpICmp, ir.OpFCmp:
@@ -294,11 +295,11 @@ func (lw *lowerer) lowerTerminator(vb *Block, b *ir.Block, in *ir.Instr) error {
 	switch in.Op {
 	case ir.OpBr:
 		lw.emit(vb, Instr{Kind: KBra, Type: ir.Void,
-			Targets: [2]int{lw.index[in.BlockArg(0)], -1}})
+			Targets: [2]int{lw.index[in.BlockArg(0).ID()], -1}})
 	case ir.OpCondBr:
 		lw.emit(vb, Instr{Kind: KCondBra, Type: ir.Void,
 			Srcs:    []Operand{lw.operand(in.Arg(0))},
-			Targets: [2]int{lw.index[in.BlockArg(0)], lw.index[in.BlockArg(1)]}})
+			Targets: [2]int{lw.index[in.BlockArg(0).ID()], lw.index[in.BlockArg(1).ID()]}})
 	case ir.OpRet:
 		lw.emit(vb, Instr{Kind: KRet, Type: ir.Void})
 	default:
@@ -325,7 +326,7 @@ func (lw *lowerer) phiCopies(b *ir.Block) []phiCopy {
 		for _, phi := range s.Phis() {
 			v := phi.PhiIncoming(b)
 			src := lw.operand(v)
-			dst := lw.regs[phi]
+			dst := lw.regs[phi.ID()]
 			if !src.IsImm() && src.Reg == dst {
 				continue
 			}

@@ -324,10 +324,11 @@ func TestUUBezierSemanticsAndConditionElimination(t *testing.T) {
 	}
 	// Clean up with the standard passes.
 	for i := 0; i < 3; i++ {
-		transform.SCCPPass().Run(f, analysis.NewAnalysisManager(f))
+		var s transform.Scratch
+		transform.SCCPPass(&s).Run(f, analysis.NewAnalysisManager(f))
 		transform.SimplifyCFG(f)
 		transform.InstSimplify(f)
-		transform.GVN(f, transform.DefaultGVNOptions())
+		transform.GVNPass(transform.DefaultGVNOptions(), &s).Run(f, analysis.NewAnalysisManager(f))
 		transform.DCE(f)
 		transform.SimplifyCFG(f)
 	}
@@ -465,7 +466,7 @@ exit:
 func TestApplyHeuristicPreservesSemantics(t *testing.T) {
 	want := runBezier(t, parse(t, bezierLoop), 15, 3, 9)
 	f := parse(t, bezierLoop)
-	ds, _ := ApplyHeuristicWith(analysis.NewAnalysisManager(f), DefaultHeuristicParams(), Options{})
+	ds, _ := ApplyHeuristicWith(analysis.NewAnalysisManager(f), DefaultHeuristicParams(), Options{}, new(Scratch))
 	if len(ds) == 0 {
 		t.Fatalf("heuristic applied nothing")
 	}

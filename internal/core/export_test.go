@@ -55,7 +55,7 @@ func UnmergeWithOracle(f *ir.Function, l *analysis.Loop, opts Options, mismatch 
 	if opts.DirectSuccessorOnly {
 		panic("core: UnmergeWithOracle: one-round mode")
 	}
-	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts)
+	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
 	if u == nil {
 		return 0
 	}
@@ -98,7 +98,7 @@ func UnmergeWithOracle(f *ir.Function, l *analysis.Loop, opts Options, mismatch 
 // number of splits and what one merge search allocates once the fixpoint
 // has grown the search's buffers.
 func UnmergeAuditingAdjacency(f *ir.Function, l *analysis.Loop, opts Options, stale func(string)) (splits int, searchAllocs float64) {
-	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts)
+	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
 	if u == nil {
 		return 0, 0
 	}

@@ -365,9 +365,9 @@ func hasChosenDescendant(l *analysis.Loop, chosen map[*analysis.Loop]bool) bool 
 // ApplyHeuristicWith runs HeuristicDecide over the function am is bound to
 // and applies u&u to each selected loop (deepest selections were decided
 // first and are applied first). It returns the decisions taken and the skips
-// recorded. Callers must treat the manager as fully invalid afterwards
-// (uuLoop normalizes loops even on error paths).
-func ApplyHeuristicWith(am *analysis.AnalysisManager, params HeuristicParams, opts Options) ([]Decision, []SkipRecord) {
+// recorded, unmerging in s. Callers must treat the manager as fully invalid
+// afterwards (uuLoop normalizes loops even on error paths).
+func ApplyHeuristicWith(am *analysis.AnalysisManager, params HeuristicParams, opts Options, s *Scratch) ([]Decision, []SkipRecord) {
 	f := am.Function()
 	if params.Selective {
 		opts.Selective = true
@@ -381,7 +381,7 @@ func ApplyHeuristicWith(am *analysis.AnalysisManager, params HeuristicParams, op
 		}
 		// Errors here mean the loop became untransformable after an earlier
 		// application (possible for overlapping nests); skip it.
-		_, _ = uuLoop(f, am, l, d.Factor, opts)
+		_, _ = uuLoop(f, am, l, d.Factor, opts, s)
 	}
 	return decisions, skips
 }

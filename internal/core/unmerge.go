@@ -52,7 +52,7 @@ const DefaultMaxBlocks = 4096
 // the paper's use of LLVM's convergence analysis. Returns whether the CFG
 // changed.
 func Unmerge(f *ir.Function, l *analysis.Loop, opts Options) bool {
-	return unmerge(f, analysis.NewAnalysisManager(f), l, opts)
+	return unmerge(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
 }
 
 // unmerge is Unmerge against a caller-provided analysis manager. The
@@ -60,9 +60,9 @@ func Unmerge(f *ir.Function, l *analysis.Loop, opts Options) bool {
 // after every structural edit so each dominance query (direct-successor
 // region selection) sees the current graph. The manager is always
 // invalidated on return: establishing preheader/LCSSA form can mutate even
-// when no merge block is duplicated.
-func unmerge(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options) bool {
-	u := newUnmerger(f, am, l, opts)
+// when no merge block is duplicated. The unmerger's tables are s's.
+func unmerge(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options, s *Scratch) bool {
+	u := newUnmerger(f, am, l, opts, s)
 	if u == nil {
 		return false
 	}
@@ -76,14 +76,11 @@ func unmerge(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opt
 
 // blockMarks is a set of blocks indexed by ir.Block.ID. It grows on demand
 // (duplication keeps minting blocks) and clear is O(1), so one value serves
-// both as a long-lived set and as per-search scratch.
+// both as a long-lived set and as per-search scratch. The zero value must be
+// cleared before its first use.
 type blockMarks struct {
 	stamp []uint32 // stamp[id] == epoch: the block is in the set
 	epoch uint32
-}
-
-func newBlockMarks(f *ir.Function) blockMarks {
-	return blockMarks{stamp: make([]uint32, f.BlockIDBound()), epoch: 1}
 }
 
 func (m *blockMarks) has(b *ir.Block) bool { return m.hasID(b.ID()) }
@@ -101,14 +98,21 @@ func (m *blockMarks) addID(id int) {
 	m.stamp[id] = m.epoch
 }
 
-// clear empties the set. One Unmerge call clears a few times per block it
-// creates and stops at MaxBlocks, so the epoch cannot wrap.
-func (m *blockMarks) clear() { m.epoch++ }
+// clear empties the set. A Scratch's sets are cleared a few times per block
+// every Unmerge call creates, so over a long-lived process the epoch does
+// wrap; the stamps are zeroed when it does, so no stale stamp can match.
+func (m *blockMarks) clear() {
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
 
-// unmerger is the state of one Unmerge call: the loop's growing block set,
-// the merge search's view of the body and the scratch the search and each
-// duplication reuse, all keyed by block ID.
+// unmerger is the state of one Unmerge call: the loop and its options, and
+// the Scratch it works in.
 type unmerger struct {
+	*Scratch
 	f      *ir.Function
 	am     *analysis.AnalysisManager
 	header *ir.Block
@@ -116,7 +120,17 @@ type unmerger struct {
 
 	maxBlocks int
 	dupCount  int
+}
 
+// Scratch is the storage the unmerger reuses from one Unmerge call to the
+// next, all of it keyed by block ID: the loop's growing block set, the merge
+// search's view of the body, the scratch the search and each duplication
+// reuse, and the ir.Cloner that copies each tail. newUnmerger clears every
+// set and the rows, and the rest is overwritten before it is read, so a
+// Scratch may serve any sequence of calls — one at a time, on any function —
+// and a call a panic abandoned costs the next nothing. The zero value is
+// ready; the pipeline owns one per compilation.
+type Scratch struct {
 	// loopSet is the working copy of the loop's block set; clones are added
 	// as they are made.
 	loopSet blockMarks
@@ -136,15 +150,34 @@ type unmerger struct {
 	visited blockMarks
 	stack   []dfsFrame
 	order   []int32
-	// Per-duplication scratch: the cloner's tables, the region being cloned
-	// and its marks, the region plus its clones, and a copy of the phis an
-	// erasing loop walks.
-	cloner         *ir.Cloner
+	// Per-duplication scratch: the merge block's in-loop predecessors, the
+	// cloner's tables, the region being cloned and its marks, the region plus
+	// its clones, and a copy of the phis an erasing loop walks.
+	inPreds        []*ir.Block
+	cloner         ir.Cloner
 	region         []*ir.Block
 	inRegion       blockMarks
 	regionOrClones blockMarks
 	work           []*ir.Block
 	phis           []*ir.Instr
+}
+
+// Park drops every reference the scratch holds to blocks and instructions,
+// keeping the storage: a parked Scratch pins no function.
+func (s *Scratch) Park() {
+	s.rows = dropAll(s.rows)
+	s.inPreds = dropAll(s.inPreds)
+	s.cloner.Reset()
+	s.region = dropAll(s.region)
+	s.work = dropAll(s.work)
+	s.phis = dropAll(s.phis)
+}
+
+// dropAll clears the whole of s's array, past its length too, and returns
+// it empty.
+func dropAll[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // loopRow is what the merge search reads of one loop block.
@@ -164,16 +197,16 @@ type dfsFrame struct {
 	next int32 // the slot of rows[id].succs to look at next
 }
 
-// newUnmerger puts l into preheader/LCSSA form and builds the block sets, or
-// returns nil when the loop cannot be unmerged.
-func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options) *unmerger {
+// newUnmerger puts l into preheader/LCSSA form and builds the block sets in
+// s, or returns nil when the loop cannot be unmerged.
+func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options, s *Scratch) *unmerger {
 	if l.HasConvergentOp() {
 		return nil
 	}
 	if l.Latch() == nil {
 		return nil
 	}
-	u := &unmerger{f: f, am: am, header: l.Header, opts: opts, maxBlocks: opts.MaxBlocks, cloner: ir.NewCloner(f)}
+	u := &unmerger{Scratch: s, f: f, am: am, header: l.Header, opts: opts, maxBlocks: opts.MaxBlocks}
 	if u.maxBlocks == 0 {
 		u.maxBlocks = DefaultMaxBlocks
 	}
@@ -181,11 +214,12 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	transform.EnsureLCSSA(f, l)
 	am.InvalidateAll()
 
-	u.loopSet = newBlockMarks(f)
-	u.exempt = newBlockMarks(f)
-	u.visited = newBlockMarks(f)
-	u.inRegion = newBlockMarks(f)
-	u.regionOrClones = newBlockMarks(f)
+	// The sets start empty and the rows zero (refresh grows them back
+	// from length 0, which writes zeros).
+	for _, m := range []*blockMarks{&s.loopSet, &s.exempt, &s.initial, &s.visited, &s.inRegion, &s.regionOrClones} {
+		m.clear()
+	}
+	s.rows = s.rows[:0]
 	for _, b := range l.Blocks() {
 		u.loopSet.add(b)
 	}
@@ -225,7 +259,6 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	// "unmerges only the direct successor basic block". The paper's design
 	// iterates until no merge block remains.
 	if opts.DirectSuccessorOnly {
-		u.initial = newBlockMarks(f)
 		for _, b := range l.Blocks() {
 			u.initial.add(b)
 		}
@@ -310,14 +343,14 @@ func (u *unmerger) findMergeBlock() *ir.Block {
 // split keeps merge block b's first in-loop predecessor and gives every
 // other one its own copy of b's tail region.
 func (u *unmerger) split(b *ir.Block) {
-	var inPreds []*ir.Block
+	u.inPreds = u.inPreds[:0]
 	for _, p := range b.Preds() {
 		if u.loopSet.has(p) {
-			inPreds = append(inPreds, p)
+			u.inPreds = append(u.inPreds, p)
 		}
 	}
-	c := u.cloner
-	for _, pi := range inPreds[1:] {
+	c := &u.cloner
+	for _, pi := range u.inPreds[1:] {
 		u.dupCount++
 		region := u.tailRegion(b)
 		c.Clone(region, fmt.Sprintf(".d%d", u.dupCount))

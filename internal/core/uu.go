@@ -19,33 +19,26 @@ import (
 // does not exist or the loop is not transformable (convergent operations,
 // no unique latch).
 func UnrollAndUnmerge(f *ir.Function, loopID, factor int, opts Options) (bool, error) {
-	return unrollAndUnmerge(f, analysis.NewAnalysisManager(f), loopID, factor, opts)
+	return UnrollAndUnmergeWith(analysis.NewAnalysisManager(f), loopID, factor, opts, new(Scratch))
 }
 
 // UnrollAndUnmergeWith is UnrollAndUnmerge sharing the caller's analysis
 // manager (and operating on the function it is bound to), so already-cached
-// analyses are reused for loop resolution. Callers must treat the manager
-// as fully invalid afterwards: the transformation normalizes loops
-// (preheader, LCSSA) even on paths that end in an error.
-func UnrollAndUnmergeWith(am *analysis.AnalysisManager, loopID, factor int, opts Options) (bool, error) {
-	return unrollAndUnmerge(am.Function(), am, loopID, factor, opts)
-}
-
-// unrollAndUnmerge is UnrollAndUnmerge against a caller-provided analysis
-// manager. The manager must be considered fully invalid on return: the
-// transformation establishes preheader/LCSSA form even on paths that end in
-// an error.
-func unrollAndUnmerge(f *ir.Function, am *analysis.AnalysisManager, loopID, factor int, opts Options) (bool, error) {
+// analyses are reused for loop resolution, and unmerging in s. Callers must
+// treat the manager as fully invalid afterwards: the transformation
+// normalizes loops (preheader, LCSSA) even on paths that end in an error.
+func UnrollAndUnmergeWith(am *analysis.AnalysisManager, loopID, factor int, opts Options, s *Scratch) (bool, error) {
+	f := am.Function()
 	li := am.LoopInfo()
 	l := li.LoopByID(loopID)
 	if l == nil {
 		return false, fmt.Errorf("core: function %s has no loop #%d (%d loops)", f.Name, loopID, len(li.Loops))
 	}
-	return uuLoop(f, am, l, factor, opts)
+	return uuLoop(f, am, l, factor, opts, s)
 }
 
 // uuLoop is UnrollAndUnmerge on a resolved loop.
-func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, factor int, opts Options) (bool, error) {
+func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, factor int, opts Options, s *Scratch) (bool, error) {
 	rc := am.Remarks()
 	emit := func(kind remark.Kind, name, block string, args ...remark.Arg) {
 		if !rc.Enabled() {
@@ -77,7 +70,7 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 		if inner == nil {
 			continue
 		}
-		if unmerge(f, am, inner, opts) {
+		if unmerge(f, am, inner, opts, s) {
 			changed = true
 			emit(remark.Passed, "InnerLoopUnmerged", h.Name)
 		}
@@ -90,7 +83,7 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 		if tl == nil {
 			return changed, fmt.Errorf("core: loop header %s vanished", header.Name)
 		}
-		ok := transform.UnrollLoopWithOrigins(f, tl, factor, opts.Origins)
+		ok := transform.UnrollLoopWithOrigins(f, tl, factor, opts.Origins, &s.cloner)
 		am.InvalidateAll() // UnrollLoop normalizes the loop even on failure
 		if !ok {
 			emit(remark.Missed, "UnrollFailed", header.Name, remark.Int("Factor", int64(factor)))
@@ -104,7 +97,7 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 	if tl == nil {
 		return changed, fmt.Errorf("core: loop header %s vanished after unrolling", header.Name)
 	}
-	if unmerge(f, am, tl, opts) {
+	if unmerge(f, am, tl, opts, s) {
 		changed = true
 		emit(remark.Passed, "Unmerged", header.Name)
 	}

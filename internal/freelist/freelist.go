@@ -1,6 +1,7 @@
-// Package freelist is the bounded free list behind the simulator's recycled
-// buffers (device memories in internal/interp, run state in
-// internal/gpusim).
+// Package freelist is the bounded free list behind three kinds of recycled
+// storage: device memories (internal/interp) and run state
+// (internal/gpusim) for the simulator, and the scratch bundle each
+// compilation borrows for its passes' tables (internal/pipeline).
 //
 // It is deliberately not a sync.Pool. A pool is emptied by the garbage
 // collector, so what a run allocates would depend on when the collector last
@@ -10,6 +11,8 @@
 // of the inputs: values are filed under a size class chosen by the caller
 // and handed out only for that same class, never "anything large enough",
 // so in a serial run a class is built once however the requests are ordered.
+// The compiler's bundles have a single class: their tables grow to what they
+// serve, so any bundle serves any compilation, and a serial run builds one.
 package freelist
 
 import "sync"

@@ -66,21 +66,52 @@ func firstLine(s string) string {
 //
 // A snapshot is reused iff the function hashes to the state it was taken in
 // (ir.Fingerprint). Most pass invocations change nothing, so most find the
-// previous invocation's snapshot still current and copy nothing. A pass's
-// PreservedAnalyses declaration is never trusted for rollback: a pass that
-// edits the function and reports Unchanged would otherwise send a later
-// failure back past its edit.
+// previous invocation's snapshot still current and copy nothing; one that
+// finds it stale writes the new snapshot into the stale one's storage
+// (ir.CloneInto). A pass's PreservedAnalyses declaration is never trusted
+// for rollback: a pass that edits the function and reports Unchanged would
+// otherwise send a later failure back past its edit.
 type Guard struct {
 	// Verify runs ir.Verify after every contained invocation and treats a
 	// rejection like a crash (rollback + record).
 	Verify bool
 
 	failures []PassFailure
-	// snap is a clone of the function as it was when it hashed to snapSum;
-	// nil before the first invocation and after a rollback, which hands the
-	// snapshot's body to the function.
-	snap    *ir.Function
+	// s holds the snapshot; the zero Guard makes its own on first use.
+	s *Scratch
+	// current says s.snap is a copy of the function as it was when it
+	// hashed to snapSum. It is false until the guard's first snapshot — s
+	// may hold a previous compilation's — and after a rollback.
+	current bool
 	snapSum uint64
+}
+
+// Scratch is what a Guard leaves for the next compilation's: its last
+// snapshot, whose storage the next guard's first snapshot is written into.
+// The pipeline keeps one per compilation. The zero value holds nothing.
+type Scratch struct {
+	// snap is the last snapshot; nil when none was taken or a rollback
+	// spent it, which hands its body to the function.
+	snap *ir.Function
+}
+
+// maxSpareInstrIDs bounds what a parked Scratch keeps: a snapshot of a
+// function with more instruction IDs than this is dropped, not kept.
+const maxSpareInstrIDs = 1 << 15
+
+// Park readies s to wait for the next compilation. The snapshot is a
+// function of its own — it references none of the function it copies — so
+// keeping it pins nothing; one over maxSpareInstrIDs is dropped.
+func (s *Scratch) Park() {
+	if s.snap != nil && s.snap.InstrIDBound() > maxSpareInstrIDs {
+		s.snap = nil
+	}
+}
+
+// NewGuard returns a guard for one compilation whose snapshots are written
+// into s's storage.
+func NewGuard(verify bool, s *Scratch) *Guard {
+	return &Guard{Verify: verify, s: s}
 }
 
 // testHookSnapshot, when set by a test, is called by Run between its
@@ -95,21 +126,24 @@ func (g *Guard) Failures() []PassFailure {
 
 // Run executes run (one pass invocation on f) under containment: a snapshot
 // of the IR is in hand first — the retained one if f still hashes to it, a
-// fresh clone otherwise; a panic or — with Verify set — a post-run verifier
-// rejection rolls f back to the snapshot, invalidates every cached
-// analysis (the restored body is made of fresh objects), records a
-// PassFailure, and reports failed=true with an Unchanged declaration so a
-// fixpoint driver does not loop on the rollback. verifyTime is the wall
+// new copy written over it otherwise; a panic or — with Verify set — a
+// post-run verifier rejection rolls f back to the snapshot, invalidates
+// every cached analysis (the restored body is made of other objects),
+// records a PassFailure, and reports failed=true with an Unchanged
+// declaration so a fixpoint driver does not loop on the rollback. verifyTime is the wall
 // time spent in ir.Verify (zero when Verify is off), reported separately
 // so callers can keep their verify-time accounting exact.
 func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyses, verifyTime time.Duration, failed bool) {
+	if g.s == nil {
+		g.s = new(Scratch)
+	}
 	sum := ir.Fingerprint(f)
-	cloned := g.snap == nil || g.snapSum != sum
+	cloned := !g.current || g.snapSum != sum
 	if cloned {
-		g.snap, g.snapSum = ir.Clone(f), sum
+		g.s.snap, g.snapSum, g.current = ir.CloneInto(g.s.snap, f), sum, true
 	}
 	if testHookSnapshot != nil {
-		testHookSnapshot(f, g.snap, cloned)
+		testHookSnapshot(f, g.s.snap, cloned)
 	}
 	pa, panicVal, stack := invoke(run)
 	if stack != "" {
@@ -143,11 +177,11 @@ func invoke(run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyse
 
 // contain rolls f back to the snapshot and records the failure. The
 // snapshot text is captured before Restore guts the snapshot function, and
-// the snapshot is spent: the next invocation clones afresh.
+// the snapshot is spent: the next invocation copies into fresh storage.
 func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManager, kind FailureKind, msg, stack string) {
-	irText := g.snap.String()
-	ir.Restore(f, g.snap)
-	g.snap = nil
+	irText := g.s.snap.String()
+	ir.Restore(f, g.s.snap)
+	g.s.snap, g.current = nil, false
 	am.InvalidateAll()
 	g.failures = append(g.failures, PassFailure{
 		Pass:     name,

@@ -150,11 +150,22 @@ func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 
 // TestGuardReusesSnapshotUntilIRMoves pins the retained snapshot's life
 // cycle: kept while the function hashes to it, whatever the pass declared;
-// replaced once the function has moved; spent by a rollback.
+// taken again, into the stale one's storage, once the function has moved;
+// spent by a rollback. Whether an invocation took one is the snapshot hook's
+// cloned flag, and what it took is checked by fingerprint and text.
 func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	f := parseCountLoop(t)
 	am := analysis.NewAnalysisManager(f)
 	g := &Guard{Verify: true}
+	var took []bool
+	var snapText string
+	defer SetSnapshotHook(func(f, snap *ir.Function, cloned bool) {
+		took = append(took, cloned)
+		if ir.Fingerprint(snap) != ir.Fingerprint(f) {
+			t.Errorf("invocation %d: the snapshot does not hash to the function", len(took))
+		}
+		snapText = snap.String()
+	})()
 	nop := &fakePass{name: "nop", run: func(*ir.Function, *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		return analysis.PreserveNone() // declares a change it did not make
 	}}
@@ -166,32 +177,41 @@ func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	crash := &fakePass{name: "crash", run: func(*ir.Function, *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		panic("boom")
 	}}
-	runPass(g, nop, f, am)
-	first := g.snap
-	runPass(g, nop, f, am)
-	if first == nil || g.snap != first {
-		t.Fatalf("an untouched function was snapshotted again")
+	expect := func(what string, want bool) {
+		t.Helper()
+		if got := took[len(took)-1]; got != want {
+			t.Fatalf("%s: took a snapshot %t, want %t", what, got, want)
+		}
 	}
+	runPass(g, nop, f, am)
+	expect("first invocation", true)
+	first := g.s.snap
+	runPass(g, nop, f, am)
+	expect("an untouched function", false)
 	runPass(g, liar, f, am)
-	if g.snap != first {
-		t.Fatalf("the liar's own invocation found the function moved")
-	}
+	expect("the liar's own invocation", false)
 	edited := f.String()
 	runPass(g, nop, f, am)
-	if g.snap == first || g.snap.String() != edited {
+	expect("after the undeclared edit", true)
+	if snapText != edited {
 		t.Fatalf("the snapshot did not follow the undeclared edit")
+	}
+	if g.s.snap != first {
+		t.Fatalf("the new snapshot was not written into the stale one's storage")
 	}
 	if _, _, failed := runPass(g, crash, f, am); !failed {
 		t.Fatalf("crash not contained")
 	}
-	if g.snap != nil {
+	expect("the crash's invocation", false)
+	if g.s.snap != nil {
 		t.Fatalf("a rollback must spend the snapshot: its body now is the function's")
 	}
 	if got := f.String(); got != edited || g.Failures()[0].IR != edited {
 		t.Fatalf("rolled back past the undeclared edit:\n%s", got)
 	}
 	runPass(g, nop, f, am)
-	if g.snap == nil || g.snap.String() != edited || ir.Fingerprint(g.snap) != ir.Fingerprint(f) {
+	expect("after the rollback", true)
+	if snapText != edited {
 		t.Fatalf("no fresh snapshot after the rollback")
 	}
 }

@@ -114,7 +114,7 @@ func TestQuickBlockIDsUniqueAndBounded(t *testing.T) {
 						region = append(region, b)
 					}
 				}
-				c := NewCloner(f)
+				var c Cloner
 				c.Clone(region, ".c")
 				for _, b := range region {
 					clones = append(clones, c.Block(b))

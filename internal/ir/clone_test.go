@@ -229,6 +229,78 @@ func TestCloneOfDetachedUser(t *testing.T) {
 	}
 }
 
+// refCloneRegion is Cloner.Clone as it was before its copies were exact:
+// every clone is built through AddArg, AddBlockArg and Append, an operand
+// that points into the region first gives the original a transient use that
+// SetArg swap-removes again, and the clones' lists grow by appending. It
+// survives only here, as the oracle the exact copy is held to
+// (TestCloneRegionMatchesReference), which compares the two by Fingerprint
+// and so by use-list and predecessor-list order too.
+func refCloneRegion(blocks []*Block, suffix string) (blockOf map[*Block]*Block, instrOf map[*Instr]*Instr) {
+	f := blocks[0].fn
+	blockOf, instrOf = map[*Block]*Block{}, map[*Instr]*Instr{}
+	for _, b := range blocks {
+		blockOf[b] = f.NewBlock(b.Name + suffix)
+	}
+	block := func(b *Block) *Block {
+		if nb := blockOf[b]; nb != nil {
+			return nb
+		}
+		return b
+	}
+	value := func(v Value) Value {
+		if in, ok := v.(*Instr); ok && instrOf[in] != nil {
+			return instrOf[in]
+		}
+		return v
+	}
+	cloneOf := func(in *Instr) *Instr {
+		ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, loc: in.loc}
+		instrOf[in] = ci
+		return ci
+	}
+	for _, b := range blocks {
+		for _, in := range b.instrs {
+			if in.IsTerminator() {
+				continue
+			}
+			ci := cloneOf(in)
+			for _, a := range in.args {
+				ci.AddArg(a)
+			}
+			blockOf[b].Append(ci)
+		}
+	}
+	for _, b := range blocks {
+		nb := blockOf[b]
+		for i, in := range b.instrs {
+			if in.IsTerminator() {
+				ci := cloneOf(in)
+				for _, a := range in.args {
+					ci.AddArg(value(a))
+				}
+				for _, tb := range in.blocks {
+					ci.AddBlockArg(block(tb))
+				}
+				nb.Append(ci)
+				continue
+			}
+			ci := nb.instrs[i]
+			for k, a := range ci.args {
+				if na := value(a); na != a {
+					ci.SetArg(k, na)
+				}
+			}
+			if in.IsPhi() {
+				for _, ib := range in.blocks {
+					ci.AddBlockArg(block(ib))
+				}
+			}
+		}
+	}
+	return blockOf, instrOf
+}
+
 func TestRestoreRollsBack(t *testing.T) {
 	f, nsum := buildCountLoop(t)
 	want := f.String()

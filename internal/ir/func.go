@@ -16,6 +16,9 @@ type Function struct {
 	nextBlockID int // next block ID to hand out (IDs start at 0)
 
 	nameCount map[string]int
+	// store is the storage a CloneInto copy is carved from and the next
+	// CloneInto into it overwrites; nil for every other function.
+	store *cloneStore
 }
 
 // NewFunction creates a function with the given return type (use ir.Void for

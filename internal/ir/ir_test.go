@@ -133,7 +133,7 @@ func TestVerifyCatchesUseBeforeDef(t *testing.T) {
 func TestCloneBlocks(t *testing.T) {
 	f, _ := buildCountLoop(t)
 	loop := f.BlockByName("loop")
-	c := NewCloner(f)
+	var c Cloner
 	c.Clone([]*Block{loop}, ".c")
 	nl := c.Block(loop)
 	if nl == nil || nl.Name != "loop.c" {

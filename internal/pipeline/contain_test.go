@@ -221,12 +221,12 @@ func TestStopAfterTruncatesPipeline(t *testing.T) {
 	}
 }
 
-// TestSCCPSolverReusableAfterPanic: one SCCPPass value serves all of a
-// compilation's invocations out of one solver, so an invocation abandoned
+// TestSCCPSolverReusableAfterPanic: every SCCP invocation that shares a
+// transform.Scratch runs out of one solver, so an invocation abandoned
 // mid-solve — worklists loaded, lattice half lowered — must cost the next
 // one nothing. The injected pass gives a phi a value with no incoming block
 // and runs the shared pass on it, which panics inside the solver; the guard
-// rolls the function back, and the shared pass's next invocation must do
+// rolls the function back, and the shared solver's next invocation must do
 // exactly what a fresh solver does.
 func TestSCCPSolverReusableAfterPanic(t *testing.T) {
 	compile := func(before, broken, after analysis.Pass) string {
@@ -248,9 +248,9 @@ func TestSCCPSolverReusableAfterPanic(t *testing.T) {
 		}
 		return got
 	}
-	shared := transform.SCCPPass()
+	shared := transform.SCCPPass(new(transform.Scratch))
 	reused := compile(shared, shared, shared)
-	fresh := compile(transform.SCCPPass(), transform.SCCPPass(), transform.SCCPPass())
+	fresh := compile(transform.SCCPPass(new(transform.Scratch)), transform.SCCPPass(new(transform.Scratch)), transform.SCCPPass(new(transform.Scratch)))
 	if reused != fresh {
 		t.Fatalf("a solver that panicked mid-run compiles differently from fresh ones:\n--- fresh\n%s\n--- reused\n%s", fresh, reused)
 	}

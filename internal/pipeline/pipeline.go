@@ -21,6 +21,7 @@ import (
 
 	"uu/internal/analysis"
 	"uu/internal/core"
+	"uu/internal/freelist"
 	"uu/internal/harden"
 	"uu/internal/ir"
 	"uu/internal/remark"
@@ -196,27 +197,77 @@ func (s *Stats) Trace(tr *remark.Trace, tid int) {
 // first canonicalization round. This list is the single source of truth for
 // "the canonical form" — loop IDs are assigned on its output, and
 // CanonicalLoopCount replays exactly this list.
-func canonicalizationPasses() []analysis.Pass {
+func canonicalizationPasses(s *transform.Scratch) []analysis.Pass {
 	return []analysis.Pass{
 		transform.Mem2RegPass(),
 		transform.SimplifyCFGPass(),
-		transform.InstSimplifyPass(),
-		transform.DCEPass(),
+		transform.InstSimplifyPass(s),
+		transform.DCEPass(s),
 	}
 }
 
 // cleanupPasses is the -O3-style middle-end round run (to fixpoint) after
 // the loop transformation, after automatic unrolling, and after predication.
-func cleanupPasses(gvn analysis.Pass) []analysis.Pass {
+func cleanupPasses(s *transform.Scratch, gvn transform.GVNOptions) []analysis.Pass {
 	return []analysis.Pass{
-		transform.SCCPPass(),
+		transform.SCCPPass(s),
 		transform.SimplifyCFGPass(),
-		transform.InstSimplifyPass(),
-		transform.InstCombinePass(),
-		gvn,
-		transform.DCEPass(),
+		transform.InstSimplifyPass(s),
+		transform.InstCombinePass(s),
+		transform.GVNPass(gvn, s),
+		transform.DCEPass(s),
 		transform.SimplifyCFGPass(),
 	}
+}
+
+// scratch is what one compilation borrows: each layer's storage for the
+// tables its passes rebuild on every invocation, grown by the compilations
+// that had it before. transform's holds the cleanup passes' tables, core's
+// the unmerger's and its ir.Cloner's, harden's the guard's spare snapshot.
+// Each layer owns its type; this package owns how long a bundle lives.
+// OptimizeCtx takes one when it starts and files it back on every return
+// that did not panic. Three rules keep reuse invisible (DESIGN.md §16):
+//   - reset on take: every table is cleared, or overwritten before it is
+//     read, by the pass that uses it, so a compilation cannot see what the
+//     bundle served before — another kernel, or a compile that a contained
+//     panic or a cancellation left half done;
+//   - a filed bundle pins no function: each layer's Park clears what refers
+//     to blocks, instructions or values, and a compile that panicked drops
+//     its bundle instead of filing it;
+//   - bounded: the list keeps maxFreeScratch bundles, and harden drops a
+//     spare snapshot past its size cap.
+type scratch struct {
+	transform transform.Scratch
+	core      core.Scratch
+	harden    harden.Scratch
+}
+
+// maxFreeScratch is the free list's capacity, the same as interp's and
+// gpusim's lists.
+const maxFreeScratch = 16
+
+// freeScratch holds the filed bundles. It has one class: a bundle's tables
+// grow to what they serve, so any bundle can serve any compilation.
+var freeScratch = freelist.New[struct{}, *scratch](maxFreeScratch)
+
+func takeScratch() *scratch {
+	if s, ok := freeScratch.Take(struct{}{}); ok {
+		return s
+	}
+	return new(scratch)
+}
+
+// park drops every reference the bundle holds to the compilation it served.
+func (s *scratch) park() {
+	s.transform.Park()
+	s.core.Park()
+	s.harden.Park()
+}
+
+// file parks s and puts it on the free list.
+func (s *scratch) file() {
+	s.park()
+	freeScratch.Put(struct{}{}, s)
 }
 
 // driver executes PhaseSpecs against one function and its analysis manager,
@@ -226,6 +277,7 @@ type driver struct {
 	am   *analysis.AnalysisManager
 	st   *Stats
 	opts Options
+	s    *scratch
 	// ctx, when non-nil, is polled before every pass invocation so a
 	// deadline or cancellation stops compilation at the next pass boundary
 	// (OptimizeCtx). Passes themselves are not interruptible — they are
@@ -363,6 +415,14 @@ func Optimize(f *ir.Function, opts Options) (*Stats, error) {
 // left in whatever intermediate form the last completed pass produced —
 // callers that canceled are expected to discard it.
 func OptimizeCtx(ctx context.Context, f *ir.Function, opts Options) (*Stats, error) {
+	s := takeScratch()
+	st, err := optimize(ctx, f, opts, s)
+	s.file()
+	return st, err
+}
+
+// optimize is OptimizeCtx compiling in the scratch bundle s.
+func optimize(ctx context.Context, f *ir.Function, opts Options, s *scratch) (*Stats, error) {
 	// One allocation holds the pass record of all but the longest verified
 	// compilations (an unverified one is 31 to 52 records).
 	st := &Stats{Function: f.Name, Config: opts.Config, PassTimes: make([]PassTime, 0, 64)}
@@ -374,12 +434,12 @@ func OptimizeCtx(ctx context.Context, f *ir.Function, opts Options) (*Stats, err
 	st.Start = time.Now()
 	am := analysis.NewAnalysisManager(f)
 	am.SetRemarks(opts.Remarks)
-	d := &driver{f: f, am: am, st: st, opts: opts}
+	d := &driver{f: f, am: am, st: st, opts: opts, s: s}
 	if ctx != nil && ctx.Done() != nil {
 		d.ctx = ctx
 	}
 	if opts.Contain {
-		d.guard = &harden.Guard{Verify: opts.VerifyEachPass}
+		d.guard = harden.NewGuard(opts.VerifyEachPass, &s.harden)
 	}
 	err := d.run()
 	st.Analysis = am.Stats()
@@ -406,7 +466,8 @@ func (d *driver) run() error {
 	// on this canonical form, identically across configurations. Injected
 	// passes (fault-injection tests, fuzz bisection) run in their own phase
 	// right after it.
-	early := []PhaseSpec{{"canonicalize", canonicalizationPasses(), 1}}
+	ts := &d.s.transform
+	early := []PhaseSpec{{"canonicalize", canonicalizationPasses(ts), 1}}
 	if len(opts.Inject) > 0 {
 		early = append(early, PhaseSpec{"inject", opts.Inject, 1})
 	}
@@ -426,14 +487,13 @@ func (d *driver) run() error {
 	// (skips transformed loops), then another cleanup fixpoint to evaluate
 	// fully unrolled loops. Phase 5: backend-style predication (selp
 	// formation) and final cleanup.
-	gvn := transform.GVNPass(gvnOpts) // one, so its tables are grown once
-	cleanup := cleanupPasses(gvn)
+	cleanup := cleanupPasses(ts, gvnOpts)
 	late := []PhaseSpec{
 		{"cleanup", cleanup, 3},
 		{"loop-opts", []analysis.Pass{
 			transform.LICMPass(),
-			gvn,
-			transform.DCEPass(),
+			transform.GVNPass(gvnOpts, ts),
+			transform.DCEPass(ts),
 		}, 1},
 		{"auto-unroll", []analysis.Pass{transform.AutoUnrollPass(skipAuto)}, 1},
 		{"cleanup-post-unroll", cleanup, 2},
@@ -528,7 +588,7 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) 
 		if err != nil {
 			return err
 		}
-		st.LoopTransformed, loopErr = core.UnrollAndUnmergeWith(d.am, opts.LoopID, factor, opts.Unmerge)
+		st.LoopTransformed, loopErr = core.UnrollAndUnmergeWith(d.am, opts.LoopID, factor, opts.Unmerge, &d.s.core)
 		d.am.InvalidateAll()
 		if st.LoopTransformed {
 			skipAuto[header] = true
@@ -537,7 +597,7 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) 
 		// Fill C/UMax individually so profile-guided fields (Selective,
 		// Overrides) survive a zero-valued budget.
 		params := opts.Heuristic.FillDefaults()
-		st.Decisions, st.Skips = core.ApplyHeuristicWith(d.am, params, opts.Unmerge)
+		st.Decisions, st.Skips = core.ApplyHeuristicWith(d.am, params, opts.Unmerge, &d.s.core)
 		d.am.InvalidateAll()
 		st.LoopTransformed = len(st.Decisions) > 0
 		for _, dec := range st.Decisions {
@@ -564,9 +624,11 @@ func (d *driver) headerOfLoop(id int) (*ir.Block, error) {
 // phase-1 list) run on it in place. Callers that need the original function
 // afterwards must compile a fresh copy.
 func CanonicalLoopCount(f *ir.Function) int {
+	s := takeScratch()
 	am := analysis.NewAnalysisManager(f)
-	for _, p := range canonicalizationPasses() {
+	for _, p := range canonicalizationPasses(&s.transform) {
 		am.Invalidate(p.Run(f, am))
 	}
+	s.file()
 	return len(am.LoopInfo().Loops)
 }

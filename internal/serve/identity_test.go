@@ -451,13 +451,19 @@ func TestAliasLifecycle(t *testing.T) {
 		var mu sync.Mutex
 		first := map[string]*Response{}
 
-		deadline := time.Now().Add(2 * time.Second)
+		// The load runs until it has mixed hits with evictions — more than
+		// two compiles per request and at least one identity hit — however
+		// long that takes on the machine, up to a cap.
+		enough := func() bool {
+			return s.c[ctrCompiles].Load() > int64(2*len(reqs)) && s.c[ctrIdentHits].Load() > 0
+		}
+		deadline := time.Now().Add(60 * time.Second)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for n := g; time.Now().Before(deadline); n += 7 {
+				for n := g; !enough() && time.Now().Before(deadline); n += 7 {
 					i := n % len(reqs)
 					status, res := handlerPostBody(t, h, bodies[i])
 					switch {
@@ -497,8 +503,9 @@ func TestAliasLifecycle(t *testing.T) {
 		if _, ok := aliasedKey(s, poisoned); ok {
 			t.Error("the failing request left an alias")
 		}
-		if s.c[ctrIdentHits].Load() == 0 || s.c[ctrCompiles].Load() <= int64(len(reqs)) {
-			t.Errorf("identity hits %d, compiles %d: the load did not mix hits with evictions", s.c[ctrIdentHits].Load(), s.c[ctrCompiles].Load())
+		if !enough() {
+			t.Errorf("after 60 s, identity hits %d and compiles %d: the load did not mix hits with evictions (want hits > 0 and compiles > %d)",
+				s.c[ctrIdentHits].Load(), s.c[ctrCompiles].Load(), 2*len(reqs))
 		}
 	})
 }

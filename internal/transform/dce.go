@@ -7,18 +7,24 @@ import "uu/internal/ir"
 // terminators) or is transitively used by a live instruction. Cycles of
 // otherwise-unused phis die together, which simple use-count DCE misses.
 func DCE(f *ir.Function) bool {
-	return dceCount(f) > 0
+	return new(Scratch).dce.run(f) > 0
 }
 
-// dceCount is DCE returning how many instructions it deleted (the payload of
-// the pass's DeadInstructions remark).
-func dceCount(f *ir.Function) int {
-	live := make([]bool, f.InstrIDBound()) // by Instr.ID
-	var work []*ir.Instr
+// dceState is DCE's storage, kept in a Scratch between invocations.
+type dceState struct {
+	live       []bool // by Instr.ID
+	work, dead []*ir.Instr
+}
+
+// run is DCE returning how many instructions it deleted (the payload of the
+// pass's DeadInstructions remark).
+func (d *dceState) run(f *ir.Function) int {
+	d.live = zeroed(d.live, f.InstrIDBound())
+	d.work, d.dead = d.work[:0], d.dead[:0]
 	mark := func(in *ir.Instr) {
-		if !live[in.ID()] {
-			live[in.ID()] = true
-			work = append(work, in)
+		if !d.live[in.ID()] {
+			d.live[in.ID()] = true
+			d.work = append(d.work, in)
 		}
 	}
 	for _, b := range f.Blocks() {
@@ -28,26 +34,31 @@ func dceCount(f *ir.Function) int {
 			}
 		}
 	}
-	for len(work) > 0 {
-		in := work[len(work)-1]
-		work = work[:len(work)-1]
+	for len(d.work) > 0 {
+		in := d.work[len(d.work)-1]
+		d.work = d.work[:len(d.work)-1]
 		for i := 0; i < in.NumArgs(); i++ {
 			if a, ok := in.Arg(i).(*ir.Instr); ok {
 				mark(a)
 			}
 		}
 	}
-	var dead []*ir.Instr
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
-			if !live[in.ID()] {
-				dead = append(dead, in)
+			if !d.live[in.ID()] {
+				d.dead = append(d.dead, in)
 			}
 		}
 	}
-	if len(dead) == 0 {
+	if len(d.dead) == 0 {
 		return 0
 	}
-	ir.EraseInstrs(dead)
-	return len(dead)
+	ir.EraseInstrs(d.dead)
+	return len(d.dead)
+}
+
+// park drops the worklists' references to instructions.
+func (d *dceState) park() {
+	d.work = dropAll(d.work)
+	d.dead = dropAll(d.dead)
 }

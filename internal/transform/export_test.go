@@ -11,6 +11,14 @@ func RunPass(p analysis.Pass, f *ir.Function) bool {
 	return p.Run(f, analysis.NewAnalysisManager(f)).Changed()
 }
 
+// GVN runs GVN once over f on fresh storage.
+func GVN(f *ir.Function, opts GVNOptions) bool {
+	return RunPass(GVNPass(opts, new(Scratch)), f)
+}
+
+// InstCombine runs InstCombine once over f on fresh storage.
+func InstCombine(f *ir.Function) bool { return new(Scratch).instCombine(f) }
+
 // SimplifyInstr gives the GVN reference implementation (gvn_ref_test.go) the
 // same local simplifier the production pass calls.
 var SimplifyInstr = simplifyInstr

@@ -31,21 +31,18 @@ func DefaultGVNOptions() GVNOptions {
 	return GVNOptions{PropagateEqualities: true, EliminateLoads: true}
 }
 
-// GVN performs dominator-scoped global value numbering: a DFS over the
+// run performs dominator-scoped global value numbering: a DFS over the
 // dominator tree carries a scoped expression table (CSE), a scoped
 // replacement map fed by branch-edge equalities, and a scoped list of memory
 // facts for load elimination. Memory facts honor the alias analysis and are
 // invalidated across loop boundaries using per-loop store summaries, and
 // across sibling subtrees by bubbling clobbers up to the parent scope.
-func GVN(f *ir.Function, opts GVNOptions) bool {
-	return new(gvnState).run(f, analysis.NewAnalysisManager(f), opts)
-}
-
-// run is GVN against a caller-provided analysis manager. GVN never changes
-// the CFG (it only replaces and erases instructions), so the cached trees
-// stay valid throughout. A gvnState may run any number of times, one run
-// at a time: each run starts from empty tables but keeps their storage, so
-// the invocations of one compilation (GVNPass) grow them once.
+//
+// GVN never changes the CFG (it only replaces and erases instructions), so
+// the manager's cached trees stay valid throughout. A gvnState may run any
+// number of times, one run at a time: each run starts from empty tables but
+// keeps their storage, so the invocations that share a Scratch grow them
+// once.
 func (g *gvnState) run(f *ir.Function, am *analysis.AnalysisManager, opts GVNOptions) bool {
 	g.reset(f, opts)
 	g.walk(f.Entry(), am.DomTree(), am.LoopInfo())
@@ -152,6 +149,21 @@ func (g *gvnState) reset(f *ir.Function, opts GVNOptions) {
 	g.post = zeroed(g.post, f.BlockIDBound())
 	g.npost = 0
 	g.postorder(f.Entry())
+}
+
+// park drops the state's references to instructions and values: the
+// maps' entries, and everything the stacks' arrays still hold.
+func (g *gvnState) park() {
+	clear(g.constIDs)
+	clear(g.phiIDs)
+	clear(g.leaders)
+	clear(g.repl)
+	g.facts = dropAll(g.facts)
+	g.leaderUndos = dropAll(g.leaderUndos)
+	g.replUndos = dropAll(g.replUndos)
+	g.clobbers = dropAll(g.clobbers)
+	g.instrs = dropAll(g.instrs)
+	g.children = dropAll(g.children)
 }
 
 // postorder numbers b and everything reachable from it that has no number

@@ -35,12 +35,12 @@ func TestGVNMatchesReference(t *testing.T) {
 		{name: "no-loads", opts: transform.GVNOptions{PropagateEqualities: true}},
 	}
 	for _, v := range variants {
-		v.pass = transform.GVNPass(v.opts)
+		v.pass = transform.GVNPass(v.opts, new(transform.Scratch))
 	}
 	between := func(f *ir.Function) {
 		transform.DCE(f)
 		transform.SimplifyCFG(f)
-		transform.RunPass(transform.SCCPPass(), f)
+		transform.RunPass(transform.SCCPPass(new(transform.Scratch)), f)
 		transform.SimplifyCFG(f)
 		transform.InstSimplify(f)
 		transform.InstCombine(f)

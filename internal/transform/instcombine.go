@@ -6,7 +6,7 @@ import (
 	"uu/internal/ir"
 )
 
-// InstCombine applies rewrites that (unlike InstSimplify) may create new
+// instCombine applies rewrites that (unlike InstSimplify) may create new
 // instructions — chiefly the strength reductions the paper counts among the
 // optimizations unmerging re-enables: multiplications, divisions and
 // remainders by powers of two become shifts and masks, as the NVPTX backend
@@ -21,11 +21,12 @@ import (
 // Signedness guards: sdiv by a power of two rounds toward zero while ashr
 // rounds toward negative infinity, so the sdiv rewrite requires a
 // non-negativity proof (a tiny value-range walk over zext/lshr/and/urem and
-// non-negative constants).
-func InstCombine(f *ir.Function) bool {
+// non-negative constants). Each block is iterated through s's copy of it.
+func (s *Scratch) instCombine(f *ir.Function) bool {
 	changed := false
 	for _, b := range f.Blocks() {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+		s.block = append(s.block[:0], b.Instrs()...)
+		for _, in := range s.block {
 			if in.Block() == nil {
 				continue
 			}

@@ -8,11 +8,17 @@ import "uu/internal/ir"
 // the subtraction in XSBench's binary-search loop once unmerging has made
 // `upperLimit = mid = lowerLimit + length/2` explicit on the taken path.
 func InstSimplify(f *ir.Function) bool {
+	return new(Scratch).instSimplify(f)
+}
+
+// instSimplify is InstSimplify iterating each block through s's copy of it.
+func (s *Scratch) instSimplify(f *ir.Function) bool {
 	changed := false
 	for {
 		c := false
 		for _, b := range f.Blocks() {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+			s.block = append(s.block[:0], b.Instrs()...)
+			for _, in := range s.block {
 				if in.Block() == nil {
 					continue // erased by an earlier rewrite this sweep
 				}

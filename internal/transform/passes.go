@@ -23,6 +23,37 @@ func NewPass(name string, run func(f *ir.Function, am *analysis.AnalysisManager)
 	return funcPass{name, run}
 }
 
+// Scratch is the storage the passes that run every cleanup round reuse
+// from one invocation to the next: SCCP's solver, GVN's tables and stacks,
+// DCE's live bits and worklists, and the copy of a block that InstSimplify
+// and InstCombine iterate while they erase from it. A Scratch serves one
+// invocation at a time, over any sequence of functions: each pass clears or
+// overwrites what it reads on the way in, so an invocation a panic abandoned
+// costs the next nothing. The zero value is ready; the pipeline owns one per
+// compilation and lends it to every pass that takes one.
+type Scratch struct {
+	sccp  sccpSolver
+	gvn   gvnState
+	dce   dceState
+	block []*ir.Instr
+}
+
+// Park drops every reference the scratch holds to blocks, instructions and
+// values, keeping the storage: a parked Scratch pins no function.
+func (s *Scratch) Park() {
+	s.sccp.park()
+	s.gvn.park()
+	s.dce.park()
+	s.block = dropAll(s.block)
+}
+
+// dropAll clears the whole of s's array, past its length too, and returns
+// it empty.
+func dropAll[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // Mem2RegPass promotes allocas to SSA registers. It may delete unreachable
 // blocks, so nothing is preserved.
 func Mem2RegPass() analysis.Pass {
@@ -40,23 +71,23 @@ func SimplifyCFGPass() analysis.Pass {
 
 // InstSimplifyPass rewrites instructions in place; the CFG (and thus the
 // dominator trees and loop info) is preserved.
-func InstSimplifyPass() analysis.Pass {
+func InstSimplifyPass(s *Scratch) analysis.Pass {
 	return funcPass{"instsimplify", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		return analysis.If(InstSimplify(f), analysis.PreserveCFG())
+		return analysis.If(s.instSimplify(f), analysis.PreserveCFG())
 	}}
 }
 
 // InstCombinePass rewrites instructions in place; the CFG is preserved.
-func InstCombinePass() analysis.Pass {
+func InstCombinePass(s *Scratch) analysis.Pass {
 	return funcPass{"instcombine", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		return analysis.If(InstCombine(f), analysis.PreserveCFG())
+		return analysis.If(s.instCombine(f), analysis.PreserveCFG())
 	}}
 }
 
 // DCEPass deletes dead instructions; the CFG is preserved.
-func DCEPass() analysis.Pass {
+func DCEPass(s *Scratch) analysis.Pass {
 	return funcPass{"dce", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		n := dceCount(f)
+		n := s.dce.run(f)
 		if n > 0 && am.Remarks().Enabled() {
 			am.Remarks().Emit(remark.Remark{
 				Kind: remark.Analysis, Pass: "dce", Name: "DeadInstructions",
@@ -69,13 +100,10 @@ func DCEPass() analysis.Pass {
 }
 
 // SCCPPass propagates constants. It preserves the CFG unless it folded a
-// one-sided conditional branch. Like GVNPass it owns its solver's tables and
-// reuses their storage across invocations, so a pass value serves one
-// compilation at a time.
-func SCCPPass() analysis.Pass {
-	s := new(sccpSolver)
+// one-sided conditional branch.
+func SCCPPass(s *Scratch) analysis.Pass {
 	return funcPass{"sccp", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		changed, cfgChanged := s.run(f)
+		changed, cfgChanged := s.sccp.run(f)
 		if cfgChanged {
 			return analysis.PreserveNone()
 		}
@@ -84,14 +112,10 @@ func SCCPPass() analysis.Pass {
 }
 
 // GVNPass numbers values over the cached dominator tree. It only replaces
-// and erases instructions, so the CFG is preserved. The pass owns its
-// value-numbering tables and reuses their storage from one invocation to
-// the next, so a pass value serves one compilation at a time — the pipeline
-// builds one per Optimize call and runs all its GVN invocations through it.
-func GVNPass(opts GVNOptions) analysis.Pass {
-	g := new(gvnState)
+// and erases instructions, so the CFG is preserved.
+func GVNPass(opts GVNOptions, s *Scratch) analysis.Pass {
 	return funcPass{"gvn", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
-		return analysis.If(g.run(f, am, opts), analysis.PreserveCFG())
+		return analysis.If(s.gvn.run(f, am, opts), analysis.PreserveCFG())
 	}}
 }
 

@@ -29,8 +29,7 @@ type latVal struct {
 // function's ID bounds at entry size every table, and a lookup is an index
 // instead of a hash of one or two pointers. A solver may run any number of
 // times, one run at a time: each run starts from cleared tables but keeps
-// their storage, so the invocations of one compilation (SCCPPass) grow them
-// once.
+// their storage, so the invocations that share a Scratch grow them once.
 type sccpSolver struct {
 	vals      []latVal // by Instr.ID
 	execBlock []bool   // by Block.ID
@@ -233,6 +232,13 @@ func zeroed[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// park drops the solver's references to constants and instructions.
+func (s *sccpSolver) park() {
+	s.vals = dropAll(s.vals)
+	s.instrWork = dropAll(s.instrWork)
+	s.blockWork = dropAll(s.blockWork)
 }
 
 // run propagates over f and rewrites it, reporting whether anything changed

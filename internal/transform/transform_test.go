@@ -166,7 +166,7 @@ else:
 }
 `
 	f := parse(t, src)
-	RunPass(SCCPPass(), f)
+	RunPass(SCCPPass(new(Scratch)), f)
 	SimplifyCFG(f)
 	mustVerify(t, f, "sccp+simplifycfg")
 	if f.NumBlocks() != 1 {
@@ -195,7 +195,7 @@ merge:
 }
 `
 	f := parse(t, src)
-	RunPass(SCCPPass(), f)
+	RunPass(SCCPPass(new(Scratch)), f)
 	SimplifyCFG(f)
 	mustVerify(t, f, "sccp")
 	ret := f.Entry().Term()
@@ -225,7 +225,7 @@ exit:
 }
 `
 	f := parse(t, src)
-	RunPass(SCCPPass(), f)
+	RunPass(SCCPPass(new(Scratch)), f)
 	mustVerify(t, f, "sccp")
 	if f.NumBlocks() != 3 {
 		t.Fatalf("SCCP should not fold a cyclic loop by itself:\n%s", f.String())
@@ -234,7 +234,7 @@ exit:
 	RunPass(AutoUnrollPass(nil), f)
 	mustVerify(t, f, "autounroll")
 	for i := 0; i < 4; i++ {
-		RunPass(SCCPPass(), f)
+		RunPass(SCCPPass(new(Scratch)), f)
 		SimplifyCFG(f)
 		InstSimplify(f)
 	}

@@ -18,13 +18,15 @@ import (
 // preheader + LCSSA form first. Returns false (leaving f untouched) when the
 // loop shape is unsupported.
 func UnrollLoop(f *ir.Function, l *analysis.Loop, factor int) bool {
-	return UnrollLoopWithOrigins(f, l, factor, nil)
+	return UnrollLoopWithOrigins(f, l, factor, nil, new(ir.Cloner))
 }
 
-// UnrollLoopWithOrigins is UnrollLoop, additionally recording in origins the
-// original instruction each clone stems from (transitively through earlier
-// recorded clones). Used for provenance reporting.
-func UnrollLoopWithOrigins(f *ir.Function, l *analysis.Loop, factor int, origins map[*ir.Instr]*ir.Instr) bool {
+// UnrollLoopWithOrigins is UnrollLoop copying the body through c,
+// additionally recording in origins the original instruction each clone
+// stems from (transitively through earlier recorded clones). Used for
+// provenance reporting, and by u&u, which hands over the Cloner its
+// unmerger's tail copies go through.
+func UnrollLoopWithOrigins(f *ir.Function, l *analysis.Loop, factor int, origins map[*ir.Instr]*ir.Instr, c *ir.Cloner) bool {
 	if factor < 2 {
 		return false
 	}
@@ -77,7 +79,6 @@ func UnrollLoopWithOrigins(f *ir.Function, l *analysis.Loop, factor int, origins
 	for _, phi := range copies[0].phis {
 		copies[0].latchVals = append(copies[0].latchVals, phi.PhiIncoming(latch))
 	}
-	c := ir.NewCloner(f)
 	for j := 1; j < factor; j++ {
 		c.Clone(loopBlocks, fmt.Sprintf(".u%d", j))
 		for _, b := range loopBlocks {

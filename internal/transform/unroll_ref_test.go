@@ -173,7 +173,8 @@ func refUnroll(f *ir.Function, l *analysis.Loop, factor int, origins map[*ir.Ins
 // canonicalized as the pipeline does before its loop transformation, at u =
 // 2, 4 and 8, UnrollLoopWithOrigins must leave the printed IR, every
 // instruction's source location and the origins map exactly as the map-based
-// unroller does.
+// unroller does. One Cloner serves every case, as one serves a compilation's
+// unrolls and tail copies whatever functions it saw before.
 func TestUnrollMatchesReference(t *testing.T) {
 	start := time.Now()
 	var fs []*ir.Function
@@ -195,6 +196,7 @@ func TestUnrollMatchesReference(t *testing.T) {
 	}
 	fs = append(fs, swap)
 	unrolled := 0
+	var c ir.Cloner
 	for _, f := range fs {
 		transform.Mem2Reg(f)
 		transform.SimplifyCFG(f)
@@ -206,7 +208,7 @@ func TestUnrollMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("%s loop %d u=%d", f.Name, id, u)
 				prod, ref := ir.Clone(f), ir.Clone(f)
 				prodOrigins, refOrigins := map[*ir.Instr]*ir.Instr{}, map[*ir.Instr]*ir.Instr{}
-				prodOK := transform.UnrollLoopWithOrigins(prod, analysis.NewAnalysisManager(prod).LoopInfo().LoopByID(id), u, prodOrigins)
+				prodOK := transform.UnrollLoopWithOrigins(prod, analysis.NewAnalysisManager(prod).LoopInfo().LoopByID(id), u, prodOrigins, &c)
 				refOK := refUnroll(ref, analysis.NewAnalysisManager(ref).LoopInfo().LoopByID(id), u, refOrigins)
 				if prodOK != refOK {
 					t.Fatalf("%s: unrolled %v, reference %v", name, prodOK, refOK)
