@@ -148,7 +148,12 @@ var renamedKernel = strings.NewReplacer("acc", "sum", "gid", "tid", "long i ", "
 // request line through a 4 kB bufio.Reader), so the allocation budget and
 // benchmark below measure the server's side.
 func record(h http.Handler, body []byte) *httptest.ResponseRecorder {
-	req, err := http.NewRequest("POST", "/compile", bytes.NewReader(body))
+	return recordAt(h, "/compile", body)
+}
+
+// recordAt is record to a target with a query string.
+func recordAt(h http.Handler, target string, body []byte) *httptest.ResponseRecorder {
+	req, err := http.NewRequest("POST", target, bytes.NewReader(body))
 	if err != nil {
 		panic(err) // the method and URL are constants
 	}
@@ -613,12 +618,20 @@ func TestRemovedSimWorkersFieldIsIgnored(t *testing.T) {
 	}
 }
 
-// TestHitAllocBudget keeps the compile frontend off the hit path: rebuilding
-// IR to rediscover a cached key cost about 220 kB a hit; an identity hit
-// costs a few kB, most of it the recorder and JSON. The budget is loose
-// enough for either to grow and far too tight for a parser to come back.
+// TestHitAllocBudget keeps the compile frontend and the response encoder off
+// the hit path. Rebuilding IR to rediscover a cached key cost about 220 kB a
+// hit, and marshaling a copy of the entry per hit put 4.8 / 5.5 / 13.5 kB on
+// the app / source / ir forms. Now a hit decodes into a recycled state,
+// hashes in a pooled buffer and splices the execution's encoded bytes, so
+// what is left is the harness's recorder, the header map and the decoded
+// strings (the ir form's text is most of its budget).
 func TestHitAllocBudget(t *testing.T) {
-	const hits, budget = 500, 16 << 10
+	const hits = 500
+	budget := map[string]uint64{"app": 3 << 10, "source": 4 << 10, "ir": 6656}
+	if raceEnabled {
+		// Still far too tight for a parser to come back.
+		budget = map[string]uint64{"app": 16 << 10, "source": 16 << 10, "ir": 16 << 10}
+	}
 	s, h, _ := aliasTestServer(t)
 	for form, req := range hitForms(t) {
 		body, _ := json.Marshal(req)
@@ -639,8 +652,8 @@ func TestHitAllocBudget(t *testing.T) {
 		}
 		perHit := (m1.TotalAlloc - m0.TotalAlloc) / hits
 		t.Logf("%s: %d bytes allocated per hit", form, perHit)
-		if perHit > budget {
-			t.Errorf("%s: %d bytes allocated per hit, budget %d", form, perHit, budget)
+		if perHit > budget[form] {
+			t.Errorf("%s: %d bytes allocated per hit, budget %d", form, perHit, budget[form])
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"strconv"
 
 	"uu/internal/core"
@@ -118,7 +117,8 @@ type identity [sha256.Size]byte
 // render to the same bytes; TestIdentityCoversEveryRequestField fails when
 // a field is added to Request and not here.
 func requestIdentity(r *Request) identity {
-	w := identityWriter{h: sha256.New()}
+	bp := takeBuf()
+	w := identityBytes(*bp)
 	w.str("uu/serve request identity v1")
 	w.str(r.App)
 	w.str(r.Source)
@@ -146,36 +146,29 @@ func requestIdentity(r *Request) identity {
 	w.str(r.Chaos)
 	w.str(r.Remarks)
 	w.flag(r.Profile)
-	var id identity
-	w.h.Sum(id[:0])
+	id := identity(sha256.Sum256(w))
+	fileBuf(bp, w)
 	return id
 }
 
-// identityWriter renders fields into a hash through one scratch buffer, so
-// a kernel source is hashed in place instead of being copied to a []byte.
-type identityWriter struct {
-	h   hash.Hash
-	buf [128]byte
+// identityBytes is the byte string requestIdentity hashes, rendered into a
+// pooled buffer: integers as eight little-endian bytes, flags as one byte,
+// strings as their length then their bytes.
+type identityBytes []byte
+
+func (w *identityBytes) num(v int64) {
+	*w = binary.LittleEndian.AppendUint64(*w, uint64(v))
 }
 
-func (w *identityWriter) num(v int64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], uint64(v))
-	w.h.Write(w.buf[:8])
-}
-
-func (w *identityWriter) flag(b bool) {
-	w.buf[0] = 0
+func (w *identityBytes) flag(b bool) {
+	var v byte
 	if b {
-		w.buf[0] = 1
+		v = 1
 	}
-	w.h.Write(w.buf[:1])
+	*w = append(*w, v)
 }
 
-func (w *identityWriter) str(s string) {
+func (w *identityBytes) str(s string) {
 	w.num(int64(len(s)))
-	for len(s) > 0 {
-		n := copy(w.buf[:], s)
-		w.h.Write(w.buf[:n])
-		s = s[n:]
-	}
+	*w = append(*w, s...)
 }

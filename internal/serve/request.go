@@ -112,8 +112,9 @@ type Response struct {
 	ProfileFolded string `json:"profile_folded,omitempty"`
 
 	// Phases is the server-attributed per-phase timing breakdown; TraceJSON
-	// carries the request's own trace when ?trace=1 was set. Both are
-	// stamped per response at write time (never cached).
+	// carries the request's own trace when ?trace=1 was set. Like
+	// RequestID, Cached and Coalesced, the server writes them per response
+	// (reqState.respond) and never sets them on a shared Response.
 	Phases    *Phases `json:"phases,omitempty"`
 	TraceJSON string  `json:"trace_json,omitempty"`
 
@@ -121,6 +122,9 @@ type Response struct {
 	// response so later cache hits attribute the compute that produced
 	// their result. Unexported: server-internal, never serialized.
 	execTM phaseTimings
+	// head and body are the response's wire bytes outside the per-request
+	// fields, encoded once by the execution (Response.encode).
+	head, body []byte
 }
 
 // Phases is the per-phase wall-clock attribution a response and each

@@ -98,7 +98,7 @@ const (
 	ctrDeadline                 // executions canceled by deadline expiry (504)
 	ctrCanceled                 // executions canceled otherwise (drain, client gone)
 	ctrMalformed                // undecodable, oversized, or invalid requests
-	ctrFailed                   // executions failing with a compile/exec error (422)
+	ctrFailed                   // executions failing with a compile/exec error (422) or an unencodable response (500)
 	numCounters
 )
 
@@ -342,6 +342,7 @@ func quantileBlock(snap *telemetry.HistSnapshot) map[string]any {
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.c[ctrRequests].Add(1)
 	st := s.newReqState(r)
+	defer st.release()
 	s.tel.requestStarted()
 	defer s.tel.requestEnded()
 	if r.Method != http.MethodPost {
@@ -356,8 +357,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// Frontend phase: body decode, then either the identity hash alone (a
 	// repeat submission) or the kernel frontend and fingerprinting.
 	tFrontend := time.Now()
-	var req Request
-	if err := decodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
+	req := &st.req
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), req); err != nil {
 		st.tm.Frontend = time.Since(tFrontend)
 		s.c[ctrMalformed].Add(1)
 		var tooBig *http.MaxBytesError
@@ -374,7 +375,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// passed all of it, and it is a pure function of them. Anything else —
 	// a new spelling, an evicted entry, a request that failed before —
 	// takes the full path below, where the fingerprint decides.
-	ident := requestIdentity(&req)
+	ident := requestIdentity(req)
 	tLookup := time.Now()
 	s.mu.Lock()
 	res, ok := s.cache.lookup(ident)
@@ -388,7 +389,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sp, rerr := buildSpec(&req)
+	sp, rerr := buildSpec(req)
 	st.tm.Frontend = time.Since(tFrontend)
 	st.span("frontend", tFrontend, st.tm.Frontend)
 	if rerr != nil {
@@ -486,27 +487,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		st.fail(w, &e, s.opts.RetryAfter)
 		return
 	}
-	out := *fl.res
-	out.Coalesced = joined
-	st.respond(w, &out)
-}
-
-// decodeRequest decodes the body's one JSON object into req. Anything but
-// white space after it is an error: a decoder stops at the end of the first
-// value, so without the second read `{"app":"a"}{"app":"b"}` would compile a.
-func decodeRequest(body io.Reader, req *Request) error {
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(req); err != nil {
-		return err
-	}
-	switch err := dec.Decode(&struct{}{}); err {
-	case io.EOF:
-		return nil
-	case nil:
-		return errors.New("unexpected JSON value after the request object")
-	default:
-		return err
-	}
+	st.respond(w, fl.res, false, joined)
 }
 
 // dropWaiter unregisters a disconnected waiter; when the last one leaves an
@@ -619,7 +600,16 @@ func (s *Server) execute(j *job) (res *Response, rerr *Error) {
 		s.opts.OnCompile(j.sp.key)
 	}
 	s.c[ctrCompiles].Add(1)
-	return runSpec(j.ctx, j.sp, &j.fl.exec)
+	res, rerr = runSpec(j.ctx, j.sp, &j.fl.exec)
+	if rerr == nil {
+		// Encoded here, once, so every waiter and every later hit writes
+		// these bytes, and a response that cannot be encoded fails the
+		// flight with a structured body instead of reaching anyone as 200.
+		if err := res.encode(); err != nil {
+			return nil, &Error{Status: 500, Code: "encode", Msg: fmt.Sprintf("encoding the response: %v", err)}
+		}
+	}
+	return res, rerr
 }
 
 func (s *Server) logf(format string, a ...any) {
@@ -629,7 +619,7 @@ func (s *Server) logf(format string, a ...any) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

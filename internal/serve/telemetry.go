@@ -3,8 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"uu/internal/remark"
@@ -25,7 +26,8 @@ import (
 //   - admission: a leader's queue wait from enqueue to worker pickup
 //   - compile:   pipeline passes + codegen (pool execution only)
 //   - simulate:  gpusim execution (pool execution only)
-//   - encode:    response serialization and write
+//   - encode:    writing the response: for a 200, splicing the request's
+//     fields around the execution's encoded bytes (reqState.respond)
 var phaseNames = []string{"frontend", "resolve", "admission", "compile", "simulate", "encode"}
 
 // histogramNames lists every latency histogram family /metrics exposes,
@@ -175,12 +177,13 @@ func (t *serveTelemetry) phaseSnapshots() map[string]*telemetry.HistSnapshot {
 	return out
 }
 
-// reqState is the request-scoped observability context: the request ID
+// reqState is the request-scoped context: the decoded body, the request ID
 // every response body, access-log line, and trace event carries, the
 // handler-side phase timings, and — for sampled or ?trace=1 requests —
-// the request's own wall-clock trace.
+// the request's own wall-clock trace. States are recycled (release).
 type reqState struct {
 	srv   *Server
+	req   Request
 	id    string
 	start time.Time
 	tm    phaseTimings
@@ -195,22 +198,43 @@ type reqState struct {
 	exec      *phaseTimings // the pool execution's timings, when one produced this result
 }
 
-// newReqState mints the request ID and decides tracing: every
-// Options.TraceSample-th request is traced, and ?trace=1 forces it.
+var reqStates = sync.Pool{New: func() any { return new(reqState) }}
+
+// newReqState takes a zeroed state, mints the request ID and decides
+// tracing: every Options.TraceSample-th request is traced, and ?trace=1
+// forces it.
 func (s *Server) newReqState(r *http.Request) *reqState {
 	seq := s.reqSeq.Add(1)
-	st := &reqState{
-		srv:   s,
-		id:    fmt.Sprintf("r-%s-%06d", s.idEpoch, seq),
-		start: time.Now(),
-	}
-	if r != nil {
-		st.forceTrace = r.URL.Query().Get("trace") == "1"
-	}
+	st := reqStates.Get().(*reqState)
+	st.srv = s
+	st.id = requestID(s.idEpoch, seq)
+	st.start = time.Now()
+	st.forceTrace = r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
 	if st.forceTrace || (s.opts.TraceSample > 0 && (seq-1)%int64(s.opts.TraceSample) == 0) {
 		st.tr = remark.NewTrace()
 	}
 	return st
+}
+
+// release zeroes st and files it for a later request. The handler calls it
+// once the request is finished: nothing else keeps st or its Request.
+func (st *reqState) release() {
+	*st = reqState{}
+	reqStates.Put(st)
+}
+
+// requestID renders "r-<epoch>-<seq>", seq zero-padded to six digits.
+func requestID(epoch string, seq int64) string {
+	var buf [48]byte
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], seq, 10)
+	b := append(buf[:0], "r-"...)
+	b = append(b, epoch...)
+	b = append(b, '-')
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // span records a completed phase span on the request's trace, if any.
@@ -227,8 +251,8 @@ func (st *reqState) span(name string, start time.Time, dur time.Duration) {
 // or cached response). Total is the server-side wall clock up to — but
 // not including — response encoding, which is only observable in
 // /metrics (serve_phase_seconds{phase="encode"}).
-func (st *reqState) phasesMs() *Phases {
-	p := &Phases{
+func (st *reqState) phasesMs() Phases {
+	p := Phases{
 		FrontendMs: ms(st.tm.Frontend),
 		ResolveMs:  ms(st.tm.Resolve),
 		TotalMs:    ms(time.Since(st.start)),
@@ -243,35 +267,53 @@ func (st *reqState) phasesMs() *Phases {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
-// respond writes the 200 body, stamped with the request ID and phase
-// attribution, then finishes instrumentation.
-func (st *reqState) respond(w http.ResponseWriter, resp *Response) {
-	resp.RequestID = st.id
-	resp.Phases = st.phasesMs()
-	st.cached, st.coalesced = resp.Cached, resp.Coalesced
+// respond writes every 200: res's head, this request's ID and cache flags,
+// res's body, this request's phases and, under ?trace=1, its trace — one
+// pooled buffer, one Write — then finishes instrumentation. The bytes are
+// what json.Marshal writes for res with those fields set, plus a newline.
+func (st *reqState) respond(w http.ResponseWriter, res *Response, cached, coalesced bool) {
+	st.cached, st.coalesced = cached, coalesced
+	phases := st.phasesMs()
+	start := time.Now()
+	bp := takeBuf()
+	b := append(*bp, res.head...)
+	b = append(b, `"request_id":"`...)
+	b = append(b, st.id...)
+	b = append(b, `","cached":`...)
+	b = strconv.AppendBool(b, cached)
+	b = append(b, ',')
+	if coalesced {
+		b = append(b, `"coalesced":true,`...)
+	}
+	b = append(b, res.body...)
+	b = appendPhases(b, phases)
 	if st.tr != nil && st.forceTrace {
 		var buf bytes.Buffer
-		if err := st.tr.WriteJSON(&buf); err == nil {
+		if err := st.tr.WriteJSON(&buf); err == nil && buf.Len() > 0 {
 			// The returned trace necessarily misses its own encode span;
 			// the stored copy (GET /trace) includes it.
-			resp.TraceJSON = buf.String()
+			if tj, err := json.Marshal(buf.String()); err == nil {
+				b = append(b, `,"trace_json":`...)
+				b = append(b, tj...)
+			}
 		}
 	}
-	enc := writeJSONTimed(w, 200, resp)
-	st.finish(200, "", enc)
+	b = append(b, "}\n"...)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(200)
+	_, _ = w.Write(b)
+	fileBuf(bp, b)
+	st.finish(200, "", time.Since(start))
 }
 
 // respondCached answers from a cache entry; resolveStart is when this
-// request began looking for it. The entry is shared, so the stamps go on a
-// copy.
+// request began looking for it.
 func (st *reqState) respondCached(w http.ResponseWriter, res *Response, resolveStart time.Time) {
 	st.srv.c[ctrCacheHits].Add(1)
 	st.tm.Resolve = time.Since(resolveStart)
 	st.span("resolve", resolveStart, st.tm.Resolve)
-	out := *res
-	out.Cached = true
-	st.exec = &out.execTM // attribute the compute that filled the cache
-	st.respond(w, &out)
+	st.exec = &res.execTM // attribute the compute that filled the cache
+	st.respond(w, res, true, false)
 }
 
 // fail writes a structured error body — every error carries the request
@@ -350,7 +392,7 @@ func (s *Server) accessLog(st *reqState, status int, code string, total, encode 
 	p := st.phasesMs()
 	p.EncodeMs = ms(encode)
 	p.TotalMs = ms(total)
-	line.Phases = p
+	line.Phases = &p
 	b, err := json.Marshal(&line)
 	if err != nil {
 		return
@@ -411,20 +453,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.tel.reg.WritePrometheus(w)
-}
-
-// writeJSONTimed marshals v, writes it with the given status, and
-// returns the encode duration (marshal + write).
-func writeJSONTimed(w http.ResponseWriter, status int, v any) time.Duration {
-	start := time.Now()
-	b, err := json.Marshal(v)
-	if err != nil {
-		w.WriteHeader(500)
-		return time.Since(start)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(b)
-	_, _ = w.Write([]byte{'\n'})
-	return time.Since(start)
 }
