@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"uu/cmd/internal/cli"
 	"uu/internal/bench"
@@ -136,26 +135,16 @@ func execute(o *options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	trace := cli.StartTrace(o.trace)
-	cr, err := bench.Compile(b, opts)
-	lowered := time.Now()
-	if err != nil {
-		return err
-	}
 	var ref *interp.Memory
 	if o.verify {
 		if ref, err = bench.Reference(b, w); err != nil {
 			return err
 		}
 	}
-	var prof *gpusim.Profile
-	if o.profile != "" {
-		prof = gpusim.NewProfile(cr.Program)
-	}
-	simStart := time.Now()
-	m, err := bench.ExecuteCtx(context.Background(), cr, w, dev, ref, prof)
-	simDur := time.Since(simStart)
+
+	trace := cli.StartTrace(o.trace)
+	rec, err := bench.Run(context.Background(), bench.Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+		Options: opts, Device: dev, Want: ref, Profile: o.profile != ""})
 	if err != nil {
 		return err
 	}
@@ -164,37 +153,34 @@ func execute(o *options, stdout, stderr io.Writer) error {
 	if o.verify {
 		fmt.Fprintln(stdout, "verification: OK")
 	}
-	report(stdout, m, dev, cr.Program)
-	if prof != nil {
-		if err := writeProfile(o.profile, cr, prof); err != nil {
+	report(stdout, rec.Metrics, dev, rec.Program)
+	if rec.Profile != nil {
+		if err := writeProfile(o.profile, rec); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "profile                %s.{hotspots.txt,folded,pb.gz}\n", o.profile)
 	}
 	if remarks != nil {
-		if err := remark.WriteYAML(stderr, remarks.Remarks(), kinds); err != nil {
+		if err := remark.WriteYAML(stderr, rec.Remarks, kinds); err != nil {
 			return err
 		}
 	}
-	// The trace is rendered from the layers' records and this command's own
-	// clocks: when codegen finished, the simulation's start and length.
-	bench.TraceCompile(trace, 0, cr.Stats, lowered)
-	bench.TraceSim(trace, 0, cr.Stats.Function, simStart, simDur, m, dev)
+	rec.Trace(trace, 0, dev)
 	return cli.WriteTrace(trace, o.trace)
 }
 
-// writeProfile renders the hotspot profile as <prefix>.hotspots.txt (tables
-// plus, for heuristic runs, the predicted-vs-measured join) and the
+// writeProfile renders the run's hotspot profile as <prefix>.hotspots.txt
+// (tables plus, for heuristic runs, the predicted-vs-measured join) and the
 // flamegraph pair <prefix>.folded / <prefix>.pb.gz.
-func writeProfile(prefix string, cr *bench.CompileResult, prof *gpusim.Profile) error {
-	rep := profile.Build(cr.Program, prof)
+func writeProfile(prefix string, rec *bench.RunRecord) error {
+	rep := profile.Build(rec.Program, rec.Profile)
 	err := cli.WriteFile(prefix+".hotspots.txt", func(w io.Writer) error {
 		if err := profile.WriteHotspots(w, rep); err != nil {
 			return err
 		}
-		if len(cr.Stats.Decisions) > 0 {
+		if st := rec.Stats; len(st.Decisions) > 0 {
 			fmt.Fprintln(w)
-			return profile.WritePrediction(w, rep, cr.Stats.Decisions, cr.Stats.Skips, core.DefaultHeuristicParams().C)
+			return profile.WritePrediction(w, rep, st.Decisions, st.Skips, core.DefaultHeuristicParams().C)
 		}
 		return nil
 	})

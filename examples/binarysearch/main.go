@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,16 +32,16 @@ func main() {
 		log.Fatalf("reference: %v", err)
 	}
 
-	compile := func(opts pipeline.Options) *bench.CompileResult {
-		cr, err := bench.Compile(b, opts)
+	run := func(opts pipeline.Options) *bench.RunRecord {
+		rec, err := bench.Run(context.Background(), bench.Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+			Options: opts, Device: dev, Want: ref})
 		if err != nil {
-			log.Fatalf("compile %s: %v", opts.Config, err)
+			log.Fatal(err)
 		}
-		return cr
+		return rec
 	}
-
-	base := compile(pipeline.Options{Config: pipeline.Baseline})
-	uu := compile(pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 2})
+	base := run(pipeline.Options{Config: pipeline.Baseline})
+	uu := run(pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 2})
 
 	fmt.Println("=== Listing 4 analogue: baseline VPTX uses selp (predication) ===")
 	fmt.Printf("baseline: %d selp, %d conditional branches, %d instructions\n",
@@ -50,15 +51,7 @@ func main() {
 	fmt.Printf("u&u (u=2): %d selp, %d conditional branches, %d instructions\n\n",
 		uu.Program.CountKind(codegen.KSelp), uu.Program.CountKind(codegen.KCondBra),
 		uu.Program.NumInstrs())
-
-	baseM, err := bench.Execute(base, w, dev, ref)
-	if err != nil {
-		log.Fatalf("baseline run: %v", err)
-	}
-	uuM, err := bench.Execute(uu, w, dev, ref)
-	if err != nil {
-		log.Fatalf("u&u run: %v", err)
-	}
+	baseM, uuM := base.Metrics, uu.Metrics
 	fmt.Println("both configurations verified against the reference interpreter")
 
 	fmt.Println("\n=== Section V counters (baseline -> u&u) ===")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,31 +54,24 @@ func main() {
 	if err != nil {
 		log.Fatalf("reference: %v", err)
 	}
-	base, err := bench.Compile(b, pipeline.Options{Config: pipeline.Baseline})
-	if err != nil {
-		log.Fatalf("baseline: %v", err)
+	run := func(opts pipeline.Options) *bench.RunRecord {
+		rec, err := bench.Run(context.Background(), bench.Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+			Options: opts, Device: dev, Want: ref})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rec
 	}
-	baseM, err := bench.Execute(base, w, dev, ref)
-	if err != nil {
-		log.Fatalf("baseline run: %v", err)
-	}
+	base := run(pipeline.Options{Config: pipeline.Baseline})
 	fmt.Printf("%-10s time=%.5f ms  warp_eff=%6.2f%%  stall_fetch=%5.2f%%  code=%d B\n",
-		"baseline", baseM.KernelMillis(dev), baseM.WarpExecutionEfficiency(dev)*100,
-		baseM.StallInstFetchPct()*100, base.Program.CodeBytes())
+		"baseline", base.Millis, base.Metrics.WarpExecutionEfficiency(dev)*100,
+		base.Metrics.StallInstFetchPct()*100, base.CodeBytes)
 
 	for _, u := range []int{2, 4, 8} {
-		cr, err := bench.Compile(b, pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: u})
-		if err != nil {
-			log.Fatalf("u&u u=%d: %v", u, err)
-		}
-		m, err := bench.Execute(cr, w, dev, ref)
-		if err != nil {
-			log.Fatalf("u&u u=%d run: %v", u, err)
-		}
+		rec := run(pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: u})
 		fmt.Printf("u&u u=%-4d time=%.5f ms  warp_eff=%6.2f%%  stall_fetch=%5.2f%%  code=%d B  (speedup %.3fx)\n",
-			u, m.KernelMillis(dev), m.WarpExecutionEfficiency(dev)*100,
-			m.StallInstFetchPct()*100, cr.Program.CodeBytes(),
-			baseM.KernelMillis(dev)/m.KernelMillis(dev))
+			u, rec.Millis, rec.Metrics.WarpExecutionEfficiency(dev)*100,
+			rec.Metrics.StallInstFetchPct()*100, rec.CodeBytes, rec.Speedup(base))
 	}
 	fmt.Println("\nAs in the paper: warp execution efficiency collapses, instruction")
 	fmt.Println("fetch stalls blow up, and the slowdown grows with the unroll factor.")

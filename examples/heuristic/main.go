@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,30 +46,24 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s reference: %v", app, err)
 		}
-		base, err := bench.Compile(b, pipeline.Options{Config: pipeline.Baseline})
-		if err != nil {
-			log.Fatalf("%s baseline: %v", app, err)
+		run := func(opts pipeline.Options) *bench.RunRecord {
+			rec, err := bench.Run(context.Background(), bench.Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+				Options: opts, Device: dev, Want: ref})
+			if err != nil {
+				log.Fatal(err)
+			}
+			return rec
 		}
-		baseM, err := bench.Execute(base, w, dev, ref)
-		if err != nil {
-			log.Fatalf("%s baseline run: %v", app, err)
-		}
-		fmt.Printf("%-16s %7.4fms", app, baseM.KernelMillis(dev))
+		base := run(pipeline.Options{Config: pipeline.Baseline})
+		fmt.Printf("%-16s %7.4fms", app, base.Millis)
 		for _, s := range settings {
-			cr, err := bench.Compile(b, pipeline.Options{Config: pipeline.UUHeuristic, Heuristic: s.params})
-			if err != nil {
-				log.Fatalf("%s %s: %v", app, s.name, err)
-			}
-			m, err := bench.Execute(cr, w, dev, ref)
-			if err != nil {
-				log.Fatalf("%s %s run: %v", app, s.name, err)
-			}
+			rec := run(pipeline.Options{Config: pipeline.UUHeuristic, Heuristic: s.params})
 			factor := "-"
-			if len(cr.Stats.Decisions) > 0 {
-				factor = fmt.Sprintf("u%d", cr.Stats.Decisions[0].Factor)
+			if len(rec.Stats.Decisions) > 0 {
+				factor = fmt.Sprintf("u%d", rec.Stats.Decisions[0].Factor)
 			}
 			fmt.Printf(" %7.3fx/%6dB %-3s",
-				baseM.KernelMillis(dev)/m.KernelMillis(dev), cr.Program.CodeBytes(), factor)
+				rec.Speedup(base), rec.CodeBytes, factor)
 		}
 		fmt.Println()
 	}

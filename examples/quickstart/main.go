@@ -1,18 +1,20 @@
-// Quickstart: compile a small CUDA-like kernel, optimize it with the
-// baseline -O3 pipeline and with unroll-and-unmerge, execute both on the
-// SIMT simulator, and compare kernel time and counters.
+// Quickstart: describe a small CUDA-like kernel and its launch, run it
+// through the baseline -O3 pipeline and through unroll-and-unmerge on the
+// SIMT simulator (bench.Run), check both against the reference interpreter,
+// and compare kernel time and counters.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"uu/internal/bench"
 	"uu/internal/codegen"
 	"uu/internal/gpusim"
 	"uu/internal/interp"
-	"uu/internal/lang"
 	"uu/internal/pipeline"
 )
 
@@ -42,39 +44,37 @@ kernel decay(double* restrict out, long n, long k0) {
 func main() {
 	const n = 1024
 	dev := gpusim.V100()
-	launch := gpusim.Launch{GridDim: n / 128, BlockDim: 128}
-	args := []interp.Value{interp.IntVal(0), interp.IntVal(n), interp.IntVal(40)}
+	// The kernel and what it runs on: the arguments (out at byte 0, n, k0),
+	// the memory, the launch, and the output region the results are
+	// checked in.
+	b := &bench.Benchmark{Name: "decay", Source: src}
+	w := &bench.Workload{
+		Args:    []interp.Value{interp.IntVal(0), interp.IntVal(n), interp.IntVal(40)},
+		MemSize: 8 * n,
+		Launch:  gpusim.Launch{GridDim: n / 128, BlockDim: 128},
+		Outputs: []bench.Region{{Name: "out", Base: 0, Count: n, Elem: "f64"}},
+	}
+	// The transformation must not change results: every run is checked
+	// against the unoptimized kernel on the reference interpreter.
+	ref, err := bench.Reference(b, w)
+	if err != nil {
+		log.Fatalf("reference: %v", err)
+	}
 
-	run := func(opts pipeline.Options) (*gpusim.Metrics, *interp.Memory) {
-		f := lang.MustCompileKernel(src)
-		if _, err := pipeline.Optimize(f, opts); err != nil {
-			log.Fatalf("pipeline: %v", err)
-		}
-		prog, err := codegen.Lower(f)
+	run := func(opts pipeline.Options) *bench.RunRecord {
+		rec, err := bench.Run(context.Background(), bench.Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+			Options: opts, Device: dev, Want: ref})
 		if err != nil {
-			log.Fatalf("codegen: %v", err)
-		}
-		mem := interp.NewMemory(8 * n)
-		m, err := gpusim.Run(prog, args, mem, launch, dev)
-		if err != nil {
-			log.Fatalf("sim: %v", err)
+			log.Fatal(err)
 		}
 		fmt.Printf("%-12s  time=%.5f ms  thread-instrs=%-8d inst_misc=%-7d code=%d B\n",
-			opts.Config, m.KernelMillis(dev), m.ThreadInstrs,
-			m.ClassThread[codegen.ClassMisc], prog.CodeBytes())
-		return m, mem
+			opts.Config, rec.Millis, rec.Metrics.ThreadInstrs,
+			rec.Metrics.ClassThread[codegen.ClassMisc], rec.CodeBytes)
+		return rec
 	}
 
 	fmt.Println("config        metrics")
-	base, baseMem := run(pipeline.Options{Config: pipeline.Baseline})
-	uu, uuMem := run(pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 4})
-
-	// The transformation must not change results.
-	for i := int64(0); i < n; i++ {
-		if baseMem.F64(0, i) != uuMem.F64(0, i) {
-			log.Fatalf("result mismatch at %d: %v vs %v", i, baseMem.F64(0, i), uuMem.F64(0, i))
-		}
-	}
-	fmt.Printf("\nresults identical; u&u speedup over baseline: %.3fx\n",
-		base.KernelMillis(dev)/uu.KernelMillis(dev))
+	base := run(pipeline.Options{Config: pipeline.Baseline})
+	uu := run(pipeline.Options{Config: pipeline.UU, LoopID: 0, Factor: 4})
+	fmt.Printf("\nresults identical; u&u speedup over baseline: %.3fx\n", uu.Speedup(base))
 }

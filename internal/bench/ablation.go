@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -69,18 +70,18 @@ func RunAblations(app string, loopID, factor int, dev gpusim.DeviceConfig) ([]Ab
 	var baseMillis float64
 	for _, v := range AblationVariants(loopID, factor) {
 		row := AblationRow{Name: v.Name}
-		cr, err := Compile(b, v.Opts)
+		rec, err := Run(context.Background(), Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+			Options: v.Opts, Device: dev, Want: ref})
 		if err != nil {
+			if rec.Program != nil {
+				return nil, fmt.Errorf("%s/%s: %w", app, v.Name, err)
+			}
 			row.Err = err.Error()
 			rows = append(rows, row)
 			continue
 		}
-		m, err := Execute(cr, w, dev, ref)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", app, v.Name, err)
-		}
-		row.Millis = m.KernelMillis(dev)
-		row.Code = cr.Program.CodeBytes()
+		row.Millis = rec.Millis
+		row.Code = rec.CodeBytes
 		if v.Name == "baseline" {
 			baseMillis = row.Millis
 		}

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"uu/internal/codegen"
@@ -88,15 +87,15 @@ func (w *Workload) SetInput(mode InputMode) {
 }
 
 // initialImage returns the workload's initial memory image, generating it
-// on first use. Callers only read it.
+// on first use. Callers only read it. A workload without Init starts from
+// zeros and keeps no image: nil, which every memory constructor pads with
+// zeros to MemSize.
 func (w *Workload) initialImage() []byte {
 	w.imageMu.Lock()
 	defer w.imageMu.Unlock()
-	if w.image == nil {
+	if w.image == nil && w.Init != nil {
 		m := interp.NewMemory(w.MemSize)
-		if w.Init != nil {
-			w.Init(m)
-		}
+		w.Init(m)
 		w.image = m.Data
 	}
 	return w.image
@@ -105,7 +104,9 @@ func (w *Workload) initialImage() []byte {
 // NewMemory builds a fresh initialized memory for the workload. The caller
 // owns it.
 func (w *Workload) NewMemory() *interp.Memory {
-	return &interp.Memory{Data: slices.Clone(w.initialImage())}
+	m := interp.NewMemory(w.MemSize)
+	copy(m.Data, w.initialImage())
+	return m
 }
 
 // AcquireMemory is NewMemory on a recycled buffer (interp.AcquireMemory),
@@ -185,17 +186,29 @@ func reference(b *Benchmark, w *Workload, ctr *interp.Counters) (*interp.Memory,
 	if err != nil {
 		return nil, err
 	}
+	mem, err := Interpret(f, w, interp.DefaultMaxSteps, ctr)
+	if err != nil {
+		return nil, fmt.Errorf("bench %s: reference %w", b.Name, err)
+	}
+	return mem, nil
+}
+
+// Interpret runs f with the sequential interpreter once per thread of the
+// workload's launch, each thread within maxSteps, on a fresh memory of the
+// workload, and returns that memory. A non-nil ctr tallies the executed
+// operations.
+func Interpret(f *ir.Function, w *Workload, maxSteps int64, ctr *interp.Counters) (*interp.Memory, error) {
 	mem := w.NewMemory()
-	total := w.Launch.Threads()
-	for tid := 0; tid < total; tid++ {
+	l := w.Launch
+	for tid := 0; tid < l.Threads(); tid++ {
 		env := interp.Env{
-			TID:    int32(tid % w.Launch.BlockDim),
-			NTID:   int32(w.Launch.BlockDim),
-			CTAID:  int32(tid / w.Launch.BlockDim),
-			NCTAID: int32(w.Launch.GridDim),
+			TID:    int32(tid % l.BlockDim),
+			NTID:   int32(l.BlockDim),
+			CTAID:  int32(tid / l.BlockDim),
+			NCTAID: int32(l.GridDim),
 		}
-		if _, err := interp.RunCounted(f, w.Args, mem, env, ctr); err != nil {
-			return nil, fmt.Errorf("bench %s: reference thread %d: %w", b.Name, tid, err)
+		if _, err := interp.RunSteps(f, w.Args, mem, env, maxSteps, ctr); err != nil {
+			return nil, fmt.Errorf("thread %d: %w", tid, err)
 		}
 	}
 	return mem, nil
@@ -250,55 +263,59 @@ type CompileResult struct {
 }
 
 // Compile lowers the benchmark's kernel through the given pipeline
-// configuration down to VPTX.
+// configuration down to VPTX. A pipeline or codegen error comes with a
+// CompileResult that has no Program but still carries the Stats of what ran.
+// Run is the same compile followed by the simulation, clocked.
 func Compile(b *Benchmark, opts pipeline.Options) (*CompileResult, error) {
-	return CompileCtx(context.Background(), b, opts)
-}
-
-// CompileCtx is Compile under a context: cancellation stops the pipeline at
-// the next pass boundary (pipeline.OptimizeCtx). A pipeline or codegen error
-// comes with a CompileResult that has no Program but still carries the
-// Stats of what ran. Codegen follows the pipeline at once and is the last
-// thing done, so a caller that clocks this call knows when it ran: from
-// Stats.Start+Stats.CompileTime until the call returned.
-func CompileCtx(ctx context.Context, b *Benchmark, opts pipeline.Options) (*CompileResult, error) {
-	f, err := b.CompileKernel()
-	if err != nil {
+	f, st, prog, err := compile(context.Background(), b.Name, b.CompileKernel, opts)
+	if f == nil {
 		return nil, err
 	}
-	cr := &CompileResult{Func: f}
-	if cr.Stats, err = pipeline.OptimizeCtx(ctx, f, opts); err == nil {
-		cr.Program, err = codegen.Lower(f)
+	return &CompileResult{Program: prog, Stats: st, Func: f}, err
+}
+
+// compile takes a fresh copy of a kernel from its frontend and lowers it
+// through the pipeline under ctx (cancellation stops it at the next pass
+// boundary) and codegen. It returns what it got as far as it got: f is nil
+// when the frontend failed, prog when the pipeline or codegen did. Pipeline
+// and codegen errors are labelled with name and the configuration.
+func compile(ctx context.Context, name string, kernel func() (*ir.Function, error), opts pipeline.Options) (f *ir.Function, st *pipeline.Stats, prog *codegen.Program, err error) {
+	if f, err = kernel(); err != nil {
+		return nil, nil, nil, err
+	}
+	if st, err = pipeline.OptimizeCtx(ctx, f, opts); err == nil {
+		prog, err = codegen.Lower(f)
 	}
 	if err != nil {
-		return cr, fmt.Errorf("bench %s (%s): %w", b.Name, opts.Config, err)
+		return f, st, nil, fmt.Errorf("bench %s (%s): %w", name, opts.Config, err)
 	}
-	return cr, nil
+	return f, st, prog, nil
 }
 
 // Execute runs a compiled kernel on the simulator. When verifyAgainst is
 // non-nil the resulting memory is checked against it.
 func Execute(cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory) (*gpusim.Metrics, error) {
-	return ExecuteCtx(context.Background(), cr, w, cfg, verifyAgainst, nil)
+	return execute(context.Background(), cr.Program, w, cfg, verifyAgainst, nil)
 }
 
-// ExecuteCtx is Execute in full (gpusim.RunCtx): cancellation of ctx stops
-// the simulation at the next warp-block boundary, and a non-nil prof, sized
-// for cr.Program (gpusim.NewProfile), accumulates per-PC hotspot counters.
-func ExecuteCtx(ctx context.Context, cr *CompileResult, w *Workload, cfg gpusim.DeviceConfig, verifyAgainst *interp.Memory, prof *gpusim.Profile) (*gpusim.Metrics, error) {
+// execute simulates prog over w (gpusim.RunCtx): cancellation of ctx stops
+// the simulation at the next warp-block boundary, a non-nil prof, sized for
+// prog (gpusim.NewProfile), accumulates per-PC hotspot counters, and a
+// non-nil want is the oracle the outputs are checked against.
+func execute(ctx context.Context, prog *codegen.Program, w *Workload, cfg gpusim.DeviceConfig, want *interp.Memory, prof *gpusim.Profile) (*gpusim.Metrics, error) {
 	// The image never leaves this function, so its buffer is a recycled one.
 	mem := w.AcquireMemory()
 	defer interp.ReleaseMemory(mem)
 	launch := w.Launch
-	if verifyAgainst != nil {
+	if want != nil {
 		launch.SampleWarps = 0 // full run required for verification
 	}
-	m, err := gpusim.RunCtx(ctx, cr.Program, w.Args, mem, launch, cfg, prof)
+	m, err := gpusim.RunCtx(ctx, prog, w.Args, mem, launch, cfg, prof)
 	if err != nil {
 		return nil, err
 	}
-	if verifyAgainst != nil {
-		if err := CompareOutputs(w, verifyAgainst, mem); err != nil {
+	if want != nil {
+		if err := CompareOutputs(w, want, mem); err != nil {
 			return nil, fmt.Errorf("verification failed: %w", err)
 		}
 	}

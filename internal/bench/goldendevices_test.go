@@ -32,19 +32,17 @@ var updateGoldenDevices = flag.Bool("update-golden-devices", false, "rewrite tes
 var goldenDevices = []string{"MinSPPC", "Vortex"}
 
 func goldenDeviceCell(b *Benchmark, opts pipeline.Options, dev gpusim.DeviceConfig) (metrics, prof string) {
-	cr, err := Compile(b, opts)
-	if err != nil {
-		s := fmt.Sprintf("SKIP: %v\n", err)
-		return s, s
-	}
-	w := b.NewWorkload()
-	p := gpusim.NewProfile(cr.Program)
-	m, err := ExecuteCtx(context.Background(), cr, w, dev, nil, p)
+	rec, err := Run(context.Background(), Job{Name: b.Name, Kernel: b.CompileKernel, Workload: b.NewWorkload(),
+		Options: opts, Device: dev, Profile: true})
 	if err != nil {
 		s := fmt.Sprintf("ERROR: %v\n", err)
+		if rec.Program == nil {
+			s = fmt.Sprintf("SKIP: %v\n", err)
+		}
 		return s, s
 	}
-	rep := profile.Build(cr.Program, p)
+	m := rec.Metrics
+	rep := profile.Build(rec.Program, rec.Profile)
 	var sb strings.Builder
 	if err := profile.WriteHotspots(&sb, rep); err != nil {
 		panic(err)

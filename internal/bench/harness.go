@@ -7,62 +7,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"uu/internal/analysis"
-	"uu/internal/codegen"
 	"uu/internal/gpusim"
 	"uu/internal/harden"
 	"uu/internal/interp"
 	"uu/internal/pipeline"
 	"uu/internal/remark"
 )
-
-// RunRecord is one (application, configuration, loop, factor) measurement.
-type RunRecord struct {
-	App    string
-	Config pipeline.Config
-	LoopID int // -1 for whole-app configurations (baseline, heuristic)
-	Factor int // 0 when not applicable
-
-	Millis    float64
-	CodeBytes int64
-	CompileMs float64
-	Metrics   *gpusim.Metrics
-	Skipped   string // non-empty when the loop was untransformable
-	// Stats is the compilation's own record as far as it got — ordered pass
-	// record, compile clock, the heuristic's Decisions and Skips, and the
-	// pass Failures the guard contained (HarnessOptions.Contain; such a run
-	// still produced a program, but its numbers describe the pipeline with
-	// those passes skipped). Nil only when the frontend failed. The four
-	// fields after it are the job's host-side wall clock, which depends on
-	// machine load and worker count and describes the harness, not the
-	// kernel; TraceCampaign renders both.
-	Stats        *pipeline.Stats
-	Worker       int           // harness worker that ran the job
-	Start        time.Time     // when it picked the job up
-	CompileWall  time.Duration // frontend + pipeline + codegen, from Start
-	SimulateWall time.Duration // simulation + oracle comparison, right after
-	// Remarks is this run's optimization-remark stream, in emission order
-	// (HarnessOptions.Remarks). The final entry is the gpusim SimMetrics
-	// remark for runs that simulated.
-	Remarks []remark.Remark
-	// Profile is the run's per-PC hotspot profile (HarnessOptions.Profile),
-	// byte-identical for any Workers count; Program is retained
-	// alongside it so reports can join the profile with the line table.
-	// Both are nil when profiling is off.
-	Profile *gpusim.Profile
-	Program *codegen.Program
-}
-
-// Speedup returns base.Millis / r.Millis (the paper's speedup definition,
-// kernel time only).
-func (r *RunRecord) Speedup(base *RunRecord) float64 {
-	if r.Millis == 0 {
-		return 0
-	}
-	return base.Millis / r.Millis
-}
 
 // Results holds a full experiment sweep.
 type Results struct {
@@ -202,14 +154,12 @@ func progressLog(w io.Writer) func(format string, args ...any) {
 }
 
 // harnessJob is one planned (application, configuration, loop, factor)
-// measurement. Jobs are enumerated in campaign order up front; workers pick
-// them up in that order and write results by index, so the assembled
-// Results are identical regardless of concurrency.
+// measurement: the run, planned in full, and the cell it fills. Jobs are
+// enumerated in campaign order up front; workers pick them up in that order
+// and write results by index, so the assembled Results are identical
+// regardless of concurrency.
 type harnessJob struct {
-	b      *Benchmark
-	w      *Workload
-	ref    *interp.Memory // verification oracle, nil unless opts.Verify
-	cfg    pipeline.Options
+	Job
 	loopID int
 	factor int
 	// destination: exactly one of these is set
@@ -275,7 +225,8 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 			cfg.Contain = opts.Contain
 			cfg.VerifyEachPass = opts.VerifyEach
 			cfg.Inject = opts.Inject
-			jobs = append(jobs, harnessJob{b: b, w: w, ref: ref, cfg: cfg, loopID: loopID, factor: factor})
+			jobs = append(jobs, harnessJob{Job: Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
+				Options: cfg, Device: dev, Want: ref, Profile: opts.Profile}, loopID: loopID, factor: factor})
 			return &jobs[len(jobs)-1]
 		}
 		add(pipeline.Options{Config: pipeline.Baseline}, -1, 0).isBaseline = true
@@ -295,7 +246,7 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 	recs := make([]*RunRecord, len(jobs))
 	errs := make([]error, len(jobs))
 	runIndexed(ctx, opts.Workers, len(jobs), func(worker, idx int) {
-		recs[idx], errs[idx] = runJob(ctx, &jobs[idx], dev, logf, &opts, worker)
+		recs[idx], errs[idx] = runJob(ctx, &jobs[idx], opts.Remarks, logf, worker)
 	})
 	canceled := ctx.Err() != nil
 	for _, err := range errs {
@@ -320,9 +271,9 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 		res.Remarks = append(res.Remarks, rec.Remarks...)
 		switch {
 		case j.isBaseline:
-			res.Baseline[j.b.Name] = rec
+			res.Baseline[j.Name] = rec
 		case j.isHeuristic:
-			res.Heuristic[j.b.Name] = rec
+			res.Heuristic[j.Name] = rec
 		default:
 			res.PerLoop = append(res.PerLoop, rec)
 		}
@@ -333,70 +284,51 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 	return res, nil
 }
 
-// runJob performs one measurement: compile (an untransformable loop is
-// recorded as skipped, not an error), simulate, optionally verify against
-// the oracle. Execution failures are fatal — they mean a miscompilation or
-// a simulator bug, not an expected bail-out.
-func runJob(ctx context.Context, j *harnessJob, dev gpusim.DeviceConfig, logf func(string, ...any), hopts *HarnessOptions, worker int) (*RunRecord, error) {
-	rec := &RunRecord{App: j.b.Name, Config: j.cfg.Config, LoopID: j.loopID, Factor: j.factor,
-		Worker: worker, Start: time.Now()}
-	// Copy the planned options before attaching per-run sinks: jobs are
-	// shared planning state and must stay immutable once the pool starts.
-	cfg := j.cfg
+// runJob performs one measurement (Run): an untransformable loop is recorded
+// as skipped, not an error. Execution failures are fatal — they mean a
+// miscompilation or a simulator bug, not an expected bail-out.
+func runJob(ctx context.Context, j *harnessJob, remarks bool, logf func(string, ...any), worker int) (*RunRecord, error) {
+	// Copy the planned run before attaching per-run sinks: jobs are shared
+	// planning state and must stay immutable once the pool starts.
+	job := j.Job
 	var rc *remark.Collector
-	if hopts.Remarks {
+	if remarks {
 		rc = remark.NewCollector()
-		cfg.Remarks = rc
+		job.Options.Remarks = rc
 	}
-	cr, err := CompileCtx(ctx, j.b, cfg)
-	compiled := time.Now()
-	rec.CompileWall = compiled.Sub(rec.Start)
-	if cr != nil {
-		rec.Stats = cr.Stats
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			// An aborted compile is cancellation, not an untransformable
-			// loop: leave no record so partial assembly skips this job.
-			return nil, err
-		}
+	rec, err := Run(ctx, job)
+	rec.App, rec.LoopID, rec.Factor, rec.Worker = j.Name, j.loopID, j.factor, worker
+	switch {
+	case err == nil:
+	case rec.Program != nil:
+		return nil, fmt.Errorf("bench %s %s loop %d u%d: %w", j.Name, rec.Config, j.loopID, j.factor, err)
+	case ctx.Err() != nil:
+		// An aborted compile is cancellation, not an untransformable
+		// loop: leave no record so partial assembly skips this job.
+		return nil, err
+	default:
 		rec.Skipped = err.Error()
-		rec.Remarks = rc.Remarks()
 		return rec, nil
 	}
-	rec.CompileMs = float64((cr.Stats.CompileTime - cr.Stats.VerifyTime).Microseconds()) / 1000
-	rec.CodeBytes = cr.Program.CodeBytes()
-	var prof *gpusim.Profile
-	if hopts.Profile {
-		prof = gpusim.NewProfile(cr.Program)
-		rec.Profile = prof
-		rec.Program = cr.Program
-	}
-	m, err := ExecuteCtx(ctx, cr, j.w, dev, j.ref, prof)
-	rec.SimulateWall = time.Since(compiled)
-	if err != nil {
-		return nil, fmt.Errorf("bench %s %s loop %d u%d: %w", j.b.Name, j.cfg.Config, j.loopID, j.factor, err)
-	}
-	rec.Metrics = m
-	rec.Millis = m.KernelMillis(dev)
 	if rc.Enabled() {
 		// Metrics are deterministic, so this remark is as deterministic as
 		// the compile-time ones.
+		m := rec.Metrics
 		rc.Emit(remark.Remark{Kind: remark.Analysis, Pass: "gpusim", Name: "SimMetrics",
-			Function: cr.Func.Name, Args: []remark.Arg{
+			Function: rec.Stats.Function, Args: []remark.Arg{
 				remark.Int("Cycles", m.Cycles),
 				remark.Int("WarpInstrs", m.WarpInstrs),
 				remark.Int("ThreadInstrs", m.ThreadInstrs),
-				remark.Float("WarpExecutionEfficiency", m.WarpExecutionEfficiency(dev)),
+				remark.Float("WarpExecutionEfficiency", m.WarpExecutionEfficiency(j.Device)),
 				remark.Int("GldTransactions", m.GldTransactions),
 				remark.Int("GstTransactions", m.GstTransactions),
 				remark.Int("StallInstFetch", m.StallInstFetch),
 				remark.Int("DepStallCycles", m.DepStallCycles),
 			}})
+		rec.Remarks = rc.Remarks()
 	}
-	rec.Remarks = rc.Remarks()
 	logf("%-16s %-12s loop=%-3d u=%-2d %10.4f ms  code=%6d B  compile=%7.2f ms",
-		j.b.Name, j.cfg.Config, j.loopID, j.factor, rec.Millis, rec.CodeBytes, rec.CompileMs)
+		j.Name, rec.Config, j.loopID, j.factor, rec.Millis, rec.CodeBytes, rec.CompileMs)
 	return rec, nil
 }
 

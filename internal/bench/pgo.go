@@ -178,50 +178,47 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 	measureBase bool, basePtr *float64) (*PGOAppRound, error) {
 
 	a := &PGOAppRound{App: b.Name, Overrides: derived, Next: derived}
+	w := b.NewWorkload()
+	w.SetInput(input)
+	job := Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w, Device: dev}
 
 	if measureBase {
-		w := b.NewWorkload()
-		w.SetInput(input)
-		cr, err := CompileCtx(ctx, b, pipeline.Options{Config: pipeline.Baseline})
+		job.Options = pipeline.Options{Config: pipeline.Baseline}
+		rec, err := Run(ctx, job)
 		if err != nil {
 			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
 		}
-		m, err := ExecuteCtx(ctx, cr, w, dev, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
-		}
-		*basePtr = m.KernelMillis(dev)
+		*basePtr = rec.Millis
 	}
 	a.BaselineMillis = *basePtr
 
 	params := base.FillDefaults()
 	// Explicit overrides in the base params are pins and win over derived.
 	params.Overrides = core.MergeOverrides(derived, base.Overrides)
-	w := b.NewWorkload()
-	w.SetInput(input)
-	cr, err := CompileCtx(ctx, b, pipeline.Options{Config: pipeline.UUHeuristic, Heuristic: params})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
+	job.Options = pipeline.Options{Config: pipeline.UUHeuristic, Heuristic: params}
+	job.Profile = true
+	rec, err := Run(ctx, job)
+	switch {
+	case err == nil:
+	case rec.Program != nil:
+		return nil, fmt.Errorf("bench pgo %s heuristic: %w", b.Name, err)
+	case ctx.Err() != nil:
+		return nil, err
+	default:
 		a.Skipped = err.Error()
 		return a, nil
 	}
-	prof := gpusim.NewProfile(cr.Program)
-	m, err := ExecuteCtx(ctx, cr, w, dev, nil, prof)
-	if err != nil {
-		return nil, fmt.Errorf("bench pgo %s heuristic: %w", b.Name, err)
-	}
-	a.Millis = m.KernelMillis(dev)
+	a.Millis = rec.Millis
 	if a.Millis > 0 {
 		a.Speedup = a.BaselineMillis / a.Millis
 	}
-	a.Decisions = cr.Stats.Decisions
+	st := rec.Stats
+	a.Decisions = st.Decisions
 
-	rep := profile.Build(cr.Program, prof)
-	ev := profile.Evaluate(rep, cr.Stats.Decisions, cr.Stats.Skips)
+	rep := profile.Build(rec.Program, rec.Profile)
+	ev := profile.Evaluate(rep, st.Decisions, st.Skips)
 	a.Verdict, a.Reason = ev.Verdict, ev.Reason
-	fb := profile.ExtractFeedback(rep, cr.Stats.Decisions, cr.Stats.Skips, a.Speedup)
+	fb := profile.ExtractFeedback(rep, st.Decisions, st.Skips, a.Speedup)
 	a.Signals = fb.Signals
 	a.Next, a.Changed = core.SuggestOverrides(derived, fb)
 	return a, nil

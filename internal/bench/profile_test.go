@@ -20,23 +20,22 @@ import (
 // decisions, and the folded stacks — or a SKIP line when the pipeline
 // refuses the configuration.
 func goldenProfile(b *Benchmark, opts pipeline.Options) string {
-	cr, err := Compile(b, opts)
+	rec, err := Run(context.Background(), Job{Name: b.Name, Kernel: b.CompileKernel, Workload: b.NewWorkload(),
+		Options: opts, Device: gpusim.V100(), Profile: true})
 	if err != nil {
-		return fmt.Sprintf("SKIP: %v\n", err)
-	}
-	w := b.NewWorkload()
-	prof := gpusim.NewProfile(cr.Program)
-	if _, err := ExecuteCtx(context.Background(), cr, w, gpusim.V100(), nil, prof); err != nil {
+		if rec.Program == nil {
+			return fmt.Sprintf("SKIP: %v\n", err)
+		}
 		return fmt.Sprintf("ERROR: %v\n", err)
 	}
-	rep := profile.Build(cr.Program, prof)
+	rep := profile.Build(rec.Program, rec.Profile)
 	var sb strings.Builder
 	if err := profile.WriteHotspots(&sb, rep); err != nil {
 		panic(err)
 	}
-	if len(cr.Stats.Decisions) > 0 {
+	if len(rec.Stats.Decisions) > 0 {
 		sb.WriteString("\n")
-		if err := profile.WritePrediction(&sb, rep, cr.Stats.Decisions, cr.Stats.Skips, core.DefaultHeuristicParams().C); err != nil {
+		if err := profile.WritePrediction(&sb, rep, rec.Stats.Decisions, rec.Stats.Skips, core.DefaultHeuristicParams().C); err != nil {
 			panic(err)
 		}
 	}

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"uu/internal/gpusim"
 	"uu/internal/pipeline"
@@ -137,26 +137,20 @@ func renderTrace(t *testing.T, tr *remark.Trace) chromeTrace {
 	return doc
 }
 
-// TestTraceJSONWellFormed renders a compile+simulate the way the CLIs do —
-// after the fact, from the compile's Stats and the caller's own clock on the
-// simulation — and checks the Chrome trace contract end to end: spans from
-// every layer (pipeline, per-pass, codegen, gpusim) on the caller's lane, a
+// TestTraceJSONWellFormed renders a run the way the CLIs do — after the
+// fact, from its record (RunRecord.Trace) — and checks the Chrome trace
+// contract end to end: spans from every layer (pipeline, per-pass, codegen, gpusim) on the caller's lane, a
 // pass span per record in record order, and the headline metrics on the
 // "sim:" span (the remark package's own tests cover the encoding).
 func TestTraceJSONWellFormed(t *testing.T) {
 	tr := remark.NewTrace()
 	b := ByName("complex")
-	cr, err := Compile(b, pipeline.Options{Config: pipeline.UUHeuristic})
-	compiled := time.Now()
+	rec, err := Run(context.Background(), Job{Name: b.Name, Kernel: b.CompileKernel, Workload: b.NewWorkload(),
+		Options: pipeline.Options{Config: pipeline.UUHeuristic}, Device: gpusim.V100()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Execute(cr, b.NewWorkload(), gpusim.V100(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	TraceCompile(tr, 3, cr.Stats, compiled)
-	TraceSim(tr, 3, cr.Program.Name, compiled, time.Since(compiled), m, gpusim.V100())
+	rec.Trace(tr, 3, gpusim.V100())
 
 	doc := renderTrace(t, tr)
 	cats := map[string]int{}
@@ -176,8 +170,8 @@ func TestTraceJSONWellFormed(t *testing.T) {
 					t.Errorf("%s span carries no %q", ev.Name, k)
 				}
 			}
-			if got := ev.Args["cycles"]; got != float64(m.Cycles) {
-				t.Errorf("%s span cycles = %v, want %d", ev.Name, got, m.Cycles)
+			if got := ev.Args["cycles"]; got != float64(rec.Metrics.Cycles) {
+				t.Errorf("%s span cycles = %v, want %d", ev.Name, got, rec.Metrics.Cycles)
 			}
 		}
 	}
@@ -189,10 +183,10 @@ func TestTraceJSONWellFormed(t *testing.T) {
 	if cats["codegen"] != 1 || cats["gpusim"] != 1 {
 		t.Errorf("want one codegen and one sim span, got %v", cats)
 	}
-	if len(passes) != len(cr.Stats.PassTimes) {
-		t.Fatalf("%d pass spans for %d pass records", len(passes), len(cr.Stats.PassTimes))
+	if len(passes) != len(rec.Stats.PassTimes) {
+		t.Fatalf("%d pass spans for %d pass records", len(passes), len(rec.Stats.PassTimes))
 	}
-	for i, pt := range cr.Stats.PassTimes {
+	for i, pt := range rec.Stats.PassTimes {
 		if passes[i] != pt.Name {
 			t.Fatalf("pass span %d is %s, record %d is %s", i, passes[i], i, pt.Name)
 		}

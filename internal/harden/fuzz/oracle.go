@@ -10,8 +10,8 @@ package fuzz
 import (
 	"errors"
 	"fmt"
-	"math"
 
+	"uu/internal/bench"
 	"uu/internal/codegen"
 	"uu/internal/gpusim"
 	"uu/internal/harden"
@@ -40,7 +40,8 @@ type Divergence struct {
 	// reference, so a policy-specific reconvergence bug shows up as a
 	// differential finding exactly like a miscompile.
 	Stage string
-	// Detail is the first mismatching element or the leg's error text.
+	// Detail is the first mismatching element (bench.CompareOutputs) or the
+	// leg's error text.
 	Detail string
 	// Err is the leg's error value when the leg errored instead of
 	// producing mismatching outputs; nil for genuine output divergences.
@@ -69,54 +70,40 @@ func (d *Divergence) String() string {
 	return fmt.Sprintf("seed %d config %s: %s: %s", d.Seed, d.Config, d.Stage, d.Detail)
 }
 
-// newMemory builds the kernel's initial memory image: deterministic input
-// buffers, zeroed outputs.
-func newMemory(k *harden.Kernel) *interp.Memory {
-	mem := interp.NewMemory(k.MemSize)
-	for i, v := range k.F64Init {
-		mem.SetF64(k.In0Base, int64(i), v)
-	}
-	for i, v := range k.I64Init {
-		mem.SetI64(k.In1Base, int64(i), v)
-	}
-	return mem
-}
-
-func kernelArgs(k *harden.Kernel) []interp.Value {
+// workload describes the generated kernel's launch as a bench.Workload:
+// deterministic input buffers, zeroed outputs, and one f64 and one i64
+// output per thread.
+func workload(k *harden.Kernel) *bench.Workload {
 	args := make([]interp.Value, len(k.Args))
 	for i, a := range k.Args {
 		args[i] = interp.IntVal(a)
 	}
-	return args
-}
-
-// runInterp executes f once per thread of the kernel's launch under the
-// sequential interpreter and returns the final memory.
-func runInterp(f *ir.Function, k *harden.Kernel) (*interp.Memory, error) {
-	mem := newMemory(k)
-	args := kernelArgs(k)
-	total := k.Threads()
-	for tid := 0; tid < total; tid++ {
-		env := interp.Env{
-			TID:    int32(tid % k.BlockDim),
-			NTID:   int32(k.BlockDim),
-			CTAID:  int32(tid / k.BlockDim),
-			NCTAID: int32(k.GridDim),
-		}
-		if _, err := interp.RunSteps(f, args, mem, env, interpStepBudget, nil); err != nil {
-			return nil, fmt.Errorf("thread %d: %w", tid, err)
-		}
+	threads := int64(k.Threads())
+	return &bench.Workload{
+		Args:    args,
+		MemSize: k.MemSize,
+		Init: func(m *interp.Memory) {
+			for i, v := range k.F64Init {
+				m.SetF64(k.In0Base, int64(i), v)
+			}
+			for i, v := range k.I64Init {
+				m.SetI64(k.In1Base, int64(i), v)
+			}
+		},
+		Launch: gpusim.Launch{GridDim: k.GridDim, BlockDim: k.BlockDim},
+		Outputs: []bench.Region{
+			{Name: "fout", Base: k.FOutBase, Count: threads, Elem: "f64"},
+			{Name: "iout", Base: k.IOutBase, Count: threads, Elem: "i64"},
+		},
 	}
-	return mem, nil
 }
 
 // runSim executes the lowered program under the SIMT simulator with the
 // given device configuration and a small step budget.
-func runSim(prog *codegen.Program, k *harden.Kernel, cfg gpusim.DeviceConfig) (*interp.Memory, error) {
-	mem := newMemory(k)
+func runSim(prog *codegen.Program, w *bench.Workload, cfg gpusim.DeviceConfig) (*interp.Memory, error) {
+	mem := w.NewMemory()
 	cfg.MaxWarpSteps = simStepBudget
-	launch := gpusim.Launch{GridDim: k.GridDim, BlockDim: k.BlockDim}
-	if _, err := gpusim.Run(prog, kernelArgs(k), mem, launch, cfg); err != nil {
+	if _, err := gpusim.Run(prog, w.Args, mem, w.Launch, cfg); err != nil {
 		return nil, err
 	}
 	return mem, nil
@@ -127,30 +114,6 @@ func runSim(prog *codegen.Program, k *harden.Kernel, cfg gpusim.DeviceConfig) (*
 // 16-wide warps, so this also exercises the narrow-warp masking paths.
 func defaultSimLegs() []gpusim.DeviceConfig {
 	return []gpusim.DeviceConfig{gpusim.V100(), gpusim.MinSPPC(), gpusim.Vortex()}
-}
-
-// diffOutputs compares the kernel's two output regions and returns a
-// description of the first mismatch, or "" if they agree. Floats compare
-// with the same relative tolerance the benchmark harness uses (identities
-// like x+0 => x may flip signed zeros); integers compare exactly.
-func diffOutputs(k *harden.Kernel, want, got *interp.Memory) string {
-	const relTol = 1e-9
-	feq := func(a, b float64) bool {
-		if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
-			return true
-		}
-		d := math.Abs(a - b)
-		return d <= relTol*math.Max(math.Abs(a), math.Abs(b))
-	}
-	for i := int64(0); i < int64(k.Threads()); i++ {
-		if a, b := want.F64(k.FOutBase, i), got.F64(k.FOutBase, i); !feq(a, b) {
-			return fmt.Sprintf("fout[%d]: want %v, got %v", i, a, b)
-		}
-		if a, b := want.I64(k.IOutBase, i), got.I64(k.IOutBase, i); a != b {
-			return fmt.Sprintf("iout[%d]: want %d, got %d", i, a, b)
-		}
-	}
-	return ""
 }
 
 // check runs f through one pipeline configuration and the differential
@@ -172,7 +135,8 @@ func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []gpusi
 	divErr := func(stage string, err error) *Divergence {
 		return &Divergence{Seed: k.Seed, Config: opts.Config, Stage: stage, Detail: err.Error(), Err: err}
 	}
-	ref, err := runInterp(f, k)
+	w := workload(k)
+	ref, err := bench.Interpret(f, w, interpStepBudget, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fuzz: reference execution of %s failed: %w", f.Name, err)
 	}
@@ -181,12 +145,12 @@ func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []gpusi
 	if err != nil {
 		return divErr("optimize", err), stats, nil
 	}
-	optMem, err := runInterp(opt, k)
+	optMem, err := bench.Interpret(opt, w, interpStepBudget, nil)
 	if err != nil {
 		return divErr("interp-opt", err), stats, nil
 	}
-	if d := diffOutputs(k, ref, optMem); d != "" {
-		return div("interp-opt", d), stats, nil
+	if err := bench.CompareOutputs(w, ref, optMem); err != nil {
+		return div("interp-opt", err.Error()), stats, nil
 	}
 	prog, err := codegen.Lower(opt)
 	if err != nil {
@@ -194,12 +158,12 @@ func check(f *ir.Function, k *harden.Kernel, opts pipeline.Options, legs []gpusi
 	}
 	for _, dev := range legs {
 		stage := "gpusim-" + dev.Policy.String()
-		simMem, err := runSim(prog, k, dev)
+		simMem, err := runSim(prog, w, dev)
 		if err != nil {
 			return divErr(stage, err), stats, nil
 		}
-		if d := diffOutputs(k, ref, simMem); d != "" {
-			return div(stage, d), stats, nil
+		if err := bench.CompareOutputs(w, ref, simMem); err != nil {
+			return div(stage, err.Error()), stats, nil
 		}
 	}
 	return nil, stats, nil

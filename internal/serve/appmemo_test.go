@@ -51,11 +51,11 @@ func TestAppKeyMatchesFullPath(t *testing.T) {
 				if rerr != nil {
 					t.Fatalf("%s %s: %v", b.Name, req.Config, rerr)
 				}
-				want := Fingerprint(canon, sp.opts, dev, w.Launch, w.MemSize, nil, "", "", false)
+				want := Fingerprint(canon, sp.job.Options, dev, w.Launch, w.MemSize, nil, "", "", false)
 				if sp.key != want {
 					t.Errorf("%s %s round %d: key %.12s, the full path computes %.12s", b.Name, req.Config, round, sp.key, want)
 				}
-				if got := ir.Fingerprint(sp.kernel()); got != ir.Fingerprint(f) {
+				if k, err := sp.job.Kernel(); err != nil || ir.Fingerprint(k) != ir.Fingerprint(f) {
 					t.Errorf("%s %s: the spec's kernel is not the frontend's function", b.Name, req.Config)
 				}
 			}

@@ -9,8 +9,8 @@ import (
 	"uu/internal/interp"
 )
 
-// TestRequestMemoryIsPristine is the buffer-hygiene contract of runSpec's
-// recycled device memory: whatever an earlier request — here one that ran,
+// TestRequestMemoryIsPristine is the buffer-hygiene contract of an
+// execution's recycled device memory: whatever an earlier request — here one that ran,
 // and one whose buffer was scribbled over to its full capacity — left in a
 // buffer, a source/IR request starts from zeros and an app request from the
 // workload's input image, at exactly the requested size.
@@ -30,11 +30,11 @@ func TestRequestMemoryIsPristine(t *testing.T) {
 	image := bench.ByName("complex").NewWorkload().NewMemory().Data
 
 	for round := 0; round < 3; round++ {
-		m := src.acquireMem()
+		m := src.job.Workload.AcquireMemory()
 		if len(m.Data) != 1<<12 || !bytes.Equal(m.Data, make([]byte, 1<<12)) {
 			t.Fatalf("round %d: source request memory is not %d zero bytes", round, 1<<12)
 		}
-		a := app.acquireMem()
+		a := app.job.Workload.AcquireMemory()
 		if !bytes.Equal(a.Data, image) {
 			t.Fatalf("round %d: app request memory differs from the workload's input image", round)
 		}

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"uu/internal/bench"
-	"uu/internal/codegen"
 	"uu/internal/core"
 	"uu/internal/gpusim"
 	"uu/internal/interp"
@@ -174,30 +172,23 @@ const (
 	maxFactor   = 64
 )
 
-// spec is a validated request: everything a pool worker needs to run it,
-// plus its content-addressed key.
+// spec is a validated request: its content-addressed key, and the run a
+// pool worker hands to bench.Run.
 type spec struct {
-	key string
-	app string
-	// kernel returns the request's kernel as its frontend built it, the
-	// caller's to optimize: a copy of the suite app's once-built function
-	// (bench.Benchmark.Kernel) or of the function a source/IR request's
-	// frontend produced. Only an execution calls it, so a follower, a
-	// fingerprint hit and a shed request never allocate a function.
-	kernel  func() *ir.Function
-	opts    pipeline.Options
-	dev     gpusim.DeviceConfig
+	key     string
+	app     string
 	devName string
-	launch  gpusim.Launch
-	args    []interp.Value
-	// acquireMem returns the request's initial device memory on a recycled
-	// buffer (interp.AcquireMemory): a copy of the app's input image, or
-	// zeros for a source/IR request. runSpec releases it.
-	acquireMem func() *interp.Memory
+	// job is the request's kernel run. Its Kernel returns a copy of the
+	// suite app's once-built function (bench.Benchmark.CompileKernel) or of
+	// the function a source/IR request's frontend produced; only an
+	// execution calls it, so a follower, a fingerprint hit and a shed
+	// request never allocate a function. Its Workload is the app's shared
+	// one, or the launch, zeroed memory and integer arguments of a
+	// source/IR request.
+	job bench.Job
 
 	remarkKinds map[remark.Kind]bool
 	wantRemarks bool
-	wantProfile bool
 }
 
 // buildSpec validates a request and resolves its kernel to canonical text,
@@ -251,10 +242,9 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 	}
 
 	sp = &spec{
-		app:         req.App,
-		dev:         dev,
-		devName:     devName,
-		wantProfile: req.Profile,
+		app:     req.App,
+		devName: devName,
+		job:     bench.Job{Device: dev, Profile: req.Profile},
 	}
 	if req.Remarks != "" {
 		kinds, err := remark.ParseKinds(req.Remarks)
@@ -265,7 +255,6 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		sp.wantRemarks = true
 	}
 
-	var memSize int64
 	var canon string   // the kernel's canonical text
 	var f *ir.Function // a source/IR request's kernel; an app request builds none
 	switch {
@@ -278,11 +267,7 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		if canon, err = a.canonical(); err != nil {
 			return nil, errBadRequest("%v", err)
 		}
-		sp.kernel = b.Kernel // cannot panic: canonical compiled it
-		sp.launch = a.w.Launch
-		sp.args = a.w.Args
-		sp.acquireMem = a.w.AcquireMemory
-		memSize = a.w.MemSize
+		sp.job.Name, sp.job.Kernel, sp.job.Workload = b.Name, b.CompileKernel, a.w
 	default:
 		if req.Source != "" {
 			f, err = lang.CompileKernel(req.Source)
@@ -306,7 +291,7 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 			return nil, errBadRequest("launch %dx%d out of range (block <= %d, grid <= %d, threads <= %d)",
 				grid, block, maxBlockDim, maxGridDim, maxThreads)
 		}
-		memSize = req.MemBytes
+		memSize := req.MemBytes
 		if memSize == 0 {
 			memSize = 1 << 16
 		}
@@ -316,17 +301,17 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		if len(f.Params) != len(req.Args) {
 			return nil, errBadRequest("kernel %s takes %d arguments, got %d", f.Name, len(f.Params), len(req.Args))
 		}
-		sp.kernel = func() *ir.Function { return ir.Clone(f) }
-		sp.launch = gpusim.Launch{GridDim: grid, BlockDim: block}
-		sp.args = make([]interp.Value, len(req.Args))
+		args := make([]interp.Value, len(req.Args))
 		for i, a := range req.Args {
-			sp.args[i] = interp.IntVal(a)
+			args[i] = interp.IntVal(a)
 		}
-		size := memSize
-		sp.acquireMem = func() *interp.Memory { return interp.AcquireMemory(size, nil) }
+		sp.job.Name = f.Name
+		sp.job.Kernel = func() (*ir.Function, error) { return ir.Clone(f), nil }
+		sp.job.Workload = &bench.Workload{Args: args, MemSize: memSize, Launch: gpusim.Launch{GridDim: grid, BlockDim: block}}
 	}
 
-	sp.opts = pipeline.Options{
+	opts := &sp.job.Options
+	*opts = pipeline.Options{
 		Config:  cfg,
 		LoopID:  req.Loop,
 		Factor:  req.Factor,
@@ -352,7 +337,7 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 				return nil, errBadRequest("override L%d cap %d exceeds %d", line, o.FactorCap, maxFactor)
 			}
 		}
-		sp.opts.Heuristic = core.HeuristicParams{
+		opts.Heuristic = core.HeuristicParams{
 			C: hs.C, UMax: hs.UMax,
 			SkipDivergent: hs.SkipDivergent,
 			Selective:     hs.Selective,
@@ -365,9 +350,10 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 			return nil, errBadRequest("%v", err)
 		}
 	}
-	sp.key = Fingerprint(canon, sp.opts, sp.dev, sp.launch, memSize, req.Args, req.Chaos, req.Remarks, req.Profile)
+	w := sp.job.Workload
+	sp.key = Fingerprint(canon, *opts, dev, w.Launch, w.MemSize, req.Args, req.Chaos, req.Remarks, req.Profile)
 	if req.Chaos != "" {
-		sp.opts.Inject = append(sp.opts.Inject, transform.ChaosPass(transform.ChaosMode(req.Chaos)))
+		opts.Inject = append(opts.Inject, transform.ChaosPass(transform.ChaosMode(req.Chaos)))
 	}
 	return sp, nil
 }
@@ -414,93 +400,61 @@ func (a *appRecord) canonical() (string, error) {
 }
 
 // execRecord is what one pool execution clocked and measured: the phase
-// timings every waiter on the flight reports, and what a traced leader
-// renders its pass, codegen and simulator spans from afterwards.
+// timings every waiter on the flight reports, and the run's record, which a
+// traced leader renders its pass, codegen and simulator spans from
+// afterwards.
 type execRecord struct {
 	phaseTimings
-	stats    *pipeline.Stats // nil until the pipeline returned
-	lowered  time.Time       // when codegen finished; zero if it never ran
-	simStart time.Time
-	metrics  *gpusim.Metrics // nil unless the simulation finished
+	run *bench.RunRecord // nil until the execution ran
 }
 
-// trace renders the execution of sp into a request trace.
-func (x *execRecord) trace(tr *remark.Trace, sp *spec) {
-	if x.stats != nil {
-		bench.TraceCompile(tr, 0, x.stats, x.lowered)
-	}
-	if x.metrics != nil {
-		bench.TraceSim(tr, 0, x.stats.Function, x.simStart, x.Simulate, x.metrics, sp.dev)
-	}
-}
-
-// runSpec executes a spec: pipeline, codegen, simulation, artifact
-// rendering. Cancellation (deadline expiry, all waiters gone, drain) stops
-// at the next pass or warp-block boundary and classifies through ctxError.
-// x receives the compile and simulate wall clocks and the layers' records.
+// runSpec executes a spec through bench.Run and renders the artifacts it
+// asked for. Cancellation (deadline expiry, all waiters gone, drain) stops
+// the run at the next pass or warp-block boundary, and classify turns its
+// error into the response's. x receives the run's record and its compile
+// and simulate wall clocks.
 func runSpec(ctx context.Context, sp *spec, x *execRecord) (*Response, *Error) {
-	opts := sp.opts
-	var col *remark.Collector
+	job := sp.job
 	if sp.wantRemarks {
-		col = remark.NewCollector()
-		opts.Remarks = col
+		job.Options.Remarks = remark.NewCollector()
 	}
-	f := sp.kernel()
-	tCompile := time.Now()
-	stats, err := pipeline.OptimizeCtx(ctx, f, opts)
-	x.stats = stats
-	if err != nil {
-		x.Compile = time.Since(tCompile)
+	rec, err := bench.Run(ctx, job)
+	x.run, x.Compile, x.Simulate = rec, rec.CompileWall, rec.SimulateWall
+	switch {
+	case err == nil:
+	case rec.Program == nil:
 		return nil, classify(err, "compile-failed")
-	}
-	prog, lowerErr := codegen.Lower(f)
-	x.lowered = time.Now()
-	x.Compile = x.lowered.Sub(tCompile)
-	if lowerErr != nil {
-		return nil, &Error{Status: 422, Code: "compile-failed", Msg: lowerErr.Error()}
-	}
-	var prof *gpusim.Profile
-	if sp.wantProfile {
-		prof = gpusim.NewProfile(prog)
-	}
-	// The memory is dead once the response is built (nothing below keeps a
-	// reference into it), so it goes back to the free list on every path.
-	mem := sp.acquireMem()
-	defer interp.ReleaseMemory(mem)
-	x.simStart = time.Now()
-	m, err := gpusim.RunCtx(ctx, prog, sp.args, mem, sp.launch, sp.dev, prof)
-	x.Simulate = time.Since(x.simStart)
-	if err != nil {
+	default:
 		return nil, classify(err, "exec-failed")
 	}
-	x.metrics = m
 
+	m, st := rec.Metrics, rec.Stats
 	resp := &Response{
 		Key:               sp.key,
 		App:               sp.app,
-		Config:            string(sp.opts.Config),
+		Config:            string(rec.Config),
 		Device:            sp.devName,
-		KernelMs:          m.KernelMillis(sp.dev),
+		KernelMs:          rec.Millis,
 		Cycles:            m.Cycles,
 		IPC:               m.IPC(),
-		WarpExecEff:       m.WarpExecutionEfficiency(sp.dev),
+		WarpExecEff:       m.WarpExecutionEfficiency(job.Device),
 		StallInstFetchPct: m.StallInstFetchPct(),
 		GldTransactions:   m.GldTransactions,
-		CompileMs:         float64(stats.CompileTime.Microseconds()) / 1e3,
-		CodeBytes:         prog.CodeBytes(),
-		LoopTransformed:   stats.LoopTransformed,
+		CompileMs:         float64(st.CompileTime.Microseconds()) / 1e3,
+		CodeBytes:         rec.CodeBytes,
+		LoopTransformed:   st.LoopTransformed,
 	}
-	for _, pf := range stats.Failures {
+	for _, pf := range st.Failures {
 		resp.ContainedFailures = append(resp.ContainedFailures, pf.String())
 	}
-	if col != nil {
+	if sp.wantRemarks {
 		var sb strings.Builder
-		if err := remark.WriteYAML(&sb, col.Remarks(), sp.remarkKinds); err == nil {
+		if err := remark.WriteYAML(&sb, rec.Remarks, sp.remarkKinds); err == nil {
 			resp.RemarksYAML = sb.String()
 		}
 	}
-	if prof != nil {
-		rep := profile.Build(prog, prof)
+	if rec.Profile != nil {
+		rep := profile.Build(rec.Program, rec.Profile)
 		var sb strings.Builder
 		if err := profile.WriteFolded(&sb, rep); err == nil {
 			resp.ProfileFolded = sb.String()

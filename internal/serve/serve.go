@@ -477,7 +477,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// The leader's trace shows the execution it caused, rendered from
 		// what the worker recorded; a flight shed at admission never ran.
 		st.span("admission", enqueued, fl.exec.Admission)
-		fl.exec.trace(st.tr, sp)
+		if fl.exec.run != nil {
+			fl.exec.run.Trace(st.tr, 0, sp.job.Device)
+		}
 	}
 	st.exec = &fl.exec.phaseTimings
 	if fl.err != nil {

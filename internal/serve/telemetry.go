@@ -24,8 +24,10 @@ import (
 //   - resolve:   cache lookup and singleflight resolution — for a
 //     coalesced follower this includes the wait on the leader's result
 //   - admission: a leader's queue wait from enqueue to worker pickup
-//   - compile:   pipeline passes + codegen (pool execution only)
-//   - simulate:  gpusim execution (pool execution only)
+//   - compile:   kernel copy + pipeline passes + codegen (pool execution
+//     only; bench.RunRecord.CompileWall)
+//   - simulate:  gpusim execution (pool execution only;
+//     bench.RunRecord.SimulateWall)
 //   - encode:    writing the response: for a 200, splicing the request's
 //     fields around the execution's encoded bytes (reqState.respond)
 var phaseNames = []string{"frontend", "resolve", "admission", "compile", "simulate", "encode"}
