@@ -55,10 +55,13 @@ type HarnessOptions struct {
 	// written atomically but, with Workers > 1, in completion order rather
 	// than campaign order.
 	Progress io.Writer
-	// Workers caps the number of concurrent measurement goroutines;
-	// 0 means GOMAXPROCS. Results are identical and identically ordered
-	// regardless of the worker count — every run is an independent
-	// compile+simulate on its own function, so only wall clock changes.
+	// Workers caps the number of concurrent measurement goroutines, the
+	// clocked runs whose wall clock fills CompileMs and Figure 6c; 0 means
+	// GOMAXPROCS. Planning (each app's workload, oracle and loop count) is
+	// not clocked: it always uses every core and ends before the first run
+	// starts. Results are identical and identically ordered regardless of
+	// the worker count — every run is an independent compile+simulate on
+	// its own function, so only wall clock changes.
 	Workers int
 	// Contain runs every compilation under the crash-containment guard: a
 	// panicking (or, with VerifyEach, verifier-rejected) pass is rolled
@@ -167,13 +170,47 @@ type harnessJob struct {
 	isHeuristic bool
 }
 
+// appPlan is what a campaign derives for one application before its first
+// cell: the workload every cell of the app runs, the oracle they are checked
+// against (nil unless HarnessOptions.Verify) and the app's loop count.
+type appPlan struct {
+	w     *Workload
+	ref   *interp.Memory
+	loops int
+	err   error
+}
+
+// testHookReference, when set by a test, is called by planApp before it
+// interprets an app's oracle.
+var testHookReference func(b *Benchmark)
+
+// planApp plans one application. A kernel the frontend rejects is an error
+// whether or not the campaign verifies.
+func planApp(b *Benchmark, input InputMode, verify bool) appPlan {
+	p := appPlan{w: b.NewWorkload()}
+	p.w.SetInput(input)
+	f, err := b.CompileKernel()
+	if err != nil {
+		return appPlan{err: err}
+	}
+	p.loops = pipeline.CanonicalLoopCount(f)
+	if verify {
+		if testHookReference != nil {
+			testHookReference(b)
+		}
+		p.ref, p.err = Reference(b, p.w)
+	}
+	return p
+}
+
 // RunExperiments executes the paper's measurement campaign: for every
 // application the baseline and heuristic configurations, plus — applying the
 // pass to one loop at a time exactly as the methodology section describes —
 // unroll-only and u&u for each unroll factor and unmerge-only per loop.
 //
 // Runs are independent (each compiles its own fresh kernel function), so
-// they execute on a pool of opts.Workers goroutines (runIndexed).
+// they execute on a pool of opts.Workers goroutines (runIndexed), after the
+// apps have been planned on a pool of GOMAXPROCS.
 func RunExperiments(opts HarnessOptions) (*Results, error) {
 	return RunExperimentsCtx(context.Background(), opts)
 }
@@ -185,7 +222,8 @@ func RunExperiments(opts HarnessOptions) (*Results, error) {
 // partial Results alongside the context's error — so callers can flush what
 // was measured instead of losing the whole sweep. Partial Results may lack
 // baseline or heuristic records for some apps; the report writers skip
-// those apps.
+// those apps. A context that ends while the apps are being planned stops
+// the planning pool the same way and returns Results with no records.
 func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, error) {
 	factors := opts.Factors
 	if factors == nil {
@@ -205,21 +243,30 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 		LoopCount:  map[string]int{},
 	}
 
-	// Plan the campaign serially: per-app workload, verification oracle and
-	// loop count, then the job list in the paper's order.
-	var jobs []harnessJob
-	for _, b := range apps {
-		w := b.NewWorkload()
-		w.SetInput(input)
-		var ref *interp.Memory
-		if opts.Verify {
-			m, err := Reference(b, w)
-			if err != nil {
-				return nil, err
-			}
-			ref = m
+	// Plan every app on every core: the oracles are most of what a verified
+	// campaign waits for before its first cell, and planning is not clocked,
+	// so Workers does not cap it. Plans are written by app index and checked
+	// in campaign order, so the error returned is the first app's, whatever
+	// finished first. A context that ends mid-planning leaves apps unplanned;
+	// no job is built from them.
+	plans := make([]appPlan, len(apps))
+	runIndexed(ctx, 0, len(apps), func(_, i int) {
+		plans[i] = planApp(apps[i], input, opts.Verify)
+	})
+	if ctx.Err() != nil {
+		return res, fmt.Errorf("bench: campaign interrupted: %w", ctx.Err())
+	}
+	for _, p := range plans {
+		if p.err != nil {
+			return nil, p.err
 		}
-		res.LoopCount[b.Name] = LoopCount(b)
+	}
+
+	// Then the job list, serially in the paper's order.
+	var jobs []harnessJob
+	for i, b := range apps {
+		w, ref := plans[i].w, plans[i].ref
+		res.LoopCount[b.Name] = plans[i].loops
 
 		add := func(cfg pipeline.Options, loopID, factor int) *harnessJob {
 			cfg.Contain = opts.Contain

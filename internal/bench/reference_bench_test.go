@@ -10,8 +10,9 @@ import (
 // BenchmarkReference measures the oracle the harness plans before its first
 // cell: Reference over all 16 apps, which is the sweep's set-up time. It
 // reports interpreted steps per second (the steps are counted once, outside
-// the timed loop); allocations per op should stay at a few per thread (the
-// frame), independent of how long a thread runs.
+// the timed loop). Each thread borrows a recycled frame, so what an op
+// allocates is each app's memory and kernel copy: a few hundred allocations,
+// independent of how many threads run or how long.
 func BenchmarkReference(b *testing.B) {
 	type job struct {
 		app *Benchmark

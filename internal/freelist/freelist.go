@@ -1,7 +1,8 @@
-// Package freelist is the bounded free list behind three kinds of recycled
+// Package freelist is the bounded free list behind four kinds of recycled
 // storage: device memories (internal/interp) and run state
-// (internal/gpusim) for the simulator, and the scratch bundle each
-// compilation borrows for its passes' tables (internal/pipeline).
+// (internal/gpusim) for the simulator, the interpreter's per-thread frames
+// (internal/interp), and the scratch bundle each compilation borrows for
+// its passes' tables (internal/pipeline).
 //
 // It is deliberately not a sync.Pool. A pool is emptied by the garbage
 // collector, so what a run allocates would depend on when the collector last

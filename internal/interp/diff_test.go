@@ -219,6 +219,23 @@ func TestAddressTakenLocalTraps(t *testing.T) {
 // sentinel that depends on how many distinct allocas ran before it), and
 // slots of every element type.
 func TestLocalSlotsMatchReference(t *testing.T) {
+	f := localsFunc()
+	if err := ir.Verify(f); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{1, 7, 300} {
+		mem := interp.NewMemory(0)
+		args := []interp.Value{interp.IntVal(n), interp.FloatVal(1e9 + 0.3)}
+		if _, err := diffRun(t, fmt.Sprintf("locals(n=%d)", n), f, args, mem, cloneMem(mem), interp.Env{}, interp.DefaultMaxSteps); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// localsFunc builds the kernel of TestLocalSlotsMatchReference: a loop of n
+// iterations that re-executes an alloca of every element type, and one
+// first executed after them, and returns the last slot.
+func localsFunc() *ir.Function {
 	f := ir.NewFunction("locals", ir.I64)
 	n := f.AddParam("n", ir.I64, false)
 	x := f.AddParam("x", ir.F64, false)
@@ -270,16 +287,7 @@ func TestLocalSlotsMatchReference(t *testing.T) {
 	b.CondBr(b.ICmp(ir.SLT, next, b.Load(first)), loop, exit)
 	b.SetBlock(exit)
 	b.Ret(b.Load(late))
-	if err := ir.Verify(f); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int64{1, 7, 300} {
-		mem := interp.NewMemory(0)
-		args := []interp.Value{interp.IntVal(n), interp.FloatVal(1e9 + 0.3)}
-		if _, err := diffRun(t, fmt.Sprintf("locals(n=%d)", n), f, args, mem, cloneMem(mem), interp.Env{}, interp.DefaultMaxSteps); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return f
 }
 
 // TestErrorPathsMatchReference: the traps that need a malformed function or

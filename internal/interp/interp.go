@@ -12,8 +12,14 @@
 // boxes), never by the simulator's. Being most of what a verified sweep
 // waits for before its first cell, it is also kept cheap: the SSA
 // environment and the thread-private alloca slots are slices indexed by
-// Instr.ID (DESIGN.md section 16), so a run allocates its frame once and a
-// step allocates and hashes nothing.
+// Instr.ID (DESIGN.md section 16), so a step allocates and hashes nothing.
+// A run borrows that frame from a bounded free list and files it back on
+// every return, trap and step-budget exit included, so a warm run allocates
+// nothing at all. The reset on borrowing is what keeps a recycled frame
+// invisible: the environment is cleared over the run's length, the alloca
+// count is zeroed, and the slots are dropped until the run's first alloca
+// (a slot is read only after its own alloca has zeroed it in this run), so
+// nothing an earlier thread, function, trap or budget exit left can be read.
 package interp
 
 import (
@@ -219,7 +225,8 @@ func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64
 	if len(args) != len(f.Params) {
 		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
-	fr := newFrame(f, args)
+	fr := takeFrame(f, args)
+	defer putFrame(fr)
 
 	var steps int64
 	block := f.Entry()
@@ -316,7 +323,8 @@ func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64
 }
 
 // frame is the state of one run: the SSA environment and the thread-private
-// alloca slots, both indexed by Instr.ID.
+// alloca slots, both indexed by Instr.ID. Runs borrow frames from a free
+// list (takeFrame) and file them back on return.
 type frame struct {
 	// vals holds instruction results at [Instr.ID] and the arguments behind
 	// them at [params+Param.Index]. An alloca's result is its sentinel
@@ -324,18 +332,11 @@ type frame struct {
 	vals   []Value
 	params int
 	// locals holds the 8 raw bytes of each alloca's slot at [Instr.ID],
-	// little-endian; nil until the first alloca executes, so a kernel
-	// without allocas (anything past mem2reg) does not pay for it.
+	// little-endian; empty until the run's first alloca executes, so a
+	// kernel without allocas (anything past mem2reg) does not pay for it.
 	locals  []uint64
 	allocas int64   // distinct allocas executed so far
 	phiTmp  []Value // scratch of the simultaneous phi assignment
-}
-
-func newFrame(f *ir.Function, args []Value) *frame {
-	params := f.InstrIDBound()
-	fr := &frame{vals: make([]Value, params+len(args)), params: params}
-	copy(fr.vals[params:], args)
-	return fr
 }
 
 func (fr *frame) eval(v ir.Value) Value {
@@ -359,8 +360,11 @@ func (fr *frame) eval(v ir.Value) Value {
 // instead of reading device memory. The sentinel counts the distinct allocas
 // executed so far; re-executing one in a loop re-zeroes its slot.
 func (fr *frame) alloca(in *ir.Instr) {
-	if fr.locals == nil {
-		fr.locals = make([]uint64, fr.params)
+	if len(fr.locals) == 0 {
+		if cap(fr.locals) < fr.params {
+			fr.locals = make([]uint64, fr.params, cap(fr.vals))
+		}
+		fr.locals = fr.locals[:fr.params]
 	}
 	id := in.ID()
 	if fr.vals[id].I == 0 {
