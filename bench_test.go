@@ -176,7 +176,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	env := interp.Env{TID: 0, NTID: int32(w.Launch.BlockDim), CTAID: 0, NCTAID: int32(w.Launch.GridDim)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := interp.Run(f, w.Args, mem, env); err != nil {
+		if _, err := interp.RunCounted(f, w.Args, mem, env, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

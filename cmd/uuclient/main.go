@@ -24,6 +24,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -205,8 +206,7 @@ func runLoad(addr string, body []byte, n, c, attempts int, seed int64, wantTrace
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			bo := harden.DefaultBackoff()
-			bo.Attempts = attempts
+			bo := harden.Backoff{Attempts: attempts}
 			if seed != 0 {
 				// Per-worker deterministic jitter for reproducible drills.
 				bo.Rand = rand.New(rand.NewSource(seed + int64(worker)))
@@ -276,7 +276,7 @@ func fire(client *http.Client, addr string, body []byte, bo harden.Backoff, want
 	}
 	attempt := 0
 	start := time.Now()
-	err := bo.Retry(nil, func(err error) bool {
+	err := bo.Retry(context.Background(), func(err error) bool {
 		_, retryable := err.(*transientError)
 		return retryable
 	}, func() error {

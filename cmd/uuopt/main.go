@@ -40,7 +40,6 @@ import (
 	"uu/internal/lang"
 	"uu/internal/pipeline"
 	"uu/internal/remark"
-	"uu/internal/transform"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -213,11 +212,7 @@ func loadKernel(srcPath, irPath string) (*ir.Function, error) {
 // unrolled-and-unmerged loop annotated with the implied truth value of every
 // conditional branch of the original loop body.
 func emitProvenance(w io.Writer, f *ir.Function, loopID, factor int) error {
-	transform.Mem2Reg(f)
-	transform.SimplifyCFG(f)
-	transform.InstSimplify(f)
-	transform.DCE(f)
-	l := analysis.NewLoopInfo(f, analysis.NewDomTree(f)).LoopByID(loopID)
+	l := pipeline.Canonicalize(f).LoopByID(loopID)
 	if l == nil {
 		return fmt.Errorf("no loop #%d", loopID)
 	}

@@ -18,7 +18,6 @@ import (
 	"uu/internal/core"
 	"uu/internal/gpusim"
 	"uu/internal/pipeline"
-	"uu/internal/transform"
 )
 
 func main() {
@@ -31,12 +30,11 @@ func main() {
 
 	// The divergence analysis the paper proposes as future work flags this
 	// loop: its branch condition is tainted by the thread id. (The analysis
-	// needs promoted SSA — taint does not flow through allocas.)
+	// runs on the canonical form the loop IDs are numbered on: taint does not
+	// flow through allocas.)
 	f := b.Kernel()
-	transform.Mem2Reg(f)
+	li := pipeline.Canonicalize(f)
 	div := analysis.NewDivergence(f)
-	dt := analysis.NewDomTree(f)
-	li := analysis.NewLoopInfo(f, dt)
 	for _, l := range li.Loops {
 		fmt.Printf("loop #%d (header %s): divergent branch inside = %v\n",
 			l.ID, l.Header.Name, div.LoopHasDivergentBranch(l))

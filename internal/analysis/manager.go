@@ -107,15 +107,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	return d
 }
 
-// Add accumulates o into s.
-func (s *CacheStats) Add(o CacheStats) {
-	for i := 0; i < int(numAnalyses); i++ {
-		s.Hits[i] += o.Hits[i]
-		s.Misses[i] += o.Misses[i]
-		s.Invalidated[i] += o.Invalidated[i]
-	}
-}
-
 // String formats the per-analysis counters, skipping unqueried analyses.
 func (s *CacheStats) String() string {
 	var b strings.Builder

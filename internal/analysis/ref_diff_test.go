@@ -5,22 +5,11 @@ import (
 	"testing"
 
 	"uu/internal/analysis"
-	"uu/internal/bench"
-	"uu/internal/core"
+	"uu/internal/corpus"
 	"uu/internal/harden"
 	"uu/internal/ir"
-	"uu/internal/lang"
 	"uu/internal/transform"
 )
-
-// canonical puts f in the form the pipeline's loop transformation sees.
-func canonical(f *ir.Function) *ir.Function {
-	transform.Mem2Reg(f)
-	transform.SimplifyCFG(f)
-	transform.InstSimplify(f)
-	transform.DCE(f)
-	return f
-}
 
 // forEachShape calls check on the functions the analyses are held to their
 // references on: every suite kernel canonicalized and then after the loop
@@ -29,28 +18,19 @@ func canonical(f *ir.Function) *ir.Function {
 // as built and canonicalized.
 func forEachShape(t *testing.T, check func(name string, f *ir.Function)) {
 	t.Helper()
-	for _, b := range bench.Suite {
-		f, err := lang.CompileKernel(b.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
+	corpus.Kernels(corpus.Spec{Seeds: 200}, func(k *corpus.Kernel) {
+		if k.Seed != 0 {
+			check(fmt.Sprintf("seed %d", k.Seed), harden.Generate(k.Seed).F)
+			check(fmt.Sprintf("seed %d canonical", k.Seed), k.F)
+			return
 		}
-		canonical(f)
-		check(b.Name, f)
-		for id := 0; id < core.LoopCount(f); id++ {
-			for _, u := range []int{2, 4, 8} {
-				g := ir.Clone(f)
-				if _, err := core.UnrollAndUnmerge(g, id, u, core.Options{}); err != nil {
-					continue // a loop the pass refuses; still a shape
-				}
-				check(fmt.Sprintf("%s loop %d u=%d", b.Name, id, u), g)
+		check(k.Name, k.F)
+		k.Cases(func(c *corpus.Case) {
+			if c.Err == nil { // a loop the pass refuses; still a shape
+				check(c.Name, c.F)
 			}
-		}
-	}
-	for seed := int64(1); seed <= 200; seed++ {
-		f := harden.Generate(seed).F
-		check(fmt.Sprintf("seed %d", seed), f)
-		check(fmt.Sprintf("seed %d canonical", seed), canonical(f))
-	}
+		})
+	})
 }
 
 func sameBlocks(a, b []*ir.Block) bool {
@@ -172,12 +152,8 @@ func TestLoopInfoMatchesReference(t *testing.T) {
 // after it was built answers what a pointer-keyed map would — the block is
 // unknown — instead of indexing past its tables.
 func TestStaleHandlesAnswerLikeMaps(t *testing.T) {
-	for _, b := range bench.Suite {
-		f, err := lang.CompileKernel(b.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		canonical(f)
+	corpus.Kernels(corpus.Spec{}, func(k *corpus.Kernel) {
+		f := k.F
 		dt, pdt := analysis.NewDomTree(f), analysis.NewPostDomTree(f)
 		li := analysis.NewLoopInfo(f, dt)
 		was := f.NumBlocks()
@@ -187,22 +163,22 @@ func TestStaleHandlesAnswerLikeMaps(t *testing.T) {
 			new(ir.Cloner).Clone(l.Blocks(), ".stale")
 		}
 		if f.NumBlocks() == was {
-			continue
+			return
 		}
 		old := f.Blocks()[0]
 		for _, nb := range f.Blocks()[was:] {
 			for _, tree := range []*analysis.DomTree{dt, pdt} {
 				if tree.Reachable(nb) || tree.Idom(nb) != nil || tree.Children(nb) != nil ||
 					tree.Dominates(nb, old) || tree.Dominates(old, nb) || !tree.Dominates(nb, nb) {
-					t.Fatalf("%s: a tree built before %s was minted knows it", b.Name, nb.Name)
+					t.Fatalf("%s: a tree built before %s was minted knows it", k.Name, nb.Name)
 				}
 			}
 			if li.LoopFor(nb) != nil {
-				t.Fatalf("%s: LoopFor(%s) on stale loop info is not nil", b.Name, nb.Name)
+				t.Fatalf("%s: LoopFor(%s) on stale loop info is not nil", k.Name, nb.Name)
 			}
 			for _, l := range li.Loops {
 				if l.Contains(nb) {
-					t.Fatalf("%s: stale %v contains %s", b.Name, l, nb.Name)
+					t.Fatalf("%s: stale %v contains %s", k.Name, l, nb.Name)
 				}
 			}
 		}
@@ -211,5 +187,5 @@ func TestStaleHandlesAnswerLikeMaps(t *testing.T) {
 			l.ExitingBlocks()
 			l.Preheader()
 		}
-	}
+	})
 }

@@ -325,5 +325,5 @@ func execute(ctx context.Context, prog *codegen.Program, w *Workload, cfg gpusim
 // LoopCount reports the benchmark's loop count on the canonicalized kernel —
 // the `L` column of Table I.
 func LoopCount(b *Benchmark) int {
-	return pipeline.CanonicalLoopCount(b.Kernel())
+	return len(pipeline.Canonicalize(b.Kernel()).Loops)
 }

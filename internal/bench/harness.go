@@ -193,7 +193,7 @@ func planApp(b *Benchmark, input InputMode, verify bool) appPlan {
 	if err != nil {
 		return appPlan{err: err}
 	}
-	p.loops = pipeline.CanonicalLoopCount(f)
+	p.loops = len(pipeline.Canonicalize(f).Loops)
 	if verify {
 		if testHookReference != nil {
 			testHookReference(b)

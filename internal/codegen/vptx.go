@@ -202,16 +202,6 @@ func (m *LoopMeta) Origin() ir.Loc {
 	return ir.Loc{Line: m.Line, Iter: m.Iter, Dup: m.Dup}
 }
 
-// LoopByID returns the LoopMeta with the given id, or nil.
-func (p *Program) LoopByID(id int32) *LoopMeta {
-	for i := range p.Loops {
-		if p.Loops[i].ID == id {
-			return &p.Loops[i]
-		}
-	}
-	return nil
-}
-
 // NumInstrs returns the total instruction count.
 func (p *Program) NumInstrs() int {
 	n := 0

@@ -82,7 +82,7 @@ func runFig1(t *testing.T, f *ir.Function, n int64, seed int64) []int64 {
 	}
 	outBase := 8 * n
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(outBase), interp.IntVal(n)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("interp: %v\n%s", err, f.String())
 	}
 	out := make([]int64, n)
@@ -286,7 +286,7 @@ func runBezier(t *testing.T, f *ir.Function, nn, kn, nkn int64) float64 {
 	t.Helper()
 	mem := interp.NewMemory(8)
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(nn), interp.IntVal(kn), interp.IntVal(nkn)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("interp: %v\n%s", err, f.String())
 	}
 	return mem.F64(0, 0)
@@ -327,9 +327,9 @@ func TestUUBezierSemanticsAndConditionElimination(t *testing.T) {
 		var s transform.Scratch
 		transform.SCCPPass(&s).Run(f, analysis.NewAnalysisManager(f))
 		transform.SimplifyCFG(f)
-		transform.InstSimplify(f)
+		transform.InstSimplifyPass(&s).Run(f, analysis.NewAnalysisManager(f))
 		transform.GVNPass(transform.DefaultGVNOptions(), &s).Run(f, analysis.NewAnalysisManager(f))
-		transform.DCE(f)
+		transform.DCEPass(&s).Run(f, analysis.NewAnalysisManager(f))
 		transform.SimplifyCFG(f)
 	}
 	mustVerify(t, f, "cleanup")
@@ -513,7 +513,7 @@ exit:
 	runIt := func(f *ir.Function) []int64 {
 		mem := interp.NewMemory(8 * 64)
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(6), interp.IntVal(4)}
-		if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 			t.Fatalf("interp: %v\n%s", err, f.String())
 		}
 		out := make([]int64, 16)
@@ -612,7 +612,7 @@ exit:
 		mustVerify(t, f, "unmerge")
 		mem := interp.NewMemory(8 * 16)
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(10), interp.IntVal(6), interp.IntVal(3)}
-		if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 			t.Fatalf("interp: %v", err)
 		}
 		out := make([]int64, 10)
@@ -779,7 +779,7 @@ exit:
 	runIt := func(f *ir.Function) []int64 {
 		mem := interp.NewMemory(8 * 16)
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(12), interp.IntVal(7)}
-		if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 			t.Fatalf("interp: %v\n%s", err, f.String())
 		}
 		out := make([]int64, 12)
@@ -870,7 +870,7 @@ exit:
 	runIt := func(f *ir.Function) []int64 {
 		mem := interp.NewMemory(8 * 8)
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(7), interp.IntVal(5), interp.IntVal(3)}
-		if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 			t.Fatalf("interp: %v\n%s", err, f.String())
 		}
 		out := make([]int64, 7)
@@ -909,13 +909,5 @@ exit:
 	}
 	if innerCount < 2 {
 		t.Fatalf("inner loops = %d, want >= 2 (one per unrolled iteration)", innerCount)
-	}
-}
-
-// TestLoopCountHelper exercises the Table I `L` column helper.
-func TestLoopCountHelper(t *testing.T) {
-	f := parse(t, bezierLoop)
-	if got := LoopCount(f); got != 1 {
-		t.Fatalf("LoopCount = %d, want 1", got)
 	}
 }

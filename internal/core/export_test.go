@@ -8,6 +8,11 @@ import (
 	"uu/internal/ir"
 )
 
+// Unmerge is unmerge on a fresh analysis manager and fresh tables.
+func Unmerge(f *ir.Function, l *analysis.Loop, opts Options) bool {
+	return unmerge(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
+}
+
 // refFindMergeBlock is the merge search as it was before blocks had numbers:
 // a recursive DFS with a fresh pointer-keyed state map per call. It survives
 // only here, as the oracle unmerger.findMergeBlock is checked against.

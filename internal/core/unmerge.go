@@ -40,7 +40,7 @@ type Options struct {
 // DefaultMaxBlocks caps function growth during unmerging.
 const DefaultMaxBlocks = 4096
 
-// Unmerge removes control-flow merge points inside loop l: every in-loop
+// unmerge removes control-flow merge points inside loop l: every in-loop
 // block other than the header (and other than inner-loop headers) with more
 // than one in-loop predecessor is duplicated, once per extra predecessor,
 // together with its whole tail region up to the latch. Afterwards each path
@@ -51,16 +51,12 @@ const DefaultMaxBlocks = 4096
 // Loops containing convergent operations (barriers) are refused, mirroring
 // the paper's use of LLVM's convergence analysis. Returns whether the CFG
 // changed.
-func Unmerge(f *ir.Function, l *analysis.Loop, opts Options) bool {
-	return unmerge(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
-}
-
-// unmerge is Unmerge against a caller-provided analysis manager. The
-// duplication loop mutates the CFG repeatedly; the manager is invalidated
-// after every structural edit so each dominance query (direct-successor
-// region selection) sees the current graph. The manager is always
-// invalidated on return: establishing preheader/LCSSA form can mutate even
-// when no merge block is duplicated. The unmerger's tables are s's.
+//
+// The duplication loop mutates the CFG repeatedly; am is invalidated after
+// every structural edit so each dominance query (direct-successor region
+// selection) sees the current graph. am is always invalidated on return:
+// establishing preheader/LCSSA form can mutate even when no merge block is
+// duplicated. The unmerger's tables are s's.
 func unmerge(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options, s *Scratch) bool {
 	u := newUnmerger(f, am, l, opts, s)
 	if u == nil {

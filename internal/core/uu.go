@@ -128,9 +128,3 @@ func loopWithHeader(li *analysis.LoopInfo, h *ir.Block) *analysis.Loop {
 	}
 	return nil
 }
-
-// LoopCount returns the number of natural loops in f — the `L` column of the
-// paper's Table I.
-func LoopCount(f *ir.Function) int {
-	return len(analysis.NewAnalysisManager(f).LoopInfo().Loops)
-}

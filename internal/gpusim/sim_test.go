@@ -53,7 +53,7 @@ func TestSimulatorMatchesInterpreter(t *testing.T) {
 			TID: int32(tidx % launch.BlockDim), NTID: int32(launch.BlockDim),
 			CTAID: int32(tidx / launch.BlockDim), NCTAID: int32(launch.GridDim),
 		}
-		if _, err := interp.Run(f, args, refMem, env); err != nil {
+		if _, err := interp.RunCounted(f, args, refMem, env, nil); err != nil {
 			t.Fatalf("interp: %v", err)
 		}
 	}

@@ -43,7 +43,7 @@ entry:
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(n)}
 	for tid := 0; tid < n; tid++ {
 		env := interp.Env{TID: int32(tid), NTID: n, CTAID: 0, NCTAID: 1}
-		if _, err := interp.Run(f, args, refMem, env); err != nil {
+		if _, err := interp.RunCounted(f, args, refMem, env, nil); err != nil {
 			t.Fatalf("interp: %v", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -104,8 +103,8 @@ func RunCampaign(o CampaignOptions) (*CampaignResult, error) {
 		k := harden.Generate(seed)
 		res.Kernels++
 		// Loop ids are assigned on the canonicalized form; count them there
-		// (CanonicalLoopCount mutates, so feed it a clone).
-		loops := pipeline.CanonicalLoopCount(ir.Clone(k.F))
+		// (Canonicalize mutates, so feed it a clone).
+		loops := len(pipeline.Canonicalize(ir.Clone(k.F)).Loops)
 		for _, cfg := range cfgs {
 			opts := pipeline.Options{
 				Config:         cfg,
@@ -118,7 +117,10 @@ func RunCampaign(o CampaignOptions) (*CampaignResult, error) {
 				if loops == 0 {
 					continue
 				}
-				opts.LoopID = int(seed % int64(loops))
+				// The seed's non-negative remainder: a negative seed names
+				// a loop too.
+				n := int64(loops)
+				opts.LoopID = int((seed%n + n) % n)
 				opts.Factor = 2 + 2*(i%2) // alternate factors 2 and 4
 			}
 			div, stats, err := check(k.F, k, opts, legs)
@@ -159,22 +161,16 @@ func RunCampaign(o CampaignOptions) (*CampaignResult, error) {
 }
 
 // writeRepro persists a minimized reproducer with a header that records
-// everything needed to replay it. The write rides the shared jittered
-// backoff (harden.Backoff): campaign repro directories commonly live on
-// network volumes in CI, where a transient write failure would otherwise
-// drop a minimized finding on the floor.
+// everything needed to replay it.
 func writeRepro(dir string, f *Finding, opts pipeline.Options) (string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("fuzz%d-%s.ir", f.Div.Seed, f.Div.Config))
 	body := fmt.Sprintf(
 		"; differential fuzz reproducer\n; seed %d, config %s, loop %d, factor %d\n; stage %s: %s\n; stop-after %d (0 = full pipeline)\n%s",
 		f.Div.Seed, f.Div.Config, opts.LoopID, opts.Factor, f.Div.Stage, f.Div.Detail, f.StopAfter, f.ReducedIR)
-	err := harden.DefaultBackoff().Retry(context.Background(), nil, func() error {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(path, []byte(body), 0o644)
-	})
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -21,7 +21,7 @@ func FuzzPipelineDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		k := harden.Generate(seed)
-		loops := pipeline.CanonicalLoopCount(ir.Clone(k.F))
+		loops := len(pipeline.Canonicalize(ir.Clone(k.F)).Loops)
 		for _, cfg := range pipeline.Configs {
 			opts := pipeline.Options{Config: cfg, VerifyEachPass: true, Contain: true}
 			switch cfg {

@@ -135,3 +135,19 @@ func TestCampaignAggregatesContainedFailures(t *testing.T) {
 		t.Fatalf("contained panic produced findings: %+v", res.Findings)
 	}
 }
+
+// TestCampaignNegativeSeedsExerciseLoops runs `uuopt -fuzz 6 -seed -8`'s
+// campaign. A per-loop configuration picks its loop from the seed, and a
+// negative seed must still pick one the kernel has: a remainder taken with
+// the seed's sign asked for loop #-1, a refusal, so the unroll, unmerge and
+// u&u legs never ran. Every loop these six kernels have is one all three
+// transform, so any refusal here is a loop the kernel lacks.
+func TestCampaignNegativeSeedsExerciseLoops(t *testing.T) {
+	res, err := RunCampaign(CampaignOptions{Count: 6, Seed: -8})
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	if res.Refusals != 0 || res.Checks != 24 {
+		t.Fatalf("%d of %d checks refused: a negative seed named a loop its kernel lacks", res.Refusals, res.Checks)
+	}
+}

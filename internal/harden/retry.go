@@ -6,25 +6,15 @@ import (
 	"time"
 )
 
-// Backoff is a capped exponential backoff schedule with full jitter,
-// shared by every retry loop in the repository (the uud load client's
-// 429/disconnect handling, the fuzz campaign's reproducer writes). The
-// zero value is not useful; start from DefaultBackoff.
+// Backoff is a capped exponential backoff schedule with full jitter: the
+// delay before retry n is drawn from (0, d], d = backoffBase·backoffFactor^n
+// capped at backoffMax, which decorrelates clients that were shed by the
+// same overload event. The uud load client retries through it. The zero
+// value tries once.
 type Backoff struct {
-	// Base is the nominal delay before the first retry; attempt n waits
-	// Base * Factor^n, capped at Max.
-	Base time.Duration
-	// Max caps the per-attempt delay after exponential growth.
-	Max time.Duration
-	// Factor is the exponential growth rate between attempts (>= 1).
-	Factor float64
 	// Attempts is the total number of tries (the first call plus
 	// Attempts-1 retries). Zero or negative means one try, no retries.
 	Attempts int
-	// Jitter selects full jitter: each delay is drawn uniformly from
-	// (0, d] instead of sleeping exactly d, decorrelating clients that
-	// were shed by the same overload event.
-	Jitter bool
 	// Rand supplies the jitter randomness. Nil uses a time-seeded source;
 	// tests and deterministic clients inject a seeded *rand.Rand.
 	Rand *rand.Rand
@@ -33,40 +23,36 @@ type Backoff struct {
 	Sleep func(time.Duration)
 }
 
-// DefaultBackoff is the schedule the load client starts from: 5 tries,
-// 50ms doubling to a 2s cap, full jitter.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Attempts: 5, Jitter: true}
+// The schedule: 50ms doubling to a 2s cap.
+const (
+	backoffBase   = 50 * time.Millisecond
+	backoffMax    = 2 * time.Second
+	backoffFactor = 2
+)
+
+// nominal is the schedule's delay before retry attempt n, before jitter.
+func nominal(n int) time.Duration {
+	d := backoffBase
+	for i := 0; i < n && d < backoffMax; i++ {
+		d *= backoffFactor
+	}
+	return min(d, backoffMax)
 }
 
-// Delay returns the (possibly jittered) delay before retry attempt n
-// (0-based: the delay between the first failure and the second try is
-// Delay(0)).
+// Delay returns the jittered delay before retry attempt n (0-based: the
+// delay between the first failure and the second try is Delay(0)).
 func (b Backoff) Delay(n int) time.Duration {
-	d := float64(b.Base)
-	for i := 0; i < n; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
+	var u float64
+	if b.Rand != nil {
+		u = b.Rand.Float64()
+	} else {
+		u = rand.Float64()
 	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	if b.Jitter && d > 0 {
-		var u float64
-		if b.Rand != nil {
-			u = b.Rand.Float64()
-		} else {
-			u = rand.Float64()
-		}
-		// Full jitter over (0, d]: never a zero sleep (that would turn a
-		// retry loop into a busy spin), never more than the schedule.
-		d = d * (1 - u)
-		if d < 1 {
-			d = 1
-		}
+	// Full jitter over (0, d]: never a zero sleep (that would turn a retry
+	// loop into a busy spin), never more than the schedule.
+	d := float64(nominal(n)) * (1 - u)
+	if d < 1 {
+		d = 1
 	}
 	return time.Duration(d)
 }
@@ -76,11 +62,8 @@ func (b Backoff) Delay(n int) time.Duration {
 // attempt (or when ctx is done first) it returns the most recent error.
 // fn's error is inspected through retryable when non-nil: a false return
 // stops immediately (the failure is permanent and backing off cannot
-// help). A nil ctx is treated as context.Background().
+// help).
 func (b Backoff) Retry(ctx context.Context, retryable func(error) bool, fn func() error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	attempts := b.Attempts
 	if attempts < 1 {
 		attempts = 1

@@ -13,9 +13,7 @@ import (
 // capped, exponential, and never zero.
 func TestBackoffDelayDeterministic(t *testing.T) {
 	mk := func() Backoff {
-		b := DefaultBackoff()
-		b.Rand = rand.New(rand.NewSource(42))
-		return b
+		return Backoff{Rand: rand.New(rand.NewSource(42))}
 	}
 	a, b := mk(), mk()
 	for n := 0; n < 8; n++ {
@@ -26,32 +24,34 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 		if da <= 0 {
 			t.Fatalf("attempt %d: non-positive delay %v", n, da)
 		}
-		if da > a.Max {
-			t.Fatalf("attempt %d: delay %v above cap %v", n, da, a.Max)
+		if da > backoffMax {
+			t.Fatalf("attempt %d: delay %v above cap %v", n, da, backoffMax)
 		}
 	}
 }
 
-// TestBackoffDelayUnjittered checks the raw exponential-with-cap shape.
+// TestBackoffDelayUnjittered checks the raw exponential-with-cap shape the
+// jitter draws under.
 func TestBackoffDelayUnjittered(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 45 * time.Millisecond, Factor: 2, Attempts: 6}
 	want := []time.Duration{
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		45 * time.Millisecond,
-		45 * time.Millisecond,
+		50 * time.Millisecond,
+		100 * time.Millisecond,
+		200 * time.Millisecond,
+		400 * time.Millisecond,
+		800 * time.Millisecond,
+		1600 * time.Millisecond,
+		2 * time.Second,
+		2 * time.Second,
 	}
 	for n, w := range want {
-		if got := b.Delay(n); got != w {
-			t.Fatalf("Delay(%d) = %v, want %v", n, got, w)
+		if got := nominal(n); got != w {
+			t.Fatalf("nominal(%d) = %v, want %v", n, got, w)
 		}
 	}
 }
 
 func TestRetrySucceedsAfterFailures(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond, Factor: 2, Attempts: 5,
-		Jitter: true, Rand: rand.New(rand.NewSource(7))}
+	b := Backoff{Attempts: 5, Rand: rand.New(rand.NewSource(7))}
 	var slept []time.Duration
 	b.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	calls := 0
@@ -79,7 +79,7 @@ func TestRetrySucceedsAfterFailures(t *testing.T) {
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Max: time.Millisecond, Factor: 2, Attempts: 4}
+	b := Backoff{Attempts: 4}
 	b.Sleep = func(time.Duration) {}
 	calls := 0
 	wantErr := errors.New("still down")
@@ -93,8 +93,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 }
 
 func TestRetryPermanentErrorStops(t *testing.T) {
-	b := DefaultBackoff()
-	b.Sleep = func(time.Duration) {}
+	b := Backoff{Attempts: 5, Sleep: func(time.Duration) {}}
 	permanent := errors.New("bad request")
 	calls := 0
 	err := b.Retry(context.Background(), func(err error) bool { return !errors.Is(err, permanent) },
@@ -108,16 +107,13 @@ func TestRetryPermanentErrorStops(t *testing.T) {
 }
 
 func TestRetryCanceledContext(t *testing.T) {
-	b := Backoff{Base: time.Hour, Max: time.Hour, Factor: 2, Attempts: 3}
+	b := Backoff{Attempts: 3}
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	go func() {
-		// Cancel while Retry sleeps between attempts 1 and 2.
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
 	wantErr := errors.New("down")
-	err := b.Retry(ctx, nil, func() error { calls++; return wantErr })
+	// Cancel during the first attempt, so Retry is told while it sleeps
+	// before the second.
+	err := b.Retry(ctx, nil, func() error { calls++; cancel(); return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("Retry = %v, want the last attempt error %v", err, wantErr)
 	}

@@ -197,26 +197,22 @@ type Env struct {
 // DefaultMaxSteps bounds interpretation to catch runaway loops in tests.
 const DefaultMaxSteps = 50_000_000
 
-// Counters tallies dynamic execution statistics of one Run.
+// Counters tallies dynamic execution statistics of one run.
 type Counters struct {
 	Steps int64
 	Ops   map[ir.Op]int64
 }
 
-// Run executes f with the given arguments (one per parameter; pointer
-// parameters take byte offsets into mem). It returns the return value (zero
-// Value for void) and an error on traps or step exhaustion.
-func Run(f *ir.Function, args []Value, mem *Memory, env Env) (Value, error) {
-	return RunSteps(f, args, mem, env, DefaultMaxSteps, nil)
-}
-
-// RunCounted is Run, additionally tallying dynamically executed operations
-// into ctr (which must have a non-nil Ops map).
+// RunCounted is RunSteps with the DefaultMaxSteps budget.
 func RunCounted(f *ir.Function, args []Value, mem *Memory, env Env, ctr *Counters) (Value, error) {
 	return RunSteps(f, args, mem, env, DefaultMaxSteps, ctr)
 }
 
-// RunSteps is Run with an explicit step budget.
+// RunSteps executes f with the given arguments (one per parameter; pointer
+// parameters take byte offsets into mem) for at most maxSteps steps. It
+// returns the return value (zero Value for void) and an error on traps or
+// step exhaustion. When ctr is non-nil (its Ops map must be too), the
+// dynamically executed operations are tallied into it.
 //
 // f must carry the numbering ir.Verify enforces (DESIGN.md section 16):
 // every attached instruction has a function-unique ID below

@@ -66,7 +66,7 @@ func TestGeometryIntrinsics(t *testing.T) {
 	b.Ret(nil)
 	mem := NewMemory(4)
 	env := Env{TID: 3, NTID: 64, CTAID: 2, NCTAID: 10}
-	if _, err := Run(f, []Value{IntVal(0)}, mem, env); err != nil {
+	if _, err := RunCounted(f, []Value{IntVal(0)}, mem, env, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if got := mem.I32(0, 0); got != 2*64+3+10 {
@@ -95,7 +95,7 @@ func TestQuickEvalMatchesFold(t *testing.T) {
 		pb := f.AddParam("b", typ, false)
 		r := bld.Bin(op, pa, pb)
 		bld.Ret(r)
-		got, err := Run(f, []Value{IntVal(a), IntVal(b)}, NewMemory(0), Env{})
+		got, err := RunCounted(f, []Value{IntVal(a), IntVal(b)}, NewMemory(0), Env{}, nil)
 		want, ok := ir.EvalBinary(op, typ, ir.IntScalar(typ, a), ir.IntScalar(typ, b))
 		folded := ir.FoldBinary(op, ir.ConstInt(typ, a), ir.ConstInt(typ, b))
 		switch {
@@ -123,7 +123,7 @@ func TestQuickFloat32Rounding(t *testing.T) {
 		pb := f.AddParam("b", ir.F32, false)
 		r := bld.Bin(ir.OpFMul, pa, pb)
 		bld.Ret(r)
-		got, err := Run(f, []Value{FloatVal(float64(a)), FloatVal(float64(b))}, NewMemory(0), Env{})
+		got, err := RunCounted(f, []Value{FloatVal(float64(a)), FloatVal(float64(b))}, NewMemory(0), Env{}, nil)
 		if err != nil {
 			return false
 		}
@@ -185,7 +185,7 @@ func TestRunAllocationsIndependentOfSteps(t *testing.T) {
 	allocs := func(iters int64) float64 {
 		args := []Value{IntVal(iters)}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Run(f, args, mem, Env{}); err != nil {
+			if _, err := RunCounted(f, args, mem, Env{}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

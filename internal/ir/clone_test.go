@@ -37,7 +37,7 @@ func TestCloneFunctionRoundTrips(t *testing.T) {
 			if origInstrs[in] {
 				t.Fatalf("clone shares instruction %s with original", in.Ref())
 			}
-			for _, a := range in.Args() {
+			for _, a := range in.args {
 				if ai, ok := a.(*Instr); ok && origInstrs[ai] {
 					t.Fatalf("clone instruction %s uses original operand %s", in.Ref(), ai.Ref())
 				}

@@ -263,9 +263,6 @@ type Loc struct {
 	Dup  int32 // unmerge path-duplication id; 0 = original path
 }
 
-// IsZero reports whether the location carries no provenance.
-func (l Loc) IsZero() bool { return l == Loc{} }
-
 // BlockLine returns the source line anchoring a block: the line of its
 // terminator (for loop headers that is the loop condition, which the
 // frontend stamps with the loop statement's line), falling back to the
@@ -373,10 +370,6 @@ func (in *Instr) NumArgs() int { return len(in.args) }
 
 // Arg returns the i-th value operand.
 func (in *Instr) Arg(i int) Value { return in.args[i] }
-
-// Args returns the operand slice. Callers must not mutate it directly; use
-// SetArg so def-use chains stay consistent.
-func (in *Instr) Args() []Value { return in.args }
 
 // SetArg replaces the i-th operand, updating def-use chains.
 func (in *Instr) SetArg(i int, v Value) {

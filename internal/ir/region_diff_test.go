@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"uu/internal/analysis"
-	"uu/internal/bench"
-	"uu/internal/core"
-	"uu/internal/harden"
+	"uu/internal/corpus"
 	"uu/internal/ir"
-	"uu/internal/lang"
-	"uu/internal/transform"
 )
 
 // TestCloneRegionMatchesReference pins "same copy, exact lists" for
@@ -24,7 +19,7 @@ import (
 // (16 743 regions in 5 s; the production cap's 25 117 took 22 s) and at 512
 // on the generated kernels.
 func TestCloneRegionMatchesReference(t *testing.T) {
-	var what string
+	var bad string // the first region of the current case that differs
 	regions := 0
 	var ref *ir.Function // the reference's copy, rewritten for every region
 	var byID []*ir.Block
@@ -42,53 +37,39 @@ func TestCloneRegionMatchesReference(t *testing.T) {
 		blockOf, instrOf := ir.RefCloneRegion(refRegion, suffix)
 		return func() {
 			regions++
+			if bad != "" {
+				return
+			}
 			if ir.Fingerprint(f) != ir.Fingerprint(ref) {
-				t.Fatalf("%s: copying %d blocks from %s as %q left a function the reference copy does not:\n--- got\n%s\n--- want\n%s",
-					what, len(blocks), blocks[0].Name, suffix, f, ref)
+				bad = fmt.Sprintf("copying %d blocks from %s as %q left a function the reference copy does not:\n--- got\n%s\n--- want\n%s",
+					len(blocks), blocks[0].Name, suffix, f, ref)
+				return
 			}
 			for i, b := range blocks {
 				if got, want := c.Block(b).ID(), blockOf[refRegion[i]].ID(); got != want {
-					t.Fatalf("%s: %s's clone is block %d, the reference's %d", what, b.Name, got, want)
+					bad = fmt.Sprintf("%s's clone is block %d, the reference's %d", b.Name, got, want)
+					return
 				}
 				for j, in := range b.Instrs() {
 					if got, want := c.Value(in).(*ir.Instr).ID(), instrOf[refRegion[i].Instrs()[j]].ID(); got != want {
-						t.Fatalf("%s: %s's clone is %%t%d, the reference's %%t%d", what, in.Ref(), got, want)
+						bad = fmt.Sprintf("%s's clone is %%t%d, the reference's %%t%d", in.Ref(), got, want)
+						return
 					}
 				}
 			}
 		}
 	})()
-	var fs []*ir.Function
-	for _, b := range bench.Suite {
-		f, err := lang.CompileKernel(b.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		fs = append(fs, f)
-	}
-	for seed := int64(1); seed <= 200; seed++ {
-		fs = append(fs, harden.Generate(seed).F)
-	}
 	cases := 0
-	for i, f := range fs {
-		transform.Mem2Reg(f)
-		transform.SimplifyCFG(f)
-		transform.InstSimplify(f)
-		transform.DCE(f)
-		opts := core.Options{MaxBlocks: 1024}
-		if i >= len(bench.Suite) {
-			opts.MaxBlocks = 512
-		}
-		nLoops := len(analysis.NewAnalysisManager(f).LoopInfo().Loops)
-		for id := 0; id < nLoops; id++ {
-			for _, u := range []int{2, 4, 8} {
-				what = fmt.Sprintf("%s loop %d u=%d", f.Name, id, u)
-				if _, err := core.UnrollAndUnmerge(ir.Clone(f), id, u, opts); err == nil {
-					cases++
-				}
+	corpus.Kernels(corpus.Spec{Seeds: 200, MaxBlocks: 1024}, func(k *corpus.Kernel) {
+		k.Cases(func(c *corpus.Case) {
+			if bad != "" {
+				t.Fatalf("%s: %s", c.Name, bad)
 			}
-		}
-	}
+			if c.Err == nil {
+				cases++
+			}
+		})
+	})
 	if cases < 300 || regions < 10*cases {
 		t.Fatalf("%d regions over %d transformed (loop, factor) cases: the corpus no longer reaches the copies' hot shape", regions, cases)
 	}

@@ -103,7 +103,7 @@ kernel k(long* restrict out, long a, long b, long c) {
 			want := eval(a, b, c)
 			args := []interp.Value{interp.IntVal(0), interp.IntVal(a), interp.IntVal(b), interp.IntVal(c)}
 			mem := interp.NewMemory(8)
-			if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+			if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 				t.Fatalf("trial %d: interp: %v\nexpr: %s", trial, err, exprSrc)
 			}
 			if got := mem.I64(0, 0); got != want {
@@ -111,7 +111,7 @@ kernel k(long* restrict out, long a, long b, long c) {
 					trial, exprSrc, a, b, c, got, want)
 			}
 			mem2 := interp.NewMemory(8)
-			if _, err := interp.Run(optimized, args, mem2, interp.Env{}); err != nil {
+			if _, err := interp.RunCounted(optimized, args, mem2, interp.Env{}, nil); err != nil {
 				t.Fatalf("trial %d: optimized interp: %v", trial, err)
 			}
 			if got := mem2.I64(0, 0); got != want {
@@ -150,7 +150,7 @@ kernel k(long* restrict out, long a, long b, long n) {
 		refOut := func(a, b, n int64) int64 {
 			mem := interp.NewMemory(8)
 			args := []interp.Value{interp.IntVal(0), interp.IntVal(a), interp.IntVal(b), interp.IntVal(n)}
-			if _, err := interp.Run(ref, args, mem, interp.Env{}); err != nil {
+			if _, err := interp.RunCounted(ref, args, mem, interp.Env{}, nil); err != nil {
 				t.Fatalf("trial %d: ref: %v", trial, err)
 			}
 			return mem.I64(0, 0)
@@ -174,7 +174,7 @@ kernel k(long* restrict out, long a, long b, long n) {
 				n := rng.Int63n(12)
 				mem := interp.NewMemory(8)
 				args := []interp.Value{interp.IntVal(0), interp.IntVal(a), interp.IntVal(b), interp.IntVal(n)}
-				if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+				if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 					t.Fatalf("trial %d: %s interp: %v", trial, cfg.Config, err)
 				}
 				if got, want := mem.I64(0, 0), refOut(a, b, n); got != want {

@@ -50,7 +50,7 @@ kernel axpy(double* restrict x, double* restrict y, double a, long n) {
 	for tid := int32(0); tid < 4; tid++ {
 		env := interp.Env{TID: tid, NTID: 4, CTAID: 0, NCTAID: 1}
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(32), interp.FloatVal(2), interp.IntVal(3)}
-		if _, err := interp.Run(f, args, mem, env); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, env, nil); err != nil {
 			t.Fatalf("run tid=%d: %v", tid, err)
 		}
 	}
@@ -98,7 +98,7 @@ func refBsearch(a []float64, quarry float64) int64 {
 
 func TestCompileXSBenchBinarySearch(t *testing.T) {
 	f := compile(t, xsbenchSrc)
-	transform.Mem2Reg(f)
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
 	if err := ir.Verify(f); err != nil {
 		t.Fatalf("verify after mem2reg: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestCompileXSBenchBinarySearch(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := rng.Float64() * 200
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(8 * n), interp.IntVal(n), interp.FloatVal(q)}
-		if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if got, want := mem.I64(8*n, 0), refBsearch(a, q); got != want {
@@ -162,12 +162,12 @@ func refComplex(n, a, c int64) int64 {
 
 func TestCompileComplex(t *testing.T) {
 	f := compile(t, complexSrc)
-	transform.Mem2Reg(f)
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
 	mem := interp.NewMemory(8 * 64)
 	for tid := int32(0); tid < 64; tid++ {
 		env := interp.Env{TID: tid % 32, NTID: 32, CTAID: tid / 32, NCTAID: 2}
 		args := []interp.Value{interp.IntVal(0), interp.IntVal(3), interp.IntVal(5)}
-		if _, err := interp.Run(f, args, mem, env); err != nil {
+		if _, err := interp.RunCounted(f, args, mem, env, nil); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	}
@@ -199,7 +199,7 @@ kernel guard(double* restrict x, long* restrict out, long n) {
 	// Thread 0: i<n(=1), x[0]=0.3: first false (0.3<0.5), second: i<n so x[0]>0.25 true => 2.
 	env := interp.Env{TID: 0, NTID: 8, CTAID: 0, NCTAID: 1}
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(8), interp.IntVal(1)}
-	if _, err := interp.Run(f, args, mem, env); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, env, nil); err != nil {
 		t.Fatalf("run tid 0: %v", err)
 	}
 	if got := mem.I64(8, 0); got != 2 {
@@ -208,7 +208,7 @@ kernel guard(double* restrict x, long* restrict out, long n) {
 	// Thread 3: i>=n; both memory accesses must be skipped (no OOB trap on
 	// the 1-element array) and hits = 2 via the || short-circuit.
 	env.TID = 3
-	if _, err := interp.Run(f, args, mem, env); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, env, nil); err != nil {
 		t.Fatalf("run tid 3 (short-circuit failed to guard OOB?): %v", err)
 	}
 	if got := mem.I64(8, 3); got != 2 {
@@ -227,7 +227,7 @@ kernel m(double* restrict out, double x) {
 	f := compile(t, src)
 	mem := interp.NewMemory(8)
 	args := []interp.Value{interp.IntVal(0), interp.FloatVal(4)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := math.Pow(math.Sqrt(4), 2) + 4 + 3 + 1
@@ -235,7 +235,7 @@ kernel m(double* restrict out, double x) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 	args[1] = interp.FloatVal(-2)
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want = math.Pow(2, 2) + 0 + 3 + 1 + 1
@@ -262,7 +262,7 @@ kernel fbc(long* restrict out, long n) {
 	f := compile(t, src)
 	mem := interp.NewMemory(8)
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(100)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// 1+3+5+7+9 = 25, then +100.
@@ -281,7 +281,7 @@ kernel f32(float* restrict out, float a, float b) {
 	f := compile(t, src)
 	mem := interp.NewMemory(4)
 	args := []interp.Value{interp.IntVal(0), interp.FloatVal(1), interp.FloatVal(3)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	c := float32(1) / float32(3)
@@ -329,10 +329,10 @@ kernel nest(long* restrict out, long n, long m) {
 }
 `
 	f := compile(t, src)
-	transform.Mem2Reg(f)
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
 	mem := interp.NewMemory(8)
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(5), interp.IntVal(4)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := int64(0)
@@ -360,7 +360,7 @@ kernel k(long* restrict out, long n) {
 }
 `
 	f := compile(t, src)
-	transform.Mem2Reg(f)
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
 	transform.SimplifyCFG(f)
 	// Find loops; each must have a unique latch.
 	lcount := 0
@@ -404,7 +404,7 @@ kernel k(long* restrict out) {
 `
 	f := compile(t, src)
 	mem := interp.NewMemory(8)
-	if _, err := interp.Run(f, []interp.Value{interp.IntVal(0)}, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, []interp.Value{interp.IntVal(0)}, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// 31 + 10 + 1 (1.5e-3*1000 = 1.5 -> fptosi 1) + 2 = 44
@@ -428,7 +428,7 @@ kernel k(long* restrict out) {
 `
 	f := compile(t, src)
 	mem := interp.NewMemory(8)
-	if _, err := interp.Run(f, []interp.Value{interp.IntVal(0)}, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, []interp.Value{interp.IntVal(0)}, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := int64(14 + 20 + 16 + 7 + 3 + 100)
@@ -458,7 +458,7 @@ kernel k(long* restrict out, long x) {
 	f := compile(t, src)
 	for _, tc := range []struct{ x, want int64 }{{5, 10}, {15, 20}, {25, 30}} {
 		mem := interp.NewMemory(8)
-		if _, err := interp.Run(f, []interp.Value{interp.IntVal(0), interp.IntVal(tc.x)}, mem, interp.Env{}); err != nil {
+		if _, err := interp.RunCounted(f, []interp.Value{interp.IntVal(0), interp.IntVal(tc.x)}, mem, interp.Env{}, nil); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if got := mem.I64(0, 0); got != tc.want {
@@ -483,7 +483,7 @@ kernel k(long* restrict out, long n) {
 `
 	f := compile(t, src)
 	mem := interp.NewMemory(8)
-	if _, err := interp.Run(f, []interp.Value{interp.IntVal(0), interp.IntVal(10)}, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, []interp.Value{interp.IntVal(0), interp.IntVal(10)}, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// evens 0..8 sum = 20, minus 5 odds = 15
@@ -507,7 +507,7 @@ kernel k(long* restrict out) {
 `
 	f := compile(t, src)
 	mem := interp.NewMemory(8)
-	if _, err := interp.Run(f, []interp.Value{interp.IntVal(0)}, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, []interp.Value{interp.IntVal(0)}, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// a=2; 32; 33; 35; 34; 17
@@ -530,7 +530,7 @@ kernel k(double* restrict x, long n) {
 	for i := int64(0); i < 4; i++ {
 		mem.SetF64(0, i, float64(i))
 	}
-	if _, err := interp.Run(f, []interp.Value{interp.IntVal(0), interp.IntVal(4)}, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, []interp.Value{interp.IntVal(0), interp.IntVal(4)}, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for i := int64(0); i < 4; i++ {
@@ -586,7 +586,7 @@ kernel k(long* restrict out, long x, double y) {
 	f := compile(t, src)
 	mem := interp.NewMemory(16)
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(5), interp.FloatVal(2.5)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if got := mem.I64(0, 0); got != -5+(-6)+20 {

@@ -72,8 +72,8 @@ func TestGuardRollsBackToLiarsOutput(t *testing.T) {
 		return transform.NewPass("liar", func(f *ir.Function, _ *analysis.AnalysisManager) analysis.PreservedAnalyses {
 			for _, b := range f.Blocks() {
 				for _, in := range b.Instrs() {
-					for i, a := range in.Args() {
-						if c, ok := a.(*ir.Const); ok && !in.IsPhi() && c.Typ.IsInt() && c.Typ != ir.I1 {
+					for i := 0; i < in.NumArgs(); i++ {
+						if c, ok := in.Arg(i).(*ir.Const); ok && !in.IsPhi() && c.Typ.IsInt() && c.Typ != ir.I1 {
 							in.SetArg(i, ir.ConstInt(c.Typ, c.Int+41))
 							edited = f.String()
 							return analysis.Unchanged()

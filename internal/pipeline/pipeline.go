@@ -195,8 +195,8 @@ func (s *Stats) Trace(tr *remark.Trace, tid int) {
 
 // canonicalizationPasses is the phase-1 pipeline: SSA construction and a
 // first canonicalization round. This list is the single source of truth for
-// "the canonical form" — loop IDs are assigned on its output, and
-// CanonicalLoopCount replays exactly this list.
+// "the canonical form": loop IDs are assigned on its output, and only
+// OptimizeCtx's phase 1 and Canonicalize run it.
 func canonicalizationPasses(s *transform.Scratch) []analysis.Pass {
 	return []analysis.Pass{
 		transform.Mem2RegPass(),
@@ -616,19 +616,16 @@ func (d *driver) headerOfLoop(id int) (*ir.Block, error) {
 	return l.Header, nil
 }
 
-// CanonicalLoopCount reports how many loops the per-loop configurations can
-// address in f: the loop count after phase-1 canonicalization, which is
-// where Optimize assigns the deterministic loop IDs.
-//
-// NOTE: f is mutated — the canonicalization passes (exactly Optimize's
-// phase-1 list) run on it in place. Callers that need the original function
-// afterwards must compile a fresh copy.
-func CanonicalLoopCount(f *ir.Function) int {
+// Canonicalize puts f in the canonical form in place, running phase 1's pass
+// list in a borrowed scratch bundle exactly as OptimizeCtx runs it first, and
+// returns the loops of the result: loop i of it is the loop Options.LoopID i
+// selects. Callers that need f as it was must canonicalize a copy.
+func Canonicalize(f *ir.Function) *analysis.LoopInfo {
 	s := takeScratch()
 	am := analysis.NewAnalysisManager(f)
 	for _, p := range canonicalizationPasses(&s.transform) {
 		am.Invalidate(p.Run(f, am))
 	}
 	s.file()
-	return len(am.LoopInfo().Loops)
+	return am.LoopInfo()
 }

@@ -38,7 +38,7 @@ func runBsearch(t *testing.T, f *ir.Function, a []float64, q float64) int64 {
 		mem.SetF64(0, int64(i), v)
 	}
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(8 * n), interp.IntVal(n), interp.FloatVal(q)}
-	if _, err := interp.Run(f, args, mem, interp.Env{}); err != nil {
+	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
 		t.Fatalf("interp: %v\n%s", err, f.String())
 	}
 	return mem.I64(8*n, 0)

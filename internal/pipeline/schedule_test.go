@@ -1,11 +1,70 @@
 package pipeline_test
 
 import (
+	"fmt"
 	"testing"
 
+	"uu/internal/analysis"
 	"uu/internal/bench"
+	"uu/internal/harden"
+	"uu/internal/ir"
 	"uu/internal/pipeline"
 )
+
+// TestCanonicalizeIsPhaseOne holds the two runners of the canonicalization
+// pass list to each other: on every suite kernel and the generated kernels
+// of seeds 1–200, Canonicalize must leave the IR an Optimize stopped after
+// its canonicalize phase leaves, and number the same loops at the same
+// headers.
+func TestCanonicalizeIsPhaseOne(t *testing.T) {
+	var fs []*ir.Function
+	for _, b := range bench.Suite {
+		fs = append(fs, b.Kernel())
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		fs = append(fs, harden.Generate(seed).F)
+	}
+	loops := 0
+	for _, f := range fs {
+		full, err := pipeline.Optimize(ir.Clone(f), pipeline.Options{Config: pipeline.Baseline})
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		phase1 := 0
+		for _, pt := range full.PassTimes {
+			if pt.Phase == "canonicalize" {
+				phase1++
+			}
+		}
+		want := ir.Clone(f)
+		if _, err := pipeline.Optimize(want, pipeline.Options{Config: pipeline.Baseline, StopAfter: phase1}); err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		got := ir.Clone(f)
+		li := pipeline.Canonicalize(got)
+		if got.String() != want.String() {
+			t.Fatalf("%s: Canonicalize and Optimize's first %d passes leave different IR\n--- Canonicalize\n%s\n--- Optimize\n%s", f.Name, phase1, got, want)
+		}
+		wantLoops := analysis.NewLoopInfo(want, analysis.NewDomTree(want)).Loops
+		if g, w := loopHeaders(li.Loops), loopHeaders(wantLoops); g != w {
+			t.Fatalf("%s: Canonicalize numbers loops %s, Optimize %s", f.Name, g, w)
+		}
+		loops += len(wantLoops)
+	}
+	if loops < 200 {
+		t.Fatalf("only %d loops compared: the corpus lost its loops", loops)
+	}
+	t.Logf("%d kernels, %d loops: Canonicalize is Optimize's canonicalize phase", len(fs), loops)
+}
+
+// loopHeaders renders each loop as its ID and its header's name.
+func loopHeaders(ls []*analysis.Loop) string {
+	s := ""
+	for _, l := range ls {
+		s += fmt.Sprintf(" #%d@%s", l.ID, l.Header.Name)
+	}
+	return s
+}
 
 // TestContainmentHealthyPathByteIdentical compiles every suite kernel under
 // every configuration with and without containment: a healthy run records

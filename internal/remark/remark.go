@@ -99,9 +99,6 @@ func Int(key string, v int64) Arg { return Arg{key, strconv.FormatInt(v, 10)} }
 // Str renders a string arg.
 func Str(key, v string) Arg { return Arg{key, v} }
 
-// Bool renders a boolean arg.
-func Bool(key string, v bool) Arg { return Arg{key, strconv.FormatBool(v)} }
-
 // Float renders a float arg with a fixed format so output is
 // byte-identical across platforms.
 func Float(key string, v float64) Arg { return Arg{key, strconv.FormatFloat(v, 'g', 6, 64)} }
@@ -159,14 +156,6 @@ func (c *Collector) Remarks() []Remark {
 		return nil
 	}
 	return c.remarks
-}
-
-// Len reports how many remarks were collected.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.remarks)
 }
 
 // WriteYAML renders remarks as a stream of YAML documents in the style of

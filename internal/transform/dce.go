@@ -2,22 +2,18 @@ package transform
 
 import "uu/internal/ir"
 
-// DCE performs aggressive dead-code elimination via mark-and-sweep: an
-// instruction is live only if it has side effects (stores, barriers,
-// terminators) or is transitively used by a live instruction. Cycles of
-// otherwise-unused phis die together, which simple use-count DCE misses.
-func DCE(f *ir.Function) bool {
-	return new(Scratch).dce.run(f) > 0
-}
-
 // dceState is DCE's storage, kept in a Scratch between invocations.
 type dceState struct {
 	live       []bool // by Instr.ID
 	work, dead []*ir.Instr
 }
 
-// run is DCE returning how many instructions it deleted (the payload of the
-// pass's DeadInstructions remark).
+// run performs aggressive dead-code elimination via mark-and-sweep and
+// returns how many instructions it deleted (the payload of the pass's
+// DeadInstructions remark): an instruction is live only if it has side
+// effects (stores, barriers, terminators) or is transitively used by a live
+// instruction. Cycles of otherwise-unused phis die together, which simple
+// use-count DCE misses.
 func (d *dceState) run(f *ir.Function) int {
 	d.live = zeroed(d.live, f.InstrIDBound())
 	d.work, d.dead = d.work[:0], d.dead[:0]

@@ -38,11 +38,12 @@ func TestGVNMatchesReference(t *testing.T) {
 		v.pass = transform.GVNPass(v.opts, new(transform.Scratch))
 	}
 	between := func(f *ir.Function) {
-		transform.DCE(f)
+		var s transform.Scratch
+		transform.RunPass(transform.DCEPass(&s), f)
 		transform.SimplifyCFG(f)
-		transform.RunPass(transform.SCCPPass(new(transform.Scratch)), f)
+		transform.RunPass(transform.SCCPPass(&s), f)
 		transform.SimplifyCFG(f)
-		transform.InstSimplify(f)
+		transform.RunPass(transform.InstSimplifyPass(&s), f)
 		transform.InstCombine(f)
 	}
 	check := func(v *variant, name string, f *ir.Function) {

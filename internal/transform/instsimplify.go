@@ -2,16 +2,12 @@ package transform
 
 import "uu/internal/ir"
 
-// InstSimplify applies local algebraic rewrites until a fixpoint, in the
-// spirit of LLVM's InstCombine/InstSimplify. The rules here are the ones the
-// paper's case studies lean on — in particular (a+b)-a => b, which deletes
-// the subtraction in XSBench's binary-search loop once unmerging has made
+// instSimplify applies local algebraic rewrites until a fixpoint, in the
+// spirit of LLVM's InstCombine/InstSimplify, iterating each block through
+// s's copy of it. The rules here are the ones the paper's case studies lean
+// on — in particular (a+b)-a => b, which deletes the subtraction in
+// XSBench's binary-search loop once unmerging has made
 // `upperLimit = mid = lowerLimit + length/2` explicit on the taken path.
-func InstSimplify(f *ir.Function) bool {
-	return new(Scratch).instSimplify(f)
-}
-
-// instSimplify is InstSimplify iterating each block through s's copy of it.
 func (s *Scratch) instSimplify(f *ir.Function) bool {
 	changed := false
 	for {

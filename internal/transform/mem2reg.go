@@ -5,17 +5,12 @@ import (
 	"uu/internal/ir"
 )
 
-// Mem2Reg promotes allocas whose only uses are scalar loads and stores into
+// mem2reg promotes allocas whose only uses are scalar loads and stores into
 // SSA registers, inserting phi nodes at iterated dominance frontiers and
 // renaming along the dominator tree (the classic Cytron et al. construction).
 // The language frontend lowers every local variable through an alloca, so
 // this pass is what establishes "real" SSA form; it runs first in every
 // pipeline.
-func Mem2Reg(f *ir.Function) bool {
-	return mem2reg(f, analysis.NewAnalysisManager(f))
-}
-
-// mem2reg is Mem2Reg against a caller-provided analysis manager.
 func mem2reg(f *ir.Function, am *analysis.AnalysisManager) bool {
 	var allocas []*ir.Instr
 	for _, in := range f.Entry().Instrs() {

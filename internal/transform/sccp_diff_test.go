@@ -1,15 +1,10 @@
 package transform_test
 
 import (
-	"fmt"
 	"testing"
 
-	"uu/internal/analysis"
-	"uu/internal/bench"
-	"uu/internal/core"
-	"uu/internal/harden"
+	"uu/internal/corpus"
 	"uu/internal/ir"
-	"uu/internal/lang"
 	"uu/internal/transform"
 )
 
@@ -221,46 +216,20 @@ func refSCCP(f *ir.Function) (changed, cfgChanged bool) {
 	return changed, cfgChanged
 }
 
-// loopPassInputs calls visit with a differential test's inputs: each of the
-// 16 suite kernels and seeds generated ones as the pipeline's loop
-// transformation sees it (canonicalized) and as it leaves it (every loop,
-// u&u at 2, 4 and 8) — the shape the cleanup passes' tables must be cheap
-// on. The generated kernels are unmerged to a small cap to keep the oracles'
-// maps affordable.
+// loopPassInputs calls visit with a differential test's inputs: a copy of
+// every kernel of the corpus with seeds generated ones, and every case of it
+// u&u does not refuse — the shapes the pipeline's cleanup passes see before
+// and after its loop transformation, and must be cheap on.
 func loopPassInputs(t *testing.T, seeds int64, visit func(name string, f *ir.Function)) {
 	t.Helper()
-	var fs []*ir.Function
-	for _, b := range bench.Suite {
-		f, err := lang.CompileKernel(b.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		fs = append(fs, f)
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		fs = append(fs, harden.Generate(seed).F)
-	}
-	for i, f := range fs {
-		transform.Mem2Reg(f)
-		transform.SimplifyCFG(f)
-		transform.InstSimplify(f)
-		transform.DCE(f)
-		visit(f.Name, ir.Clone(f))
-		opts := core.Options{}
-		if i >= len(bench.Suite) {
-			opts.MaxBlocks = 512
-		}
-		nLoops := len(analysis.NewAnalysisManager(f).LoopInfo().Loops)
-		for id := 0; id < nLoops; id++ {
-			for _, u := range []int{2, 4, 8} {
-				g := ir.Clone(f)
-				if _, err := core.UnrollAndUnmerge(g, id, u, opts); err != nil {
-					continue // a loop u&u refuses
-				}
-				visit(fmt.Sprintf("%s loop %d u=%d", f.Name, id, u), g)
+	corpus.Kernels(corpus.Spec{Seeds: seeds}, func(k *corpus.Kernel) {
+		visit(k.Name, ir.Clone(k.F))
+		k.Cases(func(c *corpus.Case) {
+			if c.Err == nil {
+				visit(c.Name, c.F)
 			}
-		}
-	}
+		})
+	})
 }
 
 // TestSCCPMatchesReference pins "same answer, cheaper" for SCCP: on every

@@ -66,7 +66,7 @@ entry:
 }
 `
 	f := parse(t, src)
-	if !Mem2Reg(f) {
+	if !RunPass(Mem2RegPass(), f) {
 		t.Fatalf("Mem2Reg reported no change")
 	}
 	mustVerify(t, f, "mem2reg")
@@ -100,7 +100,7 @@ merge:
 }
 `
 	f := parse(t, src)
-	Mem2Reg(f)
+	RunPass(Mem2RegPass(), f)
 	mustVerify(t, f, "mem2reg")
 	if countOp(f, ir.OpPhi) != 1 {
 		t.Fatalf("want exactly 1 phi:\n%s", f.String())
@@ -141,7 +141,7 @@ exit:
 }
 `
 	f := parse(t, src)
-	Mem2Reg(f)
+	RunPass(Mem2RegPass(), f)
 	mustVerify(t, f, "mem2reg")
 	if countOp(f, ir.OpAlloca) != 0 || countOp(f, ir.OpLoad) != 0 {
 		t.Fatalf("memory ops remain:\n%s", f.String())
@@ -236,9 +236,9 @@ exit:
 	for i := 0; i < 4; i++ {
 		RunPass(SCCPPass(new(Scratch)), f)
 		SimplifyCFG(f)
-		InstSimplify(f)
+		RunPass(InstSimplifyPass(new(Scratch)), f)
 	}
-	DCE(f)
+	RunPass(DCEPass(new(Scratch)), f)
 	SimplifyCFG(f)
 	mustVerify(t, f, "pipeline")
 	if f.NumBlocks() != 1 {
@@ -263,8 +263,8 @@ entry:
 }
 `
 	f := parse(t, src)
-	InstSimplify(f)
-	DCE(f)
+	RunPass(InstSimplifyPass(new(Scratch)), f)
+	RunPass(DCEPass(new(Scratch)), f)
 	mustVerify(t, f, "instsimplify")
 	ret := f.Entry().Term()
 	if ret.Arg(0) != ir.Value(f.Params[1]) {
@@ -284,8 +284,8 @@ entry:
 }
 `
 	f := parse(t, src)
-	InstSimplify(f)
-	DCE(f)
+	RunPass(InstSimplifyPass(new(Scratch)), f)
+	RunPass(DCEPass(new(Scratch)), f)
 	mustVerify(t, f, "instsimplify")
 	ret := f.Entry().Term()
 	if ret.Arg(0) != ir.Value(f.Params[0]) {
@@ -313,7 +313,7 @@ exit:
 }
 `
 	f := parse(t, src)
-	DCE(f)
+	RunPass(DCEPass(new(Scratch)), f)
 	mustVerify(t, f, "dce")
 	if findInstr(f, "dead") != nil || findInstr(f, "dead2") != nil {
 		t.Fatalf("dead phi cycle not removed:\n%s", f.String())
@@ -335,8 +335,8 @@ entry:
 `
 	f := parse(t, src)
 	GVN(f, DefaultGVNOptions())
-	InstSimplify(f)
-	DCE(f)
+	RunPass(InstSimplifyPass(new(Scratch)), f)
+	RunPass(DCEPass(new(Scratch)), f)
 	mustVerify(t, f, "gvn")
 	ret := f.Entry().Term()
 	if c, ok := ret.Arg(0).(*ir.Const); !ok || c.Int != 0 {
@@ -360,7 +360,7 @@ entry:
 `
 	f := parse(t, src)
 	GVN(f, DefaultGVNOptions())
-	DCE(f)
+	RunPass(DCEPass(new(Scratch)), f)
 	mustVerify(t, f, "gvn")
 	if got := countOp(f, ir.OpLoad); got != 1 {
 		t.Fatalf("redundant load across noalias store not removed (loads=%d):\n%s", got, f.String())
@@ -487,8 +487,8 @@ else:
 `
 	f := parse(t, src)
 	GVN(f, DefaultGVNOptions())
-	InstSimplify(f)
-	DCE(f)
+	RunPass(InstSimplifyPass(new(Scratch)), f)
+	RunPass(DCEPass(new(Scratch)), f)
 	mustVerify(t, f, "gvn")
 	ret := f.BlockByName("then").Term()
 	if c, ok := ret.Arg(0).(*ir.Const); !ok || c.Int != 0 {
@@ -544,7 +544,7 @@ f:
 `
 	f := parse(t, src)
 	GVN(f, DefaultGVNOptions())
-	InstSimplify(f)
+	RunPass(InstSimplifyPass(new(Scratch)), f)
 	mustVerify(t, f, "gvn")
 	ret := f.BlockByName("f").Term()
 	if c, ok := ret.Arg(0).(*ir.Const); !ok || c.Int != 10 {
@@ -722,7 +722,7 @@ func TestUnrollPreservesSum(t *testing.T) {
 			}
 			mustVerify(t, f, "unroll")
 		}
-		v, err := interp.Run(f, []interp.Value{interp.IntVal(n)}, interp.NewMemory(0), interp.Env{})
+		v, err := interp.RunCounted(f, []interp.Value{interp.IntVal(n)}, interp.NewMemory(0), interp.Env{}, nil)
 		if err != nil {
 			t.Fatalf("interp (unroll=%d n=%d): %v", unroll, n, err)
 		}
@@ -870,14 +870,14 @@ entry:
 		if x>>1 < 0 {
 			continue
 		}
-		got, err := interp.Run(f, []interp.Value{interp.IntVal(x)}, interp.NewMemory(0), interp.Env{})
+		got, err := interp.RunCounted(f, []interp.Value{interp.IntVal(x)}, interp.NewMemory(0), interp.Env{}, nil)
 		if err != nil {
 			t.Fatalf("interp: %v", err)
 		}
 		_ = want
 		// Compare against the unoptimized reference.
 		ref := parse(t, src)
-		rv, err := interp.Run(ref, []interp.Value{interp.IntVal(x)}, interp.NewMemory(0), interp.Env{})
+		rv, err := interp.RunCounted(ref, []interp.Value{interp.IntVal(x)}, interp.NewMemory(0), interp.Env{}, nil)
 		if err != nil {
 			t.Fatalf("ref interp: %v", err)
 		}
@@ -903,7 +903,7 @@ entry:
 	if countOp(f, ir.OpSDiv) != 1 {
 		t.Fatalf("unsound sdiv reduction:\n%s", f.String())
 	}
-	got, err := interp.Run(f, []interp.Value{interp.IntVal(-7)}, interp.NewMemory(0), interp.Env{})
+	got, err := interp.RunCounted(f, []interp.Value{interp.IntVal(-7)}, interp.NewMemory(0), interp.Env{}, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -952,14 +952,14 @@ merge:
 	// Forwarding blocks thread through; the phi must keep distinguishing the
 	// two edges (now directly from entry — impossible, so at least one
 	// forwarding block must survive).
-	v1, err := interp.Run(f, []interp.Value{interp.IntVal(5)}, interp.NewMemory(0), interp.Env{})
+	v1, err := interp.RunCounted(f, []interp.Value{interp.IntVal(5)}, interp.NewMemory(0), interp.Env{}, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
 	if v1.I != 1 {
 		t.Fatalf("f(5) = %d, want 1", v1.I)
 	}
-	v2, err := interp.Run(f, []interp.Value{interp.IntVal(-5)}, interp.NewMemory(0), interp.Env{})
+	v2, err := interp.RunCounted(f, []interp.Value{interp.IntVal(-5)}, interp.NewMemory(0), interp.Env{}, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -987,7 +987,7 @@ m:
 	RemoveUnreachable(f)
 	CollapseSinglePredPhis(f)
 	mustVerify(t, f, "fold")
-	v, err := interp.Run(f, nil, interp.NewMemory(0), interp.Env{})
+	v, err := interp.RunCounted(f, nil, interp.NewMemory(0), interp.Env{}, nil)
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -1217,7 +1217,7 @@ func TestUnrollLoopSharedExitHeader(t *testing.T) {
 	for _, factor := range []int{2, 3, 4} {
 		for n := int64(1); n <= 9; n++ {
 			ref := parse(t, sharedExitSrc)
-			want, err := interp.Run(ref, []interp.Value{interp.IntVal(n)}, interp.NewMemory(0), interp.Env{})
+			want, err := interp.RunCounted(ref, []interp.Value{interp.IntVal(n)}, interp.NewMemory(0), interp.Env{}, nil)
 			if err != nil {
 				t.Fatalf("ref interp n=%d: %v", n, err)
 			}
@@ -1231,7 +1231,7 @@ func TestUnrollLoopSharedExitHeader(t *testing.T) {
 				t.Fatalf("unroll by %d failed", factor)
 			}
 			mustVerify(t, f, "unroll shared-exit loop")
-			got, err := interp.Run(f, []interp.Value{interp.IntVal(n)}, interp.NewMemory(0), interp.Env{})
+			got, err := interp.RunCounted(f, []interp.Value{interp.IntVal(n)}, interp.NewMemory(0), interp.Env{}, nil)
 			if err != nil {
 				t.Fatalf("interp factor=%d n=%d: %v\n%s", factor, n, err, f.String())
 			}

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"uu/internal/analysis"
-	"uu/internal/bench"
-	"uu/internal/harden"
+	"uu/internal/corpus"
 	"uu/internal/ir"
-	"uu/internal/irparse"
-	"uu/internal/lang"
 	"uu/internal/transform"
 )
 
@@ -51,8 +48,8 @@ func refCloneBlocks(f *ir.Function, blocks []*ir.Block, suffix string) (map[*ir.
 				continue
 			}
 			ci := cloneOf(in)
-			for _, a := range in.Args() {
-				ci.AddArg(a)
+			for k := 0; k < in.NumArgs(); k++ {
+				ci.AddArg(in.Arg(k))
 			}
 			bmap[b].Append(ci)
 		}
@@ -62,8 +59,8 @@ func refCloneBlocks(f *ir.Function, blocks []*ir.Block, suffix string) (map[*ir.
 		for i, in := range b.Instrs() {
 			if in.IsTerminator() {
 				ci := cloneOf(in)
-				for _, a := range in.Args() {
-					ci.AddArg(vmap.lookup(a))
+				for k := 0; k < in.NumArgs(); k++ {
+					ci.AddArg(vmap.lookup(in.Arg(k)))
 				}
 				for k := 0; k < in.NumBlocks(); k++ {
 					ci.AddBlockArg(block(in.BlockArg(k)))
@@ -72,8 +69,8 @@ func refCloneBlocks(f *ir.Function, blocks []*ir.Block, suffix string) (map[*ir.
 				continue
 			}
 			ci := nb.Instrs()[i]
-			for k, a := range ci.Args() {
-				if na := vmap.lookup(a); na != a {
+			for k := 0; k < ci.NumArgs(); k++ {
+				if na := vmap.lookup(ci.Arg(k)); na != ci.Arg(k) {
 					ci.SetArg(k, na)
 				}
 			}
@@ -169,42 +166,21 @@ func refUnroll(f *ir.Function, l *analysis.Loop, factor int, origins map[*ir.Ins
 }
 
 // TestUnrollMatchesReference pins "same answer, one cloner" for the
-// unroller: on every loop of the 16 suite kernels and of 200 generated ones,
-// canonicalized as the pipeline does before its loop transformation, at u =
-// 2, 4 and 8, UnrollLoopWithOrigins must leave the printed IR, every
-// instruction's source location and the origins map exactly as the map-based
-// unroller does. One Cloner serves every case, as one serves a compilation's
-// unrolls and tail copies whatever functions it saw before.
+// unroller: on every loop of the 16 suite kernels, of 200 generated ones and
+// of the corpus's edge cases, canonicalized as the pipeline does before its
+// loop transformation, at u = 2, 4 and 8, UnrollLoopWithOrigins must leave
+// the printed IR, every instruction's source location and the origins map
+// exactly as the map-based unroller does. One Cloner serves every case, as
+// one serves a compilation's unrolls and tail copies whatever functions it
+// saw before.
 func TestUnrollMatchesReference(t *testing.T) {
 	start := time.Now()
-	var fs []*ir.Function
-	for _, b := range bench.Suite {
-		f, err := lang.CompileKernel(b.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		fs = append(fs, f)
-	}
-	for seed := int64(1); seed <= 200; seed++ {
-		fs = append(fs, harden.Generate(seed).F)
-	}
-	// Neither corpus has a header phi whose back-edge value is another
-	// header phi (a swap); the chaining must resolve it to the previous copy.
-	swap, err := irparse.ParseFunc(swapSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs = append(fs, swap)
 	unrolled := 0
 	var c ir.Cloner
-	for _, f := range fs {
-		transform.Mem2Reg(f)
-		transform.SimplifyCFG(f)
-		transform.InstSimplify(f)
-		transform.DCE(f)
-		nLoops := len(analysis.NewAnalysisManager(f).LoopInfo().Loops)
-		for id := 0; id < nLoops; id++ {
-			for _, u := range []int{2, 4, 8} {
+	corpus.Kernels(corpus.Spec{Seeds: 200, EdgeCases: true}, func(k *corpus.Kernel) {
+		f := k.F
+		for id := range k.Loops.Loops {
+			for _, u := range corpus.Factors {
 				name := fmt.Sprintf("%s loop %d u=%d", f.Name, id, u)
 				prod, ref := ir.Clone(f), ir.Clone(f)
 				prodOrigins, refOrigins := map[*ir.Instr]*ir.Instr{}, map[*ir.Instr]*ir.Instr{}
@@ -230,7 +206,7 @@ func TestUnrollMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	if unrolled < 300 {
 		t.Fatalf("only %d (loop, factor) cases unrolled: the corpus no longer reaches the unroller", unrolled)
 	}
@@ -239,24 +215,6 @@ func TestUnrollMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d (loop, factor) cases unroll exactly as the reference", unrolled)
 }
-
-const swapSrc = `
-func @swap(i64 %n, i64* noalias %out) {
-entry:
-  br %head
-head:
-  %i = phi i64 [ 0, %entry ], [ %inc, %head ]
-  %a = phi i64 [ 1, %entry ], [ %b, %head ]
-  %b = phi i64 [ 2, %entry ], [ %a, %head ]
-  %inc = add i64 %i, i64 1
-  %c = icmp slt i64 %inc, i64 %n
-  condbr i1 %c, %head, %exit
-exit:
-  %d = sub i64 %a, i64 %b
-  store i64 %d, i64* %out
-  ret
-}
-`
 
 func instrLocs(f *ir.Function) string {
 	var locs []ir.Loc
