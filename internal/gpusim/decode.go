@@ -19,17 +19,19 @@ import (
 // errors.Is(err, ErrDecode).
 var ErrDecode = errors.New("invalid program")
 
-// This file builds the pre-decoded execution form of a VPTX program. The
+// This file decodes a VPTX program into the simulator's execution form. The
 // interpreter loop in sim.go re-derived static facts dynamically on every
 // executed instruction: interface assertions materializing immediates,
 // nested kind/opcode switches, issue/latency lookups, per-miss icache
 // scans. Decoding hoists all of it to a one-time pass per compiled
 // program: immediates become interp.Values, dispatch collapses to a flat
-// execOp tag, truncation/rounding/unsigned-masking are precomputed, and
-// the instruction stream is one cache-friendly array indexed by global
-// instruction id (also the icache address). The decoded form is cached on
-// codegen.Program.Decoded, so it is built once and shared across warps,
-// launches, harness workers, and sweep configurations.
+// execOp tag, truncation/rounding/unsigned-masking are precomputed. Each
+// instruction is decoded into a transient dInstr that the threaded compiler
+// (threaded.go) turns into its closure and timing record on the spot, so
+// the threaded form, indexed by global instruction id (also the icache
+// address), is the only per-instruction copy the program keeps. It is
+// cached on codegen.Program.Decoded, so it is built once and shared across
+// warps, launches, harness workers, and sweep configurations.
 
 // execOp is the flat dispatch tag of a decoded instruction: one switch
 // level in the hot loop instead of Kind plus IROp plus type tests.
@@ -124,8 +126,9 @@ type dSrc struct {
 	reg int32
 }
 
-// dInstr is one pre-decoded instruction. Everything the execution core
-// needs per dynamic instruction is precomputed here.
+// dInstr is one decoded instruction: everything the threaded compiler needs
+// to build the instruction's closure and timing record. It lives only for
+// the duration of that build.
 type dInstr struct {
 	exec     execOp
 	class    uint8 // codegen.Class
@@ -144,34 +147,28 @@ type dInstr struct {
 	srcs     [3]dSrc
 }
 
-// decodedProgram is the flat, shared execution form of a VPTX program.
+// decodedProgram is the shared execution form of a VPTX program: its block
+// layout and reconvergence facts, plus the threaded form the warp loop runs.
 type decodedProgram struct {
 	name       string
-	instrs     []dInstr
 	blockStart []int32
 	blockEnd   []int32
-	ipdom      []int
-	numRegs    int
-	paramRegs  []int32
+	// targets holds each block terminator's two branch targets, which the
+	// divergence policies read when the block ends in a branch.
+	targets   [][2]int32
+	ipdom     []int
+	numRegs   int
+	paramRegs []int32
+	// tp is the threaded-code form (threaded.go). Its closures capture only
+	// decode-time constants, so it is shared across warps, launches, and
+	// harness workers.
+	tp *threadedProgram
 
 	// lineMemo caches the per-instruction icache line index for each
 	// ICacheLineInstrs value seen (the only device parameter the decoded
 	// form depends on).
 	mu       sync.Mutex
 	lineMemo map[int][]int32
-
-	// threaded caches the compiled threaded-code form (threaded.go). Its
-	// closures capture only decode-time constants, so like the decoded
-	// form itself it is shared across warps, launches, and harness workers.
-	threadedOnce sync.Once
-	threaded     *threadedProgram
-}
-
-// threadedProg returns the threaded-code compilation of the program,
-// building it on first use.
-func (dp *decodedProgram) threadedProg() *threadedProgram {
-	dp.threadedOnce.Do(func() { dp.threaded = compileThreaded(dp) })
-	return dp.threaded
 }
 
 // decodeResult caches the outcome of decodeProgram — including a decode
@@ -199,7 +196,7 @@ func (dp *decodedProgram) lines(lineInstrs int) []int32 {
 	if l, ok := dp.lineMemo[lineInstrs]; ok {
 		return l
 	}
-	l := make([]int32, len(dp.instrs))
+	l := make([]int32, len(dp.tp.ops))
 	for i := range l {
 		l[i] = int32(i / lineInstrs)
 	}
@@ -209,14 +206,17 @@ func (dp *decodedProgram) lines(lineInstrs int) []int32 {
 
 // numLines returns how many icache lines the program spans.
 func (dp *decodedProgram) numLines(lineInstrs int) int {
-	return (len(dp.instrs) + lineInstrs - 1) / lineInstrs
+	return (len(dp.tp.ops) + lineInstrs - 1) / lineInstrs
 }
 
+// decodeProgram decodes p and compiles it to threaded code in one pass over
+// its instructions.
 func decodeProgram(p *codegen.Program) (*decodedProgram, error) {
 	dp := &decodedProgram{
 		name:       p.Name,
 		blockStart: make([]int32, len(p.Blocks)),
 		blockEnd:   make([]int32, len(p.Blocks)),
+		targets:    make([][2]int32, len(p.Blocks)),
 		ipdom:      p.IPDom,
 		numRegs:    p.NumRegs,
 		lineMemo:   map[int][]int32{},
@@ -230,16 +230,20 @@ func decodeProgram(p *codegen.Program) (*decodedProgram, error) {
 		n += len(b.Instrs)
 		dp.blockEnd[i] = int32(n)
 	}
-	dp.instrs = make([]dInstr, 0, n)
+	c := newThreadedCompiler(dp.numRegs, n, len(p.Blocks))
+	gi := int32(0)
 	for bi, b := range p.Blocks {
 		for i := range b.Instrs {
 			d, err := decodeInstr(p, &b.Instrs[i])
 			if err != nil {
 				return nil, fmt.Errorf("gpusim: %s block %d instr %d: %w", p.Name, bi, i, err)
 			}
-			dp.instrs = append(dp.instrs, d)
+			c.add(&d, gi, bi)
+			dp.targets[bi] = [2]int32{d.t0, d.t1} // the terminator's write stands
+			gi++
 		}
 	}
+	dp.tp = c.finish()
 	return dp, nil
 }
 

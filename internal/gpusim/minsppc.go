@@ -158,13 +158,13 @@ func (g *minsppcEngine) next() (int, uint32, bool) {
 func (g *minsppcEngine) branch(blk int, brTaken, brNot uint32) {
 	dp := g.dp
 	end := dp.blockEnd[blk]
-	term := &dp.instrs[end-1]
+	term := dp.targets[blk]
 	gr := &g.groups[g.cur]
 	switch {
 	case brNot == 0:
-		gr.pc = term.t0
+		gr.pc = term[0]
 	case brTaken == 0:
-		gr.pc = term.t1
+		gr.pc = term[1]
 	default:
 		// Divergence: the group splits in two. With a known reconvergence
 		// point a convergence barrier is armed there and both halves run
@@ -182,8 +182,8 @@ func (g *minsppcEngine) branch(blk int, brTaken, brNot uint32) {
 			})
 			bar = int32(len(g.barriers) - 1)
 		}
-		*gr = tsGroup{pc: term.t0, bar: bar, mask: brTaken}
-		g.groups = append(g.groups, tsGroup{pc: term.t1, bar: bar, mask: brNot})
+		*gr = tsGroup{pc: term[0], bar: bar, mask: brTaken}
+		g.groups = append(g.groups, tsGroup{pc: term[1], bar: bar, mask: brNot})
 	}
 }
 

@@ -175,13 +175,13 @@ func (g *ipdomEngine) next() (int, uint32, bool) {
 func (g *ipdomEngine) branch(blk int, brTaken, brNot uint32) {
 	dp := g.dp
 	end := dp.blockEnd[blk]
-	term := &dp.instrs[end-1]
+	term := dp.targets[blk]
 	rpc := dp.ipdom[blk]
 	switch {
 	case brNot == 0:
-		g.jump(int(term.t0))
+		g.jump(int(term[0]))
 	case brTaken == 0:
-		g.jump(int(term.t1))
+		g.jump(int(term[1]))
 	default:
 		// Divergence: current entry becomes the continuation at the
 		// reconvergence point (mask refilled as paths reconverge, or
@@ -193,8 +193,8 @@ func (g *ipdomEngine) branch(blk int, brTaken, brNot uint32) {
 		cont.pc = rpc
 		cont.mask = 0
 		g.stack[len(g.stack)-1] = cont
-		g.stack = append(g.stack, stackEntry{pc: int(term.t1), rpc: rpc, mask: brNot})
-		g.stack = append(g.stack, stackEntry{pc: int(term.t0), rpc: rpc, mask: brTaken})
+		g.stack = append(g.stack, stackEntry{pc: int(term[1]), rpc: rpc, mask: brNot})
+		g.stack = append(g.stack, stackEntry{pc: int(term[0]), rpc: rpc, mask: brTaken})
 	}
 }
 

@@ -18,15 +18,34 @@ import (
 // accounting, no steady-state loop), every fetch goes through one function,
 // and every scalar op goes through the ops.go kernels one lane at a time.
 // What it shares with the production core is what is not specialized there:
-// the decoded program, the policy engines, the coalescing model (access) and
-// the icache state on the warpSim.
+// the decoder (decodeInstr), the block layout, the policy engines, the
+// coalescing model (access) and the icache state on the warpSim. Production
+// keeps no decoded instruction array, so decodeInstrs builds the reference's
+// own.
 
 // refCore is the reference core's run state: a production warpSim for
 // everything shared, plus the boxed register file.
 type refCore struct {
-	w     *warpSim
-	nregs int
-	regs  []interp.Value // [lane*nregs + reg]
+	w      *warpSim
+	instrs []dInstr // indexed by global instruction id
+	nregs  int
+	regs   []interp.Value // [lane*nregs + reg]
+}
+
+// decodeInstrs runs the production decoder over every instruction of p, in
+// global instruction order.
+func decodeInstrs(p *codegen.Program) ([]dInstr, error) {
+	var out []dInstr
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			d, err := decodeInstr(p, &b.Instrs[i])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, d)
+		}
+	}
+	return out, nil
 }
 
 // RunReference is RunCtx (background context, no trace) on the reference
@@ -36,7 +55,11 @@ func RunReference(p *codegen.Program, args []interp.Value, mem *interp.Memory, l
 	if err != nil {
 		return nil, err
 	}
-	rc := &refCore{w: newWarpSim(dp, cfg, mem), nregs: dp.numRegs}
+	instrs, err := decodeInstrs(p)
+	if err != nil {
+		return nil, err
+	}
+	rc := &refCore{w: newWarpSim(dp, cfg, mem), instrs: instrs, nregs: dp.numRegs}
 	rc.regs = make([]interp.Value, cfg.WarpSize*dp.numRegs)
 	rc.w.prof = prof
 	total := launch.Threads()
@@ -134,7 +157,7 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 		exited := uint32(0)
 		nextPC := -2
 		for gi := dp.blockStart[blkIdx]; gi < dp.blockEnd[blkIdx]; gi++ {
-			in := &dp.instrs[gi]
+			in := &rc.instrs[gi]
 			steps++
 			if steps > budget {
 				return fmt.Errorf("gpusim: %s after %d steps: %w", dp.name, steps-1, ErrCycleBudget)

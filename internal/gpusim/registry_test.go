@@ -61,6 +61,60 @@ func TestDeviceRegistry(t *testing.T) {
 	}
 }
 
+// badDeviceSpecs are specs ParseDevice must refuse.
+var badDeviceSpecs = []string{
+	"TPUv4",                  // unknown device
+	"V100:warpsize=64",       // out of mask range
+	"V100:warpsize=0",        // degenerate
+	"V100:policy=stackless",  // unknown policy
+	"V100:clockghz",          // missing value
+	"V100:memloadlat=1",      // unknown key
+	"V100:exec=threaded",     // the executor override went with the second executor
+	"V100:numsms=eighty",     // bad int
+	"V100:stallexposure=x.y", // bad float
+	// Values the simulator divides by or sizes arrays from, and costs
+	// and fractions outside their domain (DeviceConfig.Validate). The
+	// first three used to panic inside a run; segmentbytes=-32 ran.
+	"V100:segmentbytes=0",
+	"V100:icachelineinstrs=0",
+	"V100:icachelines=-1",
+	"V100:segmentbytes=-32",
+	"V100:icachelines=0",
+	"V100:icachelines=1048577", // past the ceiling
+	"V100:icachelineinstrs=-8",
+	"V100:numsms=0",
+	"V100:clockghz=0",
+	"V100:clockghz=-1.38",
+	"V100:clockghz=NaN",
+	"V100:clockghz=Inf",
+	"V100:memloadlatency=-1",
+	"V100:memloadlatency=NaN",
+	"V100:stallexposure=1.5",
+	"V100:stallexposure=-0.1",
+	"V100:stallexposure=NaN",
+	"V100:itsoverlap=2",
+	"V100:itsoverlap=NaN",
+	"V100:mempertransaction=-2",
+	"V100:icachemisscycles=-16",
+	"V100:maxwarpsteps=-1",
+	"Vortex:warpsize=8,segmentbytes=0", // a good override does not excuse a bad one
+}
+
+// goodDeviceSpecs are boundary specs ParseDevice must accept: validation
+// rejects nothing that ran correctly before.
+var goodDeviceSpecs = []string{
+	"V100:segmentbytes=1",
+	"V100:segmentbytes=48",
+	"V100:icachelines=1,icachelineinstrs=1",
+	"V100:icachelines=1048576",
+	"MinSPPC:itsoverlap=0.5",
+	"V100:itsoverlap=0,stallexposure=1",
+	"V100:itsoverlap=1,stallexposure=0",
+	"V100:memloadlatency=0,mempertransaction=0,icachemisscycles=0",
+	"V100:maxwarpsteps=0",
+	"Vortex:numsms=1,clockghz=0.001",
+}
+
 func TestParseDevice(t *testing.T) {
 	cfg, name, err := ParseDevice("V100")
 	if err != nil || name != "V100" || cfg != V100() {
@@ -77,43 +131,7 @@ func TestParseDevice(t *testing.T) {
 		t.Errorf("display name %q should carry the overrides", name)
 	}
 
-	for _, bad := range []string{
-		"TPUv4",                  // unknown device
-		"V100:warpsize=64",       // out of mask range
-		"V100:warpsize=0",        // degenerate
-		"V100:policy=stackless",  // unknown policy
-		"V100:clockghz",          // missing value
-		"V100:memloadlat=1",      // unknown key
-		"V100:exec=threaded",     // the executor override went with the second executor
-		"V100:numsms=eighty",     // bad int
-		"V100:stallexposure=x.y", // bad float
-		// Values the simulator divides by or sizes arrays from, and costs
-		// and fractions outside their domain (DeviceConfig.Validate). The
-		// first three used to panic inside a run; segmentbytes=-32 ran.
-		"V100:segmentbytes=0",
-		"V100:icachelineinstrs=0",
-		"V100:icachelines=-1",
-		"V100:segmentbytes=-32",
-		"V100:icachelines=0",
-		"V100:icachelines=1048577", // past the ceiling
-		"V100:icachelineinstrs=-8",
-		"V100:numsms=0",
-		"V100:clockghz=0",
-		"V100:clockghz=-1.38",
-		"V100:clockghz=NaN",
-		"V100:clockghz=Inf",
-		"V100:memloadlatency=-1",
-		"V100:memloadlatency=NaN",
-		"V100:stallexposure=1.5",
-		"V100:stallexposure=-0.1",
-		"V100:stallexposure=NaN",
-		"V100:itsoverlap=2",
-		"V100:itsoverlap=NaN",
-		"V100:mempertransaction=-2",
-		"V100:icachemisscycles=-16",
-		"V100:maxwarpsteps=-1",
-		"Vortex:warpsize=8,segmentbytes=0", // a good override does not excuse a bad one
-	} {
+	for _, bad := range badDeviceSpecs {
 		if _, _, err := ParseDevice(bad); err == nil {
 			t.Errorf("ParseDevice(%q) succeeded, want error", bad)
 		}
@@ -126,18 +144,7 @@ func TestParseDevice(t *testing.T) {
 			t.Errorf("registry device %s does not validate: %v", d.Name, err)
 		}
 	}
-	for _, good := range []string{
-		"V100:segmentbytes=1",
-		"V100:segmentbytes=48",
-		"V100:icachelines=1,icachelineinstrs=1",
-		"V100:icachelines=1048576",
-		"MinSPPC:itsoverlap=0.5",
-		"V100:itsoverlap=0,stallexposure=1",
-		"V100:itsoverlap=1,stallexposure=0",
-		"V100:memloadlatency=0,mempertransaction=0,icachemisscycles=0",
-		"V100:maxwarpsteps=0",
-		"Vortex:numsms=1,clockghz=0.001",
-	} {
+	for _, good := range goodDeviceSpecs {
 		if _, _, err := ParseDevice(good); err != nil {
 			t.Errorf("ParseDevice(%q): %v", good, err)
 		}

@@ -62,7 +62,7 @@ func TestSetpUnsignedPredicates(t *testing.T) {
 	for _, typ := range types {
 		for _, pred := range preds {
 			p := setpProgram(typ, pred)
-			dp, err := decoded(p)
+			instrs, err := decodeInstrs(p)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -90,7 +90,7 @@ func TestSetpUnsignedPredicates(t *testing.T) {
 
 				// The reference core's evalScalar must agree.
 				rc := &refCore{regs: []interp.Value{interp.IntVal(a), interp.IntVal(b)}}
-				if got := rc.evalScalar(&dp.instrs[0], 0).I; got != want {
+				if got := rc.evalScalar(&instrs[0], 0).I; got != want {
 					t.Errorf("%s: evalScalar: got %d, want %d", name, got, want)
 				}
 			}

@@ -209,7 +209,7 @@ type warpSimClass struct {
 }
 
 func classOf(dp *decodedProgram, cfg DeviceConfig) warpSimClass {
-	n := dp.threadedProg().numRegs
+	n := dp.tp.numRegs
 	return warpSimClass{cfg.WarpSize, 1 << bits.Len(uint(max(n, 1)-1))}
 }
 
@@ -290,7 +290,7 @@ func zeroed[T any](s []T, n int) []T {
 // from zero.
 func (w *warpSim) init(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) {
 	w.dp, w.cfg, w.mem = dp, cfg, mem
-	tp := dp.threadedProg()
+	tp := dp.tp
 	w.tp = tp
 	w.laneW = cfg.WarpSize
 	// The real registers are cleared at the start of every warp

@@ -10,8 +10,8 @@ import (
 	"uu/internal/ir"
 )
 
-// This file is the simulator's execution core, a threaded-code design. The
-// decoded instruction array is compiled once per program into an array of
+// This file is the simulator's execution core, a threaded-code design. Each
+// decoded instruction is compiled, as decode.go produces it, into an array of
 // closures — one specialized Go function per instruction — that operate on
 // SoA register files: each register is WarpSize consecutive int64/float64
 // lanes, so a full-warp arithmetic op is one contiguous 32-iteration loop
@@ -42,10 +42,9 @@ import (
 // only decode-time constants; all run state lives on the warpSim.
 type threadOp func(w *warpSim, active uint32) float64
 
-// tTiming is the compact per-instruction record the timing scaffold reads
-// instead of the full dInstr: issue cost, scoreboard sources (the original
-// register operands — pooled immediates carry no dependency), destination,
-// and latency class.
+// tTiming is the compact per-instruction record the timing scaffold reads:
+// issue cost, scoreboard sources (the original register operands — pooled
+// immediates carry no dependency), destination, and latency class.
 type tTiming struct {
 	issue    float64
 	srcs     [3]int32
@@ -60,8 +59,8 @@ type tBlock struct {
 	classThread [5]int32
 }
 
-// threadedProgram is the compiled threaded-code form of a decoded program,
-// cached on it and shared across warps, devices, and worker shards (the
+// threadedProgram is the compiled threaded-code form of a program, held by
+// its decodedProgram and shared across warps, devices, and worker shards (the
 // SoA lane stride is read from the warpSim at run time, so one compilation
 // serves every warp size).
 type threadedProgram struct {
@@ -83,9 +82,24 @@ type constKey struct {
 }
 
 type threadedCompiler struct {
-	dp     *decodedProgram
-	consts []interp.Value
-	pool   map[constKey]int32
+	numRegs int // the program's real registers; pooled immediates follow
+	tp      *threadedProgram
+	consts  []interp.Value
+	pool    map[constKey]int32
+}
+
+// newThreadedCompiler starts the threaded form of a program with numRegs
+// registers, numInstrs instructions and numBlocks blocks.
+func newThreadedCompiler(numRegs, numInstrs, numBlocks int) *threadedCompiler {
+	return &threadedCompiler{
+		numRegs: numRegs,
+		pool:    map[constKey]int32{},
+		tp: &threadedProgram{
+			ops:    make([]threadOp, numInstrs),
+			tim:    make([]tTiming, numInstrs),
+			blocks: make([]tBlock, numBlocks),
+		},
+	}
 }
 
 // constReg returns the pseudo-register broadcasting v to every lane.
@@ -94,7 +108,7 @@ func (c *threadedCompiler) constReg(v interp.Value) int32 {
 	if r, ok := c.pool[k]; ok {
 		return r
 	}
-	r := int32(c.dp.numRegs + len(c.consts))
+	r := int32(c.numRegs + len(c.consts))
 	c.consts = append(c.consts, v)
 	c.pool[k] = r
 	return r
@@ -113,31 +127,23 @@ func (c *threadedCompiler) srcReg(in *dInstr, i int) int32 {
 	return c.constReg(in.srcs[i].imm)
 }
 
-func compileThreaded(dp *decodedProgram) *threadedProgram {
-	c := &threadedCompiler{dp: dp, pool: map[constKey]int32{}}
-	tp := &threadedProgram{
-		ops:    make([]threadOp, len(dp.instrs)),
-		tim:    make([]tTiming, len(dp.instrs)),
-		blocks: make([]tBlock, len(dp.blockStart)),
+// add compiles in, the instruction at global index gi in block bi: its
+// timing record, its closure and its block's class count.
+func (c *threadedCompiler) add(in *dInstr, gi int32, bi int) {
+	t := tTiming{issue: in.issue, dst: in.dst, latClass: in.latClass, srcs: [3]int32{-1, -1, -1}}
+	for si := uint8(0); si < in.nSrcs; si++ {
+		t.srcs[si] = in.srcs[si].reg
 	}
-	for gi := range dp.instrs {
-		in := &dp.instrs[gi]
-		t := tTiming{issue: in.issue, dst: in.dst, latClass: in.latClass, srcs: [3]int32{-1, -1, -1}}
-		for si := uint8(0); si < in.nSrcs; si++ {
-			t.srcs[si] = in.srcs[si].reg
-		}
-		tp.tim[gi] = t
-		tp.ops[gi] = c.compileOp(in, int32(gi))
-	}
-	for bi := range tp.blocks {
-		blk := &tp.blocks[bi]
-		for gi := dp.blockStart[bi]; gi < dp.blockEnd[bi]; gi++ {
-			blk.classThread[dp.instrs[gi].class]++
-		}
-	}
-	tp.numRegs = dp.numRegs + len(c.consts)
-	tp.consts = c.consts
-	return tp
+	c.tp.tim[gi] = t
+	c.tp.ops[gi] = c.compileOp(in, gi)
+	c.tp.blocks[bi].classThread[in.class]++
+}
+
+// finish returns the threaded form once every instruction has been added.
+func (c *threadedCompiler) finish() *threadedProgram {
+	c.tp.numRegs = c.numRegs + len(c.consts)
+	c.tp.consts = c.consts
+	return c.tp
 }
 
 // soaI returns register r's int lanes; soaF its float lanes.

@@ -59,13 +59,13 @@ func (v *vortexEngine) next() (int, uint32, bool) {
 func (v *vortexEngine) branch(blk int, brTaken, brNot uint32) {
 	dp := v.dp
 	end := dp.blockEnd[blk]
-	term := &dp.instrs[end-1]
+	term := dp.targets[blk]
 	top := len(v.stack) - 1
 	switch {
 	case brNot == 0:
-		v.stack[top].pc = int(term.t0)
+		v.stack[top].pc = int(term[0])
 	case brTaken == 0:
-		v.stack[top].pc = int(term.t1)
+		v.stack[top].pc = int(term[1])
 	default:
 		if v.prof != nil {
 			v.prof.Counters[ProfDivergeEvents][end-1]++
@@ -75,13 +75,13 @@ func (v *vortexEngine) branch(blk int, brTaken, brNot uint32) {
 			// Split: continuation (full mask) at the join, then the
 			// not-taken side, then the taken side on top.
 			v.stack[top] = stackEntry{pc: rpc, rpc: e.rpc, mask: e.mask}
-			v.stack = append(v.stack, stackEntry{pc: int(term.t1), rpc: rpc, mask: brNot})
-			v.stack = append(v.stack, stackEntry{pc: int(term.t0), rpc: rpc, mask: brTaken})
+			v.stack = append(v.stack, stackEntry{pc: int(term[1]), rpc: rpc, mask: brNot})
+			v.stack = append(v.stack, stackEntry{pc: int(term[0]), rpc: rpc, mask: brTaken})
 		} else {
 			// No join point: both sides run to ret under the enclosing
 			// join.
-			v.stack[top] = stackEntry{pc: int(term.t1), rpc: e.rpc, mask: brNot}
-			v.stack = append(v.stack, stackEntry{pc: int(term.t0), rpc: e.rpc, mask: brTaken})
+			v.stack[top] = stackEntry{pc: int(term[1]), rpc: e.rpc, mask: brNot}
+			v.stack = append(v.stack, stackEntry{pc: int(term[0]), rpc: e.rpc, mask: brTaken})
 		}
 	}
 }
