@@ -106,8 +106,10 @@ func TestExecutorDifferential(t *testing.T) {
 // opsKernel is a MiniCU kernel that executes every scalar operation the
 // language can spell at type typ, each once on the warp's full mask and once
 // on its odd lanes only, and stores every result. No suite or generated
-// kernel executes, say, a truncating 32-bit xor on a partial mask; this one
-// does, so each specialized closure's two lane loops meet the reference.
+// kernel executes, say, a 32-bit xor or an sge against an immediate on a
+// partial mask; this one does, so each specialized closure's two lane loops,
+// each generic loop, and the swapped sources of sgt and sge (with the pooled
+// immediate in either slot) meet the reference.
 func opsKernel(typ string) string {
 	exprs := []string{"x + y", "x - y", "x * y", "x / y"}
 	if typ == "int" || typ == "long" {
@@ -119,6 +121,9 @@ func opsKernel(typ string) string {
 	}
 	for _, cmp := range []string{"<", "<=", ">", ">=", "==", "!="} {
 		exprs = append(exprs, "("+typ+")(x "+cmp+" y)")
+	}
+	for _, e := range []string{"x > 3", "x >= 3", "3 > y", "3 >= y"} {
+		exprs = append(exprs, "("+typ+")("+e+")")
 	}
 	var body, masked bytes.Buffer
 	for i, e := range exprs {

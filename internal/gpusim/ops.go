@@ -7,11 +7,10 @@ import (
 )
 
 // This file holds the plain scalar definition of every decoded
-// compute/setp/conversion opcode. The generic closures of the threaded-code
-// compiler (threaded.go) call these kernels per lane; its specialized
-// closures restate the hot ones inline, and the reference core in
-// refcore_test.go, which runs every scalar op through the kernels here, is
-// what the differential tests hold those restatements to.
+// compute/setp/conversion opcode. The threaded-code compiler (threaded.go)
+// calls these kernels per lane for every op it does not restate inline; the
+// reference core in refcore_test.go runs every scalar op through them, and
+// the differential tests hold those restatements to it.
 
 // evalICmp compares two canonically stored integers under pred. Unsigned
 // predicates compare the operands zero-extended from their declared width
@@ -170,4 +169,19 @@ func evalConvI(op execOp, trunc uint8, aux uint64, aI int64, aF float64) int64 {
 		return truncTag(trunc, int64(aF))
 	}
 	return 0
+}
+
+// evalConvF executes a float-result conversion (xSIToFP/xFPExt/xFPTrunc).
+func evalConvF(op execOp, rnd bool, aI int64, aF float64) float64 {
+	var r float64
+	switch op {
+	case xSIToFP:
+		r = float64(aI)
+	case xFPExt, xFPTrunc:
+		r = aF
+	}
+	if rnd {
+		r = float64(float32(r))
+	}
+	return r
 }

@@ -340,18 +340,3 @@ func (rc *refCore) evalScalar(in *dInstr, base int) interp.Value {
 	}
 	return interp.IntVal(evalIntOp(in.exec, in.trunc, in.aux, a.I, b))
 }
-
-// evalConvF executes a float-result conversion (xSIToFP/xFPExt/xFPTrunc).
-func evalConvF(op execOp, rnd bool, aI int64, aF float64) float64 {
-	var r float64
-	switch op {
-	case xSIToFP:
-		r = float64(aI)
-	case xFPExt, xFPTrunc:
-		r = aF
-	}
-	if rnd {
-		r = float64(float32(r))
-	}
-	return r
-}

@@ -26,9 +26,15 @@ import (
 // they are bulk-added per block; the warp clock is float arithmetic and is
 // NOT associative, so every instruction advances it through one fixed
 // sequence — fetch charge, exposed dependency stall, issue, scoreboard
-// update, memory cost — whose order the golden corpora pin. Closures are
-// specialized per opcode, operand type and truncation tag, with full-warp
-// fast loops; the long tail goes through the shared kernels of ops.go.
+// update, memory cost — whose order the golden corpora pin. Only the ops
+// that carry the suite's traffic get a closure of their own, most with a
+// full-warp fast loop: untruncated add, sub, mul, and and shl, the signed
+// and equality integer compares, the four pipelined float ops, mov and
+// selp. Every other compute, compare and conversion op runs one generic
+// per-lane loop over the shared kernels of ops.go; a specialization earns
+// its place only by measurably speeding up a BenchmarkWarpSim case whose
+// hot loop runs it (EXPERIMENTS.md, "What each specialized closure pays
+// for").
 // Immediates are pooled into broadcast pseudo-registers past dp.numRegs so
 // every closure reads plain register lanes. The design this replaced — one
 // dispatch switch per retired instruction over boxed interp.Value registers,
@@ -296,91 +302,23 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 			}
 			return 0
 		}
-	case xSExt:
-		dst, s := in.dst, c.srcReg(in, 0)
+	case xTrunc, xZExt, xSExt, xFPToSI:
+		dst, s, op, tr, aux := in.dst, c.srcReg(in, 0), in.exec, in.trunc, in.aux
 		return func(w *warpSim, active uint32) float64 {
-			d, a := w.soaI(dst), w.soaI(s)
-			if active == w.runMask {
-				copy(d[:w.nLanes], a[:w.nLanes])
-				return 0
-			}
+			aI, aF, d := w.soaI(s), w.soaF(s), w.soaI(dst)
 			for rem := active; rem != 0; rem &= rem - 1 {
 				l := bits.TrailingZeros32(rem)
-				d[l] = a[l]
+				d[l] = evalConvI(op, tr, aux, aI[l], aF[l])
 			}
 			return 0
 		}
-	case xTrunc:
-		dst, s, tr := in.dst, c.srcReg(in, 0), in.trunc
+	case xSIToFP, xFPExt, xFPTrunc:
+		dst, s, op, rnd := in.dst, c.srcReg(in, 0), in.exec, in.rndF32
 		return func(w *warpSim, active uint32) float64 {
-			d, a := w.soaI(dst), w.soaI(s)
-			if active == w.runMask {
-				n := w.nLanes
-				d, a := d[:n], a[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l])
-				}
-				return 0
-			}
+			aI, aF, d := w.soaI(s), w.soaF(s), w.soaF(dst)
 			for rem := active; rem != 0; rem &= rem - 1 {
 				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l])
-			}
-			return 0
-		}
-	case xZExt:
-		dst, s, aux := in.dst, c.srcReg(in, 0), in.aux
-		return func(w *warpSim, active uint32) float64 {
-			d, a := w.soaI(dst), w.soaI(s)
-			if active == w.runMask {
-				n := w.nLanes
-				d, a := d[:n], a[:n]
-				for l := range d {
-					d[l] = int64(uint64(a[l]) & aux)
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = int64(uint64(a[l]) & aux)
-			}
-			return 0
-		}
-	case xSIToFP:
-		dst, s, rnd := in.dst, c.srcReg(in, 0), in.rndF32
-		return func(w *warpSim, active uint32) float64 {
-			d, a := w.soaF(dst), w.soaI(s)
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				v := float64(a[l])
-				if rnd {
-					v = float64(float32(v))
-				}
-				d[l] = v
-			}
-			return 0
-		}
-	case xFPToSI:
-		dst, s, tr := in.dst, c.srcReg(in, 0), in.trunc
-		return func(w *warpSim, active uint32) float64 {
-			d, a := w.soaI(dst), w.soaF(s)
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = evalConvI(xFPToSI, tr, 0, 0, a[l])
-			}
-			return 0
-		}
-	case xFPExt, xFPTrunc:
-		dst, s, rnd := in.dst, c.srcReg(in, 0), in.rndF32
-		return func(w *warpSim, active uint32) float64 {
-			d, a := w.soaF(dst), w.soaF(s)
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				v := a[l]
-				if rnd {
-					v = float64(float32(v))
-				}
-				d[l] = v
+				d[l] = evalConvF(op, rnd, aI[l], aF[l])
 			}
 			return 0
 		}
@@ -391,12 +329,16 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 	return c.compileIntOp(in)
 }
 
-// compileSetpI specializes the signed/equality predicates (the loop guards
-// and if-conditions that dominate generated code); unsigned compares fall
-// back to the shared kernel per lane.
+// compileSetpI specializes eq, ne, slt and sle (the loop guards and
+// if-conditions that dominate generated code) and runs sgt and sge as slt
+// and sle with their sources swapped; unsigned compares fall back to the
+// shared kernel per lane.
 func (c *threadedCompiler) compileSetpI(in *dInstr) threadOp {
 	dst, r0, r1 := in.dst, c.srcReg(in, 0), c.srcReg(in, 1)
 	pred, aux := in.pred, in.aux
+	if pred == ir.SGT || pred == ir.SGE { // a > b is b < a
+		pred, r0, r1 = pred.Swapped(), r1, r0
+	}
 	switch pred {
 	case ir.EQ:
 		return func(w *warpSim, active uint32) float64 {
@@ -466,40 +408,6 @@ func (c *threadedCompiler) compileSetpI(in *dInstr) threadOp {
 			}
 			return 0
 		}
-	case ir.SGT:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = b2i(a[l] > b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = b2i(a[l] > b[l])
-			}
-			return 0
-		}
-	case ir.SGE:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = b2i(a[l] >= b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = b2i(a[l] >= b[l])
-			}
-			return 0
-		}
 	}
 	return func(w *warpSim, active uint32) float64 {
 		a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
@@ -511,14 +419,13 @@ func (c *threadedCompiler) compileSetpI(in *dInstr) threadOp {
 	}
 }
 
-// compileIntOp specializes the single-cycle integer ops; div/rem (which
-// pay a 24-cycle latency anyway) share the generic kernel loop.
+// compileIntOp specializes the untruncated add, sub, mul, and and shl —
+// a quarter of the suite's thread-instructions, its address arithmetic,
+// masks and loop counters among them. Every other integer op, and every
+// truncated one, shares the generic kernel loop.
 func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 	dst, r0, r1 := in.dst, c.srcReg(in, 0), c.srcReg(in, 1)
 	op, tr, aux := in.exec, in.trunc, in.aux
-	// Full-width i64 arithmetic (the overwhelmingly common case after
-	// lowering) needs no result truncation; specialize the hottest ops so
-	// their inner loops carry no per-lane tag dispatch.
 	if tr == tNone {
 		switch op {
 		case xAdd:
@@ -589,229 +496,23 @@ func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 				}
 				return 0
 			}
-		case xOr:
+		case xShl:
 			return func(w *warpSim, active uint32) float64 {
 				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 				if active == w.runMask {
 					n := w.nLanes
 					a, b, d := a[:n], b[:n], d[:n]
 					for l := range d {
-						d[l] = a[l] | b[l]
+						d[l] = a[l] << (uint64(b[l]) & aux)
 					}
 					return 0
 				}
 				for rem := active; rem != 0; rem &= rem - 1 {
 					l := bits.TrailingZeros32(rem)
-					d[l] = a[l] | b[l]
+					d[l] = a[l] << (uint64(b[l]) & aux)
 				}
 				return 0
 			}
-		case xXor:
-			return func(w *warpSim, active uint32) float64 {
-				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-				if active == w.runMask {
-					n := w.nLanes
-					a, b, d := a[:n], b[:n], d[:n]
-					for l := range d {
-						d[l] = a[l] ^ b[l]
-					}
-					return 0
-				}
-				for rem := active; rem != 0; rem &= rem - 1 {
-					l := bits.TrailingZeros32(rem)
-					d[l] = a[l] ^ b[l]
-				}
-				return 0
-			}
-		}
-	}
-	switch op {
-	case xAdd:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]+b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]+b[l])
-			}
-			return 0
-		}
-	case xSub:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]-b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]-b[l])
-			}
-			return 0
-		}
-	case xMul:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]*b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]*b[l])
-			}
-			return 0
-		}
-	case xAnd:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]&b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]&b[l])
-			}
-			return 0
-		}
-	case xOr:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]|b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]|b[l])
-			}
-			return 0
-		}
-	case xXor:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]^b[l])
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]^b[l])
-			}
-			return 0
-		}
-	case xShl:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]<<(uint64(b[l])&aux))
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]<<(uint64(b[l])&aux))
-			}
-			return 0
-		}
-	case xAShr:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, a[l]>>(uint64(b[l])&aux))
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, a[l]>>(uint64(b[l])&aux))
-			}
-			return 0
-		}
-	case xLShr:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, int64(toUTag(tr, a[l])>>(uint64(b[l])&aux)))
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, int64(toUTag(tr, a[l])>>(uint64(b[l])&aux)))
-			}
-			return 0
-		}
-	case xSMin:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, min(a[l], b[l]))
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, min(a[l], b[l]))
-			}
-			return 0
-		}
-	case xSMax:
-		return func(w *warpSim, active uint32) float64 {
-			a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
-			if active == w.runMask {
-				n := w.nLanes
-				a, b, d := a[:n], b[:n], d[:n]
-				for l := range d {
-					d[l] = truncTag(tr, max(a[l], b[l]))
-				}
-				return 0
-			}
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = truncTag(tr, max(a[l], b[l]))
-			}
-			return 0
 		}
 	}
 	return func(w *warpSim, active uint32) float64 {

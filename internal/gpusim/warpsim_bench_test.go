@@ -78,9 +78,12 @@ kernel wd(long* restrict out, long n) {
 	}
 }
 
-// BenchmarkWarpSim measures simulated-instruction throughput — the number
-// the decoded, allocation-free execution core is meant to at least double.
-// It reports thread-instrs/s (the sweep-relevant rate) alongside ns/op.
+// BenchmarkWarpSim measures the execution core's simulated-instruction
+// throughput in its three regimes. It is the yardstick a specialized
+// closure in threaded.go is kept by: one stays only if routing it through
+// the generic kernel loop costs at least 3 % here, in 5 of 6 alternating
+// pairs, on a case whose hot loop runs it. It reports thread-instrs/s (the
+// sweep-relevant rate) alongside ns/op.
 func BenchmarkWarpSim(b *testing.B) {
 	launch := Launch{GridDim: 8, BlockDim: 128}
 	cfg := V100()
