@@ -13,9 +13,9 @@ import (
 // is a test function of some _test.go file, every golden case it names for
 // a tool's TestGolden is a file under that tool's testdata, and every
 // repository path it names exists. Each run-function tool's own
-// TestSurfaceCensus holds its flag rows to its flag set; uud and uutop
-// define theirs on the global set inside main, so their rows are held here to
-// the flag definitions in their source.
+// TestSurfaceCensus holds its flag rows to its flag set; uud defines its
+// flags on the global set inside main, so its rows are held here to the flag
+// definitions in its source.
 func TestSurfaceCensus(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	data, err := os.ReadFile(filepath.Join(root, "docs", "SURFACE.md"))
@@ -24,18 +24,15 @@ func TestSurfaceCensus(t *testing.T) {
 	}
 	doc := string(data)
 
-	flagDef := regexp.MustCompile(`\bflag\.\w+\("([\w-]+)"`)
-	for _, tool := range []string{"uud", "uutop"} {
-		src, err := os.ReadFile(filepath.Join(root, "cmd", tool, "main.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, m := range flagDef.FindAllSubmatch(src, -1) {
-			names = append(names, string(m[1]))
-		}
-		CensusNames(t, doc, tool, names)
+	src, err := os.ReadFile(filepath.Join(root, "cmd", "uud", "main.go"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var names []string
+	for _, m := range regexp.MustCompile(`\bflag\.\w+\("([\w-]+)"`).FindAllSubmatch(src, -1) {
+		names = append(names, string(m[1]))
+	}
+	CensusNames(t, doc, "uud", names)
 
 	tests := map[string]bool{}
 	funcRE := regexp.MustCompile(`(?m)^func (Test\w+)\(`)

@@ -1,157 +1,141 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"uu/cmd/internal/clitest"
+	"uu/internal/serve"
 )
 
-const sampleScrape = `# HELP serve_requests_total See docs/METRICS.md.
-# TYPE serve_requests_total counter
-serve_requests_total 100
-# HELP serve_cache_hits_total See docs/METRICS.md.
-# TYPE serve_cache_hits_total counter
-serve_cache_hits_total 25
-# HELP serve_queue_depth Jobs waiting.
-# TYPE serve_queue_depth gauge
-serve_queue_depth 3
-# HELP serve_queue_capacity Queue capacity.
-# TYPE serve_queue_capacity gauge
-serve_queue_capacity 16
-# HELP serve_request_seconds End-to-end latency.
-# TYPE serve_request_seconds histogram
-serve_request_seconds_bucket{le="0.001"} 10
-serve_request_seconds_bucket{le="0.01"} 60
-serve_request_seconds_bucket{le="0.1"} 99
-serve_request_seconds_bucket{le="+Inf"} 100
-serve_request_seconds_sum 1.5
-serve_request_seconds_count 100
-# HELP serve_phase_seconds Per-phase latency.
-# TYPE serve_phase_seconds histogram
-serve_phase_seconds_bucket{phase="compile",le="0.01"} 40
-serve_phase_seconds_bucket{phase="compile",le="+Inf"} 50
-serve_phase_seconds_sum{phase="compile"} 0.9
-serve_phase_seconds_count{phase="compile"} 50
-serve_phase_seconds_bucket{phase="simulate",le="0.02"} 50
-serve_phase_seconds_bucket{phase="simulate",le="+Inf"} 50
-serve_phase_seconds_sum{phase="simulate"} 0.4
-serve_phase_seconds_count{phase="simulate"} 50
-`
+// maskFrame blanks what differs from run to run: the server's address, the
+// clock, and every latency figure with the padding in front of it.
+var maskFrame = clitest.Replace(
+	`http://127\.0\.0\.1:[0-9]+`, "http://<addr>",
+	`[0-9]{2}:[0-9]{2}:[0-9]{2}`, "<clock>",
+	` +[0-9.]+(µs|ms)| +[0-9]+\.[0-9]+s\b`, " <t>")
 
-func parse(t *testing.T, text string) *scrape {
-	t.Helper()
-	s, err := parseMetrics(strings.NewReader(text))
+// TestGolden drives run against a real serve.Server behind httptest that has
+// answered one compile, and against an address whose /stats is missing.
+func TestGolden(t *testing.T) {
+	srv := httptest.NewServer(serve.New(serve.Options{Workers: 2}).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/compile", "application/json",
+		strings.NewReader(`{"source": "kernel k(long* restrict out) { out[(long)global_id()] = 1; }", "args": [0], "grid": 2, "block": 64}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	resp.Body.Close()
+	// The handler records its latency, and the worker leaves the in-flight
+	// gauge, after the client has the response: wait for the levels to
+	// settle so the frame is the same on every run.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		s, err := fetch(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Request.Count == 1 && s.Gauges["serve_inflight_requests"] == 0 && s.Gauges["serve_inflight_executions"] == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never settled: %+v", s)
+		}
+	}
+	missing := httptest.NewServer(http.NotFoundHandler())
+	defer missing.Close()
+
+	clitest.Golden(t, run, []clitest.Case{
+		{Name: "frame", Args: []string{"-addr", srv.URL, "-n", "1", "-no-clear", "-slo", "10s"}, Mask: maskFrame},
+		{Name: "err-404", Args: []string{"-addr", missing.URL, "-n", "1"}, Mask: maskFrame},
+		{Name: "err-flag", Args: []string{"-bogus"}},
+	})
 }
 
-func TestParseMetrics(t *testing.T) {
-	s := parse(t, sampleScrape)
-	if got := s.value("serve_requests_total"); got != 100 {
-		t.Errorf("requests = %g, want 100", got)
+// latency is a request block with cumulative buckets (bound ms, count).
+func latency(buckets ...[2]float64) *serve.Latency {
+	l := &serve.Latency{}
+	for _, b := range buckets {
+		l.Buckets = append(l.Buckets, serve.LatencyBucket{LeMs: b[0], Count: int64(b[1])})
+		l.Count = int64(b[1])
 	}
-	if got := s.value("serve_queue_depth"); got != 3 {
-		t.Errorf("queue depth = %g, want 3", got)
-	}
-	req := s.hists["serve_request_seconds"]
-	if req == nil {
-		t.Fatal("request histogram not parsed")
-	}
-	if req.count != 100 || req.sum != 1.5 || len(req.buckets) != 4 {
-		t.Fatalf("request histogram count=%g sum=%g buckets=%d", req.count, req.sum, len(req.buckets))
-	}
-	comp := s.hists[`serve_phase_seconds{phase="compile"}`]
-	if comp == nil || comp.count != 50 {
-		t.Fatalf("compile phase histogram not parsed: %+v", comp)
-	}
-	if sim := s.hists[`serve_phase_seconds{phase="simulate"}`]; sim == nil || sim.count != 50 {
-		t.Fatalf("simulate phase histogram not parsed: %+v", sim)
-	}
+	return l
 }
 
-func TestHistQuantile(t *testing.T) {
-	s := parse(t, sampleScrape)
-	req := s.hists["serve_request_seconds"]
-	// rank 50 falls in the (0.001, 0.01] bucket, cum 10→60: 40/50 through.
-	if got, want := req.quantile(0.5), 0.001+(0.01-0.001)*0.8; !approxEq(got, want) {
-		t.Errorf("p50 = %g, want %g", got, want)
-	}
-	// rank 99 is exactly the 0.1 bucket's cum.
-	if got := req.quantile(0.99); !approxEq(got, 0.1) {
-		t.Errorf("p99 = %g, want 0.1", got)
-	}
-	// p100 lands in +Inf: report the last finite bound.
-	if got := req.quantile(1); !approxEq(got, 0.1) {
-		t.Errorf("p100 = %g, want 0.1 (last finite bound)", got)
-	}
-	if got := (&hist{}).quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", got)
-	}
-}
+// TestSLOWindowSparseBuckets: /stats lists non-empty buckets only, so a
+// bucket may first appear between two polls. The window counts what the
+// polls between them added, and nothing else.
+func TestSLOWindowSparseBuckets(t *testing.T) {
+	p1 := latency([2]float64{1, 10})
+	// Five requests land in a bucket the first poll did not list.
+	p2 := latency([2]float64{1, 10}, [2]float64{100, 15})
+	// Five more land above the SLO, again in a new bucket.
+	p3 := latency([2]float64{1, 10}, [2]float64{100, 15}, [2]float64{200, 20})
 
-func TestHistDeltaAndSLO(t *testing.T) {
-	prev := parse(t, sampleScrape)
-	cur := parse(t, sampleScrape)
-	// Advance: 20 new requests, all fast (≤1ms).
-	curReq := cur.hists["serve_request_seconds"]
-	for i := range curReq.buckets {
-		curReq.buckets[i].cum += 20
-	}
-	curReq.count += 20
-
-	d := curReq.delta(prev.hists["serve_request_seconds"])
-	if d.count != 20 {
-		t.Fatalf("delta count = %g, want 20", d.count)
-	}
-	if got := d.countAtOrBelow(0.001); got != 20 {
-		t.Errorf("delta fast-bucket count = %g, want 20", got)
-	}
-
-	// SLO at 100ms, target 99%: cumulative has 99/120 + 20 = 119/120 within.
-	line := sloLine(curReq, prev.hists["serve_request_seconds"], 100*time.Millisecond, 99)
-	if !strings.Contains(line, "[total]") || !strings.Contains(line, "[window]") {
-		t.Fatalf("SLO line missing total/window: %q", line)
-	}
-	if !strings.Contains(line, "burn 0.00x") { // window: all 20 within SLO
-		t.Errorf("window burn should be 0: %q", line)
+	const slo = 100 * time.Millisecond
+	for _, c := range []struct {
+		cur, prev *serve.Latency
+		want      string
+	}{
+		{p1, nil, "SLO 100ms @ 99% [total]: 100.00% within, burn 0.00x\n"},
+		{p2, p1, "SLO 100ms @ 99% [total]: 100.00% within, burn 0.00x\n" +
+			"SLO 100ms @ 99% [window]: 100.00% within, burn 0.00x\n"},
+		{p3, p2, "SLO 100ms @ 99% [total]: 75.00% within, burn 25.00x\n" +
+			"SLO 100ms @ 99% [window]: 0.00% within, burn 100.00x\n"},
+		{p3, p3, "SLO 100ms @ 99% [total]: 75.00% within, burn 25.00x\n" +
+			"SLO 100ms @ 99% [window]: no traffic\n"},
+	} {
+		if got := sloLines(*c.cur, c.prev, slo, 99); got != c.want {
+			t.Errorf("got\n%swant\n%s", got, c.want)
+		}
 	}
 }
 
+// TestRenderFrame: rates divide by -interval, levels and the server's
+// quantiles render as /stats gives them, phases in serve.PhaseNames order,
+// and a server without telemetry still gets its counters and levels drawn.
 func TestRenderFrame(t *testing.T) {
-	prev := parse(t, sampleScrape)
-	cur := parse(t, strings.Replace(sampleScrape, "serve_requests_total 100", "serve_requests_total 120", 1))
-	out := render(cur, prev, 2*time.Second, "http://x:1", 500*time.Millisecond, 99)
+	var prev, cur serve.Stats
+	for _, s := range []struct {
+		into *serve.Stats
+		body string
+	}{
+		{&prev, `{"counters":{"serve_requests_total":100,"serve_cache_hits_total":25},"queue_depth":3,"queue_cap":16,"workers":4,
+			"request":{"count":100,"buckets":[{"le_ms":1,"count":90},{"le_ms":1000,"count":100}]}}`},
+		{&cur, `{"counters":{"serve_requests_total":120,"serve_cache_hits_total":30},"queue_depth":3,"queue_cap":16,"workers":4,
+			"gauges":{"serve_inflight_executions":2},
+			"phases":{"simulate":{"count":50,"p50_ms":0.25,"p95_ms":4,"p99_ms":1500},"compile":{"count":50,"p99_ms":12.5}},
+			"request":{"count":120,"p50_ms":0.5,"p95_ms":3.2,"p99_ms":900,"buckets":[{"le_ms":1,"count":100},{"le_ms":1000,"count":120}]}}`},
+	} {
+		if err := json.Unmarshal([]byte(s.body), s.into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := &options{interval: 2 * time.Second, slo: 500 * time.Millisecond, sloTarget: 99}
+	out := render(&cur, &prev, time.Time{}, "http://x:1", o)
 	for _, want := range []string{
-		"requests", "10.0/s", // (120-100)/2s
-		"queue  3/16", "compile", "simulate", "request", "SLO",
+		"requests      120     10.0/s     cache hit  25.0%", // (120-100)/2s
+		"queue  3/16   inflight req  0  exec  2/4 ",
+		"compile           50         -         -    12.5ms\n",
+		"simulate          50     250µs     4.0ms     1.50s\n",
+		"request          120     500µs     3.2ms   900.0ms\n",
+		"[total]: 83.33% within", "[window]: 50.00% within",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)
 		}
 	}
-	// A phase uutop does not know renders after the known ones, not never.
-	extra := parse(t, sampleScrape+`serve_phase_seconds_bucket{phase="verify",le="0.01"} 7
-serve_phase_seconds_bucket{phase="verify",le="+Inf"} 7
-serve_phase_seconds_sum{phase="verify"} 0.01
-serve_phase_seconds_count{phase="verify"} 7
-`)
-	out = render(extra, nil, time.Second, "http://x:1", 500*time.Millisecond, 99)
-	sim, verify := strings.Index(out, "\nsimulate "), strings.Index(out, "\nverify ")
-	if verify < 0 || verify < sim {
-		t.Errorf("unknown phase not rendered after the known ones:\n%s", out)
+	if c, s := strings.Index(out, "\ncompile "), strings.Index(out, "\nsimulate "); c < 0 || s < c {
+		t.Errorf("phases not in serve.PhaseNames order:\n%s", out)
 	}
-	// First frame (no prev) must render without panicking.
-	if out := render(cur, nil, time.Second, "http://x:1", 500*time.Millisecond, 99); !strings.Contains(out, "request") {
-		t.Errorf("first frame broken:\n%s", out)
+
+	cur.Gauges, cur.Phases, cur.Request = nil, nil, nil
+	if out := render(&cur, nil, time.Time{}, "http://x:1", o); !strings.Contains(out, "queue  3/16") || strings.Contains(out, "SLO") {
+		t.Errorf("frame without telemetry:\n%s", out)
 	}
 }
 
-func approxEq(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d < 1e-12
-}
+func TestSurfaceCensus(t *testing.T) { clitest.Census(t, "uutop", flags(new(options))) }

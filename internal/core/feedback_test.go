@@ -19,10 +19,13 @@ func stampLine(t *testing.T, f *ir.Function, name string, line int32) {
 	t.Fatalf("no block %q", name)
 }
 
-func TestParseOverridesRoundTrip(t *testing.T) {
-	cases := []struct {
+// goodOverrides are override specs ParseOverrides accepts, each with its
+// canonical OverridesString rendering; badOverrides are specs it refuses.
+// FuzzParseOverrides starts from both.
+var (
+	goodOverrides = []struct {
 		in   string
-		want string // canonical OverridesString rendering
+		want string
 	}{
 		{"", "-"},
 		{"L10:deny", "L10:deny"},
@@ -30,7 +33,11 @@ func TestParseOverridesRoundTrip(t *testing.T) {
 		{"L7:cap=1", "L7:cap=1"},
 		{"L12:force+cap=2, L10:deny", "L10:deny L12:force,cap=2"},
 	}
-	for _, c := range cases {
+	badOverrides = []string{"10:deny", "L0:deny", "Lx:deny", "L5:wat", "L5:cap=0", "L5:deny+force"}
+)
+
+func TestParseOverridesRoundTrip(t *testing.T) {
+	for _, c := range goodOverrides {
 		ov, err := ParseOverrides(c.in)
 		if err != nil {
 			t.Fatalf("ParseOverrides(%q): %v", c.in, err)
@@ -40,7 +47,7 @@ func TestParseOverridesRoundTrip(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{"10:deny", "L0:deny", "Lx:deny", "L5:wat", "L5:cap=0", "L5:deny+force"} {
+	for _, bad := range badOverrides {
 		if _, err := ParseOverrides(bad); err == nil {
 			t.Errorf("ParseOverrides(%q) accepted invalid input", bad)
 		}

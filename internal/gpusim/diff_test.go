@@ -179,9 +179,46 @@ func unsignedOpsIR(bits int) string {
 		"  br %end\nend:\n  ret\n}\n"
 }
 
+// selectOpsIR is the select opsKernel cannot reach — MiniCU's conditionals
+// become selects only under if-conversion — as textual IR at scalar type
+// typ: three selects (both operands registers, and a pooled immediate on
+// either side) whose condition is true on every third lane, each on the
+// full mask and on the odd lanes only.
+func selectOpsIR(typ string) string {
+	conv := func(dst, src string) string {
+		switch typ {
+		case "i64":
+			return fmt.Sprintf("  %s = add i64 %s, i64 0\n", dst, src)
+		case "i32":
+			return fmt.Sprintf("  %s = trunc i64 %s to i32\n", dst, src)
+		}
+		return fmt.Sprintf("  %s = sitofp i64 %s to %s\n", dst, src, typ)
+	}
+	imm := "9"
+	if typ[0] == 'f' {
+		imm = "2.5"
+	}
+	block := func(tag, x, y string, base int) string {
+		var sb strings.Builder
+		for i, ops := range [][2]string{{x, y}, {y, imm}, {imm, x}} {
+			fmt.Fprintf(&sb, "  %%%s.r%d = select i1 %%c, %s %s, %s %s\n", tag, i, typ, ops[0], typ, ops[1])
+			fmt.Fprintf(&sb, "  %%%s.i%d = add i64 %%slot, i64 %d\n  %%%s.p%d = gep %s* %%out, i64 %%%s.i%d\n  store %s %%%s.r%d, %s* %%%s.p%d\n",
+				tag, i, base+i, tag, i, typ, tag, i, typ, tag, i, typ, tag, i)
+		}
+		return sb.String()
+	}
+	return "func @sel_" + typ + "(" + typ + "* noalias %out) {\nentry:\n" +
+		"  %cta = ctaid\n  %nt = ntid\n  %t = tid\n  %m = mul i32 %cta, i32 %nt\n  %g32 = add i32 %m, i32 %t\n  %g = sext i32 %g32 to i64\n" +
+		"  %slot = mul i64 %g, i64 6\n  %a7 = mul i64 %g, i64 7\n  %a64 = sub i64 %a7, i64 50\n  %b13 = srem i64 %g, i64 13\n  %b64 = add i64 %b13, i64 1\n" +
+		conv("%a", "%a64") + conv("%b", "%b64") +
+		"  %r3 = srem i64 %g, i64 3\n  %c = icmp eq i64 %r3, i64 0\n" + block("f", "%a", "%b", 0) +
+		"  %odd = and i64 %g, i64 1\n  %oc = icmp ne i64 %odd, i64 0\n  condbr i1 %oc, %then, %end\nthen:\n" +
+		block("m", "%b", "%a", 3) + "  br %end\nend:\n  ret\n}\n"
+}
+
 // TestExecutorDifferentialOps is the comparison one operation at a time
-// (opsKernel, unsignedOpsIR), at every scalar type, on every divergence
-// policy.
+// (opsKernel, unsignedOpsIR, selectOpsIR), at every scalar type, on every
+// divergence policy.
 func TestExecutorDifferentialOps(t *testing.T) {
 	launch := gpusim.Launch{GridDim: 2, BlockDim: 40} // a partial last warp
 	progs := map[string]*codegen.Program{}
@@ -207,6 +244,13 @@ func TestExecutorDifferentialOps(t *testing.T) {
 			err = ir.Verify(f)
 		}
 		lower(fmt.Sprintf("unsigned%d", bits), f, err)
+	}
+	for _, typ := range []string{"i32", "i64", "f32", "f64"} {
+		f, err := irparse.ParseFunc(selectOpsIR(typ))
+		if err == nil {
+			err = ir.Verify(f)
+		}
+		lower("select-"+typ, f, err)
 	}
 	newMem := func() *interp.Memory { return interp.NewMemory(64 << 10) }
 	devs := testDevices(t)

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"uu/internal/telemetry"
 )
 
 // chaosOutcome is one request's fate during the storm.
@@ -128,7 +130,10 @@ func TestChaosLoad(t *testing.T) {
 	if reqSnap.Count != total {
 		t.Errorf("request histogram saw %d samples, want %d", reqSnap.Count, total)
 	}
-	phases := s.tel.phaseSnapshots()
+	phases := map[string]*telemetry.HistSnapshot{}
+	for name, h := range s.tel.phases {
+		phases[name] = h.Snapshot()
+	}
 	if fc := phases["frontend"].Count; fc != total {
 		t.Errorf("frontend phase saw %d samples, want %d (every request enters the frontend)", fc, total)
 	}

@@ -42,7 +42,7 @@ func TestServeCounterNamesDocumented(t *testing.T) {
 			t.Errorf("gauge %q is not documented in docs/METRICS.md", name)
 		}
 	}
-	for _, name := range phaseNames {
+	for _, name := range PhaseNames {
 		if !strings.Contains(string(doc), "`"+name+"`") {
 			t.Errorf("phase %q is not documented in docs/METRICS.md", name)
 		}
@@ -73,7 +73,7 @@ func TestMetricsExpositionMatchesNameLists(t *testing.T) {
 			t.Errorf("/metrics scrape missing family %q", name)
 		}
 	}
-	for _, name := range phaseNames {
+	for _, name := range PhaseNames {
 		if !strings.Contains(scrape, `phase="`+name+`"`) {
 			t.Errorf("/metrics scrape missing phase series %q", name)
 		}

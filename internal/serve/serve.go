@@ -298,45 +298,103 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, 200, map[string]string{"status": "ready"})
 }
 
+// Stats is the body of GET /stats: the counters, the structural levels,
+// and — unless telemetry is disabled — the gauges and every latency
+// histogram's summary.
+type Stats struct {
+	Counters     map[string]int64 `json:"counters"`
+	QueueDepth   int              `json:"queue_depth"`
+	QueueCap     int              `json:"queue_cap"`
+	Workers      int              `json:"workers"`
+	Inflight     int              `json:"inflight"`
+	CacheEntries int              `json:"cache_entries"`
+	Draining     bool             `json:"draining"`
+
+	Gauges  map[string]int64   `json:"gauges,omitempty"`
+	Phases  map[string]Latency `json:"phases,omitempty"` // keyed by PhaseNames
+	Request *Latency           `json:"request,omitempty"`
+}
+
+// Latency is one histogram's summary in milliseconds (recorded values are
+// nanoseconds): the quantiles telemetry.HistSnapshot extracts, and its
+// non-empty buckets as a cumulative list.
+type Latency struct {
+	Count   int64           `json:"count"`
+	MeanMs  float64         `json:"mean_ms"`
+	P50Ms   float64         `json:"p50_ms"`
+	P95Ms   float64         `json:"p95_ms"`
+	P99Ms   float64         `json:"p99_ms"`
+	MaxMs   float64         `json:"max_ms"`
+	Buckets []LatencyBucket `json:"buckets"`
+}
+
+// LatencyBucket is one non-empty bucket: Count observations were at most
+// LeMs, the bucket's telemetry.UpperBound (the le bound /metrics writes).
+type LatencyBucket struct {
+	LeMs  float64 `json:"le_ms"`
+	Count int64   `json:"count"`
+}
+
+func newLatency(snap *telemetry.HistSnapshot) Latency {
+	l := Latency{
+		Count:   snap.Count,
+		MeanMs:  snap.Mean() / 1e6,
+		P50Ms:   float64(snap.Quantile(0.50)) / 1e6,
+		P95Ms:   float64(snap.Quantile(0.95)) / 1e6,
+		P99Ms:   float64(snap.Quantile(0.99)) / 1e6,
+		MaxMs:   float64(snap.Max) / 1e6,
+		Buckets: make([]LatencyBucket, len(snap.Buckets)),
+	}
+	var cum int64
+	for i, b := range snap.Buckets {
+		cum += b.Count
+		l.Buckets[i] = LatencyBucket{LeMs: float64(telemetry.UpperBound(b.Index)) / 1e6, Count: cum}
+	}
+	return l
+}
+
+// Within counts the observations in buckets whose bound is at most ms. The
+// buckets' bounds are fixed, so the count only grows as a histogram
+// records, and the difference of two polls is exactly what the window
+// between them added.
+func (l Latency) Within(ms float64) int64 {
+	var n int64
+	for _, b := range l.Buckets {
+		if b.LeMs > ms {
+			break
+		}
+		n = b.Count
+	}
+	return n
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	flights := len(s.flights)
 	cached := s.cache.len()
 	s.mu.Unlock()
-	stats := map[string]any{
-		"counters":      s.c.snapshot(),
-		"queue_depth":   len(s.queue),
-		"queue_cap":     cap(s.queue),
-		"inflight":      flights,
-		"cache_entries": cached,
-		"draining":      s.draining.Load(),
+	stats := Stats{
+		Counters:     s.c.snapshot(),
+		QueueDepth:   len(s.queue),
+		QueueCap:     cap(s.queue),
+		Workers:      s.opts.Workers,
+		Inflight:     flights,
+		CacheEntries: cached,
+		Draining:     s.draining.Load(),
 	}
 	if s.tel != nil {
-		stats["gauges"] = map[string]int64{
+		stats.Gauges = map[string]int64{
 			"serve_inflight_requests":   s.tel.inflightRequests.Value(),
 			"serve_inflight_executions": s.tel.inflightExecutions.Value(),
 		}
-		phases := map[string]any{}
-		for name, snap := range s.tel.phaseSnapshots() {
-			phases[name] = quantileBlock(snap)
+		stats.Phases = make(map[string]Latency, len(s.tel.phases))
+		for name, h := range s.tel.phases {
+			stats.Phases[name] = newLatency(h.Snapshot())
 		}
-		stats["phases"] = phases
-		stats["request"] = quantileBlock(s.tel.request.Snapshot())
+		req := newLatency(s.tel.request.Snapshot())
+		stats.Request = &req
 	}
 	writeJSON(w, 200, stats)
-}
-
-// quantileBlock renders one histogram's latency summary for /stats, in
-// milliseconds (recorded values are nanoseconds).
-func quantileBlock(snap *telemetry.HistSnapshot) map[string]any {
-	return map[string]any{
-		"count":   snap.Count,
-		"mean_ms": snap.Mean() / 1e6,
-		"p50_ms":  float64(snap.Quantile(0.50)) / 1e6,
-		"p95_ms":  float64(snap.Quantile(0.95)) / 1e6,
-		"p99_ms":  float64(snap.Quantile(0.99)) / 1e6,
-		"max_ms":  float64(snap.Max) / 1e6,
-	}
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,7 @@ import (
 	"uu/internal/telemetry"
 )
 
-// phaseNames lists the per-request phases in pipeline order. Each is a
+// PhaseNames lists the per-request phases in pipeline order. Each is a
 // label value of the serve_phase_seconds histogram family and a field of
 // the response's "phases" object; all are documented in docs/METRICS.md
 // and docs/OBSERVABILITY.md (TestServeCounterNamesDocumented enforces
@@ -30,7 +30,7 @@ import (
 //     bench.RunRecord.SimulateWall)
 //   - encode:    writing the response: for a 200, splicing the request's
 //     fields around the execution's encoded bytes (reqState.respond)
-var phaseNames = []string{"frontend", "resolve", "admission", "compile", "simulate", "encode"}
+var PhaseNames = []string{"frontend", "resolve", "admission", "compile", "simulate", "encode"}
 
 // histogramNames lists every latency histogram family /metrics exposes,
 // in render order; gaugeNames the gauge families. Like counterNames,
@@ -83,7 +83,7 @@ type serveTelemetry struct {
 func newServeTelemetry(s *Server) *serveTelemetry {
 	t := &serveTelemetry{
 		reg:    telemetry.NewRegistry(),
-		phases: make(map[string]*telemetry.Histogram, len(phaseNames)),
+		phases: make(map[string]*telemetry.Histogram, len(PhaseNames)),
 	}
 	for i, name := range counterNames {
 		t.reg.CounterFunc(name, "See docs/METRICS.md, compile-service counters.", s.c[i].Load)
@@ -113,7 +113,7 @@ func newServeTelemetry(s *Server) *serveTelemetry {
 
 	t.request = t.reg.DurationHistogram("serve_request_seconds",
 		"End-to-end POST /compile latency, all outcomes.")
-	for _, name := range phaseNames {
+	for _, name := range PhaseNames {
 		t.phases[name] = t.reg.DurationHistogram("serve_phase_seconds",
 			"Per-phase request latency; see docs/OBSERVABILITY.md for phase semantics.", "phase", name)
 	}
@@ -164,19 +164,6 @@ func (t *serveTelemetry) executionEnded() {
 		return
 	}
 	t.inflightExecutions.Dec()
-}
-
-// phaseSnapshots returns a stable-ordered snapshot of every phase
-// histogram for /stats and the drain flush.
-func (t *serveTelemetry) phaseSnapshots() map[string]*telemetry.HistSnapshot {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]*telemetry.HistSnapshot, len(t.phases))
-	for name, h := range t.phases {
-		out[name] = h.Snapshot()
-	}
-	return out
 }
 
 // reqState is the request-scoped context: the decoded body, the request ID

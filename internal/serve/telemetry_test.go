@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -403,7 +405,7 @@ func TestStatsQuantiles(t *testing.T) {
 	if stats.Request.Count != 1 || stats.Request.P99Ms <= 0 {
 		t.Errorf("request block %+v", stats.Request)
 	}
-	for _, name := range phaseNames {
+	for _, name := range PhaseNames {
 		if _, ok := stats.Phases[name]; !ok {
 			t.Errorf("/stats phases missing %q", name)
 		}
@@ -413,6 +415,82 @@ func TestStatsQuantiles(t *testing.T) {
 	}
 	if _, ok := stats.Gauges["serve_inflight_requests"]; !ok {
 		t.Error("/stats missing gauges block")
+	}
+}
+
+// TestStatsBucketsMatchMetrics pins /stats' request.buckets to /metrics'
+// serve_request_seconds_bucket lines after traffic: the same bounds and the
+// same cumulative counts, and Within reads them.
+func TestStatsBucketsMatchMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	const requests = 6
+	for i := int64(0); i < requests; i++ {
+		post(t, ts.URL, testRequest(10+i%3)) // three compiles, three hits
+	}
+	// A handler records its latency after the client has its response.
+	var stats Stats
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stats = Stats{}
+		if err := json.Unmarshal(get("/stats"), &stats); err != nil || stats.Request == nil {
+			t.Fatalf("/stats: %v, request block %v", err, stats.Request)
+		}
+		if stats.Request.Count == requests || time.Now().After(deadline) {
+			break
+		}
+	}
+	req := stats.Request
+	if req.Count != requests || len(req.Buckets) == 0 {
+		t.Fatalf("request block %+v after %d requests", req, requests)
+	}
+	if stats.Workers != 2 {
+		t.Errorf("workers = %d, want 2", stats.Workers)
+	}
+
+	type bucket struct{ leNs, count int64 }
+	var lines []bucket
+	for _, ln := range strings.Split(string(get("/metrics")), "\n") {
+		rest, ok := strings.CutPrefix(ln, `serve_request_seconds_bucket{le="`)
+		if !ok || strings.HasPrefix(rest, "+Inf") {
+			continue
+		}
+		var le float64
+		var b bucket
+		if _, err := fmt.Sscanf(strings.Replace(rest, `"}`, " ", 1), "%g %d", &le, &b.count); err != nil {
+			t.Fatalf("%q: %v", ln, err)
+		}
+		b.leNs = int64(math.Round(le * 1e9))
+		lines = append(lines, b)
+	}
+	var got []bucket
+	for _, b := range req.Buckets {
+		got = append(got, bucket{int64(math.Round(b.LeMs * 1e6)), b.Count})
+	}
+	if !reflect.DeepEqual(got, lines) {
+		t.Errorf("/stats request.buckets (ns, cumulative)\n  %v\n/metrics serve_request_seconds_bucket\n  %v", got, lines)
+	}
+
+	if n := req.Within(req.Buckets[0].LeMs / 2); n != 0 {
+		t.Errorf("Within below the first bound = %d, want 0", n)
+	}
+	for _, b := range req.Buckets {
+		if n := req.Within(b.LeMs); n != b.Count {
+			t.Errorf("Within(%g) = %d, want the bucket's cumulative %d", b.LeMs, n, b.Count)
+		}
+	}
+	if n := req.Within(math.Inf(1)); n != req.Count {
+		t.Errorf("Within(+Inf) = %d, want count %d", n, req.Count)
 	}
 }
 

@@ -156,9 +156,8 @@ func writeSeries(w io.Writer, name string, s *series) error {
 		snap := s.hist.Snapshot()
 		var cum int64
 		for _, b := range snap.Buckets {
-			_, hi := bucketBounds(b.Index)
 			cum += b.Count
-			le := formatFloat(float64(hi) * s.scale)
+			le := formatFloat(float64(UpperBound(b.Index)) * s.scale)
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelBlock(s.labels, `le="`+le+`"`), cum); err != nil {
 				return err
 			}

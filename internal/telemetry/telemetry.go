@@ -87,6 +87,13 @@ func bucketBounds(idx int) (lo, hi int64) {
 	return lo, hi
 }
 
+// UpperBound returns the largest value bucket index holds: every value
+// recorded there is ≤ it. The exposition's le bounds are these.
+func UpperBound(index int) int64 {
+	_, hi := bucketBounds(index)
+	return hi
+}
+
 // Histogram is a fixed-size log-linear latency histogram safe for
 // concurrent recording: every field is atomic and Observe performs no
 // allocation. Values are non-negative int64s in a caller-chosen unit
@@ -124,7 +131,7 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Bucket is one non-empty histogram bucket in a snapshot.
 type Bucket struct {
-	Index int   // bucket scheme index; bounds via bucketBounds
+	Index int   // bucket scheme index; UpperBound gives its bound
 	Count int64 // observations in this bucket
 }
 
