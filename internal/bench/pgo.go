@@ -218,7 +218,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 	rep := profile.Build(rec.Program, rec.Profile)
 	ev := profile.Evaluate(rep, st.Decisions, st.Skips)
 	a.Verdict, a.Reason = ev.Verdict, ev.Reason
-	fb := profile.ExtractFeedback(rep, st.Decisions, st.Skips, a.Speedup)
+	fb := profile.ExtractFeedback(rep, ev, st.Decisions, a.Speedup)
 	a.Signals = fb.Signals
 	a.Next, a.Changed = core.SuggestOverrides(derived, fb)
 	return a, nil

@@ -73,7 +73,7 @@ kernel d(double* restrict x, long n) {
 			// Profiling must not change the contract: the counter arrays are
 			// allocated once up front (NewProfile), and the hot loop only
 			// increments them in place.
-			w.prof = newProfileN(dp.name, len(dp.tp.ops))
+			w.prof = newProfileN(dp.name, len(dp.ops))
 			if err := w.runThreaded(args, launch, 0, cfg.WarpSize, &m); err != nil {
 				t.Fatalf("profiled warm-up run: %v", err)
 			}

@@ -17,9 +17,10 @@ import (
 const maxPrepareBytesPerInstr = 128
 
 // TestPrepareBytesPerInstr holds the one-time preparation of a program — its
-// decode and threaded build — to maxPrepareBytesPerInstr over the suite's
-// baseline, uu-heuristic and unroll u=8 programs, so a per-instruction array
-// kept beside the threaded form cannot return unnoticed.
+// decode, which is its threaded build — to maxPrepareBytesPerInstr over the
+// suite's baseline, uu-heuristic and unroll u=8 programs, so a
+// per-instruction array kept beside the threaded form cannot return
+// unnoticed.
 func TestPrepareBytesPerInstr(t *testing.T) {
 	var progs []*codegen.Program
 	instrs := 0

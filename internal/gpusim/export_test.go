@@ -15,8 +15,8 @@ func DropRunState() {
 	freeWarpSims = freelist.New[warpSimClass, *warpSim](maxFreeWarpSims)
 }
 
-// Prepare builds and caches p's execution form (the decode and its threaded
-// code), as p's first run does.
+// Prepare builds and caches p's execution form (its block layout and
+// threaded code), as p's first run does.
 func Prepare(p *codegen.Program) error {
 	_, err := decoded(p)
 	return err

@@ -121,7 +121,7 @@ func TestPolicyZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state warp loop allocates: %v allocs/run, want 0", allocs)
 			}
 
-			w.prof = newProfileN(dp.name, len(dp.tp.ops))
+			w.prof = newProfileN(dp.name, len(dp.ops))
 			if err := w.runThreaded(args, launch, 0, cfg.WarpSize, &m); err != nil {
 				t.Fatalf("profiled warm-up run: %v", err)
 			}

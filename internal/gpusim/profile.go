@@ -86,7 +86,7 @@ func (c ProfCounter) String() string {
 // Profile holds the per-PC hotspot counters of one kernel execution. PCs are
 // the flat global instruction index (blocks in layout order, instructions in
 // block order) — the same index codegen.Program.Lines and the simulator's
-// pre-decoded instruction stream use, so Counters[c][pc] joins with
+// decoded program use, so Counters[c][pc] joins with
 // Lines[pc] directly.
 //
 // All counters are int64 and all accumulation is integer addition.

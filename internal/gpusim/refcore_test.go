@@ -17,35 +17,19 @@ import (
 // machine: every counter is charged per instruction (no per-block bulk
 // accounting, no steady-state loop), every fetch goes through one function,
 // and every scalar op goes through the ops.go kernels one lane at a time.
-// What it shares with the production core is what is not specialized there:
-// the decoder (decodeInstr), the block layout, the policy engines, the
-// coalescing model (access) and the icache state on the warpSim. Production
-// keeps no decoded instruction array, so decodeInstrs builds the reference's
-// own.
+// It reads each codegen.Instr itself — kind, opcode, type and operands, on
+// every execution — so it shares no decoder with the production core. What
+// it does share is what is not specialized there: the block layout, the
+// policy engines, the coalescing model (access), the icache state on the
+// warpSim, latClassOf and the ops.go kernels.
 
 // refCore is the reference core's run state: a production warpSim for
 // everything shared, plus the boxed register file.
 type refCore struct {
 	w      *warpSim
-	instrs []dInstr // indexed by global instruction id
+	instrs []*codegen.Instr // indexed by global instruction id
 	nregs  int
 	regs   []interp.Value // [lane*nregs + reg]
-}
-
-// decodeInstrs runs the production decoder over every instruction of p, in
-// global instruction order.
-func decodeInstrs(p *codegen.Program) ([]dInstr, error) {
-	var out []dInstr
-	for _, b := range p.Blocks {
-		for i := range b.Instrs {
-			d, err := decodeInstr(p, &b.Instrs[i])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, d)
-		}
-	}
-	return out, nil
 }
 
 // RunReference is RunCtx (background context, no trace) on the reference
@@ -55,9 +39,11 @@ func RunReference(p *codegen.Program, args []interp.Value, mem *interp.Memory, l
 	if err != nil {
 		return nil, err
 	}
-	instrs, err := decodeInstrs(p)
-	if err != nil {
-		return nil, err
+	var instrs []*codegen.Instr
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			instrs = append(instrs, &b.Instrs[i])
+		}
 	}
 	rc := &refCore{w: newWarpSim(dp, cfg, mem), instrs: instrs, nregs: dp.numRegs}
 	rc.regs = make([]interp.Value, cfg.WarpSize*dp.numRegs)
@@ -86,12 +72,21 @@ func RunReference(p *codegen.Program, args []interp.Value, mem *interp.Memory, l
 	return m, nil
 }
 
-// src reads an operand for the lane whose register block starts at base.
-func (rc *refCore) src(base int, s *dSrc) interp.Value {
-	if s.reg < 0 {
-		return s.imm
+// src reads operand i of in for the lane whose register block starts at
+// base; an absent operand reads as zero.
+func (rc *refCore) src(base int, in *codegen.Instr, i int) interp.Value {
+	if i >= len(in.Srcs) {
+		return interp.Value{}
 	}
-	return rc.regs[base+int(s.reg)]
+	s := in.Srcs[i]
+	if !s.IsImm() {
+		return rc.regs[base+int(s.Reg)]
+	}
+	k := s.Imm.(*ir.Const)
+	if k.Typ.IsFloat() {
+		return interp.FloatVal(k.Float)
+	}
+	return interp.IntVal(k.Int)
 }
 
 // fetchStall is the icache model: the stall cycles fetching line costs.
@@ -157,7 +152,7 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 		exited := uint32(0)
 		nextPC := -2
 		for gi := dp.blockStart[blkIdx]; gi < dp.blockEnd[blkIdx]; gi++ {
-			in := &rc.instrs[gi]
+			in := rc.instrs[gi]
 			steps++
 			if steps > budget {
 				return fmt.Errorf("gpusim: %s after %d steps: %w", dp.name, steps-1, ErrCycleBudget)
@@ -173,7 +168,7 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 			m.WarpInstrs++
 			m.ActiveSum += int64(nActive)
 			m.ThreadInstrs += int64(nActive)
-			m.ClassThread[in.class] += int64(nActive)
+			m.ClassThread[in.Class()] += int64(nActive)
 			if prof != nil {
 				prof.Counters[ProfWarpExecs][gi]++
 				prof.Counters[ProfThreadExecs][gi] += int64(nActive)
@@ -184,9 +179,9 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 			// and other warps (independent thread scheduling), so they scale
 			// like issue.
 			dep := 0.0
-			for si := uint8(0); si < in.nSrcs; si++ {
-				if r := in.srcs[si].reg; r >= 0 {
-					if t := w.ready[r]; t > dep {
+			for _, s := range in.Srcs {
+				if !s.IsImm() {
+					if t := w.ready[s.Reg]; t > dep {
 						dep = t
 					}
 				}
@@ -199,77 +194,79 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 					prof.Counters[ProfDepStall][gi] += profFP(exposed)
 				}
 			}
-			cycles += in.issue * iss
+			issue := float64(in.IssueCycles())
+			cycles += issue * iss
 			if prof != nil {
-				prof.Counters[ProfIssueCycles][gi] += profFP(in.issue * iss)
+				prof.Counters[ProfIssueCycles][gi] += profFP(issue * iss)
 			}
-			if in.dst >= 0 {
-				w.ready[in.dst] = cycles + w.latTab[in.latClass]
+			dst := int(in.Dst)
+			if dst >= 0 {
+				w.ready[dst] = cycles + w.latTab[latClassOf(in)]
 			}
 
-			dst := int(in.dst)
-			switch in.exec {
-			case xBra:
-				nextPC = int(in.t0)
-			case xRet:
+			switch in.Kind {
+			case codegen.KBra:
+				nextPC = in.Targets[0]
+			case codegen.KRet:
 				exited = active
 				nextPC = -1
-			case xCondBra:
+			case codegen.KCondBra:
 				for rem := active; rem != 0; rem &= rem - 1 {
 					lane := bits.TrailingZeros32(rem)
-					if rc.src(lane*nr, &in.srcs[0]).I != 0 {
+					if rc.src(lane*nr, in, 0).I != 0 {
 						brTaken |= 1 << uint(lane)
 					} else {
 						brNot |= 1 << uint(lane)
 					}
 				}
 				branched = true
-			case xLd, xSt:
-				isLoad := in.exec == xLd
-				addrSrc := &in.srcs[1]
+			case codegen.KLd, codegen.KSt:
+				isLoad := in.Kind == codegen.KLd
+				addrSrc := 1
 				if isLoad {
-					addrSrc = &in.srcs[0]
+					addrSrc = 0
 				}
 				n := 0
 				for rem := active; rem != 0; rem &= rem - 1 {
-					w.addrBuf[n] = rc.src(bits.TrailingZeros32(rem)*nr, addrSrc).I
+					w.addrBuf[n] = rc.src(bits.TrailingZeros32(rem)*nr, in, addrSrc).I
 					n++
 				}
-				cost, ntx := w.access(n, in.memSize, isLoad, m)
+				size := in.Type.Size()
+				cost, ntx := w.access(n, size, isLoad, m)
 				cycles += cost
 				if prof != nil {
 					prof.Counters[ProfMemTransactions][gi] += ntx
-					prof.Counters[ProfMemIdeal][gi] += idealTransactions(n, in.memSize, cfg.SegmentBytes)
+					prof.Counters[ProfMemIdeal][gi] += idealTransactions(n, size, cfg.SegmentBytes)
 				}
-				k := ir.Kind(in.memKind)
+				k := in.Type.Kind
 				ai := 0
 				for rem := active; rem != 0; rem &= rem - 1 {
 					base := bits.TrailingZeros32(rem) * nr
 					addr := w.addrBuf[ai]
 					ai++
 					if isLoad {
-						v, ok := w.mem.LoadKind(k, in.memSize, addr)
+						v, ok := w.mem.LoadKind(k, size, addr)
 						if !ok {
-							_, err := w.mem.Load(in.typ, addr)
+							_, err := w.mem.Load(in.Type, addr)
 							return fmt.Errorf("gpusim: %s: %w", dp.name, err)
 						}
 						rc.regs[base+dst] = v
-					} else if v := rc.src(base, &in.srcs[0]); !w.mem.StoreKind(k, in.memSize, addr, v) {
-						return fmt.Errorf("gpusim: %s: %w", dp.name, w.mem.Store(in.typ, addr, v))
+					} else if v := rc.src(base, in, 0); !w.mem.StoreKind(k, size, addr, v) {
+						return fmt.Errorf("gpusim: %s: %w", dp.name, w.mem.Store(in.Type, addr, v))
 					}
 				}
-			case xBar:
+			case codegen.KBar:
 				// No-op under sequential warp scheduling.
-			case xTID, xNTID, xCTAID, xNCTAID:
+			case codegen.KSpecial:
 				for rem := active; rem != 0; rem &= rem - 1 {
 					lane := bits.TrailingZeros32(rem)
 					v := ntid
-					switch in.exec {
-					case xTID:
+					switch in.IROp {
+					case ir.OpTID:
 						v = interp.IntVal(int64(w.lanesTID[lane]))
-					case xCTAID:
+					case ir.OpCTAID:
 						v = interp.IntVal(int64(w.lanesCTA[lane]))
-					case xNCTAID:
+					case ir.OpNCTAID:
 						v = nctaid
 					}
 					rc.regs[lane*nr+dst] = v
@@ -303,40 +300,35 @@ func boolVal(r bool) interp.Value {
 	return interp.IntVal(0)
 }
 
-// evalScalar executes a decoded compute/setp/selp/mov/cvt instruction for
-// the lane whose register block starts at base. All opcode semantics live
-// in the shared kernels of ops.go.
-func (rc *refCore) evalScalar(in *dInstr, base int) interp.Value {
-	a := rc.src(base, &in.srcs[0])
-	switch in.exec {
-	case xMov:
+// evalScalar executes a compute/setp/selp/mov/cvt instruction for the lane
+// whose register block starts at base. All opcode semantics live in the
+// shared kernels of ops.go.
+func (rc *refCore) evalScalar(in *codegen.Instr, base int) interp.Value {
+	a, b := rc.src(base, in, 0), rc.src(base, in, 1)
+	switch in.Kind {
+	case codegen.KMov:
 		return a
-	case xSelp:
+	case codegen.KSelp:
 		if a.I != 0 {
-			return rc.src(base, &in.srcs[1])
+			return b
 		}
-		return rc.src(base, &in.srcs[2])
-	case xSetpI:
-		b := rc.src(base, &in.srcs[1])
-		return boolVal(evalICmp(in.pred, in.aux, a.I, b.I))
-	case xSetpF:
-		b := rc.src(base, &in.srcs[1])
-		return boolVal(evalFCmp(in.pred, a.F, b.F))
-	case xTrunc, xZExt, xSExt, xFPToSI:
-		return interp.IntVal(evalConvI(in.exec, in.trunc, in.aux, a.I, a.F))
-	case xSIToFP, xFPExt, xFPTrunc:
-		return interp.FloatVal(evalConvF(in.exec, in.rndF32, a.I, a.F))
-	}
-	if in.exec >= xFAdd { // tag order: float compute ops are the last group
-		var b float64
-		if in.nSrcs > 1 {
-			b = rc.src(base, &in.srcs[1]).F
+		return rc.src(base, in, 2)
+	case codegen.KSetp:
+		if in.IROp == ir.OpICmp {
+			return boolVal(evalICmp(in.Pred, uMask(in.Type), a.I, b.I))
 		}
-		return interp.FloatVal(evalFloatOp(in.exec, in.rndF32, a.F, b))
+		return boolVal(evalFCmp(in.Pred, a.F, b.F))
+	case codegen.KCvt:
+		switch in.IROp {
+		case ir.OpSIToFP, ir.OpFPExt, ir.OpFPTrunc:
+			return interp.FloatVal(evalConvF(in.IROp, in.Type == ir.F32, a.I, a.F))
+		case ir.OpZExt:
+			return interp.IntVal(evalConvI(in.IROp, in.Type.Kind, uMask(in.SrcType), a.I, a.F))
+		}
+		return interp.IntVal(evalConvI(in.IROp, in.Type.Kind, 0, a.I, a.F))
 	}
-	var b int64
-	if in.nSrcs > 1 {
-		b = rc.src(base, &in.srcs[1]).I
+	if in.Type.IsFloat() {
+		return interp.FloatVal(evalFloatOp(in.IROp, in.Type == ir.F32, a.F, b.F))
 	}
-	return interp.IntVal(evalIntOp(in.exec, in.trunc, in.aux, a.I, b))
+	return interp.IntVal(evalIntOp(in.IROp, in.Type.Kind, uint64(in.Type.Bits()-1), a.I, b.I))
 }

@@ -62,10 +62,6 @@ func TestSetpUnsignedPredicates(t *testing.T) {
 	for _, typ := range types {
 		for _, pred := range preds {
 			p := setpProgram(typ, pred)
-			instrs, err := decodeInstrs(p)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
 			for _, pair := range pairs {
 				// Canonical register form: sign-extended, as the simulator
 				// keeps all integer registers.
@@ -90,7 +86,7 @@ func TestSetpUnsignedPredicates(t *testing.T) {
 
 				// The reference core's evalScalar must agree.
 				rc := &refCore{regs: []interp.Value{interp.IntVal(a), interp.IntVal(b)}}
-				if got := rc.evalScalar(&instrs[0], 0).I; got != want {
+				if got := rc.evalScalar(&p.Blocks[0].Instrs[0], 0).I; got != want {
 					t.Errorf("%s: evalScalar: got %d, want %d", name, got, want)
 				}
 			}

@@ -138,7 +138,6 @@ type warpSim struct {
 	// lanes so block closures run contiguous 32-lane inner loops (see
 	// threaded.go); the extra registers past dp.numRegs hold the program's
 	// pooled immediates, broadcast once per run by init.
-	tp      *threadedProgram
 	laneW   int       // stride between registers in the SoA files
 	nLanes  int       // threads in the current warp
 	runMask uint32    // full-warp mask of the current warp
@@ -209,7 +208,7 @@ type warpSimClass struct {
 }
 
 func classOf(dp *decodedProgram, cfg DeviceConfig) warpSimClass {
-	n := dp.tp.numRegs
+	n := dp.fileRegs()
 	return warpSimClass{cfg.WarpSize, 1 << bits.Len(uint(max(n, 1)-1))}
 }
 
@@ -290,15 +289,13 @@ func zeroed[T any](s []T, n int) []T {
 // from zero.
 func (w *warpSim) init(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) {
 	w.dp, w.cfg, w.mem = dp, cfg, mem
-	tp := dp.tp
-	w.tp = tp
 	w.laneW = cfg.WarpSize
 	// The real registers are cleared at the start of every warp
 	// (runThreaded); the pooled immediates live past dp.numRegs, never
 	// change during a run, and are broadcast to every lane here.
-	w.regsI = w.regsI[:cfg.WarpSize*tp.numRegs]
-	w.regsF = w.regsF[:cfg.WarpSize*tp.numRegs]
-	for ci, v := range tp.consts {
+	w.regsI = w.regsI[:cfg.WarpSize*dp.fileRegs()]
+	w.regsF = w.regsF[:cfg.WarpSize*dp.fileRegs()]
+	for ci, v := range dp.consts {
 		base := (dp.numRegs + ci) * cfg.WarpSize
 		for lane := 0; lane < cfg.WarpSize; lane++ {
 			w.regsI[base+lane] = v.I
@@ -448,32 +445,4 @@ func (w *warpSim) access(n int, size int64, isLoad bool, m *Metrics) (float64, i
 		m.GstBytes += bytes
 	}
 	return float64(count * w.cfg.MemPerTransaction), count
-}
-
-// truncTag truncates v per the decoded truncation tag (the canonical
-// in-register form: narrow ints are stored sign-extended, i1 as 0/1).
-func truncTag(tag uint8, v int64) int64 {
-	switch tag {
-	case tI1:
-		return v & 1
-	case tI8:
-		return int64(int8(v))
-	case tI32:
-		return int64(int32(v))
-	}
-	return v
-}
-
-// toUTag reinterprets a canonically stored value as unsigned at the
-// width the truncation tag encodes.
-func toUTag(tag uint8, v int64) uint64 {
-	switch tag {
-	case tI1:
-		return uint64(v) & 1
-	case tI8:
-		return uint64(uint8(v))
-	case tI32:
-		return uint64(uint32(v))
-	}
-	return uint64(v)
 }

@@ -6,13 +6,15 @@ import (
 	"math"
 	"math/bits"
 
+	"uu/internal/codegen"
 	"uu/internal/interp"
 	"uu/internal/ir"
 )
 
-// This file is the simulator's execution core, a threaded-code design. Each
-// decoded instruction is compiled, as decode.go produces it, into an array of
-// closures — one specialized Go function per instruction — that operate on
+// This file is the simulator's execution core, a threaded-code design, and
+// its decoder. compileOp reads each codegen.Instr once, as decode.go lays the
+// program out, and compiles it straight into an array of closures — one
+// specialized Go function per instruction — that operate on
 // SoA register files: each register is WarpSize consecutive int64/float64
 // lanes, so a full-warp arithmetic op is one contiguous 32-iteration loop
 // the compiler keeps in machine registers, with no dispatch switch and no
@@ -36,11 +38,14 @@ import (
 // hot loop runs it (EXPERIMENTS.md, "What each specialized closure pays
 // for").
 // Immediates are pooled into broadcast pseudo-registers past dp.numRegs so
-// every closure reads plain register lanes. The design this replaced — one
-// dispatch switch per retired instruction over boxed interp.Value registers,
-// every scalar op through the ops.go kernels — is kept as the differential
-// reference in refcore_test.go, which is what holds the specialized
-// closures below to the plain definition of each opcode.
+// every closure reads plain register lanes. The compile switch and the
+// closures it builds are the only place the simulator branches on an opcode
+// outside latClassOf and the ops.go kernels; nothing in between re-encodes
+// the instruction. The design this replaced — one dispatch switch per
+// retired instruction over boxed interp.Value registers, every scalar op
+// through the ops.go kernels — is kept as the differential reference in
+// refcore_test.go, which reads each codegen.Instr itself and is what holds
+// the specialized closures below to the plain definition of each opcode.
 
 // threadOp executes one compiled instruction for the active lanes and
 // returns the memory bandwidth cycles it adds to the warp clock (0 for
@@ -58,27 +63,6 @@ type tTiming struct {
 	latClass uint8
 }
 
-// tBlock is per-block metadata for bulk accounting.
-type tBlock struct {
-	// classThread counts the block's instructions per codegen.Class; the
-	// per-block metrics add classThread[c] * activeLanes.
-	classThread [5]int32
-}
-
-// threadedProgram is the compiled threaded-code form of a program, held by
-// its decodedProgram and shared across warps, devices, and worker shards (the
-// SoA lane stride is read from the warpSim at run time, so one compilation
-// serves every warp size).
-type threadedProgram struct {
-	ops    []threadOp
-	tim    []tTiming
-	blocks []tBlock
-	// numRegs is dp.numRegs plus the pooled immediates, which occupy the
-	// pseudo-register indices [dp.numRegs, numRegs).
-	numRegs int
-	consts  []interp.Value
-}
-
 // constKey identifies a pooled immediate by exact bits: float keys go
 // through Float64bits so -0.0 and 0.0 (map-equal, bit-distinct) do not
 // alias one pool slot.
@@ -87,69 +71,63 @@ type constKey struct {
 	f uint64
 }
 
-type threadedCompiler struct {
-	numRegs int // the program's real registers; pooled immediates follow
-	tp      *threadedProgram
-	consts  []interp.Value
-	pool    map[constKey]int32
-}
-
-// newThreadedCompiler starts the threaded form of a program with numRegs
-// registers, numInstrs instructions and numBlocks blocks.
-func newThreadedCompiler(numRegs, numInstrs, numBlocks int) *threadedCompiler {
-	return &threadedCompiler{
-		numRegs: numRegs,
-		pool:    map[constKey]int32{},
-		tp: &threadedProgram{
-			ops:    make([]threadOp, numInstrs),
-			tim:    make([]tTiming, numInstrs),
-			blocks: make([]tBlock, numBlocks),
-		},
-	}
+// compiler builds a decodedProgram's closures, timing records and class
+// counts, one instruction at a time, pooling immediates as it goes.
+type compiler struct {
+	dp   *decodedProgram
+	pool map[constKey]int32
 }
 
 // constReg returns the pseudo-register broadcasting v to every lane.
-func (c *threadedCompiler) constReg(v interp.Value) int32 {
+func (c *compiler) constReg(v interp.Value) int32 {
 	k := constKey{v.I, math.Float64bits(v.F)}
 	if r, ok := c.pool[k]; ok {
 		return r
 	}
-	r := int32(c.numRegs + len(c.consts))
-	c.consts = append(c.consts, v)
+	r := int32(c.dp.fileRegs())
+	c.dp.consts = append(c.dp.consts, v)
 	c.pool[k] = r
 	return r
 }
 
-// srcReg resolves operand i to an SoA register index: the instruction's
-// register, a pooled immediate, or (past nSrcs) the zero constant the
-// scalar kernels default absent operands to.
-func (c *threadedCompiler) srcReg(in *dInstr, i int) int32 {
-	if i >= int(in.nSrcs) {
+// src resolves operand i of in to an SoA register index: the instruction's
+// register, a pooled immediate, or (past its last operand) the zero
+// constant the scalar kernels default absent operands to.
+func (c *compiler) src(in *codegen.Instr, i int) int32 {
+	if i >= len(in.Srcs) {
 		return c.constReg(interp.Value{})
 	}
-	if s := &in.srcs[i]; s.reg >= 0 {
-		return s.reg
+	s := in.Srcs[i]
+	if !s.IsImm() {
+		return int32(s.Reg)
 	}
-	return c.constReg(in.srcs[i].imm)
+	k := s.Imm.(*ir.Const)
+	if k.Typ.IsFloat() {
+		return c.constReg(interp.FloatVal(k.Float))
+	}
+	return c.constReg(interp.IntVal(k.Int))
 }
 
 // add compiles in, the instruction at global index gi in block bi: its
 // timing record, its closure and its block's class count.
-func (c *threadedCompiler) add(in *dInstr, gi int32, bi int) {
-	t := tTiming{issue: in.issue, dst: in.dst, latClass: in.latClass, srcs: [3]int32{-1, -1, -1}}
-	for si := uint8(0); si < in.nSrcs; si++ {
-		t.srcs[si] = in.srcs[si].reg
+func (c *compiler) add(in *codegen.Instr, gi int32, bi int) error {
+	if len(in.Srcs) > 3 {
+		return fmt.Errorf("%w: %d operands", ErrDecode, len(in.Srcs))
 	}
-	c.tp.tim[gi] = t
-	c.tp.ops[gi] = c.compileOp(in, gi)
-	c.tp.blocks[bi].classThread[in.class]++
-}
-
-// finish returns the threaded form once every instruction has been added.
-func (c *threadedCompiler) finish() *threadedProgram {
-	c.tp.numRegs = c.numRegs + len(c.consts)
-	c.tp.consts = c.consts
-	return c.tp
+	t := tTiming{issue: float64(in.IssueCycles()), dst: int32(in.Dst), latClass: latClassOf(in), srcs: [3]int32{-1, -1, -1}}
+	for i, s := range in.Srcs {
+		if !s.IsImm() {
+			t.srcs[i] = int32(s.Reg)
+		}
+	}
+	op, err := c.compileOp(in, gi)
+	if err != nil {
+		return err
+	}
+	c.dp.tim[gi] = t
+	c.dp.ops[gi] = op
+	c.dp.blockClass[bi][in.Class()]++
+	return nil
 }
 
 // soaI returns register r's int lanes; soaF its float lanes.
@@ -170,26 +148,29 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// compileOp builds the closure for one instruction. Control-flow ops
+// compileOp decodes one instruction straight into its closure: it switches
+// on the VPTX kind, then on the IR opcode, and captures every fact the
+// closure reads. A nil closure (bar) has only its timing. Control-flow ops
 // record their outcome on the warpSim — a mid-block branch included, which
 // takes effect when the block ends — and the block loop hands it to the
 // divergence policy after the block's last instruction.
-func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
-	switch in.exec {
-	case xBra:
-		t0 := int(in.t0)
+func (c *compiler) compileOp(in *codegen.Instr, gi int32) (threadOp, error) {
+	dst := int32(in.Dst)
+	switch in.Kind {
+	case codegen.KBra:
+		t0 := in.Targets[0]
 		return func(w *warpSim, _ uint32) float64 {
 			w.nextPC = t0
 			return 0
-		}
-	case xRet:
+		}, nil
+	case codegen.KRet:
 		return func(w *warpSim, active uint32) float64 {
 			w.exited = active
 			w.nextPC = -1
 			return 0
-		}
-	case xCondBra:
-		r := c.srcReg(in, 0)
+		}, nil
+	case codegen.KCondBra:
+		r := c.src(in, 0)
 		return func(w *warpSim, active uint32) float64 {
 			cond := w.soaI(r)
 			var tk, nt uint32
@@ -205,57 +186,57 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 			w.brNot |= nt
 			w.branched = true
 			return 0
-		}
-	case xBar:
+		}, nil
+	case codegen.KBar:
 		// No-op under sequential warp scheduling; the timing scaffold
 		// still charges its fetch and issue.
-		return nil
-	case xLd:
-		return c.compileLoad(in, gi)
-	case xSt:
-		return c.compileStore(in, gi)
-	case xTID:
-		dst := in.dst
-		return func(w *warpSim, active uint32) float64 {
-			d := w.soaI(dst)
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = int64(w.lanesTID[l])
-			}
-			return 0
+		return nil, nil
+	case codegen.KLd:
+		return c.compileLoad(in, gi), nil
+	case codegen.KSt:
+		return c.compileStore(in, gi), nil
+	case codegen.KSpecial:
+		switch in.IROp {
+		case ir.OpTID:
+			return func(w *warpSim, active uint32) float64 {
+				d := w.soaI(dst)
+				for rem := active; rem != 0; rem &= rem - 1 {
+					l := bits.TrailingZeros32(rem)
+					d[l] = int64(w.lanesTID[l])
+				}
+				return 0
+			}, nil
+		case ir.OpCTAID:
+			return func(w *warpSim, active uint32) float64 {
+				d := w.soaI(dst)
+				for rem := active; rem != 0; rem &= rem - 1 {
+					l := bits.TrailingZeros32(rem)
+					d[l] = int64(w.lanesCTA[l])
+				}
+				return 0
+			}, nil
+		case ir.OpNTID:
+			return func(w *warpSim, active uint32) float64 {
+				d := w.soaI(dst)
+				v := w.ntidV
+				for rem := active; rem != 0; rem &= rem - 1 {
+					d[bits.TrailingZeros32(rem)] = v
+				}
+				return 0
+			}, nil
+		case ir.OpNCTAID:
+			return func(w *warpSim, active uint32) float64 {
+				d := w.soaI(dst)
+				v := w.nctaidV
+				for rem := active; rem != 0; rem &= rem - 1 {
+					d[bits.TrailingZeros32(rem)] = v
+				}
+				return 0
+			}, nil
 		}
-	case xCTAID:
-		dst := in.dst
-		return func(w *warpSim, active uint32) float64 {
-			d := w.soaI(dst)
-			for rem := active; rem != 0; rem &= rem - 1 {
-				l := bits.TrailingZeros32(rem)
-				d[l] = int64(w.lanesCTA[l])
-			}
-			return 0
-		}
-	case xNTID:
-		dst := in.dst
-		return func(w *warpSim, active uint32) float64 {
-			d := w.soaI(dst)
-			v := w.ntidV
-			for rem := active; rem != 0; rem &= rem - 1 {
-				d[bits.TrailingZeros32(rem)] = v
-			}
-			return 0
-		}
-	case xNCTAID:
-		dst := in.dst
-		return func(w *warpSim, active uint32) float64 {
-			d := w.soaI(dst)
-			v := w.nctaidV
-			for rem := active; rem != 0; rem &= rem - 1 {
-				d[bits.TrailingZeros32(rem)] = v
-			}
-			return 0
-		}
-	case xMov:
-		dst, s := in.dst, c.srcReg(in, 0)
+		return nil, fmt.Errorf("%w: bad special register %s", ErrDecode, in.IROp)
+	case codegen.KMov:
+		s := c.src(in, 0)
 		return func(w *warpSim, active uint32) float64 {
 			dI, aI := w.soaI(dst), w.soaI(s)
 			dF, aF := w.soaF(dst), w.soaF(s)
@@ -271,10 +252,9 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 				dF[l] = aF[l]
 			}
 			return 0
-		}
-	case xSelp:
-		dst := in.dst
-		cr, s1, s2 := c.srcReg(in, 0), c.srcReg(in, 1), c.srcReg(in, 2)
+		}, nil
+	case codegen.KSelp:
+		cr, s1, s2 := c.src(in, 0), c.src(in, 1), c.src(in, 2)
 		return func(w *warpSim, active uint32) float64 {
 			cond := w.soaI(cr)
 			aI, bI, dI := w.soaI(s1), w.soaI(s2), w.soaI(dst)
@@ -288,12 +268,12 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 				}
 			}
 			return 0
+		}, nil
+	case codegen.KSetp:
+		if in.IROp == ir.OpICmp {
+			return c.compileSetpI(in), nil
 		}
-	case xSetpI:
-		return c.compileSetpI(in)
-	case xSetpF:
-		dst, r0, r1 := in.dst, c.srcReg(in, 0), c.srcReg(in, 1)
-		pred := in.pred
+		r0, r1, pred := c.src(in, 0), c.src(in, 1), in.Pred
 		return func(w *warpSim, active uint32) float64 {
 			a, b, d := w.soaF(r0), w.soaF(r1), w.soaI(dst)
 			for rem := active; rem != 0; rem &= rem - 1 {
@@ -301,19 +281,43 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 				d[l] = b2i(evalFCmp(pred, a[l], b[l]))
 			}
 			return 0
+		}, nil
+	case codegen.KCvt:
+		return c.compileCvt(in)
+	case codegen.KCompute:
+		if in.Type.IsFloat() {
+			return c.compileFloatOp(in)
 		}
-	case xTrunc, xZExt, xSExt, xFPToSI:
-		dst, s, op, tr, aux := in.dst, c.srcReg(in, 0), in.exec, in.trunc, in.aux
+		return c.compileIntOp(in)
+	}
+	return nil, fmt.Errorf("%w: unhandled instruction kind %d", ErrDecode, in.Kind)
+}
+
+// compileCvt builds a conversion's per-lane loop over the shared kernels.
+// The result is truncated to, or rounded to, the destination type; a zext
+// masks its operand to the recorded source width.
+func (c *compiler) compileCvt(in *codegen.Instr) (threadOp, error) {
+	dst, s, op := int32(in.Dst), c.src(in, 0), in.IROp
+	switch op {
+	case ir.OpTrunc, ir.OpZExt, ir.OpSExt, ir.OpFPToSI:
+		var aux uint64
+		if op == ir.OpZExt {
+			if in.SrcType == nil {
+				return nil, fmt.Errorf("%w: zext without a recorded source type", ErrDecode)
+			}
+			aux = uMask(in.SrcType)
+		}
+		k := in.Type.Kind
 		return func(w *warpSim, active uint32) float64 {
 			aI, aF, d := w.soaI(s), w.soaF(s), w.soaI(dst)
 			for rem := active; rem != 0; rem &= rem - 1 {
 				l := bits.TrailingZeros32(rem)
-				d[l] = evalConvI(op, tr, aux, aI[l], aF[l])
+				d[l] = evalConvI(op, k, aux, aI[l], aF[l])
 			}
 			return 0
-		}
-	case xSIToFP, xFPExt, xFPTrunc:
-		dst, s, op, rnd := in.dst, c.srcReg(in, 0), in.exec, in.rndF32
+		}, nil
+	case ir.OpSIToFP, ir.OpFPExt, ir.OpFPTrunc:
+		rnd := in.Type == ir.F32
 		return func(w *warpSim, active uint32) float64 {
 			aI, aF, d := w.soaI(s), w.soaF(s), w.soaF(dst)
 			for rem := active; rem != 0; rem &= rem - 1 {
@@ -321,21 +325,20 @@ func (c *threadedCompiler) compileOp(in *dInstr, gi int32) threadOp {
 				d[l] = evalConvF(op, rnd, aI[l], aF[l])
 			}
 			return 0
-		}
+		}, nil
 	}
-	if in.exec >= xFAdd { // tag order: float compute ops are the last group
-		return c.compileFloatOp(in)
-	}
-	return c.compileIntOp(in)
+	return nil, fmt.Errorf("%w: bad conversion %s", ErrDecode, op)
 }
 
 // compileSetpI specializes eq, ne, slt and sle (the loop guards and
 // if-conditions that dominate generated code) and runs sgt and sge as slt
 // and sle with their sources swapped; unsigned compares fall back to the
 // shared kernel per lane.
-func (c *threadedCompiler) compileSetpI(in *dInstr) threadOp {
-	dst, r0, r1 := in.dst, c.srcReg(in, 0), c.srcReg(in, 1)
-	pred, aux := in.pred, in.aux
+func (c *compiler) compileSetpI(in *codegen.Instr) threadOp {
+	// The compare reads operands of in.Type (the *source* type); unsigned
+	// predicates zero-extend through aux.
+	dst, r0, r1 := int32(in.Dst), c.src(in, 0), c.src(in, 1)
+	pred, aux := in.Pred, uMask(in.Type)
 	if pred == ir.SGT || pred == ir.SGE { // a > b is b < a
 		pred, r0, r1 = pred.Swapped(), r1, r0
 	}
@@ -423,12 +426,21 @@ func (c *threadedCompiler) compileSetpI(in *dInstr) threadOp {
 // a quarter of the suite's thread-instructions, its address arithmetic,
 // masks and loop counters among them. Every other integer op, and every
 // truncated one, shares the generic kernel loop.
-func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
-	dst, r0, r1 := in.dst, c.srcReg(in, 0), c.srcReg(in, 1)
-	op, tr, aux := in.exec, in.trunc, in.aux
-	if tr == tNone {
+func (c *compiler) compileIntOp(in *codegen.Instr) (threadOp, error) {
+	dst, r0, r1 := int32(in.Dst), c.src(in, 0), c.src(in, 1)
+	op, k := in.IROp, in.Type.Kind
+	var aux uint64 // a shift's amount mask
+	switch op {
+	case ir.OpShl, ir.OpLShr, ir.OpAShr:
+		aux = uint64(in.Type.Bits() - 1)
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpSMin, ir.OpSMax:
+	default:
+		return nil, fmt.Errorf("%w: bad int op %s", ErrDecode, op)
+	}
+	if uMask(in.Type) == math.MaxUint64 { // untruncated
 		switch op {
-		case xAdd:
+		case ir.OpAdd:
 			return func(w *warpSim, active uint32) float64 {
 				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 				if active == w.runMask {
@@ -444,8 +456,8 @@ func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 					d[l] = a[l] + b[l]
 				}
 				return 0
-			}
-		case xSub:
+			}, nil
+		case ir.OpSub:
 			return func(w *warpSim, active uint32) float64 {
 				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 				if active == w.runMask {
@@ -461,8 +473,8 @@ func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 					d[l] = a[l] - b[l]
 				}
 				return 0
-			}
-		case xMul:
+			}, nil
+		case ir.OpMul:
 			return func(w *warpSim, active uint32) float64 {
 				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 				if active == w.runMask {
@@ -478,8 +490,8 @@ func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 					d[l] = a[l] * b[l]
 				}
 				return 0
-			}
-		case xAnd:
+			}, nil
+		case ir.OpAnd:
 			return func(w *warpSim, active uint32) float64 {
 				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 				if active == w.runMask {
@@ -495,8 +507,8 @@ func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 					d[l] = a[l] & b[l]
 				}
 				return 0
-			}
-		case xShl:
+			}, nil
+		case ir.OpShl:
 			return func(w *warpSim, active uint32) float64 {
 				a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 				if active == w.runMask {
@@ -512,26 +524,26 @@ func (c *threadedCompiler) compileIntOp(in *dInstr) threadOp {
 					d[l] = a[l] << (uint64(b[l]) & aux)
 				}
 				return 0
-			}
+			}, nil
 		}
 	}
 	return func(w *warpSim, active uint32) float64 {
 		a, b, d := w.soaI(r0), w.soaI(r1), w.soaI(dst)
 		for rem := active; rem != 0; rem &= rem - 1 {
 			l := bits.TrailingZeros32(rem)
-			d[l] = evalIntOp(op, tr, aux, a[l], b[l])
+			d[l] = evalIntOp(op, k, aux, a[l], b[l])
 		}
 		return 0
-	}
+	}, nil
 }
 
 // compileFloatOp specializes the pipelined float ops; transcendentals
 // (dominated by the math call) share the generic kernel loop.
-func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
-	dst, r0, r1 := in.dst, c.srcReg(in, 0), c.srcReg(in, 1)
-	op, rnd := in.exec, in.rndF32
+func (c *compiler) compileFloatOp(in *codegen.Instr) (threadOp, error) {
+	dst, r0, r1 := int32(in.Dst), c.src(in, 0), c.src(in, 1)
+	op, rnd := in.IROp, in.Type == ir.F32
 	switch op {
-	case xFAdd:
+	case ir.OpFAdd:
 		return func(w *warpSim, active uint32) float64 {
 			a, b, d := w.soaF(r0), w.soaF(r1), w.soaF(dst)
 			if active == w.runMask {
@@ -557,8 +569,8 @@ func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
 				d[l] = r
 			}
 			return 0
-		}
-	case xFSub:
+		}, nil
+	case ir.OpFSub:
 		return func(w *warpSim, active uint32) float64 {
 			a, b, d := w.soaF(r0), w.soaF(r1), w.soaF(dst)
 			if active == w.runMask {
@@ -584,8 +596,8 @@ func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
 				d[l] = r
 			}
 			return 0
-		}
-	case xFMul:
+		}, nil
+	case ir.OpFMul:
 		return func(w *warpSim, active uint32) float64 {
 			a, b, d := w.soaF(r0), w.soaF(r1), w.soaF(dst)
 			if active == w.runMask {
@@ -611,8 +623,8 @@ func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
 				d[l] = r
 			}
 			return 0
-		}
-	case xFDiv:
+		}, nil
+	case ir.OpFDiv:
 		return func(w *warpSim, active uint32) float64 {
 			a, b, d := w.soaF(r0), w.soaF(r1), w.soaF(dst)
 			if active == w.runMask {
@@ -638,7 +650,12 @@ func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
 				d[l] = r
 			}
 			return 0
-		}
+		}, nil
+	case ir.OpPow, ir.OpFMin, ir.OpFMax, ir.OpSqrt, ir.OpFAbs, ir.OpExp, ir.OpLog,
+		ir.OpSin, ir.OpCos, ir.OpFloor:
+		// the generic kernel loop below
+	default:
+		return nil, fmt.Errorf("%w: bad float op %s", ErrDecode, op)
 	}
 	return func(w *warpSim, active uint32) float64 {
 		a, b, d := w.soaF(r0), w.soaF(r1), w.soaF(dst)
@@ -647,7 +664,7 @@ func (c *threadedCompiler) compileFloatOp(in *dInstr) threadOp {
 			d[l] = evalFloatOp(op, rnd, a[l], b[l])
 		}
 		return 0
-	}
+	}, nil
 }
 
 // gatherAddrsSoA copies register r's active lanes into addrBuf, in lane
@@ -686,12 +703,11 @@ func (w *warpSim) storeFault(typ *ir.Type, addr int64, v interp.Value) {
 	}
 }
 
-func (c *threadedCompiler) compileLoad(in *dInstr, gi int32) threadOp {
-	addr := c.srcReg(in, 0)
-	dst := in.dst
-	kind := ir.Kind(in.memKind)
-	size := in.memSize
-	typ := in.typ
+func (c *compiler) compileLoad(in *codegen.Instr, gi int32) threadOp {
+	addr := c.src(in, 0)
+	dst := int32(in.Dst)
+	typ := in.Type
+	kind, size := typ.Kind, typ.Size()
 	return func(w *warpSim, active uint32) float64 {
 		n := w.gatherAddrsSoA(active, addr)
 		cost, ntx := w.access(n, size, true, w.m)
@@ -745,12 +761,11 @@ func (c *threadedCompiler) compileLoad(in *dInstr, gi int32) threadOp {
 	}
 }
 
-func (c *threadedCompiler) compileStore(in *dInstr, gi int32) threadOp {
-	val := c.srcReg(in, 0)
-	addr := c.srcReg(in, 1)
-	kind := ir.Kind(in.memKind)
-	size := in.memSize
-	typ := in.typ
+func (c *compiler) compileStore(in *codegen.Instr, gi int32) threadOp {
+	val := c.src(in, 0)
+	addr := c.src(in, 1)
+	typ := in.Type
+	kind, size := typ.Kind, typ.Size()
 	return func(w *warpSim, active uint32) float64 {
 		n := w.gatherAddrsSoA(active, addr)
 		cost, ntx := w.access(n, size, false, w.m)
@@ -796,7 +811,6 @@ func (c *threadedCompiler) compileStore(in *dInstr, gi int32) threadOp {
 func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, count int, m *Metrics) error {
 	cfg := w.cfg
 	dp := w.dp
-	tp := w.tp
 	W := w.laneW
 	prof := w.prof
 	// Reset the real registers (the pooled immediates above them are
@@ -848,7 +862,7 @@ func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, c
 	}
 	var cycles float64   // warp issue clock
 	var stallAcc float64 // exposed dependency stalls (metrics only)
-	ops, tim := tp.ops, tp.tim
+	ops, tim := dp.ops, dp.tim
 	ready := w.ready
 	lines := w.lines
 	blockSeen := w.blockSeen
@@ -964,7 +978,7 @@ func (w *warpSim) runThreaded(args []interp.Value, launch Launch, firstThread, c
 		m.WarpInstrs += nb
 		m.ActiveSum += nb * int64(nActive)
 		m.ThreadInstrs += nb * int64(nActive)
-		for cl, k := range &tp.blocks[blkIdx].classThread {
+		for cl, k := range &dp.blockClass[blkIdx] {
 			if k != 0 {
 				m.ClassThread[cl] += int64(k) * int64(nActive)
 			}

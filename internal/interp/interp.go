@@ -405,10 +405,14 @@ func storeLocal(t *ir.Type, v Value) uint64 {
 
 // canon brings a runtime value of type t into the canonical form the value
 // kernels expect of a constant of that type: integers truncated to t's
-// width, floats rounded to its precision.
+// width, floats rounded to its precision, and a pointer its 64-bit address
+// (which is how the simulator compares two pointers).
 func canon(t *ir.Type, v Value) ir.Scalar {
-	if t.IsFloat() {
+	switch {
+	case t.IsFloat():
 		return ir.FloatScalar(t, v.F)
+	case t.Kind == ir.KindPtr:
+		return ir.Scalar{I: v.I}
 	}
 	return ir.IntScalar(t, v.I)
 }

@@ -203,10 +203,11 @@ func WritePrediction(w io.Writer, r *Report, decisions []core.Decision, skips []
 }
 
 // ExtractFeedback distills the measured report into the per-loop signals and
-// verdict the PGO policy (core.SuggestOverrides) consumes. speedup is the
-// app-level baseline/heuristic time ratio for this round (0 = unknown).
-func ExtractFeedback(r *Report, decisions []core.Decision, skips []core.SkipRecord, speedup float64) core.Feedback {
-	ev := Evaluate(r, decisions, skips)
+// verdict the PGO policy (core.SuggestOverrides) consumes. ev is
+// Evaluate(r, decisions, ...), which the caller has already joined; speedup
+// is the app-level baseline/heuristic time ratio for this round (0 =
+// unknown).
+func ExtractFeedback(r *Report, ev *Evaluation, decisions []core.Decision, speedup float64) core.Feedback {
 	fb := core.Feedback{
 		Speedup:    speedup,
 		Decisions:  decisions,

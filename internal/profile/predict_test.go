@@ -106,7 +106,7 @@ func TestExtractFeedbackSignals(t *testing.T) {
 	c := loopRow(2, 20, 0, 0, 20)
 	r.Loops = []LoopRow{a, b, c}
 
-	fb := ExtractFeedback(r, nil, nil, 1.25)
+	fb := ExtractFeedback(r, Evaluate(r, nil, nil), nil, 1.25)
 	if fb.Speedup != 1.25 {
 		t.Fatalf("speedup = %v", fb.Speedup)
 	}
