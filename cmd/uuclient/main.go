@@ -4,10 +4,9 @@
 // argument, a POST /compile body exactly as curl -d would send it (the JSON
 // object serve.Request documents) or @file to read it from a file, so
 // every request field is reachable. Shed (429) and drain (503) responses and
-// transport errors are retried with the shared capped-exponential,
-// full-jitter backoff (internal/harden.Backoff), honoring the server's
-// Retry-After hint as a floor; structured 4xx/5xx outcomes are permanent
-// and reported as such.
+// transport errors are retried with a capped-exponential, full-jitter
+// backoff, honoring the server's Retry-After hint as a floor; structured
+// 4xx/5xx outcomes are permanent and reported as such.
 //
 // Every response carries the server's request ID and per-phase timing
 // attribution; uuclient reports the server-attributed totals next to the
@@ -24,7 +23,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -41,7 +39,6 @@ import (
 	"time"
 
 	"uu/cmd/internal/cli"
-	"uu/internal/harden"
 	"uu/internal/serve"
 )
 
@@ -206,13 +203,13 @@ func runLoad(addr string, body []byte, n, c, attempts int, seed int64, wantTrace
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			bo := harden.Backoff{Attempts: attempts}
+			jitter := rand.Float64
 			if seed != 0 {
 				// Per-worker deterministic jitter for reproducible drills.
-				bo.Rand = rand.New(rand.NewSource(seed + int64(worker)))
+				jitter = rand.New(rand.NewSource(seed + int64(worker))).Float64
 			}
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				outcomes[i] = fire(client, addr, body, bo, wantTrace)
+				outcomes[i] = fire(client, addr, body, attempts, jitter, wantTrace)
 			}
 		}(w)
 	}
@@ -256,69 +253,74 @@ func runLoad(addr string, body []byte, n, c, attempts int, seed int64, wantTrace
 	return res
 }
 
-// fire issues one request with retries. Shed (429), drain (503), and
-// transport errors are retryable; everything else — including structured
-// compile failures, panics (500), and deadline expiry (504) — is permanent.
-func fire(client *http.Client, addr string, body []byte, bo harden.Backoff, wantTrace bool) (o outcome) {
-	// The server's latest Retry-After hint is a floor under the jittered
-	// backoff delay.
-	var retryAfter time.Duration
-	sleep := bo.Sleep
-	bo.Sleep = func(d time.Duration) {
-		if retryAfter > d {
-			d = retryAfter
-		}
-		if sleep != nil {
-			sleep(d)
-			return
-		}
-		time.Sleep(d)
+// The retry schedule: the delay before retry n (0-based) is drawn from
+// (0, d], d = backoffBase·2^n capped at backoffMax. Full jitter
+// decorrelates clients that were shed by the same overload event.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
+// backoff returns the delay before retry n for a jitter draw u in [0, 1):
+// never zero (that would turn the retry loop into a busy spin), never more
+// than the schedule.
+func backoff(n int, u float64) time.Duration {
+	d := backoffBase
+	for i := 0; i < n && d < backoffMax; i++ {
+		d *= 2
 	}
-	attempt := 0
-	start := time.Now()
-	err := bo.Retry(context.Background(), func(err error) bool {
-		_, retryable := err.(*transientError)
-		return retryable
-	}, func() error {
-		attempt++
-		url := addr + "/compile"
-		if wantTrace {
-			url += "?trace=1"
-		}
+	return max(time.Duration(float64(min(d, backoffMax))*(1-u)), 1)
+}
+
+// fire issues one request, trying at most attempts times. Shed (429), drain
+// (503), and transport errors are retried after backoff(n, jitter()), or
+// after the server's latest Retry-After hint if that is longer; everything
+// else — including structured compile failures, panics (500), and deadline
+// expiry (504) — is permanent.
+func fire(client *http.Client, addr string, body []byte, attempts int, jitter func() float64, wantTrace bool) (o outcome) {
+	url := addr + "/compile"
+	if wantTrace {
+		url += "?trace=1"
+	}
+	var retryAfter time.Duration
+	try := func() (transient bool, err error) {
 		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			o.code = "transport"
-			return &transientError{"transport: " + err.Error()}
+			return true, errors.New("transport: " + err.Error())
 		}
 		defer resp.Body.Close()
 		data, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode == 200 {
 			_ = json.Unmarshal(data, &o.resp) // a 200 that does not decode still counts; its report is blank
 			o.ok, o.body = true, string(data)
-			return nil
+			return false, nil
 		}
 		var e serve.Error
 		if jerr := json.Unmarshal(data, &e); jerr != nil || e.Code == "" {
 			e.Code = fmt.Sprintf("http-%d", resp.StatusCode)
 		}
 		o.code = e.Code
-		msg := e.Code + ": " + e.Msg
+		err = errors.New(e.Code + ": " + e.Msg)
 		if resp.StatusCode == 429 || resp.StatusCode == 503 {
 			if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
 				retryAfter = time.Duration(secs) * time.Second
 			}
-			return &transientError{msg}
+			return true, err
 		}
-		return errors.New(msg)
-	})
-	o.retries = attempt - 1
-	o.ms = float64(time.Since(start).Microseconds()) / 1e3
-	if o.ok = o.ok && err == nil; !o.ok {
-		o.err = err.Error()
+		return false, err
 	}
-	return o
+	start := time.Now()
+	for {
+		transient, err := try()
+		if err == nil || !transient || o.retries >= attempts-1 {
+			o.ms = float64(time.Since(start).Microseconds()) / 1e3
+			if err != nil {
+				o.err = err.Error()
+			}
+			return o
+		}
+		time.Sleep(max(backoff(o.retries, jitter()), retryAfter))
+		o.retries++
+	}
 }
-
-type transientError struct{ msg string }
-
-func (e *transientError) Error() string { return e.msg }

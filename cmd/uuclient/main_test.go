@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"uu/cmd/internal/clitest"
 	"uu/internal/serve"
@@ -103,3 +106,66 @@ func TestLoadSummaryAndTrace(t *testing.T) {
 }
 
 func TestSurfaceCensus(t *testing.T) { clitest.Census(t, "uuclient", flags(new(options))) }
+
+// TestBackoffSchedule pins the retry schedule: 50ms doubling to a 2s cap
+// before jitter, and full jitter that never sleeps zero or past the cap.
+func TestBackoffSchedule(t *testing.T) {
+	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
+	for n, w := range want {
+		if got := backoff(n, 0); got != w*time.Millisecond {
+			t.Fatalf("backoff(%d, 0) = %v, want %v", n, got, w*time.Millisecond)
+		}
+		if got := backoff(n, math.Nextafter(1, 0)); got != 1 {
+			t.Fatalf("backoff(%d, ~1) = %v, want the 1ns floor", n, got)
+		}
+	}
+	a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+	for n := 0; n < 8; n++ {
+		da, db := backoff(n, a.Float64()), backoff(n, b.Float64())
+		if da != db || da <= 0 || da > backoffMax {
+			t.Fatalf("retry %d: seeded delays %v and %v, want equal and in (0, %v]", n, da, db, backoffMax)
+		}
+	}
+}
+
+// TestFireRetries holds fire to its retry rule against a server that
+// answers each call with the next status of a script: shed and drain
+// answers are retried up to the attempt budget, anything else is final.
+func TestFireRetries(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		script   []int
+		attempts int
+		calls    int
+		ok       bool
+	}{
+		{"recovers", []int{429, 503, 200}, 5, 3, true},
+		{"exhausts", []int{503, 503, 503, 503, 503}, 4, 4, false},
+		{"permanent", []int{400, 200}, 5, 1, false},
+		{"one-try", []int{429, 200}, 0, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				status := tc.script[calls.Add(1)-1]
+				if status != 200 {
+					w.Header().Set("Retry-After", "0")
+					w.WriteHeader(status)
+					_, _ = w.Write([]byte(`{"code":"busy","error":"try later"}`))
+					return
+				}
+				_, _ = w.Write([]byte(`{}`))
+			}))
+			defer srv.Close()
+			jitter := func() float64 { return 0.999 } // 50µs-scale sleeps
+			o := fire(srv.Client(), srv.URL, []byte(`{}`), tc.attempts, jitter, false)
+			if int(calls.Load()) != tc.calls || o.retries != tc.calls-1 || o.ok != tc.ok {
+				t.Fatalf("calls %d, retries %d, ok %v; want %d calls, ok %v (err %q)",
+					calls.Load(), o.retries, o.ok, tc.calls, tc.ok, o.err)
+			}
+			if !tc.ok && o.err == "" {
+				t.Fatalf("a failed request reports no error")
+			}
+		})
+	}
+}

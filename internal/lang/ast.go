@@ -34,8 +34,10 @@ type Program struct {
 	Kernels []*Kernel
 }
 
-// Stmt is a statement node.
-type Stmt interface{ stmtNode() }
+// Stmt is a statement node. Its line is the 1-based source line the
+// lowerer stamps on its instructions and reports its errors at; a block has
+// no line of its own (0).
+type Stmt interface{ line() int }
 
 // Expr is an expression node.
 type Expr interface{ exprNode() }
@@ -112,18 +114,18 @@ type ExprStmt struct {
 	Line int
 }
 
-func (*BlockStmt) stmtNode()    {}
-func (*DeclStmt) stmtNode()     {}
-func (*AssignStmt) stmtNode()   {}
-func (*IncDecStmt) stmtNode()   {}
-func (*IfStmt) stmtNode()       {}
-func (*WhileStmt) stmtNode()    {}
-func (*DoWhileStmt) stmtNode()  {}
-func (*ForStmt) stmtNode()      {}
-func (*BreakStmt) stmtNode()    {}
-func (*ContinueStmt) stmtNode() {}
-func (*ReturnStmt) stmtNode()   {}
-func (*ExprStmt) stmtNode()     {}
+func (*BlockStmt) line() int      { return 0 }
+func (s *DeclStmt) line() int     { return s.Line }
+func (s *AssignStmt) line() int   { return s.Line }
+func (s *IncDecStmt) line() int   { return s.Line }
+func (s *IfStmt) line() int       { return s.Line }
+func (s *WhileStmt) line() int    { return s.Line }
+func (s *DoWhileStmt) line() int  { return s.Line }
+func (s *ForStmt) line() int      { return s.Line }
+func (s *BreakStmt) line() int    { return s.Line }
+func (s *ContinueStmt) line() int { return s.Line }
+func (s *ReturnStmt) line() int   { return s.Line }
+func (s *ExprStmt) line() int     { return s.Line }
 
 // IntLit is an integer literal (value fits the chosen type).
 type IntLit struct {
@@ -138,10 +140,7 @@ type FloatLit struct {
 }
 
 // IdentExpr references a variable or parameter.
-type IdentExpr struct {
-	Name string
-	Line int
-}
+type IdentExpr struct{ Name string }
 
 // UnaryExpr is -x, !x, ~x.
 type UnaryExpr struct {
@@ -153,7 +152,6 @@ type UnaryExpr struct {
 type BinaryExpr struct {
 	Op   string
 	L, R Expr
-	Line int
 }
 
 // TernaryExpr is c ? a : b (lowered with control flow, like Clang).
@@ -165,14 +163,12 @@ type TernaryExpr struct {
 type IndexExpr struct {
 	Base Expr
 	Idx  Expr
-	Line int
 }
 
 // CallExpr calls a builtin.
 type CallExpr struct {
 	Name string
 	Args []Expr
-	Line int
 }
 
 // CastExpr is (type)x.

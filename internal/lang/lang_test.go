@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -291,24 +292,61 @@ kernel f32(float* restrict out, float a, float b) {
 	}
 }
 
+// errorCases are sources the frontend must reject with a *Error at the
+// given line. The pointer cases once panicked or returned plain errors.
+var errorCases = []struct {
+	name, src string
+	line      int
+	want      string
+}{
+	{"undef", "kernel k(long* p) { p[0] = x; }", 1, "undefined variable"},
+	{"badbuiltin", "kernel k(long* p) { p[0] = frobnicate(); }", 1, "unknown builtin"},
+	{"arity", "kernel k(long* p) { p[0] = min(1); }", 1, "min expects 2 arguments, got 1"},
+	{"breakout", "kernel k(long* p) { break; }", 1, "break outside loop"},
+	{"ptrlocal", "kernel k(long* p) { long* q = p; }", 1, "pointer-typed locals"},
+	{"assignptr", "kernel k(long* p, long n) { p = p; }", 1, "cannot assign to pointer"},
+	{"redecl", "kernel k(long* p) { long a = 1; long a = 2; }", 1, "redeclaration"},
+	{"parse", "kernel k(long* p) { long a = ; }", 1, "unexpected token"},
+	{"lex", "kernel k(long* p) {\n  p[0] = 1 @ 2;\n}", 2, "unexpected character"},
+	{"nokernel", "// nothing here\n", 1, "expected 1 kernel, got 0"},
+	{"twokernels", "kernel a(long* p) { }\nkernel b(long* p) { }", 1, "expected 1 kernel, got 2"},
+	{"fmod", ptrKernel("p[0] = 1.5 % 2.0;"), 3, "% requires integer operands"},
+	{"bitnot-float", ptrKernel("p[0] = ~1.5;"), 3, "~ requires an integer operand"},
+	{"neg-intptr", ptrKernel("p[0] = -p;"), 3, "pointer arithmetic"},
+	{"neg-floatptr", ptrKernel("f[0] = -f;"), 3, "pointer arithmetic"},
+	{"bitnot-ptr", ptrKernel("p[0] = ~p;"), 3, "pointer arithmetic"},
+	{"abs-ptr", ptrKernel("p[0] = abs(p);"), 3, "pointer arithmetic"},
+	{"fabs-ptr", ptrKernel("f[0] = fabs(p);"), 3, "pointer arithmetic"},
+	{"pow-ptr", ptrKernel("f[0] = pow(p, 2.0);"), 3, "pointer arithmetic"},
+	{"min-ptr", ptrKernel("p[0] = min(p, 1);"), 3, "pointer arithmetic"},
+	{"add-ptr", ptrKernel("p[0] += p;"), 3, "pointer arithmetic"},
+	{"index-ptr", ptrKernel("p[0] = p[q];"), 3, "array index must be an integer"},
+	{"ternary-ptr", ptrKernel("p[0] = p ? 1 : 2;"), 3, "cannot convert int* to bool"},
+	{"not-ptr", ptrKernel("p[0] = !p;"), 3, "cannot convert int* to bool"},
+	{"cast-ptr", ptrKernel("p[0] = (int)p;"), 3, "cannot convert int* to int"},
+	{"while-ptr", ptrKernel("while (p) { }"), 3, "cannot convert int* to bool"},
+	{"store-ptr", ptrKernel("a = q;"), 3, "cannot convert int* to int"},
+}
+
+// ptrKernel wraps stmt as line 3 of a kernel with pointer parameters p, q
+// (int*) and f (float*).
+func ptrKernel(stmt string) string {
+	return "kernel k(int* p, int* q, float* f) {\n  int a = 0;\n  " + stmt + "\n}\n"
+}
+
 func TestCompileErrors(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"undef", "kernel k(long* p) { p[0] = x; }", "undefined variable"},
-		{"badbuiltin", "kernel k(long* p) { p[0] = frobnicate(); }", "unknown builtin"},
-		{"breakout", "kernel k(long* p) { break; }", "break outside loop"},
-		{"ptrlocal", "kernel k(long* p) { long* q = p; }", "pointer-typed locals"},
-		{"assignptr", "kernel k(long* p, long n) { p = p; }", "cannot assign to pointer"},
-		{"redecl", "kernel k(long* p) { long a = 1; long a = 2; }", "redeclaration"},
-		{"parse", "kernel k(long* p) { long a = ; }", "unexpected token"},
-	}
-	for _, tc := range cases {
+	for _, tc := range errorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Compile(tc.src)
-			if err == nil {
-				t.Fatalf("no error")
+			_, err := CompileKernel(tc.src)
+			var le *Error
+			if !errors.As(err, &le) {
+				t.Fatalf("error %v (%T) is not a *lang.Error", err, err)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
+			if le.Line != tc.line || !strings.HasPrefix(le.Msg, tc.want) {
+				t.Fatalf("error %q: want line %d and a message starting %q", err, tc.line, tc.want)
+			}
+			if strings.Count(err.Error(), "lang:") != 1 {
+				t.Fatalf("error %q repeats its prefix", err)
 			}
 		})
 	}

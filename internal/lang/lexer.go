@@ -68,7 +68,7 @@ func lex(src string) ([]token, error) {
 			}
 		default:
 			if !l.lexPunct() {
-				return nil, fmt.Errorf("lang: line %d:%d: unexpected character %q", l.line, l.col, string(c))
+				return nil, &Error{l.line, l.col, fmt.Sprintf("unexpected character %q", string(c))}
 			}
 		}
 	}

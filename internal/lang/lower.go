@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"strings"
 
 	"uu/internal/ir"
 	"uu/internal/transform"
@@ -29,14 +30,15 @@ func Compile(src string) (*ir.Module, error) {
 
 // CompileKernel compiles a single-kernel source, returning an error on a
 // parse/lowering failure or when the source does not define exactly one
-// kernel. Use this on any input that is not a compile-time constant.
+// kernel (reported at line 1). Every error it returns for a bad source is a
+// *Error. Use this on any input that is not a compile-time constant.
 func CompileKernel(src string) (*ir.Function, error) {
 	m, err := Compile(src)
 	if err != nil {
 		return nil, err
 	}
 	if len(m.Funcs()) != 1 {
-		return nil, fmt.Errorf("lang: expected 1 kernel, got %d", len(m.Funcs()))
+		return nil, &Error{1, 1, fmt.Sprintf("expected 1 kernel, got %d", len(m.Funcs()))}
 	}
 	return m.Funcs()[0], nil
 }
@@ -61,19 +63,16 @@ func LowerKernel(k *Kernel) (*ir.Function, error) {
 	lw.pushScope()
 
 	for _, prm := range k.Params {
-		t, err := irType(prm.Type)
-		if err != nil {
-			return nil, err
-		}
+		t := irType(prm.Type)
 		p := f.AddParam(prm.Name, t, prm.Restrict)
 		if prm.Type.Ptr {
-			lw.define(prm.Name, &local{typ: prm.Type, ptrVal: p})
+			lw.define(prm.Name, &local{prm.Type, p})
 			continue
 		}
 		// Scalar parameters are assignable in C; shadow them in an alloca.
 		slot := lw.b.Alloca(t, prm.Name+".addr")
 		lw.b.Store(p, slot)
-		lw.define(prm.Name, &local{typ: prm.Type, slot: slot})
+		lw.define(prm.Name, &local{prm.Type, slot})
 	}
 
 	if err := lw.lowerBlock(k.Body); err != nil {
@@ -92,10 +91,17 @@ func LowerKernel(k *Kernel) (*ir.Function, error) {
 	return f, nil
 }
 
+// local is a named variable: a scalar's alloca, or a pointer parameter,
+// which is used directly and cannot be assigned.
 type local struct {
-	typ    TypeName
-	slot   *ir.Instr // alloca for scalars
-	ptrVal ir.Value  // pointer parameters are used directly
+	typ TypeName
+	v   ir.Value
+}
+
+// operand is a lowered expression and its MiniCU type.
+type operand struct {
+	v ir.Value
+	t TypeName
 }
 
 type lowerer struct {
@@ -103,9 +109,8 @@ type lowerer struct {
 	b     *ir.Builder
 	entry *ir.Block
 
-	scopes  []map[string]*local
-	breakTo []*ir.Block
-	contTo  []*ir.Block
+	scopes []map[string]*local
+	loops  [][2]*ir.Block // per enclosing loop, innermost last: the break and continue targets
 }
 
 func (l *lowerer) pushScope() { l.scopes = append(l.scopes, map[string]*local{}) }
@@ -120,6 +125,11 @@ func (l *lowerer) lookup(name string) *local {
 		}
 	}
 	return nil
+}
+
+// errorf reports a type error at the line of the statement being lowered.
+func (l *lowerer) errorf(format string, args ...any) error {
+	return &Error{Line: int(l.b.CurLoc().Line), Msg: fmt.Sprintf(format, args...)}
 }
 
 // newAlloca creates an alloca in the entry block (mem2reg scans only there).
@@ -138,28 +148,16 @@ func (l *lowerer) newAlloca(t *ir.Type, name string) *ir.Instr {
 	return in
 }
 
-func irType(t TypeName) (*ir.Type, error) {
-	var base *ir.Type
-	switch t.Base {
-	case "bool":
-		base = ir.I1
-	case "int":
-		base = ir.I32
-	case "long":
-		base = ir.I64
-	case "float":
-		base = ir.F32
-	case "double":
-		base = ir.F64
-	default:
-		return nil, fmt.Errorf("lang: unknown type %q", t.Base)
-	}
-	if t.Ptr {
-		return ir.PointerTo(base), nil
-	}
-	return base, nil
-}
+var (
+	boolT   = TypeName{Base: "bool"}
+	intT    = TypeName{Base: "int"}
+	longT   = TypeName{Base: "long"}
+	floatT  = TypeName{Base: "float"}
+	doubleT = TypeName{Base: "double"}
+)
 
+// rank orders the scalar types for the usual arithmetic conversions; it
+// also indexes irScalar. The parser admits no other base type.
 func rank(t TypeName) int {
 	switch t.Base {
 	case "bool":
@@ -170,45 +168,50 @@ func rank(t TypeName) int {
 		return 2
 	case "float":
 		return 3
-	case "double":
-		return 4
 	}
-	return -1
+	return 4 // double
 }
 
-func isFloatT(t TypeName) bool    { return t.Base == "float" || t.Base == "double" }
-func isIntT(t TypeName) bool      { return t.Base == "int" || t.Base == "long" || t.Base == "bool" }
-func scalar(base string) TypeName { return TypeName{Base: base} }
+var irScalar = [...]*ir.Type{ir.I1, ir.I32, ir.I64, ir.F32, ir.F64}
 
-// convert coerces v from type `from` to type `to`.
-func (l *lowerer) convert(v ir.Value, from, to TypeName) (ir.Value, error) {
+func irType(t TypeName) *ir.Type {
+	if t.Ptr {
+		return ir.PointerTo(irScalar[rank(t)])
+	}
+	return irScalar[rank(t)]
+}
+
+// isIntT and isFloatT classify scalars; a pointer is neither.
+func isFloatT(t TypeName) bool { return !t.Ptr && rank(t) >= 3 }
+func isIntT(t TypeName) bool   { return !t.Ptr && rank(t) < 3 }
+
+// convert coerces x to type `to`. It is the one place an operand changes
+// type, so it is where a pointer used as a number is rejected.
+func (l *lowerer) convert(x operand, to TypeName) (ir.Value, error) {
+	v, from := x.v, x.t
 	if from == to {
 		return v, nil
 	}
-	if from.Ptr || to.Ptr {
-		return nil, fmt.Errorf("lang: cannot convert %s to %s", from, to)
-	}
-	ft, _ := irType(from)
-	tt, _ := irType(to)
+	ft, tt := irType(from), irType(to)
 	switch {
 	case isIntT(from) && isIntT(to):
-		if to.Base == "bool" {
+		if to == boolT {
 			return l.b.ICmp(ir.NE, v, ir.ConstInt(ft, 0)), nil
 		}
 		if ft.Bits() < tt.Bits() {
-			if from.Base == "bool" {
+			if from == boolT {
 				return l.b.Conv(ir.OpZExt, v, tt), nil
 			}
 			return l.b.Conv(ir.OpSExt, v, tt), nil
 		}
 		return l.b.Conv(ir.OpTrunc, v, tt), nil
 	case isIntT(from) && isFloatT(to):
-		if from.Base == "bool" {
+		if from == boolT {
 			v = l.b.Conv(ir.OpZExt, v, ir.I32)
 		}
 		return l.b.Conv(ir.OpSIToFP, v, tt), nil
 	case isFloatT(from) && isIntT(to):
-		if to.Base == "bool" {
+		if to == boolT {
 			return l.b.FCmp(ir.ONE, v, ir.ConstFloat(ft, 0)), nil
 		}
 		return l.b.Conv(ir.OpFPToSI, v, tt), nil
@@ -218,28 +221,69 @@ func (l *lowerer) convert(v ir.Value, from, to TypeName) (ir.Value, error) {
 		}
 		return l.b.Conv(ir.OpFPTrunc, v, tt), nil
 	}
-	return nil, fmt.Errorf("lang: cannot convert %s to %s", from, to)
+	return nil, l.errorf("cannot convert %s to %s", from, to)
 }
 
-// usualConv applies the usual arithmetic conversions to a pair of operands
-// and returns the common type.
-func (l *lowerer) usualConv(a ir.Value, at TypeName, b ir.Value, bt TypeName) (ir.Value, ir.Value, TypeName, error) {
-	common := at
-	if rank(bt) > rank(at) {
-		common = bt
+// lowerAs lowers e and converts it to type `to`.
+func (l *lowerer) lowerAs(e Expr, to TypeName) (ir.Value, error) {
+	x, err := l.lowerExpr(e)
+	if err != nil {
+		return nil, err
 	}
-	if common.Base == "bool" {
-		common = scalar("int")
+	return l.convert(x, to)
+}
+
+// lowerScalar lowers an arithmetic operand, which must not be a pointer.
+func (l *lowerer) lowerScalar(e Expr) (operand, error) {
+	x, err := l.lowerExpr(e)
+	if err == nil && x.t.Ptr {
+		err = l.errorf("pointer arithmetic outside indexing is not supported")
 	}
-	ca, err := l.convert(a, at, common)
+	return x, err
+}
+
+// store converts x to t and stores it to addr.
+func (l *lowerer) store(x operand, t TypeName, addr ir.Value) error {
+	v, err := l.convert(x, t)
+	if err != nil {
+		return err
+	}
+	l.b.Store(v, addr)
+	return nil
+}
+
+// promote applies C's integer promotion to a bool operand: it becomes an int.
+func (l *lowerer) promote(x operand) operand {
+	if x.t == boolT {
+		return operand{l.b.Conv(ir.OpZExt, x.v, ir.I32), intT}
+	}
+	return x
+}
+
+// byClass picks the integer (0) or float (1) form of an operation on type t.
+func byClass[T any](forms [2]T, t TypeName) T {
+	if isFloatT(t) {
+		return forms[1]
+	}
+	return forms[0]
+}
+
+// usualConv applies the usual arithmetic conversions to a pair of scalar
+// operands and returns the common type.
+func (l *lowerer) usualConv(a, b operand) (ir.Value, ir.Value, TypeName, error) {
+	common := a.t
+	if rank(b.t) > rank(a.t) {
+		common = b.t
+	}
+	if common == boolT {
+		common = intT
+	}
+	ca, err := l.convert(a, common)
 	if err != nil {
 		return nil, nil, common, err
 	}
-	cb, err := l.convert(b, bt, common)
-	if err != nil {
-		return nil, nil, common, err
-	}
-	return ca, cb, common, nil
+	cb, err := l.convert(b, common)
+	return ca, cb, common, err
 }
 
 // ---------- statements ----------
@@ -259,38 +303,15 @@ func (l *lowerer) lowerBlock(b *BlockStmt) error {
 	return nil
 }
 
-// stmtLine returns the 1-based source line of a statement, or 0 for block
-// statements (which have no line of their own).
-func stmtLine(s Stmt) int {
-	switch st := s.(type) {
-	case *DeclStmt:
-		return st.Line
-	case *AssignStmt:
-		return st.Line
-	case *IncDecStmt:
-		return st.Line
-	case *IfStmt:
-		return st.Line
-	case *WhileStmt:
-		return st.Line
-	case *DoWhileStmt:
-		return st.Line
-	case *ForStmt:
-		return st.Line
-	case *BreakStmt:
-		return st.Line
-	case *ContinueStmt:
-		return st.Line
-	case *ReturnStmt:
-		return st.Line
-	case *ExprStmt:
-		return st.Line
+// fallTo branches to b unless the current block already ended.
+func (l *lowerer) fallTo(b *ir.Block) {
+	if l.b.Block().Term() == nil {
+		l.b.Br(b)
 	}
-	return 0
 }
 
 func (l *lowerer) lowerStmt(s Stmt) error {
-	if line := stmtLine(s); line > 0 {
+	if line := s.line(); line > 0 {
 		l.b.SetLoc(ir.Loc{Line: int32(line)})
 	}
 	switch st := s.(type) {
@@ -299,141 +320,110 @@ func (l *lowerer) lowerStmt(s Stmt) error {
 	case *DeclStmt:
 		return l.lowerDecl(st)
 	case *AssignStmt:
-		return l.lowerAssign(st)
+		return l.lowerAssign(st.LHS, strings.TrimSuffix(st.Op, "="), st.RHS)
 	case *IncDecStmt:
-		op := "+="
-		if st.Op == "--" {
-			op = "-="
-		}
-		return l.lowerAssign(&AssignStmt{LHS: st.LHS, Op: op, RHS: &IntLit{Value: 1}, Line: st.Line})
+		return l.lowerAssign(st.LHS, st.Op[:1], &IntLit{Value: 1}) // x++ is x += 1
 	case *IfStmt:
 		return l.lowerIf(st)
 	case *WhileStmt:
-		return l.lowerWhile(st)
+		return l.lowerLoop("while", "latch", st.Line, st.Cond, st.Body, nil)
 	case *DoWhileStmt:
 		return l.lowerDoWhile(st)
 	case *ForStmt:
-		return l.lowerFor(st)
+		l.pushScope()
+		defer l.popScope()
+		if st.Init != nil {
+			if err := l.lowerStmt(st.Init); err != nil {
+				return err
+			}
+		}
+		return l.lowerLoop("for", "inc", st.Line, st.Cond, st.Body, st.Post)
 	case *BreakStmt:
-		if len(l.breakTo) == 0 {
-			return &Error{st.Line, 0, "break outside loop"}
-		}
-		l.b.Br(l.breakTo[len(l.breakTo)-1])
-		return nil
+		return l.jump("break", 0)
 	case *ContinueStmt:
-		if len(l.contTo) == 0 {
-			return &Error{st.Line, 0, "continue outside loop"}
-		}
-		l.b.Br(l.contTo[len(l.contTo)-1])
-		return nil
+		return l.jump("continue", 1)
 	case *ReturnStmt:
 		l.b.Ret(nil)
 		return nil
 	case *ExprStmt:
-		_, _, err := l.lowerExpr(st.X)
+		_, err := l.lowerExpr(st.X)
 		return err
 	}
-	return fmt.Errorf("lang: unknown statement %T", s)
+	return l.errorf("unknown statement %T", s)
+}
+
+// jump lowers break (target 0) or continue (target 1) of the innermost loop.
+func (l *lowerer) jump(what string, target int) error {
+	if len(l.loops) == 0 {
+		return l.errorf("%s outside loop", what)
+	}
+	l.b.Br(l.loops[len(l.loops)-1][target])
+	return nil
 }
 
 func (l *lowerer) lowerDecl(st *DeclStmt) error {
 	if st.Type.Ptr {
-		return &Error{st.Line, 0, "pointer-typed locals are not supported"}
+		return l.errorf("pointer-typed locals are not supported")
 	}
 	if l.scopes[len(l.scopes)-1][st.Name] != nil {
-		return &Error{st.Line, 0, "redeclaration of " + st.Name}
+		return l.errorf("redeclaration of %s", st.Name)
 	}
-	t, err := irType(st.Type)
+	slot := l.newAlloca(irType(st.Type), st.Name)
+	l.define(st.Name, &local{st.Type, slot})
+	if st.Init == nil {
+		return nil
+	}
+	x, err := l.lowerExpr(st.Init)
 	if err != nil {
 		return err
 	}
-	slot := l.newAlloca(t, st.Name)
-	l.define(st.Name, &local{typ: st.Type, slot: slot})
-	if st.Init != nil {
-		v, vt, err := l.lowerExpr(st.Init)
-		if err != nil {
-			return err
-		}
-		cv, err := l.convert(v, vt, st.Type)
-		if err != nil {
-			return &Error{st.Line, 0, err.Error()}
-		}
-		l.b.Store(cv, slot)
-	}
-	return nil
+	return l.store(x, st.Type, slot)
 }
 
-var compoundOps = map[string]string{
-	"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
-	"<<=": "<<", ">>=": ">>", "&=": "&", "|=": "|", "^=": "^",
-}
-
-func (l *lowerer) lowerAssign(st *AssignStmt) error {
-	// Compute the store destination and the current value lazily.
-	switch lhs := st.LHS.(type) {
+// lvalue returns the address an assignment to e stores to and its type.
+func (l *lowerer) lvalue(e Expr) (ir.Value, TypeName, error) {
+	switch lhs := e.(type) {
 	case *IdentExpr:
 		lo := l.lookup(lhs.Name)
 		if lo == nil {
-			return &Error{lhs.Line, 0, "undefined variable " + lhs.Name}
+			return nil, TypeName{}, l.errorf("undefined variable %s", lhs.Name)
 		}
-		if lo.slot == nil {
-			return &Error{lhs.Line, 0, "cannot assign to pointer parameter " + lhs.Name}
+		if lo.typ.Ptr {
+			return nil, TypeName{}, l.errorf("cannot assign to pointer parameter %s", lhs.Name)
 		}
-		rhs := st.RHS
-		if op, ok := compoundOps[st.Op]; ok {
-			rhs = &BinaryExpr{Op: op, L: &IdentExpr{Name: lhs.Name, Line: lhs.Line}, R: st.RHS, Line: st.Line}
-		}
-		v, vt, err := l.lowerExpr(rhs)
-		if err != nil {
-			return err
-		}
-		cv, err := l.convert(v, vt, lo.typ)
-		if err != nil {
-			return &Error{st.Line, 0, err.Error()}
-		}
-		l.b.Store(cv, lo.slot)
-		return nil
+		return lo.v, lo.typ, nil
 	case *IndexExpr:
-		addr, elemT, err := l.lowerAddr(lhs)
-		if err != nil {
-			return err
-		}
-		var v ir.Value
-		var vt TypeName
-		if op, ok := compoundOps[st.Op]; ok {
-			cur := l.b.Load(addr)
-			rv, rt, err := l.lowerExpr(st.RHS)
-			if err != nil {
-				return err
-			}
-			v, vt, err = l.binOp(op, cur, elemT, rv, rt, st.Line)
-			if err != nil {
-				return err
-			}
-		} else {
-			v, vt, err = l.lowerExpr(st.RHS)
-			if err != nil {
-				return err
-			}
-		}
-		cv, err := l.convert(v, vt, elemT)
-		if err != nil {
-			return &Error{st.Line, 0, err.Error()}
-		}
-		l.b.Store(cv, addr)
-		return nil
+		return l.lowerAddr(lhs)
 	}
-	return &Error{st.Line, 0, "invalid assignment target"}
+	return nil, TypeName{}, l.errorf("invalid assignment target")
 }
 
-func (l *lowerer) lowerIf(st *IfStmt) error {
-	cond, ct, err := l.lowerExpr(st.Cond)
+// lowerAssign lowers `lhs = rhs`, or with a binary op the compound `lhs op=
+// rhs`, which loads the current value before lowering rhs.
+func (l *lowerer) lowerAssign(lhs Expr, op string, rhs Expr) error {
+	addr, t, err := l.lvalue(lhs)
 	if err != nil {
 		return err
 	}
-	cb, err := l.convert(cond, ct, scalar("bool"))
+	var x operand
+	if op != "" {
+		cur := operand{l.b.Load(addr), t}
+		if x, err = l.lowerScalar(rhs); err == nil {
+			x, err = l.binOp(op, cur, x)
+		}
+	} else {
+		x, err = l.lowerExpr(rhs)
+	}
 	if err != nil {
-		return &Error{st.Line, 0, err.Error()}
+		return err
+	}
+	return l.store(x, t, addr)
+}
+
+func (l *lowerer) lowerIf(st *IfStmt) error {
+	cb, err := l.lowerAs(st.Cond, boolT)
+	if err != nil {
+		return err
 	}
 	thenB := l.f.NewBlock("if.then")
 	merge := l.f.NewBlock("if.end")
@@ -443,56 +433,48 @@ func (l *lowerer) lowerIf(st *IfStmt) error {
 	}
 	l.b.CondBr(cb, thenB, elseB)
 	l.b.SetBlock(thenB)
-	if err := l.lowerBlock(st.Then); err != nil {
+	if err := l.lowerStmt(st.Then); err != nil {
 		return err
 	}
-	if l.b.Block().Term() == nil {
-		l.b.Br(merge)
-	}
+	l.fallTo(merge)
 	if st.Else != nil {
 		l.b.SetBlock(elseB)
 		if err := l.lowerStmt(st.Else); err != nil {
 			return err
 		}
-		if l.b.Block().Term() == nil {
-			l.b.Br(merge)
-		}
+		l.fallTo(merge)
 	}
 	l.b.SetBlock(merge)
 	return nil
 }
 
-func (l *lowerer) lowerWhile(st *WhileStmt) error {
-	header := l.f.NewBlock("while.cond")
-	exit := l.f.NewBlock("while.end")
-	latch := l.f.NewBlock("while.latch")
+// lowerLoop lowers a test-first loop (while, or for after its init): the
+// header tests cond (nil means true), the body falls through to the latch,
+// and the latch runs post (may be nil) and jumps back to the header.
+func (l *lowerer) lowerLoop(kind, latchName string, line int, cond Expr, body *BlockStmt, post Stmt) error {
+	header := l.f.NewBlock(kind + ".cond")
+	exit := l.f.NewBlock(kind + ".end")
+	latch := l.f.NewBlock(kind + "." + latchName)
 	l.b.Br(header)
 	l.b.SetBlock(header)
-	cond, ct, err := l.lowerExpr(st.Cond)
-	if err != nil {
+	var cb ir.Value = ir.True
+	if cond != nil {
+		var err error
+		if cb, err = l.lowerAs(cond, boolT); err != nil {
+			return err
+		}
+	}
+	bodyB := l.f.NewBlock(kind + ".body")
+	l.b.CondBr(cb, bodyB, exit)
+	l.b.SetBlock(bodyB)
+	if err := l.lowerLoopBody(body, exit, latch, line); err != nil {
 		return err
 	}
-	cb, err := l.convert(cond, ct, scalar("bool"))
-	if err != nil {
-		return &Error{st.Line, 0, err.Error()}
+	if post != nil {
+		if err := l.lowerStmt(post); err != nil {
+			return err
+		}
 	}
-	body := l.f.NewBlock("while.body")
-	l.b.CondBr(cb, body, exit)
-	l.b.SetBlock(body)
-	l.breakTo = append(l.breakTo, exit)
-	l.contTo = append(l.contTo, latch)
-	err = l.lowerBlock(st.Body)
-	l.breakTo = l.breakTo[:len(l.breakTo)-1]
-	l.contTo = l.contTo[:len(l.contTo)-1]
-	if err != nil {
-		return err
-	}
-	// Loop-control branches attribute to the loop statement's own line.
-	l.b.SetLoc(ir.Loc{Line: int32(st.Line)})
-	if l.b.Block().Term() == nil {
-		l.b.Br(latch)
-	}
-	l.b.SetBlock(latch)
 	l.b.Br(header)
 	l.b.SetBlock(exit)
 	return nil
@@ -504,207 +486,145 @@ func (l *lowerer) lowerDoWhile(st *DoWhileStmt) error {
 	exit := l.f.NewBlock("do.end")
 	l.b.Br(body)
 	l.b.SetBlock(body)
-	l.breakTo = append(l.breakTo, exit)
-	l.contTo = append(l.contTo, latch)
-	err := l.lowerBlock(st.Body)
-	l.breakTo = l.breakTo[:len(l.breakTo)-1]
-	l.contTo = l.contTo[:len(l.contTo)-1]
-	if err != nil {
+	if err := l.lowerLoopBody(st.Body, exit, latch, st.Line); err != nil {
 		return err
 	}
-	l.b.SetLoc(ir.Loc{Line: int32(st.Line)})
-	if l.b.Block().Term() == nil {
-		l.b.Br(latch)
-	}
-	l.b.SetBlock(latch)
-	cond, ct, err := l.lowerExpr(st.Cond)
+	cb, err := l.lowerAs(st.Cond, boolT)
 	if err != nil {
 		return err
-	}
-	cb, err := l.convert(cond, ct, scalar("bool"))
-	if err != nil {
-		return &Error{st.Line, 0, err.Error()}
 	}
 	l.b.CondBr(cb, body, exit)
 	l.b.SetBlock(exit)
 	return nil
 }
 
-func (l *lowerer) lowerFor(st *ForStmt) error {
-	l.pushScope()
-	defer l.popScope()
-	if st.Init != nil {
-		if err := l.lowerStmt(st.Init); err != nil {
-			return err
-		}
-	}
-	header := l.f.NewBlock("for.cond")
-	exit := l.f.NewBlock("for.end")
-	latch := l.f.NewBlock("for.inc")
-	l.b.Br(header)
-	l.b.SetBlock(header)
-	var cb ir.Value = ir.True
-	if st.Cond != nil {
-		cond, ct, err := l.lowerExpr(st.Cond)
-		if err != nil {
-			return err
-		}
-		cb, err = l.convert(cond, ct, scalar("bool"))
-		if err != nil {
-			return &Error{st.Line, 0, err.Error()}
-		}
-	}
-	body := l.f.NewBlock("for.body")
-	l.b.CondBr(cb, body, exit)
-	l.b.SetBlock(body)
-	l.breakTo = append(l.breakTo, exit)
-	l.contTo = append(l.contTo, latch)
-	err := l.lowerBlock(st.Body)
-	l.breakTo = l.breakTo[:len(l.breakTo)-1]
-	l.contTo = l.contTo[:len(l.contTo)-1]
-	if err != nil {
+// lowerLoopBody lowers a loop body with break going to exit and continue to
+// latch, falls through to the latch, and leaves the builder there. The
+// loop-control branches attribute to the loop statement's own line.
+func (l *lowerer) lowerLoopBody(body *BlockStmt, exit, latch *ir.Block, line int) error {
+	l.loops = append(l.loops, [2]*ir.Block{exit, latch})
+	if err := l.lowerBlock(body); err != nil {
 		return err
 	}
-	l.b.SetLoc(ir.Loc{Line: int32(st.Line)})
-	if l.b.Block().Term() == nil {
-		l.b.Br(latch)
-	}
+	l.loops = l.loops[:len(l.loops)-1]
+	l.b.SetLoc(ir.Loc{Line: int32(line)})
+	l.fallTo(latch)
 	l.b.SetBlock(latch)
-	if st.Post != nil {
-		if err := l.lowerStmt(st.Post); err != nil {
-			return err
-		}
-	}
-	l.b.Br(header)
-	l.b.SetBlock(exit)
 	return nil
 }
 
 // ---------- expressions ----------
 
-func (l *lowerer) lowerExpr(e Expr) (ir.Value, TypeName, error) {
+func (l *lowerer) lowerExpr(e Expr) (operand, error) {
 	switch ex := e.(type) {
 	case *IntLit:
 		if ex.Long || ex.Value > (1<<31)-1 || ex.Value < -(1<<31) {
-			return ir.ConstInt(ir.I64, ex.Value), scalar("long"), nil
+			return operand{ir.ConstInt(ir.I64, ex.Value), longT}, nil
 		}
-		return ir.ConstInt(ir.I32, ex.Value), scalar("int"), nil
+		return operand{ir.ConstInt(ir.I32, ex.Value), intT}, nil
 	case *FloatLit:
 		if ex.Single {
-			return ir.ConstFloat(ir.F32, ex.Value), scalar("float"), nil
+			return operand{ir.ConstFloat(ir.F32, ex.Value), floatT}, nil
 		}
-		return ir.ConstFloat(ir.F64, ex.Value), scalar("double"), nil
+		return operand{ir.ConstFloat(ir.F64, ex.Value), doubleT}, nil
 	case *IdentExpr:
 		lo := l.lookup(ex.Name)
 		if lo == nil {
-			return nil, TypeName{}, &Error{ex.Line, 0, "undefined variable " + ex.Name}
+			return operand{}, l.errorf("undefined variable %s", ex.Name)
 		}
-		if lo.ptrVal != nil {
-			return lo.ptrVal, lo.typ, nil
+		if lo.typ.Ptr {
+			return operand{lo.v, lo.typ}, nil
 		}
-		return l.b.Load(lo.slot), lo.typ, nil
+		return operand{l.b.Load(lo.v), lo.typ}, nil
 	case *UnaryExpr:
 		return l.lowerUnary(ex)
 	case *BinaryExpr:
 		if ex.Op == "&&" || ex.Op == "||" {
 			return l.lowerShortCircuit(ex)
 		}
-		a, at, err := l.lowerExpr(ex.L)
+		a, err := l.lowerScalar(ex.L)
 		if err != nil {
-			return nil, TypeName{}, err
+			return operand{}, err
 		}
-		b, bt, err := l.lowerExpr(ex.R)
+		b, err := l.lowerScalar(ex.R)
 		if err != nil {
-			return nil, TypeName{}, err
+			return operand{}, err
 		}
-		return l.binOp(ex.Op, a, at, b, bt, ex.Line)
+		return l.binOp(ex.Op, a, b)
 	case *TernaryExpr:
 		return l.lowerTernary(ex)
 	case *IndexExpr:
 		addr, elemT, err := l.lowerAddr(ex)
 		if err != nil {
-			return nil, TypeName{}, err
+			return operand{}, err
 		}
-		return l.b.Load(addr), elemT, nil
+		return operand{l.b.Load(addr), elemT}, nil
 	case *CallExpr:
 		return l.lowerCall(ex)
 	case *CastExpr:
-		v, vt, err := l.lowerExpr(ex.X)
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		cv, err := l.convert(v, vt, ex.Type)
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		return cv, ex.Type, nil
+		v, err := l.lowerAs(ex.X, ex.Type)
+		return operand{v, ex.Type}, err
 	}
-	return nil, TypeName{}, fmt.Errorf("lang: unknown expression %T", e)
+	return operand{}, l.errorf("unknown expression %T", e)
 }
 
 func (l *lowerer) lowerAddr(ex *IndexExpr) (ir.Value, TypeName, error) {
-	base, bt, err := l.lowerExpr(ex.Base)
+	base, err := l.lowerExpr(ex.Base)
 	if err != nil {
 		return nil, TypeName{}, err
 	}
-	if !bt.Ptr {
-		return nil, TypeName{}, &Error{ex.Line, 0, "indexed expression is not a pointer"}
+	if !base.t.Ptr {
+		return nil, TypeName{}, l.errorf("indexed expression is not a pointer")
 	}
-	idx, it, err := l.lowerExpr(ex.Idx)
+	idx, err := l.lowerExpr(ex.Idx)
 	if err != nil {
 		return nil, TypeName{}, err
 	}
-	if !isIntT(it) {
-		return nil, TypeName{}, &Error{ex.Line, 0, "array index must be an integer"}
+	if !isIntT(idx.t) {
+		return nil, TypeName{}, l.errorf("array index must be an integer")
 	}
-	if it.Base == "bool" {
-		idx, _ = l.convert(idx, it, scalar("int"))
-	}
-	return l.b.GEP(base, idx), scalar(bt.Base), nil
+	return l.b.GEP(base.v, l.promote(idx).v), TypeName{Base: base.t.Base}, nil
 }
 
-func (l *lowerer) lowerUnary(ex *UnaryExpr) (ir.Value, TypeName, error) {
-	v, vt, err := l.lowerExpr(ex.X)
+func (l *lowerer) lowerUnary(ex *UnaryExpr) (operand, error) {
+	if ex.Op == "!" {
+		bv, err := l.lowerAs(ex.X, boolT)
+		if err != nil {
+			return operand{}, err
+		}
+		return operand{l.b.Xor(bv, ir.True), boolT}, nil
+	}
+	x, err := l.lowerScalar(ex.X)
 	if err != nil {
-		return nil, TypeName{}, err
+		return operand{}, err
 	}
 	switch ex.Op {
 	case "-":
-		if vt.Base == "bool" {
-			v, vt = mustConv(l, v, vt, scalar("int"))
+		x = l.promote(x)
+		if isFloatT(x.t) {
+			return operand{l.b.FSub(ir.ConstFloat(irType(x.t), 0), x.v), x.t}, nil
 		}
-		if isFloatT(vt) {
-			t, _ := irType(vt)
-			return l.b.FSub(ir.ConstFloat(t, 0), v), vt, nil
-		}
-		t, _ := irType(vt)
-		return l.b.Sub(ir.ConstInt(t, 0), v), vt, nil
-	case "!":
-		bv, err := l.convert(v, vt, scalar("bool"))
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		return l.b.Xor(bv, ir.True), scalar("bool"), nil
+		return operand{l.b.Sub(ir.ConstInt(irType(x.t), 0), x.v), x.t}, nil
 	case "~":
-		if !isIntT(vt) || vt.Base == "bool" {
-			return nil, TypeName{}, fmt.Errorf("lang: ~ requires an integer operand")
+		if !isIntT(x.t) || x.t == boolT {
+			return operand{}, l.errorf("~ requires an integer operand")
 		}
-		t, _ := irType(vt)
-		return l.b.Xor(v, ir.ConstInt(t, -1)), vt, nil
+		return operand{l.b.Xor(x.v, ir.ConstInt(irType(x.t), -1)), x.t}, nil
 	}
-	return nil, TypeName{}, fmt.Errorf("lang: unknown unary op %q", ex.Op)
+	return operand{}, l.errorf("unknown unary op %q", ex.Op)
 }
 
-func mustConv(l *lowerer, v ir.Value, from, to TypeName) (ir.Value, TypeName) {
-	cv, err := l.convert(v, from, to)
-	if err != nil {
-		panic(err)
-	}
-	return cv, to
+// arithOps gives each arithmetic operator's integer and float opcode; an
+// operator with no float opcode needs integer operands.
+var arithOps = map[string][2]ir.Op{
+	"+": {ir.OpAdd, ir.OpFAdd}, "-": {ir.OpSub, ir.OpFSub},
+	"*": {ir.OpMul, ir.OpFMul}, "/": {ir.OpSDiv, ir.OpFDiv},
+	"%": {ir.OpSRem}, "<<": {ir.OpShl}, ">>": {ir.OpAShr},
+	"&": {ir.OpAnd}, "|": {ir.OpOr}, "^": {ir.OpXor},
 }
 
+// cmpPreds gives each comparison's integer and float predicate.
 var cmpPreds = map[string][2]ir.Pred{
-	// integer pred, float pred
 	"==": {ir.EQ, ir.OEQ},
 	"!=": {ir.NE, ir.ONE},
 	"<":  {ir.SLT, ir.OLT},
@@ -713,86 +633,33 @@ var cmpPreds = map[string][2]ir.Pred{
 	">=": {ir.SGE, ir.OGE},
 }
 
-func (l *lowerer) binOp(op string, a ir.Value, at TypeName, b ir.Value, bt TypeName, line int) (ir.Value, TypeName, error) {
-	if at.Ptr || bt.Ptr {
-		return nil, TypeName{}, &Error{line, 0, "pointer arithmetic outside indexing is not supported"}
+// binOp lowers a non-short-circuit binary operator on two scalars.
+func (l *lowerer) binOp(op string, a, b operand) (operand, error) {
+	ca, cb, common, err := l.usualConv(a, b)
+	if err != nil {
+		return operand{}, err
 	}
 	if preds, ok := cmpPreds[op]; ok {
-		ca, cb, common, err := l.usualConv(a, at, b, bt)
-		if err != nil {
-			return nil, TypeName{}, &Error{line, 0, err.Error()}
-		}
 		if isFloatT(common) {
-			return l.b.FCmp(preds[1], ca, cb), scalar("bool"), nil
+			return operand{l.b.FCmp(preds[1], ca, cb), boolT}, nil
 		}
-		return l.b.ICmp(preds[0], ca, cb), scalar("bool"), nil
+		return operand{l.b.ICmp(preds[0], ca, cb), boolT}, nil
 	}
-	ca, cb, common, err := l.usualConv(a, at, b, bt)
-	if err != nil {
-		return nil, TypeName{}, &Error{line, 0, err.Error()}
+	opc := byClass(arithOps[op], common)
+	if opc == ir.OpInvalid {
+		return operand{}, l.errorf("%s requires integer operands", op)
 	}
-	fl := isFloatT(common)
-	var opcode ir.Op
-	switch op {
-	case "+":
-		opcode = ir.OpAdd
-		if fl {
-			opcode = ir.OpFAdd
-		}
-	case "-":
-		opcode = ir.OpSub
-		if fl {
-			opcode = ir.OpFSub
-		}
-	case "*":
-		opcode = ir.OpMul
-		if fl {
-			opcode = ir.OpFMul
-		}
-	case "/":
-		opcode = ir.OpSDiv
-		if fl {
-			opcode = ir.OpFDiv
-		}
-	case "%":
-		if fl {
-			return nil, TypeName{}, &Error{line, 0, "%% requires integer operands"}
-		}
-		opcode = ir.OpSRem
-	case "<<", ">>", "&", "|", "^":
-		if fl {
-			return nil, TypeName{}, &Error{line, 0, "bitwise ops require integer operands"}
-		}
-		switch op {
-		case "<<":
-			opcode = ir.OpShl
-		case ">>":
-			opcode = ir.OpAShr
-		case "&":
-			opcode = ir.OpAnd
-		case "|":
-			opcode = ir.OpOr
-		case "^":
-			opcode = ir.OpXor
-		}
-	default:
-		return nil, TypeName{}, &Error{line, 0, fmt.Sprintf("unknown operator %q", op)}
-	}
-	return l.b.Bin(opcode, ca, cb), common, nil
+	return operand{l.b.Bin(opc, ca, cb), common}, nil
 }
 
 // lowerShortCircuit lowers && and || with real control flow through a
 // temporary, exactly like Clang's scalar expression emitter; mem2reg turns
 // the temporary into phis.
-func (l *lowerer) lowerShortCircuit(ex *BinaryExpr) (ir.Value, TypeName, error) {
+func (l *lowerer) lowerShortCircuit(ex *BinaryExpr) (operand, error) {
 	tmp := l.newAlloca(ir.I1, "sc.tmp")
-	a, at, err := l.lowerExpr(ex.L)
+	ab, err := l.lowerAs(ex.L, boolT)
 	if err != nil {
-		return nil, TypeName{}, err
-	}
-	ab, err := l.convert(a, at, scalar("bool"))
-	if err != nil {
-		return nil, TypeName{}, &Error{ex.Line, 0, err.Error()}
+		return operand{}, err
 	}
 	l.b.Store(ab, tmp)
 	evalR := l.f.NewBlock("sc.rhs")
@@ -803,198 +670,130 @@ func (l *lowerer) lowerShortCircuit(ex *BinaryExpr) (ir.Value, TypeName, error) 
 		l.b.CondBr(ab, merge, evalR)
 	}
 	l.b.SetBlock(evalR)
-	b, bt, err := l.lowerExpr(ex.R)
+	bb, err := l.lowerAs(ex.R, boolT)
 	if err != nil {
-		return nil, TypeName{}, err
-	}
-	bb, err := l.convert(b, bt, scalar("bool"))
-	if err != nil {
-		return nil, TypeName{}, &Error{ex.Line, 0, err.Error()}
+		return operand{}, err
 	}
 	l.b.Store(bb, tmp)
 	l.b.Br(merge)
 	l.b.SetBlock(merge)
-	return l.b.Load(tmp), scalar("bool"), nil
+	return operand{l.b.Load(tmp), boolT}, nil
 }
 
-// lowerTernary lowers c ? a : b with control flow through a temporary.
-func (l *lowerer) lowerTernary(ex *TernaryExpr) (ir.Value, TypeName, error) {
-	cond, ct, err := l.lowerExpr(ex.Cond)
+// lowerTernary lowers c ? a : b with control flow through a temporary of the
+// arms' common type. The common type needs both arm types, so each arm is
+// lowered first and converted at the end of its block afterwards.
+func (l *lowerer) lowerTernary(ex *TernaryExpr) (operand, error) {
+	cb, err := l.lowerAs(ex.Cond, boolT)
 	if err != nil {
-		return nil, TypeName{}, err
-	}
-	cb, err := l.convert(cond, ct, scalar("bool"))
-	if err != nil {
-		return nil, TypeName{}, err
+		return operand{}, err
 	}
 	thenB := l.f.NewBlock("sel.then")
 	elseB := l.f.NewBlock("sel.else")
 	merge := l.f.NewBlock("sel.end")
 	l.b.CondBr(cb, thenB, elseB)
 
-	// Evaluate both arms into a temporary of the common type. The common
-	// type needs both arm types, so evaluate the then-arm first, then the
-	// else-arm, then convert: we stash raw values and convert in each arm.
-	l.b.SetBlock(thenB)
-	av, at, err := l.lowerExpr(ex.Then)
-	if err != nil {
-		return nil, TypeName{}, err
+	var arms [2]operand
+	var ends [2]*ir.Block
+	for i, arm := range [2]struct {
+		start *ir.Block
+		e     Expr
+	}{{thenB, ex.Then}, {elseB, ex.Else}} {
+		l.b.SetBlock(arm.start)
+		if arms[i], err = l.lowerExpr(arm.e); err != nil {
+			return operand{}, err
+		}
+		ends[i] = l.b.Block()
 	}
-	thenEnd := l.b.Block()
 
-	l.b.SetBlock(elseB)
-	bv, bt, err := l.lowerExpr(ex.Else)
-	if err != nil {
-		return nil, TypeName{}, err
+	common := arms[0].t
+	if rank(arms[1].t) > rank(common) {
+		common = arms[1].t
 	}
-	elseEnd := l.b.Block()
-
-	common := at
-	if rank(bt) > rank(at) {
-		common = bt
+	tmp := l.newAlloca(irType(common), "sel.tmp")
+	for i, end := range ends {
+		l.b.SetBlock(end)
+		if err := l.store(arms[i], common, tmp); err != nil {
+			return operand{}, err
+		}
+		l.b.Br(merge)
 	}
-	tt, _ := irType(common)
-	tmp := l.newAlloca(tt, "sel.tmp")
-
-	l.b.SetBlock(thenEnd)
-	cav, err := l.convert(av, at, common)
-	if err != nil {
-		return nil, TypeName{}, err
-	}
-	l.b.Store(cav, tmp)
-	l.b.Br(merge)
-
-	l.b.SetBlock(elseEnd)
-	cbv, err := l.convert(bv, bt, common)
-	if err != nil {
-		return nil, TypeName{}, err
-	}
-	l.b.Store(cbv, tmp)
-	l.b.Br(merge)
-
 	l.b.SetBlock(merge)
-	return l.b.Load(tmp), common, nil
+	return operand{l.b.Load(tmp), common}, nil
 }
 
-func (l *lowerer) lowerCall(ex *CallExpr) (ir.Value, TypeName, error) {
-	argc := func(n int) error {
-		if len(ex.Args) != n {
-			return &Error{ex.Line, 0, fmt.Sprintf("%s expects %d arguments, got %d", ex.Name, n, len(ex.Args))}
-		}
-		return nil
+// builtins gives each builtin's arity and, for the math builtins, its
+// integer and float opcode. One with no integer opcode takes float operands:
+// an integer argument is converted to double.
+var builtins = map[string]struct {
+	arity int
+	ops   [2]ir.Op
+}{
+	"tid": {}, "ntid": {}, "ctaid": {}, "nctaid": {}, "global_id": {}, "syncthreads": {},
+	"sqrt": {1, [2]ir.Op{0, ir.OpSqrt}}, "fabs": {1, [2]ir.Op{0, ir.OpFAbs}},
+	"exp": {1, [2]ir.Op{0, ir.OpExp}}, "log": {1, [2]ir.Op{0, ir.OpLog}},
+	"sin": {1, [2]ir.Op{0, ir.OpSin}}, "cos": {1, [2]ir.Op{0, ir.OpCos}},
+	"floor": {1, [2]ir.Op{0, ir.OpFloor}}, "abs": {1, [2]ir.Op{ir.OpSMax, ir.OpFAbs}},
+	"pow": {2, [2]ir.Op{0, ir.OpPow}},
+	"min": {2, [2]ir.Op{ir.OpSMin, ir.OpFMin}}, "fmin": {2, [2]ir.Op{ir.OpSMin, ir.OpFMin}},
+	"max": {2, [2]ir.Op{ir.OpSMax, ir.OpFMax}}, "fmax": {2, [2]ir.Op{ir.OpSMax, ir.OpFMax}},
+}
+
+func (l *lowerer) lowerCall(ex *CallExpr) (operand, error) {
+	bi, ok := builtins[ex.Name]
+	if !ok {
+		return operand{}, l.errorf("unknown builtin %s", ex.Name)
+	}
+	if len(ex.Args) != bi.arity {
+		return operand{}, l.errorf("%s expects %d arguments, got %d", ex.Name, bi.arity, len(ex.Args))
 	}
 	switch ex.Name {
-	case "tid", "ntid", "ctaid", "nctaid":
-		if err := argc(0); err != nil {
-			return nil, TypeName{}, err
-		}
-		var v *ir.Instr
-		switch ex.Name {
-		case "tid":
-			v = l.b.TID()
-		case "ntid":
-			v = l.b.NTID()
-		case "ctaid":
-			v = l.b.CTAID()
-		case "nctaid":
-			v = l.b.NCTAID()
-		}
-		return v, scalar("int"), nil
+	case "tid":
+		return operand{l.b.TID(), intT}, nil
+	case "ntid":
+		return operand{l.b.NTID(), intT}, nil
+	case "ctaid":
+		return operand{l.b.CTAID(), intT}, nil
+	case "nctaid":
+		return operand{l.b.NCTAID(), intT}, nil
 	case "global_id":
-		if err := argc(0); err != nil {
-			return nil, TypeName{}, err
-		}
 		prod := l.b.Mul(l.b.CTAID(), l.b.NTID())
-		return l.b.Add(prod, l.b.TID()), scalar("int"), nil
+		return operand{l.b.Add(prod, l.b.TID()), intT}, nil
 	case "syncthreads":
-		if err := argc(0); err != nil {
-			return nil, TypeName{}, err
-		}
 		l.b.Barrier()
-		return ir.ConstInt(ir.I32, 0), scalar("int"), nil
-	case "sqrt", "fabs", "exp", "log", "sin", "cos", "floor":
-		if err := argc(1); err != nil {
-			return nil, TypeName{}, err
-		}
-		v, vt, err := l.lowerExpr(ex.Args[0])
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		if !isFloatT(vt) {
-			v, vt = mustConv(l, v, vt, scalar("double"))
-		}
-		ops := map[string]ir.Op{
-			"sqrt": ir.OpSqrt, "fabs": ir.OpFAbs, "exp": ir.OpExp,
-			"log": ir.OpLog, "sin": ir.OpSin, "cos": ir.OpCos, "floor": ir.OpFloor,
-		}
-		return l.b.MathUnary(ops[ex.Name], v), vt, nil
-	case "pow":
-		if err := argc(2); err != nil {
-			return nil, TypeName{}, err
-		}
-		a, at, err := l.lowerExpr(ex.Args[0])
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		b, bt, err := l.lowerExpr(ex.Args[1])
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		if !isFloatT(at) {
-			a, at = mustConv(l, a, at, scalar("double"))
-		}
-		if !isFloatT(bt) {
-			b, bt = mustConv(l, b, bt, scalar("double"))
-		}
-		ca, cb, common, err := l.usualConv(a, at, b, bt)
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		return l.b.MathBinary(ir.OpPow, ca, cb), common, nil
-	case "min", "max", "fmin", "fmax":
-		if err := argc(2); err != nil {
-			return nil, TypeName{}, err
-		}
-		a, at, err := l.lowerExpr(ex.Args[0])
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		b, bt, err := l.lowerExpr(ex.Args[1])
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		ca, cb, common, err := l.usualConv(a, at, b, bt)
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		isMin := ex.Name == "min" || ex.Name == "fmin"
-		var op ir.Op
-		if isFloatT(common) {
-			op = ir.OpFMax
-			if isMin {
-				op = ir.OpFMin
-			}
-		} else {
-			op = ir.OpSMax
-			if isMin {
-				op = ir.OpSMin
-			}
-		}
-		return l.b.MathBinary(op, ca, cb), common, nil
-	case "abs":
-		if err := argc(1); err != nil {
-			return nil, TypeName{}, err
-		}
-		v, vt, err := l.lowerExpr(ex.Args[0])
-		if err != nil {
-			return nil, TypeName{}, err
-		}
-		if isFloatT(vt) {
-			return l.b.MathUnary(ir.OpFAbs, v), vt, nil
-		}
-		t, _ := irType(vt)
-		neg := l.b.Sub(ir.ConstInt(t, 0), v)
-		return l.b.MathBinary(ir.OpSMax, v, neg), vt, nil
+		return operand{ir.ConstInt(ir.I32, 0), intT}, nil
 	}
-	return nil, TypeName{}, &Error{ex.Line, 0, "unknown builtin " + ex.Name}
+	// Every argument is lowered before any is converted.
+	var args [2]operand
+	for i, a := range ex.Args {
+		x, err := l.lowerScalar(a)
+		if err != nil {
+			return operand{}, err
+		}
+		args[i] = x
+	}
+	if bi.ops[0] == ir.OpInvalid {
+		for i := range ex.Args {
+			if !isFloatT(args[i].t) {
+				v, err := l.convert(args[i], doubleT)
+				if err != nil {
+					return operand{}, err
+				}
+				args[i] = operand{v, doubleT}
+			}
+		}
+	}
+	if bi.arity == 1 {
+		x := args[0]
+		if isFloatT(x.t) {
+			return operand{l.b.MathUnary(bi.ops[1], x.v), x.t}, nil
+		}
+		neg := l.b.Sub(ir.ConstInt(irType(x.t), 0), x.v) // abs
+		return operand{l.b.MathBinary(bi.ops[0], x.v, neg), x.t}, nil
+	}
+	ca, cb, common, err := l.usualConv(args[0], args[1])
+	if err != nil {
+		return operand{}, err
+	}
+	return operand{l.b.MathBinary(byClass(bi.ops, common), ca, cb), common}, nil
 }

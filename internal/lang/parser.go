@@ -434,7 +434,7 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinaryExpr{Op: t.text, L: lhs, R: rhs, Line: t.line}
+		lhs = &BinaryExpr{Op: t.text, L: lhs, R: rhs}
 	}
 }
 
@@ -490,7 +490,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			x = &IndexExpr{Base: x, Idx: idx, Line: p.cur().line}
+			x = &IndexExpr{Base: x, Idx: idx}
 		default:
 			return x, nil
 		}
@@ -541,7 +541,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		p.next()
 		if p.accept("(") {
-			call := &CallExpr{Name: t.text, Line: t.line}
+			call := &CallExpr{Name: t.text}
 			for !p.accept(")") {
 				if len(call.Args) > 0 {
 					if _, err := p.expect(","); err != nil {
@@ -556,7 +556,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return call, nil
 		}
-		return &IdentExpr{Name: t.text, Line: t.line}, nil
+		return &IdentExpr{Name: t.text}, nil
 	case tokPunct:
 		if t.text == "(" {
 			p.next()
