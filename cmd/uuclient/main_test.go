@@ -110,22 +110,26 @@ func TestSurfaceCensus(t *testing.T) { clitest.Census(t, "uuclient", flags(new(o
 // TestBackoffSchedule pins the retry schedule: 50ms doubling to a 2s cap
 // before jitter, and full jitter that never sleeps zero or past the cap.
 func TestBackoffSchedule(t *testing.T) {
-	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
-	for n, w := range want {
-		if got := backoff(n, 0); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d, 0) = %v, want %v", n, got, w*time.Millisecond)
+	t.Run("unjittered", func(t *testing.T) {
+		want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
+		for n, w := range want {
+			if got := backoff(n, 0); got != w*time.Millisecond {
+				t.Fatalf("backoff(%d, 0) = %v, want %v", n, got, w*time.Millisecond)
+			}
+			if got := backoff(n, math.Nextafter(1, 0)); got != 1 {
+				t.Fatalf("backoff(%d, ~1) = %v, want the 1ns floor", n, got)
+			}
 		}
-		if got := backoff(n, math.Nextafter(1, 0)); got != 1 {
-			t.Fatalf("backoff(%d, ~1) = %v, want the 1ns floor", n, got)
+	})
+	t.Run("seeded", func(t *testing.T) {
+		a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+		for n := 0; n < 8; n++ {
+			da, db := backoff(n, a.Float64()), backoff(n, b.Float64())
+			if da != db || da <= 0 || da > backoffMax {
+				t.Fatalf("retry %d: seeded delays %v and %v, want equal and in (0, %v]", n, da, db, backoffMax)
+			}
 		}
-	}
-	a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
-	for n := 0; n < 8; n++ {
-		da, db := backoff(n, a.Float64()), backoff(n, b.Float64())
-		if da != db || da <= 0 || da > backoffMax {
-			t.Fatalf("retry %d: seeded delays %v and %v, want equal and in (0, %v]", n, da, db, backoffMax)
-		}
-	}
+	})
 }
 
 // TestFireRetries holds fire to its retry rule against a server that
