@@ -87,7 +87,8 @@ func (c *Compile) Options() (pipeline.Options, error) {
 		if err != nil {
 			return opts, err
 		}
-		opts.Heuristic = core.HeuristicParams{Selective: c.selective, Overrides: ov}
+		opts.Heuristic.Overrides = ov
+		opts.Unmerge.Selective = c.selective
 	}
 	return opts, nil
 }

@@ -27,6 +27,7 @@ import (
 	"uu/cmd/internal/cli"
 	"uu/internal/bench"
 	"uu/internal/core"
+	"uu/internal/gpusim"
 	"uu/internal/pipeline"
 	"uu/internal/profile"
 	"uu/internal/remark"
@@ -114,8 +115,9 @@ type session struct {
 	o              *options
 	stdout, stderr io.Writer
 	opts           bench.HarnessOptions
-	res            *bench.Results // the single-device sweep; nil when no selected artifact reads it
-	trace          *remark.Trace  // rendered from each sweep's Results once it has run
+	dev            gpusim.DeviceConfig // what opts.Device names; the ablations run on it
+	res            *bench.Results      // the single-device sweep; nil when no selected artifact reads it
+	trace          *remark.Trace       // rendered from each sweep's Results once it has run
 	interrupted    bool
 	mispredicts    int
 }
@@ -157,19 +159,19 @@ func (s *session) produce(selected []artifact, campaign bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	s.dev = dev
 	kinds, remarks, err := cli.Remarks(o.remarks)
 	if err != nil {
 		return 0, err
 	}
 	s.opts = bench.HarnessOptions{
-		Verify:     o.verify,
-		Device:     &dev,
-		DeviceName: devName,
-		Input:      input,
-		Workers:    o.workers,
-		Contain:    o.contain,
-		Remarks:    remarks != nil,
-		Apps:       cli.SplitCSV(o.apps),
+		Verify:  o.verify,
+		Device:  devName,
+		Input:   input,
+		Workers: o.workers,
+		Contain: o.contain,
+		Remarks: remarks != nil,
+		Apps:    cli.SplitCSV(o.apps),
 	}
 	for _, a := range selected {
 		s.opts.Profile = s.opts.Profile || a.flag == "profile"
@@ -269,7 +271,7 @@ func (s *session) writeAblations(w io.Writer) error {
 		app          string
 		loop, factor int
 	}{{"bezier-surface", 1, 2}, {"rainflow", 0, 4}, {"xsbench", 0, 2}, {"complex", 0, 4}} {
-		rows, err := bench.RunAblations(spec.app, spec.loop, spec.factor, *s.opts.Device)
+		rows, err := bench.RunAblations(spec.app, spec.loop, spec.factor, s.dev)
 		if err != nil {
 			return err
 		}
@@ -328,13 +330,12 @@ func (s *session) writePGO(w io.Writer) error {
 		return err
 	}
 	pres, err := bench.RunPGOCtx(s.ctx, bench.PGOOptions{
-		Apps:       s.opts.Apps,
-		Device:     s.opts.Device,
-		DeviceName: s.opts.DeviceName,
-		Input:      s.opts.Input,
-		Workers:    s.opts.Workers,
-		Seed:       seed,
-		Progress:   s.opts.Progress,
+		Apps:     s.opts.Apps,
+		Device:   s.opts.Device,
+		Input:    s.opts.Input,
+		Workers:  s.opts.Workers,
+		Seed:     seed,
+		Progress: s.opts.Progress,
 	})
 	if err = s.partial(err, pres != nil); err != nil {
 		return err

@@ -53,18 +53,16 @@ func main() {
 
 		traceSample = flag.Int("trace-sample", 0, "trace every N-th request into the GET /trace ring (1 = all, 0 = off)")
 		accessLog   = flag.String("access-log", "", "write one JSON line per request to this file (\"-\" = stderr)")
-		noTelemetry = flag.Bool("no-telemetry", false, "disable the metrics layer (GET /metrics returns 404)")
 	)
 	flag.Parse()
 
 	opts := serve.Options{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cacheN,
-		DefaultDeadline:  *deadline,
-		MaxDeadline:      *maxDl,
-		TraceSample:      *traceSample,
-		DisableTelemetry: *noTelemetry,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheEntries:    *cacheN,
+		DefaultDeadline: *deadline,
+		MaxDeadline:     *maxDl,
+		TraceSample:     *traceSample,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr

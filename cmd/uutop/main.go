@@ -1,8 +1,8 @@
 // Command uutop is a live terminal dashboard for a running uud daemon: it
 // polls GET /stats and renders request rate, queue and in-flight levels,
 // cache effectiveness, shed and error rates, and per-phase latency
-// quantiles against a configurable SLO with error-budget burn — everything
-// an operator watches during a load drill or a drain.
+// quantiles against a configurable SLO with a 99% target and error-budget
+// burn — everything an operator watches during a load drill or a drain.
 //
 // The quantiles are the server's own (serve.Latency, ≤ 3.1% relative error
 // — docs/OBSERVABILITY.md). Rates and the SLO window are differences
@@ -12,7 +12,7 @@
 // Usage:
 //
 //	uutop -addr http://localhost:8077
-//	uutop -interval 1s -slo 250ms -slo-target 99 -n 10
+//	uutop -interval 1s -slo 250ms -n 10
 package main
 
 import (
@@ -33,13 +33,15 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // options is uutop's parsed command line.
 type options struct {
-	addr      string
-	interval  time.Duration
-	n         int
-	slo       time.Duration
-	sloTarget float64
-	noClear   bool
+	addr     string
+	interval time.Duration
+	n        int
+	slo      time.Duration
+	noClear  bool
 }
+
+// sloTargetPct is the percent of requests that must meet the SLO.
+const sloTargetPct = 99
 
 func flags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("uutop", flag.ContinueOnError)
@@ -47,7 +49,6 @@ func flags(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.interval, "interval", 2*time.Second, "poll interval")
 	fs.IntVar(&o.n, "n", 0, "number of polls (0 = until interrupted)")
 	fs.DurationVar(&o.slo, "slo", 500*time.Millisecond, "end-to-end latency SLO threshold")
-	fs.Float64Var(&o.sloTarget, "slo-target", 99, "percent of requests that must meet the SLO")
 	fs.BoolVar(&o.noClear, "no-clear", false, "append frames instead of redrawing in place")
 	return fs
 }
@@ -136,9 +137,6 @@ func render(cur, prev *serve.Stats, at time.Time, addr string, o *options) strin
 		cur.Gauges["serve_inflight_requests"], cur.Gauges["serve_inflight_executions"],
 		cur.Workers, cur.CacheEntries, draining)
 
-	if cur.Request == nil {
-		return sb.String() // the server runs without telemetry: no latency
-	}
 	row := func(name string, l serve.Latency) {
 		fmt.Fprintf(&sb, "%-10s %9d %9s %9s %9s\n", name, l.Count, fmtMs(l.P50Ms), fmtMs(l.P95Ms), fmtMs(l.P99Ms))
 	}
@@ -146,13 +144,13 @@ func render(cur, prev *serve.Stats, at time.Time, addr string, o *options) strin
 	for _, name := range serve.PhaseNames {
 		row(name, cur.Phases[name])
 	}
-	row("request", *cur.Request)
+	row("request", cur.Request)
 	sb.WriteString("\n")
 	var prevReq *serve.Latency
 	if prev != nil {
-		prevReq = prev.Request
+		prevReq = &prev.Request
 	}
-	sb.WriteString(sloLines(*cur.Request, prevReq, o.slo, o.sloTarget))
+	sb.WriteString(sloLines(cur.Request, prevReq, o.slo))
 	return sb.String()
 }
 
@@ -161,19 +159,16 @@ func render(cur, prev *serve.Stats, at time.Time, addr string, o *options) strin
 // the SLO when its bucket's bound does (Latency.Within). Burn 1.0 means
 // violations arrive exactly at the budgeted rate; above 1 the budget is
 // being consumed faster.
-func sloLines(cur serve.Latency, prev *serve.Latency, slo time.Duration, targetPct float64) string {
-	budget := 1 - targetPct/100
-	if budget <= 0 {
-		budget = 1e-9
-	}
+func sloLines(cur serve.Latency, prev *serve.Latency, slo time.Duration) string {
+	const budget = 1 - sloTargetPct/100.0
 	ms := float64(slo) / float64(time.Millisecond)
 	line := func(label string, within, count int64) string {
 		if count == 0 {
-			return fmt.Sprintf("SLO %s @ %.4g%% [%s]: no traffic\n", slo, targetPct, label)
+			return fmt.Sprintf("SLO %s @ %d%% [%s]: no traffic\n", slo, sloTargetPct, label)
 		}
 		okFrac := float64(within) / float64(count)
-		return fmt.Sprintf("SLO %s @ %.4g%% [%s]: %.2f%% within, burn %.2fx\n",
-			slo, targetPct, label, 100*okFrac, (1-okFrac)/budget)
+		return fmt.Sprintf("SLO %s @ %d%% [%s]: %.2f%% within, burn %.2fx\n",
+			slo, sloTargetPct, label, 100*okFrac, (1-okFrac)/budget)
 	}
 	out := line("total", cur.Within(ms), cur.Count)
 	if prev != nil {

@@ -88,15 +88,15 @@ func TestSLOWindowSparseBuckets(t *testing.T) {
 		{p3, p3, "SLO 100ms @ 99% [total]: 75.00% within, burn 25.00x\n" +
 			"SLO 100ms @ 99% [window]: no traffic\n"},
 	} {
-		if got := sloLines(*c.cur, c.prev, slo, 99); got != c.want {
+		if got := sloLines(*c.cur, c.prev, slo); got != c.want {
 			t.Errorf("got\n%swant\n%s", got, c.want)
 		}
 	}
 }
 
 // TestRenderFrame: rates divide by -interval, levels and the server's
-// quantiles render as /stats gives them, phases in serve.PhaseNames order,
-// and a server without telemetry still gets its counters and levels drawn.
+// quantiles render as /stats gives them, and phases in serve.PhaseNames
+// order.
 func TestRenderFrame(t *testing.T) {
 	var prev, cur serve.Stats
 	for _, s := range []struct {
@@ -114,7 +114,7 @@ func TestRenderFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	o := &options{interval: 2 * time.Second, slo: 500 * time.Millisecond, sloTarget: 99}
+	o := &options{interval: 2 * time.Second, slo: 500 * time.Millisecond}
 	out := render(&cur, &prev, time.Time{}, "http://x:1", o)
 	for _, want := range []string{
 		"requests      120     10.0/s     cache hit  25.0%", // (120-100)/2s
@@ -130,11 +130,6 @@ func TestRenderFrame(t *testing.T) {
 	}
 	if c, s := strings.Index(out, "\ncompile "), strings.Index(out, "\nsimulate "); c < 0 || s < c {
 		t.Errorf("phases not in serve.PhaseNames order:\n%s", out)
-	}
-
-	cur.Gauges, cur.Phases, cur.Request = nil, nil, nil
-	if out := render(&cur, nil, time.Time{}, "http://x:1", o); !strings.Contains(out, "queue  3/16") || strings.Contains(out, "SLO") {
-		t.Errorf("frame without telemetry:\n%s", out)
 	}
 }
 

@@ -44,14 +44,14 @@ func TestRunExperimentsContainsInjectedPanic(t *testing.T) {
 
 // TestRunExperimentsContainmentInvisibleWhenHealthy: with no injected
 // fault, the guarded sweep must reproduce the unguarded sweep exactly.
+// (The golden corpora hold the same for containment plus verify-each.)
 func TestRunExperimentsContainmentInvisibleWhenHealthy(t *testing.T) {
 	run := func(contain bool) *Results {
 		res, err := RunExperiments(HarnessOptions{
-			Apps:       []string{"contract"},
-			Factors:    []int{2},
-			Workers:    1,
-			Contain:    contain,
-			VerifyEach: contain,
+			Apps:    []string{"contract"},
+			Factors: []int{2},
+			Workers: 1,
+			Contain: contain,
 		})
 		if err != nil {
 			t.Fatalf("contain=%v: %v", contain, err)

@@ -41,8 +41,8 @@ func goldenCases() []pipeline.Options {
 		{Config: pipeline.UUHeuristic, Contain: true, VerifyEachPass: true},
 		// Selective mode: the heuristic with the benefit-predictor unmerge,
 		// the paper's §VI "unmerge only profitable merges" promoted from
-		// ablation to first-class (core.HeuristicParams.Selective).
-		{Config: pipeline.UUHeuristic, Heuristic: core.HeuristicParams{Selective: true},
+		// ablation to first-class (core.Options.Selective).
+		{Config: pipeline.UUHeuristic, Unmerge: core.Options{Selective: true},
 			Contain: true, VerifyEachPass: true},
 	}
 }
@@ -50,7 +50,7 @@ func goldenCases() []pipeline.Options {
 func goldenName(app string, opts pipeline.Options) string {
 	switch opts.Config {
 	case pipeline.Baseline, pipeline.UUHeuristic:
-		if opts.Heuristic.Selective {
+		if opts.Unmerge.Selective {
 			return fmt.Sprintf("%s_%s-selective.vptx", app, opts.Config)
 		}
 		return fmt.Sprintf("%s_%s.vptx", app, opts.Config)

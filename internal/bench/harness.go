@@ -43,11 +43,9 @@ type HarnessOptions struct {
 	Apps    []string // nil = whole suite
 	Factors []int    // nil = {2,4,8} as in the paper
 	Verify  bool     // check every run against the interpreter oracle
-	Device  *gpusim.DeviceConfig
-	// DeviceName labels Device in results and reports (a gpusim registry
-	// name, possibly with overrides). Empty means "V100", matching the
-	// Device default.
-	DeviceName string
+	// Device is the gpusim.ParseDevice spec every run simulates on (a
+	// registry name, possibly with overrides); empty means "V100".
+	Device string
 	// Input selects the workload input mode for every run of the sweep;
 	// empty means InputCoherent (the paper's setup).
 	Input InputMode
@@ -64,13 +62,11 @@ type HarnessOptions struct {
 	// its own function, so only wall clock changes.
 	Workers int
 	// Contain runs every compilation under the crash-containment guard: a
-	// panicking (or, with VerifyEach, verifier-rejected) pass is rolled
-	// back and skipped, the failure is recorded on the run and aggregated
-	// into Results.Failures, and the campaign keeps going instead of
-	// aborting. The healthy path is byte-identical with or without it.
+	// panicking pass is rolled back and skipped, the failure is recorded on
+	// the run and aggregated into Results.Failures, and the campaign keeps
+	// going instead of aborting. The healthy path is byte-identical with or
+	// without it.
 	Contain bool
-	// VerifyEach runs the IR verifier after every pass of every run.
-	VerifyEach bool
 	// Inject appends extra passes to every compilation — the fault
 	// injection hook the end-to-end containment tests use.
 	Inject []analysis.Pass
@@ -84,15 +80,16 @@ type HarnessOptions struct {
 }
 
 // campaignDefaults resolves what every campaign driver's options leave
-// unset: the V100 device and its name, the coherent input mode, and the
-// whole suite when no application subset is named.
-func campaignDefaults(device *gpusim.DeviceConfig, deviceName string, input InputMode, appNames []string) (gpusim.DeviceConfig, string, InputMode, []*Benchmark, error) {
-	dev := gpusim.V100()
-	if device != nil {
-		dev = *device
+// unset and parses the device spec: the V100 device when none is named, the
+// coherent input mode, and the whole suite when no application subset is
+// named. It returns the device with its display name.
+func campaignDefaults(device string, input InputMode, appNames []string) (gpusim.DeviceConfig, string, InputMode, []*Benchmark, error) {
+	if device == "" {
+		device = "V100"
 	}
-	if deviceName == "" {
-		deviceName = "V100"
+	dev, deviceName, err := gpusim.ParseDevice(device)
+	if err != nil {
+		return dev, deviceName, input, nil, err
 	}
 	if input == "" {
 		input = InputCoherent
@@ -229,7 +226,7 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 	if factors == nil {
 		factors = []int{2, 4, 8}
 	}
-	dev, devName, input, apps, err := campaignDefaults(opts.Device, opts.DeviceName, opts.Input, opts.Apps)
+	dev, devName, input, apps, err := campaignDefaults(opts.Device, opts.Input, opts.Apps)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +267,6 @@ func RunExperimentsCtx(ctx context.Context, opts HarnessOptions) (*Results, erro
 
 		add := func(cfg pipeline.Options, loopID, factor int) *harnessJob {
 			cfg.Contain = opts.Contain
-			cfg.VerifyEachPass = opts.VerifyEach
 			cfg.Inject = opts.Inject
 			jobs = append(jobs, harnessJob{Job: Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
 				Options: cfg, Device: dev, Want: ref, Profile: opts.Profile}, loopID: loopID, factor: factor})

@@ -24,7 +24,7 @@ type Matrix struct {
 }
 
 // MatrixOptions configures RunMatrixCtx. Harness is the per-sweep template;
-// its Device, DeviceName and Input fields are overwritten for each cell.
+// its Device and Input fields are overwritten for each cell.
 type MatrixOptions struct {
 	Harness HarnessOptions
 	// Devices are gpusim device specs (registry names, optionally with
@@ -52,24 +52,18 @@ func RunMatrixCtx(ctx context.Context, opts MatrixOptions) (*Matrix, error) {
 	}
 	mx := &Matrix{}
 	for _, spec := range devices {
-		cfg, name, err := gpusim.ParseDevice(spec)
-		if err != nil {
-			return nil, err
-		}
 		for _, in := range inputs {
 			hopts := opts.Harness
-			hopts.Device = &cfg
-			hopts.DeviceName = name
-			hopts.Input = in
+			hopts.Device, hopts.Input = spec, in
 			res, err := RunExperimentsCtx(ctx, hopts)
 			if res != nil && (err == nil || ctx.Err() != nil) {
-				mx.Sweeps = append(mx.Sweeps, &Sweep{DeviceName: name, Input: in, Results: res})
+				mx.Sweeps = append(mx.Sweeps, &Sweep{DeviceName: res.DeviceName, Input: in, Results: res})
 			}
 			if ctx.Err() != nil {
-				return mx, fmt.Errorf("bench: matrix interrupted at device=%s input=%s: %w", name, in, ctx.Err())
+				return mx, fmt.Errorf("bench: matrix interrupted at device=%s input=%s: %w", spec, in, ctx.Err())
 			}
 			if err != nil {
-				return nil, fmt.Errorf("bench: sweep device=%s input=%s: %w", name, in, err)
+				return nil, fmt.Errorf("bench: sweep device=%s input=%s: %w", spec, in, err)
 			}
 		}
 	}

@@ -33,11 +33,10 @@ const pgoMaxRounds = 4
 
 // PGOOptions configures a PGO campaign.
 type PGOOptions struct {
-	Apps   []string // nil = whole suite
-	Device *gpusim.DeviceConfig
-	// DeviceName labels Device in reports (empty = "V100").
-	DeviceName string
-	Input      InputMode
+	Apps []string // nil = whole suite
+	// Device is a gpusim.ParseDevice spec (empty = "V100").
+	Device string
+	Input  InputMode
 	// Heuristic is the base parameter set of every round (zero value =
 	// paper defaults). Overrides present here are treated as explicit pins:
 	// they seed round 1 and always win over derived ones (see
@@ -119,7 +118,7 @@ func (r *PGOResult) Mispredicts() int {
 // this file); cancellation aborts mid-round and returns the rounds
 // completed so far alongside the error.
 func RunPGOCtx(ctx context.Context, opts PGOOptions) (*PGOResult, error) {
-	dev, devName, input, apps, err := campaignDefaults(opts.Device, opts.DeviceName, opts.Input, opts.Apps)
+	dev, devName, input, apps, err := campaignDefaults(opts.Device, opts.Input, opts.Apps)
 	if err != nil {
 		return nil, err
 	}

@@ -24,12 +24,6 @@ type HeuristicParams struct {
 	// proposes in Section V to avoid `complex`-style slowdowns. Off by
 	// default to match the published heuristic.
 	SkipDivergent bool
-	// Selective switches the unmerge step of every selected loop to the
-	// benefit-predictor mode (Options.Selective / ProfitableMerges): only
-	// merge blocks predicted to feed later optimizations are duplicated.
-	// Promoted from the `uu/selective` ablation to a first-class heuristic
-	// mode — the paper's Section VI "unmerge only profitable merges".
-	Selective bool
 	// Overrides are per-loop directives derived from measured profiles (the
 	// PGO loop) or supplied explicitly, keyed by the loop's anchoring source
 	// line (ir.BlockLine). They take precedence over the static f(p, s, u) < C
@@ -369,9 +363,6 @@ func hasChosenDescendant(l *analysis.Loop, chosen map[*analysis.Loop]bool) bool 
 // afterwards (uuLoop normalizes loops even on error paths).
 func ApplyHeuristicWith(am *analysis.AnalysisManager, params HeuristicParams, opts Options, s *Scratch) ([]Decision, []SkipRecord) {
 	f := am.Function()
-	if params.Selective {
-		opts.Selective = true
-	}
 	decisions, skips := heuristicDecide(f, am, params)
 	for _, d := range decisions {
 		// Re-resolve through the manager: earlier applications invalidated it.

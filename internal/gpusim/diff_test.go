@@ -70,7 +70,7 @@ func TestExecutorDifferential(t *testing.T) {
 		{Config: pipeline.UnmergeOnly, LoopID: 0},
 		{Config: pipeline.UU, LoopID: 0, Factor: 2},
 		{Config: pipeline.UUHeuristic},
-		{Config: pipeline.UUHeuristic, Heuristic: core.HeuristicParams{Selective: true}},
+		{Config: pipeline.UUHeuristic, Unmerge: core.Options{Selective: true}},
 	}
 	devs := testDevices(t)
 	for _, b := range bench.Suite {

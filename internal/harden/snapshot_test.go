@@ -42,7 +42,7 @@ func containedCompiles(t *testing.T, seeds int64, begin func(what string), end f
 			{Config: pipeline.UnmergeOnly, LoopID: 0},
 			{Config: pipeline.UU, LoopID: 0, Factor: 2},
 			{Config: pipeline.UUHeuristic},
-			{Config: pipeline.UUHeuristic, Heuristic: core.HeuristicParams{Selective: true}},
+			{Config: pipeline.UUHeuristic, Unmerge: core.Options{Selective: true}},
 		} {
 			opts.Contain, opts.VerifyEachPass = true, true
 			what := src.name + "/" + string(opts.Config)

@@ -198,3 +198,35 @@ func TestVerifyRejectsPredListsOutOfSync(t *testing.T) {
 		}
 	}
 }
+
+// An alloca may be loaded through and stored to, nothing else: storing its
+// address as a value or computing an address from it escapes it, and
+// mem2reg could not promote it (transform.promotable).
+func TestVerifyRejectsEscapingAlloca(t *testing.T) {
+	cases := []struct {
+		name string
+		use  func(b *Builder, x *Instr, out *Param)
+		want string // "" = accepted
+	}{
+		{"load-store", func(b *Builder, x *Instr, out *Param) { b.Store(b.Load(x), x) }, ""},
+		{"store-address", func(b *Builder, x *Instr, out *Param) { b.Store(x, out) }, "alloca %x escapes through store"},
+		{"store-into-local", func(b *Builder, x *Instr, out *Param) {
+			y := b.Alloca(x.Type(), "y")
+			b.Store(x, y)
+		}, "alloca %x escapes through store"},
+		{"gep", func(b *Builder, x *Instr, out *Param) { b.Load(b.GEP(x, ConstInt(I64, 1))) }, "alloca %x escapes through gep"},
+	}
+	for _, tc := range cases {
+		f := NewFunction("k", Void)
+		out := f.AddParam("out", PointerTo(PointerTo(I64)), false)
+		b := NewBuilder(f.NewBlock("entry"))
+		x := b.Alloca(I64, "x")
+		b.Store(ConstInt(I64, 1), x)
+		tc.use(b, x, out)
+		b.Ret(nil)
+		err := Verify(f)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Verify = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -406,6 +406,13 @@ func verifyUses(f *Function) error {
 				if ai.block.fn != f {
 					return fmt.Errorf("verify %s: %s uses instruction from another function", f.Name, in.Ref())
 				}
+				// An alloca's address may only be loaded through or stored
+				// to, so mem2reg can promote every alloca
+				// (transform.promotable).
+				if ai.Op == OpAlloca && in.Op != OpLoad && (in.Op != OpStore || i != 1) {
+					return fmt.Errorf("verify %s: alloca %s escapes through %s %s",
+						f.Name, ai.Ref(), in.Op, in.Ref())
+				}
 			}
 			for _, u := range in.uses {
 				if u.idx >= len(u.user.args) || u.user.args[u.idx] != Value(in) {

@@ -70,7 +70,8 @@ type Options struct {
 	// Heuristic parameters (uu-heuristic only); zero value means the
 	// paper's defaults (c=1024, u_max=8).
 	Heuristic core.HeuristicParams
-	// Unmerge options (direct-successor ablation, block cap).
+	// Unmerge options (direct-successor ablation, block cap, selective
+	// mode).
 	Unmerge core.Options
 	// GVN options; zero value means all capabilities enabled.
 	GVN *transform.GVNOptions
@@ -594,7 +595,7 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) 
 			skipAuto[header] = true
 		}
 	case UUHeuristic:
-		// Fill C/UMax individually so profile-guided fields (Selective,
+		// Fill C/UMax individually so the other fields (SkipDivergent,
 		// Overrides) survive a zero-valued budget.
 		params := opts.Heuristic.FillDefaults()
 		st.Decisions, st.Skips = core.ApplyHeuristicWith(d.am, params, opts.Unmerge, &d.s.core)

@@ -104,7 +104,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 		{Config: pipeline.UnmergeOnly, LoopID: 0},
 		{Config: pipeline.UU, LoopID: 0, Factor: 2},
 		{Config: pipeline.UUHeuristic},
-		{Config: pipeline.UUHeuristic, Heuristic: core.HeuristicParams{Selective: true}},
+		{Config: pipeline.UUHeuristic, Unmerge: core.Options{Selective: true}},
 	}
 	for i := range configs {
 		configs[i].Contain, configs[i].VerifyEachPass = true, true
@@ -161,7 +161,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 	for _, opts := range configs {
 		for i, app := range bench.Suite {
 			what := app.Name + "/" + string(opts.Config)
-			if opts.Heuristic.Selective {
+			if opts.Unmerge.Selective {
 				what += "-selective"
 			}
 			want := compileIn(t, app, opts, new(pipeline.Bundle))

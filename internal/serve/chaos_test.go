@@ -42,7 +42,7 @@ func TestChaosLoad(t *testing.T) {
 		total       = clients * perClient
 		p99BoundSec = 30.0
 	)
-	s, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 8, RetryAfter: time.Second})
+	s, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 8})
 
 	outcomes := make([]chaosOutcome, total)
 	var wg sync.WaitGroup
@@ -244,7 +244,7 @@ func fireChaos(t *testing.T, httpc *http.Client, url string, n int) chaosOutcome
 // by the drain deadline, and flush final stats. This is the in-process
 // twin of cmd/uud's signal path, which calls exactly this method.
 func TestDrainMidLoad(t *testing.T) {
-	s := New(Options{Workers: 2, QueueDepth: 4, RetryAfter: time.Second})
+	s := New(Options{Workers: 2, QueueDepth: 4})
 	ts := newLocalServer(t, s)
 
 	// Outcomes are collected under a mutex, not sent on a channel: two of

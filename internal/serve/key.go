@@ -91,7 +91,7 @@ func Fingerprint(canonIR string, opts pipeline.Options, dev gpusim.DeviceConfig,
 		opts.Config, opts.LoopID, opts.Factor, opts.Contain, opts.VerifyEachPass, chaos)
 	hp := opts.Heuristic.FillDefaults()
 	fmt.Fprintf(h, "heuristic c %d umax %d skipdiv %t selective %t overrides %s\n",
-		hp.C, hp.UMax, hp.SkipDivergent, hp.Selective, core.OverridesString(hp.Overrides))
+		hp.C, hp.UMax, hp.SkipDivergent, opts.Unmerge.Selective, core.OverridesString(hp.Overrides))
 	fmt.Fprintf(h, "device %+v\n", dev)
 	fmt.Fprintf(h, "launch %d %d %d mem %d\n", launch.GridDim, launch.BlockDim, launch.SampleWarps, memSize)
 	fmt.Fprintf(h, "args %v\n", args)

@@ -186,7 +186,7 @@ func TestFingerprintHeuristicSensitivity(t *testing.T) {
 	o.Heuristic.SkipDivergent = true
 	vary["skip-divergent"] = o
 	o = opts
-	o.Heuristic.Selective = true
+	o.Unmerge.Selective = true
 	vary["selective"] = o
 	o = opts
 	o.Heuristic.Overrides = map[int32]core.LoopOverride{10: {Deny: true}}
@@ -202,5 +202,20 @@ func TestFingerprintHeuristicSensitivity(t *testing.T) {
 			t.Errorf("varying %s collides with %s", dim, prev)
 		}
 		seen[key] = dim
+	}
+}
+
+// TestSelectiveKeyPinned pins the cache key of a selective uu-heuristic
+// request: Fingerprint hashes the selective bit in its heuristic line,
+// wherever pipeline.Options carries it, so no cached entry changes its key.
+func TestSelectiveKeyPinned(t *testing.T) {
+	req := &Request{App: "complex", Config: "uu-heuristic", Heuristic: &HeuristicSpec{Selective: true}}
+	sp, err := buildSpec(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "46bafa153b43110447f9d30e4846d9c81444d41eed5d4dca974a4df967522b7b"
+	if sp.key != want {
+		t.Errorf("key %s, want %s", sp.key, want)
 	}
 }

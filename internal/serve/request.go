@@ -340,9 +340,9 @@ func buildSpec(req *Request) (sp *spec, rerr *Error) {
 		opts.Heuristic = core.HeuristicParams{
 			C: hs.C, UMax: hs.UMax,
 			SkipDivergent: hs.SkipDivergent,
-			Selective:     hs.Selective,
 			Overrides:     ov,
 		}
+		opts.Unmerge.Selective = hs.Selective
 	}
 
 	if f != nil {

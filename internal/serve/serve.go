@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +30,6 @@ type Options struct {
 	// caps client-supplied deadlines. 0 means 30s / 2min.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// MaxBodyBytes bounds the request body; oversized bodies return 413.
-	// 0 means 1 MiB.
-	MaxBodyBytes int64
-	// RetryAfter is the hint sent with 429/503 responses; 0 means 1s.
-	RetryAfter time.Duration
 	// OnCompile, when non-nil, is invoked once per actual pool execution
 	// with the request key — the hook the duplicate-submission benchmark
 	// uses to assert that N identical requests compile exactly once.
@@ -52,11 +46,10 @@ type Options struct {
 	// small ring served by GET /trace; any single request can force its
 	// own full trace with ?trace=1 regardless of the sample rate.
 	TraceSample int
-	// DisableTelemetry turns the metrics layer off: no histograms, no
-	// gauges, and GET /metrics returns 404. The disabled hot path costs
-	// one nil check per record site and zero allocations.
-	DisableTelemetry bool
 }
+
+// maxBodyBytes bounds the request body; an oversized body is answered 413.
+const maxBodyBytes = 1 << 20
 
 func (o *Options) withDefaults() Options {
 	d := *o
@@ -74,12 +67,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if d.MaxDeadline <= 0 {
 		d.MaxDeadline = 2 * time.Minute
-	}
-	if d.MaxBodyBytes <= 0 {
-		d.MaxBodyBytes = 1 << 20
-	}
-	if d.RetryAfter <= 0 {
-		d.RetryAfter = time.Second
 	}
 	return d
 }
@@ -185,9 +172,9 @@ type Server struct {
 
 	c counters
 
-	// Observability: the metrics registry (nil when disabled), the
-	// request-ID sequence and epoch prefix, the sampled-trace ring, and
-	// the access-log serialization lock.
+	// Observability: the metrics registry, the request-ID sequence and
+	// epoch prefix, the sampled-trace ring, and the access-log
+	// serialization lock.
 	tel      *serveTelemetry
 	reqSeq   atomic.Int64
 	idEpoch  string
@@ -209,9 +196,7 @@ func New(opts Options) *Server {
 		cache:      newLRU(o.CacheEntries),
 		idEpoch:    fmt.Sprintf("%06x", time.Now().UnixNano()&0xffffff),
 	}
-	if !o.DisableTelemetry {
-		s.tel = newServeTelemetry(s)
-	}
+	s.tel = newServeTelemetry(s)
 	s.workers.Add(o.Workers)
 	for i := 0; i < o.Workers; i++ {
 		go s.worker()
@@ -292,15 +277,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // in-flight responses keep flowing.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"}, s.opts.RetryAfter)
+		writeError(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"})
 		return
 	}
 	writeJSON(w, 200, map[string]string{"status": "ready"})
 }
 
 // Stats is the body of GET /stats: the counters, the structural levels,
-// and — unless telemetry is disabled — the gauges and every latency
-// histogram's summary.
+// the gauges and every latency histogram's summary.
 type Stats struct {
 	Counters     map[string]int64 `json:"counters"`
 	QueueDepth   int              `json:"queue_depth"`
@@ -310,9 +294,9 @@ type Stats struct {
 	CacheEntries int              `json:"cache_entries"`
 	Draining     bool             `json:"draining"`
 
-	Gauges  map[string]int64   `json:"gauges,omitempty"`
-	Phases  map[string]Latency `json:"phases,omitempty"` // keyed by PhaseNames
-	Request *Latency           `json:"request,omitempty"`
+	Gauges  map[string]int64   `json:"gauges"`
+	Phases  map[string]Latency `json:"phases"` // keyed by PhaseNames
+	Request Latency            `json:"request"`
 }
 
 // Latency is one histogram's summary in milliseconds (recorded values are
@@ -381,18 +365,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Inflight:     flights,
 		CacheEntries: cached,
 		Draining:     s.draining.Load(),
-	}
-	if s.tel != nil {
-		stats.Gauges = map[string]int64{
+		Gauges: map[string]int64{
 			"serve_inflight_requests":   s.tel.inflightRequests.Value(),
 			"serve_inflight_executions": s.tel.inflightExecutions.Value(),
-		}
-		stats.Phases = make(map[string]Latency, len(s.tel.phases))
-		for name, h := range s.tel.phases {
-			stats.Phases[name] = newLatency(h.Snapshot())
-		}
-		req := newLatency(s.tel.request.Snapshot())
-		stats.Request = &req
+		},
+		Phases:  make(map[string]Latency, len(s.tel.phases)),
+		Request: newLatency(s.tel.request.Snapshot()),
+	}
+	for name, h := range s.tel.phases {
+		stats.Phases[name] = newLatency(h.Snapshot())
 	}
 	writeJSON(w, 200, stats)
 }
@@ -401,14 +382,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.c[ctrRequests].Add(1)
 	st := s.newReqState(r)
 	defer st.release()
-	s.tel.requestStarted()
-	defer s.tel.requestEnded()
+	s.tel.inflightRequests.Inc()
+	defer s.tel.inflightRequests.Dec()
 	if r.Method != http.MethodPost {
-		st.fail(w, &Error{Status: 405, Code: "bad-request", Msg: "POST only"}, 0)
+		st.fail(w, &Error{Status: 405, Code: "bad-request", Msg: "POST only"})
 		return
 	}
 	if s.draining.Load() {
-		st.fail(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"}, s.opts.RetryAfter)
+		st.fail(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"})
 		return
 	}
 
@@ -416,15 +397,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// repeat submission) or the kernel frontend and fingerprinting.
 	tFrontend := time.Now()
 	req := &st.req
-	if err := decodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), req); err != nil {
 		st.tm.Frontend = time.Since(tFrontend)
 		s.c[ctrMalformed].Add(1)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			st.fail(w, &Error{Status: 413, Code: "oversized", Msg: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)}, 0)
+			st.fail(w, &Error{Status: 413, Code: "oversized", Msg: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)})
 			return
 		}
-		st.fail(w, &Error{Status: 400, Code: "malformed", Msg: err.Error()}, 0)
+		st.fail(w, &Error{Status: 400, Code: "malformed", Msg: err.Error()})
 		return
 	}
 	// A request spelled exactly like one that filled a live cache entry is
@@ -452,7 +433,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	st.span("frontend", tFrontend, st.tm.Frontend)
 	if rerr != nil {
 		s.c[ctrMalformed].Add(1)
-		st.fail(w, rerr, 0)
+		st.fail(w, rerr)
 		return
 	}
 	st.key, st.app = sp.key, sp.app
@@ -483,7 +464,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// flight (and bump inflight) after Drain began waiting.
 		if s.draining.Load() {
 			s.mu.Unlock()
-			st.fail(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"}, s.opts.RetryAfter)
+			st.fail(w, &Error{Status: 503, Code: "draining", Msg: "server is draining"})
 			return
 		}
 		fl = &flight{key: sp.key, idents: []identity{ident}, done: make(chan struct{}), waiters: 1}
@@ -544,7 +525,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// Copy the shared flight error: each waiter's response body is
 		// stamped with its own request ID.
 		e := *fl.err
-		st.fail(w, &e, s.opts.RetryAfter)
+		st.fail(w, &e)
 		return
 	}
 	st.respond(w, fl.res, false, joined)
@@ -612,9 +593,9 @@ func (s *Server) worker() {
 			}
 		case j := <-s.queue:
 			j.fl.exec.Admission = time.Since(j.enqueued)
-			s.tel.executionStarted()
+			s.tel.inflightExecutions.Inc()
 			res, rerr := s.execute(j)
-			s.tel.executionEnded()
+			s.tel.inflightExecutions.Dec()
 			s.tel.phase("admission", j.fl.exec.Admission)
 			s.tel.phase("compile", j.fl.exec.Compile)
 			s.tel.phase("simulate", j.fl.exec.Simulate)
@@ -685,14 +666,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError writes the structured error body; 429 and 503 carry a
-// Retry-After hint so well-behaved clients back off instead of hammering.
-func writeError(w http.ResponseWriter, e *Error, retryAfter time.Duration) {
-	if retryAfter > 0 && (e.Status == 429 || e.Status == 503) {
-		secs := int(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+// one-second Retry-After hint so well-behaved clients back off instead of
+// hammering.
+func writeError(w http.ResponseWriter, e *Error) {
+	if e.Status == 429 || e.Status == 503 {
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, e.Status, e)
 }

@@ -105,7 +105,7 @@ func TestCompileAndCacheHit(t *testing.T) {
 }
 
 func TestStructuredErrors(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, MaxBodyBytes: 4096})
+	_, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
 		name       string
 		body       string
@@ -131,8 +131,9 @@ func TestStructuredErrors(t *testing.T) {
 		{"device-exec-override", `{"app":"complex","device":"V100:exec=switch"}`, 400, "bad-request"},
 		{"bad-source", `{"source":"kernel k( {"}`, 400, "bad-request"},
 		{"bad-args", `{"source":"kernel k(long n) { long x = n; }","args":[]}`, 400, "bad-request"},
-		{"oversized", `{"source":"` + strings.Repeat("x", 8192) + `"}`, 413, "oversized"},
-		{"oversized-tail", `{"app":"nope"}` + strings.Repeat(" ", 8192), 413, "oversized"},
+		// Just over the 1 MiB body bound.
+		{"oversized", `{"source":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "oversized"},
+		{"oversized-tail", `{"app":"nope"}` + strings.Repeat(" ", maxBodyBytes), 413, "oversized"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(tc.body))
@@ -149,6 +150,34 @@ func TestStructuredErrors(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Code != tc.wantCode {
 			t.Errorf("%s: body %q, want structured code %q", tc.name, data, tc.wantCode)
 		}
+	}
+}
+
+// TestEscapingAllocaIsABadRequest: IR that loads through a select of two
+// allocas cannot be promoted by mem2reg, so no pipeline can compile it. The
+// frontend's verifier refuses it as the client's fault, before any worker
+// runs the pipeline into codegen's "run mem2reg first".
+func TestEscapingAllocaIsABadRequest(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	const escaping = `func @sel(i1 %c) -> i64 {
+entry:
+  %x = alloca i64
+  %y = alloca i64
+  store i64 1, i64* %x
+  store i64 2, i64* %y
+  %t5 = select i1 %c, i64* %x, i64* %y
+  %t6 = load i64* %t5
+  ret i64 %t6
+}
+`
+	status, data := post(t, ts.URL, &Request{IR: escaping, Args: []int64{1}})
+	var e Error
+	if err := json.Unmarshal(data, &e); err != nil || status != 400 || e.Code != "bad-request" ||
+		!strings.Contains(e.Msg, "alloca %x escapes through select") {
+		t.Fatalf("status %d, body %s; want 400 bad-request naming the escaping alloca", status, data)
+	}
+	if n := s.c[ctrCompiles].Load(); n != 0 {
+		t.Errorf("%d pool executions, want 0", n)
 	}
 }
 
@@ -229,7 +258,7 @@ func TestDeadlineCancelsWork(t *testing.T) {
 // TestLoadShedding fills the pool and queue with slow work and asserts the
 // next request is shed with 429 + Retry-After instead of queueing.
 func TestLoadShedding(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	slow := testRequest(50_000_000)
 	slow.DeadlineMs = 3000
 
@@ -262,8 +291,8 @@ func TestLoadShedding(t *testing.T) {
 	if resp.StatusCode != 429 {
 		t.Fatalf("overload request: status %d (%s), want 429", resp.StatusCode, data)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("429 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("429 with Retry-After %q, want \"1\"", ra)
 	}
 	var e Error
 	if err := json.Unmarshal(data, &e); err != nil || e.Code != "shed" {

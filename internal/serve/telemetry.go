@@ -64,9 +64,8 @@ type phaseTimings struct {
 }
 
 // serveTelemetry owns the server's metrics registry and the handles the
-// hot path records into. A nil *serveTelemetry is the disabled layer:
-// every method no-ops at the cost of one branch and zero allocations
-// (Options.DisableTelemetry; pinned by TestDisabledTelemetryZeroAlloc).
+// hot path records into; recording allocates nothing
+// (TestTelemetryRecordingZeroAlloc).
 type serveTelemetry struct {
 	reg     *telemetry.Registry
 	request *telemetry.Histogram
@@ -124,46 +123,9 @@ func newServeTelemetry(s *Server) *serveTelemetry {
 // never ran and are not recorded, so each phase histogram describes only
 // the requests that entered that phase.
 func (t *serveTelemetry) phase(name string, d time.Duration) {
-	if t == nil || d <= 0 {
-		return
+	if d > 0 {
+		t.phases[name].ObserveDuration(d)
 	}
-	t.phases[name].ObserveDuration(d)
-}
-
-// requestDone records one end-to-end request latency.
-func (t *serveTelemetry) requestDone(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.request.ObserveDuration(d)
-}
-
-func (t *serveTelemetry) requestStarted() {
-	if t == nil {
-		return
-	}
-	t.inflightRequests.Inc()
-}
-
-func (t *serveTelemetry) requestEnded() {
-	if t == nil {
-		return
-	}
-	t.inflightRequests.Dec()
-}
-
-func (t *serveTelemetry) executionStarted() {
-	if t == nil {
-		return
-	}
-	t.inflightExecutions.Inc()
-}
-
-func (t *serveTelemetry) executionEnded() {
-	if t == nil {
-		return
-	}
-	t.inflightExecutions.Dec()
 }
 
 // reqState is the request-scoped context: the decoded body, the request ID
@@ -308,10 +270,10 @@ func (st *reqState) respondCached(w http.ResponseWriter, res *Response, resolveS
 // fail writes a structured error body — every error carries the request
 // ID so failures join to access-log lines and traces — then finishes
 // instrumentation.
-func (st *reqState) fail(w http.ResponseWriter, e *Error, retryAfter time.Duration) {
+func (st *reqState) fail(w http.ResponseWriter, e *Error) {
 	e.RequestID = st.id
 	start := time.Now()
-	writeError(w, e, retryAfter)
+	writeError(w, e)
 	st.finish(e.Status, e.Code, time.Since(start))
 }
 
@@ -329,7 +291,7 @@ func (st *reqState) finish(status int, code string, encode time.Duration) {
 	s.tel.phase("frontend", st.tm.Frontend)
 	s.tel.phase("resolve", st.tm.Resolve)
 	s.tel.phase("encode", encode)
-	s.tel.requestDone(total)
+	s.tel.request.ObserveDuration(total)
 
 	if st.tr != nil {
 		if encode > 0 {
@@ -424,7 +386,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	s.traceMu.Unlock()
 	if found == nil {
-		writeError(w, &Error{Status: 404, Code: "no-trace", Msg: "no stored trace (enable -trace-sample or use ?trace=1)"}, 0)
+		writeError(w, &Error{Status: 404, Code: "no-trace", Msg: "no stored trace (enable -trace-sample or use ?trace=1)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -436,10 +398,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // it keeps serving during drain, so operators can watch the queue and
 // in-flight gauges fall to zero.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.tel == nil {
-		writeError(w, &Error{Status: 404, Code: "no-telemetry", Msg: "telemetry is disabled"}, 0)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.tel.reg.WritePrometheus(w)
 }

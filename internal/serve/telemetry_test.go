@@ -337,45 +337,44 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestDisabledTelemetry pins Options.DisableTelemetry: /metrics 404s,
-// /stats omits quantiles, requests still work and still carry request
-// IDs (IDs are a functional join key, not telemetry), and the recording
-// path allocates nothing.
-func TestDisabledTelemetry(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, DisableTelemetry: true})
-	status, data := post(t, ts.URL, testRequest(10))
-	if status != 200 {
-		t.Fatalf("request with telemetry disabled: status %d: %s", status, data)
-	}
-	var r Response
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.RequestID == "" || r.Phases == nil {
-		t.Error("request IDs and phase attribution are functional, not telemetry — must survive DisableTelemetry")
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
+// TestTelemetryRecordingZeroAlloc pins the two halves of always-on
+// telemetry: a live server's per-request recording allocates nothing, and
+// GET /stats carries the gauges, phases and request blocks even before the
+// first request.
+func TestTelemetryRecordingZeroAlloc(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stats map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&stats)
 	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("disabled /metrics: status %d, want 404", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []string{"gauges", "phases", "request"} {
+		if _, ok := stats[block]; !ok {
+			t.Errorf("/stats of an idle server has no %q block: %v", block, stats)
+		}
 	}
 
-	// The disabled recording layer is allocation-free.
-	var tel *serveTelemetry
-	if n := testing.AllocsPerRun(1000, func() {
-		tel.requestStarted()
-		tel.phase("compile", time.Millisecond)
-		tel.requestDone(time.Millisecond)
-		tel.executionStarted()
-		tel.executionEnded()
-		tel.requestEnded()
-	}); n != 0 {
-		t.Errorf("disabled telemetry allocates %v per request, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { recordRequest(s.tel, time.Millisecond) }); n != 0 {
+		t.Errorf("recording one request allocates %v, want 0", n)
 	}
-	_ = s
+}
+
+// recordRequest records what one compiled request records: both in-flight
+// gauges up and down, every phase, and the end-to-end latency.
+func recordRequest(tel *serveTelemetry, d time.Duration) {
+	tel.inflightRequests.Inc()
+	tel.inflightExecutions.Inc()
+	for _, name := range PhaseNames {
+		tel.phase(name, d)
+	}
+	tel.inflightExecutions.Dec()
+	tel.request.ObserveDuration(d)
+	tel.inflightRequests.Dec()
 }
 
 // TestStatsQuantiles pins the /stats latency block: per-phase and
@@ -443,8 +442,8 @@ func TestStatsBucketsMatchMetrics(t *testing.T) {
 	var stats Stats
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		stats = Stats{}
-		if err := json.Unmarshal(get("/stats"), &stats); err != nil || stats.Request == nil {
-			t.Fatalf("/stats: %v, request block %v", err, stats.Request)
+		if err := json.Unmarshal(get("/stats"), &stats); err != nil {
+			t.Fatalf("/stats: %v", err)
 		}
 		if stats.Request.Count == requests || time.Now().After(deadline) {
 			break
@@ -495,8 +494,7 @@ func TestStatsBucketsMatchMetrics(t *testing.T) {
 }
 
 // BenchmarkTelemetryRecord measures the per-request metrics-recording
-// cost with telemetry enabled; its Disabled twin pins the nil-receiver
-// fast path the DisableTelemetry option buys (0 allocs in both).
+// cost (0 allocs; TestTelemetryRecordingZeroAlloc).
 func BenchmarkTelemetryRecord(b *testing.B) {
 	s := New(Options{Workers: 1})
 	b.Cleanup(func() {
@@ -504,24 +502,9 @@ func BenchmarkTelemetryRecord(b *testing.B) {
 		defer cancel()
 		s.Drain(ctx)
 	})
-	benchRecord(b, s.tel)
-}
-
-func BenchmarkTelemetryRecordDisabled(b *testing.B) {
-	benchRecord(b, nil)
-}
-
-func benchRecord(b *testing.B, tel *serveTelemetry) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tel.requestStarted()
-		tel.phase("frontend", time.Duration(i)+1)
-		tel.phase("resolve", time.Duration(i)+1)
-		tel.phase("compile", time.Duration(i)+1)
-		tel.phase("simulate", time.Duration(i)+1)
-		tel.phase("encode", time.Duration(i)+1)
-		tel.requestDone(time.Duration(i) + 1)
-		tel.requestEnded()
+		recordRequest(s.tel, time.Duration(i)+1)
 	}
 }
 

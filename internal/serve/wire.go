@@ -15,7 +15,7 @@ import (
 // it back before returning, so nothing outlives the call but what was copied
 // out of it. A buffer that grew past maxPooledBuf (a large source kernel, a
 // traced response) is dropped instead of filed, so the pool never pins a
-// body near MaxBodyBytes.
+// body near maxBodyBytes.
 const maxPooledBuf = 64 << 10
 
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -4,10 +4,7 @@
 // plus counters and gauges read from their owners at scrape time.
 //
 // The package is deliberately a leaf: it imports only the standard
-// library, so every layer (serve, CLIs) can depend on it, and it follows
-// the repository's nil-receiver discipline — a nil *Gauge or *Histogram is
-// the disabled sink whose every method is a no-op, so instrumentation
-// sites cost one nil check and zero allocations when telemetry is off.
+// library, so every layer (serve, CLIs) can depend on it.
 //
 // Recording is bounded and allocation-free: Histogram.Observe is a fixed
 // number of atomic operations into a fixed-size bucket array; there is no
@@ -23,18 +20,13 @@ import (
 )
 
 // Gauge is an instantaneous level — queue depth, in-flight requests —
-// that can move both ways. A nil *Gauge is the disabled sink.
+// that can move both ways.
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Add moves the level by n (n may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -43,12 +35,7 @@ func (g *Gauge) Inc() { g.Add(1) }
 func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram bucket scheme: log-linear, the layout HDR histograms use.
 // Values below 2*subCount are recorded exactly (width-1 buckets); above
@@ -98,7 +85,6 @@ func UpperBound(index int) int64 {
 // concurrent recording: every field is atomic and Observe performs no
 // allocation. Values are non-negative int64s in a caller-chosen unit
 // (the serving layer records nanoseconds); negatives clamp to zero.
-// A nil *Histogram is the disabled sink.
 type Histogram struct {
 	sum     atomic.Int64
 	max     atomic.Int64 // exact observed maximum; meaningful once a bucket is non-empty
@@ -110,9 +96,6 @@ func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -149,15 +132,9 @@ type HistSnapshot struct {
 	Buckets []Bucket
 }
 
-// Snapshot copies the histogram's current state. A nil histogram yields
-// an empty snapshot.
+// Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() *HistSnapshot {
-	s := &HistSnapshot{}
-	if h == nil {
-		return s
-	}
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
+	s := &HistSnapshot{Sum: h.sum.Load(), Max: h.max.Load()}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
 			s.Buckets = append(s.Buckets, Bucket{Index: i, Count: n})
@@ -173,7 +150,7 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 // within one bucket width — ≤ 2^-5 relative — of the true quantile).
 // An empty snapshot returns 0.
 func (s *HistSnapshot) Quantile(q float64) int64 {
-	if s == nil || s.Count == 0 {
+	if s.Count == 0 {
 		return 0
 	}
 	rank := int64(q*float64(s.Count) + 0.9999999)
@@ -200,7 +177,7 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 // Mean returns the arithmetic mean of the recorded values, or 0 when
 // empty.
 func (s *HistSnapshot) Mean() float64 {
-	if s == nil || s.Count == 0 {
+	if s.Count == 0 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
