@@ -27,25 +27,36 @@ var testSupport = map[string]string{
 	"internal/corpus":      "the differential tests' shared corpus",
 }
 
-// TestEveryFunctionHasAProductionCaller holds the root module to the rule of
-// docs/SURFACE.md "Functions": every function or method a non-test file
+// packageLocal are the exported functions under internal/ that no other
+// package names, each kept exported for its reason.
+var packageLocal = map[string]string{
+	"uu/internal/serve.CanonicalIR": "the cache-key contract DESIGN.md §13 and cmd/uuperf/README.md name",
+	"uu/internal/serve.Fingerprint": "the cache-key contract DESIGN.md §13 and cmd/uuperf/README.md name",
+}
+
+// TestEveryFunctionHasAProductionCaller holds the root module to the rules of
+// docs/SURFACE.md "Functions". Every function or method a non-test file
 // declares is named by some non-test file of the repository — cmd/uuperf
 // (its own module) and examples/ count as callers. A top-level function is
 // named only by a file of its own package or through its package's import
 // (pkg.Name); a method by any identifier that spells it, so the check can
 // miss a dead method that shares its name with a live one, never flag a
 // live one. Exempt: main and init (the runtime calls them), the methods in
-// implicitNames, and the packages in testSupport.
+// implicitNames, and the packages in testSupport. And every exported
+// top-level function under internal/ is a cross-package contract: some file
+// of another directory, test files included, names it as pkg.Name, unless
+// packageLocal keeps it.
 func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	fset := token.NewFileSet()
 	named := map[string]bool{}            // every identifier, for methods
 	calls := map[string]map[string]bool{} // import path -> names its own files or importers spell
-	name := func(pkg, id string) {
-		if calls[pkg] == nil {
-			calls[pkg] = map[string]bool{}
+	cross := map[string]map[string]bool{} // import path -> names other packages' files, tests too, spell
+	name := func(to map[string]map[string]bool, pkg, id string) {
+		if to[pkg] == nil {
+			to[pkg] = map[string]bool{}
 		}
-		calls[pkg][id] = true
+		to[pkg][id] = true
 	}
 	type decl struct {
 		pkg, name string // pkg is "" for a method
@@ -62,9 +73,10 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
+		isTest := strings.HasSuffix(p, "_test.go")
 		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -85,6 +97,17 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 			}
 			imports[local] = ip
 		}
+		if isTest {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" && imports[x.Name] != pkg {
+						name(cross, imports[x.Name], sel.Sel.Name)
+					}
+				}
+				return true
+			})
+			return nil
+		}
 		declNames, sels := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
 		for _, d := range file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
@@ -103,7 +126,10 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 			case *ast.SelectorExpr:
 				sels[n.Sel] = true
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					name(imports[x.Name], n.Sel.Name)
+					name(calls, imports[x.Name], n.Sel.Name)
+					if imports[x.Name] != pkg {
+						name(cross, imports[x.Name], n.Sel.Name)
+					}
 				}
 			case *ast.Ident:
 				if declNames[n] {
@@ -111,7 +137,7 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 				}
 				named[n.Name] = true
 				if !sels[n] {
-					name(pkg, n.Name)
+					name(calls, pkg, n.Name)
 				}
 			}
 			return true
@@ -121,10 +147,18 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var orphans []string
+	var orphans, local []string
+	kept := map[string]bool{}
 	for _, d := range decls {
 		if d.name == "main" || d.name == "init" {
 			continue
+		}
+		if d.pkg != "" && strings.HasPrefix(d.pkg, "uu/internal/") && ast.IsExported(d.name) && !cross[d.pkg][d.name] {
+			if key := d.pkg + "." + d.name; packageLocal[key] != "" {
+				kept[key] = true
+			} else {
+				local = append(local, d.pos.String()+": "+d.name)
+			}
 		}
 		if d.pkg == "" && (implicitNames[d.name] != "" || named[d.name]) || d.pkg != "" && calls[d.pkg][d.name] {
 			continue
@@ -134,5 +168,14 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 	sort.Strings(orphans)
 	for _, o := range orphans {
 		t.Errorf("%s is named by no non-test file: delete it, or move it beside the test that calls it", o)
+	}
+	sort.Strings(local)
+	for _, o := range local {
+		t.Errorf("%s is exported but no other package names it: unexport it", o)
+	}
+	for key := range packageLocal {
+		if !kept[key] {
+			t.Errorf("packageLocal keeps %s, which is gone or named by another package: drop its entry", key)
+		}
 	}
 }

@@ -44,7 +44,10 @@ func main() {
 	fmt.Print(src)
 
 	build := func(opts pipeline.Options) *ir.Function {
-		f := lang.MustCompileKernel(src)
+		f, err := lang.CompileKernel(src)
+		if err != nil {
+			log.Fatalf("compile: %v", err)
+		}
 		if _, err := pipeline.Optimize(f, opts); err != nil {
 			log.Fatalf("pipeline %s: %v", opts.Config, err)
 		}

@@ -628,11 +628,11 @@ func TestInstrSizeCosts(t *testing.T) {
 	div := b.Bin(ir.OpFDiv, x, x)
 	add := b.FAdd(div, x)
 	b.Ret(nil)
-	if InstrSize(div) <= InstrSize(add) {
+	if instrSize(div) <= instrSize(add) {
 		t.Fatalf("division should cost more than addition")
 	}
 	phi := ir.NewInstr(ir.OpPhi, ir.F64)
-	if InstrSize(phi) != 0 {
+	if instrSize(phi) != 0 {
 		t.Fatalf("phi should be free")
 	}
 }

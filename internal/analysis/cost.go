@@ -2,12 +2,12 @@ package analysis
 
 import "uu/internal/ir"
 
-// InstrSize returns the code-size cost of an instruction in the same spirit
+// instrSize returns the code-size cost of an instruction in the same spirit
 // as LLVM's TargetTransformInfo size costs: phis and IR bookkeeping are free
 // after lowering folds them into register assignments, everything else costs
 // one unit. Division is slightly more expensive because the backend expands
 // it into a short sequence.
-func InstrSize(in *ir.Instr) int {
+func instrSize(in *ir.Instr) int {
 	switch in.Op {
 	case ir.OpPhi, ir.OpAlloca:
 		return 0
@@ -26,7 +26,7 @@ func LoopSize(l *Loop) int {
 	n := 0
 	for _, b := range l.Blocks() {
 		for _, in := range b.Instrs() {
-			n += InstrSize(in)
+			n += instrSize(in)
 		}
 	}
 	return n

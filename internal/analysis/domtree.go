@@ -200,8 +200,8 @@ func (t *DomTree) Dominates(a, b *ir.Block) bool {
 	return t.in[na] <= t.in[nb] && t.out[nb] <= t.out[na]
 }
 
-// Children returns the dominator-tree children of b. The slice must not be
-// mutated.
+// Children returns the dominator-tree children of b in reverse postorder of
+// the DFS that numbered the tree. The slice must not be mutated.
 func (t *DomTree) Children(b *ir.Block) []*ir.Block {
 	i := t.numOf(b)
 	if i == 0 {

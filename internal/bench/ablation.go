@@ -20,7 +20,7 @@ type AblationRow struct {
 	Err     string
 }
 
-// AblationVariants returns the pipeline variants that probe the design
+// ablationVariants returns the pipeline variants that probe the design
 // decisions DESIGN.md calls out:
 //
 //  1. whole-tail-path duplication (the paper's design) vs. DBDS-style
@@ -29,7 +29,7 @@ type AblationRow struct {
 //     provenance into deleted conditions;
 //  3. GVN's alias-aware load elimination — the "read elimination" wins;
 //  4. backend if-conversion — the selp predication that u&u un-does.
-func AblationVariants(loopID, factor int) []struct {
+func ablationVariants(loopID, factor int) []struct {
 	Name string
 	Opts pipeline.Options
 } {
@@ -68,7 +68,7 @@ func RunAblations(app string, loopID, factor int, dev gpusim.DeviceConfig) ([]Ab
 	}
 	var rows []AblationRow
 	var baseMillis float64
-	for _, v := range AblationVariants(loopID, factor) {
+	for _, v := range ablationVariants(loopID, factor) {
 		row := AblationRow{Name: v.Name}
 		rec, err := Run(context.Background(), Job{Name: b.Name, Kernel: b.CompileKernel, Workload: w,
 			Options: v.Opts, Device: dev, Want: ref})

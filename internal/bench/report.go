@@ -69,69 +69,32 @@ func WriteTable1(w io.Writer, r *Results) {
 // unroll factor, plus the heuristic's per-application speedup, and the
 // heuristic geometric mean the paper quotes (1.05x).
 func WriteFig6a(w io.Writer, r *Results) {
-	fmt.Fprintf(w, "Figure 6a: Speedup of u&u over baseline (per loop and unroll factor) and of the heuristic (per application)\n")
-	fmt.Fprintf(w, "%-16s %-5s", "app", "loop")
-	for _, u := range r.Factors {
-		fmt.Fprintf(w, " %8s", fmt.Sprintf("u=%d", u))
-	}
-	fmt.Fprintf(w, " %10s\n", "heuristic")
-	var heurSpeedups []float64
-	for _, app := range appsOf(r) {
-		base := r.Baseline[app]
-		heur := r.Heuristic[app]
-		if heur == nil {
-			continue // interrupted campaign: heuristic run never happened
-		}
-		hs := heur.Speedup(base)
-		heurSpeedups = append(heurSpeedups, hs)
-		for loop := 0; loop < r.LoopCount[app]; loop++ {
-			fmt.Fprintf(w, "%-16s %-5d", app, loop)
-			for _, u := range r.Factors {
-				rec := findRec(r, app, pipeline.UU, loop, u)
-				if rec == nil || rec.Skipped != "" {
-					fmt.Fprintf(w, " %8s", "-")
-				} else {
-					fmt.Fprintf(w, " %8.3f", rec.Speedup(base))
-				}
-			}
-			if loop == 0 {
-				fmt.Fprintf(w, " %10.3f", hs)
-			}
-			fmt.Fprintf(w, "\n")
-		}
-	}
-	fmt.Fprintf(w, "heuristic geomean speedup: %s\n", fmtGeomean(heurSpeedups))
+	writeRatioFigure(w, r, "Figure 6a: Speedup of u&u over baseline (per loop and unroll factor) and of the heuristic (per application)",
+		"heuristic geomean speedup", (*RunRecord).Speedup)
 }
 
 // WriteFig6b renders Figure 6b: code size increase over baseline.
 func WriteFig6b(w io.Writer, r *Results) {
-	writeRatioFigure(w, r, "Figure 6b: Code size increase of u&u over baseline (whole binary)",
+	writeRatioFigure(w, r, "Figure 6b: Code size increase of u&u over baseline (whole binary)", "heuristic geomean",
 		func(rec, base *RunRecord) float64 {
 			app := ByName(rec.App).AppCodeBytes
 			return float64(app+rec.CodeBytes) / float64(app+base.CodeBytes)
-		},
-		func(heur, base *RunRecord) float64 {
-			app := ByName(heur.App).AppCodeBytes
-			return float64(app+heur.CodeBytes) / float64(app+base.CodeBytes)
 		})
 }
 
 // WriteFig6c renders Figure 6c: compile time increase over baseline.
 func WriteFig6c(w io.Writer, r *Results) {
-	writeRatioFigure(w, r, "Figure 6c: Compile time increase of u&u over baseline (whole compilation)",
+	writeRatioFigure(w, r, "Figure 6c: Compile time increase of u&u over baseline (whole compilation)", "heuristic geomean",
 		func(rec, base *RunRecord) float64 {
 			app := ByName(rec.App).AppCompileMs
 			return (app + rec.CompileMs) / (app + base.CompileMs)
-		},
-		func(heur, base *RunRecord) float64 {
-			app := ByName(heur.App).AppCompileMs
-			return (app + heur.CompileMs) / (app + base.CompileMs)
 		})
 }
 
-func writeRatioFigure(w io.Writer, r *Results, title string,
-	perLoop func(rec, base *RunRecord) float64,
-	heuristic func(heur, base *RunRecord) float64) {
+// writeRatioFigure renders one row per loop of ratio(u&u record, baseline)
+// at every unroll factor, the heuristic's ratio on each application's first
+// row, and the heuristic ratios' geometric mean after footer.
+func writeRatioFigure(w io.Writer, r *Results, title, footer string, ratio func(rec, base *RunRecord) float64) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%-16s %-5s", "app", "loop")
 	for _, u := range r.Factors {
@@ -144,7 +107,7 @@ func writeRatioFigure(w io.Writer, r *Results, title string,
 		if r.Heuristic[app] == nil {
 			continue // interrupted campaign: heuristic run never happened
 		}
-		hr := heuristic(r.Heuristic[app], base)
+		hr := ratio(r.Heuristic[app], base)
 		heurRatios = append(heurRatios, hr)
 		for loop := 0; loop < r.LoopCount[app]; loop++ {
 			fmt.Fprintf(w, "%-16s %-5d", app, loop)
@@ -153,7 +116,7 @@ func writeRatioFigure(w io.Writer, r *Results, title string,
 				if rec == nil || rec.Skipped != "" {
 					fmt.Fprintf(w, " %8s", "-")
 				} else {
-					fmt.Fprintf(w, " %8.3f", perLoop(rec, base))
+					fmt.Fprintf(w, " %8.3f", ratio(rec, base))
 				}
 			}
 			if loop == 0 {
@@ -162,7 +125,7 @@ func writeRatioFigure(w io.Writer, r *Results, title string,
 			fmt.Fprintf(w, "\n")
 		}
 	}
-	fmt.Fprintf(w, "heuristic geomean: %s\n", fmtGeomean(heurRatios))
+	fmt.Fprintf(w, "%s: %s\n", footer, fmtGeomean(heurRatios))
 }
 
 // WriteFig7 renders Figure 7: the best per-loop speedup per application for

@@ -172,7 +172,7 @@ func newMemF64(v float64) *interp.Memory {
 
 // Ablation variant list sanity.
 func TestAblationVariantsShape(t *testing.T) {
-	vs := AblationVariants(0, 2)
+	vs := ablationVariants(0, 2)
 	names := map[string]bool{}
 	for _, v := range vs {
 		names[v.Name] = true

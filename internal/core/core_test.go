@@ -795,7 +795,7 @@ exit:
 	{
 		f := parse(t, src)
 		l := loopOf(t, f, 0)
-		prof := ProfitableMerges(l)
+		prof := profitableMerges(l)
 		if !prof[f.BlockByName("m1")] {
 			t.Fatalf("m1 should be predicted profitable")
 		}

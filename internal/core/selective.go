@@ -5,7 +5,7 @@ import (
 	"uu/internal/ir"
 )
 
-// ProfitableMerges implements the benefit predictor behind the paper's
+// profitableMerges implements the benefit predictor behind the paper's
 // proposed *partial unmerging* (Section VI: "unmerging only those
 // control-flow merges that lead to subsequent optimization opportunities").
 //
@@ -21,7 +21,7 @@ import (
 //
 // Merges whose phis only feed plain data flow that no later pass can exploit
 // (the `complex` accumulator updates) are predicted unprofitable.
-func ProfitableMerges(l *analysis.Loop) map[*ir.Block]bool {
+func profitableMerges(l *analysis.Loop) map[*ir.Block]bool {
 	inLoop := func(b *ir.Block) bool { return l.Contains(b) }
 	// reaches[instr] = true when the value transitively feeds a comparison,
 	// an address, or a subtraction inside the loop. Computed by backwards

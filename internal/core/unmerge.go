@@ -31,7 +31,7 @@ type Options struct {
 	// uses this to reconstruct the paper's Figure 5 path labels.
 	Origins map[*ir.Instr]*ir.Instr
 	// Selective enables the paper's proposed partial unmerging (Section VI):
-	// only merge blocks that ProfitableMerges predicts to enable later
+	// only merge blocks that profitableMerges predicts to enable later
 	// optimizations are duplicated, containing code growth on loops like
 	// `complex` whose merges carry plain data flow.
 	Selective bool
@@ -239,7 +239,7 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	// Selective (partial) unmerging: exempt the merge blocks the benefit
 	// predictor rejects.
 	if opts.Selective {
-		profitable := ProfitableMerges(l)
+		profitable := profitableMerges(l)
 		for _, b := range l.Blocks() {
 			if b == u.header || u.exempt.has(b) {
 				continue

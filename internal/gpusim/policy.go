@@ -40,8 +40,8 @@ func (k PolicyKind) String() string {
 	return fmt.Sprintf("policy(%d)", uint8(k))
 }
 
-// ParsePolicy maps a registry name back to its PolicyKind.
-func ParsePolicy(s string) (PolicyKind, error) {
+// parsePolicy maps a registry name back to its PolicyKind.
+func parsePolicy(s string) (PolicyKind, error) {
 	for k := PolicyKind(0); k < numPolicies; k++ {
 		if s == k.String() {
 			return k, nil

@@ -221,7 +221,7 @@ func setOverride(cfg *DeviceConfig, key, val string) error {
 	case "maxwarpsteps":
 		return asInt64(&cfg.MaxWarpSteps)
 	case "policy":
-		p, err := ParsePolicy(val)
+		p, err := parsePolicy(val)
 		if err != nil {
 			return err
 		}

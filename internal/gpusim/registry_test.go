@@ -10,16 +10,16 @@ import (
 
 func TestPolicyNamesRoundTrip(t *testing.T) {
 	for k := PolicyKind(0); k < numPolicies; k++ {
-		got, err := ParsePolicy(k.String())
+		got, err := parsePolicy(k.String())
 		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", k.String(), err)
+			t.Fatalf("parsePolicy(%q): %v", k.String(), err)
 		}
 		if got != k {
-			t.Errorf("ParsePolicy(%q) = %v, want %v", k.String(), got, k)
+			t.Errorf("parsePolicy(%q) = %v, want %v", k.String(), got, k)
 		}
 	}
-	if _, err := ParsePolicy("stackless"); err == nil {
-		t.Errorf("ParsePolicy accepted an unknown policy name")
+	if _, err := parsePolicy("stackless"); err == nil {
+		t.Errorf("parsePolicy accepted an unknown policy name")
 	}
 }
 

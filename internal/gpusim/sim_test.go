@@ -6,14 +6,25 @@ import (
 
 	"uu/internal/codegen"
 	"uu/internal/interp"
+	"uu/internal/ir"
 	"uu/internal/lang"
 	"uu/internal/pipeline"
 )
 
+// compile lowers a MiniCU source that must compile.
+func compile(t testing.TB, src string) *ir.Function {
+	t.Helper()
+	f, err := lang.CompileKernel(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return f
+}
+
 // build compiles MiniCU source through the given pipeline config to VPTX.
 func build(t testing.TB, src string, cfg pipeline.Options) *codegen.Program {
 	t.Helper()
-	f := lang.MustCompileKernel(src)
+	f := compile(t, src)
 	cfg.VerifyEachPass = true
 	if _, err := pipeline.Optimize(f, cfg); err != nil {
 		t.Fatalf("pipeline: %v", err)
@@ -37,7 +48,7 @@ kernel axpy(double* restrict x, double* restrict y, double a, long n) {
 func TestSimulatorMatchesInterpreter(t *testing.T) {
 	// Run the same kernel via the sequential interpreter (oracle) and the
 	// SIMT simulator; final memory must agree.
-	f := lang.MustCompileKernel(axpySrc)
+	f := compile(t, axpySrc)
 	refMem := interp.NewMemory(8 * 256)
 	simMem := interp.NewMemory(8 * 256)
 	for i := int64(0); i < 100; i++ {

@@ -140,7 +140,7 @@ func RunCampaign(o CampaignOptions) (*CampaignResult, error) {
 			}
 			f := Finding{Div: *div, IR: k.F.String()}
 			if o.Reduce {
-				if red, rerr := Reduce(k.F, k, opts); rerr == nil && red != nil {
+				if red, rerr := reduce(k.F, k, opts); rerr == nil && red != nil {
 					f.ReducedIR = red.F.String()
 					f.StopAfter = red.Opts.StopAfter
 					f.Div = *red.Div

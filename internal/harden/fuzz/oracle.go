@@ -2,8 +2,9 @@
 // well-formed but wrong IR. It runs generated kernels (internal/harden's
 // Generate) through a differential matrix — the sequential interpreter on
 // the unoptimized IR as the reference, then the interpreter on the
-// optimized IR and the SIMT simulator at one and several workers — and
-// reports any output disagreement as a miscompile. Findings shrink through
+// optimized IR and one SIMT simulator leg per divergence policy
+// (gpusim-ipdom, gpusim-minsppc, gpusim-vortex) — and reports any output
+// disagreement as a miscompile. Findings shrink through
 // an llvm-reduce-style reducer (reduce.go) into small reproducers.
 package fuzz
 

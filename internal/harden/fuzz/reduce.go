@@ -25,13 +25,13 @@ type Reduction struct {
 // for generator-sized kernels.
 const maxReduceRounds = 4
 
-// Reduce shrinks a diverging kernel in llvm-reduce style: first bisect the
+// reduce shrinks a diverging kernel in llvm-reduce style: first bisect the
 // pass list (find the shortest pipeline prefix that still reproduces, via
 // Options.StopAfter), then repeatedly try folding conditional branches and
 // deleting instructions, keeping each mutation only when the candidate
 // stays verifier-clean and the divergence still reproduces. f is not
 // mutated.
-func Reduce(f *ir.Function, k *harden.Kernel, opts pipeline.Options) (*Reduction, error) {
+func reduce(f *ir.Function, k *harden.Kernel, opts pipeline.Options) (*Reduction, error) {
 	cur := ir.Clone(f)
 	div, stats, err := check(cur, k, opts, nil)
 	if err != nil {

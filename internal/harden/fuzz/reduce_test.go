@@ -18,7 +18,7 @@ func TestReduceShrinksMiscompile(t *testing.T) {
 		Inject: []analysis.Pass{transform.ChaosPass(transform.ChaosMiscompile)},
 	}
 	before := k.F.String()
-	red, err := Reduce(k.F, k, opts)
+	red, err := reduce(k.F, k, opts)
 	if err != nil {
 		t.Fatalf("reduce: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestReduceShrinksMiscompile(t *testing.T) {
 func TestReduceRejectsHealthyKernel(t *testing.T) {
 	k := harden.Generate(7)
 	opts := pipeline.Options{Config: pipeline.Baseline, VerifyEachPass: true, Contain: true}
-	if _, err := Reduce(k.F, k, opts); err == nil {
+	if _, err := reduce(k.F, k, opts); err == nil {
 		t.Fatalf("Reduce accepted a kernel that does not diverge")
 	}
 }

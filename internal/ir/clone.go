@@ -107,7 +107,7 @@ func copyInto(nf *Function, st *cloneStore, f *Function, keep bool) {
 	clear(st.instrOf)
 	blockRefs, instrRefs, values, uses := st.blockLists, st.instrLists, st.values, st.uses
 
-	nf.Name, nf.RetTyp, nf.mod = f.Name, f.RetTyp, nil
+	nf.Name, nf.RetTyp = f.Name, f.RetTyp
 	nf.nextID, nf.nextBlockID = f.nextID, f.nextBlockID
 	if nf.nameCount == nil {
 		nf.nameCount = make(map[string]int, len(f.nameCount))

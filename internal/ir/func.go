@@ -11,7 +11,6 @@ type Function struct {
 	RetTyp *Type
 
 	blocks      []*Block
-	mod         *Module
 	nextID      int // last instruction ID handed out (IDs start at 1)
 	nextBlockID int // next block ID to hand out (IDs start at 0)
 
@@ -21,8 +20,8 @@ type Function struct {
 	store *cloneStore
 }
 
-// NewFunction creates a function with the given return type (use ir.Void for
-// kernels) detached from any module.
+// NewFunction creates an empty function with the given return type (use
+// ir.Void for kernels).
 func NewFunction(name string, ret *Type) *Function {
 	return &Function{Name: name, RetTyp: ret, nameCount: map[string]int{}}
 }
@@ -178,24 +177,6 @@ func (f *Function) NumInstrs() int {
 	}
 	return n
 }
-
-// Module is a collection of functions (kernels).
-type Module struct {
-	Name  string
-	funcs []*Function
-}
-
-// NewModule creates an empty module.
-func NewModule(name string) *Module { return &Module{Name: name} }
-
-// AddFunction appends f to the module.
-func (m *Module) AddFunction(f *Function) {
-	f.mod = m
-	m.funcs = append(m.funcs, f)
-}
-
-// Funcs returns the module's functions.
-func (m *Module) Funcs() []*Function { return m.funcs }
 
 // EraseInstrs removes a group of instructions that may reference each other
 // (e.g. a dead phi cycle or a dead GEP/load chain). No instruction outside

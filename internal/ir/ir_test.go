@@ -357,25 +357,6 @@ func TestEraseInstrsPanicsOnOutsideUse(t *testing.T) {
 	EraseInstrs([]*Instr{x})
 }
 
-func TestModulePrinting(t *testing.T) {
-	m := NewModule("mod")
-	f1 := NewFunction("a", Void)
-	e1 := f1.NewBlock("entry")
-	NewBuilder(e1).Ret(nil)
-	m.AddFunction(f1)
-	f2 := NewFunction("b", Void)
-	e2 := f2.NewBlock("entry")
-	NewBuilder(e2).Ret(nil)
-	m.AddFunction(f2)
-	s := m.String()
-	if !strings.Contains(s, "func @a()") || !strings.Contains(s, "func @b()") {
-		t.Fatalf("module printing wrong:\n%s", s)
-	}
-	if fs := m.Funcs(); len(fs) != 2 || fs[0] != f1 || fs[1] != f2 {
-		t.Fatalf("Funcs wrong")
-	}
-}
-
 func TestVerifyRejectsIdenticalCondBrTargets(t *testing.T) {
 	f := NewFunction("v", Void)
 	entry := f.NewBlock("entry")

@@ -5,18 +5,6 @@ import (
 	"strings"
 )
 
-// String renders the module in the textual IR syntax accepted by irparse.
-func (m *Module) String() string {
-	var sb strings.Builder
-	for i, f := range m.funcs {
-		if i > 0 {
-			sb.WriteString("\n")
-		}
-		sb.WriteString(f.String())
-	}
-	return sb.String()
-}
-
 // String renders the function in the textual IR syntax accepted by irparse.
 func (f *Function) String() string {
 	var sb strings.Builder

@@ -1,6 +1,6 @@
 // Package irparse parses the textual IR syntax emitted by ir's printers.
 // It exists chiefly so that transformation tests can state their input CFGs
-// directly as text; Parse(f.String()) round-trips with the printer.
+// directly as text; ParseFunc(f.String()) round-trips with the printer.
 package irparse
 
 import (
@@ -11,33 +11,25 @@ import (
 	"uu/internal/ir"
 )
 
-// Parse parses a module consisting of one or more functions.
-func Parse(src string) (*ir.Module, error) {
+// ParseFunc parses text holding exactly one function.
+func ParseFunc(src string) (*ir.Function, error) {
 	p := &parser{lines: strings.Split(src, "\n")}
-	m := ir.NewModule("parsed")
+	var funcs []*ir.Function
 	for {
 		p.skipBlank()
 		if p.eof() {
-			return m, nil
+			break
 		}
 		f, err := p.parseFunc()
 		if err != nil {
 			return nil, err
 		}
-		m.AddFunction(f)
+		funcs = append(funcs, f)
 	}
-}
-
-// ParseFunc parses a single function.
-func ParseFunc(src string) (*ir.Function, error) {
-	m, err := Parse(src)
-	if err != nil {
-		return nil, err
+	if len(funcs) != 1 {
+		return nil, fmt.Errorf("irparse: expected exactly one function, got %d", len(funcs))
 	}
-	if len(m.Funcs()) != 1 {
-		return nil, fmt.Errorf("irparse: expected exactly one function, got %d", len(m.Funcs()))
-	}
-	return m.Funcs()[0], nil
+	return funcs[0], nil
 }
 
 type parser struct {

@@ -135,6 +135,8 @@ func TestParseErrors(t *testing.T) {
 		{"badlabel", "func @f() {\nentry:\n  br %nowhere\n}", "unknown block"},
 		{"badtype", "func @f(q7 %x) {\nentry:\n  ret\n}", "unknown type"},
 		{"typemismatch", "func @f(i32 %x) {\nentry:\n  %y = add i64 %x, i64 1\n  ret\n}", "type"},
+		{"nofunc", "; nothing here\n", "irparse: expected exactly one function, got 0"},
+		{"twofuncs", "func @a() {\nentry:\n  ret\n}\n\nfunc @b() {\nentry:\n  ret\n}\n", "irparse: expected exactly one function, got 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,28 +148,6 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseMultipleFunctions(t *testing.T) {
-	src := `
-func @a() {
-entry:
-  ret
-}
-
-func @b() -> i32 {
-entry:
-  %t = tid
-  ret i32 %t
-}
-`
-	m, err := Parse(src)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if fs := m.Funcs(); len(fs) != 2 || fs[0].Name != "a" || fs[1].Name != "b" {
-		t.Fatalf("functions not parsed: %v", m.String())
 	}
 }
 

@@ -29,11 +29,6 @@ type Kernel struct {
 	Body   *BlockStmt
 }
 
-// Program is a parsed MiniCU source file.
-type Program struct {
-	Kernels []*Kernel
-}
-
 // Stmt is a statement node. Its line is the 1-based source line the
 // lowerer stamps on its instructions and reports its errors at; a block has
 // no line of its own (0).

@@ -87,12 +87,11 @@ kernel k(long* restrict out, long a, long b, long c) {
   out[0] = %s;
 }
 `, exprSrc)
-		m, err := Compile(src)
+		f, err := CompileKernel(src)
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\nexpr: %s", trial, err, exprSrc)
 		}
-		f := m.Funcs()[0]
-		optimized := MustCompileKernel(src)
+		optimized := compile(t, src)
 		if _, err := pipeline.Optimize(optimized, pipeline.Options{Config: pipeline.Baseline, VerifyEachPass: true}); err != nil {
 			t.Fatalf("trial %d: pipeline: %v", trial, err)
 		}
@@ -146,7 +145,7 @@ kernel k(long* restrict out, long a, long b, long n) {
   out[0] = acc;
 }
 `, cond, bodyA, bodyB)
-		ref := MustCompileKernel(src)
+		ref := compile(t, src)
 		refOut := func(a, b, n int64) int64 {
 			mem := interp.NewMemory(8)
 			args := []interp.Value{interp.IntVal(0), interp.IntVal(a), interp.IntVal(b), interp.IntVal(n)}
@@ -160,7 +159,7 @@ kernel k(long* restrict out, long a, long b, long n) {
 			{Config: pipeline.UU, LoopID: 0, Factor: 3},
 			{Config: pipeline.UUHeuristic},
 		} {
-			f := MustCompileKernel(src)
+			f := compile(t, src)
 			cfg.VerifyEachPass = true
 			if _, err := pipeline.Optimize(f, cfg); err != nil {
 				if cfg.Config == pipeline.UU && strings.Contains(err.Error(), "not unrollable") {

@@ -15,14 +15,10 @@ import (
 
 func compile(t *testing.T, src string) *ir.Function {
 	t.Helper()
-	m, err := Compile(src)
+	f, err := CompileKernel(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if len(m.Funcs()) != 1 {
-		t.Fatalf("want 1 kernel, got %d", len(m.Funcs()))
-	}
-	f := m.Funcs()[0]
 	if err := ir.Verify(f); err != nil {
 		t.Fatalf("verify: %v\n%s", err, f.String())
 	}
@@ -575,20 +571,6 @@ kernel k(double* restrict x, long n) {
 		if got, want := mem.F64(0, i), (float64(i)+1)*2; got != want {
 			t.Fatalf("x[%d] = %v, want %v", i, got, want)
 		}
-	}
-}
-
-func TestMultipleKernelsInFile(t *testing.T) {
-	src := `
-kernel a(long* restrict out) { out[0] = 1; }
-kernel b(long* restrict out) { out[0] = 2; }
-`
-	m, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if fs := m.Funcs(); len(fs) != 2 || fs[0].Name != "a" || fs[1].Name != "b" {
-		t.Fatalf("kernels missing")
 	}
 }
 

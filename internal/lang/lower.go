@@ -8,53 +8,22 @@ import (
 	"uu/internal/transform"
 )
 
-// Compile parses MiniCU source and lowers every kernel to IR. Local
-// variables (and scalar parameters, which are assignable in C) go through
-// allocas that transform.Mem2Reg later promotes — the same shape Clang
-// hands to LLVM.
-func Compile(src string) (*ir.Module, error) {
-	prog, err := ParseProgram(src)
-	if err != nil {
-		return nil, err
-	}
-	m := ir.NewModule("minicu")
-	for _, k := range prog.Kernels {
-		f, err := LowerKernel(k)
-		if err != nil {
-			return nil, err
-		}
-		m.AddFunction(f)
-	}
-	return m, nil
-}
-
-// CompileKernel compiles a single-kernel source, returning an error on a
-// parse/lowering failure or when the source does not define exactly one
-// kernel (reported at line 1). Every error it returns for a bad source is a
-// *Error. Use this on any input that is not a compile-time constant.
+// CompileKernel parses a MiniCU source that defines exactly one kernel and
+// lowers it to IR. Local variables (and scalar parameters, which are
+// assignable in C) go through allocas that transform.Mem2Reg later promotes —
+// the same shape Clang hands to LLVM. Every error it returns for a bad
+// source is a *Error, including a source without exactly one kernel
+// (reported at line 1).
 func CompileKernel(src string) (*ir.Function, error) {
-	m, err := Compile(src)
+	k, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(m.Funcs()) != 1 {
-		return nil, &Error{1, 1, fmt.Sprintf("expected 1 kernel, got %d", len(m.Funcs()))}
-	}
-	return m.Funcs()[0], nil
+	return lowerKernel(k)
 }
 
-// MustCompileKernel compiles a single-kernel source, panicking on error;
-// intended for the benchmark kernel definitions, which are constant.
-func MustCompileKernel(src string) *ir.Function {
-	f, err := CompileKernel(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// LowerKernel lowers one parsed kernel to an IR function.
-func LowerKernel(k *Kernel) (*ir.Function, error) {
+// lowerKernel lowers one parsed kernel to an IR function.
+func lowerKernel(k *Kernel) (*ir.Function, error) {
 	f := ir.NewFunction(k.Name, ir.Void)
 	lw := &lowerer{f: f}
 	entry := f.NewBlock("entry")

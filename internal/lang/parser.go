@@ -6,22 +6,26 @@ import (
 	"strings"
 )
 
-// ParseProgram parses MiniCU source into an AST.
-func ParseProgram(src string) (*Program, error) {
+// parse parses a MiniCU source into its one kernel; a source that defines
+// none or several is an error at line 1.
+func parse(src string) (*Kernel, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	prog := &Program{}
+	var kernels []*Kernel
 	for !p.at(tokEOF, "") {
 		k, err := p.parseKernel()
 		if err != nil {
 			return nil, err
 		}
-		prog.Kernels = append(prog.Kernels, k)
+		kernels = append(kernels, k)
 	}
-	return prog, nil
+	if len(kernels) != 1 {
+		return nil, &Error{1, 1, fmt.Sprintf("expected 1 kernel, got %d", len(kernels))}
+	}
+	return kernels[0], nil
 }
 
 type parser struct {

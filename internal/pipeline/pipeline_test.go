@@ -30,6 +30,16 @@ kernel bsearch(double* restrict A, long* restrict out, long n, double quarry) {
 }
 `
 
+// compile lowers a MiniCU source that must compile.
+func compile(t *testing.T, src string) *ir.Function {
+	t.Helper()
+	f, err := lang.CompileKernel(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return f
+}
+
 func runBsearch(t *testing.T, f *ir.Function, a []float64, q float64) int64 {
 	t.Helper()
 	n := int64(len(a))
@@ -50,7 +60,7 @@ func TestAllConfigsPreserveSemantics(t *testing.T) {
 		a[i] = float64(i) * 0.25
 	}
 	want := func(q float64) int64 {
-		return runBsearch(t, lang.MustCompileKernel(bsearchSrc), a, q)
+		return runBsearch(t, compile(t, bsearchSrc), a, q)
 	}
 	rng := rand.New(rand.NewSource(5))
 	queries := make([]float64, 25)
@@ -70,7 +80,7 @@ func TestAllConfigsPreserveSemantics(t *testing.T) {
 	}
 	for _, opts := range cases {
 		opts.VerifyEachPass = true
-		f := lang.MustCompileKernel(bsearchSrc)
+		f := compile(t, bsearchSrc)
 		if _, err := Optimize(f, opts); err != nil {
 			t.Fatalf("%s u%d: %v", opts.Config, opts.Factor, err)
 		}
@@ -85,7 +95,7 @@ func TestAllConfigsPreserveSemantics(t *testing.T) {
 func TestBaselinePredicatesXSBenchBody(t *testing.T) {
 	// The paper's Listing 4: the baseline emits selects for the
 	// upper/lower updates; u&u removes them on the unmerged paths.
-	f := lang.MustCompileKernel(bsearchSrc)
+	f := compile(t, bsearchSrc)
 	if _, err := Optimize(f, Options{Config: Baseline, VerifyEachPass: true}); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -98,7 +108,7 @@ func TestBaselinePredicatesXSBenchBody(t *testing.T) {
 		t.Fatalf("baseline has %d condbr, want 1:\n%s", n, f.String())
 	}
 
-	f2 := lang.MustCompileKernel(bsearchSrc)
+	f2 := compile(t, bsearchSrc)
 	if _, err := Optimize(f2, Options{Config: UU, LoopID: 0, Factor: 2, VerifyEachPass: true}); err != nil {
 		t.Fatalf("uu: %v", err)
 	}
@@ -157,7 +167,7 @@ kernel bez(double* restrict out, long nn0, long kn0, long nkn0) {
 }
 `
 	steps := func(opts Options) int64 {
-		f := lang.MustCompileKernel(src)
+		f := compile(t, src)
 		opts.VerifyEachPass = true
 		if _, err := Optimize(f, opts); err != nil {
 			t.Fatalf("%s: %v", opts.Config, err)
@@ -184,7 +194,7 @@ kernel bez(double* restrict out, long nn0, long kn0, long nkn0) {
 }
 
 func TestPipelineStats(t *testing.T) {
-	f := lang.MustCompileKernel(bsearchSrc)
+	f := compile(t, bsearchSrc)
 	stats, err := Optimize(f, Options{Config: UU, LoopID: 0, Factor: 2})
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
@@ -207,14 +217,14 @@ func TestPipelineStats(t *testing.T) {
 }
 
 func TestBadLoopID(t *testing.T) {
-	f := lang.MustCompileKernel(bsearchSrc)
+	f := compile(t, bsearchSrc)
 	if _, err := Optimize(f, Options{Config: UU, LoopID: 99, Factor: 2}); err == nil {
 		t.Fatalf("no error for bogus loop id")
 	}
 }
 
 func TestHeuristicDecisionsReported(t *testing.T) {
-	f := lang.MustCompileKernel(bsearchSrc)
+	f := compile(t, bsearchSrc)
 	stats, err := Optimize(f, Options{Config: UUHeuristic})
 	if err != nil {
 		t.Fatalf("optimize: %v", err)

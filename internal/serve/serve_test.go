@@ -131,6 +131,7 @@ func TestStructuredErrors(t *testing.T) {
 		{"device-exec-override", `{"app":"complex","device":"V100:exec=switch"}`, 400, "bad-request"},
 		{"bad-source", `{"source":"kernel k( {"}`, 400, "bad-request"},
 		{"bad-args", `{"source":"kernel k(long n) { long x = n; }","args":[]}`, 400, "bad-request"},
+		{"two-functions", `{"ir":"func @a() {\nentry:\n  ret\n}\nfunc @b() {\nentry:\n  ret\n}\n"}`, 400, "bad-request"},
 		// Just over the 1 MiB body bound.
 		{"oversized", `{"source":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "oversized"},
 		{"oversized-tail", `{"app":"nope"}` + strings.Repeat(" ", maxBodyBytes), 413, "oversized"},

@@ -78,7 +78,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 // optional single constant label pair (key, value) distinguishing this
 // series within the family.
 func (r *Registry) DurationHistogram(name, help string, labelKV ...string) *Histogram {
-	h := NewHistogram()
+	h := newHistogram()
 	s := &series{hist: h, scale: 1e-9}
 	switch len(labelKV) {
 	case 0:

@@ -91,8 +91,8 @@ type Histogram struct {
 	buckets [numBuckets]atomic.Int64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
+// newHistogram returns an empty histogram.
+func newHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {

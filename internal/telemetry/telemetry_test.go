@@ -53,7 +53,7 @@ func TestBucketScheme(t *testing.T) {
 // region (width-1 buckets): the histogram must reproduce the true order
 // statistics, and Quantile(1) the true maximum.
 func TestQuantileExactRegion(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for v := int64(1); v <= 60; v++ {
 		h.Observe(v)
 	}
@@ -69,7 +69,7 @@ func TestQuantileExactRegion(t *testing.T) {
 	if s.Max != 60 || s.Count != 60 || s.Sum != 61*60/2 {
 		t.Errorf("snapshot count/sum/max = %d/%d/%d", s.Count, s.Sum, s.Max)
 	}
-	if NewHistogram().Snapshot().Quantile(0.99) != 0 {
+	if newHistogram().Snapshot().Quantile(0.99) != 0 {
 		t.Error("empty histogram quantile should be 0")
 	}
 }
@@ -80,7 +80,7 @@ func TestQuantileExactRegion(t *testing.T) {
 // exceed the observed maximum.
 func TestQuantileRelativeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := NewHistogram()
+	h := newHistogram()
 	var exact []int64
 	for i := 0; i < 20000; i++ {
 		v := int64(1) << uint(rng.Intn(40))
@@ -117,7 +117,7 @@ func TestQuantileRelativeError(t *testing.T) {
 // per field and counts never tear.
 func TestConcurrentObserve(t *testing.T) {
 	const goroutines, per = 16, 5000
-	h := NewHistogram()
+	h := newHistogram()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -187,7 +187,7 @@ demo_requests_total 42
 // TestRecordingZeroAlloc pins that recording into a gauge or a histogram
 // allocates nothing.
 func TestRecordingZeroAlloc(t *testing.T) {
-	g, h := &Gauge{}, NewHistogram()
+	g, h := &Gauge{}, newHistogram()
 	v := int64(1)
 	if n := testing.AllocsPerRun(1000, func() {
 		g.Add(-1)
@@ -199,7 +199,7 @@ func TestRecordingZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram()
+	h := newHistogram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i) * 131)

@@ -114,14 +114,7 @@ type gvnState struct {
 	erased   int
 	rewrites int
 
-	// post is each reachable block's postorder number (from 1) in a DFS over
-	// successors from the entry, by Block.ID: higher runs earlier in reverse
-	// postorder. npost is the last number handed out.
-	post  []int32
-	npost int32
-
 	instrs   []*ir.Instr // walk scratch: the block's instructions as found
-	children []*ir.Block // walk scratch: a stack of sorted child lists
 	phiPairs []phiPair   // exprKey scratch
 	phiBuf   []byte      // exprKey scratch
 }
@@ -145,10 +138,6 @@ func (g *gvnState) reset(f *ir.Function, opts GVNOptions) {
 	g.leaderUndos, g.replUndos = g.leaderUndos[:0], g.replUndos[:0]
 	g.clobbers, g.marks = g.clobbers[:0], g.marks[:0]
 	g.changed, g.erased, g.rewrites = false, 0, 0
-
-	g.post = zeroed(g.post, f.BlockIDBound())
-	g.npost = 0
-	g.postorder(f.Entry())
 }
 
 // park drops the state's references to instructions and values: the
@@ -163,20 +152,6 @@ func (g *gvnState) park() {
 	g.replUndos = dropAll(g.replUndos)
 	g.clobbers = dropAll(g.clobbers)
 	g.instrs = dropAll(g.instrs)
-	g.children = dropAll(g.children)
-}
-
-// postorder numbers b and everything reachable from it that has no number
-// yet. A block is -1 while its successors are being numbered.
-func (g *gvnState) postorder(b *ir.Block) {
-	g.post[b.ID()] = -1
-	for _, s := range b.Succs() {
-		if g.post[s.ID()] == 0 {
-			g.postorder(s)
-		}
-	}
-	g.npost++
-	g.post[b.ID()] = g.npost
 }
 
 // constKey identifies a constant by content: equal constants share a value
@@ -500,22 +475,12 @@ func (g *gvnState) walk(b *ir.Block, dt *analysis.DomTree, li *analysis.LoopInfo
 		}
 	}
 
-	// Recurse over dominator-tree children in reverse postorder, so that
-	// clobbers from earlier-executing siblings are visible to later ones.
-	// The sorted list lives on a stack the recursion shares, so it is
-	// addressed by position: deeper walks may move the stack.
-	base := len(g.children)
-	g.children = append(g.children, dt.Children(b)...)
-	kids := g.children[base:]
-	for i := 1; i < len(kids); i++ {
-		for j := i; j > 0 && g.post[kids[j].ID()] > g.post[kids[j-1].ID()]; j-- {
-			kids[j], kids[j-1] = kids[j-1], kids[j]
-		}
+	// Recurse over dominator-tree children in reverse postorder (the order
+	// Children gives), so that clobbers from earlier-executing siblings are
+	// visible to later ones.
+	for _, child := range dt.Children(b) {
+		g.walkChildWithAssertions(b, child, dt, li)
 	}
-	for i := base; i < base+len(kids); i++ {
-		g.walkChildWithAssertions(b, g.children[i], dt, li)
-	}
-	g.children = g.children[:base]
 
 	g.popScope()
 }

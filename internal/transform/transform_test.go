@@ -1197,7 +1197,7 @@ func TestEnsureDedicatedExits(t *testing.T) {
 	if l.Header.Name != "h1" {
 		l = li.Loops[1]
 	}
-	if !EnsureDedicatedExits(f, l) {
+	if !ensureDedicatedExits(f, l) {
 		t.Fatalf("shared exit not split")
 	}
 	mustVerify(t, f, "dedicated exits")
@@ -1208,8 +1208,8 @@ func TestEnsureDedicatedExits(t *testing.T) {
 			}
 		}
 	}
-	if EnsureDedicatedExits(f, l) {
-		t.Fatalf("second EnsureDedicatedExits changed the CFG")
+	if ensureDedicatedExits(f, l) {
+		t.Fatalf("second ensureDedicatedExits changed the CFG")
 	}
 }
 

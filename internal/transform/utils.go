@@ -87,7 +87,7 @@ func SplitCriticalEdge(f *ir.Function, from, to *ir.Block) *ir.Block {
 	return mid
 }
 
-// EnsureDedicatedExits gives l dedicated exit blocks: every exit block's
+// ensureDedicatedExits gives l dedicated exit blocks: every exit block's
 // predecessors all lie inside the loop (LLVM's loop-simplify invariant).
 // An exit that is also reachable from outside the loop — e.g. a following
 // loop's header whose backedge re-enters it — is split, rerouting the
@@ -96,7 +96,7 @@ func SplitCriticalEdge(f *ir.Function, from, to *ir.Block) *ir.Block {
 // incoming value for the outside edges, and no correct one exists: on a
 // re-entry edge the phi must keep its previous value, which a plain
 // def-per-pred phi cannot express. Returns true if the CFG changed.
-func EnsureDedicatedExits(f *ir.Function, l *analysis.Loop) bool {
+func ensureDedicatedExits(f *ir.Function, l *analysis.Loop) bool {
 	changed := false
 	for _, e := range l.ExitBlocks() {
 		var inPreds, outPreds []*ir.Block
@@ -149,10 +149,10 @@ func EnsureDedicatedExits(f *ir.Function, l *analysis.Loop) bool {
 // the loop that is used outside it is routed through a phi in the exit block
 // that the use reaches. Loop transforms (unrolling, unmerging) rely on this
 // so that duplicating the body only requires fixing exit-block phis.
-// Exits are first made dedicated (see EnsureDedicatedExits) so that every
+// Exits are first made dedicated (see ensureDedicatedExits) so that every
 // exit-block predecessor lies inside the loop.
 func EnsureLCSSA(f *ir.Function, l *analysis.Loop) {
-	EnsureDedicatedExits(f, l)
+	ensureDedicatedExits(f, l)
 	exitSet := ir.NewBlockSet(f)
 	for _, e := range l.ExitBlocks() {
 		exitSet.Add(e)
