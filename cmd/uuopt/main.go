@@ -127,7 +127,7 @@ func compile(o *options, stdout, stderr io.Writer) error {
 		}
 		for _, d := range stats.Decisions {
 			fmt.Fprintf(stderr, "heuristic: loop #%d (header %s): factor %d (p=%d s=%d f=%d)\n",
-				d.LoopID, d.Header.Name, d.Factor, d.Paths, d.Size, d.Estimated)
+				d.LoopID, d.Header, d.Factor, d.Paths, d.Size, d.Estimated)
 		}
 	}
 	if remarks != nil {

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
+	"uu/internal/gpusim"
 	"uu/internal/pipeline"
 )
 
@@ -88,5 +90,40 @@ func TestWorstCellContainedAllocation(t *testing.T) {
 	if got > worstCellContainedAllocCeiling {
 		t.Fatalf("compiling %s uu loop 0 u=8 contained and verified allocated %.1f MB, ceiling %d MB",
 			app.Name, float64(got)/(1<<20), worstCellContainedAllocCeiling>>20)
+	}
+}
+
+// worstCellRecycledAllocCeiling bounds what bench.Run allocates for
+// worstCell right after a first Run of it (6.3 MB, the simulation
+// included): the second compile is carved from the store the first
+// released — the kernel's copy, every region the unmerger cloned, every
+// block it added and every list they grew — and borrows the first's pass
+// tables. The same run allocated 10.5 MB while Run released nothing, so the
+// ceiling is 1.4 times the current figure, not twice: a copy, clone or
+// block that goes back to fresh storage fails here.
+const worstCellRecycledAllocCeiling = 9 << 20
+
+// runAllocation runs app under opts through Run and returns the bytes
+// allocated.
+func runAllocation(t *testing.T, app *Benchmark, opts pipeline.Options) uint64 {
+	t.Helper()
+	w := app.NewWorkload()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(context.Background(), Job{Name: app.Name, Kernel: app.CompileKernel, Workload: w, Options: opts, Device: gpusim.V100()}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestWorstCellRecycledRunAllocation(t *testing.T) {
+	app, opts := worstCell()
+	first := runAllocation(t, app, opts)
+	second := runAllocation(t, app, opts)
+	t.Logf("running %s uu loop 0 u=8 allocated %.1f MB, then %.1f MB carved from the first's store", app.Name, float64(first)/(1<<20), float64(second)/(1<<20))
+	if second > worstCellRecycledAllocCeiling {
+		t.Fatalf("running %s uu loop 0 u=8 again allocated %.1f MB, ceiling %d MB",
+			app.Name, float64(second)/(1<<20), worstCellRecycledAllocCeiling>>20)
 	}
 }

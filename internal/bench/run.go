@@ -20,8 +20,10 @@ type Job struct {
 	// "bench <Name> (<config>): ...".
 	Name string
 	// Kernel returns a fresh copy of the kernel as its frontend built it,
-	// the run's to optimize: Benchmark.CompileKernel, or a clone of a
-	// function the caller's own frontend built.
+	// the run's to optimize and then release: Benchmark.CompileKernel, or a
+	// clone of a function the caller's own frontend built. Run hands the
+	// copy to ir.Release once codegen has lowered it, so nothing else may
+	// reference it.
 	Kernel   func() (*ir.Function, error)
 	Workload *Workload
 	// Options configures the pipeline. A Remarks collector there fills
@@ -91,10 +93,15 @@ func (r *RunRecord) Speedup(base *RunRecord) float64 {
 // The record is never nil; on error it holds what ran. A failed compile —
 // frontend, pipeline or codegen — leaves Program nil (and Stats nil when
 // the frontend failed); a failed simulation or verification leaves Metrics
-// nil.
+// nil. Nothing in the record references IR: the compiled copy is released
+// (ir.Release) before the simulation starts, and its storage is carved into
+// the next compilation's.
 func Run(ctx context.Context, j Job) (*RunRecord, error) {
 	rec := &RunRecord{Config: j.Options.Config, Start: time.Now()}
-	_, st, prog, err := compile(ctx, j.Name, j.Kernel, j.Options)
+	f, st, prog, err := compile(ctx, j.Name, j.Kernel, j.Options)
+	if f != nil {
+		ir.Release(f)
+	}
 	compiled := time.Now()
 	rec.Stats, rec.Program, rec.CompileWall = st, prog, compiled.Sub(rec.Start)
 	if err != nil {

@@ -262,3 +262,52 @@ exit:
 		}
 	}
 }
+
+// TestNoDestinationIsNoReg: an instruction of a kind that writes nothing —
+// st, bar.sync, bra, @p bra, ret — has Dst NoReg, not the zero register,
+// and every other one writes a register the program has. A kernel that
+// writes no register at all lowers to zero registers.
+func TestNoDestinationIsNoReg(t *testing.T) {
+	writesNothing := map[Kind]bool{KSt: true, KBar: true, KBra: true, KCondBra: true, KRet: true}
+	for _, src := range []string{`
+func @k(i64* noalias %out, i64 %n) {
+entry:
+  br %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %p = gep i64* %out, i64 %i
+  store i64 %i, i64* %p
+  barrier
+  %i2 = add i64 %i, i64 1
+  %c = icmp slt i64 %i2, i64 %n
+  condbr i1 %c, %loop, %exit
+exit:
+  ret
+}`, `
+func @a() {
+entry:
+  ret
+}`} {
+		p := lower(t, src)
+		seen := map[Kind]bool{}
+		for _, b := range p.Blocks {
+			for _, in := range b.Instrs {
+				switch {
+				case writesNothing[in.Kind]:
+					seen[in.Kind] = true
+					if in.Dst != NoReg {
+						t.Errorf("%s: %s writes %%r%d", p.Name, p.instrString(&in), in.Dst)
+					}
+				case in.Dst < 0 || int(in.Dst) >= p.NumRegs:
+					t.Errorf("%s: %s writes %%r%d of %d registers", p.Name, p.instrString(&in), in.Dst, p.NumRegs)
+				}
+			}
+		}
+		if p.Name == "a" && (p.NumRegs != 0 || !seen[KRet]) {
+			t.Errorf("a: %d registers, want 0 and a ret", p.NumRegs)
+		}
+		if p.Name == "k" && len(seen) != len(writesNothing) {
+			t.Errorf("k: lowered only %v of the kinds that write nothing", seen)
+		}
+	}
+}

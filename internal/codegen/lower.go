@@ -227,14 +227,14 @@ func (lw *lowerer) lowerInstr(vb *Block, in *ir.Instr) error {
 		lw.emit(vb, Instr{Kind: KLd, Type: in.Type(), Dst: dst,
 			Srcs: []Operand{lw.operand(in.Arg(0))}})
 	case ir.OpStore:
-		lw.emit(vb, Instr{Kind: KSt, Type: in.Arg(0).Type(),
+		lw.emit(vb, Instr{Kind: KSt, Type: in.Arg(0).Type(), Dst: NoReg,
 			Srcs: []Operand{lw.operand(in.Arg(0)), lw.operand(in.Arg(1))}})
 	case ir.OpGEP:
 		lw.lowerGEP(vb, in, dst)
 	case ir.OpTID, ir.OpNTID, ir.OpCTAID, ir.OpNCTAID:
 		lw.emit(vb, Instr{Kind: KSpecial, IROp: in.Op, Type: ir.I32, Dst: dst})
 	case ir.OpBarrier:
-		lw.emit(vb, Instr{Kind: KBar, Type: ir.Void})
+		lw.emit(vb, Instr{Kind: KBar, Type: ir.Void, Dst: NoReg})
 	default:
 		// Arithmetic and math intrinsics.
 		srcs := make([]Operand, 0, in.NumArgs())
@@ -294,14 +294,14 @@ func (lw *lowerer) lowerTerminator(vb *Block, b *ir.Block, in *ir.Instr) error {
 	lw.curLoc = in.Loc()
 	switch in.Op {
 	case ir.OpBr:
-		lw.emit(vb, Instr{Kind: KBra, Type: ir.Void,
+		lw.emit(vb, Instr{Kind: KBra, Type: ir.Void, Dst: NoReg,
 			Targets: [2]int{lw.index[in.BlockArg(0).ID()], -1}})
 	case ir.OpCondBr:
-		lw.emit(vb, Instr{Kind: KCondBra, Type: ir.Void,
+		lw.emit(vb, Instr{Kind: KCondBra, Type: ir.Void, Dst: NoReg,
 			Srcs:    []Operand{lw.operand(in.Arg(0))},
 			Targets: [2]int{lw.index[in.BlockArg(0).ID()], lw.index[in.BlockArg(1).ID()]}})
 	case ir.OpRet:
-		lw.emit(vb, Instr{Kind: KRet, Type: ir.Void})
+		lw.emit(vb, Instr{Kind: KRet, Type: ir.Void, Dst: NoReg})
 	default:
 		return fmt.Errorf("codegen: unknown terminator %s", in.Op)
 	}

@@ -458,8 +458,8 @@ exit:
 	if len(ds) != 1 {
 		t.Fatalf("want 1 decision (inner only), got %+v", ds)
 	}
-	if ds[0].Header.Name != "IH" {
-		t.Fatalf("want the inner loop selected, got header %s", ds[0].Header.Name)
+	if ds[0].Header != "IH" {
+		t.Fatalf("want the inner loop selected, got header %s", ds[0].Header)
 	}
 }
 

@@ -176,8 +176,10 @@ func MergeOverrides(derived, explicit map[int32]LoopOverride) map[int32]LoopOver
 
 // Decision records one loop the heuristic chose and why.
 type Decision struct {
-	LoopID     int
-	Header     *ir.Block
+	LoopID int
+	// Header names the loop's header block. A decision outlives the
+	// function it was taken on (bench.Run releases it), so it holds no IR.
+	Header     string
 	HeaderLine int32 // source line anchoring the loop (ir.BlockLine): stable across configurations
 	Factor     int
 	Paths      int
@@ -326,7 +328,7 @@ func heuristicDecide(f *ir.Function, am *analysis.AnalysisManager, params Heuris
 		}
 		chosen[l] = true
 		decisions = append(decisions, Decision{
-			LoopID: l.ID, Header: l.Header, HeaderLine: ir.BlockLine(l.Header),
+			LoopID: l.ID, Header: l.Header.Name, HeaderLine: ir.BlockLine(l.Header),
 			Factor: factor, Paths: p, Size: s, Estimated: est, Forced: ov.Force,
 		})
 		if rc.Enabled() {
@@ -366,7 +368,7 @@ func ApplyHeuristicWith(am *analysis.AnalysisManager, params HeuristicParams, op
 	decisions, skips := heuristicDecide(f, am, params)
 	for _, d := range decisions {
 		// Re-resolve through the manager: earlier applications invalidated it.
-		l := loopWithHeader(am.LoopInfo(), d.Header)
+		l := loopWithHeader(am.LoopInfo(), f.BlockByName(d.Header))
 		if l == nil {
 			continue
 		}

@@ -70,6 +70,18 @@ func TestDecodeMalformedProgramReturnsError(t *testing.T) {
 			want: "unhandled instruction kind",
 		},
 		{
+			name: "destination past the registers",
+			in: codegen.Instr{Kind: codegen.KCompute, IROp: ir.OpAdd, Type: ir.I64, Dst: 4,
+				Srcs: []codegen.Operand{{Reg: 1}, {Reg: 2}}},
+			want: "destination %r4 outside the program's 4 registers",
+		},
+		{
+			name: "negative destination",
+			in: codegen.Instr{Kind: codegen.KCompute, IROp: ir.OpAdd, Type: ir.I64, Dst: -2,
+				Srcs: []codegen.Operand{{Reg: 1}, {Reg: 2}}},
+			want: "destination %r-2 outside",
+		},
+		{
 			name: "too many operands",
 			in: codegen.Instr{Kind: codegen.KCompute, IROp: ir.OpAdd, Type: ir.I64, Dst: 0,
 				Srcs: []codegen.Operand{{Reg: 0}, {Reg: 1}, {Reg: 2}, {Reg: 3}}},

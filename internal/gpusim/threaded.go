@@ -114,6 +114,9 @@ func (c *compiler) add(in *codegen.Instr, gi int32, bi int) error {
 	if len(in.Srcs) > 3 {
 		return fmt.Errorf("%w: %d operands", ErrDecode, len(in.Srcs))
 	}
+	if in.Dst < codegen.NoReg || int(in.Dst) >= c.dp.numRegs {
+		return fmt.Errorf("%w: destination %%r%d outside the program's %d registers", ErrDecode, in.Dst, c.dp.numRegs)
+	}
 	t := tTiming{issue: float64(in.IssueCycles()), dst: int32(in.Dst), latClass: latClassOf(in), srcs: [3]int32{-1, -1, -1}}
 	for i, s := range in.Srcs {
 		if !s.IsImm() {

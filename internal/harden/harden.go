@@ -90,8 +90,9 @@ type Guard struct {
 // snapshot, whose storage the next guard's first snapshot is written into.
 // The pipeline keeps one per compilation. The zero value holds nothing.
 type Scratch struct {
-	// snap is the last snapshot; nil when none was taken or a rollback
-	// spent it, which hands its body to the function.
+	// snap is the last snapshot; nil when none was taken. A rollback spends
+	// it: its body goes to the function, and the function's old body to its
+	// store, which the next snapshot is carved from.
 	snap *ir.Function
 }
 
@@ -177,11 +178,12 @@ func invoke(run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyse
 
 // contain rolls f back to the snapshot and records the failure. The
 // snapshot text is captured before Restore guts the snapshot function, and
-// the snapshot is spent: the next invocation copies into fresh storage.
+// the snapshot is spent: the next invocation copies into the storage of the
+// body f had before the rollback.
 func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManager, kind FailureKind, msg, stack string) {
 	irText := g.s.snap.String()
 	ir.Restore(f, g.s.snap)
-	g.s.snap, g.current = nil, false
+	g.current = false
 	am.InvalidateAll()
 	g.failures = append(g.failures, PassFailure{
 		Pass:     name,

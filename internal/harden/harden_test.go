@@ -151,7 +151,8 @@ func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 // TestGuardReusesSnapshotUntilIRMoves pins the retained snapshot's life
 // cycle: kept while the function hashes to it, whatever the pass declared;
 // taken again, into the stale one's storage, once the function has moved;
-// spent by a rollback. Whether an invocation took one is the snapshot hook's
+// spent by a rollback, which leaves the function's old body in that storage
+// for the next snapshot to be written into. Whether an invocation took one is the snapshot hook's
 // cloned flag, and what it took is checked by fingerprint and text.
 func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	f := parseCountLoop(t)
@@ -203,8 +204,8 @@ func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 		t.Fatalf("crash not contained")
 	}
 	expect("the crash's invocation", false)
-	if g.s.snap != nil {
-		t.Fatalf("a rollback must spend the snapshot: its body now is the function's")
+	if g.s.snap != first || g.s.snap.NumBlocks() != 0 {
+		t.Fatalf("a rollback must spend the snapshot, keeping its storage: its body now is the function's")
 	}
 	if got := f.String(); got != edited || g.Failures()[0].IR != edited {
 		t.Fatalf("rolled back past the undeclared edit:\n%s", got)
@@ -213,6 +214,9 @@ func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	expect("after the rollback", true)
 	if snapText != edited {
 		t.Fatalf("no fresh snapshot after the rollback")
+	}
+	if g.s.snap != first {
+		t.Fatalf("the snapshot after the rollback was not written into the spent one's storage")
 	}
 }
 

@@ -89,8 +89,10 @@ func (b *Block) attach(in *Instr) {
 	}
 	in.block = b
 	if in.id == 0 && b.fn != nil {
+		// New to the function (NewInstr): from now on its store owns it.
 		b.fn.nextID++
 		in.id = b.fn.nextID
+		b.fn.store.adopt(in)
 	}
 }
 

@@ -10,114 +10,120 @@ package ir
 //
 // Clone only reads f, so any number of goroutines may clone (and print) one
 // function at once: bench hands every compile a copy of a kernel it built
-// once. And it costs what it copies: every list of the clone is allocated at
-// its final length and written once.
+// once. The copy is carved from a store an earlier function released
+// (Release), when there is one: its objects and the arrays of their lists
+// are reused where they are large enough, and everything missing is
+// allocated as one array per kind, each list at its final length.
 func Clone(f *Function) *Function {
 	nf := new(Function)
-	copyInto(nf, new(cloneStore), f, false)
+	nf.takeStore()
+	copyInto(nf, f)
 	return nf
 }
 
 // CloneInto is Clone writing the copy into the storage of dst, a copy that an
-// earlier CloneInto returned and that nothing references any more: its
-// parameters, blocks, instructions and lists are overwritten, and dst is
-// returned. When dst is nil, or Restore has spent it, the copy gets fresh
-// storage. Either way the copy keeps its storage for the next CloneInto, and
-// it is exactly what Clone(f) would have made: same text, same Fingerprint.
-// The guard in internal/harden writes each new snapshot into its stale one.
+// earlier CloneInto returned, or a snapshot Restore spent, and that nothing
+// references any more: its parameters, blocks, instructions and lists are
+// overwritten, and dst is returned. When dst is nil, it is Clone. Either way
+// the copy keeps its store for the next CloneInto, and it is exactly what
+// Clone(f) would have made: same text, same Fingerprint. The guard in
+// internal/harden writes each new snapshot into its stale one.
 func CloneInto(dst, f *Function) *Function {
-	if dst == nil || dst.store == nil {
-		dst = &Function{store: new(cloneStore)}
+	if dst == nil {
+		return Clone(f)
 	}
-	copyInto(dst, dst.store, f, true)
+	copyInto(dst, f)
 	return dst
 }
 
-// cloneStore is what a copy is carved from. Objects of one kind share one
-// array, and every list of the copy is a full slice expression over one of
-// the list arrays, so its capacity is its length and an append to it
-// reallocates instead of running into its neighbour. Each array is kept at
-// the length the last copy used; the entries past it are zero.
-type cloneStore struct {
-	params     []Param
-	blocks     []Block
-	instrs     []Instr
-	paramLists []*Param
-	blockLists []*Block // the function's block list, every predecessor list, every block-operand list
-	instrLists []*Instr // every block's instruction list
-	values     []Value  // every operand list
-	uses       []use    // every use list
-	// The original-to-copy tables, by Block.ID and Instr.ID.
-	blockOf []*Block
-	instrOf []*Instr
-}
-
-// resize returns s at length n for a copy that writes every entry below n,
-// clearing what the last copy left past n. An array that must grow is made
-// with a quarter of slack when the storage is kept for the next copy.
-func resize[T any](s []T, n int, keep bool) []T {
-	if cap(s) < n {
-		if keep {
-			return make([]T, n, n+n/4)
-		}
-		return make([]T, n)
+// fit returns l at length n for a copy that writes every entry: l's own
+// array when it can hold n entries, else the next n entries of *spare.
+func fit[T any](l []T, n int, spare *[]T) []T {
+	if cap(l) >= n {
+		return l[:n]
 	}
-	if n < len(s) {
-		clear(s[n:])
-	}
-	return s[:n]
-}
-
-// carve cuts the next n entries off *rest as a list of exactly that
-// capacity, nil for none.
-func carve[T any](rest *[]T, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	l := (*rest)[:n:n]
-	*rest = (*rest)[n:]
+	l = (*spare)[:n:n]
+	*spare = (*spare)[n:]
 	return l
 }
 
-// copyInto writes a copy of f into nf, carving it from st.
-func copyInto(nf *Function, st *cloneStore, f *Function, keep bool) {
-	nBlockRefs, nInstrs, nValues, nUses := len(f.blocks), 0, 0, 0
+// short adds n to *missing when l cannot hold n entries.
+func short[T any](l []T, n int, missing *int) {
+	if cap(l) < n {
+		*missing += n
+	}
+}
+
+// grown returns l emptied, with room for n entries.
+func grown[T any](l []T, n int) []T {
+	if cap(l) < n {
+		return make([]T, 0, n)
+	}
+	return l[:0]
+}
+
+// sized returns l at length n, for a caller that writes every entry.
+func sized[T any](l []T, n int) []T {
+	if cap(l) < n {
+		return make([]T, n)
+	}
+	return l[:n]
+}
+
+// table returns l cleared at length n.
+func table[T any](l []*T, n int) []*T {
+	l = sized(l, n)
+	clear(l)
+	return l
+}
+
+// copyInto overwrites nf with a copy of f, carving it from nf's store: the
+// objects nf holds are taken again in order, the ones the copy does not
+// need are freed, and what is missing is allocated.
+func copyInto(nf, f *Function) {
+	f.live()
+	st := nf.live()
+	nBlocks, nInstrs := len(f.blocks), 0
 	for _, b := range f.blocks {
-		nBlockRefs += len(b.preds)
 		nInstrs += len(b.instrs)
+	}
+	st.clean(min(nBlocks, st.nBlocks), min(nInstrs, st.nInstrs))
+	st.reserve(nBlocks-st.nBlocks, nInstrs-st.nInstrs)
+	st.nBlocks, st.nInstrs = nBlocks, nInstrs
+	blocks, instrs := st.blocks[:nBlocks], st.instrs[:nInstrs]
+
+	// Size the lists the objects' own arrays cannot hold, and allocate them
+	// as one array per kind.
+	var nBlockRefs, nInstrRefs, nValues, nUses int
+	short(nf.blocks, nBlocks, &nBlockRefs)
+	next := 0
+	for i, b := range f.blocks {
+		nb := blocks[i]
+		short(nb.preds, len(b.preds), &nBlockRefs)
+		short(nb.instrs, len(b.instrs), &nInstrRefs)
 		for _, in := range b.instrs {
-			nValues += len(in.args)
-			nBlockRefs += len(in.blocks)
-			nUses += len(in.uses)
+			ci := instrs[next]
+			next++
+			short(ci.args, len(in.args), &nValues)
+			short(ci.blocks, len(in.blocks), &nBlockRefs)
+			short(ci.uses, len(in.uses), &nUses)
 		}
 	}
-	st.params = resize(st.params, len(f.Params), keep)
-	st.blocks = resize(st.blocks, len(f.blocks), keep)
-	st.instrs = resize(st.instrs, nInstrs, keep)
-	st.paramLists = resize(st.paramLists, len(f.Params), keep)
-	st.blockLists = resize(st.blockLists, nBlockRefs, keep)
-	st.instrLists = resize(st.instrLists, nInstrs, keep)
-	st.values = resize(st.values, nValues, keep)
-	st.uses = resize(st.uses, nUses, keep)
+	blockRefs, instrRefs := make([]*Block, nBlockRefs), make([]*Instr, nInstrRefs)
+	values, uses := make([]Value, nValues), make([]use, nUses)
 	// The tables are read only at IDs this copy writes; the rest would keep
 	// the last copy's objects alive, so clear them.
-	st.blockOf = resize(st.blockOf, f.nextBlockID, keep)
-	st.instrOf = resize(st.instrOf, f.nextID+1, keep)
-	clear(st.blockOf)
-	clear(st.instrOf)
-	blockRefs, instrRefs, values, uses := st.blockLists, st.instrLists, st.values, st.uses
+	st.blockOf = table(st.blockOf, f.nextBlockID)
+	st.instrOf = table(st.instrOf, f.nextID+1)
 
 	nf.Name, nf.RetTyp = f.Name, f.RetTyp
 	nf.nextID, nf.nextBlockID = f.nextID, f.nextBlockID
-	if nf.nameCount == nil {
-		nf.nameCount = make(map[string]int, len(f.nameCount))
-	} else {
-		clear(nf.nameCount)
-	}
+	clear(nf.nameCount)
 	for k, v := range f.nameCount {
 		nf.nameCount[k] = v
 	}
-	nf.Params = st.paramLists[:len(f.Params):len(f.Params)]
+	st.params = sized(st.params, len(f.Params))
+	nf.Params = sized(nf.Params, len(f.Params))
 	for i, p := range f.Params {
 		st.params[i] = Param{Name: p.Name, Typ: p.Typ, Index: p.Index, Restrict: p.Restrict, fn: nf}
 		nf.Params[i] = &st.params[i]
@@ -125,17 +131,18 @@ func copyInto(nf *Function, st *cloneStore, f *Function, keep bool) {
 	// First pass: create every block and instruction, so that forward
 	// references (phis, and any use of a later definition) resolve in the
 	// second.
-	nf.blocks = carve(&blockRefs, len(f.blocks))
-	next := 0 // the next unused entry of st.instrs
+	nf.blocks = fit(nf.blocks, nBlocks, &blockRefs)
+	next = 0
 	for i, b := range f.blocks {
-		nb := &st.blocks[i]
-		*nb = Block{Name: b.Name, fn: nf, id: b.id, instrs: carve(&instrRefs, len(b.instrs))}
+		nb := blocks[i]
+		*nb = Block{Name: b.Name, fn: nf, id: b.id, instrs: fit(nb.instrs, len(b.instrs), &instrRefs), preds: nb.preds}
 		nf.blocks[i] = nb
 		st.blockOf[b.id] = nb
 		for j, in := range b.instrs {
-			ci := &st.instrs[next]
+			ci := instrs[next]
 			next++
-			*ci = Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, block: nb, id: in.id, name: in.name, loc: in.loc}
+			*ci = Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, block: nb, id: in.id, name: in.name, loc: in.loc,
+				args: ci.args, blocks: ci.blocks, uses: ci.uses}
 			nb.instrs[j] = ci
 			st.instrOf[in.id] = ci
 		}
@@ -178,21 +185,21 @@ func copyInto(nf *Function, st *cloneStore, f *Function, keep bool) {
 	// Containment must be invisible, so match exactly.
 	for i, b := range f.blocks {
 		nb := nf.blocks[i]
-		nb.preds = carve(&blockRefs, len(b.preds))
+		nb.preds = fit(nb.preds, len(b.preds), &blockRefs)
 		for j, p := range b.preds {
 			nb.preds[j] = block(p)
 		}
 		for j, in := range b.instrs {
 			ci := nb.instrs[j]
-			ci.args = carve(&values, len(in.args))
+			ci.args = fit(ci.args, len(in.args), &values)
 			for k, a := range in.args {
 				ci.args[k] = operand(a)
 			}
-			ci.blocks = carve(&blockRefs, len(in.blocks))
+			ci.blocks = fit(ci.blocks, len(in.blocks), &blockRefs)
 			for k, tb := range in.blocks {
 				ci.blocks[k] = block(tb)
 			}
-			ci.uses = carve(&uses, len(in.uses))
+			ci.uses = fit(ci.uses, len(in.uses), &uses)
 			for k, u := range in.uses {
 				ci.uses[k] = use{instr(u.user), u.idx}
 			}
@@ -201,30 +208,32 @@ func copyInto(nf *Function, st *cloneStore, f *Function, keep bool) {
 }
 
 // Restore replaces dst's entire body (parameters, blocks, instructions, name
-// and instruction/block ID counters) with snapshot's, rebinding ownership so callers holding
-// the *Function pointer observe the snapshot state. The snapshot is spent:
-// its body now belongs to dst, so it must not be used afterwards, and a
-// CloneInto handed it makes fresh storage. Pair with Clone for speculative
-// pass execution: snap := Clone(f); run pass; on failure Restore(f, snap).
+// and instruction/block ID counters) with snapshot's, rebinding ownership so
+// callers holding the *Function pointer observe the snapshot state. The
+// snapshot is spent: its body now belongs to dst, and dst's old body goes
+// to the snapshot's store, freed — it must not be used afterwards, except as
+// the storage a CloneInto writes into. Pair with CloneInto for speculative
+// pass execution: snap = CloneInto(snap, f); run pass; on failure
+// Restore(f, snap).
 func Restore(dst, snapshot *Function) {
+	spent, oldBlocks := dst.live(), dst.blocks
 	dst.Name = snapshot.Name
 	dst.RetTyp = snapshot.RetTyp
 	dst.Params = snapshot.Params
 	dst.blocks = snapshot.blocks
 	dst.nextID = snapshot.nextID
 	dst.nextBlockID = snapshot.nextBlockID
-	dst.nameCount = snapshot.nameCount
-	dst.store = nil
+	dst.nameCount, snapshot.nameCount = snapshot.nameCount, dst.nameCount
+	dst.store, snapshot.store = snapshot.live(), spent
 	for _, p := range dst.Params {
 		p.fn = dst
 	}
 	for _, b := range dst.blocks {
 		b.fn = dst
 	}
+	spent.clean(0, 0)
 	snapshot.Params = nil
-	snapshot.blocks = nil
-	snapshot.nameCount = nil
-	snapshot.store = nil
+	snapshot.blocks = wipe(oldBlocks, maxStoreBlocks)
 }
 
 // Cloner duplicates regions of one function inside it — the one region
@@ -241,9 +250,11 @@ func Restore(dst, snapshot *Function) {
 type Cloner struct {
 	blockOf []*Block // by Block.ID
 	instrOf []*Instr // by Instr.ID
-	// What the last Clone set in the two tables.
-	blocks []*Block
-	instrs []*Instr
+	// The IDs the last Clone set in the two tables: IDs, not originals,
+	// since an original may be freed and carved into another function
+	// before the next Clone clears them.
+	blocks []int32
+	instrs []int32
 	// How long the clones' lists will be, by the original's ID: the operand
 	// slots inside the region that name the instruction, and the region's
 	// edges into the block. Zero outside Clone.
@@ -257,7 +268,8 @@ var testHookClone func(c *Cloner, blocks []*Block, suffix string) (after func())
 
 // Clone duplicates blocks, which belong to one function, within that
 // function, appending suffix to the block names. A clone block's
-// instructions line up with its original's, position for position.
+// instructions line up with its original's, position for position. The
+// clones are carved from the function's store.
 func (c *Cloner) Clone(blocks []*Block, suffix string) {
 	c.Reset()
 	if len(blocks) == 0 {
@@ -286,14 +298,12 @@ func grow[T any](s []T, n int) []T {
 // Reset forgets the last region: Block answers nil and Value its argument
 // again, and the Cloner references no block or instruction of any function.
 func (c *Cloner) Reset() {
-	for _, b := range c.blocks {
-		c.blockOf[b.id] = nil
+	for _, id := range c.blocks {
+		c.blockOf[id] = nil
 	}
-	for _, in := range c.instrs {
-		c.instrOf[in.id] = nil
+	for _, id := range c.instrs {
+		c.instrOf[id] = nil
 	}
-	clear(c.blocks)
-	clear(c.instrs)
 	c.blocks, c.instrs = c.blocks[:0], c.instrs[:0]
 }
 
@@ -306,11 +316,16 @@ func (c *Cloner) Reset() {
 // use list gains its uses in block order, terminators in place; and a
 // block's predecessor list gains the region's edges in block order.
 func (c *Cloner) cloneRegion(f *Function, blocks []*Block, suffix string) {
+	st, n := f.live(), 0
+	for _, b := range blocks {
+		n += len(b.instrs)
+	}
+	st.reserve(len(blocks), n)
 	for _, b := range blocks {
 		nb := f.NewBlock(b.Name + suffix)
-		nb.instrs = make([]*Instr, len(b.instrs))
+		nb.instrs = sized(nb.instrs, len(b.instrs))
 		c.blockOf[b.id] = nb
-		c.blocks = append(c.blocks, b)
+		c.blocks = append(c.blocks, int32(b.id))
 	}
 	for _, terminators := range [2]bool{false, true} {
 		for _, b := range blocks {
@@ -318,10 +333,11 @@ func (c *Cloner) cloneRegion(f *Function, blocks []*Block, suffix string) {
 			for i, in := range b.instrs {
 				if in.IsTerminator() == terminators {
 					f.nextID++
-					ci := &Instr{Op: in.Op, Typ: in.Typ, Pred: in.Pred, block: nb, id: f.nextID, loc: in.loc}
+					ci := st.instr()
+					ci.Op, ci.Typ, ci.Pred, ci.block, ci.id, ci.loc = in.Op, in.Typ, in.Pred, nb, f.nextID, in.loc
 					nb.instrs[i] = ci
 					c.instrOf[in.id] = ci
-					c.instrs = append(c.instrs, in)
+					c.instrs = append(c.instrs, int32(in.id))
 				}
 			}
 		}
@@ -345,12 +361,14 @@ func (c *Cloner) cloneRegion(f *Function, blocks []*Block, suffix string) {
 	}
 	for _, b := range blocks {
 		if n := c.preds[b.id]; n > 0 {
-			c.blockOf[b.id].preds = make([]*Block, 0, n)
+			nb := c.blockOf[b.id]
+			nb.preds = grown(nb.preds, int(n))
 			c.preds[b.id] = 0
 		}
 		for _, in := range b.instrs {
 			if n := c.uses[in.id]; n > 0 {
-				c.instrOf[in.id].uses = make([]use, 0, n)
+				ci := c.instrOf[in.id]
+				ci.uses = grown(ci.uses, int(n))
 				c.uses[in.id] = 0
 			}
 		}
@@ -364,14 +382,14 @@ func (c *Cloner) cloneRegion(f *Function, blocks []*Block, suffix string) {
 				continue
 			}
 			ci := nb.instrs[i]
-			ci.args = make([]Value, len(in.args))
+			ci.args = sized(ci.args, len(in.args))
 			for k, a := range in.args {
 				ci.args[k] = c.Value(a)
 				if ai, ok := a.(*Instr); ok && ci.args[k] == a {
 					ai.uses = append(ai.uses, use{ci, k})
 				}
 			}
-			ci.blocks = c.remapBlocks(in.blocks)
+			ci.blocks = c.remapBlocks(ci.blocks, in.blocks)
 		}
 	}
 	// ... then the clones' uses, and the terminators' operands and edges.
@@ -388,34 +406,31 @@ func (c *Cloner) cloneRegion(f *Function, blocks []*Block, suffix string) {
 				}
 				continue
 			}
-			ci.args = make([]Value, len(in.args))
+			ci.args = sized(ci.args, len(in.args))
 			for k, a := range in.args {
 				ci.args[k] = c.Value(a)
 				if ai, ok := ci.args[k].(*Instr); ok {
 					ai.uses = append(ai.uses, use{ci, k})
 				}
 			}
-			ci.blocks = c.remapBlocks(in.blocks)
+			ci.blocks = c.remapBlocks(ci.blocks, in.blocks)
 			nb.addSuccEdges(ci)
 		}
 	}
 }
 
-// remapBlocks returns a copy of an original's block arguments with the
-// region's blocks replaced by their clones.
-func (c *Cloner) remapBlocks(blocks []*Block) []*Block {
-	if len(blocks) == 0 {
-		return nil
-	}
-	out := make([]*Block, len(blocks))
+// remapBlocks writes into dst, an empty list of a clone, an original's block
+// arguments with the region's blocks replaced by their clones.
+func (c *Cloner) remapBlocks(dst, blocks []*Block) []*Block {
+	dst = sized(dst, len(blocks))
 	for k, b := range blocks {
 		if nb := c.Block(b); nb != nil {
-			out[k] = nb
+			dst[k] = nb
 		} else {
-			out[k] = b
+			dst[k] = b
 		}
 	}
-	return out
+	return dst
 }
 
 // Block returns b's clone, or nil when b was not in the last cloned region.

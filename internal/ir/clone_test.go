@@ -166,7 +166,10 @@ func TestCloneConcurrentReaders(t *testing.T) {
 // TestCloneListsAreExactlySized: every list of a clone is allocated at the
 // length the original's has — a clone costs what it copies, whatever spare
 // capacity the original's lists picked up while passes appended to them.
+// (A clone carved from a released store reuses the lists it finds there
+// instead, so this one is carved from fresh storage.)
 func TestCloneListsAreExactlySized(t *testing.T) {
+	DrainFreeStores()
 	f, _ := buildCountLoop(t)
 	// Give the original's lists history: spare capacity and a removed use.
 	loop := f.BlockByName("loop")

@@ -10,3 +10,14 @@ func SetCloneHook(fn func(c *Cloner, blocks []*Block, suffix string) (after func
 
 // RefCloneRegion gives the external tests the reference region copy.
 var RefCloneRegion = refCloneRegion
+
+// DrainFreeStores empties the free list of released stores, so the next
+// function is carved from fresh storage, as in a process that has released
+// nothing.
+func DrainFreeStores() {
+	for {
+		if _, ok := freeStores.Take(struct{}{}); !ok {
+			return
+		}
+	}
+}

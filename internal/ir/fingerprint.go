@@ -17,6 +17,7 @@ import "math"
 // (type and bits). Fingerprint allocates nothing and is a single walk over
 // the function, a small fraction of what Clone costs.
 func Fingerprint(f *Function) uint64 {
+	f.live()
 	h := fpState(len(f.blocks))
 	h.str(f.Name)
 	h.typ(f.RetTyp)

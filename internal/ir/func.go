@@ -15,15 +15,18 @@ type Function struct {
 	nextBlockID int // next block ID to hand out (IDs start at 0)
 
 	nameCount map[string]int
-	// store is the storage a CloneInto copy is carved from and the next
-	// CloneInto into it overwrites; nil for every other function.
-	store *cloneStore
+	// store owns every block and instruction the function ever held; nil
+	// once the function is released.
+	store *store
 }
 
 // NewFunction creates an empty function with the given return type (use
-// ir.Void for kernels).
+// ir.Void for kernels). Its blocks and instructions are carved from a store
+// an earlier function released, when there is one.
 func NewFunction(name string, ret *Type) *Function {
-	return &Function{Name: name, RetTyp: ret, nameCount: map[string]int{}}
+	f := &Function{Name: name, RetTyp: ret}
+	f.takeStore()
+	return f
 }
 
 // AddParam appends a parameter and returns it.
@@ -35,16 +38,20 @@ func (f *Function) AddParam(name string, t *Type, restrict bool) *Param {
 
 // Blocks returns the function's blocks; Blocks()[0] is the entry block. The
 // slice must not be mutated directly.
-func (f *Function) Blocks() []*Block { return f.blocks }
+func (f *Function) Blocks() []*Block {
+	f.live()
+	return f.blocks
+}
 
 // Entry returns the entry block.
-func (f *Function) Entry() *Block { return f.blocks[0] }
+func (f *Function) Entry() *Block { return f.Blocks()[0] }
 
 // NumBlocks returns the number of basic blocks.
 func (f *Function) NumBlocks() int { return len(f.blocks) }
 
 // NewBlock creates and appends a block with a unique name derived from name.
 func (f *Function) NewBlock(name string) *Block {
+	st := f.live()
 	if name == "" {
 		name = "bb"
 	}
@@ -55,7 +62,8 @@ func (f *Function) NewBlock(name string) *Block {
 	} else {
 		f.nameCount[name] = 1
 	}
-	b := &Block{Name: uniq, fn: f, id: f.nextBlockID}
+	b := st.block()
+	b.Name, b.fn, b.id = uniq, f, f.nextBlockID
 	f.nextBlockID++
 	f.blocks = append(f.blocks, b)
 	return b
@@ -110,7 +118,7 @@ func (f *Function) RemoveBlocks(group []*Block) {
 		}
 		succs := append([]*Block(nil), t.blocks...)
 		b.removeSuccEdges(t)
-		t.blocks = nil
+		t.blocks = t.blocks[:0]
 		for _, s := range succs {
 			if s.fn == nil {
 				continue
@@ -131,10 +139,10 @@ func (f *Function) RemoveBlocks(group []*Block) {
 	}
 	for _, b := range group {
 		for _, in := range b.instrs {
-			in.uses = nil
+			in.uses = in.uses[:0]
 			in.block = nil
 		}
-		b.instrs = nil
+		b.instrs = b.instrs[:0]
 	}
 	// Phase 3: unlink from the block list.
 	kept := f.blocks[:0]
@@ -197,7 +205,7 @@ func EraseInstrs(group []*Instr) {
 		in.dropArgs()
 	}
 	for _, in := range group {
-		in.uses = nil
+		in.uses = in.uses[:0]
 		if in.block != nil {
 			in.block.Remove(in)
 		}

@@ -391,14 +391,16 @@ func (in *Instr) AddArg(v Value) {
 }
 
 // dropArgs disconnects all operands (used when erasing the instruction).
+// The lists keep their arrays: an erased instruction stays its function's,
+// and Release hands it back with them.
 func (in *Instr) dropArgs() {
 	for i, a := range in.args {
 		if ai, ok := a.(*Instr); ok {
 			ai.removeUse(in, i)
 		}
 	}
-	in.args = nil
-	in.blocks = nil
+	in.args = in.args[:0]
+	in.blocks = in.blocks[:0]
 }
 
 func (in *Instr) removeUse(user *Instr, idx int) {

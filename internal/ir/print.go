@@ -7,6 +7,7 @@ import (
 
 // String renders the function in the textual IR syntax accepted by irparse.
 func (f *Function) String() string {
+	f.live()
 	var sb strings.Builder
 	sb.WriteString("func @")
 	sb.WriteString(f.Name)

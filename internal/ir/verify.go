@@ -14,6 +14,7 @@ import "fmt"
 //   - uses are dominated by definitions (SSA), using a simple dominance check
 //   - def-use chains are consistent in both directions
 func Verify(f *Function) error {
+	f.live()
 	if len(f.blocks) == 0 {
 		return fmt.Errorf("verify %s: function has no blocks", f.Name)
 	}

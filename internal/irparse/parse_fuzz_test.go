@@ -9,6 +9,7 @@ import (
 	"uu/internal/interp"
 	"uu/internal/ir"
 	"uu/internal/irparse"
+	"uu/internal/lang"
 	"uu/internal/pipeline"
 )
 
@@ -27,6 +28,11 @@ entry:
   ret
 }
 `
+
+// noRegsSrc writes no register: it lowers to a lone ret, which the
+// simulator's scoreboard once took for a write of %r0 in a program of zero
+// registers.
+const noRegsSrc = "func @a() {\nentry:\n  ret\n}\n"
 
 // addSeeds seeds a fuzz target with every suite kernel as its frontend
 // builds it and after canonicalization.
@@ -72,6 +78,12 @@ func FuzzParseFunc(f *testing.F) {
 func FuzzRunIR(f *testing.F) {
 	addSeeds(f)
 	f.Add(ptrCmpSrc)
+	f.Add(noRegsSrc)
+	empty, err := lang.CompileKernel("kernel k() { }")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.String())
 	f.Fuzz(func(t *testing.T, src string) {
 		fn, err := irparse.ParseFunc(src)
 		if err != nil || ir.Verify(fn) != nil {

@@ -477,7 +477,7 @@ func (d *driver) run() error {
 	}
 
 	// Phase 2: the loop transformation under evaluation, placed early.
-	skipAuto := map[*ir.Block]bool{}
+	skipAuto := map[int]bool{}
 	loopErr, err := d.runLoopTransform(skipAuto)
 	if err != nil {
 		return err
@@ -511,12 +511,12 @@ func (d *driver) run() error {
 
 // runLoopTransform executes phase 2: the config-specific loop
 // transformation, invoked like a single pass named "<config>-loop-pass" in
-// the phase "loop-transform". Transformed loop headers are added to skipAuto
-// so automatic unrolling leaves them alone. The analysis manager is shared
+// the phase "loop-transform". Transformed loop headers' block IDs are added
+// to skipAuto so automatic unrolling leaves them alone. The analysis manager is shared
 // with the transformation, which invalidates it conservatively itself: the
 // loop passes normalize loops (preheader/LCSSA) even when they fail. loopErr
 // is the transformation's own diagnosis, err what must stop the pipeline.
-func (d *driver) runLoopTransform(skipAuto map[*ir.Block]bool) (loopErr, err error) {
+func (d *driver) runLoopTransform(skipAuto map[int]bool) (loopErr, err error) {
 	st := d.st
 	d.phase = "loop-transform"
 	_, failed, err := d.invoke(string(d.opts.Config)+"-loop-pass", func() analysis.PreservedAnalyses {
@@ -529,8 +529,9 @@ func (d *driver) runLoopTransform(skipAuto map[*ir.Block]bool) (loopErr, err err
 	if failed {
 		// The rollback undid any partial transformation; report the
 		// loop as untouched so auto-unroll and the harness see the
-		// degraded-to-baseline truth. Stale skipAuto entries point at
-		// dead pre-rollback blocks and match nothing.
+		// degraded-to-baseline truth. The restored blocks carry the IDs
+		// they had, so no skipAuto entry may survive.
+		clear(skipAuto)
 		st.LoopTransformed = false
 		st.Decisions = nil
 		st.Skips = nil
@@ -541,7 +542,7 @@ func (d *driver) runLoopTransform(skipAuto map[*ir.Block]bool) (loopErr, err err
 
 // loopTransformBody is the config-specific switch, factored out so the
 // guard can run it under containment.
-func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) {
+func (d *driver) loopTransformBody(skipAuto map[int]bool) (loopErr error) {
 	f, st, opts := d.f, d.st, d.opts
 	switch opts.Config {
 	case Baseline:
@@ -556,7 +557,7 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) 
 		d.am.InvalidateAll() // UnrollLoop normalizes the loop even on failure
 		if ok {
 			st.LoopTransformed = true
-			skipAuto[header] = true
+			skipAuto[header.ID()] = true
 			if d.am.Remarks().Enabled() {
 				d.am.Remarks().Emit(remark.Remark{
 					Kind: remark.Passed, Pass: "loop-pass", Name: "Unrolled",
@@ -592,7 +593,7 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) 
 		st.LoopTransformed, loopErr = core.UnrollAndUnmergeWith(d.am, opts.LoopID, factor, opts.Unmerge, &d.s.core)
 		d.am.InvalidateAll()
 		if st.LoopTransformed {
-			skipAuto[header] = true
+			skipAuto[header.ID()] = true
 		}
 	case UUHeuristic:
 		// Fill C/UMax individually so the other fields (SkipDivergent,
@@ -602,7 +603,9 @@ func (d *driver) loopTransformBody(skipAuto map[*ir.Block]bool) (loopErr error) 
 		d.am.InvalidateAll()
 		st.LoopTransformed = len(st.Decisions) > 0
 		for _, dec := range st.Decisions {
-			skipAuto[dec.Header] = true
+			if h := f.BlockByName(dec.Header); h != nil {
+				skipAuto[h.ID()] = true
+			}
 		}
 	}
 	return loopErr

@@ -53,8 +53,7 @@ func compileIn(t *testing.T, app *bench.Benchmark, opts pipeline.Options, s *pip
 	return o
 }
 
-// clockless renders st and err without the clocks, and with each decision's
-// header block by name.
+// clockless renders st and err without the clocks.
 func clockless(st *pipeline.Stats, err error) string {
 	c := *st
 	c.Start, c.CompileTime, c.VerifyTime = time.Time{}, 0, 0
@@ -62,12 +61,7 @@ func clockless(st *pipeline.Stats, err error) string {
 	for i := range c.PassTimes {
 		c.PassTimes[i].Start, c.PassTimes[i].Duration = 0, 0
 	}
-	c.Decisions = slices.Clone(st.Decisions)
-	headers := make([]string, len(c.Decisions))
-	for i := range c.Decisions {
-		headers[i], c.Decisions[i].Header = c.Decisions[i].Header.Name, nil
-	}
-	return fmt.Sprintf("%+v headers %v err %v", c, headers, err)
+	return fmt.Sprintf("%+v err %v", c, err)
 }
 
 // countdown is a context that reports itself cancelled from its n-th Err

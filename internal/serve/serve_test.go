@@ -132,6 +132,10 @@ func TestStructuredErrors(t *testing.T) {
 		{"bad-source", `{"source":"kernel k( {"}`, 400, "bad-request"},
 		{"bad-args", `{"source":"kernel k(long n) { long x = n; }","args":[]}`, 400, "bad-request"},
 		{"two-functions", `{"ir":"func @a() {\nentry:\n  ret\n}\nfunc @b() {\nentry:\n  ret\n}\n"}`, 400, "bad-request"},
+		// Kernels that write no register: every instruction they lower to
+		// has no destination, and they simulate.
+		{"no-registers-source", `{"source":"kernel k() { }"}`, 200, ""},
+		{"no-registers-ir", `{"ir":"func @a() {\nentry:\n  ret\n}\n"}`, 200, ""},
 		// Just over the 1 MiB body bound.
 		{"oversized", `{"source":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "oversized"},
 		{"oversized-tail", `{"app":"nope"}` + strings.Repeat(" ", maxBodyBytes), 413, "oversized"},

@@ -137,8 +137,8 @@ func IfConvertPass() analysis.Pass {
 }
 
 // AutoUnrollPass fully unrolls small constant-trip-count loops, skipping the
-// headers in skip; nothing is preserved.
-func AutoUnrollPass(skip map[*ir.Block]bool) analysis.Pass {
+// loops whose header's Block.ID is in skip; nothing is preserved.
+func AutoUnrollPass(skip map[int]bool) analysis.Pass {
 	return funcPass{"loop-unroll(auto)", func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		return analysis.If(autoUnroll(f, am, skip), analysis.PreserveNone())
 	}}

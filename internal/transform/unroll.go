@@ -147,12 +147,12 @@ const (
 // autoUnroll is the baseline pipeline's loop unroller: it fully unrolls
 // loops with a small constant trip count (SCCP + SimplifyCFG then evaluate
 // away the chained exit tests and the dead back edge). Loops whose header
-// blocks are in skip are left alone — the paper's pass excludes loops it
+// block IDs are in skip are left alone — the paper's pass excludes loops it
 // transformed from LLVM's unroller, which is also how the `coordinates`
 // speedup arises. Each round resolves loops through the manager; any unroll
 // attempt invalidates it, because UnrollLoop establishes preheader + LCSSA
 // form even when it then rejects the loop shape.
-func autoUnroll(f *ir.Function, am *analysis.AnalysisManager, skip map[*ir.Block]bool) bool {
+func autoUnroll(f *ir.Function, am *analysis.AnalysisManager, skip map[int]bool) bool {
 	changed := false
 	for rounds := 0; rounds < 8; rounds++ {
 		li := am.LoopInfo()
@@ -162,7 +162,7 @@ func autoUnroll(f *ir.Function, am *analysis.AnalysisManager, skip map[*ir.Block
 		loops := append([]*analysis.Loop(nil), li.Loops...)
 		for i := len(loops) - 1; i >= 0; i-- {
 			l := loops[i]
-			if skip != nil && skip[l.Header] {
+			if skip != nil && skip[l.Header.ID()] {
 				continue
 			}
 			tc, ok := analysis.ConstantTripCount(l)
