@@ -1,11 +1,14 @@
 // Package harden supplies the pass-pipeline crash-containment layer: a
 // Guard that runs each pass invocation against an IR snapshot (taken only
-// when the IR has moved since the last one), recovers panics, optionally
-// verifies the IR afterwards, and rolls the function back to the snapshot
-// on failure so one bad pass degrades a single kernel to its pre-pass form
-// instead of killing a whole experiment campaign. The package also hosts
-// the seeded random kernel generator (gen.go) that feeds the differential
-// fuzzer in harden/fuzz.
+// when the IR has moved since the last one), recovers panics, and rolls the
+// function back to the snapshot — by copying the snapshot into it — when
+// the pass panicked or the pipeline's verifier rejected its output, so one
+// bad pass degrades a single kernel to its pre-pass form instead of killing
+// a whole experiment campaign. The guard never verifies: the pipeline's
+// driver is the one place a compilation runs the verifier, and it hands a
+// rejection to Guard.Reject. The package also hosts the seeded random
+// kernel generator (gen.go) that feeds the differential fuzzer in
+// harden/fuzz.
 //
 // harden is deliberately a leaf: it imports only ir and analysis, so the
 // pipeline can depend on it while the fuzzer's oracle (which needs the
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -58,30 +60,28 @@ func firstLine(s string) string {
 	return s
 }
 
-// Guard contains pass failures. The zero value contains panics only; set
-// Verify to also reject IR the verifier refuses. A Guard belongs to one
-// compilation — the pipeline builds one per Optimize call — and is not safe
-// for concurrent use: besides the failure list it keeps the snapshot it
-// would roll back to.
+// Guard contains pass failures: panics inside Run, and the verifier
+// rejections its caller hands to Reject. A Guard belongs to one compilation
+// — the pipeline builds one per Optimize call — and is not safe for
+// concurrent use: besides the failure list it keeps the snapshot it would
+// roll back to.
 //
 // A snapshot is reused iff the function hashes to the state it was taken in
 // (ir.Fingerprint). Most pass invocations change nothing, so most find the
 // previous invocation's snapshot still current and copy nothing; one that
 // finds it stale writes the new snapshot into the stale one's storage
-// (ir.CloneInto). A pass's PreservedAnalyses declaration is never trusted
-// for rollback: a pass that edits the function and reports Unchanged would
-// otherwise send a later failure back past its edit.
+// (ir.CloneInto). A rollback copies the snapshot into the function the same
+// way, so the snapshot stays current after it. A pass's PreservedAnalyses
+// declaration is never trusted for rollback: a pass that edits the function
+// and reports Unchanged would otherwise send a later failure back past its
+// edit.
 type Guard struct {
-	// Verify runs ir.Verify after every contained invocation and treats a
-	// rejection like a crash (rollback + record).
-	Verify bool
-
 	failures []PassFailure
 	// s holds the snapshot; the zero Guard makes its own on first use.
 	s *Scratch
 	// current says s.snap is a copy of the function as it was when it
-	// hashed to snapSum. It is false until the guard's first snapshot — s
-	// may hold a previous compilation's — and after a rollback.
+	// hashed to snapSum. It is false until the guard's first snapshot: s
+	// may hold a previous compilation's.
 	current bool
 	snapSum uint64
 }
@@ -90,9 +90,7 @@ type Guard struct {
 // snapshot, whose storage the next guard's first snapshot is written into.
 // The pipeline keeps one per compilation. The zero value holds nothing.
 type Scratch struct {
-	// snap is the last snapshot; nil when none was taken. A rollback spends
-	// it: its body goes to the function, and the function's old body to its
-	// store, which the next snapshot is carved from.
+	// snap is the last snapshot; nil when none was taken.
 	snap *ir.Function
 }
 
@@ -111,8 +109,8 @@ func (s *Scratch) Park() {
 
 // NewGuard returns a guard for one compilation whose snapshots are written
 // into s's storage.
-func NewGuard(verify bool, s *Scratch) *Guard {
-	return &Guard{Verify: verify, s: s}
+func NewGuard(s *Scratch) *Guard {
+	return &Guard{s: s}
 }
 
 // testHookSnapshot, when set by a test, is called by Run between its
@@ -127,14 +125,10 @@ func (g *Guard) Failures() []PassFailure {
 
 // Run executes run (one pass invocation on f) under containment: a snapshot
 // of the IR is in hand first — the retained one if f still hashes to it, a
-// new copy written over it otherwise; a panic or — with Verify set — a
-// post-run verifier rejection rolls f back to the snapshot, invalidates
-// every cached analysis (the restored body is made of other objects),
-// records a PassFailure, and reports failed=true with an Unchanged
-// declaration so a fixpoint driver does not loop on the rollback. verifyTime is the wall
-// time spent in ir.Verify (zero when Verify is off), reported separately
-// so callers can keep their verify-time accounting exact.
-func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyses, verifyTime time.Duration, failed bool) {
+// new copy written over it otherwise. A panic rolls f back to the snapshot
+// and is recorded (contain), and Run reports failed=true with an Unchanged
+// declaration so a fixpoint driver does not loop on the rollback.
+func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyses, failed bool) {
 	if g.s == nil {
 		g.s = new(Scratch)
 	}
@@ -149,18 +143,16 @@ func (g *Guard) Run(name string, f *ir.Function, am *analysis.AnalysisManager, r
 	pa, panicVal, stack := invoke(run)
 	if stack != "" {
 		g.contain(name, f, am, FailurePanic, panicVal, stack)
-		return analysis.Unchanged(), 0, true
+		return analysis.Unchanged(), true
 	}
-	if g.Verify {
-		v0 := time.Now()
-		err := ir.Verify(f)
-		verifyTime = time.Since(v0)
-		if err != nil {
-			g.contain(name, f, am, FailureVerify, err.Error(), "")
-			return analysis.Unchanged(), verifyTime, true
-		}
-	}
-	return pa, verifyTime, false
+	return pa, false
+}
+
+// Reject rolls f back past the invocation Run just made, which returned
+// but left IR the verifier refuses with err, and records a FailureVerify.
+// The caller then treats the invocation as one that changed nothing.
+func (g *Guard) Reject(name string, f *ir.Function, am *analysis.AnalysisManager, err error) {
+	g.contain(name, f, am, FailureVerify, err.Error(), "")
 }
 
 // invoke runs the pass body, converting a panic into (message, stack).
@@ -176,14 +168,12 @@ func invoke(run func() analysis.PreservedAnalyses) (pa analysis.PreservedAnalyse
 	return
 }
 
-// contain rolls f back to the snapshot and records the failure. The
-// snapshot text is captured before Restore guts the snapshot function, and
-// the snapshot is spent: the next invocation copies into the storage of the
-// body f had before the rollback.
+// contain rolls f back by copying the snapshot into it, invalidates every
+// cached analysis (the copy overwrote the objects they were built over),
+// and records the failure. f then hashes to the snapshot again, so the
+// snapshot stays current for the next invocation.
 func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManager, kind FailureKind, msg, stack string) {
-	irText := g.s.snap.String()
-	ir.Restore(f, g.s.snap)
-	g.current = false
+	ir.CloneInto(f, g.s.snap)
 	am.InvalidateAll()
 	g.failures = append(g.failures, PassFailure{
 		Pass:     name,
@@ -191,6 +181,6 @@ func (g *Guard) contain(name string, f *ir.Function, am *analysis.AnalysisManage
 		Kind:     kind,
 		Err:      msg,
 		Stack:    stack,
-		IR:       irText,
+		IR:       g.s.snap.String(),
 	})
 }

@@ -3,7 +3,6 @@ package harden
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -39,9 +38,18 @@ func (p *fakePass) Run(f *ir.Function, am *analysis.AnalysisManager) analysis.Pr
 	return p.run(f, am)
 }
 
-// runPass runs p under g the way the pipeline's driver does.
-func runPass(g *Guard, p analysis.Pass, f *ir.Function, am *analysis.AnalysisManager) (analysis.PreservedAnalyses, time.Duration, bool) {
-	return g.Run(p.Name(), f, am, func() analysis.PreservedAnalyses { return p.Run(f, am) })
+// runPass runs p under g the way the pipeline's driver does under
+// VerifyEachPass: an invocation that did not panic is verified, and a
+// rejection is handed back to the guard.
+func runPass(g *Guard, p analysis.Pass, f *ir.Function, am *analysis.AnalysisManager) (analysis.PreservedAnalyses, bool) {
+	pa, failed := g.Run(p.Name(), f, am, func() analysis.PreservedAnalyses { return p.Run(f, am) })
+	if !failed {
+		if err := ir.Verify(f); err != nil {
+			g.Reject(p.Name(), f, am, err)
+			return analysis.Unchanged(), true
+		}
+	}
+	return pa, failed
 }
 
 func parseCountLoop(t *testing.T) *ir.Function {
@@ -66,7 +74,7 @@ func TestGuardContainsPanic(t *testing.T) {
 		ex.Remove(ex.Term())
 		panic("boom: deliberate test crash")
 	}}
-	pa, _, failed := runPass(g, crash, f, am)
+	pa, failed := runPass(g, crash, f, am)
 	if !failed {
 		t.Fatalf("guard did not report the panic")
 	}
@@ -102,7 +110,7 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 	f := parseCountLoop(t)
 	want := f.String()
 	am := analysis.NewAnalysisManager(f)
-	g := &Guard{Verify: true}
+	g := &Guard{}
 	corrupt := &fakePass{name: "corrupt", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		// Detach the exit block's terminator: a structural violation the
 		// verifier rejects but that does not panic on its own.
@@ -110,7 +118,7 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 		ex.Remove(ex.Term())
 		return analysis.PreserveNone()
 	}}
-	_, _, failed := runPass(g, corrupt, f, am)
+	_, failed := runPass(g, corrupt, f, am)
 	if !failed {
 		t.Fatalf("guard did not catch the verifier rejection")
 	}
@@ -129,19 +137,16 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 	f := parseCountLoop(t)
 	am := analysis.NewAnalysisManager(f)
-	g := &Guard{Verify: true}
+	g := &Guard{}
 	ok := &fakePass{name: "nop", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		return analysis.Unchanged()
 	}}
-	pa, vdur, failed := runPass(g, ok, f, am)
+	pa, failed := runPass(g, ok, f, am)
 	if failed {
 		t.Fatalf("healthy pass reported as failed: %+v", g.Failures())
 	}
 	if pa.Changed() {
 		t.Fatalf("unchanged declaration lost")
-	}
-	if vdur <= 0 {
-		t.Fatalf("verify time not accounted")
 	}
 	if len(g.Failures()) != 0 {
 		t.Fatalf("spurious failures: %+v", g.Failures())
@@ -151,13 +156,14 @@ func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 // TestGuardReusesSnapshotUntilIRMoves pins the retained snapshot's life
 // cycle: kept while the function hashes to it, whatever the pass declared;
 // taken again, into the stale one's storage, once the function has moved;
-// spent by a rollback, which leaves the function's old body in that storage
-// for the next snapshot to be written into. Whether an invocation took one is the snapshot hook's
-// cloned flag, and what it took is checked by fingerprint and text.
+// and still current after a rollback, which copies it into the function, so
+// the next invocation takes none. Whether an invocation took one is the
+// snapshot hook's cloned flag, and what it took is checked by fingerprint
+// and text.
 func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	f := parseCountLoop(t)
 	am := analysis.NewAnalysisManager(f)
-	g := &Guard{Verify: true}
+	g := &Guard{}
 	var took []bool
 	var snapText string
 	defer SetSnapshotHook(func(f, snap *ir.Function, cloned bool) {
@@ -200,23 +206,20 @@ func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	if g.s.snap != first {
 		t.Fatalf("the new snapshot was not written into the stale one's storage")
 	}
-	if _, _, failed := runPass(g, crash, f, am); !failed {
+	if _, failed := runPass(g, crash, f, am); !failed {
 		t.Fatalf("crash not contained")
 	}
 	expect("the crash's invocation", false)
-	if g.s.snap != first || g.s.snap.NumBlocks() != 0 {
-		t.Fatalf("a rollback must spend the snapshot, keeping its storage: its body now is the function's")
-	}
 	if got := f.String(); got != edited || g.Failures()[0].IR != edited {
 		t.Fatalf("rolled back past the undeclared edit:\n%s", got)
 	}
-	runPass(g, nop, f, am)
-	expect("after the rollback", true)
-	if snapText != edited {
-		t.Fatalf("no fresh snapshot after the rollback")
+	if g.s.snap != first || ir.Fingerprint(f) != ir.Fingerprint(first) || first.String() != edited {
+		t.Fatalf("a rollback must leave the snapshot intact, and the function hashing to it")
 	}
-	if g.s.snap != first {
-		t.Fatalf("the snapshot after the rollback was not written into the spent one's storage")
+	runPass(g, nop, f, am)
+	expect("after the rollback", false)
+	if snapText != edited || g.s.snap != first {
+		t.Fatalf("the invocation after the rollback did not keep the snapshot")
 	}
 }
 
@@ -225,7 +228,7 @@ func TestGuardContinuesAfterFailure(t *testing.T) {
 	// whole point of containment.
 	f := parseCountLoop(t)
 	am := analysis.NewAnalysisManager(f)
-	g := &Guard{Verify: true}
+	g := &Guard{}
 	crash := &fakePass{name: "crash", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		panic("again")
 	}}
@@ -235,10 +238,10 @@ func TestGuardContinuesAfterFailure(t *testing.T) {
 		ir.NewBuilder(nb).Ret(ir.ConstInt(ir.I64, 0))
 		return analysis.PreserveNone()
 	}}
-	if _, _, failed := runPass(g, crash, f, am); !failed {
+	if _, failed := runPass(g, crash, f, am); !failed {
 		t.Fatalf("first pass should fail")
 	}
-	pa, _, failed := runPass(g, mutate, f, am)
+	pa, failed := runPass(g, mutate, f, am)
 	if failed || !pa.Changed() {
 		t.Fatalf("pass after a contained failure did not run normally")
 	}

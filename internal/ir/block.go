@@ -17,7 +17,7 @@ type Block struct {
 // ID returns the block's function-unique number, the twin of Instr.ID.
 // Passes index slices of length Function.BlockIDBound with it instead of
 // hashing the pointer. It is stable — it survives layout changes, Clone and
-// Restore, and is never reused after RemoveBlocks — so it is not the
+// CloneInto, and is never reused after RemoveBlocks — so it is not the
 // block's position in Blocks().
 func (b *Block) ID() int { return b.id }
 

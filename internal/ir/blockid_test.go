@@ -95,15 +95,15 @@ func TestQuickBlockIDsUniqueAndBounded(t *testing.T) {
 				snap := Clone(f)
 				bound := f.BlockIDBound()
 				f.NewBlock("scratch")
-				Restore(f, snap)
-				clones = nil // Restore swapped every block for the snapshot's
-				checkBlockIDs(t, f, "Restore")
+				CloneInto(f, snap)
+				clones = nil // the rollback overwrote every block
+				checkBlockIDs(t, f, "CloneInto")
 				if f.BlockIDBound() != bound {
-					t.Fatalf("Restore left bound %d, snapshot had %d", f.BlockIDBound(), bound)
+					t.Fatalf("CloneInto left bound %d, snapshot had %d", f.BlockIDBound(), bound)
 				}
 				nb := f.NewBlock("after")
 				if nb.ID() != bound {
-					t.Fatalf("first block after Restore got ID %d, want %d", nb.ID(), bound)
+					t.Fatalf("first block after CloneInto got ID %d, want %d", nb.ID(), bound)
 				}
 				NewBuilder(nb).Ret(nil)
 				clones = append(clones, nb)
@@ -159,7 +159,7 @@ func TestVerifyRejectsBadBlockIDs(t *testing.T) {
 	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "block ID") {
 		t.Fatalf("Verify accepted two blocks with one ID: %v", err)
 	}
-	b.id = f.BlockIDBound() // what a Restore that forgot the counter would produce
+	b.id = f.BlockIDBound() // what a rollback that forgot the counter would produce
 	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "outside the function's bound") {
 		t.Fatalf("Verify accepted a block ID at the bound: %v", err)
 	}

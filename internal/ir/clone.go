@@ -21,13 +21,14 @@ func Clone(f *Function) *Function {
 	return nf
 }
 
-// CloneInto is Clone writing the copy into the storage of dst, a copy that an
-// earlier CloneInto returned, or a snapshot Restore spent, and that nothing
-// references any more: its parameters, blocks, instructions and lists are
-// overwritten, and dst is returned. When dst is nil, it is Clone. Either way
-// the copy keeps its store for the next CloneInto, and it is exactly what
-// Clone(f) would have made: same text, same Fingerprint. The guard in
-// internal/harden writes each new snapshot into its stale one.
+// CloneInto is Clone writing the copy into dst, whose parameters, blocks,
+// instructions and lists nothing else references: a copy an earlier
+// CloneInto returned, or a live function whose objects nobody holds — the
+// guard in internal/harden writes each new snapshot into its stale one, and
+// rolls a function back by writing the snapshot into it. dst keeps its
+// *Function and its store, which the copy is carved from, and is returned.
+// When dst is nil, it is Clone. Either way the copy is exactly what Clone(f)
+// would have made: same text, same Fingerprint.
 func CloneInto(dst, f *Function) *Function {
 	if dst == nil {
 		return Clone(f)
@@ -205,35 +206,6 @@ func copyInto(nf, f *Function) {
 			}
 		}
 	}
-}
-
-// Restore replaces dst's entire body (parameters, blocks, instructions, name
-// and instruction/block ID counters) with snapshot's, rebinding ownership so
-// callers holding the *Function pointer observe the snapshot state. The
-// snapshot is spent: its body now belongs to dst, and dst's old body goes
-// to the snapshot's store, freed — it must not be used afterwards, except as
-// the storage a CloneInto writes into. Pair with CloneInto for speculative
-// pass execution: snap = CloneInto(snap, f); run pass; on failure
-// Restore(f, snap).
-func Restore(dst, snapshot *Function) {
-	spent, oldBlocks := dst.live(), dst.blocks
-	dst.Name = snapshot.Name
-	dst.RetTyp = snapshot.RetTyp
-	dst.Params = snapshot.Params
-	dst.blocks = snapshot.blocks
-	dst.nextID = snapshot.nextID
-	dst.nextBlockID = snapshot.nextBlockID
-	dst.nameCount, snapshot.nameCount = snapshot.nameCount, dst.nameCount
-	dst.store, snapshot.store = snapshot.live(), spent
-	for _, p := range dst.Params {
-		p.fn = dst
-	}
-	for _, b := range dst.blocks {
-		b.fn = dst
-	}
-	spent.clean(0, 0)
-	snapshot.Params = nil
-	snapshot.blocks = wipe(oldBlocks, maxStoreBlocks)
 }
 
 // Cloner duplicates regions of one function inside it — the one region

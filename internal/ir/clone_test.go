@@ -304,23 +304,36 @@ func refCloneRegion(blocks []*Block, suffix string) (blockOf map[*Block]*Block, 
 	return blockOf, instrOf
 }
 
-func TestRestoreRollsBack(t *testing.T) {
+// TestCloneIntoRollsBack is the guard's rollback: a snapshot copied into
+// the live function it was taken from puts the function back, and leaves
+// the snapshot as it was.
+func TestCloneIntoRollsBack(t *testing.T) {
 	f, nsum := buildCountLoop(t)
 	want := f.String()
 	snap := Clone(f)
 	// Wreck the original: RAUW the sum and delete the exit's ret operand path.
 	nsum.ReplaceAllUsesWith(ConstInt(I64, 0))
-	Restore(f, snap)
+	if got := CloneInto(f, snap); got != f {
+		t.Fatalf("CloneInto returned another function than the one it wrote into")
+	}
 	if err := Verify(f); err != nil {
-		t.Fatalf("Verify after Restore: %v", err)
+		t.Fatalf("Verify after the rollback: %v", err)
 	}
 	if got := f.String(); got != want {
-		t.Fatalf("Restore did not reproduce the snapshot:\n--- want\n%s\n--- got\n%s", want, got)
+		t.Fatalf("CloneInto did not reproduce the snapshot:\n--- want\n%s\n--- got\n%s", want, got)
 	}
-	// Ownership has moved: blocks and params report f as their function.
+	if got := snap.String(); got != want {
+		t.Fatalf("the rollback changed the snapshot:\n%s", got)
+	}
+	// Blocks and params report f as their function.
 	for _, b := range f.Blocks() {
 		if b.Func() != f {
 			t.Fatalf("restored block %s not owned by f", b.Name)
+		}
+	}
+	for _, p := range f.Params {
+		if p.Func() != f {
+			t.Fatalf("restored param %s not owned by f", p.Name)
 		}
 	}
 	// The function remains usable for further construction.

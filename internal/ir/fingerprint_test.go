@@ -81,8 +81,8 @@ func TestFingerprintCoversClone(t *testing.T) {
 }
 
 // TestFingerprintSurvivesRestore closes the loop the guard runs: snapshot,
-// wreck the function, restore — and the function hashes as it did when the
-// snapshot was taken.
+// wreck the function, restore it by copying the snapshot back — and the
+// function hashes as it did when the snapshot was taken.
 func TestFingerprintSurvivesRestore(t *testing.T) {
 	f, nsum := buildCountLoop(t)
 	before := Fingerprint(f)
@@ -92,7 +92,7 @@ func TestFingerprintSurvivesRestore(t *testing.T) {
 	if Fingerprint(f) == before {
 		t.Fatalf("edits did not move the fingerprint")
 	}
-	Restore(f, snap)
+	CloneInto(f, snap)
 	if got := Fingerprint(f); got != before {
 		t.Fatalf("restored function hashes %#x, the snapshotted state %#x", got, before)
 	}

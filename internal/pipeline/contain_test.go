@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"uu/internal/analysis"
 	"uu/internal/harden"
@@ -43,12 +44,14 @@ func TestContainmentRecoversInjectedPanic(t *testing.T) {
 	}
 }
 
+// TestContainmentRollsBackVerifierRejection: the driver's verifier rejects
+// the injected corruption, and the guard rolls it back. Up to that verify
+// call the compilation records what an uncontained one does, and the
+// rejected pass is recorded as having changed nothing.
 func TestContainmentRollsBackVerifierRejection(t *testing.T) {
 	clean, _ := optimized(t, Options{Config: Baseline, VerifyEachPass: true})
-	got, stats := optimized(t, Options{
-		Config: Baseline, VerifyEachPass: true, Contain: true,
-		Inject: []analysis.Pass{transform.ChaosPass(transform.ChaosCorrupt)},
-	})
+	corrupt := []analysis.Pass{transform.ChaosPass(transform.ChaosCorrupt)}
+	got, stats := optimized(t, Options{Config: Baseline, VerifyEachPass: true, Contain: true, Inject: corrupt})
 	if len(stats.Failures) != 1 || stats.Failures[0].Kind != harden.FailureVerify {
 		t.Fatalf("want 1 verify failure, got %+v", stats.Failures)
 	}
@@ -57,6 +60,46 @@ func TestContainmentRollsBackVerifierRejection(t *testing.T) {
 	}
 	if stats.Failures[0].IR == "" {
 		t.Fatalf("failure record carries no reproducer IR")
+	}
+	f, err := lang.CompileKernel(bsearchSrc)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	uncontained, err := Optimize(f, Options{Config: Baseline, VerifyEachPass: true, Inject: corrupt})
+	if err == nil {
+		t.Fatalf("uncontained verifier rejection must surface as an error")
+	}
+	n := len(uncontained.PassTimes)
+	if len(stats.PassTimes) <= n {
+		t.Fatalf("the contained compile stopped at the rejection: %d records", len(stats.PassTimes))
+	}
+	for i, want := range uncontained.PassTimes {
+		if pt := stats.PassTimes[i]; pt.Name != want.Name || pt.Phase != want.Phase {
+			t.Fatalf("record %d is %s/%s, the uncontained compile's %s/%s", i, pt.Name, pt.Phase, want.Name, want.Phase)
+		}
+	}
+	if rejected := stats.PassTimes[n-2]; rejected.Name != "chaos-corrupt" || rejected.Changed {
+		t.Fatalf("the rejected pass is recorded as %s changed=%t; want chaos-corrupt changed=false", rejected.Name, rejected.Changed)
+	}
+}
+
+// TestVerifyTimeIsTheVerifyRecords: with VerifyEachPass, contained or not,
+// Stats.VerifyTime is the verifier's clock and nothing else — the sum of the
+// "verify" records' durations.
+func TestVerifyTimeIsTheVerifyRecords(t *testing.T) {
+	for _, contain := range []bool{false, true} {
+		_, st := optimized(t, Options{Config: UU, LoopID: 0, Factor: 2, VerifyEachPass: true, Contain: contain})
+		var sum time.Duration
+		n := 0
+		for _, pt := range st.PassTimes {
+			if pt.Name == "verify" {
+				sum += pt.Duration
+				n++
+			}
+		}
+		if n == 0 || st.VerifyTime <= 0 || st.VerifyTime != sum {
+			t.Errorf("contain=%t: VerifyTime %v over %d verify records summing to %v", contain, st.VerifyTime, n, sum)
+		}
 	}
 }
 

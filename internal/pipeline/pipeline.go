@@ -279,8 +279,8 @@ type driver struct {
 	st   *Stats
 	opts Options
 	s    *scratch
-	// ctx, when non-nil, is polled before every pass invocation so a
-	// deadline or cancellation stops compilation at the next pass boundary
+	// ctx is polled before every pass invocation so a deadline or
+	// cancellation stops compilation at the next pass boundary
 	// (OptimizeCtx). Passes themselves are not interruptible — they are
 	// short — so one pass is the cancellation granularity.
 	ctx context.Context
@@ -295,9 +295,6 @@ type driver struct {
 // ctxErr reports the driver's context error, wrapped with pipeline
 // attribution, or nil.
 func (d *driver) ctxErr() error {
-	if d.ctx == nil {
-		return nil
-	}
 	if err := d.ctx.Err(); err != nil {
 		return fmt.Errorf("pipeline %s: %s: %w", d.opts.Config, d.f.Name, err)
 	}
@@ -327,14 +324,16 @@ func (d *driver) record(name string, t0 time.Time, dur time.Duration, changed bo
 	})
 }
 
-// invoke executes one pass invocation named name: clock it, apply its
-// invalidation declaration, attribute the cache traffic to it, and record
-// it; then record the verifier call that followed it, if one did. Under
-// containment (Options.Contain) run goes through the guard, which verifies
-// inside: a panic or verifier rejection rolls the function back, is kept
-// by the guard instead of propagating, and reports failed. Outside
-// containment a verifier rejection is the returned error. The pass
-// schedule — what is recorded, in what order — is the same either way.
+// invoke executes one pass invocation named name: clock it, verify its
+// output under VerifyEachPass, apply its invalidation declaration,
+// attribute the cache traffic to it, and record it and then the verifier
+// call. This is the one place a compilation calls ir.Verify. Under
+// containment (Options.Contain) run goes through the guard: a panic, or a
+// verifier rejection the guard is handed, rolls the function back, is kept
+// by the guard instead of propagating, and reports failed with the pass
+// recorded as Unchanged. Outside containment a verifier rejection is the
+// returned error. The pass schedule — what is recorded, in what order — is
+// the same either way.
 func (d *driver) invoke(name string, run func() analysis.PreservedAnalyses) (changed, failed bool, err error) {
 	if err := d.ctxErr(); err != nil {
 		return false, false, err
@@ -344,26 +343,32 @@ func (d *driver) invoke(name string, run func() analysis.PreservedAnalyses) (cha
 	}
 	before := d.am.Stats()
 	var pa analysis.PreservedAnalyses
-	var vd time.Duration // the verifier call's length; zero if none was made
 	t0 := time.Now()
 	if d.guard != nil {
-		pa, vd, failed = d.guard.Run(name, d.f, d.am, run)
+		pa, failed = d.guard.Run(name, d.f, d.am, run)
 	} else {
 		pa = run()
 	}
-	dur := time.Since(t0) - vd
-	d.am.Invalidate(pa)
-	d.record(name, t0, dur, pa.Changed(), d.am.Stats().Sub(before))
-	v0 := t0.Add(dur) // the guard verifies right after the pass
-	if d.guard == nil && d.opts.VerifyEachPass {
+	dur := time.Since(t0)
+	verified := d.opts.VerifyEachPass && !failed // a rolled-back panic left the verified pre-pass IR
+	var v0 time.Time
+	var vd time.Duration
+	if verified {
 		v0 = time.Now()
 		err = ir.Verify(d.f)
 		vd = time.Since(v0)
 		if err != nil {
-			err = fmt.Errorf("pipeline %s: after %s: %w", d.opts.Config, name, err)
+			if d.guard != nil {
+				d.guard.Reject(name, d.f, d.am, err)
+				pa, failed, err = analysis.Unchanged(), true, nil
+			} else {
+				err = fmt.Errorf("pipeline %s: after %s: %w", d.opts.Config, name, err)
+			}
 		}
 	}
-	if vd > 0 {
+	d.am.Invalidate(pa)
+	d.record(name, t0, dur, pa.Changed(), d.am.Stats().Sub(before))
+	if verified {
 		d.st.VerifyTime += vd
 		d.record("verify", v0, vd, false, analysis.CacheStats{})
 	}
@@ -410,11 +415,12 @@ func Optimize(f *ir.Function, opts Options) (*Stats, error) {
 	return OptimizeCtx(context.Background(), f, opts)
 }
 
-// OptimizeCtx is Optimize under a context: cancellation or deadline expiry
-// is checked before every pass invocation and aborts the compilation with
-// an error wrapping the context's (match with errors.Is). The function is
-// left in whatever intermediate form the last completed pass produced —
-// callers that canceled are expected to discard it.
+// OptimizeCtx is Optimize under a context, which must not be nil:
+// cancellation or deadline expiry is checked before every pass invocation
+// and aborts the compilation with an error wrapping the context's (match
+// with errors.Is). The function is left in whatever intermediate form the
+// last completed pass produced — callers that canceled are expected to
+// discard it.
 func OptimizeCtx(ctx context.Context, f *ir.Function, opts Options) (*Stats, error) {
 	s := takeScratch()
 	st, err := optimize(ctx, f, opts, s)
@@ -435,12 +441,9 @@ func optimize(ctx context.Context, f *ir.Function, opts Options, s *scratch) (*S
 	st.Start = time.Now()
 	am := analysis.NewAnalysisManager(f)
 	am.SetRemarks(opts.Remarks)
-	d := &driver{f: f, am: am, st: st, opts: opts, s: s}
-	if ctx != nil && ctx.Done() != nil {
-		d.ctx = ctx
-	}
+	d := &driver{f: f, am: am, st: st, opts: opts, s: s, ctx: ctx}
 	if opts.Contain {
-		d.guard = harden.NewGuard(opts.VerifyEachPass, &s.harden)
+		d.guard = harden.NewGuard(&s.harden)
 	}
 	err := d.run()
 	st.Analysis = am.Stats()

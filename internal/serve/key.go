@@ -32,7 +32,10 @@ import (
 // is verified to be a print→parse→print fixed point of the textual IR
 // syntax — the property serve's content-addressed cache keys depend on, and
 // the first line of defense against hashing IR the rest of the system
-// cannot actually ingest. f is not mutated.
+// cannot actually ingest. f is not mutated, and the two functions made on
+// the way — the renamed copy and the parsed one — are released once their
+// text is taken, so a canonicalization leaves the store free list as it
+// found it.
 func CanonicalIR(f *ir.Function) (string, error) {
 	c := ir.Clone(f)
 	c.Name = "k"
@@ -59,11 +62,14 @@ func CanonicalIR(f *ir.Function) (string, error) {
 		}
 	}
 	text := c.String()
+	ir.Release(c)
 	rt, err := irparse.ParseFunc(text)
 	if err != nil {
 		return "", fmt.Errorf("serve: canonical IR does not parse back: %w", err)
 	}
-	if again := rt.String(); again != text {
+	again := rt.String()
+	ir.Release(rt)
+	if again != text {
 		return "", fmt.Errorf("serve: canonical IR is not a print/parse fixed point")
 	}
 	return text, nil

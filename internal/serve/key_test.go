@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"uu/internal/bench"
@@ -217,5 +218,54 @@ func TestSelectiveKeyPinned(t *testing.T) {
 	const want = "46bafa153b43110447f9d30e4846d9c81444d41eed5d4dca974a4df967522b7b"
 	if sp.key != want {
 		t.Errorf("key %s, want %s", sp.key, want)
+	}
+}
+
+// canonicalWarmAllocCeiling is twice what CanonicalIR allocates on a warm
+// call over libor's kernel (92 kB: the printed text, the parser's lines and
+// names, and the reprint). Its renamed copy and its parsed function are
+// carved from the stores the previous call released.
+const canonicalWarmAllocCeiling = 184 << 10
+
+// canonicalThenCopyAllocCeiling is twice what copying libor's kernel
+// allocates right after it was canonicalized 32 times (160 bytes: the
+// Function and its name table). The copy is carved from a store a
+// canonicalization released. It was 23 kB while CanonicalIR kept the two
+// stores it took: 32 calls take more than the store free list holds, so the
+// list ran dry and the copy was allocated afresh.
+const canonicalThenCopyAllocCeiling = 320
+
+// TestCanonicalIRRecyclesItsStores canonicalizes one suite kernel
+// repeatedly and then copies it, as a compile of the kernel would. Each
+// canonicalization must hand both functions it makes back to the store free
+// list, so neither it nor the copy after it allocates IR.
+func TestCanonicalIRRecyclesItsStores(t *testing.T) {
+	f, err := bench.ByName("libor").CompileKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CanonicalIR(f); err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		if _, err := CanonicalIR(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	c := ir.Clone(f)
+	runtime.ReadMemStats(&m2)
+	ir.Release(c)
+	canon, copied := (m1.TotalAlloc-m0.TotalAlloc)/n, m2.TotalAlloc-m1.TotalAlloc
+	t.Logf("a warm CanonicalIR of libor's kernel allocated %d bytes, a copy after %d of them %d bytes", canon, n, copied)
+	if canon > canonicalWarmAllocCeiling {
+		t.Errorf("a warm CanonicalIR of libor's kernel allocated %d bytes, ceiling %d", canon, canonicalWarmAllocCeiling)
+	}
+	if copied > canonicalThenCopyAllocCeiling {
+		t.Errorf("copying libor's kernel after %d canonicalizations allocated %d bytes, ceiling %d: the canonicalizations drained the store free list",
+			n, copied, canonicalThenCopyAllocCeiling)
 	}
 }

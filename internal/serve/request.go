@@ -395,6 +395,7 @@ func (a *appRecord) canonical() (string, error) {
 			return
 		}
 		a.canon, a.canonErr = CanonicalIR(f)
+		ir.Release(f)
 	})
 	return a.canon, a.canonErr
 }

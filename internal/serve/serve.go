@@ -249,9 +249,7 @@ func (s *Server) Drain(ctx context.Context) map[string]int64 {
 			case <-done:
 				drained = true
 			case j := <-s.queue:
-				s.c[ctrCanceled].Add(1)
-				s.finish(j.fl, nil, classify(context.Canceled, "exec-failed"))
-				s.inflight.Done()
+				s.strand(j)
 			}
 		}
 	}
@@ -574,6 +572,14 @@ func (s *Server) finish(fl *flight, res *Response, rerr *Error) {
 	}
 }
 
+// strand fails j, a queued job no worker will run, as canceled: counted,
+// its flight finished for every waiter, and its inflight slot returned.
+func (s *Server) strand(j *job) {
+	s.c[ctrCanceled].Add(1)
+	s.finish(j.fl, nil, classify(context.Canceled, "exec-failed"))
+	s.inflight.Done()
+}
+
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
@@ -584,9 +590,7 @@ func (s *Server) worker() {
 			for {
 				select {
 				case j := <-s.queue:
-					s.c[ctrCanceled].Add(1)
-					s.finish(j.fl, nil, classify(context.Canceled, "exec-failed"))
-					s.inflight.Done()
+					s.strand(j)
 				default:
 					return
 				}
