@@ -5,7 +5,11 @@
 // the unroll-and-unmerge heuristic.
 package analysis
 
-import "uu/internal/ir"
+import (
+	"slices"
+
+	"uu/internal/ir"
+)
 
 // DomTree is a dominator tree (or post-dominator tree; see NewPostDomTree)
 // over the reachable blocks of a function. A virtual root unifies multiple
@@ -25,13 +29,19 @@ type DomTree struct {
 	in, out    []int32     // by number: DFS interval for O(1) dominance queries
 	childStart []int32     // by number: children are childList[childStart[i]:childStart[i+1]]
 	childList  []*ir.Block
+
+	// What a rebuild reuses: the one array idom, in, out and childStart
+	// are carved from, a post-dominator tree's roots, and the DFS frames.
+	ints  []int32
+	roots []*ir.Block
+	stack ir.PostorderStack
 }
 
 // NewDomTree computes the dominator tree of f using the iterative
 // Cooper-Harvey-Kennedy algorithm.
 func NewDomTree(f *ir.Function) *DomTree {
 	t := &DomTree{}
-	t.build(f, blockSuccs, blockPreds, f.Blocks()[:1])
+	t.buildDom(f)
 	return t
 }
 
@@ -41,29 +51,37 @@ func NewDomTree(f *ir.Function) *DomTree {
 // for them.
 func NewPostDomTree(f *ir.Function) *DomTree {
 	t := &DomTree{}
-	var exits []*ir.Block
+	t.buildPostDom(f)
+	return t
+}
+
+func (t *DomTree) buildDom(f *ir.Function) { t.build(f, blockSuccs, blockPreds, f.Blocks()[:1]) }
+
+func (t *DomTree) buildPostDom(f *ir.Function) {
+	t.roots = t.roots[:0]
 	for _, b := range f.Blocks() {
 		if len(b.Succs()) == 0 {
-			exits = append(exits, b)
+			t.roots = append(t.roots, b)
 		}
 	}
-	t.build(f, blockPreds, blockSuccs, exits)
-	return t
+	t.build(f, blockPreds, blockSuccs, t.roots)
 }
 
 func blockSuccs(b *ir.Block) []*ir.Block { return b.Succs() }
 func blockPreds(b *ir.Block) []*ir.Block { return b.Preds() }
 
 // build runs CHK over the graph induced by succ/pred starting at roots, with
-// an explicit virtual root (number 0) whose children are the roots.
+// an explicit virtual root (number 0) whose children are the roots. Every
+// table is resized to f and cleared here, so a tree rebuilt over another
+// function's tables answers exactly as a new one.
 func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, roots []*ir.Block) {
 	// Postorder DFS from all roots, successors in order. num doubles as the
 	// visited set until the real numbers are known.
-	t.num = make([]int32, f.BlockIDBound())
-	nodes := make([]*ir.Block, 1, f.NumBlocks()+1) // nodes[0]: the virtual root
+	t.num = resized(t.num, f.BlockIDBound())
+	nodes := append(slices.Grow(t.nodes[:0], f.NumBlocks()+1), nil) // nodes[0]: the virtual root
 	for _, r := range roots {
 		if t.num[r.ID()] == 0 {
-			nodes = ir.AppendPostorder(nodes, r, succ, t.num)
+			nodes = ir.AppendPostorder(nodes, r, succ, t.num, &t.stack)
 		}
 	}
 	// Blocks get 1..n in reverse postorder.
@@ -76,8 +94,8 @@ func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, 
 	}
 	t.nodes = nodes
 
-	ints := make([]int32, 4*(n+1)+2)
-	idom, ints := ints[:n+1:n+1], ints[n+1:]
+	t.ints = resized(t.ints, 4*(n+1)+2)
+	idom, ints := t.ints[:n+1:n+1], t.ints[n+1:]
 	t.in, ints = ints[:n+1:n+1], ints[n+1:]
 	t.out, t.childStart = ints[:n+1:n+1], ints[n+1:]
 	// Until the tree is numbered, in marks the roots.
@@ -141,7 +159,7 @@ func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, 
 	for k := 2; k < len(cs); k++ {
 		cs[k] += cs[k-1]
 	}
-	t.childList = make([]*ir.Block, n)
+	t.childList = resized(t.childList, n)
 	for i := 1; i <= n; i++ {
 		t.childList[cs[idom[i]+1]] = nodes[i]
 		cs[idom[i]+1]++
@@ -154,6 +172,13 @@ func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, 
 	for _, r := range t.childList[:cs[1]] {
 		cnt = t.number(t.num[r.ID()], cnt)
 	}
+}
+
+// park drops every block the tree's storage holds, keeping the storage.
+func (t *DomTree) park() {
+	t.nodes = dropAll(t.nodes)
+	t.childList = dropAll(t.childList)
+	t.roots = dropAll(t.roots)
 }
 
 // number assigns the DFS interval of the subtree under block number i,

@@ -15,12 +15,12 @@ import (
 // and the pipeline must obtain dominator trees and loop info through the
 // AnalysisManager (which caches and invalidates them), never by constructing
 // them directly — a direct construction silently bypasses the cache and brings
-// back the per-query recomputation this refactor removed. Constructing other
-// analyses (divergence, path counts) directly is fine; only the two hot,
-// cached ones are locked down.
+// back the per-query recomputation this refactor removed. Codegen builds its
+// three trees in a recycled Scratch. Constructing other analyses (divergence,
+// path counts) directly is fine; only the trees are locked down.
 func TestNoDirectAnalysisConstruction(t *testing.T) {
-	banned := []string{"analysis.NewDomTree(", "analysis.NewLoopInfo("}
-	for _, dir := range []string{"../transform", "../core", "../pipeline"} {
+	banned := []string{"analysis.NewDomTree(", "analysis.NewPostDomTree(", "analysis.NewLoopInfo("}
+	for _, dir := range []string{"../transform", "../core", "../pipeline", "../codegen"} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +37,7 @@ func TestNoDirectAnalysisConstruction(t *testing.T) {
 			}
 			for _, b := range banned {
 				if strings.Contains(string(src), b) {
-					t.Errorf("%s uses %s — query the AnalysisManager instead (am.DomTree()/am.LoopInfo())", path, strings.TrimSuffix(b, "("))
+					t.Errorf("%s uses %s — query the AnalysisManager (am.DomTree()/am.LoopInfo()) or build in an analysis.Scratch instead", path, strings.TrimSuffix(b, "("))
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"uu/internal/ir"
 )
@@ -105,6 +106,13 @@ type LoopInfo struct {
 	Loops  []*Loop // all loops, preorder: outer before inner, by header RPO
 	Top    []*Loop // outermost loops
 	loopOf []int32 // by Block.ID: the innermost containing loop's ID + 1, 0 for none
+
+	// What a rebuild reuses: the body walk's stack, and every Loop a build
+	// has made, in the order the last build found them — so a rebuild of
+	// the same function gives each header the Loop it had, and that Loop's
+	// lists are already long enough.
+	work []*ir.Block
+	made []*Loop
 }
 
 // NewLoopInfo discovers the natural loops of f, given f's dominator tree.
@@ -114,36 +122,45 @@ type LoopInfo struct {
 // exposes for per-loop selection.
 func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 	li := &LoopInfo{}
+	li.build(f, dt)
+	return li
+}
 
+// build discovers f's loops into li, overwriting what it held: every table
+// is resized to f and cleared, and every Loop it reuses is emptied first.
+func (li *LoopInfo) build(f *ir.Function, dt *DomTree) {
 	// Find back edges. While loops are being discovered, loopOf maps a
-	// header to its loop's position in loops (+ 1).
-	var loops []*Loop
+	// header to its loop's position in Loops (+ 1). A function without
+	// loops leaves it empty.
+	li.loopOf = li.loopOf[:0]
+	li.Loops, li.Top = li.Loops[:0], li.Top[:0]
+	n := 0
 	for _, b := range f.Blocks() {
 		for _, s := range b.Succs() {
 			if !dt.Dominates(s, b) {
 				continue
 			}
 			// Back edge b->s.
-			if li.loopOf == nil {
-				li.loopOf = make([]int32, f.BlockIDBound())
+			if len(li.loopOf) == 0 {
+				li.loopOf = resized(li.loopOf, f.BlockIDBound())
 			}
 			if li.loopOf[s.ID()] == 0 {
-				loops = append(loops, &Loop{Header: s, blocks: []*ir.Block{s}})
-				li.loopOf[s.ID()] = int32(len(loops))
+				li.newLoop(f, n, s)
+				n++
+				li.loopOf[s.ID()] = int32(n)
 			}
-			l := loops[li.loopOf[s.ID()]-1]
+			l := li.made[li.loopOf[s.ID()]-1]
 			l.latches = append(l.latches, b)
 		}
 	}
-	if len(loops) == 0 {
-		return li
+	if n == 0 {
+		return
 	}
+	loops := li.made[:n]
 
 	// Populate loop bodies: walk backwards from each latch until the header.
-	var work []*ir.Block
+	work := li.work
 	for _, l := range loops {
-		l.blockSet = ir.NewBlockSet(f)
-		l.blockSet.Add(l.Header)
 		work = append(work[:0], l.latches...)
 		for len(work) > 0 {
 			b := work[len(work)-1]
@@ -160,6 +177,7 @@ func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 			}
 		}
 	}
+	li.work = work
 
 	// Establish nesting: parent = smallest strictly-containing loop.
 	for _, inner := range loops {
@@ -182,21 +200,13 @@ func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 	// which is the header's number in the dominator tree (both come from one
 	// DFS over successors from the entry; a header outside the tree sorts
 	// first, as it did with no position at all).
-	if len(loops) > 1 {
-		sort.SliceStable(loops, func(i, j int) bool {
-			di, dj := loops[i].Depth(), loops[j].Depth()
-			ri, rj := dt.numOf(loops[i].Header), dt.numOf(loops[j].Header)
-			if ri != rj {
-				return ri < rj
-			}
-			return di < dj
-		})
-	}
+	li.Loops = append(li.Loops, loops...)
+	slices.SortStableFunc(li.Loops, func(a, b *Loop) int {
+		return cmp.Or(cmp.Compare(dt.numOf(a.Header), dt.numOf(b.Header)), cmp.Compare(a.Depth(), b.Depth()))
+	})
+	loops = li.Loops
 	for i, l := range loops {
 		l.ID = i
-	}
-	li.Loops = loops
-	for _, l := range loops {
 		if l.Parent == nil {
 			li.Top = append(li.Top, l)
 		}
@@ -212,7 +222,33 @@ func NewLoopInfo(f *ir.Function, dt *DomTree) *LoopInfo {
 			}
 		}
 	}
-	return li
+}
+
+// newLoop empties the i-th loop of the build, making it when no build has
+// found that many, and heads it by h.
+func (li *LoopInfo) newLoop(f *ir.Function, i int, h *ir.Block) {
+	if i == len(li.made) {
+		li.made = append(li.made, new(Loop))
+	}
+	l := li.made[i]
+	*l = Loop{
+		Header:   h,
+		Children: l.Children[:0],
+		blocks:   append(l.blocks[:0], h),
+		blockSet: l.blockSet.Reset(f),
+		latches:  l.latches[:0],
+	}
+	l.blockSet.Add(h)
+}
+
+// park drops every block the loop info's storage holds, keeping the
+// storage and the loops it made.
+func (li *LoopInfo) park() {
+	for _, l := range li.made {
+		*l = Loop{Children: dropAll(l.Children), blocks: dropAll(l.blocks), blockSet: l.blockSet, latches: dropAll(l.latches)}
+	}
+	li.Loops, li.Top = li.Loops[:0], li.Top[:0]
+	li.work = dropAll(li.work)
 }
 
 // LoopFor returns the innermost loop containing b, or nil. A block minted

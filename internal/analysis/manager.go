@@ -137,14 +137,21 @@ func sum(a [numAnalyses]int) int {
 // function mid-run (e.g. loop transforms re-resolving loops after each
 // structural edit) call InvalidateAll themselves before re-querying.
 //
+// The manager builds both trees in the Scratch it was given, so a rebuild
+// reuses the storage the last one left. The handle contract: a tree or loop
+// info the manager returns — and every Loop in it — stays valid until the
+// manager rebuilds that same analysis, which overwrites it in place. A
+// caller that holds a Loop across a query that may rebuild the loop info
+// takes what it needs from it first (a header, an ID) and re-resolves it
+// afterwards; a caller that keeps a result past the manager gives it a
+// Scratch of its own.
+//
 // A manager is bound to a single function and is not safe for concurrent
 // use; the experiment harness gives each compilation its own manager.
 type AnalysisManager struct {
 	f     *ir.Function
+	s     *Scratch
 	valid [numAnalyses]bool
-
-	domTree  *DomTree
-	loopInfo *LoopInfo
 
 	stats CacheStats
 
@@ -155,9 +162,10 @@ type AnalysisManager struct {
 	remarks *remark.Collector
 }
 
-// NewAnalysisManager returns an empty manager for f.
-func NewAnalysisManager(f *ir.Function) *AnalysisManager {
-	return &AnalysisManager{f: f}
+// NewAnalysisManager returns an empty manager for f that builds its
+// analyses in s.
+func NewAnalysisManager(f *ir.Function, s *Scratch) *AnalysisManager {
+	return &AnalysisManager{f: f, s: s}
 }
 
 // Function returns the function the manager is bound to.
@@ -185,22 +193,22 @@ func (am *AnalysisManager) hit(id AnalysisID) bool {
 // DomTree returns the cached dominator tree, computing it on a miss.
 func (am *AnalysisManager) DomTree() *DomTree {
 	if !am.hit(DomTreeID) {
-		am.domTree = NewDomTree(am.f)
+		return am.s.DomTree(am.f)
 	}
-	return am.domTree
+	return &am.s.dom
 }
 
 // LoopInfo returns the cached loop forest (computed over the cached
 // dominator tree).
 func (am *AnalysisManager) LoopInfo() *LoopInfo {
 	if !am.hit(LoopInfoID) {
-		am.loopInfo = NewLoopInfo(am.f, am.DomTree())
+		am.s.loops.build(am.f, am.DomTree())
 	}
-	return am.loopInfo
+	return &am.s.loops
 }
 
-// Invalidate drops both cached trees unless the pass left the CFG as it
-// found it.
+// Invalidate marks both cached trees stale unless the pass left the CFG as
+// it found it. The next query rebuilds them in place.
 func (am *AnalysisManager) Invalidate(pa PreservedAnalyses) {
 	if !pa.changed || pa.keepCFG {
 		return
@@ -211,8 +219,6 @@ func (am *AnalysisManager) Invalidate(pa PreservedAnalyses) {
 			am.stats.Invalidated[id]++
 		}
 	}
-	// Release dropped results for the GC.
-	am.domTree, am.loopInfo = nil, nil
 }
 
 // InvalidateAll drops every cached analysis — for callers that mutated the

@@ -1,6 +1,10 @@
 package analysis
 
-import "testing"
+import (
+	"testing"
+
+	"uu/internal/ir"
+)
 
 // managerTestFunc is a minimal single-loop function.
 const managerSrc = `
@@ -19,7 +23,7 @@ exit:
 
 func TestManagerCachesAndCounts(t *testing.T) {
 	f := parse(t, managerSrc)
-	am := NewAnalysisManager(f)
+	am := NewAnalysisManager(f, new(Scratch))
 	if am.Function() != f {
 		t.Fatalf("Function() mismatch")
 	}
@@ -51,34 +55,66 @@ func TestManagerCachesAndCounts(t *testing.T) {
 	}
 }
 
-// TestManagerInvalidation holds the manager to pointer identity: a query
-// after Unchanged or PreserveCFG returns the very trees it cached, one after
-// PreserveNone (or InvalidateAll) returns new ones.
+// TestManagerInvalidation holds the manager to its handle contract: a query
+// after Unchanged or PreserveCFG returns the very trees it cached; one after
+// PreserveNone (or InvalidateAll) misses, and rebuilds the trees for the
+// edited CFG in the same storage, so the handles the caller held — the loop
+// included — now answer for the new graph.
 func TestManagerInvalidation(t *testing.T) {
 	f := parse(t, managerSrc)
-	am := NewAnalysisManager(f)
+	am := NewAnalysisManager(f, new(Scratch))
 	dt, li := am.DomTree(), am.LoopInfo()
+	loop := li.Loops[0]
 	for _, pa := range []PreservedAnalyses{Unchanged(), PreserveCFG(), If(false, PreserveNone())} {
 		am.Invalidate(pa)
 		if am.DomTree() != dt || am.LoopInfo() != li {
 			t.Fatalf("%+v dropped a cached tree", pa)
 		}
 	}
-	if st := am.Stats(); st.TotalInvalidated() != 0 {
-		t.Errorf("a preserving declaration counted invalidations: %+v", st)
+	if st := am.Stats(); st.TotalInvalidated() != 0 || st.TotalMisses() != 2 {
+		t.Errorf("a preserving declaration counted invalidations or misses: %+v", st)
 	}
 
+	// splitEdge puts a new block on the edge from -> to, which has no phi
+	// but (for the back edge) head's.
+	head, exit := f.BlockByName("head"), f.BlockByName("exit")
+	splitEdge := func(name string, from, to *ir.Block) *ir.Block {
+		mid := f.NewBlock(name)
+		ir.NewBuilder(mid).Br(to)
+		from.ReplaceSucc(to, mid)
+		for _, phi := range to.Phis() {
+			for i := 0; i < phi.NumBlocks(); i++ {
+				if phi.BlockArg(i) == from {
+					phi.SetBlockArg(i, mid)
+				}
+			}
+		}
+		return mid
+	}
+
+	latch := splitEdge("latch", head, head)
 	am.Invalidate(PreserveNone())
-	dt2, li2 := am.DomTree(), am.LoopInfo()
-	if dt2 == dt || li2 == li {
-		t.Fatalf("PreserveNone kept a cached tree")
+	if am.DomTree() != dt || am.LoopInfo() != li || li.Loops[0] != loop {
+		t.Fatalf("PreserveNone rebuilt a tree in new storage")
 	}
-	if st := am.Stats(); st.Invalidated != [numAnalyses]int{1, 1} {
-		t.Errorf("PreserveNone invalidation counters: %+v", st)
+	if st := am.Stats(); st.Invalidated != [numAnalyses]int{1, 1} || st.Misses != [numAnalyses]int{2, 2} {
+		t.Errorf("PreserveNone counters: %+v", st)
 	}
+	if dt.Idom(latch) != head || !dt.Dominates(head, latch) ||
+		len(li.Loops) != 1 || loop.Latch() != latch || len(loop.Blocks()) != 2 || li.LoopFor(latch) != loop {
+		t.Fatalf("the rebuilt trees do not answer for the split back edge: idom %v, %v", dt.Idom(latch), loop)
+	}
+
+	mid := splitEdge("mid", head, exit)
 	am.InvalidateAll()
-	if am.DomTree() == dt2 || am.LoopInfo() == li2 {
-		t.Fatalf("InvalidateAll kept a cached tree")
+	if am.DomTree() != dt || am.LoopInfo() != li || li.Loops[0] != loop {
+		t.Fatalf("InvalidateAll rebuilt a tree in new storage")
+	}
+	if st := am.Stats(); st.Invalidated != [numAnalyses]int{2, 2} || st.Misses != [numAnalyses]int{3, 3} {
+		t.Errorf("InvalidateAll counters: %+v", st)
+	}
+	if dt.Idom(mid) != head || dt.Idom(exit) != mid || li.LoopFor(mid) != nil || loop.Contains(mid) {
+		t.Fatalf("the rebuilt trees do not answer for the split exit edge")
 	}
 }
 

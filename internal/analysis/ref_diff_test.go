@@ -150,12 +150,25 @@ func TestLoopInfoMatchesReference(t *testing.T) {
 // TestStaleHandlesAnswerLikeMaps pins the contract core.newUnmerger, LICM
 // and Loop.ExitBlocks rely on: a tree or loop asked about a block minted
 // after it was built answers what a pointer-keyed map would — the block is
-// unknown — instead of indexing past its tables.
+// unknown — instead of indexing past its tables. It holds for new trees
+// and for trees rebuilt in a Scratch whose tables the largest suite kernel
+// grew past the function's ID bound.
 func TestStaleHandlesAnswerLikeMaps(t *testing.T) {
+	var largest *ir.Function
+	corpus.Kernels(corpus.Spec{}, func(k *corpus.Kernel) {
+		if largest == nil || k.F.BlockIDBound() > largest.BlockIDBound() {
+			largest = k.F
+		}
+	})
+	var s analysis.Scratch
 	corpus.Kernels(corpus.Spec{}, func(k *corpus.Kernel) {
 		f := k.F
 		dt, pdt := analysis.NewDomTree(f), analysis.NewPostDomTree(f)
 		li := analysis.NewLoopInfo(f, dt)
+		s.LoopInfo(largest)
+		s.PostDomTree(largest)
+		sli, spdt := s.LoopInfo(f), s.PostDomTree(f)
+		sdt := s.DomTree(f)
 		was := f.NumBlocks()
 		for _, l := range li.Loops {
 			transform.EnsurePreheader(f, l)
@@ -167,25 +180,29 @@ func TestStaleHandlesAnswerLikeMaps(t *testing.T) {
 		}
 		old := f.Blocks()[0]
 		for _, nb := range f.Blocks()[was:] {
-			for _, tree := range []*analysis.DomTree{dt, pdt} {
+			for _, tree := range []*analysis.DomTree{dt, pdt, sdt, spdt} {
 				if tree.Reachable(nb) || tree.Idom(nb) != nil || tree.Children(nb) != nil ||
 					tree.Dominates(nb, old) || tree.Dominates(old, nb) || !tree.Dominates(nb, nb) {
 					t.Fatalf("%s: a tree built before %s was minted knows it", k.Name, nb.Name)
 				}
 			}
-			if li.LoopFor(nb) != nil {
-				t.Fatalf("%s: LoopFor(%s) on stale loop info is not nil", k.Name, nb.Name)
-			}
-			for _, l := range li.Loops {
-				if l.Contains(nb) {
-					t.Fatalf("%s: stale %v contains %s", k.Name, l, nb.Name)
+			for _, li := range []*analysis.LoopInfo{li, sli} {
+				if li.LoopFor(nb) != nil {
+					t.Fatalf("%s: LoopFor(%s) on stale loop info is not nil", k.Name, nb.Name)
+				}
+				for _, l := range li.Loops {
+					if l.Contains(nb) {
+						t.Fatalf("%s: stale %v contains %s", k.Name, l, nb.Name)
+					}
 				}
 			}
 		}
-		for _, l := range li.Loops {
-			l.ExitBlocks()
-			l.ExitingBlocks()
-			l.Preheader()
+		for _, li := range []*analysis.LoopInfo{li, sli} {
+			for _, l := range li.Loops {
+				l.ExitBlocks()
+				l.ExitingBlocks()
+				l.Preheader()
+			}
 		}
 	})
 }

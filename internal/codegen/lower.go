@@ -6,9 +6,18 @@ import (
 	"slices"
 
 	"uu/internal/analysis"
+	"uu/internal/freelist"
 	"uu/internal/ir"
 	"uu/internal/transform"
 )
+
+// maxFreeScratch bounds the free list of the analysis storage Lower builds
+// its trees in, the same as pipeline's, interp's and gpusim's lists.
+const maxFreeScratch = 16
+
+// freeScratch holds parked analysis storage. It has one class: the tables
+// grow to what they serve, so any Scratch can serve any function.
+var freeScratch = freelist.New[struct{}, *analysis.Scratch](maxFreeScratch)
 
 // Lower compiles an IR function to VPTX. It mutates f slightly (critical
 // edges into phi-bearing blocks are split so phi copies have a home), then
@@ -64,8 +73,14 @@ func Lower(f *ir.Function) (*Program, error) {
 	}
 	lw.prog.NumRegs = int(lw.next)
 
-	// Immediate post-dominators for the simulator's reconvergence stack.
-	pdt := analysis.NewPostDomTree(f)
+	// Immediate post-dominators for the simulator's reconvergence stack,
+	// built like the loop info below in recycled storage that is parked and
+	// filed once both have been read.
+	s, ok := freeScratch.Take(struct{}{})
+	if !ok {
+		s = new(analysis.Scratch)
+	}
+	pdt := s.PostDomTree(f)
 	lw.prog.IPDom = make([]int, len(order))
 	for i, b := range order {
 		ip := pdt.Idom(b)
@@ -79,7 +94,7 @@ func Lower(f *ir.Function) (*Program, error) {
 	// Line table and loop metadata for the profiler: one record per
 	// instruction in flat PC order (the simulator's pre-decoded index), each
 	// naming its source loc and innermost enclosing loop of the final IR.
-	li := analysis.NewLoopInfo(f, analysis.NewDomTree(f))
+	li := s.LoopInfo(f)
 	for _, l := range li.Loops {
 		parent := int32(-1)
 		if l.Parent != nil {
@@ -105,6 +120,8 @@ func Lower(f *ir.Function) (*Program, error) {
 			})
 		}
 	}
+	s.Park()
+	freeScratch.Put(struct{}{}, s)
 	return lw.prog, nil
 }
 
@@ -125,7 +142,7 @@ func splitCriticalEdges(f *ir.Function) {
 }
 
 func rpo(f *ir.Function) []*ir.Block {
-	post := ir.AppendPostorder(make([]*ir.Block, 0, f.NumBlocks()), f.Entry(), (*ir.Block).Succs, make([]int32, f.BlockIDBound()))
+	post := ir.AppendPostorder(make([]*ir.Block, 0, f.NumBlocks()), f.Entry(), (*ir.Block).Succs, make([]int32, f.BlockIDBound()), nil)
 	slices.Reverse(post)
 	return post
 }

@@ -325,11 +325,11 @@ func TestUUBezierSemanticsAndConditionElimination(t *testing.T) {
 	// Clean up with the standard passes.
 	for i := 0; i < 3; i++ {
 		var s transform.Scratch
-		transform.SCCPPass(&s).Run(f, analysis.NewAnalysisManager(f))
+		transform.SCCPPass(&s).Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
 		transform.SimplifyCFG(f)
-		transform.InstSimplifyPass(&s).Run(f, analysis.NewAnalysisManager(f))
-		transform.GVNPass(transform.DefaultGVNOptions(), &s).Run(f, analysis.NewAnalysisManager(f))
-		transform.DCEPass(&s).Run(f, analysis.NewAnalysisManager(f))
+		transform.InstSimplifyPass(&s).Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
+		transform.GVNPass(transform.DefaultGVNOptions(), &s).Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
+		transform.DCEPass(&s).Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
 		transform.SimplifyCFG(f)
 	}
 	mustVerify(t, f, "cleanup")
@@ -466,7 +466,7 @@ exit:
 func TestApplyHeuristicPreservesSemantics(t *testing.T) {
 	want := runBezier(t, parse(t, bezierLoop), 15, 3, 9)
 	f := parse(t, bezierLoop)
-	ds, _ := ApplyHeuristicWith(analysis.NewAnalysisManager(f), DefaultHeuristicParams(), Options{}, new(Scratch))
+	ds, _ := ApplyHeuristicWith(analysis.NewAnalysisManager(f, new(analysis.Scratch)), DefaultHeuristicParams(), Options{}, new(Scratch))
 	if len(ds) == 0 {
 		t.Fatalf("heuristic applied nothing")
 	}

@@ -10,7 +10,7 @@ import (
 
 // Unmerge is unmerge on a fresh analysis manager and fresh tables.
 func Unmerge(f *ir.Function, l *analysis.Loop, opts Options) bool {
-	return unmerge(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
+	return unmerge(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)), l, opts, new(Scratch))
 }
 
 // refFindMergeBlock is the merge search as it was before blocks had numbers:
@@ -60,7 +60,7 @@ func UnmergeWithOracle(f *ir.Function, l *analysis.Loop, opts Options, mismatch 
 	if opts.DirectSuccessorOnly {
 		panic("core: UnmergeWithOracle: one-round mode")
 	}
-	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
+	u := newUnmerger(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)), l, opts, new(Scratch))
 	if u == nil {
 		return 0
 	}
@@ -103,7 +103,7 @@ func UnmergeWithOracle(f *ir.Function, l *analysis.Loop, opts Options, mismatch 
 // number of splits and what one merge search allocates once the fixpoint
 // has grown the search's buffers.
 func UnmergeAuditingAdjacency(f *ir.Function, l *analysis.Loop, opts Options, stale func(string)) (splits int, searchAllocs float64) {
-	u := newUnmerger(f, analysis.NewAnalysisManager(f), l, opts, new(Scratch))
+	u := newUnmerger(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)), l, opts, new(Scratch))
 	if u == nil {
 		return 0, 0
 	}

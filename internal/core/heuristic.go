@@ -231,7 +231,7 @@ func DeliberateSkip(reason string) bool {
 // skip record for every loop it considered and rejected, so reports can tell
 // deliberate skips from size-model mispredictions.
 func HeuristicDecide(f *ir.Function, params HeuristicParams) ([]Decision, []SkipRecord) {
-	return heuristicDecide(f, analysis.NewAnalysisManager(f), params)
+	return heuristicDecide(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)), params)
 }
 
 // heuristicDecide is HeuristicDecide against a caller-provided analysis

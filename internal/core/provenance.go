@@ -34,7 +34,7 @@ func ConditionProvenance(f *ir.Function, conds []*ir.Instr, origins map[*ir.Inst
 		return in, true
 	}
 
-	dt := analysis.NewAnalysisManager(f).DomTree()
+	dt := new(analysis.Scratch).DomTree(f)
 	labels := map[*ir.Block]string{}
 	state := make([]byte, len(conds))
 	for i := range state {

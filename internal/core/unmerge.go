@@ -194,7 +194,9 @@ type dfsFrame struct {
 }
 
 // newUnmerger puts l into preheader/LCSSA form and builds the block sets in
-// s, or returns nil when the loop cannot be unmerged.
+// s, or returns nil when the loop cannot be unmerged. Past that form l is
+// the loop with its header in the manager's rebuilt loop info, which
+// overwrote the one l came from.
 func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, opts Options, s *Scratch) *unmerger {
 	if l.HasConvergentOp() {
 		return nil
@@ -209,6 +211,10 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	transform.EnsurePreheader(f, l)
 	transform.EnsureLCSSA(f, l)
 	am.InvalidateAll()
+	li := am.LoopInfo()
+	if l = loopWithHeader(li, u.header); l == nil {
+		return nil
+	}
 
 	// The sets start empty and the rows zero (refresh grows them back
 	// from length 0, which writes zeros).
@@ -228,7 +234,7 @@ func newUnmerger(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop,
 	// back-edge values. Inner loops are unmerged by their own Unmerge calls
 	// (see UnrollAndUnmerge); here they are cloned wholesale when they sit
 	// inside a duplicated tail.
-	for _, il := range am.LoopInfo().Loops {
+	for _, il := range li.Loops {
 		if il.Header != u.header && l.Contains(il.Header) {
 			for _, ib := range il.Blocks() {
 				u.exempt.add(ib)

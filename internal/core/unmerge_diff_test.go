@@ -13,7 +13,7 @@ import (
 )
 
 func loopWithHeader(f *ir.Function, h *ir.Block) *analysis.Loop {
-	for _, l := range analysis.NewAnalysisManager(f).LoopInfo().Loops {
+	for _, l := range analysis.NewAnalysisManager(f, new(analysis.Scratch)).LoopInfo().Loops {
 		if l.Header == h {
 			return l
 		}
@@ -34,7 +34,7 @@ func TestMergeSearchMatchesReference(t *testing.T) {
 	corpus.Kernels(corpus.Spec{Seeds: 500}, func(k *corpus.Kernel) {
 		k.Cases(func(c *corpus.Case) {
 			g := ir.Clone(k.F)
-			l := analysis.NewAnalysisManager(g).LoopInfo().LoopByID(c.Loop)
+			l := analysis.NewAnalysisManager(g, new(analysis.Scratch)).LoopInfo().LoopByID(c.Loop)
 			if l.HasConvergentOp() || l.Latch() == nil {
 				if c.Err == nil {
 					t.Fatalf("%s: production transformed a loop it must refuse", c.Name)

@@ -19,7 +19,7 @@ import (
 // does not exist or the loop is not transformable (convergent operations,
 // no unique latch).
 func UnrollAndUnmerge(f *ir.Function, loopID, factor int, opts Options) (bool, error) {
-	return UnrollAndUnmergeWith(analysis.NewAnalysisManager(f), loopID, factor, opts, new(Scratch))
+	return UnrollAndUnmergeWith(analysis.NewAnalysisManager(f, new(analysis.Scratch)), loopID, factor, opts, new(Scratch))
 }
 
 // UnrollAndUnmergeWith is UnrollAndUnmerge sharing the caller's analysis
@@ -37,8 +37,12 @@ func UnrollAndUnmergeWith(am *analysis.AnalysisManager, loopID, factor int, opts
 	return uuLoop(f, am, l, factor, opts, s)
 }
 
-// uuLoop is UnrollAndUnmerge on a resolved loop.
+// uuLoop is UnrollAndUnmerge on a resolved loop. l is read only before the
+// first unmerge: each one rebuilds the manager's loop info, and l with it,
+// so the loop's ID and header are taken first and the loop is re-resolved
+// by its header afterwards.
 func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, factor int, opts Options, s *Scratch) (bool, error) {
+	id, header := l.ID, l.Header
 	rc := am.Remarks()
 	emit := func(kind remark.Kind, name, block string, args ...remark.Arg) {
 		if !rc.Enabled() {
@@ -47,16 +51,16 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 		rc.Emit(remark.Remark{
 			Kind: kind, Pass: "uu", Name: name,
 			Function: f.Name, Block: block,
-			Args: append([]remark.Arg{remark.Int("Loop", int64(l.ID))}, args...),
+			Args: append([]remark.Arg{remark.Int("Loop", int64(id))}, args...),
 		})
 	}
 	if l.HasConvergentOp() {
-		emit(remark.Missed, "ConvergentOp", l.Header.Name)
-		return false, fmt.Errorf("core: loop #%d contains a convergent operation", l.ID)
+		emit(remark.Missed, "ConvergentOp", header.Name)
+		return false, fmt.Errorf("core: loop #%d contains a convergent operation", id)
 	}
 	if l.Latch() == nil {
-		emit(remark.Missed, "MultipleLatches", l.Header.Name)
-		return false, fmt.Errorf("core: loop #%d has multiple latches", l.ID)
+		emit(remark.Missed, "MultipleLatches", header.Name)
+		return false, fmt.Errorf("core: loop #%d has multiple latches", id)
 	}
 	changed := false
 
@@ -77,7 +81,6 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 		am.InvalidateAll() // unmerge may normalize the loop even when !changed
 	}
 
-	header := l.Header
 	if factor >= 2 {
 		tl := loopWithHeader(am.LoopInfo(), header)
 		if tl == nil {
@@ -87,7 +90,7 @@ func uuLoop(f *ir.Function, am *analysis.AnalysisManager, l *analysis.Loop, fact
 		am.InvalidateAll() // UnrollLoop normalizes the loop even on failure
 		if !ok {
 			emit(remark.Missed, "UnrollFailed", header.Name, remark.Int("Factor", int64(factor)))
-			return changed, fmt.Errorf("core: loop #%d could not be unrolled", l.ID)
+			return changed, fmt.Errorf("core: loop #%d could not be unrolled", id)
 		}
 		changed = true
 		emit(remark.Passed, "Unrolled", header.Name, remark.Int("Factor", int64(factor)))

@@ -31,7 +31,7 @@ func TestUUBuildsAPathTree(t *testing.T) {
 			orig := k.Loops.LoopByID(c.Loop)
 			wantLatches := pow(analysis.CountPaths(orig), c.U)
 			header := c.F.BlockByName(orig.Header.Name)
-			li := analysis.NewAnalysisManager(c.F).LoopInfo()
+			li := analysis.NewAnalysisManager(c.F, new(analysis.Scratch)).LoopInfo()
 			var l *analysis.Loop
 			for _, x := range li.Loops {
 				if x.Header == header {

@@ -1,10 +1,11 @@
-// Package freelist is the bounded free list behind five kinds of recycled
+// Package freelist is the bounded free list behind six kinds of recycled
 // storage: device memories (internal/interp) and run state
 // (internal/gpusim) for the simulator, the interpreter's per-thread frames
 // (internal/interp), the scratch bundle each compilation borrows for its
-// passes' tables (internal/pipeline), and the store of blocks and
-// instructions a released function leaves for the next one to be carved
-// from (internal/ir).
+// passes' tables and its analysis manager's trees (internal/pipeline), the
+// analysis storage codegen builds its post-dominator tree and loop info in
+// (internal/codegen), and the store of blocks and instructions a released
+// function leaves for the next one to be carved from (internal/ir).
 //
 // It is deliberately not a sync.Pool. A pool is emptied by the garbage
 // collector, so what a run allocates would depend on when the collector last
@@ -14,9 +15,9 @@
 // of the inputs: values are filed under a size class chosen by the caller
 // and handed out only for that same class, never "anything large enough",
 // so in a serial run a class is built once however the requests are ordered.
-// The compiler's bundles and IR stores have a single class: their tables
-// and objects grow to what they serve, so any one serves any compilation,
-// and a serial run builds one.
+// The compiler's bundles, codegen's analysis storage and IR stores have a
+// single class: their tables and objects grow to what they serve, so any
+// one serves any compilation, and a serial run builds one.
 package freelist
 
 import "sync"

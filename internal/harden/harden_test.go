@@ -64,7 +64,7 @@ func parseCountLoop(t *testing.T) *ir.Function {
 func TestGuardContainsPanic(t *testing.T) {
 	f := parseCountLoop(t)
 	want := f.String()
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 	am.DomTree() // warm the cache so rollback invalidation is observable
 	g := &Guard{}
 	crash := &fakePass{name: "crash", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
@@ -109,7 +109,7 @@ func TestGuardContainsPanic(t *testing.T) {
 func TestGuardContainsVerifierRejection(t *testing.T) {
 	f := parseCountLoop(t)
 	want := f.String()
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 	g := &Guard{}
 	corrupt := &fakePass{name: "corrupt", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		// Detach the exit block's terminator: a structural violation the
@@ -136,7 +136,7 @@ func TestGuardContainsVerifierRejection(t *testing.T) {
 
 func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 	f := parseCountLoop(t)
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 	g := &Guard{}
 	ok := &fakePass{name: "nop", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		return analysis.Unchanged()
@@ -162,7 +162,7 @@ func TestGuardPassesThroughHealthyRuns(t *testing.T) {
 // and text.
 func TestGuardReusesSnapshotUntilIRMoves(t *testing.T) {
 	f := parseCountLoop(t)
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 	g := &Guard{}
 	var took []bool
 	var snapText string
@@ -227,7 +227,7 @@ func TestGuardContinuesAfterFailure(t *testing.T) {
 	// A failure must leave the function usable by subsequent passes — the
 	// whole point of containment.
 	f := parseCountLoop(t)
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 	g := &Guard{}
 	crash := &fakePass{name: "crash", run: func(f *ir.Function, am *analysis.AnalysisManager) analysis.PreservedAnalyses {
 		panic("again")

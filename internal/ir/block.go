@@ -208,36 +208,60 @@ type BlockSet bitset
 // NewBlockSet returns an empty set that can hold every block f has now.
 func NewBlockSet(f *Function) BlockSet { return BlockSet(newBitset(f.nextBlockID)) }
 
+// Reset returns an empty set that can hold every block f has now, in s's
+// words when they are enough.
+func (s BlockSet) Reset(f *Function) BlockSet {
+	n := (f.nextBlockID + 63) / 64
+	if n > cap(s) {
+		return NewBlockSet(f)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // Has reports whether b is in the set.
 func (s BlockSet) Has(b *Block) bool { return bitset(s).has(b.id) }
 
 // Add puts b, which must not be newer than the set, into it.
 func (s BlockSet) Add(b *Block) { bitset(s).add(b.id) }
 
+// PostorderStack is the frame stack of an AppendPostorder walk. A caller
+// that walks again and again keeps one, so the walks share its storage; a
+// finished walk leaves it empty and holding no block.
+type PostorderStack struct{ frames []postorderFrame }
+
+type postorderFrame struct {
+	b    *Block
+	rest []*Block // neighbours still to look at
+}
+
 // AppendPostorder walks the graph that next induces, depth first from root
 // with each block's neighbours in order, and appends the blocks it reaches
 // to order as it leaves them. mark, indexed by Block.ID, is the visited set:
-// a block is reached only while its entry is zero, and is given -1.
-func AppendPostorder(order []*Block, root *Block, next func(*Block) []*Block, mark []int32) []*Block {
-	type frame struct {
-		b    *Block
-		rest []*Block // neighbours still to look at
+// a block is reached only while its entry is zero, and is given -1. The walk
+// keeps its frames in stack, or in storage of its own when stack is nil.
+func AppendPostorder(order []*Block, root *Block, next func(*Block) []*Block, mark []int32, stack *PostorderStack) []*Block {
+	if stack == nil {
+		stack = new(PostorderStack)
 	}
 	mark[root.id] = -1
-	stack := []frame{{root, next(root)}}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
+	frames := append(stack.frames[:0], postorderFrame{root, next(root)})
+	for len(frames) > 0 {
+		top := &frames[len(frames)-1]
 		if len(top.rest) == 0 {
 			order = append(order, top.b)
-			stack = stack[:len(stack)-1]
+			*top = postorderFrame{}
+			frames = frames[:len(frames)-1]
 			continue
 		}
 		s := top.rest[0]
 		top.rest = top.rest[1:]
 		if mark[s.id] == 0 {
 			mark[s.id] = -1
-			stack = append(stack, frame{s, next(s)})
+			frames = append(frames, postorderFrame{s, next(s)})
 		}
 	}
+	stack.frames = frames
 	return order
 }

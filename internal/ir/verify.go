@@ -493,7 +493,7 @@ func verifyDominance(f *Function) error {
 // dominator's number (0 for the entry's).
 func computeIdom(f *Function) (num, idom []int32) {
 	num = make([]int32, f.BlockIDBound())
-	post := AppendPostorder(nil, f.Entry(), (*Block).Succs, num)
+	post := AppendPostorder(nil, f.Entry(), (*Block).Succs, num, nil)
 	n := len(post)
 	for i, b := range post {
 		num[b.id] = int32(n - i)

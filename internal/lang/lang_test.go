@@ -95,7 +95,7 @@ func refBsearch(a []float64, quarry float64) int64 {
 
 func TestCompileXSBenchBinarySearch(t *testing.T) {
 	f := compile(t, xsbenchSrc)
-	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
 	if err := ir.Verify(f); err != nil {
 		t.Fatalf("verify after mem2reg: %v", err)
 	}
@@ -159,7 +159,7 @@ func refComplex(n, a, c int64) int64 {
 
 func TestCompileComplex(t *testing.T) {
 	f := compile(t, complexSrc)
-	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
 	mem := interp.NewMemory(8 * 64)
 	for tid := int32(0); tid < 64; tid++ {
 		env := interp.Env{TID: tid % 32, NTID: 32, CTAID: tid / 32, NCTAID: 2}
@@ -363,7 +363,7 @@ kernel nest(long* restrict out, long n, long m) {
 }
 `
 	f := compile(t, src)
-	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
 	mem := interp.NewMemory(8)
 	args := []interp.Value{interp.IntVal(0), interp.IntVal(5), interp.IntVal(4)}
 	if _, err := interp.RunCounted(f, args, mem, interp.Env{}, nil); err != nil {
@@ -394,7 +394,7 @@ kernel k(long* restrict out, long n) {
 }
 `
 	f := compile(t, src)
-	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f))
+	transform.Mem2RegPass().Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch)))
 	transform.SimplifyCFG(f)
 	// Find loops; each must have a unique latch.
 	lcount := 0

@@ -224,7 +224,8 @@ func cleanupPasses(s *transform.Scratch, gvn transform.GVNOptions) []analysis.Pa
 // scratch is what one compilation borrows: each layer's storage for the
 // tables its passes rebuild on every invocation, grown by the compilations
 // that had it before. transform's holds the cleanup passes' tables, core's
-// the unmerger's and its ir.Cloner's, harden's the guard's spare snapshot.
+// the unmerger's and its ir.Cloner's, harden's the guard's spare snapshot,
+// analysis's the analysis manager's dominator tree and loop info.
 // Each layer owns its type; this package owns how long a bundle lives.
 // OptimizeCtx takes one when it starts and files it back on every return
 // that did not panic. Three rules keep reuse invisible (DESIGN.md §16):
@@ -241,6 +242,7 @@ type scratch struct {
 	transform transform.Scratch
 	core      core.Scratch
 	harden    harden.Scratch
+	analysis  analysis.Scratch
 }
 
 // maxFreeScratch is the free list's capacity, the same as interp's and
@@ -263,6 +265,7 @@ func (s *scratch) park() {
 	s.transform.Park()
 	s.core.Park()
 	s.harden.Park()
+	s.analysis.Park()
 }
 
 // file parks s and puts it on the free list.
@@ -439,7 +442,7 @@ func optimize(ctx context.Context, f *ir.Function, opts Options, s *scratch) (*S
 		return st, fmt.Errorf("pipeline: unknown config %q", opts.Config)
 	}
 	st.Start = time.Now()
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, &s.analysis)
 	am.SetRemarks(opts.Remarks)
 	d := &driver{f: f, am: am, st: st, opts: opts, s: s, ctx: ctx}
 	if opts.Contain {
@@ -626,10 +629,11 @@ func (d *driver) headerOfLoop(id int) (*ir.Block, error) {
 // Canonicalize puts f in the canonical form in place, running phase 1's pass
 // list in a borrowed scratch bundle exactly as OptimizeCtx runs it first, and
 // returns the loops of the result: loop i of it is the loop Options.LoopID i
-// selects. Callers that need f as it was must canonicalize a copy.
+// selects. Callers that need f as it was must canonicalize a copy. The loops
+// are built in storage of their own, since they outlive the bundle.
 func Canonicalize(f *ir.Function) *analysis.LoopInfo {
 	s := takeScratch()
-	am := analysis.NewAnalysisManager(f)
+	am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 	for _, p := range canonicalizationPasses(&s.transform) {
 		am.Invalidate(p.Run(f, am))
 	}

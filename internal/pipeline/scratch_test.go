@@ -188,7 +188,9 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 
 // TestParkedScratchPinsNoFunction: once a compilation has returned and filed
 // its bundle, nothing the free list holds reaches the function it compiled.
-// The worst cell, contained and verified, puts every layer's scratch to work.
+// The worst cell, contained and verified, puts every layer's scratch to work;
+// lowering it puts codegen's analysis storage to work, which codegen files on
+// a list of its own.
 // A finalizer on the *ir.Function itself would never run — the function and
 // its blocks point at each other, and the runtime does not finalize a cycle
 // — so it sits on a constant only the compiled function references, which
@@ -207,6 +209,9 @@ func TestParkedScratchPinsNoFunction(t *testing.T) {
 		entry := f.Entry()
 		entry.InsertBefore(ir.NewInstr(ir.OpAdd, ir.I64, c, c), entry.Term())
 		runtime.SetFinalizer(c, func(*ir.Const) { close(freed) })
+		if _, err := codegen.Lower(f); err != nil {
+			t.Fatal(err)
+		}
 	}()
 	for i := 0; i < 20; i++ {
 		runtime.GC()

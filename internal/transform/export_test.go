@@ -8,7 +8,7 @@ import (
 // RunPass runs p once over f on a fresh analysis manager and reports whether
 // it changed f: a test's one-shot entry to a pass the pipeline runs.
 func RunPass(p analysis.Pass, f *ir.Function) bool {
-	return p.Run(f, analysis.NewAnalysisManager(f)).Changed()
+	return p.Run(f, analysis.NewAnalysisManager(f, new(analysis.Scratch))).Changed()
 }
 
 // GVN runs GVN once over f on fresh storage.

@@ -51,7 +51,7 @@ func TestGVNMatchesReference(t *testing.T) {
 		ref := ir.Clone(f)
 		for round := 1; round <= 4; round++ {
 			rc := remark.NewCollector()
-			am := analysis.NewAnalysisManager(f)
+			am := analysis.NewAnalysisManager(f, new(analysis.Scratch))
 			am.SetRemarks(rc)
 			changed := v.pass.Run(f, am).Changed()
 			erased, rewrites := 0, 0
@@ -66,7 +66,7 @@ func TestGVNMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			refChanged, refErased, refRewrites := refGVN(ref, analysis.NewAnalysisManager(ref), v.opts)
+			refChanged, refErased, refRewrites := refGVN(ref, analysis.NewAnalysisManager(ref, new(analysis.Scratch)), v.opts)
 			if changed != refChanged || erased != refErased || rewrites != refRewrites {
 				t.Fatalf("%s %s round %d: GVN changed=%v erased=%d rewrites=%d, reference changed=%v erased=%d rewrites=%d",
 					v.name, name, round, changed, erased, rewrites, refChanged, refErased, refRewrites)

@@ -184,8 +184,8 @@ func TestUnrollMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("%s loop %d u=%d", f.Name, id, u)
 				prod, ref := ir.Clone(f), ir.Clone(f)
 				prodOrigins, refOrigins := map[*ir.Instr]*ir.Instr{}, map[*ir.Instr]*ir.Instr{}
-				prodOK := transform.UnrollLoopWithOrigins(prod, analysis.NewAnalysisManager(prod).LoopInfo().LoopByID(id), u, prodOrigins, &c)
-				refOK := refUnroll(ref, analysis.NewAnalysisManager(ref).LoopInfo().LoopByID(id), u, refOrigins)
+				prodOK := transform.UnrollLoopWithOrigins(prod, analysis.NewAnalysisManager(prod, new(analysis.Scratch)).LoopInfo().LoopByID(id), u, prodOrigins, &c)
+				refOK := refUnroll(ref, analysis.NewAnalysisManager(ref, new(analysis.Scratch)).LoopInfo().LoopByID(id), u, refOrigins)
 				if prodOK != refOK {
 					t.Fatalf("%s: unrolled %v, reference %v", name, prodOK, refOK)
 				}
