@@ -194,22 +194,13 @@ func reference(b *Benchmark, w *Workload, ctr *interp.Counters) (*interp.Memory,
 }
 
 // Interpret runs f with the sequential interpreter once per thread of the
-// workload's launch, each thread within maxSteps, on a fresh memory of the
-// workload, and returns that memory. A non-nil ctr tallies the executed
-// operations.
+// workload's launch (interp.RunLaunch, which decodes f once for all of
+// them), each thread within maxSteps, on a fresh memory of the workload,
+// and returns that memory. A non-nil ctr tallies the executed operations.
 func Interpret(f *ir.Function, w *Workload, maxSteps int64, ctr *interp.Counters) (*interp.Memory, error) {
 	mem := w.NewMemory()
-	l := w.Launch
-	for tid := 0; tid < l.Threads(); tid++ {
-		env := interp.Env{
-			TID:    int32(tid % l.BlockDim),
-			NTID:   int32(l.BlockDim),
-			CTAID:  int32(tid / l.BlockDim),
-			NCTAID: int32(l.GridDim),
-		}
-		if _, err := interp.RunSteps(f, w.Args, mem, env, maxSteps, ctr); err != nil {
-			return nil, fmt.Errorf("thread %d: %w", tid, err)
-		}
+	if err := interp.RunLaunch(f, w.Args, mem, w.Launch.GridDim, w.Launch.BlockDim, maxSteps, ctr); err != nil {
+		return nil, err
 	}
 	return mem, nil
 }

@@ -727,7 +727,7 @@ func (c *compiler) compileLoad(in *codegen.Instr, gi int32) threadOp {
 				l := bits.TrailingZeros32(rem)
 				a := w.addrBuf[ai]
 				ai++
-				if a < 0 || a+8 > int64(len(data)) {
+				if a < 0 || a > int64(len(data))-8 { // a+8 could wrap
 					w.loadFault(typ, a)
 					return cost
 				}
@@ -740,7 +740,7 @@ func (c *compiler) compileLoad(in *codegen.Instr, gi int32) threadOp {
 				l := bits.TrailingZeros32(rem)
 				a := w.addrBuf[ai]
 				ai++
-				if a < 0 || a+8 > int64(len(data)) {
+				if a < 0 || a > int64(len(data))-8 { // a+8 could wrap
 					w.loadFault(typ, a)
 					return cost
 				}
@@ -784,7 +784,7 @@ func (c *compiler) compileStore(in *codegen.Instr, gi int32) threadOp {
 				l := bits.TrailingZeros32(rem)
 				a := w.addrBuf[ai]
 				ai++
-				if a < 0 || a+8 > int64(len(data)) {
+				if a < 0 || a > int64(len(data))-8 { // a+8 could wrap
 					w.storeFault(typ, a, interp.FloatVal(v[l]))
 					return cost
 				}

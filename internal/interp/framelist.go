@@ -7,14 +7,17 @@ import (
 	"uu/internal/ir"
 )
 
-// The frame free list recycles interpreter frames between runs: an oracle
-// is one RunSteps per thread of the launch, and each run used to allocate
-// its frame afresh. Frames are filed by capacity, a power of two of Values
-// from minFrameValues to maxFrameValues, and only ever reused at that
-// capacity (see package freelist for why not best fit, and why not a
+// The frame free list recycles interpreter frames between launches: an
+// oracle is one RunLaunch, a test's thread one RunCounted, and each used to
+// allocate its frame afresh. Frames are filed by capacity, a power of two of
+// Values from minFrameValues to maxFrameValues, and only ever reused at
+// that capacity (see package freelist for why not best fit, and why not a
 // sync.Pool). A function whose frame needs more is allocated and dropped.
-// A frame holds only Values and slot bytes, so a filed frame pins no IR;
-// 16 frames of the largest class (vals and locals) bound the list at 12 MiB.
+// A filed frame holds Values, slot bytes and its last program, whose
+// records name only interned types, so it pins no function. At the largest
+// class a frame is about 3 MiB (vals, locals, and a 56-byte op per
+// instruction), so 16 of them bound the list at about 48 MiB; the suite's
+// frames are in the smallest classes.
 const (
 	maxFreeFrames  = 16
 	minFrameValues = 256
@@ -35,33 +38,32 @@ func frameClass(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// takeFrame returns the frame for one run of f on args, a recycled one when
-// the list holds one of its class. The reset makes the recycling invisible:
-// vals is cleared over the run's length (a fresh frame reads zero for a
-// value not yet defined, and an alloca reads zero as "not yet executed"),
-// the alloca count is zeroed, and locals is dropped to length zero until
-// the run's first alloca. Its stale bytes need no clearing: a slot is
-// reached only through an alloca that has executed in this run, and
-// executing it zeroes the slot.
+// takeFrame returns a frame holding f decoded (decode.go) and args behind
+// its results, a recycled one when the list holds one of its class. Its
+// values are sized for f's results, parameters and constants; reset readies
+// it for each thread. The recycling is invisible because decode rewrites
+// the program and every constant slot, the arguments are rewritten here,
+// and reset clears every result.
 func takeFrame(f *ir.Function, args []Value) *frame {
 	params := f.InstrIDBound()
-	n := params + len(args)
+	n := params + len(args) + countConsts(f)
 	class := frameClass(n)
 	fr, ok := freeFrames.Take(class)
 	if ok {
 		fr.vals = fr.vals[:n]
-		clear(fr.vals)
 	} else {
 		fr = &frame{vals: make([]Value, n, max(class, n))}
 	}
-	fr.params, fr.allocas, fr.locals = params, 0, fr.locals[:0]
+	fr.fn, fr.params = f, params
+	fr.decode(f)
 	copy(fr.vals[params:], args)
 	return fr
 }
 
-// putFrame files fr for a later run; the caller must not touch fr
+// putFrame files fr for a later launch; the caller must not touch fr
 // afterwards. Only frames takeFrame sized at a class are kept.
 func putFrame(fr *frame) {
+	fr.fn = nil
 	if c := cap(fr.vals); frameClass(c) == c {
 		freeFrames.Put(c, fr)
 	}

@@ -1,6 +1,7 @@
 // Package interp is a reference interpreter for the IR. It executes one
 // function instance (one "thread") sequentially against a byte-addressable
-// memory, with the GPU geometry intrinsics supplied by the environment.
+// memory, with the GPU geometry intrinsics supplied by the environment, or
+// every thread of a launch in turn (RunLaunch).
 //
 // The interpreter is the semantic oracle of the repository: transformation
 // tests run the same function before and after a pass on random inputs and
@@ -10,16 +11,21 @@
 // Being the oracle, it stays independent of what it judges: pure opcodes are
 // evaluated by package ir's value kernels (the definitions constant folding
 // boxes), never by the simulator's. Being most of what a verified sweep
-// waits for before its first cell, it is also kept cheap: the SSA
-// environment and the thread-private alloca slots are slices indexed by
-// Instr.ID (DESIGN.md section 16), so a step allocates and hashes nothing.
-// A run borrows that frame from a bounded free list and files it back on
-// every return, trap and step-budget exit included, so a warm run allocates
-// nothing at all. The reset on borrowing is what keeps a recycled frame
-// invisible: the environment is cleared over the run's length, the alloca
-// count is zeroed, and the slots are dropped until the run's first alloca
-// (a slot is read only after its own alloca has zeroed it in this run), so
-// nothing an earlier thread, function, trap or budget exit left can be read.
+// waits for before its first cell, it is also kept cheap. A function is
+// decoded once per launch (decode.go) into a flat program: one fixed-size
+// record per non-phi instruction with its operands resolved to frame slots
+// (a result at its Instr.ID, a parameter behind the results, each constant
+// operand in a slot of its own behind the parameters), its types and
+// opcode class resolved, and the phi moves of every CFG edge listed with
+// the edge. Executing a step reads only that record and the slots, so it
+// allocates nothing and walks no IR (DESIGN.md section 16). Every thread of
+// the launch runs in one frame borrowed from a bounded free list and filed
+// back on every return, trap and step-budget exit included, so a warm
+// launch allocates nothing at all. Before each thread the frame is reset
+// (frame.reset): the results are cleared and the alloca count zeroed, so
+// nothing an earlier thread, function, trap or budget exit left can be
+// read; the program and the argument and constant slots, which no op
+// writes, stay as the launch's decode left them.
 package interp
 
 import (
@@ -59,54 +65,43 @@ type Memory struct {
 // NewMemory allocates a zeroed memory of the given size.
 func NewMemory(size int64) *Memory { return &Memory{Data: make([]byte, size)} }
 
-// Load reads a value of type t at byte address addr.
+// fits reports whether size bytes at addr lie inside m. It cannot
+// overflow: addr+size could wrap past the largest int64 and read as in
+// bounds, but len(m.Data)-size cannot, since size is a scalar's.
+func (m *Memory) fits(addr, size int64) bool {
+	return addr >= 0 && addr <= int64(len(m.Data))-size
+}
+
+// Load reads a value of type t at byte address addr: LoadKind, with the
+// error that says why it refused.
 func (m *Memory) Load(t *ir.Type, addr int64) (Value, error) {
-	if addr < 0 || addr+t.Size() > int64(len(m.Data)) {
-		return Value{}, fmt.Errorf("interp: load out of bounds: addr=%d size=%d mem=%d", addr, t.Size(), len(m.Data))
+	if v, ok := m.LoadKind(t.Kind, t.Size(), addr); ok {
+		return v, nil
 	}
-	switch t.Kind {
-	case ir.KindI1, ir.KindI8:
-		return IntVal(int64(int8(m.Data[addr]))), nil
-	case ir.KindI32:
-		return IntVal(int64(int32(binary.LittleEndian.Uint32(m.Data[addr:])))), nil
-	case ir.KindI64, ir.KindPtr:
-		return IntVal(int64(binary.LittleEndian.Uint64(m.Data[addr:]))), nil
-	case ir.KindF32:
-		return FloatVal(float64(math.Float32frombits(binary.LittleEndian.Uint32(m.Data[addr:])))), nil
-	case ir.KindF64:
-		return FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(m.Data[addr:]))), nil
+	if !m.fits(addr, t.Size()) {
+		return Value{}, fmt.Errorf("interp: load out of bounds: addr=%d size=%d mem=%d", addr, t.Size(), len(m.Data))
 	}
 	return Value{}, fmt.Errorf("interp: load of unsupported type %s", t)
 }
 
-// Store writes a value of type t at byte address addr.
+// Store writes a value of type t at byte address addr: StoreKind, with the
+// error that says why it refused.
 func (m *Memory) Store(t *ir.Type, addr int64, v Value) error {
-	if addr < 0 || addr+t.Size() > int64(len(m.Data)) {
+	if m.StoreKind(t.Kind, t.Size(), addr, v) {
+		return nil
+	}
+	if !m.fits(addr, t.Size()) {
 		return fmt.Errorf("interp: store out of bounds: addr=%d size=%d mem=%d", addr, t.Size(), len(m.Data))
 	}
-	switch t.Kind {
-	case ir.KindI1, ir.KindI8:
-		m.Data[addr] = byte(v.I)
-	case ir.KindI32:
-		binary.LittleEndian.PutUint32(m.Data[addr:], uint32(v.I))
-	case ir.KindI64, ir.KindPtr:
-		binary.LittleEndian.PutUint64(m.Data[addr:], uint64(v.I))
-	case ir.KindF32:
-		binary.LittleEndian.PutUint32(m.Data[addr:], math.Float32bits(float32(v.F)))
-	case ir.KindF64:
-		binary.LittleEndian.PutUint64(m.Data[addr:], math.Float64bits(v.F))
-	default:
-		return fmt.Errorf("interp: store of unsupported type %s", t)
-	}
-	return nil
+	return fmt.Errorf("interp: store of unsupported type %s", t)
 }
 
-// LoadKind is the hot-path variant of Load for callers that have
-// pre-decoded the type: k and size are t.Kind and t.Size(). It reports
-// ok=false instead of building an error, so the success path stays free
-// of allocations. Unsupported kinds also report false.
+// LoadKind is Load for callers that have decoded the type: k and size are
+// t.Kind and t.Size(). It reports ok=false instead of building an error, so
+// the success path allocates nothing; an unsupported kind also reports
+// false.
 func (m *Memory) LoadKind(k ir.Kind, size, addr int64) (Value, bool) {
-	if addr < 0 || addr+size > int64(len(m.Data)) {
+	if !m.fits(addr, size) {
 		return Value{}, false
 	}
 	switch k {
@@ -124,9 +119,9 @@ func (m *Memory) LoadKind(k ir.Kind, size, addr int64) (Value, bool) {
 	return Value{}, false
 }
 
-// StoreKind is the hot-path variant of Store; see LoadKind.
+// StoreKind is Store for callers that have decoded the type; see LoadKind.
 func (m *Memory) StoreKind(k ir.Kind, size, addr int64, v Value) bool {
-	if addr < 0 || addr+size > int64(len(m.Data)) {
+	if !m.fits(addr, size) {
 		return false
 	}
 	switch k {
@@ -203,151 +198,274 @@ type Counters struct {
 	Ops   map[ir.Op]int64
 }
 
-// RunCounted is RunSteps with the DefaultMaxSteps budget.
-func RunCounted(f *ir.Function, args []Value, mem *Memory, env Env, ctr *Counters) (Value, error) {
-	return RunSteps(f, args, mem, env, DefaultMaxSteps, ctr)
-}
-
-// RunSteps executes f with the given arguments (one per parameter; pointer
-// parameters take byte offsets into mem) for at most maxSteps steps. It
-// returns the return value (zero Value for void) and an error on traps or
-// step exhaustion. When ctr is non-nil (its Ops map must be too), the
-// dynamically executed operations are tallied into it.
+// RunCounted executes f with the given arguments (one per parameter;
+// pointer parameters take byte offsets into mem) for at most
+// DefaultMaxSteps steps. It returns the return value (zero Value for void)
+// and an error on traps or step exhaustion. When ctr is non-nil (its Ops
+// map must be too), the dynamically executed operations are tallied into
+// it.
 //
 // f must carry the numbering ir.Verify enforces (DESIGN.md section 16):
 // every attached instruction has a function-unique ID below
 // f.InstrIDBound(), because the environment is a slice indexed by that ID.
-func RunSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value, error) {
+// RunCounted decodes f for its one thread; RunLaunch decodes it once for
+// all the threads of a launch.
+func RunCounted(f *ir.Function, args []Value, mem *Memory, env Env, ctr *Counters) (Value, error) {
+	return runSteps(f, args, mem, env, DefaultMaxSteps, ctr)
+}
+
+// runSteps is RunCounted within a step budget of maxSteps.
+func runSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value, error) {
 	if len(args) != len(f.Params) {
-		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
+		return Value{}, arityError(f, args)
 	}
 	fr := takeFrame(f, args)
 	defer putFrame(fr)
-
-	var steps int64
-	block := f.Entry()
-	var prev *ir.Block
-	for {
-		// Phis evaluate simultaneously on entry.
-		phis := block.Phis()
-		if len(phis) > 0 {
-			if prev == nil {
-				return Value{}, fmt.Errorf("interp: phi in entry block %s", block.Name)
-			}
-			tmp := fr.phiTmp[:0]
-			for _, phi := range phis {
-				inc := phi.PhiIncoming(prev)
-				if inc == nil {
-					return Value{}, fmt.Errorf("interp: phi %s has no incoming for %s", phi.Ref(), prev.Name)
-				}
-				tmp = append(tmp, fr.eval(inc))
-			}
-			for i, phi := range phis {
-				fr.vals[phi.ID()] = tmp[i]
-			}
-			fr.phiTmp = tmp
-		}
-		for _, in := range block.Instrs()[len(phis):] {
-			steps++
-			if steps > maxSteps {
-				return Value{}, fmt.Errorf("interp: %w in %s", ErrStepBudget, f.Name)
-			}
-			if ctr != nil {
-				ctr.Steps++
-				ctr.Ops[in.Op]++
-			}
-			switch in.Op {
-			case ir.OpBr:
-				prev, block = block, in.BlockArg(0)
-			case ir.OpCondBr:
-				if fr.eval(in.Arg(0)).I != 0 {
-					prev, block = block, in.BlockArg(0)
-				} else {
-					prev, block = block, in.BlockArg(1)
-				}
-			case ir.OpRet:
-				if in.NumArgs() == 1 {
-					return fr.eval(in.Arg(0)), nil
-				}
-				return Value{}, nil
-			case ir.OpAlloca:
-				fr.alloca(in)
-			case ir.OpLoad:
-				if slot := fr.localSlot(in.Arg(0)); slot != nil {
-					fr.vals[in.ID()] = loadLocal(in.Type(), *slot)
-					continue
-				}
-				v, err := mem.Load(in.Type(), fr.eval(in.Arg(0)).I)
-				if err != nil {
-					return Value{}, err
-				}
-				fr.vals[in.ID()] = v
-			case ir.OpStore:
-				if slot := fr.localSlot(in.Arg(1)); slot != nil {
-					*slot = storeLocal(in.Arg(0).Type(), fr.eval(in.Arg(0)))
-					continue
-				}
-				if err := mem.Store(in.Arg(0).Type(), fr.eval(in.Arg(1)).I, fr.eval(in.Arg(0))); err != nil {
-					return Value{}, err
-				}
-			case ir.OpGEP:
-				base := fr.eval(in.Arg(0)).I
-				idx := fr.eval(in.Arg(1)).I
-				fr.vals[in.ID()] = IntVal(base + idx*in.Type().Elem.Size())
-			case ir.OpBarrier:
-				// Sequential semantics: no-op for a single thread.
-			case ir.OpTID:
-				fr.vals[in.ID()] = IntVal(int64(env.TID))
-			case ir.OpNTID:
-				fr.vals[in.ID()] = IntVal(int64(env.NTID))
-			case ir.OpCTAID:
-				fr.vals[in.ID()] = IntVal(int64(env.CTAID))
-			case ir.OpNCTAID:
-				fr.vals[in.ID()] = IntVal(int64(env.NCTAID))
-			default:
-				v, err := fr.evalPure(in)
-				if err != nil {
-					return Value{}, err
-				}
-				fr.vals[in.ID()] = v
-			}
-			if in.IsTerminator() {
-				break
-			}
-		}
-	}
+	fr.reset()
+	return fr.run(mem, env, maxSteps, ctr)
 }
 
-// frame is the state of one run: the SSA environment and the thread-private
-// alloca slots, both indexed by Instr.ID. Runs borrow frames from a free
-// list (takeFrame) and file them back on return.
+// RunLaunch runs f once for each thread of a launch of gridDim blocks of
+// blockDim threads, in thread order, all on mem: RunCounted with the thread's
+// geometry and a budget of maxSteps steps a thread, over a program decoded
+// once for the launch. It stops at the first thread that traps or runs out
+// of steps, and names it.
+func RunLaunch(f *ir.Function, args []Value, mem *Memory, gridDim, blockDim int, maxSteps int64, ctr *Counters) error {
+	threads := gridDim * blockDim
+	if threads <= 0 {
+		return nil
+	}
+	if len(args) != len(f.Params) {
+		return fmt.Errorf("thread 0: %w", arityError(f, args))
+	}
+	fr := takeFrame(f, args)
+	defer putFrame(fr)
+	for tid := range threads {
+		env := Env{
+			TID:    int32(tid % blockDim),
+			NTID:   int32(blockDim),
+			CTAID:  int32(tid / blockDim),
+			NCTAID: int32(gridDim),
+		}
+		fr.reset()
+		if _, err := fr.run(mem, env, maxSteps, ctr); err != nil {
+			return fmt.Errorf("thread %d: %w", tid, err)
+		}
+	}
+	return nil
+}
+
+func arityError(f *ir.Function, args []Value) error {
+	return fmt.Errorf("interp: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
+}
+
+// frame is the state of a launch: the program decoded from the function,
+// and one thread's SSA environment and alloca slots, both indexed by
+// Instr.ID. Launches borrow frames from a free list (takeFrame) and file
+// them back on return.
 type frame struct {
-	// vals holds instruction results at [Instr.ID] and the arguments behind
-	// them at [params+Param.Index]. An alloca's result is its sentinel
+	fn *ir.Function // the function decoded, while the frame is out
+	// vals holds instruction results at [Instr.ID], the arguments behind
+	// them at [params+Param.Index], and the constants behind those, one
+	// slot per operand occurrence. An alloca's result is its sentinel
 	// address, nonzero once it has executed.
 	vals   []Value
 	params int
 	// locals holds the 8 raw bytes of each alloca's slot at [Instr.ID],
-	// little-endian; empty until the run's first alloca executes, so a
+	// little-endian; empty until the thread's first alloca executes, so a
 	// kernel without allocas (anything past mem2reg) does not pay for it.
 	locals  []uint64
 	allocas int64   // distinct allocas executed so far
 	phiTmp  []Value // scratch of the simultaneous phi assignment
+
+	// The program (decode.go): each block's ops, end to end, and the edges
+	// their branches take, with the phi moves of each.
+	code      []op
+	edges     []edge // edges[0] enters the entry block
+	moves     []move
+	blockAt   []int32 // decode's scratch: Block.ID -> its first op in code
+	nextConst int     // decode's scratch: the next free constant slot
 }
 
-func (fr *frame) eval(v ir.Value) Value {
-	switch x := v.(type) {
-	case *ir.Instr:
-		return fr.vals[x.ID()]
-	case *ir.Const:
-		if x.Typ.IsFloat() {
-			return FloatVal(x.Float)
-		}
-		return IntVal(x.Int)
-	case *ir.Param:
-		return fr.vals[fr.params+x.Index]
+// reset prepares the frame for a thread: every result reads zero ("not yet
+// defined", and for an alloca "not yet executed"), the alloca count is
+// zero, and the slot table is dropped to length zero until the thread's
+// first alloca. Its stale bytes need no clearing: a slot is reached only
+// through an alloca that has executed in this thread, and executing it
+// zeroes the slot. The arguments and constants behind the results stay as
+// takeFrame left them: no op writes them.
+func (fr *frame) reset() {
+	clear(fr.vals[:fr.params])
+	fr.allocas, fr.locals = 0, fr.locals[:0]
+}
+
+// run executes one thread over the decoded program.
+func (fr *frame) run(mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value, error) {
+	vals, code := fr.vals, fr.code
+	var steps int64
+	cur := int32(0) // the edge the current block was entered over
+	pc, err := fr.enterPhis(&fr.edges[cur])
+	if err != nil {
+		return Value{}, err
 	}
-	return Value{}
+	for {
+		o := &code[pc]
+		pc++
+		steps++
+		if steps > maxSteps {
+			return Value{}, fmt.Errorf("interp: %w in %s", ErrStepBudget, fr.fn.Name)
+		}
+		if ctr != nil && o.code != cReenter {
+			ctr.Steps++
+			ctr.Ops[ir.Op(o.irop)]++
+		}
+		switch o.code {
+		case cBr:
+			cur = o.b
+			goto enter
+		case cCondBr:
+			cur = o.c
+			if vals[o.a].I != 0 {
+				cur = o.b
+			}
+			goto enter
+		case cReenter:
+			// Not a step: the walk over the IR fell off the block's end and
+			// entered it again from the same predecessor.
+			steps--
+			goto enter
+		case cRet:
+			return vals[o.a], nil
+		case cRetVoid:
+			return Value{}, nil
+		case cAlloca:
+			fr.alloca(o.dst)
+		case cLoadSlot:
+			if vals[o.a].I != 0 {
+				vals[o.dst] = loadLocal(ir.Kind(o.kind), fr.locals[o.a])
+				continue
+			}
+			fallthrough
+		case cLoad:
+			v, ok := mem.LoadKind(ir.Kind(o.kind), o.size, vals[o.a].I)
+			if !ok {
+				_, err := mem.Load(o.t, vals[o.a].I)
+				return Value{}, err
+			}
+			vals[o.dst] = v
+		case cStoreSlot:
+			if vals[o.b].I != 0 {
+				fr.locals[o.b] = storeLocal(ir.Kind(o.kind), vals[o.a])
+				continue
+			}
+			fallthrough
+		case cStore:
+			if !mem.StoreKind(ir.Kind(o.kind), o.size, vals[o.b].I, vals[o.a]) {
+				return Value{}, mem.Store(o.at, vals[o.b].I, vals[o.a])
+			}
+		case cGEP:
+			vals[o.dst] = IntVal(vals[o.a].I + vals[o.b].I*o.size)
+		case cNop:
+			// A barrier: sequential semantics make it a no-op for one thread.
+		case cTID:
+			vals[o.dst] = IntVal(int64(env.TID))
+		case cNTID:
+			vals[o.dst] = IntVal(int64(env.NTID))
+		case cCTAID:
+			vals[o.dst] = IntVal(int64(env.CTAID))
+		case cNCTAID:
+			vals[o.dst] = IntVal(int64(env.NCTAID))
+		case cSelect:
+			if vals[o.a].I != 0 {
+				vals[o.dst] = vals[o.b]
+			} else {
+				vals[o.dst] = vals[o.c]
+			}
+		case cIntDiv:
+			// Division by zero is defined as zero (GPU integer division
+			// does not trap; any fixed value works as long as the simulator
+			// agrees).
+			if vals[o.b].I == 0 {
+				vals[o.dst] = Value{}
+				continue
+			}
+			fallthrough
+		case cIntBin:
+			t := o.t
+			r, ok := ir.EvalBinary(ir.Op(o.irop), t, ir.IntScalar(t, vals[o.a].I), ir.IntScalar(t, vals[o.b].I))
+			if !ok {
+				return Value{}, fr.opError("cannot evaluate", o)
+			}
+			vals[o.dst] = Value(r)
+		case cFloatBin:
+			r, ok := ir.EvalBinary(ir.Op(o.irop), o.at, ir.FloatScalar(o.at, vals[o.a].F), ir.FloatScalar(o.bt, vals[o.b].F))
+			if !ok {
+				return Value{}, fr.opError("cannot evaluate", o)
+			}
+			if o.t == ir.F32 {
+				r.F = float64(float32(r.F))
+			}
+			vals[o.dst] = Value(r)
+		case cCompare:
+			r, ok := ir.EvalCompare(ir.Op(o.irop), ir.Pred(o.pred), o.at, canon(o.at, vals[o.a]), canon(o.bt, vals[o.b]))
+			if !ok {
+				return Value{}, fr.opError("bad compare", o)
+			}
+			vals[o.dst] = Value{}
+			if r {
+				vals[o.dst] = IntVal(1)
+			}
+		case cConv:
+			// !ok is fptosi of NaN/Inf: define as 0 like the hardware's
+			// saturating behaviour approximation.
+			r, _ := ir.EvalUnary(ir.Op(o.irop), o.at, o.t, canon(o.at, vals[o.a]))
+			vals[o.dst] = Value(r)
+		case cMath:
+			r, _ := ir.EvalUnary(ir.Op(o.irop), o.t, o.t, ir.Scalar{F: vals[o.a].F})
+			vals[o.dst] = Value(r)
+		}
+		continue
+	enter:
+		// Take edge cur to the next block: inline when it has no phi moves
+		// and no error, which is most edges.
+		if ed := &fr.edges[cur]; ed.lo == ed.hi && ed.err == nil {
+			pc = ed.to
+		} else if pc, err = fr.enterPhis(ed); err != nil {
+			return Value{}, err
+		}
+	}
+}
+
+// enterPhis takes edge ed: it raises the edge's error, or assigns the phis
+// of the block it enters, all at once, and returns where that block's code
+// starts.
+func (fr *frame) enterPhis(ed *edge) (int32, error) {
+	if ed.err != nil {
+		return 0, ed.err
+	}
+	tmp := fr.phiTmp[:0]
+	for _, m := range fr.moves[ed.lo:ed.hi] {
+		tmp = append(tmp, fr.vals[m.src])
+	}
+	for i, m := range fr.moves[ed.lo:ed.hi] {
+		fr.vals[m.dst] = tmp[i]
+	}
+	fr.phiTmp = tmp
+	return ed.to, nil
+}
+
+// opError is the error of a pure op the value kernels refused, naming the
+// instruction; only this path goes back to the IR.
+func (fr *frame) opError(what string, o *op) error {
+	var in *ir.Instr
+	for _, b := range fr.fn.Blocks() {
+		for _, x := range b.Instrs() {
+			if int32(x.ID()) == o.dst {
+				in = x
+			}
+		}
+	}
+	return fmt.Errorf("interp: %s %s", what, in)
 }
 
 // alloca executes an alloca: a fresh zeroed slot, and a negative sentinel
@@ -355,14 +473,13 @@ func (fr *frame) eval(v ir.Value) Value {
 // the alloca itself (a select or phi of two allocas) traps as out of bounds
 // instead of reading device memory. The sentinel counts the distinct allocas
 // executed so far; re-executing one in a loop re-zeroes its slot.
-func (fr *frame) alloca(in *ir.Instr) {
+func (fr *frame) alloca(id int32) {
 	if len(fr.locals) == 0 {
 		if cap(fr.locals) < fr.params {
 			fr.locals = make([]uint64, fr.params, cap(fr.vals))
 		}
 		fr.locals = fr.locals[:fr.params]
 	}
-	id := in.ID()
 	if fr.vals[id].I == 0 {
 		fr.allocas++
 	}
@@ -370,19 +487,8 @@ func (fr *frame) alloca(in *ir.Instr) {
 	fr.vals[id] = IntVal(-fr.allocas * 16)
 }
 
-// localSlot returns the slot a load or store through ptr addresses when ptr
-// is, syntactically, an alloca that has executed; nil sends the access to
-// device memory.
-func (fr *frame) localSlot(ptr ir.Value) *uint64 {
-	in, ok := ptr.(*ir.Instr)
-	if !ok || in.Op != ir.OpAlloca || fr.vals[in.ID()].I == 0 {
-		return nil
-	}
-	return &fr.locals[in.ID()]
-}
-
-func loadLocal(t *ir.Type, slot uint64) Value {
-	switch t.Kind {
+func loadLocal(k ir.Kind, slot uint64) Value {
+	switch k {
 	case ir.KindF32:
 		return FloatVal(float64(math.Float32frombits(uint32(slot))))
 	case ir.KindF64:
@@ -392,8 +498,8 @@ func loadLocal(t *ir.Type, slot uint64) Value {
 	}
 }
 
-func storeLocal(t *ir.Type, v Value) uint64 {
-	switch t.Kind {
+func storeLocal(k ir.Kind, v Value) uint64 {
+	switch k {
 	case ir.KindF32:
 		return uint64(math.Float32bits(float32(v.F)))
 	case ir.KindF64:
@@ -415,63 +521,4 @@ func canon(t *ir.Type, v Value) ir.Scalar {
 		return ir.Scalar{I: v.I}
 	}
 	return ir.IntScalar(t, v.I)
-}
-
-// evalPure evaluates a side-effect-free scalar instruction through ir's
-// value kernels, the definitions constant folding uses.
-func (fr *frame) evalPure(in *ir.Instr) (Value, error) {
-	t := in.Type()
-	switch in.Op {
-	case ir.OpSelect:
-		if fr.eval(in.Arg(0)).I != 0 {
-			return fr.eval(in.Arg(1)), nil
-		}
-		return fr.eval(in.Arg(2)), nil
-	case ir.OpICmp, ir.OpFCmp:
-		a := canon(in.Arg(0).Type(), fr.eval(in.Arg(0)))
-		b := canon(in.Arg(1).Type(), fr.eval(in.Arg(1)))
-		r, ok := ir.EvalCompare(in.Op, in.Pred, in.Arg(0).Type(), a, b)
-		if !ok {
-			return Value{}, fmt.Errorf("interp: bad compare %s", in)
-		}
-		if r {
-			return IntVal(1), nil
-		}
-		return IntVal(0), nil
-	case ir.OpTrunc, ir.OpZExt, ir.OpSExt, ir.OpSIToFP, ir.OpFPToSI, ir.OpFPExt, ir.OpFPTrunc:
-		from := in.Arg(0).Type()
-		// !ok is fptosi of NaN/Inf: define as 0 like the hardware's
-		// saturating behaviour approximation.
-		r, _ := ir.EvalUnary(in.Op, from, t, canon(from, fr.eval(in.Arg(0))))
-		return Value(r), nil
-	case ir.OpSqrt, ir.OpFAbs, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpFloor:
-		r, _ := ir.EvalUnary(in.Op, t, t, ir.Scalar{F: fr.eval(in.Arg(0)).F})
-		return Value(r), nil
-	}
-	// Binary arithmetic via the shared kernels, with division-by-zero defined
-	// as zero (GPU integer division does not trap; any fixed value works as
-	// long as the simulator agrees).
-	a, b := fr.eval(in.Arg(0)), fr.eval(in.Arg(1))
-	if t.IsFloat() || in.Op == ir.OpPow || in.Op == ir.OpFMin || in.Op == ir.OpFMax {
-		at := in.Arg(0).Type()
-		r, ok := ir.EvalBinary(in.Op, at, ir.FloatScalar(at, a.F), ir.FloatScalar(in.Arg(1).Type(), b.F))
-		if !ok {
-			return Value{}, fmt.Errorf("interp: cannot evaluate %s", in)
-		}
-		if t == ir.F32 {
-			r.F = float64(float32(r.F))
-		}
-		return Value(r), nil
-	}
-	switch in.Op {
-	case ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem:
-		if b.I == 0 {
-			return IntVal(0), nil
-		}
-	}
-	r, ok := ir.EvalBinary(in.Op, t, ir.IntScalar(t, a.I), ir.IntScalar(t, b.I))
-	if !ok {
-		return Value{}, fmt.Errorf("interp: cannot evaluate %s", in)
-	}
-	return Value(r), nil
 }

@@ -53,6 +53,8 @@ func TestKindMemoryBounds(t *testing.T) {
 		{8, 16},        // at the end
 		{1, 16},        // one past the last byte
 		{8, 1<<62 + 8}, // overflow-adjacent
+		{8, 1<<63 - 8}, // addr+size wraps negative
+		{1, 1<<63 - 1}, // addr+size wraps negative
 	}
 	for _, c := range cases {
 		if _, ok := m.LoadKind(ir.KindI64, c.size, c.addr); ok {
@@ -60,6 +62,14 @@ func TestKindMemoryBounds(t *testing.T) {
 		}
 		if m.StoreKind(ir.KindI64, c.size, c.addr, IntVal(1)) {
 			t.Errorf("StoreKind(size=%d, addr=%d) accepted an out-of-bounds access", c.size, c.addr)
+		}
+		if c.size == 8 {
+			if _, err := m.Load(ir.I64, c.addr); err == nil {
+				t.Errorf("Load(i64, addr=%d) accepted an out-of-bounds access", c.addr)
+			}
+			if err := m.Store(ir.I64, c.addr, IntVal(1)); err == nil {
+				t.Errorf("Store(i64, addr=%d) accepted an out-of-bounds access", c.addr)
+			}
 		}
 	}
 	// Unsupported kind: report false, do not panic.

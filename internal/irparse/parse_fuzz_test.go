@@ -2,6 +2,7 @@ package irparse_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"uu/internal/bench"
@@ -33,6 +34,19 @@ entry:
 // simulator's scoreboard once took for a write of %r0 in a program of zero
 // registers.
 const noRegsSrc = "func @a() {\nentry:\n  ret\n}\n"
+
+// wrapSrc loads through an address so large that address+size wraps past
+// the largest int64: 8 x 1152921504606846975 = 2^63-8. A bounds check
+// written as addr+size > len reads that as in bounds, and the load then
+// panicked, in the interpreter and in the simulator's 8-byte paths alike.
+const wrapSrc = `func @wrap(i64* noalias %a) {
+entry:
+  %p = gep i64* %a, i64 1152921504606846975
+  %v = load i64* %p
+  store i64 %v, i64* %a
+  ret
+}
+`
 
 // addSeeds seeds a fuzz target with every suite kernel as its frontend
 // builds it and after canonicalization.
@@ -79,6 +93,7 @@ func FuzzRunIR(f *testing.F) {
 	addSeeds(f)
 	f.Add(ptrCmpSrc)
 	f.Add(noRegsSrc)
+	f.Add(wrapSrc)
 	empty, err := lang.CompileKernel("kernel k() { }")
 	if err != nil {
 		f.Fatal(err)
@@ -149,6 +164,40 @@ func TestPointerCompareAgrees(t *testing.T) {
 		})
 		if err != nil {
 			t.Errorf("%s: %v", d.Name, err)
+		}
+	}
+}
+
+// TestWrappedAddressFaults: a load whose address+size wraps is out of
+// bounds like any other, in the interpreter and under every divergence
+// policy, and says so in the same words.
+func TestWrappedAddressFaults(t *testing.T) {
+	fn, err := irparse.ParseFunc(wrapSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Verify(fn); err != nil {
+		t.Fatal(err)
+	}
+	w := &bench.Workload{
+		Args:    []interp.Value{interp.IntVal(0)},
+		MemSize: 4 << 10,
+		Launch:  gpusim.Launch{GridDim: 1, BlockDim: 32},
+	}
+	const want = "interp: load out of bounds: addr=9223372036854775800 size=8 mem=4096"
+	if _, err := bench.Interpret(fn, w, 1<<16, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("interpreter: %v, want %q", err, want)
+	}
+	for _, d := range gpusim.Devices() {
+		_, err := bench.Run(context.Background(), bench.Job{
+			Name:     fn.Name,
+			Kernel:   func() (*ir.Function, error) { return ir.Clone(fn), nil },
+			Workload: w,
+			Options:  pipeline.Options{Config: pipeline.Baseline},
+			Device:   d.Config,
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want %q", d.Name, err, want)
 		}
 	}
 }

@@ -186,6 +186,33 @@ entry:
 	}
 }
 
+// TestWrappedAddressIsAnExecutionFault: a load whose address+size wraps
+// past the largest int64 fails the request as any out-of-bounds access
+// does, a 422 under the same code, and not as a recovered panic (500).
+func TestWrappedAddressIsAnExecutionFault(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	const kernel = `func @oob(i64* noalias %a) {
+entry:
+  %p = gep i64* %a, i64 IDX
+  %v = load i64* %p
+  store i64 %v, i64* %a
+  ret
+}
+`
+	var codes []string
+	for _, idx := range []string{"1000000", "1152921504606846975"} {
+		status, data := post(t, ts.URL, &Request{IR: strings.Replace(kernel, "IDX", idx, 1), Args: []int64{0}, MemBytes: 4096})
+		var e Error
+		if err := json.Unmarshal(data, &e); err != nil || status != 422 || !strings.Contains(e.Msg, "load out of bounds") {
+			t.Fatalf("index %s: status %d, body %s; want 422 naming the out-of-bounds load", idx, status, data)
+		}
+		codes = append(codes, e.Code)
+	}
+	if codes[0] != codes[1] {
+		t.Errorf("wrapped address answered under code %q, a plain out-of-bounds one under %q", codes[1], codes[0])
+	}
+}
+
 // TestPanicIsolation injects the chaos pass's mid-pass panic into an
 // uncontained pipeline: the request must fail with a structured 500 and
 // the pool must keep serving afterwards.
