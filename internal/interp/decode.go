@@ -8,24 +8,23 @@ import (
 )
 
 // opcode is what a decoded instruction executes as: a handful of memory,
-// control and geometry forms, and one class per family of pure ops, whose
-// ir.Op picks the value kernel.
+// control and geometry forms, one generic class per family of pure ops,
+// whose ir.Op picks the value kernel, and the hot (op, type) pairs of those
+// families with a case of their own.
 type opcode uint8
 
 const (
-	cBr        opcode = iota // b: the edge taken
-	cCondBr                  // a: the condition; b, c: the edges taken on true, false
-	cRet                     // a: the returned value
-	cRetVoid                 // ret without a value
-	cReenter                 // end of a block without a terminator: enter it again over the same edge
-	cAlloca                  // dst: the alloca, which is also its slot
-	cLoad                    // dst <- memory at a, kind and size
-	cLoadSlot                // as cLoad, but a is an alloca: its slot once it has executed
-	cStore                   // memory at b <- a, kind and size
-	cStoreSlot               // as cStore, but b is an alloca
-	cGEP                     // dst <- a + b*size
-	cNop                     // barrier: a step and nothing else
-	cTID                     // dst <- the thread's geometry, here and below
+	cBr      opcode = iota // b: the edge taken
+	cCondBr                // a: the condition; b, c: the edges taken on true, false
+	cRet                   // a: the returned value
+	cRetVoid               // ret without a value
+	cReenter               // end of a block without a terminator: enter it again over the same edge
+	cAlloca                // dst: the alloca, which is also its slot
+	cLoad                  // dst <- memory at a, kind and size
+	cStore                 // memory at b <- a, kind and size
+	cGEP                   // dst <- a + b*size
+	cNop                   // barrier: a step and nothing else
+	cTID                   // dst <- the thread's geometry, here and below
 	cNTID
 	cCTAID
 	cNCTAID
@@ -36,6 +35,56 @@ const (
 	cCompare  // ir.EvalCompare of a (type at) and b (type bt)
 	cConv     // ir.EvalUnary from at to t
 	cMath     // ir.EvalUnary at t
+
+	// The specialised cases: a generic case above at one kind or type,
+	// chosen here once and evaluated inline. Each does exactly what its
+	// generic case does at that type, truncating integer operands to the
+	// type's width (and f32 ones rounding) before and after.
+	// TestPureOpsMatchReference reaches every one of them.
+	cLoadSlot     // cLoad where a is an alloca of an integer or pointer: its slot once it has executed
+	cLoadSlotF32  // ... of an f32
+	cLoadSlotF64  // ... of an f64
+	cStoreSlot    // cStore where b is an alloca, of an integer or pointer
+	cStoreSlotF32 // ... of an f32
+	cStoreSlotF64 // ... of an f64
+	cAddI32       // cIntBin add, sub and mul at i32, then at i64
+	cSubI32
+	cMulI32
+	cAddI64
+	cSubI64
+	cMulI64
+	cFAddF32 // cFloatBin fadd, fsub and fmul where t, at and bt are all f32, then all f64
+	cFSubF32
+	cFMulF32
+	cFAddF64
+	cFSubF64
+	cFMulF64
+	cEqI32 // cCompare icmp eq, ne, slt, sle, sgt and sge (in ir.Pred order) of two i32s, then two i64s
+	cNeI32
+	cLtI32
+	cLeI32
+	cGtI32
+	cGeI32
+	cEqI64
+	cNeI64
+	cLtI64
+	cLeI64
+	cGtI64
+	cGeI64
+	cOEqF32 // cCompare fcmp oeq, one, olt, ole, ogt and oge (in ir.Pred order) of two f32s, then two f64s
+	cONeF32
+	cOLtF32
+	cOLeF32
+	cOGtF32
+	cOGeF32
+	cOEqF64
+	cONeF64
+	cOLtF64
+	cOLeF64
+	cOGtF64
+	cOGeF64
+	cSExtI32 // cConv sext from i32 to i64
+	numOpcodes
 )
 
 // op is one decoded non-phi instruction. Every operand is a frame slot
@@ -196,13 +245,13 @@ func (fr *frame) decodeInstr(b *ir.Block, in *ir.Instr) op {
 	case ir.OpLoad:
 		o.code, o.a, o.kind, o.size = cLoad, arg(0), uint8(o.t.Kind), o.t.Size()
 		if isAlloca(in.Arg(0)) {
-			o.code = cLoadSlot
+			o.code = slotCode(cLoadSlot, o.t)
 		}
 	case ir.OpStore:
 		o.at = in.Arg(0).Type()
 		o.code, o.a, o.b, o.kind, o.size = cStore, arg(0), arg(1), uint8(o.at.Kind), o.at.Size()
 		if isAlloca(in.Arg(1)) {
-			o.code = cStoreSlot
+			o.code = slotCode(cStoreSlot, o.at)
 		}
 	case ir.OpGEP:
 		o.code, o.a, o.b, o.size = cGEP, arg(0), arg(1), o.t.Elem.Size()
@@ -220,8 +269,14 @@ func (fr *frame) decodeInstr(b *ir.Block, in *ir.Instr) op {
 		o.code, o.a, o.b, o.c = cSelect, arg(0), arg(1), arg(2)
 	case ir.OpICmp, ir.OpFCmp:
 		o.code, o.a, o.b, o.at, o.bt = cCompare, arg(0), arg(1), in.Arg(0).Type(), in.Arg(1).Type()
+		if o.at == o.bt {
+			o.code = compareCode(in.Op, in.Pred, o.at)
+		}
 	case ir.OpTrunc, ir.OpZExt, ir.OpSExt, ir.OpSIToFP, ir.OpFPToSI, ir.OpFPExt, ir.OpFPTrunc:
 		o.code, o.a, o.at = cConv, arg(0), in.Arg(0).Type()
+		if in.Op == ir.OpSExt && o.at == ir.I32 && o.t == ir.I64 {
+			o.code = cSExtI32
+		}
 	case ir.OpSqrt, ir.OpFAbs, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpFloor:
 		o.code, o.a = cMath, arg(0)
 	default:
@@ -232,11 +287,60 @@ func (fr *frame) decodeInstr(b *ir.Block, in *ir.Instr) op {
 		switch {
 		case o.t.IsFloat() || in.Op == ir.OpPow || in.Op == ir.OpFMin || in.Op == ir.OpFMax:
 			o.code, o.at, o.bt = cFloatBin, in.Arg(0).Type(), in.Arg(1).Type()
+			if o.at == o.t && o.bt == o.t {
+				o.code = arithCode(cFloatBin, cFAddF32, in.Op, [3]ir.Op{ir.OpFAdd, ir.OpFSub, ir.OpFMul}, o.t, ir.F32, ir.F64)
+			}
 		case in.Op == ir.OpSDiv || in.Op == ir.OpUDiv || in.Op == ir.OpSRem || in.Op == ir.OpURem:
 			o.code = cIntDiv
 		default:
-			o.code = cIntBin
+			o.code = arithCode(cIntBin, cAddI32, in.Op, [3]ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul}, o.t, ir.I32, ir.I64)
 		}
 	}
 	return o
+}
+
+// slotCode returns the slot case of a load or store (first: the integer
+// one) that moves a value of type t.
+func slotCode(first opcode, t *ir.Type) opcode {
+	switch t.Kind {
+	case ir.KindF32:
+		return first + 1
+	case ir.KindF64:
+		return first + 2
+	}
+	return first
+}
+
+// arithCode returns the case of op at type t, where ops are the three ops
+// with cases of their own and first is that of ops[0] at narrow; or generic.
+func arithCode(generic, first opcode, op ir.Op, ops [3]ir.Op, t, narrow, wide *ir.Type) opcode {
+	i := opcode(slices.Index(ops[:], op))
+	switch {
+	case i > 2: // not found
+		return generic
+	case t == narrow:
+		return first + i
+	case t == wide:
+		return first + 3 + i
+	}
+	return generic
+}
+
+// compareCode returns the case of an icmp or fcmp under pred of two
+// operands of type t, or cCompare.
+func compareCode(op ir.Op, pred ir.Pred, t *ir.Type) opcode {
+	first, lo := cEqI32, ir.EQ
+	if op == ir.OpFCmp {
+		first, lo = cOEqF32, ir.OEQ
+	}
+	i := opcode(pred - lo)
+	switch {
+	case pred < lo || pred > lo+5:
+		return cCompare
+	case t == ir.I32 && op == ir.OpICmp, t == ir.F32 && op == ir.OpFCmp:
+		return first + i
+	case t == ir.I64 && op == ir.OpICmp, t == ir.F64 && op == ir.OpFCmp:
+		return first + 6 + i
+	}
+	return cCompare
 }

@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,10 +20,13 @@ import (
 // diffRun executes one thread of f under both interpreters, each on its own
 // memory (the two must hold equal bytes on entry), and requires everything
 // observable to be identical: return value bit for bit, error text, the
-// whole memory image, and the counters. It returns the steps executed and
-// the (shared) error.
+// whole memory image, and the counters. It then runs the interpreter again
+// without counters, as the harness, bench.Interpret and the fuzz oracle do,
+// on a third copy of the memory, which must end as the reference did. It
+// returns the steps executed and the (shared) error.
 func diffRun(t *testing.T, name string, f *ir.Function, args []interp.Value, got, want *interp.Memory, env interp.Env, budget int64) (int64, error) {
 	t.Helper()
+	plain := cloneMem(got)
 	gc := &interp.Counters{Ops: map[ir.Op]int64{}}
 	wc := &interp.Counters{Ops: map[ir.Op]int64{}}
 	gv, gerr := interp.RunSteps(f, args, got, env, budget, gc)
@@ -39,7 +43,24 @@ func diffRun(t *testing.T, name string, f *ir.Function, args []interp.Value, got
 	if !reflect.DeepEqual(gc, wc) {
 		t.Fatalf("%s: counters %+v, reference %+v", name, gc, wc)
 	}
+	pv, perr := interp.RunSteps(f, args, plain, env, budget, nil)
+	if pv.I != wv.I || math.Float64bits(pv.F) != math.Float64bits(wv.F) {
+		t.Fatalf("%s without counters: returned %+v, reference %+v", name, pv, wv)
+	}
+	diffPlain(t, name, perr, werr, plain, want)
 	return gc.Steps, gerr
+}
+
+// diffPlain requires a run without counters to end with the reference's
+// error text and memory image.
+func diffPlain(t *testing.T, name string, perr, werr error, plain, want *interp.Memory) {
+	t.Helper()
+	if fmt.Sprint(perr) != fmt.Sprint(werr) {
+		t.Fatalf("%s without counters: error %q, reference %q", name, fmt.Sprint(perr), fmt.Sprint(werr))
+	}
+	if !bytes.Equal(plain.Data, want.Data) {
+		t.Fatalf("%s without counters: memory image differs from the reference's", name)
+	}
 }
 
 func cloneMem(m *interp.Memory) *interp.Memory {
@@ -322,6 +343,59 @@ func TestErrorPathsMatchReference(t *testing.T) {
 	}
 }
 
+// straightLine builds a kernel of four blocks run in order, each a few ops
+// and a branch to the next, of 3, 2, 4 and 1 steps. The third loads and
+// stores through p, so it faults when p is out of bounds.
+func straightLine() *ir.Function {
+	f := ir.NewFunction("straight", ir.I64)
+	p := f.AddParam("p", ir.PointerTo(ir.I64), true)
+	x := f.AddParam("x", ir.I64, false)
+	b0, b1, b2, b3 := f.NewBlock("b0"), f.NewBlock("b1"), f.NewBlock("b2"), f.NewBlock("b3")
+	b := ir.NewBuilder(b0)
+	s := b.Mul(b.Add(x, ir.ConstInt(ir.I64, 1)), ir.ConstInt(ir.I64, 3))
+	b.Br(b1)
+	b.SetBlock(b1)
+	u := b.Sub(s, x)
+	b.Br(b2)
+	b.SetBlock(b2)
+	w := b.Add(b.Load(p), u)
+	b.Store(w, p)
+	b.Br(b3)
+	b.SetBlock(b3)
+	b.Ret(w)
+	return f
+}
+
+// TestStepBudgetAtBlockEdges pins where a run without counters runs out of
+// budget: at the op where the reference does, so that no accounting by
+// blocks can move it. Every budget from none to one past the run's 10 steps
+// is tried, so the budget ends one op before each block's last op, exactly
+// at it and one op after it; with p out of bounds, budgets from 6 on end
+// inside the block that faults, at its first op.
+func TestStepBudgetAtBlockEdges(t *testing.T) {
+	f := straightLine()
+	if err := ir.Verify(f); err != nil {
+		t.Fatal(err)
+	}
+	const runSteps = 10
+	for _, p := range []int64{0, 64} { // in bounds of an 8-byte memory, and not
+		args := []interp.Value{interp.IntVal(p), interp.IntVal(5)}
+		for budget := int64(0); budget <= runSteps+1; budget++ {
+			name := fmt.Sprintf("p=%d, budget %d", p, budget)
+			mem := interp.NewMemory(8)
+			_, werr := diffRun(t, name, f, args, cloneMem(mem), cloneMem(mem), interp.Env{}, budget)
+			_, perr := interp.RunSteps(f, args, cloneMem(mem), interp.Env{}, budget, nil)
+			wantBudget := budget < runSteps
+			if p != 0 {
+				wantBudget = budget < 6
+			}
+			if errors.Is(werr, interp.ErrStepBudget) != wantBudget || errors.Is(perr, interp.ErrStepBudget) != wantBudget {
+				t.Errorf("%s: reference %v, without counters %v; want a step budget error: %v", name, werr, perr, wantBudget)
+			}
+		}
+	}
+}
+
 // scalarTypes are the types a pure op can have; rawInts and rawFloats mix
 // canonical values with ones outside the type's range (an i32 parameter can
 // be handed any int64, an f32 parameter any float64), which is where
@@ -358,7 +432,16 @@ func rawValue(rng *rand.Rand, t *ir.Type) interp.Value {
 }
 
 // TestPureOpsMatchReference runs every pure opcode at every type it accepts
-// as a one-instruction function over raw arguments, against the reference.
+// as a one-instruction function over raw arguments, and a store to an
+// alloca and a load back of every scalar and a pointer, against the
+// reference. It is what holds each specialised case of decode.go to the
+// generic one at raw operands: it requires every one to be reached, and
+// the raw values reach the truncation and rounding each must repeat (an
+// i32 sext or compare of a value with high bits set, an f32 add or slot
+// round trip of one that is not an f32). It alone of the package's tests
+// kills an i32 icmp slt that compares the untruncated values, and an f32
+// fadd that does not round its operands: every other input holds i32s
+// sign-extended and f32s rounded.
 func TestPureOpsMatchReference(t *testing.T) {
 	type fn struct {
 		f     *ir.Function
@@ -411,6 +494,11 @@ func TestPureOpsMatchReference(t *testing.T) {
 			}
 		}
 		build("select."+typ.String(), typ, []*ir.Type{ir.I1, typ, typ}, func(b *ir.Builder, p []ir.Value) ir.Value { return b.Select(p[0], p[1], p[2]) })
+		build("slot."+typ.String(), typ, two[:1], func(b *ir.Builder, p []ir.Value) ir.Value {
+			slot := b.Alloca(typ, "slot")
+			b.Store(p[0], slot)
+			return b.Load(slot)
+		})
 		for _, to := range scalarTypes {
 			to := to
 			var op ir.Op
@@ -436,6 +524,20 @@ func TestPureOpsMatchReference(t *testing.T) {
 			}
 			build(fmt.Sprintf("%s.%s.%s", op, typ, to), to, two[:1], func(b *ir.Builder, p []ir.Value) ir.Value { return b.Conv(op, p[0], to) })
 		}
+	}
+
+	ptr := ir.PointerTo(ir.I64)
+	build("slot.ptr", ptr, []*ir.Type{ptr}, func(b *ir.Builder, p []ir.Value) ir.Value {
+		slot := b.Alloca(ptr, "slot")
+		b.Store(p[0], slot)
+		return b.Load(slot)
+	})
+	var all []*ir.Function
+	for _, fn := range fns {
+		all = append(all, fn.f)
+	}
+	if missing := interp.UnreachedSpecialisedCases(all); len(missing) > 0 {
+		t.Fatalf("no function decodes to specialised cases %v (decode.go, counting from cLoadSlot)", missing)
 	}
 
 	rng := rand.New(rand.NewSource(15))

@@ -10,8 +10,11 @@
 //
 // Being the oracle, it stays independent of what it judges: pure opcodes are
 // evaluated by package ir's value kernels (the definitions constant folding
-// boxes), never by the simulator's. Being most of what a verified sweep
-// waits for before its first cell, it is also kept cheap. A function is
+// boxes) or, for the hot (op, type) pairs decode gives a case of their own,
+// inline, held to a map interpreter that folds every op through package ir
+// (TestPureOpsMatchReference); never by the simulator's kernels. Being most
+// of what a verified sweep waits for before its first cell, it is also kept
+// cheap. A function is
 // decoded once per launch (decode.go) into a flat program: one fixed-size
 // record per non-phi instruction with its operands resolved to frame slots
 // (a result at its Instr.ID, a parameter behind the results, each constant
@@ -340,28 +343,13 @@ func (fr *frame) run(mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value
 			return Value{}, nil
 		case cAlloca:
 			fr.alloca(o.dst)
-		case cLoadSlot:
-			if vals[o.a].I != 0 {
-				vals[o.dst] = loadLocal(ir.Kind(o.kind), fr.locals[o.a])
-				continue
-			}
-			fallthrough
 		case cLoad:
-			v, ok := mem.LoadKind(ir.Kind(o.kind), o.size, vals[o.a].I)
-			if !ok {
-				_, err := mem.Load(o.t, vals[o.a].I)
+			if err := fr.load(mem, o); err != nil {
 				return Value{}, err
 			}
-			vals[o.dst] = v
-		case cStoreSlot:
-			if vals[o.b].I != 0 {
-				fr.locals[o.b] = storeLocal(ir.Kind(o.kind), vals[o.a])
-				continue
-			}
-			fallthrough
 		case cStore:
-			if !mem.StoreKind(ir.Kind(o.kind), o.size, vals[o.b].I, vals[o.a]) {
-				return Value{}, mem.Store(o.at, vals[o.b].I, vals[o.a])
+			if err := fr.store(mem, o); err != nil {
+				return Value{}, err
 			}
 		case cGEP:
 			vals[o.dst] = IntVal(vals[o.a].I + vals[o.b].I*o.size)
@@ -411,10 +399,7 @@ func (fr *frame) run(mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value
 			if !ok {
 				return Value{}, fr.opError("bad compare", o)
 			}
-			vals[o.dst] = Value{}
-			if r {
-				vals[o.dst] = IntVal(1)
-			}
+			vals[o.dst] = truth(r)
 		case cConv:
 			// !ok is fptosi of NaN/Inf: define as 0 like the hardware's
 			// saturating behaviour approximation.
@@ -423,6 +408,120 @@ func (fr *frame) run(mem *Memory, env Env, maxSteps int64, ctr *Counters) (Value
 		case cMath:
 			r, _ := ir.EvalUnary(ir.Op(o.irop), o.t, o.t, ir.Scalar{F: vals[o.a].F})
 			vals[o.dst] = Value(r)
+
+		// The specialised cases (decode.go). A slot load or store through
+		// an alloca that has not executed in this thread goes to memory,
+		// as cLoad and cStore.
+		case cLoadSlot:
+			if vals[o.a].I != 0 {
+				vals[o.dst] = IntVal(int64(fr.locals[o.a]))
+			} else if err := fr.load(mem, o); err != nil {
+				return Value{}, err
+			}
+		case cLoadSlotF32:
+			if vals[o.a].I != 0 {
+				vals[o.dst] = FloatVal(float64(math.Float32frombits(uint32(fr.locals[o.a]))))
+			} else if err := fr.load(mem, o); err != nil {
+				return Value{}, err
+			}
+		case cLoadSlotF64:
+			if vals[o.a].I != 0 {
+				vals[o.dst] = FloatVal(math.Float64frombits(fr.locals[o.a]))
+			} else if err := fr.load(mem, o); err != nil {
+				return Value{}, err
+			}
+		case cStoreSlot:
+			if vals[o.b].I != 0 {
+				fr.locals[o.b] = uint64(vals[o.a].I)
+			} else if err := fr.store(mem, o); err != nil {
+				return Value{}, err
+			}
+		case cStoreSlotF32:
+			if vals[o.b].I != 0 {
+				fr.locals[o.b] = uint64(math.Float32bits(float32(vals[o.a].F)))
+			} else if err := fr.store(mem, o); err != nil {
+				return Value{}, err
+			}
+		case cStoreSlotF64:
+			if vals[o.b].I != 0 {
+				fr.locals[o.b] = math.Float64bits(vals[o.a].F)
+			} else if err := fr.store(mem, o); err != nil {
+				return Value{}, err
+			}
+		case cAddI32:
+			vals[o.dst] = IntVal(int64(int32(vals[o.a].I) + int32(vals[o.b].I)))
+		case cSubI32:
+			vals[o.dst] = IntVal(int64(int32(vals[o.a].I) - int32(vals[o.b].I)))
+		case cMulI32:
+			vals[o.dst] = IntVal(int64(int32(vals[o.a].I) * int32(vals[o.b].I)))
+		case cAddI64:
+			vals[o.dst] = IntVal(vals[o.a].I + vals[o.b].I)
+		case cSubI64:
+			vals[o.dst] = IntVal(vals[o.a].I - vals[o.b].I)
+		case cMulI64:
+			vals[o.dst] = IntVal(vals[o.a].I * vals[o.b].I)
+		case cFAddF32:
+			vals[o.dst] = FloatVal(float64(float32(vals[o.a].F) + float32(vals[o.b].F)))
+		case cFSubF32:
+			vals[o.dst] = FloatVal(float64(float32(vals[o.a].F) - float32(vals[o.b].F)))
+		case cFMulF32:
+			vals[o.dst] = FloatVal(float64(float32(vals[o.a].F) * float32(vals[o.b].F)))
+		case cFAddF64:
+			vals[o.dst] = FloatVal(vals[o.a].F + vals[o.b].F)
+		case cFSubF64:
+			vals[o.dst] = FloatVal(vals[o.a].F - vals[o.b].F)
+		case cFMulF64:
+			vals[o.dst] = FloatVal(vals[o.a].F * vals[o.b].F)
+		case cEqI32:
+			vals[o.dst] = truth(int32(vals[o.a].I) == int32(vals[o.b].I))
+		case cNeI32:
+			vals[o.dst] = truth(int32(vals[o.a].I) != int32(vals[o.b].I))
+		case cLtI32:
+			vals[o.dst] = truth(int32(vals[o.a].I) < int32(vals[o.b].I))
+		case cLeI32:
+			vals[o.dst] = truth(int32(vals[o.a].I) <= int32(vals[o.b].I))
+		case cGtI32:
+			vals[o.dst] = truth(int32(vals[o.a].I) > int32(vals[o.b].I))
+		case cGeI32:
+			vals[o.dst] = truth(int32(vals[o.a].I) >= int32(vals[o.b].I))
+		case cEqI64:
+			vals[o.dst] = truth(vals[o.a].I == vals[o.b].I)
+		case cNeI64:
+			vals[o.dst] = truth(vals[o.a].I != vals[o.b].I)
+		case cLtI64:
+			vals[o.dst] = truth(vals[o.a].I < vals[o.b].I)
+		case cLeI64:
+			vals[o.dst] = truth(vals[o.a].I <= vals[o.b].I)
+		case cGtI64:
+			vals[o.dst] = truth(vals[o.a].I > vals[o.b].I)
+		case cGeI64:
+			vals[o.dst] = truth(vals[o.a].I >= vals[o.b].I)
+		case cOEqF32:
+			vals[o.dst] = truth(float32(vals[o.a].F) == float32(vals[o.b].F))
+		case cONeF32:
+			vals[o.dst] = truth(float32(vals[o.a].F) != float32(vals[o.b].F))
+		case cOLtF32:
+			vals[o.dst] = truth(float32(vals[o.a].F) < float32(vals[o.b].F))
+		case cOLeF32:
+			vals[o.dst] = truth(float32(vals[o.a].F) <= float32(vals[o.b].F))
+		case cOGtF32:
+			vals[o.dst] = truth(float32(vals[o.a].F) > float32(vals[o.b].F))
+		case cOGeF32:
+			vals[o.dst] = truth(float32(vals[o.a].F) >= float32(vals[o.b].F))
+		case cOEqF64:
+			vals[o.dst] = truth(vals[o.a].F == vals[o.b].F)
+		case cONeF64:
+			vals[o.dst] = truth(vals[o.a].F != vals[o.b].F)
+		case cOLtF64:
+			vals[o.dst] = truth(vals[o.a].F < vals[o.b].F)
+		case cOLeF64:
+			vals[o.dst] = truth(vals[o.a].F <= vals[o.b].F)
+		case cOGtF64:
+			vals[o.dst] = truth(vals[o.a].F > vals[o.b].F)
+		case cOGeF64:
+			vals[o.dst] = truth(vals[o.a].F >= vals[o.b].F)
+		case cSExtI32:
+			vals[o.dst] = IntVal(int64(int32(vals[o.a].I)))
 		}
 		continue
 	enter:
@@ -452,6 +551,35 @@ func (fr *frame) enterPhis(ed *edge) (int32, error) {
 	}
 	fr.phiTmp = tmp
 	return ed.to, nil
+}
+
+// load and store are cLoad and cStore: a device-memory access of o's kind
+// and size, and the error that says why it was refused.
+func (fr *frame) load(mem *Memory, o *op) error {
+	addr := fr.vals[o.a].I
+	v, ok := mem.LoadKind(ir.Kind(o.kind), o.size, addr)
+	if !ok {
+		_, err := mem.Load(o.t, addr)
+		return err
+	}
+	fr.vals[o.dst] = v
+	return nil
+}
+
+func (fr *frame) store(mem *Memory, o *op) error {
+	addr, v := fr.vals[o.b].I, fr.vals[o.a]
+	if !mem.StoreKind(ir.Kind(o.kind), o.size, addr, v) {
+		return mem.Store(o.at, addr, v)
+	}
+	return nil
+}
+
+// truth is an i1 result: 1 for true, 0 for false.
+func truth(b bool) Value {
+	if b {
+		return IntVal(1)
+	}
+	return Value{}
 }
 
 // opError is the error of a pure op the value kernels refused, naming the
@@ -485,28 +613,6 @@ func (fr *frame) alloca(id int32) {
 	}
 	fr.locals[id] = 0
 	fr.vals[id] = IntVal(-fr.allocas * 16)
-}
-
-func loadLocal(k ir.Kind, slot uint64) Value {
-	switch k {
-	case ir.KindF32:
-		return FloatVal(float64(math.Float32frombits(uint32(slot))))
-	case ir.KindF64:
-		return FloatVal(math.Float64frombits(slot))
-	default:
-		return IntVal(int64(slot))
-	}
-}
-
-func storeLocal(k ir.Kind, v Value) uint64 {
-	switch k {
-	case ir.KindF32:
-		return uint64(math.Float32bits(float32(v.F)))
-	case ir.KindF64:
-		return math.Float64bits(v.F)
-	default:
-		return uint64(v.I)
-	}
 }
 
 // canon brings a runtime value of type t into the canonical form the value

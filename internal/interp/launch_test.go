@@ -26,10 +26,12 @@ func refLaunch(f *ir.Function, args []interp.Value, mem *interp.Memory, gridDim,
 
 // diffLaunch runs a launch of f under RunLaunch and under refLaunch, each
 // on its own copy of mem, and requires the same error text, memory image
-// and counters. It returns the steps executed.
+// and counters; then under RunLaunch without counters, the oracle's way,
+// on a third copy, which must end as the reference did. It returns the
+// steps executed.
 func diffLaunch(t *testing.T, name string, f *ir.Function, args []interp.Value, mem *interp.Memory, gridDim, blockDim int) int64 {
 	t.Helper()
-	got, want := cloneMem(mem), cloneMem(mem)
+	got, want, plain := cloneMem(mem), cloneMem(mem), cloneMem(mem)
 	gc := &interp.Counters{Ops: map[ir.Op]int64{}}
 	wc := &interp.Counters{Ops: map[ir.Op]int64{}}
 	gerr := interp.RunLaunch(f, args, got, gridDim, blockDim, interp.DefaultMaxSteps, gc)
@@ -43,6 +45,8 @@ func diffLaunch(t *testing.T, name string, f *ir.Function, args []interp.Value, 
 	if !reflect.DeepEqual(gc, wc) {
 		t.Fatalf("%s: counters %+v, reference %+v", name, gc, wc)
 	}
+	perr := interp.RunLaunch(f, args, plain, gridDim, blockDim, interp.DefaultMaxSteps, nil)
+	diffPlain(t, name, perr, werr, plain, want)
 	return gc.Steps
 }
 

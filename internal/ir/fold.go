@@ -7,8 +7,12 @@ import "math"
 // operand and result form of the value kernels below, which hold the one
 // definition of every foldable opcode. FoldBinary, FoldCompare and FoldUnary
 // wrap them for *Const operands (SCCP, InstSimplify, trip counts); the
-// reference interpreter calls them directly, so the oracle and the optimizer
-// cannot disagree about an opcode and a step of the oracle allocates nothing.
+// reference interpreter calls them directly for every (op, type) pair but
+// its hot ones, whose cases it writes inline (add, sub, mul and their float
+// forms, the signed and ordered compares, sext from i32, at 32 and 64
+// bits), and which its TestPureOpsMatchReference holds to a map
+// interpreter that folds every op through FoldBinary, FoldCompare and
+// FoldUnary. A step of the oracle allocates nothing either way.
 type Scalar struct {
 	I int64
 	F float64

@@ -2,6 +2,7 @@ package irparse_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -44,6 +45,59 @@ entry:
   %p = gep i64* %a, i64 1152921504606846975
   %v = load i64* %p
   store i64 %v, i64* %a
+  ret
+}
+`
+
+// The interpreter evaluates these inline, at their types, rather than
+// through package ir's kernels: i32 adds and muls that wrap, and compares
+// of i32s whose int64 holds high bits (wrapSmallSrc); f32 arithmetic and
+// compares of parameters (f32Src: FuzzRunIR passes zero for every argument,
+// as uud does, so an unrounded f32 parameter is TestPureOpsMatchReference's
+// input, not this one's); and a loop of 3-step iterations behind a 1-step
+// entry, which a 2^16-step budget ends exactly at the end of an iteration
+// (budgetEdgeSrc), so the budget error falls on a block's first op.
+const wrapSmallSrc = `func @wrapsmall(i32* noalias %out) {
+entry:
+  %t = tid
+  %a = add i32 %t, i32 2147483647
+  %m = mul i32 %a, i32 65537
+  %s = sub i32 %m, i32 -2147483648
+  %c = icmp slt i32 %s, i32 %a
+  %z = zext i1 %c to i32
+  %i = sext i32 %t to i64
+  %p = gep i32* %out, i64 %i
+  store i32 %z, i32* %p
+  ret
+}
+`
+
+const f32Src = `func @f32ops(f32 %x, f32 %y, f32* noalias %out) {
+entry:
+  %t = tid
+  %ft = sitofp i32 %t to f32
+  %a = fadd f32 %x, f32 0.1
+  %b = fmul f32 %a, f32 %ft
+  %d = fsub f32 %b, f32 %y
+  %c = fcmp olt f32 %d, f32 %x
+  %v = select i1 %c, f32 %d, f32 %a
+  %i = sext i32 %t to i64
+  %p = gep f32* %out, i64 %i
+  store f32 %v, f32* %p
+  ret
+}
+`
+
+const budgetEdgeSrc = `func @budgetedge(i64* noalias %out) {
+entry:
+  br %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %next, %loop ]
+  %next = add i64 %i, i64 1
+  %c = icmp sge i64 %next, i64 100000
+  condbr i1 %c, %exit, %loop
+exit:
+  store i64 %next, i64* %out
   ret
 }
 `
@@ -94,6 +148,9 @@ func FuzzRunIR(f *testing.F) {
 	f.Add(ptrCmpSrc)
 	f.Add(noRegsSrc)
 	f.Add(wrapSrc)
+	f.Add(wrapSmallSrc)
+	f.Add(f32Src)
+	f.Add(budgetEdgeSrc)
 	empty, err := lang.CompileKernel("kernel k() { }")
 	if err != nil {
 		f.Fatal(err)
@@ -122,6 +179,35 @@ func FuzzRunIR(f *testing.F) {
 			})
 		}
 	})
+}
+
+// TestInlineSeedsRun keeps FuzzRunIR's seeds for the interpreter's inline
+// cases in the target, which skips text that does not verify, and pins
+// budgetEdgeSrc's claim: its thread runs out of a 2^16-step budget after
+// exactly 2^16 counted steps, the end of an iteration, with counters and
+// without.
+func TestInlineSeedsRun(t *testing.T) {
+	for _, src := range []string{wrapSmallSrc, f32Src, budgetEdgeSrc} {
+		fn, err := irparse.ParseFunc(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ir.Verify(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fn, err := irparse.ParseFunc(budgetEdgeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &bench.Workload{Args: []interp.Value{interp.IntVal(0)}, MemSize: 8, Launch: gpusim.Launch{GridDim: 1, BlockDim: 1}}
+	ctr := &interp.Counters{Ops: map[ir.Op]int64{}}
+	if _, err := bench.Interpret(fn, w, 1<<16, ctr); !errors.Is(err, interp.ErrStepBudget) || ctr.Steps != 1<<16 {
+		t.Errorf("counted: %v after %d steps, want a step budget error after %d", err, ctr.Steps, 1<<16)
+	}
+	if _, err := bench.Interpret(fn, w, 1<<16, nil); !errors.Is(err, interp.ErrStepBudget) {
+		t.Errorf("without counters: %v, want a step budget error", err)
+	}
 }
 
 // TestPointerCompareAgrees holds the interpreter and the simulator to one
