@@ -11,13 +11,9 @@ import (
 	"uu/internal/transform"
 )
 
-// maxFreeScratch bounds the free list of the analysis storage Lower builds
-// its trees in, the same as pipeline's, interp's and gpusim's lists.
-const maxFreeScratch = 16
-
-// freeScratch holds parked analysis storage. It has one class: the tables
-// grow to what they serve, so any Scratch can serve any function.
-var freeScratch = freelist.New[struct{}, *analysis.Scratch](maxFreeScratch)
+// freeScratch holds the parked analysis storage Lower builds its trees in.
+// The tables grow to what they serve, so any Scratch can serve any function.
+var freeScratch = freelist.New[*analysis.Scratch]()
 
 // Lower compiles an IR function to VPTX. It mutates f slightly (critical
 // edges into phi-bearing blocks are split so phi copies have a home), then
@@ -76,7 +72,7 @@ func Lower(f *ir.Function) (*Program, error) {
 	// Immediate post-dominators for the simulator's reconvergence stack,
 	// built like the loop info below in recycled storage that is parked and
 	// filed once both have been read.
-	s, ok := freeScratch.Take(struct{}{})
+	s, ok := freeScratch.Take()
 	if !ok {
 		s = new(analysis.Scratch)
 	}
@@ -121,7 +117,7 @@ func Lower(f *ir.Function) (*Program, error) {
 		}
 	}
 	s.Park()
-	freeScratch.Put(struct{}{}, s)
+	freeScratch.Put(s)
 	return lw.prog, nil
 }
 

@@ -7,72 +7,78 @@
 // (internal/codegen), and the store of blocks and instructions a released
 // function leaves for the next one to be carved from (internal/ir).
 //
+// Take hands out the value filed most recently. What a caller does with a
+// value sized for another request decides whether a run's allocation
+// depends on the order its requests come in:
+//
+//   - The compiler's bundles, codegen's analysis storage, IR stores and the
+//     interpreter's frames grow what they take to fit what they serve, so
+//     one list serves every request and a serial run builds only what its
+//     largest request needs, but how often it regrows depends on the order
+//     of the requests.
+//   - Device memories and simulator run state are sized at a class, a power
+//     of two, and filed on one list per class, so a value is only ever
+//     reused at its class and in a serial run each class is built once
+//     however the requests are ordered. The benchmark's simulate workload
+//     draws its op order from the seed, and its alloc_mb spread over seeds
+//     is gated: grown to fit, these two read 4.8 to 8.7 MB across ten seeds.
+//
+// A caller may refuse to file a value past a ceiling of its own.
+//
 // It is deliberately not a sync.Pool. A pool is emptied by the garbage
 // collector, so what a run allocates would depend on when the collector last
 // ran — and the benchmark's alloc_mb, which repeats to a fraction of a
 // percent, is a bounded metric. A List allocates nothing itself and misses
-// exactly when it holds no value of the class asked for, which is a property
-// of the inputs: values are filed under a size class chosen by the caller
-// and handed out only for that same class, never "anything large enough",
-// so in a serial run a class is built once however the requests are ordered.
-// The compiler's bundles, codegen's analysis storage and IR stores have a
-// single class: their tables and objects grow to what they serve, so any
-// one serves any compilation, and a serial run builds one.
+// exactly when it is empty.
 package freelist
 
 import "sync"
 
-// List holds up to a fixed number of values of type T, each filed under a
-// class K. The zero List holds nothing and retains nothing; make one with
-// New. It is safe for concurrent use.
-type List[K comparable, T any] struct {
+// Bound is how many values a List retains; past it, the value filed longest
+// ago is dropped.
+const Bound = 16
+
+// List holds up to Bound values of type T. The zero List is empty and ready
+// to use, as is one from New. It is safe for concurrent use.
+type List[T any] struct {
 	mu    sync.Mutex
-	max   int
-	items []item[K, T] // oldest first
+	items []T // oldest first
 }
 
-type item[K comparable, T any] struct {
-	class K
-	v     T
+// New returns an empty list.
+func New[T any]() *List[T] {
+	return new(List[T])
 }
 
-// New returns a list that retains at most max (>= 1) values.
-func New[K comparable, T any](max int) *List[K, T] {
-	return &List[K, T]{max: max}
-}
-
-// Take removes and returns the most recently put value of the class, if
-// the list holds one.
-func (l *List[K, T]) Take(class K) (v T, ok bool) {
+// Take removes and returns the value filed most recently, if the list holds
+// one.
+func (l *List[T]) Take() (v T, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(l.items) - 1; i >= 0; i-- {
-		if l.items[i].class == class {
-			v = l.items[i].v
-			last := len(l.items) - 1
-			copy(l.items[i:], l.items[i+1:])
-			l.items[last] = item[K, T]{} // the list keeps no reference to v
-			l.items = l.items[:last]
-			return v, true
-		}
+	last := len(l.items) - 1
+	if last < 0 {
+		return v, false
 	}
-	return v, false
+	v = l.items[last]
+	l.items[last] = *new(T) // the list keeps no reference to v
+	l.items = l.items[:last]
+	return v, true
 }
 
-// Put files v under class. When the list is full the value put longest ago
-// is dropped to make room. The caller must not use v afterwards.
-func (l *List[K, T]) Put(class K, v T) {
+// Put files v. When the list is full the value filed longest ago is dropped
+// to make room. The caller must not use v afterwards.
+func (l *List[T]) Put(v T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.items) == l.max {
+	if len(l.items) == Bound {
 		copy(l.items, l.items[1:])
-		l.items = l.items[:len(l.items)-1]
+		l.items = l.items[:Bound-1]
 	}
-	l.items = append(l.items, item[K, T]{class, v})
+	l.items = append(l.items, v)
 }
 
 // Len reports how many values the list holds.
-func (l *List[K, T]) Len() int {
+func (l *List[T]) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.items)

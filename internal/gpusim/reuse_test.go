@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -59,11 +61,28 @@ func testDevices(t *testing.T) []gpusim.DeviceConfig {
 // from scratch — after the lists were dirtied by a different
 // program on a different device and by runs of this program that ended in an
 // out-of-bounds fault, an exhausted step budget and a cancelled context.
+// Then, where a warp width of 1 to 32 puts it in the same class, on state
+// that the widest-file program left on a narrower warp (lane buffers too
+// small) and that the narrowest-file program left on a wider one
+// (scoreboard and block tables too small), checking that the run took it.
 func TestReuseIsInvisible(t *testing.T) {
 	progs := suitePrograms(t)
 	devs := testDevices(t)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
+	// Run state is recycled within the class of its register files' size,
+	// warp width times file registers rounded up to a power of two.
+	ceil := func(n int) int { return 1 << bits.Len(uint(n-1)) }
+	wide, thin := progs[0], progs[0]
+	for _, p := range progs {
+		if gpusim.FileRegs(p.cr.Program) > gpusim.FileRegs(wide.cr.Program) {
+			wide = p
+		}
+		if gpusim.FileRegs(p.cr.Program) < gpusim.FileRegs(thin.cr.Program) {
+			thin = p
+		}
+	}
+	narrowed, widened := 0, 0 // cases whose class-mate ran on a narrower or wider warp
 
 	for pi, p := range progs {
 		for di, cfg := range devs {
@@ -120,22 +139,54 @@ func TestReuseIsInvisible(t *testing.T) {
 			}
 			interp.ReleaseMemory(cmem)
 
-			mem := p.w.AcquireMemory()
-			m, sampled, prof := run(mem)
-			if *m != *freshM {
-				t.Errorf("%s: metrics on recycled state differ:\n got %+v\nwant %+v", name, *m, *freshM)
+			check := func(state string) {
+				mem := p.w.AcquireMemory()
+				m, sampled, prof := run(mem)
+				if *m != *freshM {
+					t.Errorf("%s: metrics on %s differ:\n got %+v\nwant %+v", name, state, *m, *freshM)
+				}
+				if *sampled != *freshSampled {
+					t.Errorf("%s: profiled metrics on %s differ:\n got %+v\nwant %+v", name, state, *sampled, *freshSampled)
+				}
+				if !reflect.DeepEqual(prof, freshProf) {
+					t.Errorf("%s: profile on %s differs", name, state)
+				}
+				if !bytes.Equal(mem.Data, freshMem.Data) {
+					t.Errorf("%s: final memory on %s differs", name, state)
+				}
+				interp.ReleaseMemory(mem)
 			}
-			if *sampled != *freshSampled {
-				t.Errorf("%s: profiled metrics on recycled state differ:\n got %+v\nwant %+v", name, *sampled, *freshSampled)
+			check("recycled state")
+
+			for _, mate := range []program{wide, thin} {
+				mcfg := cfg
+				mcfg.WarpSize = cfg.WarpSize * ceil(gpusim.FileRegs(p.cr.Program)) / ceil(gpusim.FileRegs(mate.cr.Program))
+				if mcfg.WarpSize < 1 || mcfg.WarpSize > 32 || mcfg.WarpSize == cfg.WarpSize {
+					continue
+				}
+				if mcfg.WarpSize < cfg.WarpSize {
+					narrowed++
+				} else {
+					widened++
+				}
+				gpusim.DropRunState()
+				mfew := mate.w.Launch
+				mfew.SampleWarps = 4
+				mmem := mate.w.AcquireMemory()
+				if _, err := gpusim.Run(mate.cr.Program, mate.w.Args, mmem, mfew, mcfg); err != nil {
+					t.Fatalf("%s: %d-lane run of %s: %v", name, mcfg.WarpSize, mate.name, err)
+				}
+				interp.ReleaseMemory(mmem)
+				left := gpusim.RunStates()
+				check(fmt.Sprintf("state of a %d-lane warp of %s", mcfg.WarpSize, mate.name))
+				if now := gpusim.RunStates(); len(left) != 1 || len(now) != 1 || now[0] != left[0] {
+					t.Errorf("%s: the run did not take the state a %d-lane warp of %s left", name, mcfg.WarpSize, mate.name)
+				}
 			}
-			if !reflect.DeepEqual(prof, freshProf) {
-				t.Errorf("%s: profile on recycled state differs", name)
-			}
-			if !bytes.Equal(mem.Data, freshMem.Data) {
-				t.Errorf("%s: final memory on recycled state differs", name)
-			}
-			interp.ReleaseMemory(mem)
 		}
+	}
+	if narrowed == 0 || widened == 0 {
+		t.Fatalf("%d cases ran on state a narrower warp left and %d on state a wider one; want some of each", narrowed, widened)
 	}
 }
 

@@ -126,8 +126,6 @@ const (
 )
 
 type warpSim struct {
-	class warpSimClass // what the register files below are sized for
-
 	dp  *decodedProgram
 	cfg DeviceConfig
 	mem *interp.Memory
@@ -198,49 +196,47 @@ type warpSim struct {
 	latTab [4]float64  // scoreboard latency by latClass
 }
 
-// warpSimClass is what a warpSim's register files are sized for: the warp
-// width and the register count (pooled immediates included) rounded up to a
-// power of two. Run state is recycled only within its class (see package
-// freelist), so the files always fit.
-type warpSimClass struct {
-	warp int
-	regs int
+// Run state is recycled by the size of its register files — warp width
+// times registers, pooled immediates included — rounded up to a power of
+// two, its class, and only ever within that class, so the files always fit
+// and in a serial run each class is built once however the runs are
+// ordered (see package freelist). freeWarpSims[i] holds state whose files
+// have capacity 1<<i; a run holds one warpSim, so a campaign holds one per
+// harness worker and a uud one per pool worker.
+var freeWarpSims [bits.UintSize]freelist.List[*warpSim]
+
+// regFileClass returns the capacity register files of n values are
+// allocated at and the list state with that capacity is filed on.
+func regFileClass(n int) (int, *freelist.List[*warpSim]) {
+	i := bits.Len(uint(max(n, 1) - 1))
+	return 1 << i, &freeWarpSims[i]
 }
 
-func classOf(dp *decodedProgram, cfg DeviceConfig) warpSimClass {
-	n := dp.fileRegs()
-	return warpSimClass{cfg.WarpSize, 1 << bits.Len(uint(max(n, 1)-1))}
-}
-
-// newWarpSim builds fresh run state for executing dp on cfg against mem.
+// newWarpSim builds fresh run state for executing dp on cfg against mem,
+// its register files at their class and its scoreboard large enough for
+// any program of that class on cfg's warp width.
 func newWarpSim(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) *warpSim {
-	c := classOf(dp, cfg)
+	class, _ := regFileClass(cfg.WarpSize * dp.fileRegs())
 	w := &warpSim{
-		class: c,
-		ready: make([]float64, c.regs),
-		regsI: make([]int64, c.warp*c.regs),
-		regsF: make([]float64, c.warp*c.regs),
+		ready: make([]float64, 0, class/cfg.WarpSize),
+		regsI: make([]int64, 0, class),
+		regsF: make([]float64, 0, class),
 	}
 	w.init(dp, cfg, mem)
 	return w
 }
 
-// maxFreeWarpSims bounds the run-state free list: a run holds one warpSim,
-// so a campaign holds one per harness worker and a uud one per pool worker,
-// over a handful of classes; past the bound the oldest is dropped.
-const maxFreeWarpSims = 16
-
-var freeWarpSims = freelist.New[warpSimClass, *warpSim](maxFreeWarpSims)
-
 // acquireWarpSim returns run state for executing dp on cfg against mem. The
-// warpSim may be a recycled one — register files, scoreboard, scratch and
-// policy engines keep their capacity between runs, which is what makes a
-// repeat execution allocation-free — but init re-derives everything else
-// from (dp, cfg, mem) alone, so a run never depends on what the state ran
-// before, including a run that faulted, exhausted its budget or was
-// cancelled part-way. Hand the state back with releaseWarpSim.
+// warpSim may be a recycled one of the same class — register files,
+// scoreboard, scratch and policy engines keep their capacity between runs,
+// which is what makes a repeat execution allocation-free — but init
+// re-derives everything else from (dp, cfg, mem) alone, so a run never
+// depends on what the state ran before, including a run that faulted,
+// exhausted its budget or was cancelled part-way. Hand the state back with
+// releaseWarpSim.
 func acquireWarpSim(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) *warpSim {
-	w, ok := freeWarpSims.Take(classOf(dp, cfg))
+	_, l := regFileClass(cfg.WarpSize * dp.fileRegs())
+	w, ok := l.Take()
 	if !ok {
 		return newWarpSim(dp, cfg, mem)
 	}
@@ -248,12 +244,13 @@ func acquireWarpSim(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) *w
 	return w
 }
 
-// releaseWarpSim retires w to the free list, stripped of every reference to
-// the run it served so a parked warpSim pins no program, memory, profile or
-// context.
+// releaseWarpSim retires w to its class's list, stripped of every reference
+// to the run it served so a parked warpSim pins no program, memory, profile
+// or context.
 func releaseWarpSim(w *warpSim) {
+	_, l := regFileClass(cap(w.regsI))
 	w.strip()
-	freeWarpSims.Put(w.class, w)
+	l.Put(w)
 }
 
 // strip resets w to the zero warpSim that owns w's buffers: the arrays (for
@@ -266,7 +263,7 @@ func (w *warpSim) strip() {
 		}
 	}
 	*w = warpSim{
-		class: w.class, ready: w.ready, regsI: w.regsI, regsF: w.regsF,
+		ready: w.ready, regsI: w.regsI, regsF: w.regsF,
 		engines: w.engines, touched: w.touched, lru: w.lru, blockSeen: w.blockSeen,
 		lanesTID: w.lanesTID, lanesCTA: w.lanesCTA, addrBuf: w.addrBuf, segBuf: w.segBuf,
 	}
@@ -283,10 +280,10 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// init prepares w — a new or stripped warpSim of dp and cfg's class — for one
-// run. Every buffer is resized to this run's needs and either cleared or
-// documented as overwritten before its first read; everything else starts
-// from zero.
+// init prepares w — a new or stripped warpSim whose register files fit dp
+// on cfg — for one run. Every buffer is resized to this run's needs, grown
+// when its capacity falls short, and either cleared or documented as
+// overwritten before its first read; everything else starts from zero.
 func (w *warpSim) init(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory) {
 	w.dp, w.cfg, w.mem = dp, cfg, mem
 	w.laneW = cfg.WarpSize
@@ -302,8 +299,7 @@ func (w *warpSim) init(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory)
 			w.regsF[base+lane] = v.F
 		}
 	}
-	w.ready = w.ready[:dp.numRegs]
-	clear(w.ready)
+	w.ready = zeroed(w.ready, dp.numRegs)
 	if w.engines[cfg.Policy] == nil {
 		w.engines[cfg.Policy] = newPolicyEngine(cfg.Policy)
 	}

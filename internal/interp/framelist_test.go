@@ -15,10 +15,11 @@ import (
 )
 
 // TestRecycledFramesAreInvisible interleaves threads of functions whose
-// frames differ in size (InstrIDBound) but share free-list classes, so that
-// nearly every run borrows a frame another function, another thread, a trap
-// or a step-budget exit left dirty, and holds each run against the reference
-// interpreter, which builds its environment afresh.
+// frames differ in size (InstrIDBound), so that nearly every run borrows a
+// frame another function, another thread, a trap or a step-budget exit left
+// dirty — in the first round some borrow one too small for them, which
+// takeFrame grows — and holds each run against the reference interpreter,
+// which builds its environment afresh.
 func TestRecycledFramesAreInvisible(t *testing.T) {
 	type thread struct {
 		name   string

@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"uu/internal/ir"
 )
@@ -37,6 +39,11 @@ func TestOutOfBounds(t *testing.T) {
 	}
 }
 
+// TestStepBudget runs an infinite loop under a 1000-step budget. A step
+// accounting that undercounts never stops it, so the run is watched: the
+// test fails by its own name instead of at the package's -timeout. A run
+// that hangs cannot be stopped and is left spinning; the package has
+// failed by then.
 func TestStepBudget(t *testing.T) {
 	f := ir.NewFunction("spin", ir.Void)
 	entry := f.NewBlock("entry")
@@ -45,8 +52,18 @@ func TestStepBudget(t *testing.T) {
 	b.Br(loop)
 	b.SetBlock(loop)
 	b.Br(loop)
-	if _, err := RunSteps(f, nil, NewMemory(0), Env{}, 1000, nil); err == nil {
-		t.Fatalf("infinite loop not caught")
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunSteps(f, nil, NewMemory(0), Env{}, 1000, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrStepBudget) {
+			t.Fatalf("infinite loop: got %v, want ErrStepBudget", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("infinite loop still running after 5 s under a 1000-step budget")
 	}
 }
 

@@ -8,31 +8,35 @@ import (
 
 // The memory free list recycles device-memory buffers between simulator
 // runs whose image provably does not outlive the run (bench.Execute, a serve
-// request, gpusim's private per-worker copies). Buffers are filed by
-// capacity, a power of two from minFreeMemoryBytes to maxFreeMemoryBytes,
-// and only ever reused at that capacity (see package freelist for why not
-// best fit, and why not a sync.Pool). A request above the largest class is
-// allocated and dropped: the suite's images are at most 2.1 MB, only a uud
-// request can ask for more, and 16 retained buffers of 4 MiB bound the list
-// at 64 MiB.
+// request, gpusim's private per-worker copies). A buffer is allocated at a
+// class, a power of two from minFreeMemoryBytes to maxFreeMemoryBytes, and
+// filed on its class's list, so it is only ever reused at that class: in a
+// serial run each class is built once however the requests are ordered (see
+// package freelist for why not a sync.Pool). A request above the largest
+// class is allocated and dropped: the suite's images are at most 2.1 MB,
+// only a uud request can ask for more, and freelist.Bound buffers of each
+// class bound the lists at 128 MiB.
 const (
-	maxFreeMemories    = 16
 	minFreeMemoryBytes = 4 << 10
 	maxFreeMemoryBytes = 4 << 20
 )
 
-var freeMemories = freelist.New[int, *Memory](maxFreeMemories)
+// freeMemories[i] holds buffers of capacity minFreeMemoryBytes<<i, the
+// last being maxFreeMemoryBytes.
+var freeMemories [11]freelist.List[*Memory]
 
-// memoryClass returns the capacity a memory of size bytes is allocated at,
-// or 0 when it is too large to recycle.
-func memoryClass(size int64) int {
+// memoryClass returns the capacity a memory of size bytes is allocated at
+// and the list that capacity is filed on, or 0 and nil when it is too large
+// to recycle.
+func memoryClass(size int64) (int64, *freelist.List[*Memory]) {
+	i := 0
 	switch {
 	case size > maxFreeMemoryBytes:
-		return 0
-	case size <= minFreeMemoryBytes:
-		return minFreeMemoryBytes
+		return 0, nil
+	case size > minFreeMemoryBytes:
+		i = bits.Len64(uint64(size-1)) - bits.Len64(minFreeMemoryBytes-1)
 	}
-	return 1 << bits.Len64(uint64(size-1))
+	return minFreeMemoryBytes << i, &freeMemories[i]
 }
 
 // AcquireMemory returns a memory of size bytes holding a copy of image
@@ -41,25 +45,29 @@ func memoryClass(size int64) int {
 // previous owner stored is ever visible. Hand it back with ReleaseMemory
 // once nothing references it or its Data.
 func AcquireMemory(size int64, image []byte) *Memory {
-	class := memoryClass(size)
-	m, ok := freeMemories.Take(class)
-	if !ok {
-		m = &Memory{Data: make([]byte, size, max(int64(class), size))}
-		copy(m.Data, image)
-		return m
+	class, l := memoryClass(size)
+	if l != nil {
+		if m, ok := l.Take(); ok {
+			m.Data = m.Data[:size]
+			n := copy(m.Data, image)
+			clear(m.Data[n:])
+			return m
+		}
 	}
-	m.Data = m.Data[:size]
-	n := copy(m.Data, image)
-	clear(m.Data[n:])
+	m := &Memory{Data: make([]byte, size, max(class, size))}
+	copy(m.Data, image)
 	return m
 }
 
 // ReleaseMemory gives m to the free list; the caller must not touch m or
-// m.Data afterwards. Only buffers AcquireMemory sized are kept (their
-// capacity is their class), so a memory from NewMemory is simply dropped.
+// m.Data afterwards. Only a buffer whose capacity is a class is kept, as
+// every buffer AcquireMemory sized is; most memories from NewMemory are
+// dropped.
 func ReleaseMemory(m *Memory) {
-	if m == nil || cap(m.Data) == 0 || memoryClass(int64(cap(m.Data))) != cap(m.Data) {
+	if m == nil || cap(m.Data) == 0 {
 		return
 	}
-	freeMemories.Put(cap(m.Data), m)
+	if class, l := memoryClass(int64(cap(m.Data))); class == int64(cap(m.Data)) {
+		l.Put(m)
+	}
 }

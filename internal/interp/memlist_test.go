@@ -7,11 +7,31 @@ import (
 	"uu/internal/freelist"
 )
 
+// dropFreeMemories empties every class's list.
+func dropFreeMemories() {
+	for i := range freeMemories {
+		for {
+			if _, ok := freeMemories[i].Take(); !ok {
+				break
+			}
+		}
+	}
+}
+
+// freeMemoryCount reports how many buffers the lists hold in all.
+func freeMemoryCount() int {
+	n := 0
+	for i := range freeMemories {
+		n += freeMemories[i].Len()
+	}
+	return n
+}
+
 // TestAcquireMemoryOverwritesRecycledBuffers: whatever a previous owner
 // left in a buffer — past the new length too — an acquired memory is
 // exactly image followed by zeros.
 func TestAcquireMemoryOverwritesRecycledBuffers(t *testing.T) {
-	freeMemories = freelist.New[int, *Memory](maxFreeMemories)
+	dropFreeMemories()
 	dirty := AcquireMemory(5000, nil)
 	if cap(dirty.Data) != 8192 {
 		t.Fatalf("a 5000-byte memory has capacity %d, want its class, 8192", cap(dirty.Data))
@@ -54,10 +74,12 @@ func TestAcquireMemoryOverwritesRecycledBuffers(t *testing.T) {
 	}
 }
 
-// TestFreeMemoriesBounded: the list keeps at most maxFreeMemories buffers
-// and never one above the largest class or one it did not size itself.
+// TestFreeMemoriesBounded: each class's list keeps at most freelist.Bound
+// buffers, and no list keeps one above the largest class or one whose
+// capacity is not a class; a NewMemory buffer of a class's capacity is filed
+// like any other.
 func TestFreeMemoriesBounded(t *testing.T) {
-	freeMemories = freelist.New[int, *Memory](maxFreeMemories)
+	dropFreeMemories()
 	ReleaseMemory(nil)
 	ReleaseMemory(NewMemory(5000)) // not a class capacity
 	big := AcquireMemory(maxFreeMemoryBytes+1, nil)
@@ -65,18 +87,22 @@ func TestFreeMemoriesBounded(t *testing.T) {
 		t.Fatalf("oversized memory has length %d", len(big.Data))
 	}
 	ReleaseMemory(big)
-	if n := freeMemories.Len(); n != 0 {
-		t.Fatalf("list retained %d buffers it should have dropped", n)
+	if n := freeMemoryCount(); n != 0 {
+		t.Fatalf("lists retained %d buffers they should have dropped", n)
+	}
+	ReleaseMemory(NewMemory(maxFreeMemoryBytes))
+	if n := freeMemoryCount(); n != 1 {
+		t.Fatalf("lists hold %d buffers, want the 4 MiB one", n)
 	}
 	var ms []*Memory
-	for i := 0; i < maxFreeMemories+5; i++ {
+	for i := 0; i < freelist.Bound+5; i++ {
 		ms = append(ms, AcquireMemory(4096, nil))
 	}
 	for _, m := range ms {
 		ReleaseMemory(m)
 	}
-	if n := freeMemories.Len(); n != maxFreeMemories {
-		t.Fatalf("list holds %d buffers, want %d", n, maxFreeMemories)
+	if n := freeMemoryCount(); n != freelist.Bound+1 {
+		t.Fatalf("lists hold %d buffers, want %d 4 KiB ones and the 4 MiB one", n, freelist.Bound)
 	}
-	freeMemories = freelist.New[int, *Memory](maxFreeMemories)
+	dropFreeMemories()
 }

@@ -16,7 +16,7 @@ var RefCloneRegion = refCloneRegion
 // nothing.
 func DrainFreeStores() {
 	for {
-		if _, ok := freeStores.Take(struct{}{}); !ok {
+		if _, ok := freeStores.Take(); !ok {
 			return
 		}
 	}

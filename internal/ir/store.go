@@ -39,23 +39,22 @@ type store struct {
 // blocks and maxStoreInstrs instructions, each list of theirs at most
 // maxStoreList entries long, a block list of at most maxStoreBlocks and
 // tables of at most maxStoreInstrs entries. A larger compile's excess is
-// dropped, and at most maxFreeStores stores are kept.
+// dropped, and the free list keeps at most freelist.Bound stores.
 const (
-	maxFreeStores  = 16
 	maxStoreBlocks = 1 << 13
 	maxStoreInstrs = 1 << 15
 	maxStoreList   = 1 << 10
 )
 
-// freeStores holds released stores. It has one class: a store grows to
-// what its function needs, so any store can serve any function.
-var freeStores = freelist.New[struct{}, *store](maxFreeStores)
+// freeStores holds released stores. A store grows to what its function
+// needs, so any store can serve any function.
+var freeStores = freelist.New[*store]()
 
 // takeStore gives f, a new function, a released store — with the block
 // list and name table its last function left — or a new one when none is
 // filed.
 func (f *Function) takeStore() {
-	s, ok := freeStores.Take(struct{}{})
+	s, ok := freeStores.Take()
 	if !ok {
 		s = new(store)
 	}
@@ -159,7 +158,7 @@ func Release(f *Function) {
 	clear(f.nameCount)
 	s.nameCount = f.nameCount
 	*f = Function{Name: f.Name}
-	freeStores.Put(struct{}{}, s)
+	freeStores.Put(s)
 }
 
 // live returns f's store, panicking when f was released.

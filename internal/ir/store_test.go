@@ -3,6 +3,8 @@ package ir
 import (
 	"strings"
 	"testing"
+
+	"uu/internal/freelist"
 )
 
 // TestReleasedFunctionPanics: a released function is poisoned — each of
@@ -62,20 +64,20 @@ func bigFunction(t *testing.T) *Function {
 }
 
 // TestReleasedStoresAreBounded: the free list never holds more than
-// maxFreeStores stores, and a released store keeps at most its documented
+// freelist.Bound stores, and a released store keeps at most its documented
 // objects and list lengths, every free object zeroed down to its lists.
 func TestReleasedStoresAreBounded(t *testing.T) {
-	for i := 0; i < maxFreeStores+4; i++ {
+	for i := 0; i < freelist.Bound+4; i++ {
 		f, _ := buildCountLoop(t)
 		Release(f)
-		if n := freeStores.Len(); n > maxFreeStores {
-			t.Fatalf("%d stores filed, bound %d", n, maxFreeStores)
+		if n := freeStores.Len(); n > freelist.Bound {
+			t.Fatalf("%d stores filed, bound %d", n, freelist.Bound)
 		}
 	}
 	f := bigFunction(t)
 	for _, h := range []*Function{Clone(f), f} {
 		Release(h)
-		s, _ := freeStores.Take(struct{}{}) // the latest filed: h's
+		s, _ := freeStores.Take() // the latest filed: h's
 		checkReleasedStore(t, s)
 	}
 }

@@ -3,6 +3,7 @@ package irparse_test
 import (
 	"context"
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -52,11 +53,12 @@ entry:
 // The interpreter evaluates these inline, at their types, rather than
 // through package ir's kernels: i32 adds and muls that wrap, and compares
 // of i32s whose int64 holds high bits (wrapSmallSrc); f32 arithmetic and
-// compares of parameters (f32Src: FuzzRunIR passes zero for every argument,
-// as uud does, so an unrounded f32 parameter is TestPureOpsMatchReference's
-// input, not this one's); and a loop of 3-step iterations behind a 1-step
-// entry, which a 2^16-step budget ends exactly at the end of an iteration
-// (budgetEdgeSrc), so the budget error falls on a block's first op.
+// compares of parameters (f32Src: FuzzRunIR passes every argument as an
+// interp.IntVal, as uud does, so an f32 parameter reads zero and an
+// unrounded one is TestPureOpsMatchReference's input, not this one's); and
+// a loop of 3-step iterations behind a 1-step entry, which a 2^16-step
+// budget ends exactly at the end of an iteration (budgetEdgeSrc), so the
+// budget error falls on a block's first op.
 const wrapSmallSrc = `func @wrapsmall(i32* noalias %out) {
 entry:
   %t = tid
@@ -141,8 +143,11 @@ func FuzzParseFunc(f *testing.F) {
 // FuzzRunIR drives any text that parses and verifies down the path a uud ir
 // request takes: the interpreter (bench.Interpret) and a baseline compile
 // and simulation (bench.Run) on every registry device, with a 1x32 launch,
-// zero arguments, 4 KiB of memory and step budgets of 2^16. Either may
-// return an error; neither may panic.
+// 4 KiB of memory and step budgets of 2^16. A uud request may pass any
+// int64 to any parameter, so each scalar argument is an interp.IntVal
+// hashed (FNV-64a) from the text and the parameter's index, and a loop
+// bounded by a parameter iterates; pointer arguments are 0, the start of
+// memory. Either leg may return an error; neither may panic.
 func FuzzRunIR(f *testing.F) {
 	addSeeds(f)
 	f.Add(ptrCmpSrc)
@@ -161,8 +166,17 @@ func FuzzRunIR(f *testing.F) {
 		if err != nil || ir.Verify(fn) != nil {
 			return
 		}
+		args := make([]interp.Value, len(fn.Params))
+		h := fnv.New64a()
+		h.Write([]byte(src))
+		for i, p := range fn.Params {
+			h.Write([]byte{byte(i)})
+			if !p.Typ.IsPtr() {
+				args[i] = interp.IntVal(int64(h.Sum64()))
+			}
+		}
 		w := &bench.Workload{
-			Args:    make([]interp.Value, len(fn.Params)),
+			Args:    args,
 			MemSize: 4 << 10,
 			Launch:  gpusim.Launch{GridDim: 1, BlockDim: 32},
 		}

@@ -236,7 +236,7 @@ func cleanupPasses(s *transform.Scratch, gvn transform.GVNOptions) []analysis.Pa
 //   - a filed bundle pins no function: each layer's Park clears what refers
 //     to blocks, instructions or values, and a compile that panicked drops
 //     its bundle instead of filing it;
-//   - bounded: the list keeps maxFreeScratch bundles, and harden drops a
+//   - bounded: the list keeps freelist.Bound bundles, and harden drops a
 //     spare snapshot past its size cap.
 type scratch struct {
 	transform transform.Scratch
@@ -245,16 +245,12 @@ type scratch struct {
 	analysis  analysis.Scratch
 }
 
-// maxFreeScratch is the free list's capacity, the same as interp's and
-// gpusim's lists.
-const maxFreeScratch = 16
-
-// freeScratch holds the filed bundles. It has one class: a bundle's tables
-// grow to what they serve, so any bundle can serve any compilation.
-var freeScratch = freelist.New[struct{}, *scratch](maxFreeScratch)
+// freeScratch holds the filed bundles. A bundle's tables grow to what they
+// serve, so any bundle can serve any compilation.
+var freeScratch = freelist.New[*scratch]()
 
 func takeScratch() *scratch {
-	if s, ok := freeScratch.Take(struct{}{}); ok {
+	if s, ok := freeScratch.Take(); ok {
 		return s
 	}
 	return new(scratch)
@@ -271,7 +267,7 @@ func (s *scratch) park() {
 // file parks s and puts it on the free list.
 func (s *scratch) file() {
 	s.park()
-	freeScratch.Put(struct{}{}, s)
+	freeScratch.Put(s)
 }
 
 // driver executes PhaseSpecs against one function and its analysis manager,
