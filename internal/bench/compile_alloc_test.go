@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"uu/internal/codegen"
 	"uu/internal/gpusim"
+	"uu/internal/ir"
 	"uu/internal/pipeline"
 )
 
@@ -20,10 +22,11 @@ func worstCell() (*Benchmark, pipeline.Options) {
 }
 
 // worstCellAllocCeiling is twice what compiling worstCell allocates in a
-// process that has compiled nothing before (12.2 MB, the copy of the
-// once-built kernel it starts from included; 14.4 MB before the passes'
-// tables came from a scratch bundle and ir.Clone carved its copy from one
-// array per kind). With the pointer-keyed maps that block and instruction
+// process that has compiled nothing before (12.3 MB, the copy of the
+// once-built kernel it starts from included; 12.8 MB while codegen gave
+// every block and every instruction a list of its own; 14.4 MB before the
+// passes' tables came from a scratch bundle and ir.Clone carved its copy
+// from one array per kind). With the pointer-keyed maps that block and instruction
 // numbering replaced — a fresh visited map per merge search, SCCP's edge and
 // lattice maps, GVN's string keys — the same compile allocated 216 MB; with
 // an undo record and four slices per GVN scope 43 MB; with map-based
@@ -34,13 +37,15 @@ func worstCell() (*Benchmark, pipeline.Options) {
 const worstCellAllocCeiling = 25 << 20
 
 // worstCellWarmAllocCeiling is twice what the same compile allocates right
-// after the first (9.7 MB): it borrows the bundle the first one filed, so a
-// pass that goes back to building its tables per invocation or per
-// compilation fails here.
+// after the first (9.0 MB; 9.9 MB while codegen gave every block and every
+// instruction a list of its own): it borrows the bundle the first one
+// filed, so a pass that goes back to building its tables per invocation or
+// per compilation fails here.
 const worstCellWarmAllocCeiling = 20 << 20
 
 // worstCellContainedAllocCeiling bounds the same compile under the guard
-// with the verifier after every pass, right after the plain one (25.2 MB;
+// with the verifier after every pass, right after the plain one (25.7 MB;
+// 26.6 MB while codegen gave every block and instruction a list of its own;
 // 47.6 MB before the guard wrote each snapshot into the stale one's storage
 // and the passes borrowed their tables; 49.6 MB before codegen reserved each
 // block's list; 51.2 MB while ir.Clone's two tables were still maps; 56 MB
@@ -94,14 +99,16 @@ func TestWorstCellContainedAllocation(t *testing.T) {
 }
 
 // worstCellRecycledAllocCeiling bounds what bench.Run allocates for
-// worstCell right after a first Run of it (6.3 MB, the simulation
-// included): the second compile is carved from the store the first
-// released — the kernel's copy, every region the unmerger cloned, every
-// block it added and every list they grew — and borrows the first's pass
-// tables. The same run allocated 10.5 MB while Run released nothing, so the
-// ceiling is 1.4 times the current figure, not twice: a copy, clone or
+// worstCell right after a first Run of it (4.6 MB, the simulation
+// included; 5.5 MB while codegen gave every block and instruction a list of
+// its own, 6.3 MB while every analysis tree was built in fresh storage): the
+// second compile is carved from the store the first released — the
+// kernel's copy, every region the unmerger cloned, every block it added and
+// every list they grew — and borrows the first's pass tables and codegen's
+// scratch. The same run allocated 10.5 MB while Run released nothing, so
+// the ceiling is 1.5 times the current figure, not twice: a copy, clone or
 // block that goes back to fresh storage fails here.
-const worstCellRecycledAllocCeiling = 9 << 20
+const worstCellRecycledAllocCeiling = 7 << 20
 
 // runAllocation runs app under opts through Run and returns the bytes
 // allocated.
@@ -125,5 +132,45 @@ func TestWorstCellRecycledRunAllocation(t *testing.T) {
 	if second > worstCellRecycledAllocCeiling {
 		t.Fatalf("running %s uu loop 0 u=8 again allocated %.1f MB, ceiling %d MB",
 			app.Name, float64(second)/(1<<20), worstCellRecycledAllocCeiling>>20)
+	}
+}
+
+// TestLowerAllocations pins what lowering allocates by count: a program is a
+// few exactly sized arrays (instructions, operands, line table, blocks,
+// post-dominators, loops, parameters) and codegen's tables come from its
+// recycled scratch, so lowering the worst cell — 4 096 blocks — makes as
+// many objects as lowering a small one. Both functions were lowered once
+// already, so their critical edges are split and the scratch has grown to
+// the larger. It also logs the worst cell's bytes and objects, which CI
+// prints.
+func TestLowerAllocations(t *testing.T) {
+	small, err := Compile(ByName("complex"), pipeline.Options{Config: pipeline.Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, opts := worstCell()
+	worst, err := Compile(app, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower := func(f *ir.Function) {
+		if _, err := codegen.Lower(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := func(cr *CompileResult) float64 {
+		return testing.AllocsPerRun(5, func() { lower(cr.Func) })
+	}
+	worstObjects, smallObjects := objects(worst), objects(small)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lower(worst.Func)
+	runtime.ReadMemStats(&after)
+	t.Logf("lowering %s uu loop 0 u=8 again (%d blocks, %d instructions) allocated %d bytes in %.0f objects; complex baseline (%d blocks) %.0f objects",
+		app.Name, len(worst.Program.Blocks), worst.Program.NumInstrs(), after.TotalAlloc-before.TotalAlloc, worstObjects,
+		len(small.Program.Blocks), smallObjects)
+	if worstObjects != smallObjects {
+		t.Fatalf("lowering allocated %.0f objects for %d blocks but %.0f for %d: something is allocated per block or per instruction",
+			worstObjects, len(worst.Program.Blocks), smallObjects, len(small.Program.Blocks))
 	}
 }

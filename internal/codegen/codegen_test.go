@@ -3,6 +3,7 @@ package codegen
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"uu/internal/ir"
 	"uu/internal/irparse"
@@ -232,9 +233,12 @@ entry:
 	}
 }
 
-// TestLowerReservesEachBlock: lowerBlock counts what a block lowers to —
-// every GEP shape's expansion and the phi copies included — before it emits,
-// so no block's list is grown by append or left with unused room.
+// TestLowerReservesEachBlock: Lower counts what every block lowers to —
+// every GEP shape's expansion, the phi copies and a copy cycle's temporary
+// included — before it emits, so the program's instructions, operands and
+// line records each fill one exactly sized array, and every block's
+// instructions and every instruction's operands are a window of it capped at
+// its end, which an append cannot write past.
 func TestLowerReservesEachBlock(t *testing.T) {
 	p := lower(t, `
 func @k(f64* noalias %x, i8* noalias %y, i64 %n, i32 %j) -> i64 {
@@ -248,6 +252,8 @@ entry:
 loop:
   %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
   %s = phi i64 [ %n, %entry ], [ %s, %loop ]
+  %a = phi i64 [ 0, %entry ], [ %b, %loop ]
+  %b = phi i64 [ 1, %entry ], [ %a, %loop ]
   %i2 = add i64 %i, i64 1
   %c = icmp slt i64 %i2, i64 %n
   condbr i1 %c, %loop, %exit
@@ -256,10 +262,52 @@ exit:
   ret i64 %e
 }
 `)
+	n := p.NumInstrs()
+	if len(p.Lines) != n || cap(p.Lines) != n {
+		t.Errorf("%d instructions but %d line records in a table reserved for %d", n, len(p.Lines), cap(p.Lines))
+	}
+	// One array: every block's window lies where the last one ended.
+	all := unsafe.Slice(&p.Blocks[0].Instrs[0], n)
+	at := 0
 	for _, b := range p.Blocks {
 		if len(b.Instrs) != cap(b.Instrs) {
-			t.Errorf("block %s: %d instructions in a list reserved for %d", b.Name, len(b.Instrs), cap(b.Instrs))
+			t.Errorf("block %s: %d instructions in a window capped at %d", b.Name, len(b.Instrs), cap(b.Instrs))
 		}
+		if &b.Instrs[0] != &all[at] {
+			t.Errorf("block %s does not start at instruction %d of the program's array", b.Name, at)
+		}
+		at += len(b.Instrs)
+	}
+	// One pool: each instruction's operands lie where the last one's ended.
+	var pool *Operand
+	used := 0
+	for i := range all {
+		in := &all[i]
+		if len(in.Srcs) != cap(in.Srcs) {
+			t.Errorf("%s: %d operands in a window capped at %d", p.instrString(in), len(in.Srcs), cap(in.Srcs))
+		}
+		if len(in.Srcs) == 0 {
+			continue
+		}
+		if pool == nil {
+			pool = &in.Srcs[0]
+		}
+		if &unsafe.Slice(pool, used+1)[used] != &in.Srcs[0] {
+			t.Fatalf("%s: its operands are not the next window of the program's pool", p.instrString(in))
+		}
+		used += len(in.Srcs)
+	}
+}
+
+// TestInstrLayout pins the sizes the lowered program is made of: an
+// instruction carries no source loc of its own (the line table holds it),
+// and an immediate is a *ir.Const, not an interface.
+func TestInstrLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 72 {
+		t.Errorf("Instr is %d bytes, want 72", got)
+	}
+	if got := unsafe.Sizeof(Operand{}); got != 16 {
+		t.Errorf("Operand is %d bytes, want 16", got)
 	}
 }
 

@@ -11,14 +11,54 @@ import (
 	"uu/internal/transform"
 )
 
-// freeScratch holds the parked analysis storage Lower builds its trees in.
-// The tables grow to what they serve, so any Scratch can serve any function.
-var freeScratch = freelist.New[*analysis.Scratch]()
+// scratch is the storage one lowering works in and files for the next: the
+// analysis storage its post-dominator tree and loop info are built in, and
+// its own tables. Every table grows to what it serves, so any scratch can
+// serve any function; a filed one pins no function (release).
+type scratch struct {
+	analysis.Scratch
+	regs  []Reg   // by Instr.ID: the result's register, NoReg when unreached
+	index []int32 // by Block.ID: the block's position in the layout
+	// copies holds every block's sequenced phi copies, block after block in
+	// layout order; copyEnd[i] is where block i's end. pending holds one
+	// block's copies before they are sequenced.
+	copies, pending []phiCopy
+	copyEnd         []int32
+	order           []*ir.Block // the layout: reverse postorder
+	mark            []int32     // by Block.ID: rpo's visited set
+	stack           ir.PostorderStack
+	blocks, preds   []*ir.Block // splitCriticalEdges' work lists
+}
+
+// freeScratch recycles scratch between lowerings. Its price: with its Put
+// discarded the benchmark's sweep allocates 8.2 % more and serve-cold 7.8 %
+// more (EXPERIMENTS.md "What each free list buys").
+var freeScratch = freelist.New[*scratch]()
+
+// release drops every reference s holds to blocks and files it.
+func (s *scratch) release() {
+	s.Park()
+	s.order, s.blocks, s.preds = dropAll(s.order), dropAll(s.blocks), dropAll(s.preds)
+	freeScratch.Put(s)
+}
+
+// dropAll clears the whole of s's array, past its length too (preds is
+// refilled block by block), and returns it empty.
+func dropAll(s []*ir.Block) []*ir.Block {
+	clear(s[:cap(s)])
+	return s[:0]
+}
 
 // Lower compiles an IR function to VPTX. It mutates f slightly (critical
 // edges into phi-bearing blocks are split so phi copies have a home), then
 // performs a standard phi-elimination lowering with parallel-copy
 // sequencing. Allocas must have been promoted (run a pipeline first).
+//
+// The program is a few exactly sized arrays: every block's instructions,
+// end to end in layout order, each block's Instrs a capped window of them;
+// every instruction's operands, each Srcs a capped window of one pool; and
+// the line table, one record per instruction. Everything is counted before
+// the first instruction is emitted.
 func Lower(f *ir.Function) (*Program, error) {
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -27,29 +67,32 @@ func Lower(f *ir.Function) (*Program, error) {
 			}
 		}
 	}
-	splitCriticalEdges(f)
+	s, ok := freeScratch.Take()
+	if !ok {
+		s = new(scratch)
+	}
+	defer s.release()
+	s.splitCriticalEdges(f)
 
-	lw := &lowerer{
-		f:      f,
-		prog:   &Program{Name: f.Name},
-		params: make([]Reg, len(f.Params)),
-		regs:   make([]Reg, f.InstrIDBound()),
-		index:  make([]int, f.BlockIDBound()),
-	}
-	// Parameters get the first registers.
-	for i, p := range f.Params {
-		r := lw.newReg()
-		lw.params[i] = r
-		lw.prog.ParamRegs = append(lw.prog.ParamRegs, r)
-		lw.prog.ParamTyps = append(lw.prog.ParamTyps, p.Typ)
-	}
 	// Reverse postorder block layout.
-	order := rpo(f)
+	s.mark = resized(s.mark, f.BlockIDBound())
+	s.order = ir.AppendPostorder(s.order[:0], f.Entry(), (*ir.Block).Succs, s.mark, &s.stack)
+	slices.Reverse(s.order)
+	order := s.order
+	s.index = resized(s.index, f.BlockIDBound())
 	for i, b := range order {
-		lw.index[b.ID()] = i
-		lw.prog.Blocks = append(lw.prog.Blocks, &Block{Index: i, Name: b.Name})
+		s.index[b.ID()] = int32(i)
 	}
 
+	s.regs = slices.Grow(s.regs[:0], f.InstrIDBound())[:f.InstrIDBound()]
+	lw := &lowerer{f: f, prog: &Program{Name: f.Name}, regs: s.regs, index: s.index}
+	// Parameters get the first registers.
+	lw.prog.ParamRegs = make([]Reg, len(f.Params))
+	lw.prog.ParamTyps = make([]*ir.Type, len(f.Params))
+	for i, p := range f.Params {
+		lw.prog.ParamRegs[i] = lw.newReg()
+		lw.prog.ParamTyps[i] = p.Typ
+	}
 	// Pre-assign result registers (phis included) so forward references
 	// work. An instruction the layout does not reach keeps NoReg.
 	for i := range lw.regs {
@@ -62,35 +105,34 @@ func Lower(f *ir.Function) (*Program, error) {
 			}
 		}
 	}
+
+	// Count what every block lowers to, its sequenced phi copies included.
+	s.copies, s.copyEnd = s.copies[:0], slices.Grow(s.copyEnd[:0], len(order))[:len(order)]
+	nInstrs, nSrcs := 0, 0
 	for i, b := range order {
-		if err := lw.lowerBlock(lw.prog.Blocks[i], b); err != nil {
-			return nil, err
+		s.pending = lw.phiCopies(s.pending[:0], b)
+		s.copies = sequenceCopies(s.copies, s.pending)
+		s.copyEnd[i] = int32(len(s.copies))
+		for _, in := range b.Instrs() {
+			n, m := lowered(in)
+			nInstrs, nSrcs = nInstrs+n, nSrcs+m
+			if in.IsTerminator() {
+				break
+			}
 		}
 	}
-	lw.prog.NumRegs = int(lw.next)
+	nInstrs += len(s.copies)
+	nSrcs += len(s.copies)
+	lw.instrs = make([]Instr, 0, nInstrs)
+	lw.srcPool = make([]Operand, 0, nSrcs)
+	lw.prog.Lines = make([]LineInfo, 0, nInstrs)
+	lw.prog.Blocks = make([]Block, len(order))
 
-	// Immediate post-dominators for the simulator's reconvergence stack,
-	// built like the loop info below in recycled storage that is parked and
-	// filed once both have been read.
-	s, ok := freeScratch.Take()
-	if !ok {
-		s = new(analysis.Scratch)
-	}
-	pdt := s.PostDomTree(f)
-	lw.prog.IPDom = make([]int, len(order))
-	for i, b := range order {
-		ip := pdt.Idom(b)
-		if ip == nil {
-			lw.prog.IPDom[i] = -1
-		} else {
-			lw.prog.IPDom[i] = lw.index[ip.ID()]
-		}
-	}
-
-	// Line table and loop metadata for the profiler: one record per
-	// instruction in flat PC order (the simulator's pre-decoded index), each
-	// naming its source loc and innermost enclosing loop of the final IR.
+	// Loop metadata for the profiler, and each block's innermost loop for
+	// the line table. Like the post-dominator tree below, the loop info is
+	// built in recycled storage that is parked once the program is built.
 	li := s.LoopInfo(f)
+	lw.prog.Loops = make([]LoopMeta, 0, len(li.Loops))
 	for _, l := range li.Loops {
 		parent := int32(-1)
 		if l.Parent != nil {
@@ -104,32 +146,55 @@ func Lower(f *ir.Function) (*Program, error) {
 			Header: l.Header.Name,
 		})
 	}
-	lw.prog.Lines = make([]LineInfo, 0, lw.prog.NumInstrs())
-	for i, vb := range lw.prog.Blocks {
-		loopID := int32(-1)
-		if l := li.LoopFor(order[i]); l != nil {
-			loopID = int32(l.ID)
+	copyStart := int32(0)
+	for i, b := range order {
+		lw.block, lw.loop = int32(i), -1
+		if l := li.LoopFor(b); l != nil {
+			lw.loop = int32(l.ID)
 		}
-		for j := range vb.Instrs {
-			lw.prog.Lines = append(lw.prog.Lines, LineInfo{
-				Loc: vb.Instrs[j].Loc, Block: int32(i), Loop: loopID,
-			})
+		start := len(lw.instrs)
+		if err := lw.lowerBlock(b, s.copies[copyStart:s.copyEnd[i]]); err != nil {
+			return nil, err
+		}
+		copyStart = s.copyEnd[i]
+		end := len(lw.instrs)
+		lw.prog.Blocks[i] = Block{Index: i, Name: b.Name, Instrs: lw.instrs[start:end:end]}
+	}
+	lw.prog.NumRegs = int(lw.next)
+
+	// Immediate post-dominators for the simulator's reconvergence stack.
+	pdt := s.PostDomTree(f)
+	lw.prog.IPDom = make([]int, len(order))
+	for i, b := range order {
+		ip := pdt.Idom(b)
+		if ip == nil {
+			lw.prog.IPDom[i] = -1
+		} else {
+			lw.prog.IPDom[i] = int(s.index[ip.ID()])
 		}
 	}
-	s.Park()
-	freeScratch.Put(s)
 	return lw.prog, nil
+}
+
+// resized returns s with length n and every element zero, in s's array when
+// it is large enough.
+func resized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // splitCriticalEdges splits edges from multi-successor blocks into
 // phi-bearing multi-predecessor blocks, so phi copies can be placed on the
 // edge.
-func splitCriticalEdges(f *ir.Function) {
-	for _, b := range append([]*ir.Block(nil), f.Blocks()...) {
+func (s *scratch) splitCriticalEdges(f *ir.Function) {
+	s.blocks = append(s.blocks[:0], f.Blocks()...)
+	for _, b := range s.blocks {
 		if len(b.Preds()) < 2 || len(b.Phis()) == 0 {
 			continue
 		}
-		for _, p := range append([]*ir.Block(nil), b.Preds()...) {
+		s.preds = append(s.preds[:0], b.Preds()...)
+		for _, p := range s.preds {
 			if len(p.Succs()) > 1 {
 				transform.SplitCriticalEdge(f, p, b)
 			}
@@ -137,23 +202,22 @@ func splitCriticalEdges(f *ir.Function) {
 	}
 }
 
-func rpo(f *ir.Function) []*ir.Block {
-	post := ir.AppendPostorder(make([]*ir.Block, 0, f.NumBlocks()), f.Entry(), (*ir.Block).Succs, make([]int32, f.BlockIDBound()), nil)
-	slices.Reverse(post)
-	return post
-}
-
 type lowerer struct {
 	f      *ir.Function
 	prog   *Program
-	params []Reg // by Param.Index
 	regs   []Reg // by Instr.ID
 	next   Reg
-	index  []int // by Block.ID: the block's position in the layout
-	// curLoc is stamped onto every emitted instruction: the loc of the IR
-	// instruction currently being lowered, so synthetic expansions (GEP
-	// address math, phi-copy movs) inherit their originator's provenance.
-	curLoc ir.Loc
+	index  []int32 // by Block.ID: the block's position in the layout
+	instrs []Instr // every block's instructions, in layout order
+	// srcPool holds every instruction's operands; each Srcs is a window.
+	srcPool []Operand
+	// curLoc is the line table's loc for every emitted instruction: the loc
+	// of the IR instruction currently being lowered, so synthetic
+	// expansions (GEP address math, phi-copy movs) inherit their
+	// originator's provenance. block and loop are the block's layout
+	// position and innermost loop ID.
+	curLoc      ir.Loc
+	block, loop int32
 }
 
 func (lw *lowerer) newReg() Reg {
@@ -170,7 +234,7 @@ func (lw *lowerer) operand(v ir.Value) Operand {
 	switch x := v.(type) {
 	case *ir.Param:
 		if x.Func() == lw.f {
-			r = lw.params[x.Index]
+			r = lw.prog.ParamRegs[x.Index]
 		}
 	case *ir.Instr:
 		if x.ID() < len(lw.regs) {
@@ -183,44 +247,62 @@ func (lw *lowerer) operand(v ir.Value) Operand {
 	return regOp(r)
 }
 
-func (lw *lowerer) emit(b *Block, in Instr) {
-	in.Loc = lw.curLoc
-	b.Instrs = append(b.Instrs, in)
+// srcs files ops in the operand pool and returns their window.
+func (lw *lowerer) srcs(ops ...Operand) []Operand {
+	start := len(lw.srcPool)
+	lw.srcPool = append(lw.srcPool, ops...)
+	return lw.srcWindow(start)
 }
 
-func (lw *lowerer) lowerBlock(vb *Block, b *ir.Block) error {
-	// Everything the block lowers to is countable before the first emit, so
-	// its list is allocated once; only a phi-copy cycle's temporary (one mov
-	// per cycle, rare) is not counted and makes append grow it.
-	copies := lw.phiCopies(b)
-	n := len(copies)
-	for _, in := range b.Instrs() {
-		switch {
-		case in.IsPhi():
-		case in.Op == ir.OpGEP:
-			n += gepLen(in)
-		default:
-			n++
+// srcWindow returns the pool's operands from start on, capped so that an
+// append to them cannot write into the next instruction's.
+func (lw *lowerer) srcWindow(start int) []Operand {
+	end := len(lw.srcPool)
+	return lw.srcPool[start:end:end]
+}
+
+// emit appends in to the program and its record to the line table.
+func (lw *lowerer) emit(in Instr) {
+	lw.instrs = append(lw.instrs, in)
+	lw.prog.Lines = append(lw.prog.Lines, LineInfo{Loc: lw.curLoc, Block: lw.block, Loop: lw.loop})
+}
+
+// lowered returns how many instructions and operands in lowers to.
+func lowered(in *ir.Instr) (instrs, srcs int) {
+	switch in.Op {
+	case ir.OpPhi:
+		return 0, 0 // becomes copies in predecessors
+	case ir.OpRet:
+		return 1, 0
+	case ir.OpGEP:
+		instrs, srcs = 1, 2
+		if in.Arg(1).Type() != ir.I64 {
+			instrs, srcs = instrs+1, srcs+1
 		}
+		if in.Type().Elem.Size() != 1 {
+			instrs, srcs = instrs+1, srcs+2
+		}
+		return instrs, srcs
 	}
-	vb.Instrs = make([]Instr, 0, n)
+	return 1, in.NumArgs()
+}
+
+func (lw *lowerer) lowerBlock(b *ir.Block, copies []phiCopy) error {
 	for _, in := range b.Instrs() {
 		if in.IsPhi() {
 			continue // becomes copies in predecessors
 		}
 		if in.IsTerminator() {
 			// Phi copies for successors run before the terminator.
-			lw.emitPhiCopies(vb, copies)
-			return lw.lowerTerminator(vb, b, in)
+			lw.emitPhiCopies(copies)
+			return lw.lowerTerminator(in)
 		}
-		if err := lw.lowerInstr(vb, in); err != nil {
-			return err
-		}
+		lw.lowerInstr(in)
 	}
 	return fmt.Errorf("codegen: block %s has no terminator", b.Name)
 }
 
-func (lw *lowerer) lowerInstr(vb *Block, in *ir.Instr) error {
+func (lw *lowerer) lowerInstr(in *ir.Instr) {
 	lw.curLoc = in.Loc()
 	dst := NoReg
 	if in.Type() != ir.Void {
@@ -228,59 +310,55 @@ func (lw *lowerer) lowerInstr(vb *Block, in *ir.Instr) error {
 	}
 	switch in.Op {
 	case ir.OpICmp, ir.OpFCmp:
-		lw.emit(vb, Instr{Kind: KSetp, IROp: in.Op, Pred: in.Pred, Type: in.Arg(0).Type(),
-			Dst: dst, Srcs: []Operand{lw.operand(in.Arg(0)), lw.operand(in.Arg(1))}})
+		lw.emit(Instr{Kind: KSetp, IROp: in.Op, Pred: in.Pred, Type: in.Arg(0).Type(),
+			Dst: dst, Srcs: lw.srcs(lw.operand(in.Arg(0)), lw.operand(in.Arg(1)))})
 	case ir.OpSelect:
-		lw.emit(vb, Instr{Kind: KSelp, Type: in.Type(), Dst: dst,
-			Srcs: []Operand{lw.operand(in.Arg(0)), lw.operand(in.Arg(1)), lw.operand(in.Arg(2))}})
+		lw.emit(Instr{Kind: KSelp, Type: in.Type(), Dst: dst,
+			Srcs: lw.srcs(lw.operand(in.Arg(0)), lw.operand(in.Arg(1)), lw.operand(in.Arg(2)))})
 	case ir.OpTrunc, ir.OpZExt, ir.OpSExt, ir.OpSIToFP, ir.OpFPToSI, ir.OpFPExt, ir.OpFPTrunc:
-		lw.emit(vb, Instr{Kind: KCvt, IROp: in.Op, Type: in.Type(), SrcType: in.Arg(0).Type(),
-			Dst: dst, Srcs: []Operand{lw.operand(in.Arg(0))}})
+		lw.emit(Instr{Kind: KCvt, IROp: in.Op, Type: in.Type(), SrcType: in.Arg(0).Type(),
+			Dst: dst, Srcs: lw.srcs(lw.operand(in.Arg(0)))})
 	case ir.OpLoad:
-		lw.emit(vb, Instr{Kind: KLd, Type: in.Type(), Dst: dst,
-			Srcs: []Operand{lw.operand(in.Arg(0))}})
+		lw.emit(Instr{Kind: KLd, Type: in.Type(), Dst: dst,
+			Srcs: lw.srcs(lw.operand(in.Arg(0)))})
 	case ir.OpStore:
-		lw.emit(vb, Instr{Kind: KSt, Type: in.Arg(0).Type(), Dst: NoReg,
-			Srcs: []Operand{lw.operand(in.Arg(0)), lw.operand(in.Arg(1))}})
+		lw.emit(Instr{Kind: KSt, Type: in.Arg(0).Type(), Dst: NoReg,
+			Srcs: lw.srcs(lw.operand(in.Arg(0)), lw.operand(in.Arg(1)))})
 	case ir.OpGEP:
-		lw.lowerGEP(vb, in, dst)
+		lw.lowerGEP(in, dst)
 	case ir.OpTID, ir.OpNTID, ir.OpCTAID, ir.OpNCTAID:
-		lw.emit(vb, Instr{Kind: KSpecial, IROp: in.Op, Type: ir.I32, Dst: dst})
+		lw.emit(Instr{Kind: KSpecial, IROp: in.Op, Type: ir.I32, Dst: dst})
 	case ir.OpBarrier:
-		lw.emit(vb, Instr{Kind: KBar, Type: ir.Void, Dst: NoReg})
+		lw.emit(Instr{Kind: KBar, Type: ir.Void, Dst: NoReg})
 	default:
 		// Arithmetic and math intrinsics.
-		srcs := make([]Operand, 0, in.NumArgs())
+		start := len(lw.srcPool)
 		for i := 0; i < in.NumArgs(); i++ {
-			srcs = append(srcs, lw.operand(in.Arg(i)))
+			lw.srcPool = append(lw.srcPool, lw.operand(in.Arg(i)))
 		}
-		lw.emit(vb, Instr{Kind: KCompute, IROp: in.Op, Type: in.Type(), Dst: dst, Srcs: srcs})
+		lw.emit(Instr{Kind: KCompute, IROp: in.Op, Type: in.Type(), Dst: dst, Srcs: lw.srcWindow(start)})
 	}
-	return nil
 }
 
-// gepLen is the number of instructions lowerGEP emits for in.
-func gepLen(in *ir.Instr) int {
-	n := 1
-	if in.Arg(1).Type() != ir.I64 {
-		n++
+// shiftImm[k] is the immediate k a GEP's scaling shl shifts by: one
+// constant per amount, shared by every program, not one per GEP.
+var shiftImm = func() (imm [64]*ir.Const) {
+	for k := range imm {
+		imm[k] = ir.ConstInt(ir.I64, int64(k))
 	}
-	if in.Type().Elem.Size() != 1 {
-		n++
-	}
-	return n
-}
+	return imm
+}()
 
 // lowerGEP expands ptr + idx*size into shl/mul + add, with a sign extension
 // when the index is narrower than the 64-bit address — the same sequence as
 // the paper's Listing 4 PTX (shl.b64 + add.s64).
-func (lw *lowerer) lowerGEP(vb *Block, in *ir.Instr, dst Reg) {
+func (lw *lowerer) lowerGEP(in *ir.Instr, dst Reg) {
 	base := lw.operand(in.Arg(0))
 	idx := lw.operand(in.Arg(1))
 	idxT := in.Arg(1).Type()
 	if idxT != ir.I64 {
 		ext := lw.newReg()
-		lw.emit(vb, Instr{Kind: KCvt, IROp: ir.OpSExt, Type: ir.I64, SrcType: idxT, Dst: ext, Srcs: []Operand{idx}})
+		lw.emit(Instr{Kind: KCvt, IROp: ir.OpSExt, Type: ir.I64, SrcType: idxT, Dst: ext, Srcs: lw.srcs(idx)})
 		idx = regOp(ext)
 	}
 	size := in.Type().Elem.Size()
@@ -290,31 +368,31 @@ func (lw *lowerer) lowerGEP(vb *Block, in *ir.Instr, dst Reg) {
 		// no scaling
 	case size&(size-1) == 0:
 		sh := lw.newReg()
-		lw.emit(vb, Instr{Kind: KCompute, IROp: ir.OpShl, Type: ir.I64, Dst: sh,
-			Srcs: []Operand{idx, immOp(ir.ConstInt(ir.I64, int64(bits.TrailingZeros64(uint64(size)))))}})
+		lw.emit(Instr{Kind: KCompute, IROp: ir.OpShl, Type: ir.I64, Dst: sh,
+			Srcs: lw.srcs(idx, immOp(shiftImm[bits.TrailingZeros64(uint64(size))]))})
 		scaled = regOp(sh)
 	default:
 		mu := lw.newReg()
-		lw.emit(vb, Instr{Kind: KCompute, IROp: ir.OpMul, Type: ir.I64, Dst: mu,
-			Srcs: []Operand{idx, immOp(ir.ConstInt(ir.I64, size))}})
+		lw.emit(Instr{Kind: KCompute, IROp: ir.OpMul, Type: ir.I64, Dst: mu,
+			Srcs: lw.srcs(idx, immOp(ir.ConstInt(ir.I64, size)))})
 		scaled = regOp(mu)
 	}
-	lw.emit(vb, Instr{Kind: KCompute, IROp: ir.OpAdd, Type: ir.I64, Dst: dst,
-		Srcs: []Operand{base, scaled}})
+	lw.emit(Instr{Kind: KCompute, IROp: ir.OpAdd, Type: ir.I64, Dst: dst,
+		Srcs: lw.srcs(base, scaled)})
 }
 
-func (lw *lowerer) lowerTerminator(vb *Block, b *ir.Block, in *ir.Instr) error {
+func (lw *lowerer) lowerTerminator(in *ir.Instr) error {
 	lw.curLoc = in.Loc()
 	switch in.Op {
 	case ir.OpBr:
-		lw.emit(vb, Instr{Kind: KBra, Type: ir.Void, Dst: NoReg,
-			Targets: [2]int{lw.index[in.BlockArg(0).ID()], -1}})
+		lw.emit(Instr{Kind: KBra, Type: ir.Void, Dst: NoReg,
+			Targets: [2]int32{lw.index[in.BlockArg(0).ID()], -1}})
 	case ir.OpCondBr:
-		lw.emit(vb, Instr{Kind: KCondBra, Type: ir.Void, Dst: NoReg,
-			Srcs:    []Operand{lw.operand(in.Arg(0))},
-			Targets: [2]int{lw.index[in.BlockArg(0).ID()], lw.index[in.BlockArg(1).ID()]}})
+		lw.emit(Instr{Kind: KCondBra, Type: ir.Void, Dst: NoReg,
+			Srcs:    lw.srcs(lw.operand(in.Arg(0))),
+			Targets: [2]int32{lw.index[in.BlockArg(0).ID()], lw.index[in.BlockArg(1).ID()]}})
 	case ir.OpRet:
-		lw.emit(vb, Instr{Kind: KRet, Type: ir.Void, Dst: NoReg})
+		lw.emit(Instr{Kind: KRet, Type: ir.Void, Dst: NoReg})
 	default:
 		return fmt.Errorf("codegen: unknown terminator %s", in.Op)
 	}
@@ -322,7 +400,8 @@ func (lw *lowerer) lowerTerminator(vb *Block, b *ir.Block, in *ir.Instr) error {
 }
 
 // phiCopy is one register a successor's phi needs written on the way out of
-// a block.
+// a block. Once sequenced, a register below NoReg names the block's k-th
+// cycle temporary, tempReg(k), which gets its register when it is emitted.
 type phiCopy struct {
 	dst Reg
 	src Operand
@@ -330,11 +409,13 @@ type phiCopy struct {
 	loc ir.Loc
 }
 
-// phiCopies collects the parallel copies feeding the phis of b's successors.
-// Critical edges were split, so any successor with phis has b as its only
-// source of this edge.
-func (lw *lowerer) phiCopies(b *ir.Block) []phiCopy {
-	var pairs []phiCopy
+// tempReg names a block's k-th phi-copy cycle temporary.
+func tempReg(k int) Reg { return NoReg - 1 - Reg(k) }
+
+// phiCopies appends to pairs the parallel copies feeding the phis of b's
+// successors. Critical edges were split, so any successor with phis has b as
+// its only source of this edge.
+func (lw *lowerer) phiCopies(pairs []phiCopy, b *ir.Block) []phiCopy {
 	for _, s := range b.Succs() {
 		for _, phi := range s.Phis() {
 			v := phi.PhiIncoming(b)
@@ -349,10 +430,11 @@ func (lw *lowerer) phiCopies(b *ir.Block) []phiCopy {
 	return pairs
 }
 
-// emitPhiCopies places pairs at the end of vb (before the terminator).
-func (lw *lowerer) emitPhiCopies(vb *Block, pairs []phiCopy) {
-	// Parallel copy sequencing: emit copies whose destination is not a
-	// pending source; break cycles by saving a source into a temp.
+// sequenceCopies appends to out the parallel copies pairs as a sequence of
+// movs: emit a copy whose destination is not a pending source; break a cycle
+// by saving a source into a temporary. It consumes pairs.
+func sequenceCopies(out, pairs []phiCopy) []phiCopy {
+	temps := 0
 	for len(pairs) > 0 {
 		emitted := false
 		for i, p := range pairs {
@@ -366,8 +448,7 @@ func (lw *lowerer) emitPhiCopies(vb *Block, pairs []phiCopy) {
 			if conflict {
 				continue
 			}
-			lw.curLoc = p.loc
-			lw.emit(vb, Instr{Kind: KMov, Type: p.typ, Dst: p.dst, Srcs: []Operand{p.src}})
+			out = append(out, p)
 			pairs = append(pairs[:i], pairs[i+1:]...)
 			emitted = true
 			break
@@ -378,13 +459,35 @@ func (lw *lowerer) emitPhiCopies(vb *Block, pairs []phiCopy) {
 		// Cycle: all remaining destinations are also pending sources. Move
 		// one source aside.
 		victim := pairs[0]
-		tmp := lw.newReg()
-		lw.curLoc = victim.loc
-		lw.emit(vb, Instr{Kind: KMov, Type: victim.typ, Dst: tmp, Srcs: []Operand{victim.src}})
+		tmp := tempReg(temps)
+		temps++
+		out = append(out, phiCopy{tmp, victim.src, victim.typ, victim.loc})
 		for i := range pairs {
 			if !pairs[i].src.IsImm() && pairs[i].src.Reg == victim.src.Reg {
 				pairs[i].src = regOp(tmp)
 			}
 		}
+	}
+	return out
+}
+
+// emitPhiCopies emits a block's sequenced copies (before its terminator),
+// giving each cycle temporary the next register.
+func (lw *lowerer) emitPhiCopies(copies []phiCopy) {
+	first := lw.next // tempReg(k)'s register is first+k
+	reg := func(r Reg) Reg {
+		if r < NoReg {
+			return first + (NoReg - 1 - r)
+		}
+		return r
+	}
+	for _, c := range copies {
+		if c.dst < NoReg {
+			lw.newReg()
+		}
+		src := c.src
+		src.Reg = reg(src.Reg)
+		lw.curLoc = c.loc
+		lw.emit(Instr{Kind: KMov, Type: c.typ, Dst: reg(c.dst), Srcs: lw.srcs(src)})
 	}
 }

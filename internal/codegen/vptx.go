@@ -4,6 +4,14 @@
 // instructions u&u eliminates), selects become `selp`, comparisons `setp`,
 // and GEPs expand to `shl`+`add` address arithmetic exactly like the PTX in
 // the paper's Listings 4 and 5.
+//
+// A lowered Program is a few exactly sized arrays: one instruction array,
+// every block's instructions end to end in layout order, each Block.Instrs
+// a window of it capped at the block's end; one operand pool, each
+// Instr.Srcs a capped window of it; and the line table, Program.Lines, one
+// record per instruction in the same order, which is the only record of an
+// instruction's source loc and enclosing loop. Lower counts everything
+// before it emits, and works in tables it borrows from a bounded free list.
 package codegen
 
 import (
@@ -44,7 +52,7 @@ func (c Class) String() string {
 }
 
 // Kind is the VPTX instruction kind.
-type Kind int
+type Kind uint8
 
 // VPTX instruction kinds.
 const (
@@ -72,7 +80,7 @@ const NoReg Reg = -1
 // Operand is a register or an immediate.
 type Operand struct {
 	Reg Reg
-	Imm ir.Value // *ir.Const when immediate; nil when register
+	Imm *ir.Const // nil when register
 }
 
 // IsImm reports whether the operand is an immediate.
@@ -81,22 +89,19 @@ func (o Operand) IsImm() bool { return o.Imm != nil }
 func regOp(r Reg) Operand       { return Operand{Reg: r} }
 func immOp(c *ir.Const) Operand { return Operand{Reg: NoReg, Imm: c} }
 
-// Instr is one VPTX instruction.
+// Instr is one VPTX instruction, 72 bytes. Its source provenance is its
+// record in the program's line table (Program.Lines), not a field.
 type Instr struct {
 	Kind Kind
+	Dst  Reg     // beside Kind, so the two share a word
 	IROp ir.Op   // semantic opcode for KCompute/KSetp/KCvt/KSpecial
 	Pred ir.Pred // for KSetp
 	Type *ir.Type
 	// SrcType is the operand type of a KCvt instruction (the width a zext
 	// widens *from*); nil for every other kind.
 	SrcType *ir.Type
-	Dst     Reg
-	Srcs    []Operand
-	Targets [2]int // block indexes for KBra/KCondBra
-	// Loc is the source provenance inherited from the IR instruction this
-	// one lowers (synthetic expansions — GEP address math, phi-copy movs —
-	// inherit the originating instruction's loc). Not printed by String.
-	Loc ir.Loc
+	Srcs    []Operand // a window of the program's operand pool
+	Targets [2]int32  // block indexes for KBra/KCondBra
 }
 
 // Class returns the nvprof-style class of the instruction.
@@ -138,15 +143,17 @@ func (in *Instr) IssueCycles() int64 {
 
 // Block is a VPTX basic block.
 type Block struct {
-	Index  int
-	Name   string
+	Index int
+	Name  string
+	// Instrs is a window of the program's one instruction array, capped at
+	// the block's end.
 	Instrs []Instr
 }
 
 // Program is a lowered kernel.
 type Program struct {
 	Name    string
-	Blocks  []*Block
+	Blocks  []Block // layout order
 	NumRegs int
 	// ParamRegs[i] is the register preloaded with parameter i at launch.
 	ParamRegs []Reg
@@ -159,7 +166,9 @@ type Program struct {
 	// (blocks in layout order, instructions in block order — the same global
 	// index the simulator's pre-decoded form and per-PC profile counters
 	// use). Lines[pc] gives the source provenance and enclosing loop of the
-	// instruction at pc.
+	// instruction at pc; it is the only record of either. An instruction
+	// inherits the loc of the IR instruction it lowers (synthetic expansions
+	// — GEP address math, phi-copy movs — their originator's).
 	Lines []LineInfo
 	// Loops describes the natural loops of the final (post-optimization) IR,
 	// indexed by position; LineInfo.Loop holds the LoopMeta ID. Parent links
@@ -205,8 +214,8 @@ func (m *LoopMeta) Origin() ir.Loc {
 // NumInstrs returns the total instruction count.
 func (p *Program) NumInstrs() int {
 	n := 0
-	for _, b := range p.Blocks {
-		n += len(b.Instrs)
+	for i := range p.Blocks {
+		n += len(p.Blocks[i].Instrs)
 	}
 	return n
 }
@@ -223,7 +232,8 @@ func (p *Program) CodeBytes() int64 { return int64(p.NumInstrs()) * BytesPerInst
 func (p *Program) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, ".kernel %s (regs=%d)\n", p.Name, p.NumRegs)
-	for _, b := range p.Blocks {
+	for bi := range p.Blocks {
+		b := &p.Blocks[bi]
 		fmt.Fprintf(&sb, "$%s:\n", b.Name)
 		for i := range b.Instrs {
 			sb.WriteString("  ")
@@ -282,7 +292,8 @@ func (p *Program) instrString(in *Instr) string {
 // used by tests mirroring the paper's Listing 4/5 comparison (selp vs mov).
 func (p *Program) CountKind(k Kind) int {
 	n := 0
-	for _, b := range p.Blocks {
+	for bi := range p.Blocks {
+		b := &p.Blocks[bi]
 		for i := range b.Instrs {
 			if b.Instrs[i].Kind == k {
 				n++

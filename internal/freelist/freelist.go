@@ -1,21 +1,22 @@
-// Package freelist is the bounded free list behind six kinds of recycled
+// Package freelist is the bounded free list behind five kinds of recycled
 // storage: device memories (internal/interp) and run state
-// (internal/gpusim) for the simulator, the interpreter's per-thread frames
-// (internal/interp), the scratch bundle each compilation borrows for its
-// passes' tables and its analysis manager's trees (internal/pipeline), the
-// analysis storage codegen builds its post-dominator tree and loop info in
-// (internal/codegen), and the store of blocks and instructions a released
-// function leaves for the next one to be carved from (internal/ir).
+// (internal/gpusim) for the simulator, the scratch bundle each compilation
+// borrows for its passes' tables and its analysis manager's trees
+// (internal/pipeline), the tables and analysis storage each lowering works
+// in (internal/codegen), and the store of blocks and instructions a
+// released function leaves for the next one to be carved from
+// (internal/ir). Each list's comment names its price: how much more the
+// benchmark allocates with its Put discarded. A list that does not pay is
+// deleted, as the interpreter's frame list was.
 //
 // Take hands out the value filed most recently. What a caller does with a
 // value sized for another request decides whether a run's allocation
 // depends on the order its requests come in:
 //
-//   - The compiler's bundles, codegen's analysis storage, IR stores and the
-//     interpreter's frames grow what they take to fit what they serve, so
-//     one list serves every request and a serial run builds only what its
-//     largest request needs, but how often it regrows depends on the order
-//     of the requests.
+//   - The compiler's bundles, codegen's scratch and IR stores grow what they
+//     take to fit what they serve, so one list serves every request and a
+//     serial run builds only what its largest request needs, but how often
+//     it regrows depends on the order of the requests.
 //   - Device memories and simulator run state are sized at a class, a power
 //     of two, and filed on one list per class, so a value is only ever
 //     reused at its class and in a serial run each class is built once

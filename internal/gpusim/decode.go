@@ -145,8 +145,7 @@ func decodeProgram(p *codegen.Program) (*decodedProgram, error) {
 		}
 		dp.blockEnd[bi] = gi
 		if k := len(b.Instrs); k > 0 {
-			t := b.Instrs[k-1].Targets
-			dp.targets[bi] = [2]int32{int32(t[0]), int32(t[1])}
+			dp.targets[bi] = b.Instrs[k-1].Targets
 		}
 	}
 	return dp, nil

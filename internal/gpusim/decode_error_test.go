@@ -13,13 +13,13 @@ import (
 // progWith wraps a single malformed instruction (plus a ret) in a minimal
 // one-block program.
 func progWith(in codegen.Instr) *codegen.Program {
-	blk := &codegen.Block{Index: 0, Name: "entry", Instrs: []codegen.Instr{
+	blk := codegen.Block{Index: 0, Name: "entry", Instrs: []codegen.Instr{
 		in,
 		{Kind: codegen.KRet, Dst: codegen.NoReg},
 	}}
 	return &codegen.Program{
 		Name:    "malformed_unit",
-		Blocks:  []*codegen.Block{blk},
+		Blocks:  []codegen.Block{blk},
 		NumRegs: 4,
 		IPDom:   []int{-1},
 	}

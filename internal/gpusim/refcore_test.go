@@ -82,7 +82,7 @@ func (rc *refCore) src(base int, in *codegen.Instr, i int) interp.Value {
 	if !s.IsImm() {
 		return rc.regs[base+int(s.Reg)]
 	}
-	k := s.Imm.(*ir.Const)
+	k := s.Imm
 	if k.Typ.IsFloat() {
 		return interp.FloatVal(k.Float)
 	}
@@ -206,7 +206,7 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 
 			switch in.Kind {
 			case codegen.KBra:
-				nextPC = in.Targets[0]
+				nextPC = int(in.Targets[0])
 			case codegen.KRet:
 				exited = active
 				nextPC = -1

@@ -15,7 +15,7 @@ import (
 func setpProgram(t *ir.Type, pred ir.Pred) *codegen.Program {
 	one := codegen.Operand{Reg: codegen.NoReg, Imm: ir.ConstInt(ir.I64, 1)}
 	zero := codegen.Operand{Reg: codegen.NoReg, Imm: ir.ConstInt(ir.I64, 0)}
-	blk := &codegen.Block{Index: 0, Name: "entry", Instrs: []codegen.Instr{
+	blk := codegen.Block{Index: 0, Name: "entry", Instrs: []codegen.Instr{
 		{Kind: codegen.KSetp, IROp: ir.OpICmp, Pred: pred, Type: t, Dst: 3,
 			Srcs: []codegen.Operand{{Reg: 0}, {Reg: 1}}},
 		{Kind: codegen.KSelp, Type: ir.I64, Dst: 4,
@@ -26,7 +26,7 @@ func setpProgram(t *ir.Type, pred ir.Pred) *codegen.Program {
 	}}
 	return &codegen.Program{
 		Name:      "setp_unit",
-		Blocks:    []*codegen.Block{blk},
+		Blocks:    []codegen.Block{blk},
 		NumRegs:   5,
 		ParamRegs: []codegen.Reg{0, 1, 2},
 		ParamTyps: []*ir.Type{t, t, ir.PointerTo(ir.I64)},

@@ -202,7 +202,10 @@ type warpSim struct {
 // and in a serial run each class is built once however the runs are
 // ordered (see package freelist). freeWarpSims[i] holds state whose files
 // have capacity 1<<i; a run holds one warpSim, so a campaign holds one per
-// harness worker and a uud one per pool worker.
+// harness worker and a uud one per pool worker. Their price: with their Put
+// discarded the benchmark's simulate workload allocates 29 times as much,
+// sweep 53 % more and serve-cold 51 % more (EXPERIMENTS.md "What each free
+// list buys").
 var freeWarpSims [bits.UintSize]freelist.List[*warpSim]
 
 // regFileClass returns the capacity register files of n values are

@@ -101,7 +101,7 @@ func (c *compiler) src(in *codegen.Instr, i int) int32 {
 	if !s.IsImm() {
 		return int32(s.Reg)
 	}
-	k := s.Imm.(*ir.Const)
+	k := s.Imm
 	if k.Typ.IsFloat() {
 		return c.constReg(interp.FloatVal(k.Float))
 	}
@@ -161,7 +161,7 @@ func (c *compiler) compileOp(in *codegen.Instr, gi int32) (threadOp, error) {
 	dst := int32(in.Dst)
 	switch in.Kind {
 	case codegen.KBra:
-		t0 := in.Targets[0]
+		t0 := int(in.Targets[0])
 		return func(w *warpSim, _ uint32) float64 {
 			w.nextPC = t0
 			return 0

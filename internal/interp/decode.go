@@ -133,14 +133,13 @@ func countConsts(f *ir.Function) int {
 
 // decode translates f into fr's program: code, edges and moves, with every
 // constant operand given a slot behind the parameters that holds its value
-// for the whole launch. fr.vals must already be sized for f (takeFrame).
+// for the whole launch. fr.vals must already be sized for f (newFrame).
 // Decoding reads every block of f once; running reads only the program.
 func (fr *frame) decode(f *ir.Function) {
-	fr.code, fr.edges, fr.moves = fr.code[:0], fr.edges[:0], fr.moves[:0]
 	fr.nextConst = fr.params + len(f.Params)
 
 	// Where each block's code starts.
-	fr.blockAt = slices.Grow(fr.blockAt[:0], f.BlockIDBound())[:f.BlockIDBound()]
+	fr.blockAt = make([]int32, f.BlockIDBound())
 	pc := int32(0)
 	for _, b := range f.Blocks() {
 		fr.blockAt[b.ID()] = pc
@@ -151,6 +150,7 @@ func (fr *frame) decode(f *ir.Function) {
 		}
 	}
 
+	fr.code = make([]op, 0, pc)
 	fr.addEdge(nil, f.Entry())
 	for _, b := range f.Blocks() {
 		body, terminated := blockBody(b)

@@ -10,13 +10,12 @@ var RunSteps = runSteps
 func UnreachedSpecialisedCases(fs []*ir.Function) []int {
 	var reached [numOpcodes - cLoadSlot]bool
 	for _, f := range fs {
-		fr := takeFrame(f, make([]Value, len(f.Params)))
+		fr := newFrame(f, make([]Value, len(f.Params)))
 		for _, o := range fr.code {
 			if o.code >= cLoadSlot {
 				reached[o.code-cLoadSlot] = true
 			}
 		}
-		putFrame(fr)
 	}
 	var missing []int
 	for i, ok := range reached {

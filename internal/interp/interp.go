@@ -22,9 +22,9 @@
 // opcode class resolved, and the phi moves of every CFG edge listed with
 // the edge. Executing a step reads only that record and the slots, so it
 // allocates nothing and walks no IR (DESIGN.md section 16). Every thread of
-// the launch runs in one frame borrowed from a bounded free list and filed
-// back on every return, trap and step-budget exit included, so a warm
-// launch allocates nothing at all. Before each thread the frame is reset
+// the launch runs in the one frame the launch makes (newFrame), so what a
+// launch allocates does not grow with its threads or steps. Before each
+// thread the frame is reset
 // (frame.reset): the results are cleared and the alloca count zeroed, so
 // nothing an earlier thread, function, trap or budget exit left can be
 // read; the program and the argument and constant slots, which no op
@@ -222,8 +222,7 @@ func runSteps(f *ir.Function, args []Value, mem *Memory, env Env, maxSteps int64
 	if len(args) != len(f.Params) {
 		return Value{}, arityError(f, args)
 	}
-	fr := takeFrame(f, args)
-	defer putFrame(fr)
+	fr := newFrame(f, args)
 	fr.reset()
 	return fr.run(mem, env, maxSteps, ctr)
 }
@@ -241,8 +240,7 @@ func RunLaunch(f *ir.Function, args []Value, mem *Memory, gridDim, blockDim int,
 	if len(args) != len(f.Params) {
 		return fmt.Errorf("thread 0: %w", arityError(f, args))
 	}
-	fr := takeFrame(f, args)
-	defer putFrame(fr)
+	fr := newFrame(f, args)
 	for tid := range threads {
 		env := Env{
 			TID:    int32(tid % blockDim),
@@ -262,12 +260,22 @@ func arityError(f *ir.Function, args []Value) error {
 	return fmt.Errorf("interp: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 }
 
+// newFrame returns a frame holding f decoded (decode.go) and args behind its
+// results. Its values are sized for f's results, parameters and constants;
+// reset readies it for each thread.
+func newFrame(f *ir.Function, args []Value) *frame {
+	params := f.InstrIDBound()
+	fr := &frame{fn: f, params: params, vals: make([]Value, params+len(args)+countConsts(f))}
+	fr.decode(f)
+	copy(fr.vals[params:], args)
+	return fr
+}
+
 // frame is the state of a launch: the program decoded from the function,
 // and one thread's SSA environment and alloca slots, both indexed by
-// Instr.ID. Launches borrow frames from a free list (takeFrame) and file
-// them back on return.
+// Instr.ID. Each launch makes its own (newFrame).
 type frame struct {
-	fn *ir.Function // the function decoded, while the frame is out
+	fn *ir.Function // the function decoded
 	// vals holds instruction results at [Instr.ID], the arguments behind
 	// them at [params+Param.Index], and the constants behind those, one
 	// slot per operand occurrence. An alloca's result is its sentinel
@@ -296,7 +304,7 @@ type frame struct {
 // first alloca. Its stale bytes need no clearing: a slot is reached only
 // through an alloca that has executed in this thread, and executing it
 // zeroes the slot. The arguments and constants behind the results stay as
-// takeFrame left them: no op writes them.
+// newFrame left them: no op writes them.
 func (fr *frame) reset() {
 	clear(fr.vals[:fr.params])
 	fr.allocas, fr.locals = 0, fr.locals[:0]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"uu/internal/bench"
@@ -98,34 +99,70 @@ func TestLaunchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBackToBackLaunchesAreInvisible launches kernels of different sizes
-// one after the other on one goroutine, so that each launch borrows the
-// frame, and the program decoded into it, that another kernel left, and
-// holds every launch to the reference, which starts afresh each thread.
-func TestBackToBackLaunchesAreInvisible(t *testing.T) {
-	var ks []suiteKernel
-	for _, k := range suiteKernels(t) {
-		switch k.name {
-		case "bezier-surface unoptimized", "bezier-surface uu", "rainflow unoptimized", "complex uu", "complex baseline":
-			ks = append(ks, k)
+// TestConcurrentRunsShareNoFrame runs threads of one kernel from 4
+// goroutines at once, each on its own memory, interleaved with runs of a
+// second function, and requires each goroutine's returns and memory to be
+// the reference's. Under -race it also checks that no two runs share
+// anything: each makes its own frame and decodes into it.
+func TestConcurrentRunsShareNoFrame(t *testing.T) {
+	const goroutines, perGoroutine = 4, 24
+	app := bench.ByName("bezier-surface")
+	w := app.NewWorkload()
+	f, err := app.CompileKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals := localsFunc()
+	l := w.Launch
+	envOf := func(tid int) interp.Env {
+		return interp.Env{TID: int32(tid % l.BlockDim), NTID: int32(l.BlockDim), CTAID: int32(tid / l.BlockDim), NCTAID: int32(l.GridDim)}
+	}
+	localsArgs := func(tid int) []interp.Value {
+		return []interp.Value{interp.IntVal(int64(tid%50 + 1)), interp.FloatVal(float64(tid) + 0.5)}
+	}
+
+	// The reference, serially: goroutine g runs threads g, g+4, g+8, ...
+	wantMem := make([]*interp.Memory, goroutines)
+	wantRet := make([][]interp.Value, goroutines)
+	for g := range goroutines {
+		wantMem[g] = w.NewMemory()
+		for k := range perGoroutine {
+			tid := g + k*goroutines
+			if _, err := refRunSteps(f, w.Args, wantMem[g], envOf(tid), interp.DefaultMaxSteps, nil); err != nil {
+				t.Fatal(err)
+			}
+			v, err := refRunSteps(locals, localsArgs(tid), interp.NewMemory(0), interp.Env{}, interp.DefaultMaxSteps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRet[g] = append(wantRet[g], v)
 		}
 	}
-	bounds := map[int]bool{}
-	for _, k := range ks {
-		bounds[k.f.InstrIDBound()] = true
+
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mem := w.NewMemory()
+			for k := range perGoroutine {
+				tid := g + k*goroutines
+				if _, err := interp.RunSteps(f, w.Args, mem, envOf(tid), interp.DefaultMaxSteps, nil); err != nil {
+					t.Errorf("goroutine %d thread %d: %v", g, tid, err)
+					return
+				}
+				v, err := interp.RunSteps(locals, localsArgs(tid), interp.NewMemory(0), interp.Env{}, interp.DefaultMaxSteps, nil)
+				if err != nil || v != wantRet[g][k] {
+					t.Errorf("goroutine %d locals(%d): %+v, %v; reference %+v", g, tid, v, err, wantRet[g][k])
+					return
+				}
+			}
+			if !bytes.Equal(mem.Data, wantMem[g].Data) {
+				t.Errorf("goroutine %d: memory image differs from the reference's", g)
+			}
+		}()
 	}
-	if len(ks) != 5 || len(bounds) != 5 {
-		t.Fatalf("%d kernels with %d distinct InstrIDBounds, want 5 of each", len(ks), len(bounds))
-	}
-	for round := 0; round < 2; round++ {
-		for i, k := range ks {
-			name := fmt.Sprintf("round %d, launch %d: %s", round, i, k.name)
-			diffLaunch(t, name, k.f, k.w.Args, k.w.NewMemory(), 1, k.w.Launch.BlockDim)
-			// A launch cut short leaves its frame mid-thread.
-			small := &interp.Memory{Data: k.w.NewMemory().Data[:12]}
-			diffLaunch(t, name+" on a 12-byte memory", k.f, k.w.Args, small, 1, k.w.Launch.BlockDim)
-		}
-	}
+	wg.Wait()
 }
 
 // TestDecodedEdgesMatchReference covers what decoding moves from the step

@@ -47,7 +47,9 @@ const (
 )
 
 // freeStores holds released stores. A store grows to what its function
-// needs, so any store can serve any function.
+// needs, so any store can serve any function. Its price: with its Put
+// discarded the benchmark's sweep allocates 76 % more and serve-cold 33 %
+// more (EXPERIMENTS.md "What each free list buys").
 var freeStores = freelist.New[*store]()
 
 // takeStore gives f, a new function, a released store — with the block

@@ -246,7 +246,9 @@ type scratch struct {
 }
 
 // freeScratch holds the filed bundles. A bundle's tables grow to what they
-// serve, so any bundle can serve any compilation.
+// serve, so any bundle can serve any compilation. Its price: with its Put
+// discarded the benchmark's sweep allocates 42 % more and serve-cold 43 %
+// more (EXPERIMENTS.md "What each free list buys").
 var freeScratch = freelist.New[*scratch]()
 
 func takeScratch() *scratch {
