@@ -8,6 +8,7 @@ package analysis
 import (
 	"slices"
 
+	"uu/internal/freelist"
 	"uu/internal/ir"
 )
 
@@ -77,7 +78,7 @@ func blockPreds(b *ir.Block) []*ir.Block { return b.Preds() }
 func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, roots []*ir.Block) {
 	// Postorder DFS from all roots, successors in order. num doubles as the
 	// visited set until the real numbers are known.
-	t.num = resized(t.num, f.BlockIDBound())
+	t.num = freelist.Zeroed(t.num, f.BlockIDBound())
 	nodes := append(slices.Grow(t.nodes[:0], f.NumBlocks()+1), nil) // nodes[0]: the virtual root
 	for _, r := range roots {
 		if t.num[r.ID()] == 0 {
@@ -94,7 +95,7 @@ func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, 
 	}
 	t.nodes = nodes
 
-	t.ints = resized(t.ints, 4*(n+1)+2)
+	t.ints = freelist.Zeroed(t.ints, 4*(n+1)+2)
 	idom, ints := t.ints[:n+1:n+1], t.ints[n+1:]
 	t.in, ints = ints[:n+1:n+1], ints[n+1:]
 	t.out, t.childStart = ints[:n+1:n+1], ints[n+1:]
@@ -159,7 +160,7 @@ func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, 
 	for k := 2; k < len(cs); k++ {
 		cs[k] += cs[k-1]
 	}
-	t.childList = resized(t.childList, n)
+	t.childList = freelist.Zeroed(t.childList, n)
 	for i := 1; i <= n; i++ {
 		t.childList[cs[idom[i]+1]] = nodes[i]
 		cs[idom[i]+1]++
@@ -176,9 +177,9 @@ func (t *DomTree) build(f *ir.Function, succ, pred func(*ir.Block) []*ir.Block, 
 
 // park drops every block the tree's storage holds, keeping the storage.
 func (t *DomTree) park() {
-	t.nodes = dropAll(t.nodes)
-	t.childList = dropAll(t.childList)
-	t.roots = dropAll(t.roots)
+	t.nodes = freelist.Emptied(t.nodes)
+	t.childList = freelist.Emptied(t.childList)
+	t.roots = freelist.Emptied(t.roots)
 }
 
 // number assigns the DFS interval of the subtree under block number i,

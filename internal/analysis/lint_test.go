@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -128,5 +130,58 @@ func TestNoPointerKeyedTablesOnHotPaths(t *testing.T) {
 				t.Errorf("%s: pointerKeyedTables lists %s, which no longer declares a pointer-keyed map — drop the entry", path, name)
 			}
 		}
+	}
+}
+
+// TestNoSyncPool holds DESIGN.md §7 across the root module: storage is
+// recycled through internal/freelist, never a sync.Pool, which the garbage
+// collector empties, so what a run allocates — the benchmark's bounded
+// alloc_mb — would depend on when it last ran. It fails on any sync.Pool
+// named in the module's non-test Go, whatever name "sync" is imported as.
+func TestNoSyncPool(t *testing.T) {
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir // a module of its own
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p != "sync" {
+				continue
+			}
+			name := "sync"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						t.Errorf("%s: a sync.Pool — recycle through a freelist.List instead (DESIGN.md §7)", fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"uu/internal/freelist"
 	"uu/internal/ir"
 )
 
@@ -142,7 +143,7 @@ func (li *LoopInfo) build(f *ir.Function, dt *DomTree) {
 			}
 			// Back edge b->s.
 			if len(li.loopOf) == 0 {
-				li.loopOf = resized(li.loopOf, f.BlockIDBound())
+				li.loopOf = freelist.Zeroed(li.loopOf, f.BlockIDBound())
 			}
 			if li.loopOf[s.ID()] == 0 {
 				li.newLoop(f, n, s)
@@ -245,10 +246,10 @@ func (li *LoopInfo) newLoop(f *ir.Function, i int, h *ir.Block) {
 // storage and the loops it made.
 func (li *LoopInfo) park() {
 	for _, l := range li.made {
-		*l = Loop{Children: dropAll(l.Children), blocks: dropAll(l.blocks), blockSet: l.blockSet, latches: dropAll(l.latches)}
+		*l = Loop{Children: freelist.Emptied(l.Children), blocks: freelist.Emptied(l.blocks), blockSet: l.blockSet, latches: freelist.Emptied(l.latches)}
 	}
 	li.Loops, li.Top = li.Loops[:0], li.Top[:0]
-	li.work = dropAll(li.work)
+	li.work = freelist.Emptied(li.work)
 }
 
 // LoopFor returns the innermost loop containing b, or nil. A block minted

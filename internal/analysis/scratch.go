@@ -44,21 +44,3 @@ func (s *Scratch) Park() {
 	s.postDom.park()
 	s.loops.park()
 }
-
-// resized returns s with length n and every element zero, in s's array when
-// it is large enough.
-func resized[T any](s []T, n int) []T {
-	if n > cap(s) {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// dropAll clears the whole of s's array, past its length too, and returns
-// it empty.
-func dropAll[T any](s []T) []T {
-	clear(s[:cap(s)])
-	return s[:0]
-}

@@ -187,6 +187,7 @@ func reference(b *Benchmark, w *Workload, ctr *interp.Counters) (*interp.Memory,
 		return nil, err
 	}
 	mem, err := Interpret(f, w, interp.DefaultMaxSteps, ctr)
+	ir.Release(f)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: reference %w", b.Name, err)
 	}
@@ -316,5 +317,8 @@ func execute(ctx context.Context, prog *codegen.Program, w *Workload, cfg gpusim
 // LoopCount reports the benchmark's loop count on the canonicalized kernel —
 // the `L` column of Table I.
 func LoopCount(b *Benchmark) int {
-	return len(pipeline.Canonicalize(b.Kernel()).Loops)
+	f := b.Kernel()
+	n := len(pipeline.Canonicalize(f).Loops)
+	ir.Release(f)
+	return n
 }

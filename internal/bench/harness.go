@@ -12,6 +12,7 @@ import (
 	"uu/internal/gpusim"
 	"uu/internal/harden"
 	"uu/internal/interp"
+	"uu/internal/ir"
 	"uu/internal/pipeline"
 	"uu/internal/remark"
 )
@@ -191,6 +192,7 @@ func planApp(b *Benchmark, input InputMode, verify bool) appPlan {
 		return appPlan{err: err}
 	}
 	p.loops = len(pipeline.Canonicalize(f).Loops)
+	ir.Release(f)
 	if verify {
 		if testHookReference != nil {
 			testHookReference(b)

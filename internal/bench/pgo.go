@@ -227,7 +227,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 // convergence summary. Output is a pure function of the result and therefore
 // byte-identical for any Workers count.
 func WritePGOReport(w io.Writer, r *PGOResult) error {
-	bw := &errWriter{w: w}
+	bw := &profile.ErrWriter{W: w}
 	fmt.Fprintf(bw, "profile-guided u&u campaign (device %s)\n", r.DeviceName)
 	for _, rr := range r.Rounds {
 		fmt.Fprintf(bw, "\nround %d:\n", rr.Round)
@@ -267,25 +267,7 @@ func WritePGOReport(w io.Writer, r *PGOResult) error {
 			fmt.Fprintf(bw, "    %s\n", s)
 		}
 	}
-	return bw.err
-}
-
-// errWriter latches the first write error so the renderer can use Fprintf
-// freely and report once.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return len(p), nil
-	}
-	n, err := e.w.Write(p)
-	if err != nil {
-		e.err = err
-	}
-	return n, err
+	return bw.Err
 }
 
 func decisionsString(ds []core.Decision) string {

@@ -131,28 +131,24 @@ entry:
 	}
 }
 
-func TestClassesAndIssueCosts(t *testing.T) {
+func TestClasses(t *testing.T) {
 	cases := []struct {
-		in   Instr
-		cls  Class
-		cost int64
+		in  Instr
+		cls Class
 	}{
-		{Instr{Kind: KMov, Type: ir.I64}, ClassMisc, 1},
-		{Instr{Kind: KCvt, IROp: ir.OpSExt, Type: ir.I64}, ClassMisc, 1},
-		{Instr{Kind: KBra}, ClassControl, 2},
-		{Instr{Kind: KRet}, ClassControl, 2},
-		{Instr{Kind: KLd, Type: ir.F64}, ClassMemory, 1},
-		{Instr{Kind: KSpecial, IROp: ir.OpTID}, ClassSpecial, 1},
-		{Instr{Kind: KCompute, IROp: ir.OpAdd, Type: ir.I64}, ClassCompute, 1},
-		{Instr{Kind: KCompute, IROp: ir.OpSDiv, Type: ir.I64}, ClassCompute, 8},
-		{Instr{Kind: KCompute, IROp: ir.OpSqrt, Type: ir.F64}, ClassCompute, 4},
+		{Instr{Kind: KMov, Type: ir.I64}, ClassMisc},
+		{Instr{Kind: KCvt, IROp: ir.OpSExt, Type: ir.I64}, ClassMisc},
+		{Instr{Kind: KBra}, ClassControl},
+		{Instr{Kind: KRet}, ClassControl},
+		{Instr{Kind: KLd, Type: ir.F64}, ClassMemory},
+		{Instr{Kind: KSpecial, IROp: ir.OpTID}, ClassSpecial},
+		{Instr{Kind: KCompute, IROp: ir.OpAdd, Type: ir.I64}, ClassCompute},
+		{Instr{Kind: KCompute, IROp: ir.OpSDiv, Type: ir.I64}, ClassCompute},
+		{Instr{Kind: KCompute, IROp: ir.OpSqrt, Type: ir.F64}, ClassCompute},
 	}
 	for _, tc := range cases {
 		if got := tc.in.Class(); got != tc.cls {
 			t.Errorf("class(%v) = %v, want %v", tc.in.Kind, got, tc.cls)
-		}
-		if got := tc.in.IssueCycles(); got != tc.cost {
-			t.Errorf("issue(%v/%v) = %d, want %d", tc.in.Kind, tc.in.IROp, got, tc.cost)
 		}
 	}
 }

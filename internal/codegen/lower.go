@@ -38,15 +38,8 @@ var freeScratch = freelist.New[*scratch]()
 // release drops every reference s holds to blocks and files it.
 func (s *scratch) release() {
 	s.Park()
-	s.order, s.blocks, s.preds = dropAll(s.order), dropAll(s.blocks), dropAll(s.preds)
+	s.order, s.blocks, s.preds = freelist.Emptied(s.order), freelist.Emptied(s.blocks), freelist.Emptied(s.preds)
 	freeScratch.Put(s)
-}
-
-// dropAll clears the whole of s's array, past its length too (preds is
-// refilled block by block), and returns it empty.
-func dropAll(s []*ir.Block) []*ir.Block {
-	clear(s[:cap(s)])
-	return s[:0]
 }
 
 // Lower compiles an IR function to VPTX. It mutates f slightly (critical
@@ -75,11 +68,11 @@ func Lower(f *ir.Function) (*Program, error) {
 	s.splitCriticalEdges(f)
 
 	// Reverse postorder block layout.
-	s.mark = resized(s.mark, f.BlockIDBound())
+	s.mark = freelist.Zeroed(s.mark, f.BlockIDBound())
 	s.order = ir.AppendPostorder(s.order[:0], f.Entry(), (*ir.Block).Succs, s.mark, &s.stack)
 	slices.Reverse(s.order)
 	order := s.order
-	s.index = resized(s.index, f.BlockIDBound())
+	s.index = freelist.Zeroed(s.index, f.BlockIDBound())
 	for i, b := range order {
 		s.index[b.ID()] = int32(i)
 	}
@@ -174,14 +167,6 @@ func Lower(f *ir.Function) (*Program, error) {
 		}
 	}
 	return lw.prog, nil
-}
-
-// resized returns s with length n and every element zero, in s's array when
-// it is large enough.
-func resized[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
-	clear(s)
-	return s
 }
 
 // splitCriticalEdges splits edges from multi-successor blocks into

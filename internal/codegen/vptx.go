@@ -120,27 +120,6 @@ func (in *Instr) Class() Class {
 	}
 }
 
-// IssueCycles returns the warp issue cost of the instruction, loosely
-// following Volta latencies (div and transcendental ops are multi-cycle).
-func (in *Instr) IssueCycles() int64 {
-	switch in.Kind {
-	case KCompute:
-		switch in.IROp {
-		case ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem:
-			return 8
-		case ir.OpFDiv:
-			return 6
-		case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpPow:
-			return 4
-		}
-		return 1
-	case KCondBra, KBra, KRet:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // Block is a VPTX basic block.
 type Block struct {
 	Index int

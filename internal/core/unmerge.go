@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"uu/internal/analysis"
+	"uu/internal/freelist"
 	"uu/internal/ir"
 	"uu/internal/transform"
 )
@@ -161,19 +162,12 @@ type Scratch struct {
 // Park drops every reference the scratch holds to blocks and instructions,
 // keeping the storage: a parked Scratch pins no function.
 func (s *Scratch) Park() {
-	s.rows = dropAll(s.rows)
-	s.inPreds = dropAll(s.inPreds)
+	s.rows = freelist.Emptied(s.rows)
+	s.inPreds = freelist.Emptied(s.inPreds)
 	s.cloner.Reset()
-	s.region = dropAll(s.region)
-	s.work = dropAll(s.work)
-	s.phis = dropAll(s.phis)
-}
-
-// dropAll clears the whole of s's array, past its length too, and returns
-// it empty.
-func dropAll[T any](s []T) []T {
-	clear(s[:cap(s)])
-	return s[:0]
+	s.region = freelist.Emptied(s.region)
+	s.work = freelist.Emptied(s.work)
+	s.phis = freelist.Emptied(s.phis)
 }
 
 // loopRow is what the merge search reads of one loop block.

@@ -3,7 +3,6 @@ package gpusim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"uu/internal/codegen"
 	"uu/internal/interp"
@@ -64,12 +63,6 @@ type decodedProgram struct {
 	// consts are the pooled immediates, which occupy the pseudo-register
 	// indices [numRegs, fileRegs()).
 	consts []interp.Value
-
-	// lineMemo caches the per-instruction icache line index for each
-	// ICacheLineInstrs value seen (the only device parameter the decoded
-	// form depends on).
-	mu       sync.Mutex
-	lineMemo map[int][]int32
 }
 
 // fileRegs is the width of a warp's SoA register files: the program's
@@ -93,22 +86,6 @@ func decoded(p *codegen.Program) (*decodedProgram, error) {
 	return r.dp, r.err
 }
 
-// lines returns the icache line index of every instruction for the given
-// line size, memoized per decoded program.
-func (dp *decodedProgram) lines(lineInstrs int) []int32 {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	if l, ok := dp.lineMemo[lineInstrs]; ok {
-		return l
-	}
-	l := make([]int32, len(dp.ops))
-	for i := range l {
-		l[i] = int32(i / lineInstrs)
-	}
-	dp.lineMemo[lineInstrs] = l
-	return l
-}
-
 // numLines returns how many icache lines the program spans.
 func (dp *decodedProgram) numLines(lineInstrs int) int {
 	return (len(dp.ops) + lineInstrs - 1) / lineInstrs
@@ -128,7 +105,6 @@ func decodeProgram(p *codegen.Program) (*decodedProgram, error) {
 		ops:        make([]threadOp, n),
 		tim:        make([]tTiming, n),
 		blockClass: make([][5]int32, len(p.Blocks)),
-		lineMemo:   map[int][]int32{},
 	}
 	for _, r := range p.ParamRegs {
 		dp.paramRegs = append(dp.paramRegs, int32(r))
@@ -166,20 +142,26 @@ func uMask(t *ir.Type) uint64 {
 	}
 }
 
-// latClassOf mirrors the scoreboard result-latency model of instrLatency.
-func latClassOf(in *codegen.Instr) uint8 {
+// timingOf is the simulator's timing table: in's warp issue cost, loosely
+// following Volta (division and transcendentals take several cycles to
+// issue), and the scoreboard latency class of its result.
+func timingOf(in *codegen.Instr) (issue float64, lat uint8) {
 	switch in.Kind {
 	case codegen.KLd:
-		return latMem
+		return 1, latMem
 	case codegen.KCompute:
 		switch in.IROp {
-		case ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem, ir.OpFDiv:
-			return lat24
+		case ir.OpSDiv, ir.OpUDiv, ir.OpSRem, ir.OpURem:
+			return 8, lat24
+		case ir.OpFDiv:
+			return 6, lat24
 		case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpPow:
-			return lat20
+			return 4, lat20
 		}
-		return lat5
+		return 1, lat5
+	case codegen.KBra, codegen.KCondBra, codegen.KRet:
+		return 2, lat5
 	default:
-		return lat5
+		return 1, lat5
 	}
 }

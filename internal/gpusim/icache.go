@@ -1,5 +1,7 @@
 package gpusim
 
+import "uu/internal/freelist"
+
 // lruICache is an exact O(1) LRU instruction cache: a line -> slot map
 // plus an intrusive doubly-linked recency list over the slots. It models
 // the same policy as a tick-stamped map with min-tick eviction (update
@@ -22,10 +24,10 @@ type lruICache struct {
 // init empties the cache for a program of numLines lines, reusing the
 // arrays of a previous run when they are large enough.
 func (c *lruICache) init(numLines, capacity int) {
-	c.slot = zeroed(c.slot, numLines)
-	c.line = zeroed(c.line, capacity)
-	c.prev = zeroed(c.prev, capacity)
-	c.next = zeroed(c.next, capacity)
+	c.slot = freelist.Zeroed(c.slot, numLines)
+	c.line = freelist.Zeroed(c.line, capacity)
+	c.prev = freelist.Zeroed(c.prev, capacity)
+	c.next = freelist.Zeroed(c.next, capacity)
 	c.head, c.tail = -1, -1
 	c.used = 0
 	c.cap = int32(capacity)

@@ -21,7 +21,7 @@ import (
 // every execution — so it shares no decoder with the production core. What
 // it does share is what is not specialized there: the block layout, the
 // policy engines, the coalescing model (access), the icache state on the
-// warpSim, latClassOf and the ops.go kernels.
+// warpSim, timingOf and the ops.go kernels.
 
 // refCore is the reference core's run state: a production warpSim for
 // everything shared, plus the boxed register file.
@@ -194,14 +194,14 @@ func (rc *refCore) run(args []interp.Value, launch Launch, firstThread, count in
 					prof.Counters[ProfDepStall][gi] += profFP(exposed)
 				}
 			}
-			issue := float64(in.IssueCycles())
+			issue, lat := timingOf(in)
 			cycles += issue * iss
 			if prof != nil {
 				prof.Counters[ProfIssueCycles][gi] += profFP(issue * iss)
 			}
 			dst := int(in.Dst)
 			if dst >= 0 {
-				w.ready[dst] = cycles + w.latTab[latClassOf(in)]
+				w.ready[dst] = cycles + w.latTab[lat]
 			}
 
 			switch in.Kind {

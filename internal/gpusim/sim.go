@@ -267,20 +267,9 @@ func (w *warpSim) strip() {
 	}
 	*w = warpSim{
 		ready: w.ready, regsI: w.regsI, regsF: w.regsF,
-		engines: w.engines, touched: w.touched, lru: w.lru, blockSeen: w.blockSeen,
+		engines: w.engines, lines: w.lines, touched: w.touched, lru: w.lru, blockSeen: w.blockSeen,
 		lanesTID: w.lanesTID, lanesCTA: w.lanesCTA, addrBuf: w.addrBuf, segBuf: w.segBuf,
 	}
-}
-
-// zeroed returns s with length n and every element cleared, reusing its
-// array when the capacity allows.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // init prepares w — a new or stripped warpSim whose register files fit dp
@@ -302,25 +291,28 @@ func (w *warpSim) init(dp *decodedProgram, cfg DeviceConfig, mem *interp.Memory)
 			w.regsF[base+lane] = v.F
 		}
 	}
-	w.ready = zeroed(w.ready, dp.numRegs)
+	w.ready = freelist.Zeroed(w.ready, dp.numRegs)
 	if w.engines[cfg.Policy] == nil {
 		w.engines[cfg.Policy] = newPolicyEngine(cfg.Policy)
 	}
 	w.eng = w.engines[cfg.Policy]
 	w.eng.bind(dp)
-	w.lines = dp.lines(cfg.ICacheLineInstrs)
-	w.blockSeen = zeroed(w.blockSeen, len(dp.blockStart))
+	w.lines = freelist.Zeroed(w.lines, len(dp.ops))
+	for i := range w.lines {
+		w.lines[i] = int32(i / cfg.ICacheLineInstrs)
+	}
+	w.blockSeen = freelist.Zeroed(w.blockSeen, len(dp.blockStart))
 	if numLines := dp.numLines(cfg.ICacheLineInstrs); numLines <= cfg.ICacheLines {
 		w.fetchMode = fetchBitset
-		w.touched = zeroed(w.touched, bitWords(numLines))
+		w.touched = freelist.Zeroed(w.touched, bitWords(numLines))
 	} else {
 		w.fetchMode = fetchLRU
 		w.lru.init(numLines, cfg.ICacheLines)
 	}
-	w.lanesTID = zeroed(w.lanesTID, cfg.WarpSize)
-	w.lanesCTA = zeroed(w.lanesCTA, cfg.WarpSize)
-	w.addrBuf = zeroed(w.addrBuf, cfg.WarpSize)
-	w.segBuf = zeroed(w.segBuf, cfg.WarpSize)
+	w.lanesTID = freelist.Zeroed(w.lanesTID, cfg.WarpSize)
+	w.lanesCTA = freelist.Zeroed(w.lanesCTA, cfg.WarpSize)
+	w.addrBuf = freelist.Zeroed(w.addrBuf, cfg.WarpSize)
+	w.segBuf = freelist.Zeroed(w.segBuf, cfg.WarpSize)
 	w.segShift = -1
 	if sb := cfg.SegmentBytes; sb > 0 && sb&(sb-1) == 0 {
 		w.segShift = bits.TrailingZeros64(uint64(sb))

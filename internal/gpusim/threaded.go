@@ -40,7 +40,7 @@ import (
 // Immediates are pooled into broadcast pseudo-registers past dp.numRegs so
 // every closure reads plain register lanes. The compile switch and the
 // closures it builds are the only place the simulator branches on an opcode
-// outside latClassOf and the ops.go kernels; nothing in between re-encodes
+// outside timingOf and the ops.go kernels; nothing in between re-encodes
 // the instruction. The design this replaced — one dispatch switch per
 // retired instruction over boxed interp.Value registers, every scalar op
 // through the ops.go kernels — is kept as the differential reference in
@@ -117,7 +117,8 @@ func (c *compiler) add(in *codegen.Instr, gi int32, bi int) error {
 	if in.Dst < codegen.NoReg || int(in.Dst) >= c.dp.numRegs {
 		return fmt.Errorf("%w: destination %%r%d outside the program's %d registers", ErrDecode, in.Dst, c.dp.numRegs)
 	}
-	t := tTiming{issue: float64(in.IssueCycles()), dst: int32(in.Dst), latClass: latClassOf(in), srcs: [3]int32{-1, -1, -1}}
+	issue, lat := timingOf(in)
+	t := tTiming{issue: issue, dst: int32(in.Dst), latClass: lat, srcs: [3]int32{-1, -1, -1}}
 	for i, s := range in.Srcs {
 		if !s.IsImm() {
 			t.srcs[i] = int32(s.Reg)

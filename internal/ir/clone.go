@@ -1,5 +1,11 @@
 package ir
 
+import (
+	"slices"
+
+	"uu/internal/freelist"
+)
+
 // Clone returns a deep copy of f: fresh parameters, blocks, and instructions
 // with identical names, IDs, and structure, sharing only immutable values
 // (constants, types). Clone(f).String() == f.String(), and mutating the clone
@@ -55,27 +61,12 @@ func short[T any](l []T, n int, missing *int) {
 	}
 }
 
-// grown returns l emptied, with room for n entries.
-func grown[T any](l []T, n int) []T {
-	if cap(l) < n {
-		return make([]T, 0, n)
-	}
-	return l[:0]
-}
-
 // sized returns l at length n, for a caller that writes every entry.
 func sized[T any](l []T, n int) []T {
 	if cap(l) < n {
 		return make([]T, n)
 	}
 	return l[:n]
-}
-
-// table returns l cleared at length n.
-func table[T any](l []*T, n int) []*T {
-	l = sized(l, n)
-	clear(l)
-	return l
 }
 
 // copyInto overwrites nf with a copy of f, carving it from nf's store: the
@@ -114,8 +105,8 @@ func copyInto(nf, f *Function) {
 	values, uses := make([]Value, nValues), make([]use, nUses)
 	// The tables are read only at IDs this copy writes; the rest would keep
 	// the last copy's objects alive, so clear them.
-	st.blockOf = table(st.blockOf, f.nextBlockID)
-	st.instrOf = table(st.instrOf, f.nextID+1)
+	st.blockOf = freelist.Zeroed(st.blockOf, f.nextBlockID)
+	st.instrOf = freelist.Zeroed(st.instrOf, f.nextID+1)
 
 	nf.Name, nf.RetTyp = f.Name, f.RetTyp
 	nf.nextID, nf.nextBlockID = f.nextID, f.nextBlockID
@@ -334,13 +325,13 @@ func (c *Cloner) cloneRegion(f *Function, blocks []*Block, suffix string) {
 	for _, b := range blocks {
 		if n := c.preds[b.id]; n > 0 {
 			nb := c.blockOf[b.id]
-			nb.preds = grown(nb.preds, int(n))
+			nb.preds = slices.Grow(nb.preds[:0], int(n))
 			c.preds[b.id] = 0
 		}
 		for _, in := range b.instrs {
 			if n := c.uses[in.id]; n > 0 {
 				ci := c.instrOf[in.id]
-				ci.uses = grown(ci.uses, int(n))
+				ci.uses = slices.Grow(ci.uses[:0], int(n))
 				c.uses[in.id] = 0
 			}
 		}

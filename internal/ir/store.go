@@ -121,14 +121,13 @@ func (s *store) clean(nb, ni int) {
 	s.nBlocks, s.nInstrs = nb, ni
 }
 
-// wipe empties l, clearing its whole array, or drops it when its array is
-// longer than bound.
+// wipe empties l (freelist.Emptied), or drops it when its array is longer
+// than bound.
 func wipe[T any](l []T, bound int) []T {
 	if cap(l) > bound {
 		return nil
 	}
-	clear(l[:cap(l)])
-	return l[:0]
+	return freelist.Emptied(l)
 }
 
 // trim drops what lies past n in l.

@@ -162,7 +162,7 @@ func Evaluate(r *Report, decisions []core.Decision, skips []core.SkipRecord) *Ev
 // genuine MISPREDICT by cross-referencing the heuristic's skip records.
 func WritePrediction(w io.Writer, r *Report, decisions []core.Decision, skips []core.SkipRecord, paramC int) error {
 	ev := Evaluate(r, decisions, skips)
-	bw := &errWriter{w: w}
+	bw := &ErrWriter{W: w}
 	fmt.Fprintf(bw, "heuristic (C=%d) vs measured — %s (total %d cycles):\n",
 		paramC, r.Kernel, r.TotalCycles)
 	fmt.Fprintf(bw, "  %-10s %-8s %3s %6s %6s %10s %12s %7s  %s\n",
@@ -199,7 +199,7 @@ func WritePrediction(w io.Writer, r *Report, decisions []core.Decision, skips []
 		fmt.Fprintf(bw, "  -> hottest loop %s: %d self cycles (%.1f%%) — MISPREDICT: the heuristic did not select the hottest loop (%s)\n",
 			ev.HottestLabel, ev.HottestSelf, pct(ev.HottestSelf, r.TotalCycles), ev.Reason)
 	}
-	return bw.err
+	return bw.Err
 }
 
 // ExtractFeedback distills the measured report into the per-loop signals and

@@ -200,7 +200,7 @@ func (r *Report) loopChain(id int32) []*LoopRow {
 // WriteHotspots renders the per-loop and per-line hotspot tables as text.
 // Output is deterministic: identical profiles produce identical bytes.
 func WriteHotspots(w io.Writer, r *Report) error {
-	bw := &errWriter{w: w}
+	bw := &ErrWriter{W: w}
 	fmt.Fprintf(bw, "kernel %s: %d cycles", r.Kernel, r.TotalCycles)
 	fmt.Fprintf(bw, " (issue %d, dep_stall %d, fetch_stall %d)\n",
 		fpRound(r.Total[gpusim.ProfIssueCycles]),
@@ -244,7 +244,7 @@ func WriteHotspots(w io.Writer, r *Report) error {
 			row.Counters[gpusim.ProfDivergeEvents],
 			row.Counters[gpusim.ProfMemTransactions])
 	}
-	return bw.err
+	return bw.Err
 }
 
 func (r *Report) loopRowByID(id int32) *LoopRow {
@@ -279,11 +279,11 @@ func WriteFolded(w io.Writer, r *Report) error {
 		out = append(out, folded{strings.Join(frames, ";"), row.Cycles})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].stack < out[j].stack })
-	bw := &errWriter{w: w}
+	bw := &ErrWriter{W: w}
 	for _, f := range out {
 		fmt.Fprintf(bw, "%s %d\n", f.stack, f.cycles)
 	}
-	return bw.err
+	return bw.Err
 }
 
 // fpRound converts a fixed-point counter sum to whole cycles.
@@ -296,20 +296,20 @@ func pct(part, total int64) float64 {
 	return 100 * float64(part) / float64(total)
 }
 
-// errWriter latches the first write error so the renderers can use Fprintf
-// freely and report once.
-type errWriter struct {
-	w   io.Writer
-	err error
+// ErrWriter latches the first error writing to W, so a renderer can use
+// Fprintf freely and report Err once. After an error, writes are dropped.
+type ErrWriter struct {
+	W   io.Writer
+	Err error
 }
 
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
+func (e *ErrWriter) Write(p []byte) (int, error) {
+	if e.Err != nil {
 		return len(p), nil
 	}
-	n, err := e.w.Write(p)
+	n, err := e.W.Write(p)
 	if err != nil {
-		e.err = err
+		e.Err = err
 	}
 	return n, err
 }

@@ -104,9 +104,10 @@ func TestBrokenAppAnswers400EveryTime(t *testing.T) {
 // It was 120 to 250 kB, by app, while every request ran the frontend,
 // cloned, printed, parsed back and printed again to rediscover a constant,
 // so a lexer, a parser or a Clone coming back onto a miss fails this by an
-// order of magnitude. The margin is for -race, under which sync.Pool drops
-// what it is given and fmt formats the canonical text into a fresh buffer
-// on every Fingerprint (up to 5.7 kB).
+// order of magnitude. The margin is for -race, under which the standard
+// library's sync.Pools drop what they are given, so fmt formats the
+// canonical text into a fresh buffer on every Fingerprint (up to 5.7 kB);
+// serve's own free lists keep what they are given under -race too.
 const appMissAllocCeiling = 16 << 10
 
 func TestAppMissBuildsNoIR(t *testing.T) {

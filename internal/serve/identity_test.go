@@ -622,7 +622,7 @@ func TestRemovedSimWorkersFieldIsIgnored(t *testing.T) {
 // the hit path. Rebuilding IR to rediscover a cached key cost about 220 kB a
 // hit, and marshaling a copy of the entry per hit put 4.8 / 5.5 / 13.5 kB on
 // the app / source / ir forms. Now a hit decodes into a recycled state,
-// hashes in a pooled buffer and splices the execution's encoded bytes, so
+// hashes in a recycled buffer and splices the execution's encoded bytes, so
 // what is left is the harness's recorder, the header map and the decoded
 // strings (the ir form's text is most of its budget).
 func TestHitAllocBudget(t *testing.T) {

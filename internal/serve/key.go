@@ -123,8 +123,7 @@ type identity [sha256.Size]byte
 // render to the same bytes; TestIdentityCoversEveryRequestField fails when
 // a field is added to Request and not here.
 func requestIdentity(r *Request) identity {
-	bp := takeBuf()
-	w := identityBytes(*bp)
+	w := identityBytes(takeBuf())
 	w.str("uu/serve request identity v1")
 	w.str(r.App)
 	w.str(r.Source)
@@ -153,12 +152,12 @@ func requestIdentity(r *Request) identity {
 	w.str(r.Remarks)
 	w.flag(r.Profile)
 	id := identity(sha256.Sum256(w))
-	fileBuf(bp, w)
+	fileBuf(w)
 	return id
 }
 
 // identityBytes is the byte string requestIdentity hashes, rendered into a
-// pooled buffer: integers as eight little-endian bytes, flags as one byte,
+// recycled buffer: integers as eight little-endian bytes, flags as one byte,
 // strings as their length then their bytes.
 type identityBytes []byte
 

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
+	"uu/internal/freelist"
 	"uu/internal/remark"
 	"uu/internal/telemetry"
 )
@@ -149,14 +149,20 @@ type reqState struct {
 	exec      *phaseTimings // the pool execution's timings, when one produced this result
 }
 
-var reqStates = sync.Pool{New: func() any { return new(reqState) }}
+// freeReqStates holds released request states. Its price: with its Put
+// discarded the benchmark's serve-hot allocates 3.5 % more (EXPERIMENTS.md
+// "What each free list buys").
+var freeReqStates = freelist.New[*reqState]()
 
 // newReqState takes a zeroed state, mints the request ID and decides
 // tracing: every Options.TraceSample-th request is traced, and ?trace=1
 // forces it.
 func (s *Server) newReqState(r *http.Request) *reqState {
 	seq := s.reqSeq.Add(1)
-	st := reqStates.Get().(*reqState)
+	st, ok := freeReqStates.Take()
+	if !ok {
+		st = new(reqState)
+	}
 	st.srv = s
 	st.id = requestID(s.idEpoch, seq)
 	st.start = time.Now()
@@ -171,7 +177,7 @@ func (s *Server) newReqState(r *http.Request) *reqState {
 // once the request is finished: nothing else keeps st or its Request.
 func (st *reqState) release() {
 	*st = reqState{}
-	reqStates.Put(st)
+	freeReqStates.Put(st)
 }
 
 // requestID renders "r-<epoch>-<seq>", seq zero-padded to six digits.
@@ -220,14 +226,13 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // respond writes every 200: res's head, this request's ID and cache flags,
 // res's body, this request's phases and, under ?trace=1, its trace — one
-// pooled buffer, one Write — then finishes instrumentation. The bytes are
+// recycled buffer, one Write — then finishes instrumentation. The bytes are
 // what json.Marshal writes for res with those fields set, plus a newline.
 func (st *reqState) respond(w http.ResponseWriter, res *Response, cached, coalesced bool) {
 	st.cached, st.coalesced = cached, coalesced
 	phases := st.phasesMs()
 	start := time.Now()
-	bp := takeBuf()
-	b := append(*bp, res.head...)
+	b := append(takeBuf(), res.head...)
 	b = append(b, `"request_id":"`...)
 	b = append(b, st.id...)
 	b = append(b, `","cached":`...)
@@ -253,7 +258,7 @@ func (st *reqState) respond(w http.ResponseWriter, res *Response, cached, coales
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(200)
 	_, _ = w.Write(b)
-	fileBuf(bp, b)
+	fileBuf(b)
 	st.finish(200, "", time.Since(start))
 }
 

@@ -7,27 +7,35 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
+
+	"uu/internal/freelist"
 )
 
 // A request's wire work — reading its body, hashing its identity, writing
-// its 200 — runs in a pooled byte buffer. Each user takes a buffer and files
-// it back before returning, so nothing outlives the call but what was copied
-// out of it. A buffer that grew past maxPooledBuf (a large source kernel, a
-// traced response) is dropped instead of filed, so the pool never pins a
-// body near maxBodyBytes.
+// its 200 — runs in a recycled byte buffer. Each user takes a buffer and
+// files it back before returning, so nothing outlives the call but what was
+// copied out of it. A buffer that grew past maxPooledBuf (a large source
+// kernel, a traced response) is dropped instead of filed, so the list never
+// pins a body near maxBodyBytes.
 const maxPooledBuf = 64 << 10
 
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+// freeBufs holds filed buffers, empty. Its price: with its Put discarded
+// the benchmark's serve-hot allocates 21 % more; serve-cold moves by less
+// than its run-to-run spread (EXPERIMENTS.md "What each free list buys").
+var freeBufs = freelist.New[[]byte]()
 
-func takeBuf() *[]byte { return bufPool.Get().(*[]byte) }
+// takeBuf returns an empty buffer: a filed one, or nil for append to grow.
+func takeBuf() []byte {
+	b, _ := freeBufs.Take()
+	return b
+}
 
-func fileBuf(bp *[]byte, b []byte) {
-	if cap(b) > maxPooledBuf {
-		return
+// fileBuf files b, emptied, for a later request, unless it grew past
+// maxPooledBuf.
+func fileBuf(b []byte) {
+	if cap(b) <= maxPooledBuf {
+		freeBufs.Put(b[:0])
 	}
-	*bp = b[:0]
-	bufPool.Put(bp)
 }
 
 // jsonContentType is every JSON response's Content-Type value, assigned
@@ -40,8 +48,7 @@ var jsonContentType = []string{"application/json"}
 // so `{"app":"a"}{"app":"b"}` does not compile a. A reader error, such as
 // http.MaxBytesReader's *http.MaxBytesError, is returned as is.
 func decodeRequest(body io.Reader, req *Request) error {
-	bp := takeBuf()
-	b := *bp
+	b := takeBuf()
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
@@ -52,12 +59,12 @@ func decodeRequest(body io.Reader, req *Request) error {
 			break
 		}
 		if err != nil {
-			fileBuf(bp, b)
+			fileBuf(b)
 			return err
 		}
 	}
 	err := json.Unmarshal(b, req)
-	fileBuf(bp, b)
+	fileBuf(b)
 	return err
 }
 

@@ -230,11 +230,16 @@ func TestAppendPhasesMatchesEncodingJSON(t *testing.T) {
 // TestPooledBuffersAreBounded: a buffer that grew past maxPooledBuf is not
 // filed back, so a large body pins nothing after its request.
 func TestPooledBuffersAreBounded(t *testing.T) {
-	big := make([]byte, 0, maxPooledBuf+1)
-	bp := new([]byte)
-	fileBuf(bp, big)
-	if *bp != nil {
+	for freeBufs.Len() > 0 {
+		takeBuf()
+	}
+	fileBuf(make([]byte, 0, maxPooledBuf+1))
+	if freeBufs.Len() != 0 {
 		t.Fatal("an oversized buffer was filed back")
+	}
+	fileBuf(make([]byte, 3, maxPooledBuf))
+	if b := takeBuf(); len(b) != 0 || cap(b) != maxPooledBuf {
+		t.Fatalf("took back a buffer of length %d, capacity %d; want an empty one of %d", len(b), cap(b), maxPooledBuf)
 	}
 	var req Request
 	body := strings.NewReader(`{"source":"` + strings.Repeat("x", 2*maxPooledBuf) + `"}`)

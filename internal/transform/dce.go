@@ -1,6 +1,9 @@
 package transform
 
-import "uu/internal/ir"
+import (
+	"uu/internal/freelist"
+	"uu/internal/ir"
+)
 
 // dceState is DCE's storage, kept in a Scratch between invocations.
 type dceState struct {
@@ -15,7 +18,7 @@ type dceState struct {
 // instruction. Cycles of otherwise-unused phis die together, which simple
 // use-count DCE misses.
 func (d *dceState) run(f *ir.Function) int {
-	d.live = zeroed(d.live, f.InstrIDBound())
+	d.live = freelist.Zeroed(d.live, f.InstrIDBound())
 	d.work, d.dead = d.work[:0], d.dead[:0]
 	mark := func(in *ir.Instr) {
 		if !d.live[in.ID()] {
@@ -55,6 +58,6 @@ func (d *dceState) run(f *ir.Function) int {
 
 // park drops the worklists' references to instructions.
 func (d *dceState) park() {
-	d.work = dropAll(d.work)
-	d.dead = dropAll(d.dead)
+	d.work = freelist.Emptied(d.work)
+	d.dead = freelist.Emptied(d.dead)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"uu/internal/freelist"
 
 	"uu/internal/analysis"
 	"uu/internal/ir"
@@ -147,11 +148,11 @@ func (g *gvnState) park() {
 	clear(g.phiIDs)
 	clear(g.leaders)
 	clear(g.repl)
-	g.facts = dropAll(g.facts)
-	g.leaderUndos = dropAll(g.leaderUndos)
-	g.replUndos = dropAll(g.replUndos)
-	g.clobbers = dropAll(g.clobbers)
-	g.instrs = dropAll(g.instrs)
+	g.facts = freelist.Emptied(g.facts)
+	g.leaderUndos = freelist.Emptied(g.leaderUndos)
+	g.replUndos = freelist.Emptied(g.replUndos)
+	g.clobbers = freelist.Emptied(g.clobbers)
+	g.instrs = freelist.Emptied(g.instrs)
 }
 
 // constKey identifies a constant by content: equal constants share a value

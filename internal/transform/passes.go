@@ -2,6 +2,7 @@ package transform
 
 import (
 	"uu/internal/analysis"
+	"uu/internal/freelist"
 	"uu/internal/ir"
 	"uu/internal/remark"
 )
@@ -44,14 +45,7 @@ func (s *Scratch) Park() {
 	s.sccp.park()
 	s.gvn.park()
 	s.dce.park()
-	s.block = dropAll(s.block)
-}
-
-// dropAll clears the whole of s's array, past its length too, and returns
-// it empty.
-func dropAll[T any](s []T) []T {
-	clear(s[:cap(s)])
-	return s[:0]
+	s.block = freelist.Emptied(s.block)
 }
 
 // Mem2RegPass promotes allocas to SSA registers. It may delete unreachable

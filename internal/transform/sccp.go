@@ -1,6 +1,9 @@
 package transform
 
-import "uu/internal/ir"
+import (
+	"uu/internal/freelist"
+	"uu/internal/ir"
+)
 
 // latKind is the SCCP lattice: unknown (top) -> constant -> overdefined.
 type latKind int
@@ -222,23 +225,11 @@ func (s *sccpSolver) solve(f *ir.Function) {
 	}
 }
 
-// zeroed returns a slice of n zero values, in s's storage when that is large
-// enough. A fresh one carries a quarter of slack: the ID bounds that size
-// these tables creep up between a compilation's invocations.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n, n+n/4)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // park drops the solver's references to constants and instructions.
 func (s *sccpSolver) park() {
-	s.vals = dropAll(s.vals)
-	s.instrWork = dropAll(s.instrWork)
-	s.blockWork = dropAll(s.blockWork)
+	s.vals = freelist.Emptied(s.vals)
+	s.instrWork = freelist.Emptied(s.instrWork)
+	s.blockWork = freelist.Emptied(s.blockWork)
 }
 
 // run propagates over f and rewrites it, reporting whether anything changed
@@ -246,10 +237,10 @@ func (s *sccpSolver) park() {
 // pass can preserve the cached dominator trees. The tables are cleared on
 // the way in, not out, so a run abandoned by a panic costs the next nothing.
 func (s *sccpSolver) run(f *ir.Function) (changed, cfgChanged bool) {
-	s.vals = zeroed(s.vals, f.InstrIDBound())
-	s.queued = zeroed(s.queued, f.InstrIDBound())
-	s.execBlock = zeroed(s.execBlock, f.BlockIDBound())
-	s.execEdge = zeroed(s.execEdge, 2*f.BlockIDBound())
+	s.vals = freelist.Zeroed(s.vals, f.InstrIDBound())
+	s.queued = freelist.Zeroed(s.queued, f.InstrIDBound())
+	s.execBlock = freelist.Zeroed(s.execBlock, f.BlockIDBound())
+	s.execEdge = freelist.Zeroed(s.execEdge, 2*f.BlockIDBound())
 	s.instrWork, s.blockWork = s.instrWork[:0], s.blockWork[:0]
 	s.solve(f)
 
