@@ -82,6 +82,7 @@ func RunAblations(app string, loopID, factor int, dev gpusim.DeviceConfig) ([]Ab
 		}
 		row.Millis = rec.Millis
 		row.Code = rec.CodeBytes
+		rec.Release()
 		if v.Name == "baseline" {
 			baseMillis = row.Millis
 		}

@@ -374,6 +374,11 @@ func runJob(ctx context.Context, j *harnessJob, remarks bool, logf func(string, 
 	}
 	logf("%-16s %-12s loop=%-3d u=%-2d %10.4f ms  code=%6d B  compile=%7.2f ms",
 		j.Name, rec.Config, j.loopID, j.factor, rec.Millis, rec.CodeBytes, rec.CompileMs)
+	if rec.Profile == nil {
+		// Nothing reads the program from here on; a profiled cell keeps it
+		// for the report that joins the two after the campaign.
+		rec.Release()
+	}
 	return rec, nil
 }
 

@@ -188,6 +188,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 			return nil, fmt.Errorf("bench pgo %s baseline: %w", b.Name, err)
 		}
 		*basePtr = rec.Millis
+		rec.Release()
 	}
 	a.BaselineMillis = *basePtr
 
@@ -215,6 +216,7 @@ func pgoAppRound(ctx context.Context, b *Benchmark, input InputMode, dev gpusim.
 	a.Decisions = st.Decisions
 
 	rep := profile.Build(rec.Program, rec.Profile)
+	rec.Release()
 	ev := profile.Evaluate(rep, st.Decisions, st.Skips)
 	a.Verdict, a.Reason = ev.Verdict, ev.Reason
 	fb := profile.ExtractFeedback(rep, ev, st.Decisions, a.Speedup)

@@ -68,12 +68,14 @@ func withoutClocks(res *Results) (*Results, []string) {
 
 // verifiedCampaign runs a verified one-worker campaign over apps with
 // GOMAXPROCS set to procs, and returns its Results and its Progress lines
-// without their wall-clock column.
+// without their wall-clock column. It profiles every run, so every record
+// keeps its program (a campaign releases an unprofiled cell's) for
+// withoutClocks to compare.
 func verifiedCampaign(t *testing.T, procs int, apps []string) (*Results, string, error) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var progress bytes.Buffer
-	res, err := RunExperiments(HarnessOptions{Apps: apps, Factors: []int{2}, Verify: true, Workers: 1, Progress: &progress})
+	res, err := RunExperiments(HarnessOptions{Apps: apps, Factors: []int{2}, Verify: true, Workers: 1, Progress: &progress, Profile: true})
 	return res, compileColumn.ReplaceAllString(progress.String(), "compile=- ms"), err
 }
 

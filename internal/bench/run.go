@@ -67,11 +67,25 @@ type RunRecord struct {
 	// In a campaign (HarnessOptions.Remarks) the final entry is the gpusim
 	// SimMetrics remark for runs that simulated.
 	Remarks []remark.Remark
-	// Program is the lowered kernel, nil when the compile failed. Profile is
-	// its per-PC hotspot profile (Job.Profile), byte-identical for any
-	// harness Workers count, and nil when profiling is off.
+	// Program is the lowered kernel, nil when the compile failed and after
+	// Release. Profile is its per-PC hotspot profile (Job.Profile),
+	// byte-identical for any harness Workers count, and nil when profiling
+	// is off.
 	Program *codegen.Program
 	Profile *gpusim.Profile
+}
+
+// Release hands the record's program and the simulator's decoded form of it
+// back for the next run to be lowered and decoded in
+// (gpusim.ReleaseProgram), and sets Program to nil. It is for the record's
+// owner, after the program's last reader: a campaign once a cell's line is
+// logged, unless a profile report will join the cell's Profile with it; uud
+// once the response is rendered. Everything else the record holds stays.
+func (r *RunRecord) Release() {
+	if r.Program != nil {
+		gpusim.ReleaseProgram(r.Program)
+		r.Program = nil
+	}
 }
 
 // Speedup returns base.Millis / r.Millis (the paper's speedup definition,
@@ -95,7 +109,8 @@ func (r *RunRecord) Speedup(base *RunRecord) float64 {
 // the frontend failed); a failed simulation or verification leaves Metrics
 // nil. Nothing in the record references IR: the compiled copy is released
 // (ir.Release) before the simulation starts, and its storage is carved into
-// the next compilation's.
+// the next compilation's. The program is the record's owner's to release
+// (RunRecord.Release).
 func Run(ctx context.Context, j Job) (*RunRecord, error) {
 	rec := &RunRecord{Config: j.Options.Config, Start: time.Now()}
 	f, st, prog, err := compile(ctx, j.Name, j.Kernel, j.Options)

@@ -20,7 +20,7 @@ func (r *RunRecord) Trace(tr *remark.Trace, tid int, dev gpusim.DeviceConfig) {
 		return
 	}
 	st.Trace(tr, tid)
-	if r.Program == nil { // the pipeline or codegen failed
+	if r.CodeBytes == 0 { // the pipeline or codegen failed: Run sets it only for a program
 		return
 	}
 	compiled := r.Start.Add(r.CompileWall)

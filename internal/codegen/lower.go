@@ -42,16 +42,48 @@ func (s *scratch) release() {
 	freeScratch.Put(s)
 }
 
+// store is the storage a program is cut from, each array whole: the
+// instructions, the operand pool, the line table and the blocks. Lower
+// grows each one to the program it builds, and Release clears and files
+// them for the next Lower, so a filed store pins no constant, type or name.
+type store struct {
+	instrs []Instr
+	srcs   []Operand
+	lines  []LineInfo
+	blocks []Block
+}
+
+// freeStores recycles released programs' stores. Its price: with its Put
+// discarded the benchmark's sweep allocates 16.9 % more and serve-cold
+// 17.0 % more (EXPERIMENTS.md "What each free list buys").
+var freeStores = freelist.New[*store]()
+
+// Release files p's arrays for the next Lower to build its program in, and
+// empties p. It is for p's owner, after the last read of p and of every
+// window of it; a run's owner releases through gpusim.ReleaseProgram, which
+// also files the simulator's decoded form.
+func Release(p *Program) {
+	st := p.store
+	*p = Program{}
+	if st == nil {
+		return
+	}
+	st.instrs, st.srcs = freelist.Emptied(st.instrs), freelist.Emptied(st.srcs)
+	st.lines, st.blocks = freelist.Emptied(st.lines), freelist.Emptied(st.blocks)
+	freeStores.Put(st)
+}
+
 // Lower compiles an IR function to VPTX. It mutates f slightly (critical
 // edges into phi-bearing blocks are split so phi copies have a home), then
 // performs a standard phi-elimination lowering with parallel-copy
 // sequencing. Allocas must have been promoted (run a pipeline first).
 //
-// The program is a few exactly sized arrays: every block's instructions,
-// end to end in layout order, each block's Instrs a capped window of them;
-// every instruction's operands, each Srcs a capped window of one pool; and
-// the line table, one record per instruction. Everything is counted before
-// the first instruction is emitted.
+// The program is cut from a few arrays: every block's instructions, end to
+// end in layout order, each block's Instrs a capped window of them; every
+// instruction's operands, each Srcs a capped window of one pool; the line
+// table, one record per instruction; and the blocks. Everything is counted
+// before the first instruction is emitted, and the arrays are grown to that
+// count in the store the last released program filed.
 func Lower(f *ir.Function) (*Program, error) {
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
@@ -116,10 +148,14 @@ func Lower(f *ir.Function) (*Program, error) {
 	}
 	nInstrs += len(s.copies)
 	nSrcs += len(s.copies)
-	lw.instrs = make([]Instr, 0, nInstrs)
-	lw.srcPool = make([]Operand, 0, nSrcs)
-	lw.prog.Lines = make([]LineInfo, 0, nInstrs)
-	lw.prog.Blocks = make([]Block, len(order))
+	st, ok := freeStores.Take()
+	if !ok {
+		st = new(store)
+	}
+	lw.prog.store = st
+	st.instrs, st.srcs = slices.Grow(st.instrs, nInstrs), slices.Grow(st.srcs, nSrcs)
+	st.lines, st.blocks = slices.Grow(st.lines, nInstrs), freelist.Zeroed(st.blocks, len(order))
+	lw.st = st
 
 	// Loop metadata for the profiler, and each block's innermost loop for
 	// the line table. Like the post-dominator tree below, the loop info is
@@ -145,14 +181,16 @@ func Lower(f *ir.Function) (*Program, error) {
 		if l := li.LoopFor(b); l != nil {
 			lw.loop = int32(l.ID)
 		}
-		start := len(lw.instrs)
+		start := len(st.instrs)
 		if err := lw.lowerBlock(b, s.copies[copyStart:s.copyEnd[i]]); err != nil {
+			Release(lw.prog)
 			return nil, err
 		}
 		copyStart = s.copyEnd[i]
-		end := len(lw.instrs)
-		lw.prog.Blocks[i] = Block{Index: i, Name: b.Name, Instrs: lw.instrs[start:end:end]}
+		end := len(st.instrs)
+		st.blocks[i] = Block{Index: i, Name: b.Name, Instrs: st.instrs[start:end:end]}
 	}
+	lw.prog.Blocks, lw.prog.Lines = slices.Clip(st.blocks), slices.Clip(st.lines)
 	lw.prog.NumRegs = int(lw.next)
 
 	// Immediate post-dominators for the simulator's reconvergence stack.
@@ -188,14 +226,15 @@ func (s *scratch) splitCriticalEdges(f *ir.Function) {
 }
 
 type lowerer struct {
-	f      *ir.Function
-	prog   *Program
-	regs   []Reg // by Instr.ID
-	next   Reg
-	index  []int32 // by Block.ID: the block's position in the layout
-	instrs []Instr // every block's instructions, in layout order
-	// srcPool holds every instruction's operands; each Srcs is a window.
-	srcPool []Operand
+	f     *ir.Function
+	prog  *Program
+	regs  []Reg // by Instr.ID
+	next  Reg
+	index []int32 // by Block.ID: the block's position in the layout
+	// st is the program's store: emit appends every block's instructions
+	// and their line records in layout order, and srcs every instruction's
+	// operands, each Srcs a window of the pool.
+	st *store
 	// curLoc is the line table's loc for every emitted instruction: the loc
 	// of the IR instruction currently being lowered, so synthetic
 	// expansions (GEP address math, phi-copy movs) inherit their
@@ -234,22 +273,22 @@ func (lw *lowerer) operand(v ir.Value) Operand {
 
 // srcs files ops in the operand pool and returns their window.
 func (lw *lowerer) srcs(ops ...Operand) []Operand {
-	start := len(lw.srcPool)
-	lw.srcPool = append(lw.srcPool, ops...)
+	start := len(lw.st.srcs)
+	lw.st.srcs = append(lw.st.srcs, ops...)
 	return lw.srcWindow(start)
 }
 
 // srcWindow returns the pool's operands from start on, capped so that an
 // append to them cannot write into the next instruction's.
 func (lw *lowerer) srcWindow(start int) []Operand {
-	end := len(lw.srcPool)
-	return lw.srcPool[start:end:end]
+	end := len(lw.st.srcs)
+	return lw.st.srcs[start:end:end]
 }
 
 // emit appends in to the program and its record to the line table.
 func (lw *lowerer) emit(in Instr) {
-	lw.instrs = append(lw.instrs, in)
-	lw.prog.Lines = append(lw.prog.Lines, LineInfo{Loc: lw.curLoc, Block: lw.block, Loop: lw.loop})
+	lw.st.instrs = append(lw.st.instrs, in)
+	lw.st.lines = append(lw.st.lines, LineInfo{Loc: lw.curLoc, Block: lw.block, Loop: lw.loop})
 }
 
 // lowered returns how many instructions and operands in lowers to.
@@ -317,9 +356,9 @@ func (lw *lowerer) lowerInstr(in *ir.Instr) {
 		lw.emit(Instr{Kind: KBar, Type: ir.Void, Dst: NoReg})
 	default:
 		// Arithmetic and math intrinsics.
-		start := len(lw.srcPool)
+		start := len(lw.st.srcs)
 		for i := 0; i < in.NumArgs(); i++ {
-			lw.srcPool = append(lw.srcPool, lw.operand(in.Arg(i)))
+			lw.st.srcs = append(lw.st.srcs, lw.operand(in.Arg(i)))
 		}
 		lw.emit(Instr{Kind: KCompute, IROp: in.Op, Type: in.Type(), Dst: dst, Srcs: lw.srcWindow(start)})
 	}

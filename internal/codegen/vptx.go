@@ -5,13 +5,15 @@
 // and GEPs expand to `shl`+`add` address arithmetic exactly like the PTX in
 // the paper's Listings 4 and 5.
 //
-// A lowered Program is a few exactly sized arrays: one instruction array,
-// every block's instructions end to end in layout order, each Block.Instrs
-// a window of it capped at the block's end; one operand pool, each
-// Instr.Srcs a capped window of it; and the line table, Program.Lines, one
+// A lowered Program is cut from a few arrays: one instruction array, every
+// block's instructions end to end in layout order, each Block.Instrs a
+// window of it capped at the block's end; one operand pool, each
+// Instr.Srcs a capped window of it; the line table, Program.Lines, one
 // record per instruction in the same order, which is the only record of an
-// instruction's source loc and enclosing loop. Lower counts everything
-// before it emits, and works in tables it borrows from a bounded free list.
+// instruction's source loc and enclosing loop; and the block array. Lower
+// counts everything before it emits, works in tables it borrows from a
+// bounded free list, and grows the program's arrays in the ones the last
+// released program left (Release).
 package codegen
 
 import (
@@ -157,10 +159,16 @@ type Program struct {
 	// DecodedOnce guards Decoded, an opaque slot where a consumer caches a
 	// derived form of the program. The simulator stores its pre-decoded
 	// instruction stream here so decoding happens once per compiled program
-	// and is shared across warps, launches, and worker counts. Programs are
-	// immutable after Lower, so the cache never invalidates.
+	// and is shared across warps, launches, and worker counts. A program
+	// does not change between Lower and Release, so the cache never
+	// invalidates; the owner that releases the program releases the cached
+	// form with it (gpusim.ReleaseProgram).
 	DecodedOnce sync.Once
 	Decoded     any
+
+	// store holds the whole arrays Blocks, Lines and every Instrs and Srcs
+	// are windows of; nil when the program was not built by Lower.
+	store *store
 }
 
 // LineInfo is one line-table record: the provenance of the VPTX instruction

@@ -1,12 +1,14 @@
 // Package freelist is the program's one way to recycle storage: the bounded
-// free list behind seven kinds of recycled values, and the two functions
+// free list behind nine kinds of recycled values, and the two functions
 // every recycled table is reset with.
 //
 // The lists hold device memories (internal/interp) and run state
 // (internal/gpusim) for the simulator, the scratch bundle each compilation
 // borrows for its passes' tables and its analysis manager's trees
 // (internal/pipeline), the tables and analysis storage each lowering works
-// in (internal/codegen), the store of blocks and instructions a released
+// in and the arrays a released program leaves for the next one to be
+// lowered in (internal/codegen), the simulator's decoded form of a released
+// program (internal/gpusim), the store of blocks and instructions a released
 // function leaves for the next one to be carved from (internal/ir), and a
 // uud request's byte buffers and request state (internal/serve). Each
 // list's comment names its price: how much more the benchmark allocates
@@ -17,11 +19,11 @@
 // value sized for another request decides whether a run's allocation
 // depends on the order its requests come in:
 //
-//   - The compiler's bundles, codegen's scratch, IR stores and uud's
-//     buffers grow what they take to fit what they serve, so one list
-//     serves every request and a serial run builds only what its largest
-//     request needs, but how often it regrows depends on the order of the
-//     requests.
+//   - The compiler's bundles, codegen's scratch, program stores, decoded
+//     forms, IR stores and uud's buffers grow what they take to fit what
+//     they serve, so one list serves every request and a serial run builds
+//     only what its largest request needs, but how often it regrows
+//     depends on the order of the requests.
 //   - Device memories and simulator run state are sized at a class, a power
 //     of two, and filed on one list per class, so a value is only ever
 //     reused at its class and in a serial run each class is built once

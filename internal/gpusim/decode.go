@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"uu/internal/codegen"
+	"uu/internal/freelist"
 	"uu/internal/interp"
 	"uu/internal/ir"
 )
@@ -26,8 +27,10 @@ var ErrDecode = errors.New("invalid program")
 // immediates, truncation width, masks, f32 rounding, memory kind and size —
 // in the instruction's closure and timing record. The result, indexed by
 // global instruction id (also the icache address), is cached on
-// codegen.Program.Decoded, so it is built once and shared across warps,
-// launches, harness workers, and sweep configurations.
+// codegen.Program.Decoded, so it is built once per program and shared
+// across its warps, launches and devices. The program's owner releases both
+// together (ReleaseProgram), and the next program is decoded into the
+// arrays the released form leaves.
 
 // Scoreboard latency classes; warpSim resolves them against the device
 // config at run time (class 0 is the only config-dependent latency).
@@ -69,6 +72,33 @@ type decodedProgram struct {
 // registers plus its pooled immediates.
 func (dp *decodedProgram) fileRegs() int { return dp.numRegs + len(dp.consts) }
 
+// freeDecoded recycles released programs' decoded forms. Its price: with
+// its Put discarded the benchmark's sweep allocates 6.5 % more and
+// serve-cold 6.8 % more (EXPERIMENTS.md "What each free list buys").
+var freeDecoded = freelist.New[*decodedProgram]()
+
+// release files dp's arrays for the next decodeProgram, holding no closure
+// and no program's tables.
+func (dp *decodedProgram) release() {
+	*dp = decodedProgram{
+		blockStart: dp.blockStart, blockEnd: dp.blockEnd, targets: dp.targets,
+		paramRegs: dp.paramRegs, ops: freelist.Emptied(dp.ops), tim: dp.tim,
+		blockClass: dp.blockClass, consts: dp.consts,
+	}
+	freeDecoded.Put(dp)
+}
+
+// ReleaseProgram files p's decoded form, if a run built one, and then p's
+// own arrays (codegen.Release), for the next program to be decoded and
+// lowered in. It is for p's owner, after p's last run and every other read
+// of p.
+func ReleaseProgram(p *codegen.Program) {
+	if r, ok := p.Decoded.(decodeResult); ok && r.dp != nil {
+		r.dp.release()
+	}
+	codegen.Release(p)
+}
+
 // decodeResult caches the outcome of decodeProgram — including a decode
 // failure, which is a property of the program and equally permanent.
 type decodeResult struct {
@@ -92,20 +122,18 @@ func (dp *decodedProgram) numLines(lineInstrs int) int {
 }
 
 // decodeProgram lays p out and compiles each of its instructions in one
-// pass.
+// pass, in the arrays the last released decoded form left.
 func decodeProgram(p *codegen.Program) (*decodedProgram, error) {
-	n := p.NumInstrs()
-	dp := &decodedProgram{
-		name:       p.Name,
-		blockStart: make([]int32, len(p.Blocks)),
-		blockEnd:   make([]int32, len(p.Blocks)),
-		targets:    make([][2]int32, len(p.Blocks)),
-		ipdom:      p.IPDom,
-		numRegs:    p.NumRegs,
-		ops:        make([]threadOp, n),
-		tim:        make([]tTiming, n),
-		blockClass: make([][5]int32, len(p.Blocks)),
+	n, nb := p.NumInstrs(), len(p.Blocks)
+	dp, ok := freeDecoded.Take()
+	if !ok {
+		dp = new(decodedProgram)
 	}
+	dp.name, dp.ipdom, dp.numRegs = p.Name, p.IPDom, p.NumRegs
+	dp.blockStart, dp.blockEnd = freelist.Zeroed(dp.blockStart, nb), freelist.Zeroed(dp.blockEnd, nb)
+	dp.targets, dp.blockClass = freelist.Zeroed(dp.targets, nb), freelist.Zeroed(dp.blockClass, nb)
+	dp.ops, dp.tim = freelist.Zeroed(dp.ops, n), freelist.Zeroed(dp.tim, n)
+	dp.paramRegs, dp.consts = dp.paramRegs[:0], dp.consts[:0]
 	for _, r := range p.ParamRegs {
 		dp.paramRegs = append(dp.paramRegs, int32(r))
 	}
@@ -115,6 +143,7 @@ func decodeProgram(p *codegen.Program) (*decodedProgram, error) {
 		dp.blockStart[bi] = gi
 		for i := range b.Instrs {
 			if err := c.add(&b.Instrs[i], gi, bi); err != nil {
+				dp.release()
 				return nil, fmt.Errorf("gpusim: %s block %d instr %d: %w", p.Name, bi, i, err)
 			}
 			gi++

@@ -35,6 +35,16 @@ func FileRegs(p *codegen.Program) int {
 	return dp.fileRegs()
 }
 
+// DecodedForm returns the decoded form a run of p uses, which
+// ReleaseProgram files for the next program's decode.
+func DecodedForm(p *codegen.Program) any {
+	dp, err := decoded(p)
+	if err != nil {
+		panic(err)
+	}
+	return dp
+}
+
 // RunStates returns the run states the free lists hold, leaving them filed.
 func RunStates() []any {
 	var held []any

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"uu/internal/bench"
+	"uu/internal/codegen"
 	"uu/internal/gpusim"
 	"uu/internal/interp"
 	"uu/internal/pipeline"
@@ -18,6 +19,8 @@ import (
 // program is one suite app compiled under one configuration.
 type program struct {
 	name string
+	b    *bench.Benchmark
+	c    pipeline.Config
 	w    *bench.Workload
 	cr   *bench.CompileResult
 }
@@ -27,14 +30,55 @@ func suitePrograms(t *testing.T) []program {
 	var progs []program
 	for _, b := range bench.Suite {
 		for _, c := range []pipeline.Config{pipeline.Baseline, pipeline.UUHeuristic} {
-			cr, err := bench.Compile(b, pipeline.Options{Config: c})
-			if err != nil {
-				t.Fatalf("%s %s: %v", b.Name, c, err)
-			}
-			progs = append(progs, program{b.Name + "/" + string(c), b.NewWorkload(), cr})
+			p := program{name: b.Name + "/" + string(c), b: b, c: c, w: b.NewWorkload()}
+			p.cr = p.compile(t)
+			progs = append(progs, p)
 		}
 	}
 	return progs
+}
+
+// compile compiles p's app under p's configuration again.
+func (p program) compile(t *testing.T) *bench.CompileResult {
+	cr, err := bench.Compile(p.b, pipeline.Options{Config: p.c})
+	if err != nil {
+		t.Fatalf("%s: %v", p.name, err)
+	}
+	return cr
+}
+
+// inLeftovers compiles and decodes p again right after a fresh compile of
+// mate was decoded and released (gpusim.ReleaseProgram), so that p is
+// lowered in the store and decoded in the form mate left, and requires the
+// same VPTX text and line table as p's first compile. A program that
+// does not fit what mate left grows it. The free lists must be empty on
+// entry, as nothing but this helper releases a program in this package's
+// tests and it leaves them empty: the copy it returns is not released.
+func inLeftovers(t *testing.T, p, mate program) *codegen.Program {
+	m := mate.compile(t).Program
+	if err := gpusim.Prepare(m); err != nil {
+		t.Fatal(err)
+	}
+	instrs, form := &m.Blocks[0].Instrs[0], gpusim.DecodedForm(m)
+	fits := m.NumInstrs() >= p.cr.Program.NumInstrs()
+	gpusim.ReleaseProgram(m)
+	r := p.compile(t).Program
+	if err := gpusim.Prepare(r); err != nil {
+		t.Fatal(err)
+	}
+	if fits && &r.Blocks[0].Instrs[0] != instrs {
+		t.Errorf("%s: not lowered in the instruction array %s released", p.name, mate.name)
+	}
+	if gpusim.DecodedForm(r) != form {
+		t.Errorf("%s: not decoded in the form %s released", p.name, mate.name)
+	}
+	if r.String() != p.cr.Program.String() {
+		t.Errorf("%s: VPTX lowered where %s left its program differs", p.name, mate.name)
+	}
+	if !reflect.DeepEqual(r.Lines, p.cr.Program.Lines) {
+		t.Errorf("%s: line table lowered where %s left its program differs", p.name, mate.name)
+	}
+	return r
 }
 
 // testSpecs are the devices the reuse and differential tests sweep: the
@@ -65,6 +109,9 @@ func testDevices(t *testing.T) []gpusim.DeviceConfig {
 // that the widest-file program left on a narrower warp (lane buffers too
 // small) and that the narrowest-file program left on a wider one
 // (scoreboard and block tables too small), checking that the run took it.
+// Last, each app is lowered and decoded again in the program store and the
+// decoded form that the largest and the smallest program released
+// (inLeftovers), and runs on every device as its first compile does.
 func TestReuseIsInvisible(t *testing.T) {
 	progs := suitePrograms(t)
 	devs := testDevices(t)
@@ -83,21 +130,35 @@ func TestReuseIsInvisible(t *testing.T) {
 		}
 	}
 	narrowed, widened := 0, 0 // cases whose class-mate ran on a narrower or wider warp
+	largest, smallest := progs[0], progs[0]
+	for _, p := range progs {
+		if p.cr.Program.NumInstrs() > largest.cr.Program.NumInstrs() {
+			largest = p
+		}
+		if p.cr.Program.NumInstrs() < smallest.cr.Program.NumInstrs() {
+			smallest = p
+		}
+	}
 
 	for pi, p := range progs {
+		leftovers := []program{largest, smallest}
+		var again []*codegen.Program
+		for _, mate := range leftovers {
+			again = append(again, inLeftovers(t, p, mate))
+		}
 		for di, cfg := range devs {
 			name := p.name + "/" + testSpecs[di]
 			few := p.w.Launch
 			few.SampleWarps = 4
 			// The grid without a profile (the steady-state fast loop
 			// only runs unprofiled), then a few warps with one.
-			run := func(mem *interp.Memory) (full, sampled *gpusim.Metrics, prof *gpusim.Profile) {
-				full, err := gpusim.Run(p.cr.Program, p.w.Args, mem, p.w.Launch, cfg)
+			run := func(prog *codegen.Program, mem *interp.Memory) (full, sampled *gpusim.Metrics, prof *gpusim.Profile) {
+				full, err := gpusim.Run(prog, p.w.Args, mem, p.w.Launch, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				prof = gpusim.NewProfile(p.cr.Program)
-				sampled, err = gpusim.RunCtx(context.Background(), p.cr.Program, p.w.Args, mem, few, cfg, prof)
+				prof = gpusim.NewProfile(prog)
+				sampled, err = gpusim.RunCtx(context.Background(), prog, p.w.Args, mem, few, cfg, prof)
 				if err != nil {
 					t.Fatalf("%s: profiled: %v", name, err)
 				}
@@ -106,7 +167,7 @@ func TestReuseIsInvisible(t *testing.T) {
 
 			gpusim.DropRunState()
 			freshMem := p.w.NewMemory()
-			freshM, freshSampled, freshProf := run(freshMem)
+			freshM, freshSampled, freshProf := run(p.cr.Program, freshMem)
 
 			// Dirty both lists. A few warps are enough to leave every
 			// buffer written; the failed runs hand back garbage memory.
@@ -139,9 +200,9 @@ func TestReuseIsInvisible(t *testing.T) {
 			}
 			interp.ReleaseMemory(cmem)
 
-			check := func(state string) {
+			check := func(state string, prog *codegen.Program) {
 				mem := p.w.AcquireMemory()
-				m, sampled, prof := run(mem)
+				m, sampled, prof := run(prog, mem)
 				if *m != *freshM {
 					t.Errorf("%s: metrics on %s differ:\n got %+v\nwant %+v", name, state, *m, *freshM)
 				}
@@ -156,7 +217,10 @@ func TestReuseIsInvisible(t *testing.T) {
 				}
 				interp.ReleaseMemory(mem)
 			}
-			check("recycled state")
+			check("recycled state", p.cr.Program)
+			for k, r := range again {
+				check("a program lowered and decoded where "+leftovers[k].name+" left its own", r)
+			}
 
 			for _, mate := range []program{wide, thin} {
 				mcfg := cfg
@@ -178,7 +242,7 @@ func TestReuseIsInvisible(t *testing.T) {
 				}
 				interp.ReleaseMemory(mmem)
 				left := gpusim.RunStates()
-				check(fmt.Sprintf("state of a %d-lane warp of %s", mcfg.WarpSize, mate.name))
+				check(fmt.Sprintf("state of a %d-lane warp of %s", mcfg.WarpSize, mate.name), p.cr.Program)
 				if now := gpusim.RunStates(); len(left) != 1 || len(now) != 1 || now[0] != left[0] {
 					t.Errorf("%s: the run did not take the state a %d-lane warp of %s left", name, mcfg.WarpSize, mate.name)
 				}

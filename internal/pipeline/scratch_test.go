@@ -190,7 +190,8 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 // its bundle, nothing the free list holds reaches the function it compiled.
 // The worst cell, contained and verified, puts every layer's scratch to work;
 // lowering it puts codegen's analysis storage to work, which codegen files on
-// a list of its own.
+// a list of its own, and releasing the program it lowered files the
+// program's arrays, whose operand pool held the constant below.
 // A finalizer on the *ir.Function itself would never run — the function and
 // its blocks point at each other, and the runtime does not finalize a cycle
 // — so it sits on a constant only the compiled function references, which
@@ -209,9 +210,11 @@ func TestParkedScratchPinsNoFunction(t *testing.T) {
 		entry := f.Entry()
 		entry.InsertBefore(ir.NewInstr(ir.OpAdd, ir.I64, c, c), entry.Term())
 		runtime.SetFinalizer(c, func(*ir.Const) { close(freed) })
-		if _, err := codegen.Lower(f); err != nil {
+		prog, err := codegen.Lower(f)
+		if err != nil {
 			t.Fatal(err)
 		}
+		codegen.Release(prog)
 	}()
 	for i := 0; i < 20; i++ {
 		runtime.GC()
@@ -221,5 +224,5 @@ func TestParkedScratchPinsNoFunction(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	t.Fatal("the compiled function is still reachable after its compilation filed its bundle")
+	t.Fatal("the compiled function is still reachable after its compilation filed its bundle and its program was released")
 }

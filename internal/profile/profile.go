@@ -70,14 +70,12 @@ type Report struct {
 	// Loops is every loop of the program in LoopMeta order (not cycle
 	// order: the table renderer sorts a copy), including cold ones.
 	Loops []LoopRow
-
-	prog *codegen.Program
 }
 
 // Build joins a profile with its program's line table. prof must have been
 // collected for prog (same flat PC indexing).
 func Build(prog *codegen.Program, prof *gpusim.Profile) *Report {
-	r := &Report{Kernel: prog.Name, prog: prog}
+	r := &Report{Kernel: prog.Name}
 	type key struct {
 		loc  ir.Loc
 		loop int32

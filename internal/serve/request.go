@@ -421,6 +421,9 @@ func runSpec(ctx context.Context, sp *spec, x *execRecord) (*Response, *Error) {
 	}
 	rec, err := bench.Run(ctx, job)
 	x.run, x.Compile, x.Simulate = rec, rec.CompileWall, rec.SimulateWall
+	// The program's last reader is the folded profile below; a traced
+	// leader renders its spans from the rest of the record.
+	defer rec.Release()
 	switch {
 	case err == nil:
 	case rec.Program == nil:
